@@ -159,9 +159,12 @@ def _smart_split(spec: str) -> list[str]:
 
 
 def emit(payload, args):
-    text = json.dumps(payload, indent=2, default=_json_default)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+    _write(json.dumps(payload, indent=2, default=_json_default), getattr(args, "out", None))
+
+
+def _write(text: str, out_path: str | None):
+    if out_path:
+        with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -316,11 +319,7 @@ def cmd_spectrum(args) -> int:
             [s for pl in payload for s in pl["spectrum"]]
         for val, mult in spec:
             lines.append(f"{val.real},{val.imag},{mult}")
-        text = "\n".join(lines)
-        if args.out:
-            open(args.out, "w").write(text + "\n")
-        else:
-            print(text)
+        _write("\n".join(lines), args.out)
         return 0
     emit(payload, args)
     return 0
@@ -430,11 +429,7 @@ def _run_sweep(argv) -> int:
                     "ok": False, "error": str(exc)}
             any_failed = True
         lines.append(json.dumps(line, default=_json_default))
-    text = "\n".join(lines)
-    if out_path:
-        open(out_path, "w").write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), out_path)
     return 1 if any_failed else 0
 
 

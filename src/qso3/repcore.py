@@ -1,10 +1,18 @@
-"""Representation data model and relation verifiers.
+"""Representation data model, the band model and relation verifiers.
 
 Finite representations are dense complex matrices acting on column vectors:
 G|m> = sum_j c_j |m_j> puts c_j in column index(m), row index(m_j), with
-basis labels in ascending order.  Infinite representations are stored as
-tridiagonal coefficient closures over an integer domain coordinate n with
-labels m = offset + n; dense matrices exist only through truncation.
+basis labels in ascending order.
+
+Every registered family is described by bands: per generator, coefficient
+closures ``diag``, ``up`` and ``down`` of an integer domain coordinate n,
+G|n> = up(n)|n+1> + diag(n)|n> + down(n)|n-1>.  The domain is one of four:
+an interval, a half-line or the whole line (``BandedRep.n_min``/``n_max``,
+None meaning unbounded), or a cycle n_lo..n_hi on which up at n_hi wraps to
+n_lo and down at n_lo wraps to n_hi.  ``materialize`` is the one place that
+turns bands into dense matrices: finite constructors call it on their whole
+interval or cycle, and infinite representations (``BandedRep``, labels
+m = offset + n) reach it only through truncation windows.
 
 Verification is residual-based: each defining relation is evaluated and the
 max-entry norm of the defect is scaled by the max-entry norms of the terms.
@@ -49,10 +57,6 @@ class So3FiniteRep:
     def dim(self) -> int:
         return self.I1.shape[0]
 
-    @property
-    def generators(self) -> list[np.ndarray]:
-        return [self.I1, self.I2]
-
 
 @dataclass
 class Sl2FiniteRep:
@@ -67,10 +71,6 @@ class Sl2FiniteRep:
     @property
     def dim(self) -> int:
         return self.K.shape[0]
-
-    @property
-    def generators(self) -> list[np.ndarray]:
-        return [self.K, self.E, self.F]
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,6 @@ class BandedRep:
         if self.n_max is not None and n > self.n_max:
             return False
         return True
-
-    @property
-    def generator_names(self) -> list[str]:
-        return ["I1", "I2"] if self.flavor == "so3" else ["K", "E", "F"]
 
 
 def so3_i3_band(ctx: QContext, i1: Band, i2: Band) -> Band:
@@ -175,27 +171,44 @@ def truncate_n(rep: BandedRep, n_lo: int, n_hi: int) -> TruncatedRep:
     if n_hi < n_lo:
         raise EmptyWindow("empty truncation window")
     ns = np.arange(n_lo, n_hi + 1)
-    dim = len(ns)
-    idx = {int(n): j for j, n in enumerate(ns)}
-    mats = {}
-    for name, band in rep.bands.items():
-        mat = np.zeros((dim, dim), dtype=complex)
-        for j, n in enumerate(ns):
-            n = int(n)
-            if band.diag is not None:
-                mat[j, j] = band.diag(n)
-            if band.up is not None and (n + 1) in idx:
-                mat[idx[n + 1], j] = band.up(n)
-            if band.down is not None and (n - 1) in idx:
-                mat[idx[n - 1], j] = band.down(n)
-        mats[name] = mat
     labels = np.array([rep.label(int(n)) for n in ns])
     interior = np.array([
-        all(idx.__contains__(m) or not rep.in_domain(m)
+        all(n_lo <= m <= n_hi or not rep.in_domain(m)
             for m in range(int(n) - 2, int(n) + 3))
         for n in ns
     ])
-    return TruncatedRep(labels=labels, ns=ns, matrices=mats, interior=interior)
+    return TruncatedRep(labels=labels, ns=ns, interior=interior,
+                        matrices=materialize(rep.bands, n_lo, n_hi))
+
+
+def materialize(bands: dict[str, Band], n_lo: int, n_hi: int,
+                cyclic: bool = False) -> dict[str, np.ndarray]:
+    """Dense matrices of the bands on the domain coordinates n_lo..n_hi.
+
+    On an interval, images outside n_lo..n_hi are dropped; on a cycle, up at
+    n_hi lands on n_lo and down at n_lo on n_hi.  Entries accumulate, so on
+    a 2-cycle the up and down links of a column add up.
+    """
+    ns = range(n_lo, n_hi + 1)
+    j = np.arange(len(ns))
+    # part: (rows, columns, coordinates) of its entries; on an interval the
+    # links that would leave it are dropped, on a cycle they wrap around
+    if cyclic:
+        places = {"diag": (j, j, ns), "up": ((j + 1) % len(ns), j, ns),
+                  "down": (j - 1, j, ns)}
+    else:
+        places = {"diag": (j, j, ns), "up": (j[1:], j[:-1], ns[:-1]),
+                  "down": (j[:-1], j[1:], ns[1:])}
+    mats = {}
+    for name, band in bands.items():
+        mat = np.zeros((len(ns), len(ns)), dtype=complex)
+        for part, (rows, cols, part_ns) in places.items():
+            coeff = getattr(band, part)
+            if coeff is not None and part_ns:
+                # rows are distinct within one part, so += adds every entry
+                mat[rows, cols] += [coeff(n) for n in part_ns]
+        mats[name] = mat
+    return mats
 
 
 @dataclass

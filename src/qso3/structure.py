@@ -187,7 +187,7 @@ def intertwiners(rep_a, rep_b, rank_tol: float = RANK_TOL) -> tuple[int, list[np
 def are_equivalent(rep_a, rep_b, seed: int = DEFAULT_SEED) -> bool:
     """Equivalence via an invertible intertwiner.
 
-    A fingerprint pre-filter rejects cheap mismatches; otherwise a random
+    Representations of different dimension are rejected; otherwise a random
     combination of the intertwiner basis is tested for invertibility.
     """
     ga, gb = _gens(rep_a), _gens(rep_b)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadParam, BadRange, CtxMismatch
 from .qscalar import HalfInt, QContext, q_num, q_pow, q_pow_c
-from .repcore import Band, BandedRep, FamilyDescriptor, Sl2FiniteRep
+from .repcore import Band, BandedRep, FamilyDescriptor, Sl2FiniteRep, materialize
 
 OMEGAS = {"1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j}
 EXTEND_SCAN_MARGIN = 8
@@ -57,22 +57,20 @@ def t_omega_l(ctx: QContext, l, omega=1) -> Sl2FiniteRep:
         raise BadRange(f"2l = {l.twice} >= p' = {ctx.p_prime}: weight family out of range")
     w = _omega_value(omega)
     labels = weight_labels(l)
-    dim = len(labels)
-    K = np.zeros((dim, dim), dtype=complex)
-    Kinv = np.zeros((dim, dim), dtype=complex)
-    E = np.zeros((dim, dim), dtype=complex)
-    F = np.zeros((dim, dim), dtype=complex)
     f_sign = -1.0 if w.real == 0 else 1.0
-    for j, m in enumerate(labels):
-        km = w * q_pow(ctx, m)
-        K[j, j] = km
-        Kinv[j, j] = 1 / km
-        if j + 1 < dim:
-            E[j + 1, j] = q_num(ctx, l - m)
-        if j - 1 >= 0:
-            F[j - 1, j] = f_sign * q_num(ctx, l + m)
+    k_diag = lambda n: w * q_pow(ctx, labels[n])
+    bands = {"K": Band(diag=k_diag), "Kinv": Band(diag=lambda n: 1 / k_diag(n)),
+             "E": Band(up=lambda n: q_num(ctx, l - labels[n])),
+             "F": Band(down=lambda n: f_sign * q_num(ctx, l + labels[n]))}
     fam = FamilyDescriptor("T_l", {"l": l, "omega": _omega_name(w)})
-    return Sl2FiniteRep(ctx, K, Kinv, E, F, fam)
+    return _sl2_finite(ctx, bands, len(labels), fam)
+
+
+def _sl2_finite(ctx: QContext, bands: dict[str, Band], dim: int,
+                family: FamilyDescriptor, cyclic: bool = False) -> Sl2FiniteRep:
+    """Materialize K, Kinv, E, F on n = 0..dim-1 (a cycle if ``cyclic``)."""
+    mats = materialize(bands, 0, dim - 1, cyclic)
+    return Sl2FiniteRep(ctx, mats["K"], mats["Kinv"], mats["E"], mats["F"], family)
 
 
 def is_extendable(rep: Sl2FiniteRep | BandedRep, scan: int | None = None):
@@ -126,6 +124,33 @@ def cyclic_dim(ctx: QContext, wraps: bool) -> int:
     return ctx.p
 
 
+def _cyclic_sl2(ctx: QContext, lam, k_diag, up_name: str, up_wrap, step, down_wrap,
+                family: FamilyDescriptor) -> Sl2FiniteRep:
+    """Cyclic family on a cycle of length ``cyclic_dim``: generator
+    ``up_name`` steps i -> i+1 with weight 1, wrapping with ``up_wrap``; the
+    other of E, F steps i -> i-1 with ``step(i)``, wrapping with ``down_wrap``."""
+    _require_root(ctx)
+    if lam == 0:
+        raise BadParam("lambda must be nonzero")
+    dim = cyclic_dim(ctx, up_wrap != 0 or down_wrap != 0)
+    down_name = "F" if up_name == "E" else "E"
+    bands = {
+        "K": Band(diag=k_diag),
+        # numpy's complex reciprocal, which can differ from Python's in the last bit
+        "Kinv": Band(diag=lambda i: 1 / np.complex128(k_diag(i))),
+        up_name: Band(up=lambda i: up_wrap if i == dim - 1 else 1.0),
+        down_name: Band(down=lambda i: down_wrap if i == 0 else step(i)),
+    }
+    return _sl2_finite(ctx, bands, dim, family, cyclic=True)
+
+
+def _weight_step(ctx: QContext, lam: complex, i: int) -> complex:
+    """[i] (lam^2 q^{1-i} - lam^{-2} q^{i-1}) / (q - 1/q)."""
+    q = ctx.q
+    return q_num(ctx, i) * (
+        lam ** 2 * q_pow(ctx, 1 - i) - lam ** -2 * q_pow(ctx, i - 1)) / (q - 1 / q)
+
+
 def t_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
     """Cyclic family at a root of unity (dimension p' for odd p; see cyclic_dim).
 
@@ -134,34 +159,14 @@ def t_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
     Parameter points known to be reducible ((a,b) = (0,0), lambda = +-q^n)
     are constructed with a flag, never refused.
     """
-    lam = complex(lam)
-    _require_root(ctx)
-    if lam == 0:
-        raise BadParam("lambda must be nonzero")
-    a, b = complex(a), complex(b)
-    dim = cyclic_dim(ctx, a != 0 or b != 0)
-    q = ctx.q
-    w = q - 1 / q
-    K = np.zeros((dim, dim), dtype=complex)
-    Kinv = np.zeros((dim, dim), dtype=complex)
-    E = np.zeros((dim, dim), dtype=complex)
-    F = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        K[i, i] = q_pow(ctx, -i) * lam
-        Kinv[i, i] = 1 / K[i, i]
-        if i < dim - 1:
-            F[i + 1, i] = 1.0
-        if i > 0:
-            E[i - 1, i] = a * b + q_num(ctx, i) * (
-                lam ** 2 * q_pow(ctx, 1 - i) - lam ** -2 * q_pow(ctx, i - 1)) / w
-    F[0, dim - 1] += b
-    E[dim - 1, 0] += a
-    flags = {}
+    lam, a, b = complex(lam), complex(a), complex(b)
+    rep = _cyclic_sl2(ctx, lam, lambda i: q_pow(ctx, -i) * lam, "F", b,
+                      lambda i: a * b + _weight_step(ctx, lam, i), a,
+                      FamilyDescriptor("T_ab_lambda", {"a": a, "b": b, "lambda": lam}))
     # wrap-free chains break exactly where a raising coefficient vanishes
-    if a == 0 and b == 0 and _chain_breaks(ctx, E, dim):
-        flags["reducible"] = True
-    fam = FamilyDescriptor("T_ab_lambda", {"a": a, "b": b, "lambda": lam})
-    return Sl2FiniteRep(ctx, K, Kinv, E, F, fam, flags)
+    if a == 0 and b == 0 and _chain_breaks(ctx, rep.E, rep.dim):
+        rep.flags["reducible"] = True
+    return rep
 
 
 def _chain_breaks(ctx: QContext, stepper: np.ndarray, dim: int) -> bool:
@@ -171,32 +176,13 @@ def _chain_breaks(ctx: QContext, stepper: np.ndarray, dim: int) -> bool:
 
 def t_prime_0b_lambda(ctx: QContext, b, lam) -> Sl2FiniteRep:
     """One-sided cyclic variant: E steps up (wrapping with weight b), F|0> = 0."""
-    lam = complex(lam)
-    _require_root(ctx)
-    if lam == 0:
-        raise BadParam("lambda must be nonzero")
-    b = complex(b)
-    dim = cyclic_dim(ctx, b != 0)
-    q = ctx.q
-    w = q - 1 / q
-    K = np.zeros((dim, dim), dtype=complex)
-    Kinv = np.zeros((dim, dim), dtype=complex)
-    E = np.zeros((dim, dim), dtype=complex)
-    F = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        K[i, i] = q_pow(ctx, i) / lam
-        Kinv[i, i] = 1 / K[i, i]
-        if i < dim - 1:
-            E[i + 1, i] = 1.0
-        if i > 0:
-            F[i - 1, i] = q_num(ctx, i) * (
-                lam ** 2 * q_pow(ctx, 1 - i) - lam ** -2 * q_pow(ctx, i - 1)) / w
-    E[0, dim - 1] += b
-    flags = {}
-    if b == 0 and _chain_breaks(ctx, F, dim):
-        flags["reducible"] = True
-    fam = FamilyDescriptor("T_prime", {"b": b, "lambda": lam})
-    return Sl2FiniteRep(ctx, K, Kinv, E, F, fam, flags)
+    lam, b = complex(lam), complex(b)
+    rep = _cyclic_sl2(ctx, lam, lambda i: q_pow(ctx, i) / lam, "E", b,
+                      lambda i: _weight_step(ctx, lam, i), 0,
+                      FamilyDescriptor("T_prime", {"b": b, "lambda": lam}))
+    if b == 0 and _chain_breaks(ctx, rep.F, rep.dim):
+        rep.flags["reducible"] = True
+    return rep
 
 
 def t_tilde_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
@@ -205,30 +191,10 @@ def t_tilde_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
     Equivalent to the plain cyclic family at i*lambda; kept as a separate
     constructor so the equivalence is testable.
     """
-    lam = complex(lam)
-    _require_root(ctx)
-    if lam == 0:
-        raise BadParam("lambda must be nonzero")
-    a, b = complex(a), complex(b)
-    dim = cyclic_dim(ctx, a != 0 or b != 0)
-    q = ctx.q
-    w = q - 1 / q
-    K = np.zeros((dim, dim), dtype=complex)
-    Kinv = np.zeros((dim, dim), dtype=complex)
-    E = np.zeros((dim, dim), dtype=complex)
-    F = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        K[i, i] = 1j * q_pow(ctx, -i) * lam
-        Kinv[i, i] = 1 / K[i, i]
-        if i < dim - 1:
-            F[i + 1, i] = 1.0
-        if i > 0:
-            E[i - 1, i] = a * b - q_num(ctx, i) * (
-                lam ** 2 * q_pow(ctx, 1 - i) - lam ** -2 * q_pow(ctx, i - 1)) / w
-    F[0, dim - 1] += b
-    E[dim - 1, 0] += a
-    fam = FamilyDescriptor("T_tilde", {"a": a, "b": b, "lambda": lam})
-    return Sl2FiniteRep(ctx, K, Kinv, E, F, fam)
+    lam, a, b = complex(lam), complex(a), complex(b)
+    return _cyclic_sl2(ctx, lam, lambda i: 1j * q_pow(ctx, -i) * lam, "F", b,
+                       lambda i: a * b - _weight_step(ctx, lam, i), a,
+                       FamilyDescriptor("T_tilde", {"a": a, "b": b, "lambda": lam}))
 
 
 def special_epsilon_values(ctx: QContext, r_range: int = 8) -> list[complex]:

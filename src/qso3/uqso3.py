@@ -9,6 +9,15 @@ families: the cyclic R_ab_lambda with its degenerate-parameter splits,
 the cyclic constant-coefficient family Qp_lambda, and its component
 families, plus the central-element machinery.
 
+Every family is a band description in the ``repcore`` model: a diagonal
+closure for I1 and up/diag/down closures for I2 on a domain coordinate n.
+Finite families live on an interval n = 0..dim-1 or, for the cyclic root
+of unity families, on a cycle of that length, and are made dense by the one
+``repcore.materialize``; infinite families stay ``BandedRep`` closures on a
+half-line or the line.  The root-of-unity component families differ only
+in dimension, first label and which ends carry a sqrt(2) link or a diagonal
+entry, so they are a table (``_Q_ROOT_SHAPES``).
+
 Everywhere the third generator is derived from the first two through the
 defining q-commutator, which keeps every constructor internally
 consistent; unit tests check the derived entries against closed forms.
@@ -32,8 +41,9 @@ from .errors import (BadDescriptor, BadParam, BadParity, BadRange,
                      SpecialEpsilon)
 from .qscalar import HalfInt, QContext, as_complex, q_num, q_pow, q_pow_c
 from .repcore import (HALF, Band, BandedRep, FamilyDescriptor, So3FiniteRep,
-                      so3_i3_band)
-from .uqsl2 import classify_epsilon, weight_labels
+                      materialize, so3_i3_band, verify_so3)
+from .uqsl2 import (_is_integer_mod, _require_root, classify_epsilon, cyclic_dim,
+                    weight_labels)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -43,6 +53,14 @@ def _finish_so3(ctx: QContext, I1: np.ndarray, I2: np.ndarray,
     rt = q_pow(ctx, HALF)
     I3 = rt * I1 @ I2 - (1 / rt) * I2 @ I1
     return So3FiniteRep(ctx, I1, I2, I3, family, flags or {})
+
+
+def _so3_finite(ctx: QContext, dim: int, i1_diag, i2: Band,
+                family: FamilyDescriptor, flags: dict | None = None,
+                cyclic: bool = False) -> So3FiniteRep:
+    """Diagonal I1 and banded I2 on n = 0..dim-1 (a cycle if ``cyclic``)."""
+    mats = materialize({"I1": Band(diag=i1_diag), "I2": i2}, 0, dim - 1, cyclic)
+    return _finish_so3(ctx, mats["I1"], mats["I2"], family, flags)
 
 
 def _w(ctx: QContext) -> complex:
@@ -64,18 +82,11 @@ def r1_l(ctx: QContext, l) -> So3FiniteRep:
         raise BadParam(f"l must be >= 0, got {l}")
     _guard_weight_range(ctx, l)
     labels = weight_labels(l)
-    dim = len(labels)
-    I1 = np.zeros((dim, dim), dtype=complex)
-    I2 = np.zeros((dim, dim), dtype=complex)
-    for j, m in enumerate(labels):
-        I1[j, j] = 1j * q_num(ctx, m)
-        den = q_pow(ctx, m) + q_pow(ctx, -m)
-        if j + 1 < dim:
-            I2[j + 1, j] = q_num(ctx, l - m) / den
-        if j - 1 >= 0:
-            I2[j - 1, j] = -q_num(ctx, l + m) / den
-    fam = FamilyDescriptor("R1_l", {"l": l})
-    return _finish_so3(ctx, I1, I2, fam)
+    den = lambda n: q_pow(ctx, labels[n]) + q_pow(ctx, -labels[n])
+    i2 = Band(up=lambda n: q_num(ctx, l - labels[n]) / den(n),
+              down=lambda n: -q_num(ctx, l + labels[n]) / den(n))
+    return _so3_finite(ctx, len(labels), lambda n: 1j * q_num(ctx, labels[n]), i2,
+                       FamilyDescriptor("R1_l", {"l": l}))
 
 
 def r_pm_i_l(ctx: QContext, l, sign: int = 1) -> So3FiniteRep:
@@ -93,18 +104,14 @@ def r_pm_i_l(ctx: QContext, l, sign: int = 1) -> So3FiniteRep:
     sign = _pm(sign)
     w = _w(ctx)
     labels = weight_labels(l)
-    dim = len(labels)
-    I1 = np.zeros((dim, dim), dtype=complex)
-    I2 = np.zeros((dim, dim), dtype=complex)
-    for j, m in enumerate(labels):
-        I1[j, j] = -sign * (q_pow(ctx, m) + q_pow(ctx, -m)) / w
-        den = q_pow(ctx, m) - q_pow(ctx, -m)
-        if j + 1 < dim:
-            I2[j + 1, j] = -sign * 1j * q_num(ctx, l - m) / den
-        if j - 1 >= 0:
-            I2[j - 1, j] = -sign * 1j * q_num(ctx, l + m) / den
-    fam = FamilyDescriptor("Ri_l", {"l": l, "sign": sign})
-    return _finish_so3(ctx, I1, I2, fam, {"reducible": True})
+    t = lambda n: q_pow(ctx, labels[n])
+    den = lambda n: t(n) - q_pow(ctx, -labels[n])
+    i1_diag = lambda n: -sign * (t(n) + q_pow(ctx, -labels[n])) / w
+    i2 = Band(up=lambda n: -sign * 1j * q_num(ctx, l - labels[n]) / den(n),
+              down=lambda n: -sign * 1j * q_num(ctx, l + labels[n]) / den(n))
+    return _so3_finite(ctx, len(labels), i1_diag, i2,
+                       FamilyDescriptor("Ri_l", {"l": l, "sign": sign}),
+                       {"reducible": True})
 
 
 def split_n_max(ctx: QContext) -> int | None:
@@ -135,24 +142,14 @@ def r_split_n(ctx: QContext, n: int, signs=(1, 1)) -> So3FiniteRep:
     s1, s2 = _pm(signs[0]), _pm(signs[1])
     w = _w(ctx)
     delta = q_pow(ctx, HALF) - q_pow(ctx, -HALF)
-    I1 = np.zeros((n, n), dtype=complex)
-    base = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        k = j + 1
-        kh = HalfInt(2 * k - 1)  # k - 1/2
-        I1[j, j] = -s1 * (q_pow(ctx, kh) + q_pow(ctx, -kh)) / w
-        if k == 1:
-            base[0, 0] = s2 * q_num(ctx, n) / delta
-            if n > 1:
-                base[1, 0] = 1j * q_num(ctx, n - 1) / delta
-        else:
-            den = q_pow(ctx, kh) - q_pow(ctx, -kh)
-            if j + 1 < n:
-                base[j + 1, j] = 1j * q_num(ctx, n - k) / den
-            base[j - 1, j] = 1j * q_num(ctx, n + k - 1) / den
-    I2 = s1 * base
-    fam = FamilyDescriptor("Rsplit_n", {"n": n, "signs": (s1, s2)})
-    return _finish_so3(ctx, I1, I2, fam)
+    kh = lambda j: HalfInt(2 * j + 1)  # k - 1/2 for the basis index k = j + 1
+    den = lambda j: delta if j == 0 else q_pow(ctx, kh(j)) - q_pow(ctx, -kh(j))
+    i1_diag = lambda j: -s1 * (q_pow(ctx, kh(j)) + q_pow(ctx, -kh(j))) / w
+    i2 = Band(diag=lambda j: s1 * (s2 * q_num(ctx, n) / delta) if j == 0 else 0.0,
+              up=lambda j: s1 * (1j * q_num(ctx, n - j - 1) / den(j)),
+              down=lambda j: s1 * (1j * q_num(ctx, n + j) / den(j)))
+    return _so3_finite(ctx, n, i1_diag, i2,
+                       FamilyDescriptor("Rsplit_n", {"n": n, "signs": (s1, s2)}))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +184,7 @@ def r_a_epsilon(ctx: QContext, a, eps) -> BandedRep:
     i1_diag = lambda n: 1j * q_num(ctx, m_of(n))
     i2_up = lambda n: q_num(ctx, a - m_of(n)) / (qm(n) + 1 / qm(n))
     i2_down = lambda n: -q_num(ctx, a + m_of(n)) / (qm(n) + 1 / qm(n))
-    irr = not (_int_mod(ctx, a - eps) or _int_mod(ctx, a + eps))
+    irr = not (_is_integer_mod(ctx, a - eps) or _is_integer_mod(ctx, a + eps))
     fam = FamilyDescriptor("R_a_eps", {"a": a, "eps": eps})
     return _so3_banded(ctx, eps, i1_diag, None, i2_up, i2_down, fam,
                        flags={"irreducible": irr})
@@ -291,7 +288,7 @@ def r_highest_lowest(ctx: QContext, kind: str, param) -> BandedRep:
         if kind not in ("a+", "a-"):
             raise BadParam(f"kind must be one of l+, l-, a+, a-, got {kind!r}")
         a = complex(param)
-        if _int_mod(ctx, a) or _int_mod(ctx, a - 0.5):
+        if _is_integer_mod(ctx, a) or _is_integer_mod(ctx, a - 0.5):
             raise BadParam(f"a = {a} must avoid Z and 1/2 + Z (those are the l-type points)")
         sign = 1 if kind == "a+" else -1
         # "a+": m = -a + n, n >= 0; a + m = n exact.  "a-": m = a + n, n <= 0.
@@ -383,11 +380,6 @@ def q_lambda_components(ctx: QContext, which: int, at: str, sign: int = 1) -> Ba
 # ---------------------------------------------------------------------------
 # root-of-unity families
 
-def _require_root(ctx: QContext):
-    if not ctx.is_root_of_unity:
-        raise BadParam("this family requires a root-of-unity context")
-
-
 def excluded_lambda(ctx: QContext, lam: complex) -> bool:
     """Whether lam is within tolerance of +-q^k for some integer k."""
     lam = complex(lam)
@@ -399,16 +391,6 @@ def excluded_lambda(ctx: QContext, lam: complex) -> bool:
     return False
 
 
-def cyclic_family_dim(ctx: QContext, a, b) -> int:
-    """Dimension of the cyclic family: p' for odd p or for the wrap-free
-    point (a, b) = (0, 0); otherwise p (the weight cycle closes only after
-    ord(q) steps, since q^{p'} = -1 for even p)."""
-    _require_root(ctx)
-    if ctx.p % 2 or (complex(a) == 0 and complex(b) == 0):
-        return ctx.p_prime
-    return ctx.p
-
-
 def degenerate_lambdas(ctx: QContext, trivial_ab: bool = False) -> list[complex]:
     """In-domain lambda values at which the cyclic family's I1 spectrum is
     fully paired (and the family can split).
@@ -417,13 +399,13 @@ def degenerate_lambdas(ctx: QContext, trivial_ab: bool = False) -> list[complex]
     points +-q^k, since q^{1/2} itself is +-q^{(p+1)/2}.
     """
     _require_root(ctx)
-    dim = ctx.p_prime if (ctx.p % 2 or trivial_ab) else ctx.p
+    dim = cyclic_dim(ctx, not trivial_ab)
     vals = [q_pow(ctx, HalfInt(dim - 1)), -q_pow(ctx, HalfInt(dim - 1))]
     return [v for v in vals if not excluded_lambda(ctx, v)]
 
 
 def r_ab_lambda(ctx: QContext, a, b, lam) -> So3FiniteRep:
-    """Cyclic family at a root of unity (dimension per ``cyclic_family_dim``).
+    """Cyclic family at a root of unity (dimension per ``uqsl2.cyclic_dim``).
 
     Defined for lam not in {0} and not within tolerance of +-q^k (where the
     column denominators q^{-i} lam - q^{i} lam^{-1} would vanish).  Equals
@@ -436,32 +418,22 @@ def r_ab_lambda(ctx: QContext, a, b, lam) -> So3FiniteRep:
     if excluded_lambda(ctx, lam):
         raise BadParam(f"lambda = {lam} is within tolerance of +-q^k (excluded)")
     a, b = complex(a), complex(b)
-    dim = cyclic_family_dim(ctx, a, b)
+    dim = cyclic_dim(ctx, a != 0 or b != 0)
     w = _w(ctx)
-    I1 = np.zeros((dim, dim), dtype=complex)
-    I2 = np.zeros((dim, dim), dtype=complex)
 
     def eta(i):
         return a * b + q_num(ctx, i) * (
             lam ** 2 * q_pow(ctx, 1 - i) - lam ** -2 * q_pow(ctx, i - 1)) / w
 
-    for i in range(dim):
-        I1[i, i] = -(q_pow(ctx, -i) * lam + q_pow(ctx, i) / lam) / w
-        ci = 1j / (q_pow(ctx, -i) * lam - q_pow(ctx, i) / lam)
-        if i == 0:
-            I2[dim - 1, 0] += ci * a
-            I2[1, 0] += ci
-        elif i == dim - 1:
-            I2[0, i] += ci * b
-            I2[i - 1, i] += ci * eta(i)
-        else:
-            I2[i - 1, i] += ci * eta(i)
-            I2[i + 1, i] += ci
+    ci = lambda i: 1j / (q_pow(ctx, -i) * lam - q_pow(ctx, i) / lam)
+    i1_diag = lambda i: -(q_pow(ctx, -i) * lam + q_pow(ctx, i) / lam) / w
+    i2 = Band(up=lambda i: ci(i) * b if i == dim - 1 else ci(i),
+              down=lambda i: ci(i) * a if i == 0 else ci(i) * eta(i))
     flags = {}
     if any(ctx.close(lam, v) for v in degenerate_lambdas(ctx, a == 0 and b == 0)):
         flags["degenerate_lambda"] = True
     fam = FamilyDescriptor("R_ab_lambda", {"a": a, "b": b, "lambda": lam})
-    return _finish_so3(ctx, I1, I2, fam, flags)
+    return _so3_finite(ctx, dim, i1_diag, i2, fam, flags, cyclic=True)
 
 
 def _split_factors(ctx: QContext, ab: complex, dim: int) -> list[complex]:
@@ -506,7 +478,9 @@ def r_ab_degenerate(ctx: QContext, a, b, variant: str = "plus") -> list[So3Finit
     spectrum) and splits unconditionally into halves; for nonzero wraps the
     dimension-p family splits exactly when a prod(f_j) = b with
     f_j = ab - zeta [j]^2.  Components are returned in the primed bases
-    |j>' , |j>'' = |j>^o +- i (-1)^{dim/2 - j - 1} |dim-1-j>^o.
+    |j>' , |j>'' = |j>^o +- i (-1)^{dim/2 - j - 1} |dim-1-j>^o.  A half
+    that fails the relations at the context tolerance (the primed basis is
+    too ill-conditioned, as for (0, 0) at p >= 76) raises SingularBasisChange.
     """
     _require_root(ctx)
     sgn = {"plus": 1, "minus": -1}.get(variant)
@@ -519,7 +493,7 @@ def r_ab_degenerate(ctx: QContext, a, b, variant: str = "plus") -> list[So3Finit
     a, b = complex(a), complex(b)
     ab = a * b
     trivial = a == 0 and b == 0
-    dim = cyclic_family_dim(ctx, a, b)
+    dim = cyclic_dim(ctx, not trivial)
     if trivial and ctx.p_prime % 2:
         raise BadParam(
             f"p' = {ctx.p_prime} odd: the wrap-free chain has no in-domain "
@@ -557,8 +531,15 @@ def r_ab_degenerate(ctx: QContext, a, b, variant: str = "plus") -> list[So3Finit
         e_r[dim - 1 - j] = sig[dim - 1 - j]
         basis1[:, j] = e_j + 1j * (-1) ** (half - j - 1) * e_r
         basis2[:, j] = e_j + 1j * (-1) ** (half - j) * e_r
-    return [_restrict(rep, basis1, ("R_ab_degen", 1)),
-            _restrict(rep, basis2, ("R_ab_degen", 2))]
+    halves = [_restrict(rep, basis1, ("R_ab_degen", 1)),
+              _restrict(rep, basis2, ("R_ab_degen", 2))]
+    for half in halves:
+        resid = verify_so3(half).max_residual
+        if resid > ctx.tol:
+            raise SingularBasisChange(
+                f"restricted half {half.family.params['component']} fails the "
+                f"relations (residual {resid:.3e}): primed basis too ill-conditioned")
+    return halves
 
 
 def _restrict(rep: So3FiniteRep, basis: np.ndarray, tag) -> So3FiniteRep:
@@ -596,18 +577,13 @@ def q_prime_lambda(ctx: QContext, lam) -> So3FiniteRep:
     lam = complex(lam)
     if lam == 0:
         raise BadParam("lambda must be nonzero")
-    dim = ctx.p
     w = _w(ctx)
     c = 1 / w
-    I1 = np.zeros((dim, dim), dtype=complex)
-    I2 = np.zeros((dim, dim), dtype=complex)
-    for m in range(dim):
-        I1[m, m] = (lam * q_pow(ctx, m) + (1 / lam) * q_pow(ctx, -m)) / w
-        I2[(m + 1) % dim, m] += c
-        I2[(m - 1) % dim, m] += c
+    i1_diag = lambda m: (lam * q_pow(ctx, m) + (1 / lam) * q_pow(ctx, -m)) / w
     reducible = ctx.close(lam, 1) or ctx.close(lam, ctx.s)
     fam = FamilyDescriptor("Qp_lambda", {"lambda": lam})
-    return _finish_so3(ctx, I1, I2, fam, {"reducible": reducible})
+    return _so3_finite(ctx, ctx.p, i1_diag, Band(up=lambda m: c, down=lambda m: c),
+                       fam, {"reducible": reducible}, cyclic=True)
 
 
 def q_root_component_descriptors(ctx: QContext, distinct: bool = False) -> list[tuple]:
@@ -634,6 +610,19 @@ def q_root_component_descriptors(ctx: QContext, distinct: bool = False) -> list[
             [("Qsqrt_hat", s1, s2) for s1 in (1, -1) for s2 in (1, -1)])
 
 
+# name: (p mod 2, dimension from p', twice the first label, ends whose link
+# carries sqrt(2), ends with the diagonal entry s2*c of the second generator)
+_Q_ROOT_SHAPES = {
+    "Q1": (1, lambda pp: (pp + 1) // 2, 0, ("lo",), ("hi",)),
+    "Q1hat": (1, lambda pp: (pp - 1) // 2, 2, (), ("hi",)),
+    "Qsqrt": (1, lambda pp: (pp + 1) // 2, 1, ("hi",), ("lo",)),
+    "Qsqrt_breve": (1, lambda pp: (pp - 1) // 2, 1, (), ("lo",)),
+    "Q1_1": (0, lambda pp: pp + 1, 0, ("lo", "hi"), ()),
+    "Q1_2": (0, lambda pp: pp - 1, 2, (), ()),
+    "Qsqrt_hat": (0, lambda pp: pp, 1, (), ("lo", "hi")),
+}
+
+
 def q_root_components(ctx: QContext, descriptor) -> So3FiniteRep:
     """Component families of the reducible cyclic constant families.
 
@@ -655,99 +644,31 @@ def q_root_components(ctx: QContext, descriptor) -> So3FiniteRep:
         raise BadDescriptor(f"bad descriptor {descriptor!r}")
     name = descriptor[0]
     signs = [_pm(x) for x in descriptor[1:]]
-    pp = ctx.p_prime
+    if name not in _Q_ROOT_SHAPES:
+        raise BadDescriptor(f"unknown component family {name!r}")
+    p_parity, dim_of, first_twice, root2_ends, diag_ends = _Q_ROOT_SHAPES[name]
+    if ctx.p % 2 != p_parity:
+        raise ParityMismatch(
+            f"{name} requires {'odd' if p_parity else 'even'} p (got p = {ctx.p})")
+    if len(signs) != (2 if diag_ends else 1):
+        raise BadDescriptor(f"wrong number of signs in {descriptor!r}")
+    s1, s2 = signs[0], signs[-1]
+    dim = dim_of(ctx.p_prime)
     w = _w(ctx)
     c = 1 / w
-    odd_names = {"Q1", "Q1hat", "Qsqrt", "Qsqrt_breve"}
-    even_names = {"Q1_1", "Q1_2", "Qsqrt_hat"}
-    if name not in odd_names | even_names:
-        raise BadDescriptor(f"unknown component family {name!r}")
-    if ctx.p % 2 and name in even_names:
-        raise ParityMismatch(f"{name} requires even p (got p = {ctx.p})")
-    if ctx.p % 2 == 0 and name in odd_names:
-        raise ParityMismatch(f"{name} requires odd p (got p = {ctx.p})")
 
-    def cosh_int(m):
-        t = q_pow(ctx, m)
-        return (t + 1 / t) / w
+    def i1_diag(n):
+        t = q_pow(ctx, HalfInt(first_twice + 2 * n))
+        return s1 * ((t + 1 / t) / w)
 
-    def cosh_half(tw):
-        t = q_pow(ctx, HalfInt(tw))
-        return (t + 1 / t) / w
+    def at_end(n, ends, last):
+        return ("lo" in ends and n == 0) or ("hi" in ends and n == last)
 
-    if name == "Q1":
-        s1, s2 = signs
-        dim = (pp + 1) // 2
-        I1 = np.diag([s1 * cosh_int(m) for m in range(dim)])
-        I2 = np.zeros((dim, dim), dtype=complex)
-        for m in range(dim - 1):
-            link = SQRT2 * c if m == 0 else c
-            I2[m + 1, m] = link
-            I2[m, m + 1] = link
-        I2[dim - 1, dim - 1] = s2 * c
-        fam = FamilyDescriptor("Q_root_comp", {"name": name, "signs": (s1, s2)})
-        return _finish_so3(ctx, I1, np.array(I2), fam)
-    if name == "Q1hat":
-        s1, s2 = signs
-        dim = (pp - 1) // 2
-        I1 = np.diag([s1 * cosh_int(m) for m in range(1, dim + 1)])
-        I2 = _chain(dim, c)
-        I2[dim - 1, dim - 1] = s2 * c
-        fam = FamilyDescriptor("Q_root_comp", {"name": name, "signs": (s1, s2)})
-        return _finish_so3(ctx, I1, I2, fam)
-    if name == "Qsqrt":
-        s1, s2 = signs
-        dim = (pp + 1) // 2
-        I1 = np.diag([s1 * cosh_half(2 * m + 1) for m in range(dim)])
-        I2 = _chain(dim, c)
-        I2[0, 0] = s2 * c
-        if dim >= 2:
-            I2[dim - 1, dim - 2] = SQRT2 * c
-            I2[dim - 2, dim - 1] = SQRT2 * c
-        fam = FamilyDescriptor("Q_root_comp", {"name": name, "signs": (s1, s2)})
-        return _finish_so3(ctx, I1, I2, fam)
-    if name == "Qsqrt_breve":
-        s1, s2 = signs
-        dim = (pp - 1) // 2
-        I1 = np.diag([s1 * cosh_half(2 * m + 1) for m in range(dim)])
-        I2 = _chain(dim, c)
-        I2[0, 0] = s2 * c
-        fam = FamilyDescriptor("Q_root_comp", {"name": name, "signs": (s1, s2)})
-        return _finish_so3(ctx, I1, I2, fam)
-    if name == "Q1_1":
-        (s1,) = signs
-        dim = pp + 1
-        I1 = np.diag([s1 * cosh_int(m) for m in range(dim)])
-        I2 = _chain(dim, c)
-        for edge in (0, dim - 2):
-            I2[edge + 1, edge] = SQRT2 * c
-            I2[edge, edge + 1] = SQRT2 * c
-        fam = FamilyDescriptor("Q_root_comp", {"name": name, "signs": (s1,)})
-        return _finish_so3(ctx, I1, I2, fam)
-    if name == "Q1_2":
-        (s1,) = signs
-        dim = pp - 1
-        I1 = np.diag([s1 * cosh_int(m) for m in range(1, dim + 1)])
-        I2 = _chain(dim, c)
-        fam = FamilyDescriptor("Q_root_comp", {"name": name, "signs": (s1,)})
-        return _finish_so3(ctx, I1, I2, fam)
-    # Qsqrt_hat
-    s1, s2 = signs
-    dim = pp
-    I1 = np.diag([s1 * cosh_half(2 * m + 1) for m in range(dim)])
-    I2 = _chain(dim, c)
-    I2[0, 0] = s2 * c
-    I2[dim - 1, dim - 1] = s2 * c
-    fam = FamilyDescriptor("Q_root_comp", {"name": name, "signs": (s1, s2)})
-    return _finish_so3(ctx, I1, I2, fam)
-
-
-def _chain(dim: int, c: complex) -> np.ndarray:
-    mat = np.zeros((dim, dim), dtype=complex)
-    for m in range(dim - 1):
-        mat[m + 1, m] = c
-        mat[m, m + 1] = c
-    return mat
+    link = lambda n: SQRT2 * c if at_end(n, root2_ends, dim - 2) else c  # n -- n+1
+    i2 = Band(diag=lambda n: s2 * c if at_end(n, diag_ends, dim - 1) else 0.0,
+              up=link, down=lambda n: link(n - 1))
+    fam = FamilyDescriptor("Q_root_comp", {"name": name, "signs": tuple(signs)})
+    return _so3_finite(ctx, dim, i1_diag, i2, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +759,3 @@ def _pm(x) -> int:
     if xi not in (1, -1):
         raise BadParam(f"sign must be +1 or -1, got {x!r}")
     return xi
-
-
-def _int_mod(ctx: QContext, z: complex) -> bool:
-    z = complex(z)
-    return abs(z - round(z.real)) <= ctx.threshold(abs(z))

@@ -1,0 +1,888 @@
+"""Byte-identity gate: every registered family builds exactly the pinned matrices.
+
+Each case is one registry build on a fixed context.  Its digest covers the
+family params and flags as JSON and the bytes of every matrix after
+``+ 0.0`` (which folds -0.0 into 0.0).  Banded families are pinned through
+``truncate_n`` windows, together with the window labels and interior mask.
+Any change to a constructor that alters a matrix bit, other than the sign
+of a zero, fails here; ``python tests/test_byte_identity.py`` prints the
+current digests.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+
+from qso3 import uqso3
+from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
+from qso3.registry import REGISTRY, build_family
+from qso3.repcore import (BandedRep, FamilyDescriptor, So3FiniteRep,
+                          truncate_n)
+
+GENERIC = {"q=1.3": 1.3, "q=e^0.37i": complex(np.exp(0.37j))}
+ROOT_PS = (3, 4, 5, 6, 8, 9, 12)
+WINDOWS = ((-3, 3), (-1, 24))
+CYCLIC_AB = ((0, 0), (0, 0.5), (0.7 + 0.31j, 1.2 - 0.4j))
+CYCLIC_LAMS = (1.7 + 0.6j, 0.9 - 0.25j, 2.0)
+# roots b of the splitting condition a * prod f_j = b at a = 0.8
+SPLIT_B = {4: 2.8124999999999987 - 1.110223024625156e-15j,
+           8: 3.16543461535199 + 8.881784197001252e-16j}
+
+
+def _ctx(key):
+    if key.startswith("p="):
+        return root_of_unity_ctx(int(key[2:]), 1)
+    return generic_ctx(q=GENERIC[key])
+
+
+def _generic_cases(key):
+    out = []
+    for tw in (0, 1, 2, 7, 24):
+        out.append((key, "R1_l", {"l": HalfInt(tw)}))
+        for omega in ("1", "-1", "i", "-i"):
+            out.append((key, "T_l", {"l": HalfInt(tw), "omega": omega}))
+    for tw in (1, 5, 19):
+        for sign in (1, -1):
+            out.append((key, "Ri_l", {"l": HalfInt(tw), "sign": sign}))
+    for n in (1, 2, 9):
+        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            out.append((key, "Rsplit_n", {"n": n, "signs": signs}))
+    banded = [("R_a_eps", {"a": 0.3 + 0.2j, "eps": 0.4}),
+              ("T_a_eps", {"a": 0.3 + 0.2j, "eps": 0.4})]
+    banded += [("R_a_special", {"a": 0.7, "branch": br}) for br in (1, -1)]
+    banded += [("Rsplit_inf", {"a_prime": 0.4 + 0.1j, "family": f, "sign": s})
+               for f in (1, -1) for s in (1, -1)]
+    banded += [("R_hw", {"kind": k, "param": HalfInt(tw)})
+               for k in ("l+", "l-") for tw in (1, 3)]
+    banded += [("R_hw", {"kind": k, "param": 0.3 + 0.2j}) for k in ("a+", "a-")]
+    banded += [("Q_lambda", {"lam": lam, "sign": s})
+               for lam in (0.7 + 0.1j, 1.0) for s in (1, -1)]
+    banded += [("Q_comp", {"which": w, "at": at, "sign": s})
+               for w in (1, 2) for at in ("1", "sqrt_q") for s in (1, -1)]
+    for name, params in banded:
+        for window in WINDOWS:
+            out.append((key, name, {**params, "window": window}))
+    return out
+
+
+def _root_cases(p):
+    key = f"p={p}"
+    ctx = _ctx(key)
+    pp = ctx.p_prime
+    out = []
+    for tw in sorted({0, 1, pp - 1}):
+        out.append((key, "R1_l", {"l": HalfInt(tw)}))
+        out.append((key, "T_l", {"l": HalfInt(tw), "omega": "i"}))
+    half_odd = sorted({1, pp - 1 if pp % 2 == 0 else pp - 2})
+    for tw in half_odd:
+        out.append((key, "Ri_l", {"l": HalfInt(tw), "sign": -1}))
+    for n in sorted({1, uqso3.split_n_max(ctx)}):
+        for signs in ((1, -1), (-1, 1)):
+            out.append((key, "Rsplit_n", {"n": n, "signs": signs}))
+    lams = list(CYCLIC_LAMS)
+    if p % 2 == 0:
+        lams += uqso3.degenerate_lambdas(ctx)
+    for a, b in CYCLIC_AB:
+        for lam in lams:
+            abl = {"a": a, "b": b, "lam": lam}
+            out += [(key, "R_ab_lambda", abl), (key, "T_ab_lambda", abl),
+                    (key, "T_tilde", abl)]
+    for b in (0, 0.5):
+        for lam in CYCLIC_LAMS:
+            out.append((key, "T_prime", {"b": b, "lam": lam}))
+    for lam in (2.0, 0.7 + 0.4j, 1.0, complex(ctx.s), -1.0):
+        out.append((key, "Qp_lambda", {"lam": lam}))
+    for desc in uqso3.q_root_component_descriptors(ctx):
+        params = {"desc": desc[0], "s1": desc[1]}
+        if len(desc) == 3:
+            params["s2"] = desc[2]
+        out.append((key, "Q_root_comp", params))
+    if p % 2 == 0:
+        ab_points = [(0.5, 0.9)]
+        if pp % 2 == 0:
+            ab_points.append((0, 0))
+        if p in SPLIT_B:
+            ab_points.append((0.8, SPLIT_B[p]))
+        for a, b in ab_points:
+            for variant in ("plus", "minus"):
+                out.append((key, "R_ab_degen", {"a": a, "b": b, "variant": variant}))
+    return out
+
+
+CASES = [c for key in GENERIC for c in _generic_cases(key)] + \
+    [c for p in ROOT_PS for c in _root_cases(p)]
+
+
+def case_id(case) -> str:
+    key, name, params = case
+    inner = ",".join(f"{k}={v}" for k, v in params.items())
+    return f"{key}:{name}({inner})"
+
+
+def _canon(value):
+    if isinstance(value, FamilyDescriptor):
+        return [value.name, _canon(value.params)]
+    if isinstance(value, dict):
+        return {str(k): _canon(v) for k, v in value.items()
+                if not isinstance(v, np.ndarray)}
+    if isinstance(value, (list, tuple)):
+        return [_canon(v) for v in value]
+    if isinstance(value, HalfInt):
+        return str(value)
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, complex, np.number)):
+        z = complex(value)
+        return [z.real + 0.0, z.imag + 0.0]
+    return value
+
+
+def _matrices(rep, window):
+    if isinstance(rep, BandedRep):
+        tr = truncate_n(rep, *window)
+        return {**tr.matrices, "labels": tr.labels, "interior": tr.interior}
+    if isinstance(rep, So3FiniteRep):
+        mats = {"I1": rep.I1, "I2": rep.I2, "I3": rep.I3}
+    else:
+        mats = {"K": rep.K, "Kinv": rep.Kinv, "E": rep.E, "F": rep.F}
+    mats.update({k: v for k, v in rep.flags.items() if isinstance(v, np.ndarray)})
+    return mats
+
+
+def case_digest(case) -> str:
+    key, name, params = case
+    params = dict(params)
+    window = params.pop("window", None)
+    built = build_family(_ctx(key), name, **params)
+    h = hashlib.sha256()
+    for rep in built if isinstance(built, list) else [built]:
+        meta = {"params": _canon(rep.family.params), "flags": _canon(rep.flags)}
+        h.update(json.dumps(meta, sort_keys=True).encode())
+        for mname, mat in _matrices(rep, window).items():
+            mat = np.asarray(mat)
+            h.update(f"{mname}{mat.shape}{mat.dtype}".encode())
+            h.update((mat + 0.0 if mat.dtype != bool else mat).tobytes())
+    return h.hexdigest()[:16]
+
+
+DIGESTS = {
+    'q=1.3:R1_l(l=0)': 'e64abe1919c517f5',
+    'q=1.3:T_l(l=0,omega=1)': '7dbf33908beb91d6',
+    'q=1.3:T_l(l=0,omega=-1)': '1bf4b7eb6ce7f954',
+    'q=1.3:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
+    'q=1.3:T_l(l=0,omega=-i)': '181f1de1163f52f7',
+    'q=1.3:R1_l(l=1/2)': '893663ce2765a05b',
+    'q=1.3:T_l(l=1/2,omega=1)': 'b7fb3ebc36e58b70',
+    'q=1.3:T_l(l=1/2,omega=-1)': 'c6e54373e9e3b216',
+    'q=1.3:T_l(l=1/2,omega=i)': '62630dc2a66b5458',
+    'q=1.3:T_l(l=1/2,omega=-i)': '8f7caadeffc36aa7',
+    'q=1.3:R1_l(l=1)': 'b11d83d3ff15bc5e',
+    'q=1.3:T_l(l=1,omega=1)': '16ca55625401a74a',
+    'q=1.3:T_l(l=1,omega=-1)': 'c0ba92ccb657604b',
+    'q=1.3:T_l(l=1,omega=i)': '34f1a28c9b45571d',
+    'q=1.3:T_l(l=1,omega=-i)': 'd04e7012014e5969',
+    'q=1.3:R1_l(l=7/2)': '7bebac629e46f65a',
+    'q=1.3:T_l(l=7/2,omega=1)': 'a4fab6601be8f81e',
+    'q=1.3:T_l(l=7/2,omega=-1)': 'de4ffd941d74f153',
+    'q=1.3:T_l(l=7/2,omega=i)': '4fd2d2fa2236db66',
+    'q=1.3:T_l(l=7/2,omega=-i)': '1d0deccb7c79119f',
+    'q=1.3:R1_l(l=12)': '224206bc7a6cebac',
+    'q=1.3:T_l(l=12,omega=1)': '25a87dfe7e630abf',
+    'q=1.3:T_l(l=12,omega=-1)': '0fd2dec39346e503',
+    'q=1.3:T_l(l=12,omega=i)': 'f9c195dda7a74828',
+    'q=1.3:T_l(l=12,omega=-i)': '2c511c97a675a5e3',
+    'q=1.3:Ri_l(l=1/2,sign=1)': '1de40d68474e6550',
+    'q=1.3:Ri_l(l=1/2,sign=-1)': '502a0f80920bb25d',
+    'q=1.3:Ri_l(l=5/2,sign=1)': '9cc158c33d3bec6d',
+    'q=1.3:Ri_l(l=5/2,sign=-1)': '112b8603303e26b4',
+    'q=1.3:Ri_l(l=19/2,sign=1)': 'd210aa36430cb4ef',
+    'q=1.3:Ri_l(l=19/2,sign=-1)': 'aecda3f59dfcd21c',
+    'q=1.3:Rsplit_n(n=1,signs=(1, 1))': 'd26f91fecb1bb8a4',
+    'q=1.3:Rsplit_n(n=1,signs=(1, -1))': '3992dcd4828e99b5',
+    'q=1.3:Rsplit_n(n=1,signs=(-1, 1))': 'f00f332eeb18c1e1',
+    'q=1.3:Rsplit_n(n=1,signs=(-1, -1))': '2c7b76f3de16f9fb',
+    'q=1.3:Rsplit_n(n=2,signs=(1, 1))': '279c5d1610d22f28',
+    'q=1.3:Rsplit_n(n=2,signs=(1, -1))': 'f4136b14661bec81',
+    'q=1.3:Rsplit_n(n=2,signs=(-1, 1))': 'd1a1477b32581e2b',
+    'q=1.3:Rsplit_n(n=2,signs=(-1, -1))': '92c05f36237939dc',
+    'q=1.3:Rsplit_n(n=9,signs=(1, 1))': '5e2275299c7796c8',
+    'q=1.3:Rsplit_n(n=9,signs=(1, -1))': '2c39184004f0e3eb',
+    'q=1.3:Rsplit_n(n=9,signs=(-1, 1))': '52ddaef819ba9270',
+    'q=1.3:Rsplit_n(n=9,signs=(-1, -1))': 'faca5f9c189b1754',
+    'q=1.3:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-3, 3))': 'a70916aab8c36b7e',
+    'q=1.3:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-1, 24))': '0199eebe65c2177f',
+    'q=1.3:T_a_eps(a=(0.3+0.2j),eps=0.4,window=(-3, 3))': '511f8f1b3e4f362a',
+    'q=1.3:T_a_eps(a=(0.3+0.2j),eps=0.4,window=(-1, 24))': 'b3b37ae855a6b193',
+    'q=1.3:R_a_special(a=0.7,branch=1,window=(-3, 3))': 'a8dd904697db983e',
+    'q=1.3:R_a_special(a=0.7,branch=1,window=(-1, 24))': '94a6984828db57fb',
+    'q=1.3:R_a_special(a=0.7,branch=-1,window=(-3, 3))': '3bc92eb632d096cf',
+    'q=1.3:R_a_special(a=0.7,branch=-1,window=(-1, 24))': '7a3962d927896e6b',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=1,window=(-3, 3))': '8f0ea67cb8255a1a',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=1,window=(-1, 24))': '1f5e7bbd69560e19',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=-1,window=(-3, 3))': '6226cacef5e31f25',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=-1,window=(-1, 24))': '6701a0bf28512688',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=1,window=(-3, 3))': '7fdc1ff709986a7a',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=1,window=(-1, 24))': 'b026f1fa6f0e0430',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=-1,window=(-3, 3))': 'e00cd0ea118985de',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=-1,window=(-1, 24))': '73bb6ef0cd5a4c69',
+    'q=1.3:R_hw(kind=l+,param=1/2,window=(-3, 3))': 'f1b58641cfe3570c',
+    'q=1.3:R_hw(kind=l+,param=1/2,window=(-1, 24))': '855476a7da9e75ca',
+    'q=1.3:R_hw(kind=l+,param=3/2,window=(-3, 3))': 'b38713305e861d01',
+    'q=1.3:R_hw(kind=l+,param=3/2,window=(-1, 24))': '3a1a0df89621705b',
+    'q=1.3:R_hw(kind=l-,param=1/2,window=(-3, 3))': '488e6817acec1b53',
+    'q=1.3:R_hw(kind=l-,param=1/2,window=(-1, 24))': 'b5f73342036bf53c',
+    'q=1.3:R_hw(kind=l-,param=3/2,window=(-3, 3))': '5e88c17a20060e25',
+    'q=1.3:R_hw(kind=l-,param=3/2,window=(-1, 24))': '70aa813422577f9f',
+    'q=1.3:R_hw(kind=a+,param=(0.3+0.2j),window=(-3, 3))': 'c485b6de0c70b88b',
+    'q=1.3:R_hw(kind=a+,param=(0.3+0.2j),window=(-1, 24))': 'f2f5caf172ed5f40',
+    'q=1.3:R_hw(kind=a-,param=(0.3+0.2j),window=(-3, 3))': '574f921a215103f1',
+    'q=1.3:R_hw(kind=a-,param=(0.3+0.2j),window=(-1, 24))': '71e0181d70702740',
+    'q=1.3:Q_lambda(lam=(0.7+0.1j),sign=1,window=(-3, 3))': '2620759e0370104b',
+    'q=1.3:Q_lambda(lam=(0.7+0.1j),sign=1,window=(-1, 24))': 'ad7694c3c41481d7',
+    'q=1.3:Q_lambda(lam=(0.7+0.1j),sign=-1,window=(-3, 3))': '4847756a2c23cd91',
+    'q=1.3:Q_lambda(lam=(0.7+0.1j),sign=-1,window=(-1, 24))': 'f10df9b37502b07d',
+    'q=1.3:Q_lambda(lam=1.0,sign=1,window=(-3, 3))': 'ce9039475c54685f',
+    'q=1.3:Q_lambda(lam=1.0,sign=1,window=(-1, 24))': '094958f873d94baf',
+    'q=1.3:Q_lambda(lam=1.0,sign=-1,window=(-3, 3))': '836ff7296dd2e08e',
+    'q=1.3:Q_lambda(lam=1.0,sign=-1,window=(-1, 24))': '40e4f3f64d850dc3',
+    'q=1.3:Q_comp(which=1,at=1,sign=1,window=(-3, 3))': 'cc694e89d7c329d9',
+    'q=1.3:Q_comp(which=1,at=1,sign=1,window=(-1, 24))': '62535828ca705d0b',
+    'q=1.3:Q_comp(which=1,at=1,sign=-1,window=(-3, 3))': '1ace5dea9f5e3585',
+    'q=1.3:Q_comp(which=1,at=1,sign=-1,window=(-1, 24))': 'e11e842b05cc55e6',
+    'q=1.3:Q_comp(which=1,at=sqrt_q,sign=1,window=(-3, 3))': '3434c1f15bda05ad',
+    'q=1.3:Q_comp(which=1,at=sqrt_q,sign=1,window=(-1, 24))': '1cb3b058c0c71cda',
+    'q=1.3:Q_comp(which=1,at=sqrt_q,sign=-1,window=(-3, 3))': '3703afc0d8c8f069',
+    'q=1.3:Q_comp(which=1,at=sqrt_q,sign=-1,window=(-1, 24))': '86c5f69fc28ac628',
+    'q=1.3:Q_comp(which=2,at=1,sign=1,window=(-3, 3))': '6fd5058006e2d057',
+    'q=1.3:Q_comp(which=2,at=1,sign=1,window=(-1, 24))': 'bcfcce67491c4ce2',
+    'q=1.3:Q_comp(which=2,at=1,sign=-1,window=(-3, 3))': '3c6815c385bacd80',
+    'q=1.3:Q_comp(which=2,at=1,sign=-1,window=(-1, 24))': '8b284e6f0daaa966',
+    'q=1.3:Q_comp(which=2,at=sqrt_q,sign=1,window=(-3, 3))': '8206a2dcbaba3132',
+    'q=1.3:Q_comp(which=2,at=sqrt_q,sign=1,window=(-1, 24))': '043af0fc6a82063d',
+    'q=1.3:Q_comp(which=2,at=sqrt_q,sign=-1,window=(-3, 3))': '24c9fda96d0fc5c7',
+    'q=1.3:Q_comp(which=2,at=sqrt_q,sign=-1,window=(-1, 24))': 'b3aebcc801b7c374',
+    'q=e^0.37i:R1_l(l=0)': 'e64abe1919c517f5',
+    'q=e^0.37i:T_l(l=0,omega=1)': '7dbf33908beb91d6',
+    'q=e^0.37i:T_l(l=0,omega=-1)': '1bf4b7eb6ce7f954',
+    'q=e^0.37i:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
+    'q=e^0.37i:T_l(l=0,omega=-i)': '181f1de1163f52f7',
+    'q=e^0.37i:R1_l(l=1/2)': '88872e63d939989b',
+    'q=e^0.37i:T_l(l=1/2,omega=1)': '82f0a76a0e15cd4d',
+    'q=e^0.37i:T_l(l=1/2,omega=-1)': 'c06e13c81600cd9c',
+    'q=e^0.37i:T_l(l=1/2,omega=i)': '59040639b6195e5e',
+    'q=e^0.37i:T_l(l=1/2,omega=-i)': 'b96230676e6f0122',
+    'q=e^0.37i:R1_l(l=1)': '26c3f1c8082840e7',
+    'q=e^0.37i:T_l(l=1,omega=1)': '54fe1ae9df1bb4ce',
+    'q=e^0.37i:T_l(l=1,omega=-1)': '3bb120d624f5d510',
+    'q=e^0.37i:T_l(l=1,omega=i)': 'fcedc20192eb9da1',
+    'q=e^0.37i:T_l(l=1,omega=-i)': '418fa038cd65be58',
+    'q=e^0.37i:R1_l(l=7/2)': '2d928e5da8854457',
+    'q=e^0.37i:T_l(l=7/2,omega=1)': '04aa2d7f6f165b70',
+    'q=e^0.37i:T_l(l=7/2,omega=-1)': '09d7f2b282daa514',
+    'q=e^0.37i:T_l(l=7/2,omega=i)': '0b79ee5758f9ff9f',
+    'q=e^0.37i:T_l(l=7/2,omega=-i)': 'fcbfdd02b9a06714',
+    'q=e^0.37i:R1_l(l=12)': '02eb9173064b2a6c',
+    'q=e^0.37i:T_l(l=12,omega=1)': '19e962b57ed6665f',
+    'q=e^0.37i:T_l(l=12,omega=-1)': '41cee92acab82626',
+    'q=e^0.37i:T_l(l=12,omega=i)': '74acb73293f2001c',
+    'q=e^0.37i:T_l(l=12,omega=-i)': 'f3d4436f74b14306',
+    'q=e^0.37i:Ri_l(l=1/2,sign=1)': '258e28adafe61d83',
+    'q=e^0.37i:Ri_l(l=1/2,sign=-1)': '49c63db8a86aed46',
+    'q=e^0.37i:Ri_l(l=5/2,sign=1)': '47586ec6a9add2ae',
+    'q=e^0.37i:Ri_l(l=5/2,sign=-1)': '86b15bd8cff4a759',
+    'q=e^0.37i:Ri_l(l=19/2,sign=1)': 'd72e4ac4affb38fd',
+    'q=e^0.37i:Ri_l(l=19/2,sign=-1)': '6d8d4d6814b714f8',
+    'q=e^0.37i:Rsplit_n(n=1,signs=(1, 1))': 'de439e56d033cd48',
+    'q=e^0.37i:Rsplit_n(n=1,signs=(1, -1))': '1796aecadacd21ac',
+    'q=e^0.37i:Rsplit_n(n=1,signs=(-1, 1))': '856aa63c32fd3780',
+    'q=e^0.37i:Rsplit_n(n=1,signs=(-1, -1))': '91b1c8a9f26b173f',
+    'q=e^0.37i:Rsplit_n(n=2,signs=(1, 1))': '372fcfffb367baa6',
+    'q=e^0.37i:Rsplit_n(n=2,signs=(1, -1))': '3fe847200fa0fce1',
+    'q=e^0.37i:Rsplit_n(n=2,signs=(-1, 1))': 'e2816a66636212a3',
+    'q=e^0.37i:Rsplit_n(n=2,signs=(-1, -1))': 'cf104ca864884774',
+    'q=e^0.37i:Rsplit_n(n=9,signs=(1, 1))': 'bdea4bedf51a4189',
+    'q=e^0.37i:Rsplit_n(n=9,signs=(1, -1))': 'ea32eb22d1975676',
+    'q=e^0.37i:Rsplit_n(n=9,signs=(-1, 1))': 'ca7e92627942930a',
+    'q=e^0.37i:Rsplit_n(n=9,signs=(-1, -1))': '93d18a3953a1bbe0',
+    'q=e^0.37i:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-3, 3))': 'adc9c1fd33d4a274',
+    'q=e^0.37i:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-1, 24))': '57f62021fa225106',
+    'q=e^0.37i:T_a_eps(a=(0.3+0.2j),eps=0.4,window=(-3, 3))': '1eabdc1aa4552199',
+    'q=e^0.37i:T_a_eps(a=(0.3+0.2j),eps=0.4,window=(-1, 24))': '1bdb99263a8ff33a',
+    'q=e^0.37i:R_a_special(a=0.7,branch=1,window=(-3, 3))': 'cbc512062e3922db',
+    'q=e^0.37i:R_a_special(a=0.7,branch=1,window=(-1, 24))': 'bb6e11a5f9a8370a',
+    'q=e^0.37i:R_a_special(a=0.7,branch=-1,window=(-3, 3))': 'e36f7ac974e35db4',
+    'q=e^0.37i:R_a_special(a=0.7,branch=-1,window=(-1, 24))': '054a3ce433934f93',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=1,window=(-3, 3))': '3326cefeae332e27',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=1,window=(-1, 24))': 'a676e3c58ba05941',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=-1,window=(-3, 3))': '4e11049fecc155fc',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=-1,window=(-1, 24))': '93aa9a3ca7789c88',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=1,window=(-3, 3))': 'cbc577efa7ff835c',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=1,window=(-1, 24))': 'e7fb033ff2440045',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=-1,window=(-3, 3))': '9c0284da44c3d30b',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=-1,window=(-1, 24))': '14ce4e560364fda3',
+    'q=e^0.37i:R_hw(kind=l+,param=1/2,window=(-3, 3))': 'f7ed3a387c3c512f',
+    'q=e^0.37i:R_hw(kind=l+,param=1/2,window=(-1, 24))': 'f86cc329f20cfea1',
+    'q=e^0.37i:R_hw(kind=l+,param=3/2,window=(-3, 3))': '76d5a7c9bcbda398',
+    'q=e^0.37i:R_hw(kind=l+,param=3/2,window=(-1, 24))': 'a94103c5abddd8bc',
+    'q=e^0.37i:R_hw(kind=l-,param=1/2,window=(-3, 3))': '9078150b35d9589d',
+    'q=e^0.37i:R_hw(kind=l-,param=1/2,window=(-1, 24))': 'dcdf6d0775be1997',
+    'q=e^0.37i:R_hw(kind=l-,param=3/2,window=(-3, 3))': '1a78f517ac9adca5',
+    'q=e^0.37i:R_hw(kind=l-,param=3/2,window=(-1, 24))': '763e4c62318bbdfd',
+    'q=e^0.37i:R_hw(kind=a+,param=(0.3+0.2j),window=(-3, 3))': '099d8ed7961afd19',
+    'q=e^0.37i:R_hw(kind=a+,param=(0.3+0.2j),window=(-1, 24))': 'fe3224d7d4fa1bd4',
+    'q=e^0.37i:R_hw(kind=a-,param=(0.3+0.2j),window=(-3, 3))': '6ced8d4a1f8c993a',
+    'q=e^0.37i:R_hw(kind=a-,param=(0.3+0.2j),window=(-1, 24))': 'b286882a4a894271',
+    'q=e^0.37i:Q_lambda(lam=(0.7+0.1j),sign=1,window=(-3, 3))': 'df1495100b4c6709',
+    'q=e^0.37i:Q_lambda(lam=(0.7+0.1j),sign=1,window=(-1, 24))': 'c09cd543423ec38c',
+    'q=e^0.37i:Q_lambda(lam=(0.7+0.1j),sign=-1,window=(-3, 3))': '37e2ee64e390dcbf',
+    'q=e^0.37i:Q_lambda(lam=(0.7+0.1j),sign=-1,window=(-1, 24))': '80f4b8f95aeb1700',
+    'q=e^0.37i:Q_lambda(lam=1.0,sign=1,window=(-3, 3))': '676999e5488efdc9',
+    'q=e^0.37i:Q_lambda(lam=1.0,sign=1,window=(-1, 24))': 'efaf55476e6e4460',
+    'q=e^0.37i:Q_lambda(lam=1.0,sign=-1,window=(-3, 3))': 'da23ff0bdfed19e6',
+    'q=e^0.37i:Q_lambda(lam=1.0,sign=-1,window=(-1, 24))': '2fe98c6bfc9da392',
+    'q=e^0.37i:Q_comp(which=1,at=1,sign=1,window=(-3, 3))': '04ea36dc708b6d18',
+    'q=e^0.37i:Q_comp(which=1,at=1,sign=1,window=(-1, 24))': 'ca1d5e2658bbc18b',
+    'q=e^0.37i:Q_comp(which=1,at=1,sign=-1,window=(-3, 3))': 'd5ab56df50635027',
+    'q=e^0.37i:Q_comp(which=1,at=1,sign=-1,window=(-1, 24))': '7da71db92277c70d',
+    'q=e^0.37i:Q_comp(which=1,at=sqrt_q,sign=1,window=(-3, 3))': 'e631c59cb913491c',
+    'q=e^0.37i:Q_comp(which=1,at=sqrt_q,sign=1,window=(-1, 24))': 'c22cced7b6e74f4a',
+    'q=e^0.37i:Q_comp(which=1,at=sqrt_q,sign=-1,window=(-3, 3))': '2ce6a48b7df97dc6',
+    'q=e^0.37i:Q_comp(which=1,at=sqrt_q,sign=-1,window=(-1, 24))': 'aca2a31bdfe822b5',
+    'q=e^0.37i:Q_comp(which=2,at=1,sign=1,window=(-3, 3))': '229bb720b67da2f4',
+    'q=e^0.37i:Q_comp(which=2,at=1,sign=1,window=(-1, 24))': '80aa919528f2b110',
+    'q=e^0.37i:Q_comp(which=2,at=1,sign=-1,window=(-3, 3))': 'c7ca29b64b359113',
+    'q=e^0.37i:Q_comp(which=2,at=1,sign=-1,window=(-1, 24))': 'a31fac0ec3fc4ff9',
+    'q=e^0.37i:Q_comp(which=2,at=sqrt_q,sign=1,window=(-3, 3))': 'b41cf0249229257d',
+    'q=e^0.37i:Q_comp(which=2,at=sqrt_q,sign=1,window=(-1, 24))': 'e539a6e71d4a298f',
+    'q=e^0.37i:Q_comp(which=2,at=sqrt_q,sign=-1,window=(-3, 3))': '3362ad8dce151712',
+    'q=e^0.37i:Q_comp(which=2,at=sqrt_q,sign=-1,window=(-1, 24))': '6e71279798f07576',
+    'p=3:R1_l(l=0)': 'e64abe1919c517f5',
+    'p=3:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
+    'p=3:R1_l(l=1/2)': '6a822960a0637338',
+    'p=3:T_l(l=1/2,omega=i)': 'c904b75a3d3473c8',
+    'p=3:R1_l(l=1)': '096c2cfe6e7c0f36',
+    'p=3:T_l(l=1,omega=i)': '4b952307eb5ec5a9',
+    'p=3:Ri_l(l=1/2,sign=-1)': 'e109cbcaaab3bb9e',
+    'p=3:Rsplit_n(n=1,signs=(1, -1))': '16449bb387c0cd43',
+    'p=3:Rsplit_n(n=1,signs=(-1, 1))': 'cd44b699a32d874d',
+    'p=3:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '314e130174f89840',
+    'p=3:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': 'd638f16a85a221af',
+    'p=3:T_tilde(a=0,b=0,lam=(1.7+0.6j))': 'ba629b4b71ad3109',
+    'p=3:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '63c94aa55419f952',
+    'p=3:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '3e724ea9601a11e5',
+    'p=3:T_tilde(a=0,b=0,lam=(0.9-0.25j))': 'c7d0feb55d469dfc',
+    'p=3:R_ab_lambda(a=0,b=0,lam=2.0)': 'ec058c0f2dfc92e9',
+    'p=3:T_ab_lambda(a=0,b=0,lam=2.0)': 'e340714cf7594ee3',
+    'p=3:T_tilde(a=0,b=0,lam=2.0)': 'ace0b81740508bb7',
+    'p=3:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '3cb69200799c2cfd',
+    'p=3:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '4b25672d6ff50930',
+    'p=3:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': '71889572f8cdd794',
+    'p=3:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '5c7badf3fb8b0fc1',
+    'p=3:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'a5eb5acea90653dc',
+    'p=3:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': 'c719e56de4fa6afa',
+    'p=3:R_ab_lambda(a=0,b=0.5,lam=2.0)': '7905f85b3364c832',
+    'p=3:T_ab_lambda(a=0,b=0.5,lam=2.0)': '0d9063039c67a552',
+    'p=3:T_tilde(a=0,b=0.5,lam=2.0)': '370773c664776731',
+    'p=3:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '350953c305935bec',
+    'p=3:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '655e0768b875e501',
+    'p=3:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': 'e77f72b4017073f3',
+    'p=3:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'e6f0a535be479a84',
+    'p=3:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'd08769599d2ef828',
+    'p=3:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '5474048ca6f88377',
+    'p=3:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'cb8976cdab165bc2',
+    'p=3:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '18cd0a47242c2b0a',
+    'p=3:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '97fff3a0d6e5bdb7',
+    'p=3:T_prime(b=0,lam=(1.7+0.6j))': '5c334c5d2e7cd267',
+    'p=3:T_prime(b=0,lam=(0.9-0.25j))': '7c8ee37f74d20875',
+    'p=3:T_prime(b=0,lam=2.0)': '090db8ea0b225d40',
+    'p=3:T_prime(b=0.5,lam=(1.7+0.6j))': 'ff412d27dcff1240',
+    'p=3:T_prime(b=0.5,lam=(0.9-0.25j))': 'd90be72900ba63ee',
+    'p=3:T_prime(b=0.5,lam=2.0)': 'f53fe2009cbc8d1c',
+    'p=3:Qp_lambda(lam=2.0)': 'bddc3413e7a75144',
+    'p=3:Qp_lambda(lam=(0.7+0.4j))': 'cb0f9af9aef46d7b',
+    'p=3:Qp_lambda(lam=1.0)': '4e5655665e3862e4',
+    'p=3:Qp_lambda(lam=(0.5000000000000001+0.8660254037844386j))': '29db709a79c1aad6',
+    'p=3:Qp_lambda(lam=-1.0)': 'c26b89f4b5a2fd5b',
+    'p=3:Q_root_comp(desc=Q1,s1=1,s2=1)': 'a40e487369b30793',
+    'p=3:Q_root_comp(desc=Q1,s1=1,s2=-1)': '1ce976b2815d095a',
+    'p=3:Q_root_comp(desc=Q1,s1=-1,s2=1)': 'b459522bd53ebd33',
+    'p=3:Q_root_comp(desc=Q1,s1=-1,s2=-1)': '5ca69ce85103a21c',
+    'p=3:Q_root_comp(desc=Q1hat,s1=1,s2=1)': '39b130177f8f257c',
+    'p=3:Q_root_comp(desc=Q1hat,s1=1,s2=-1)': '6ce7db06b0c693f9',
+    'p=3:Q_root_comp(desc=Q1hat,s1=-1,s2=1)': 'a5d602ca29c38891',
+    'p=3:Q_root_comp(desc=Q1hat,s1=-1,s2=-1)': '9c9bdc7e21116c7c',
+    'p=3:Q_root_comp(desc=Qsqrt,s1=1,s2=1)': 'e0573d7a1aa2f373',
+    'p=3:Q_root_comp(desc=Qsqrt,s1=1,s2=-1)': '76c43854edf73508',
+    'p=3:Q_root_comp(desc=Qsqrt,s1=-1,s2=1)': '0a2c66ca43ae9876',
+    'p=3:Q_root_comp(desc=Qsqrt,s1=-1,s2=-1)': '0137895fac7f7e01',
+    'p=3:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=1)': '52c62322dad4693c',
+    'p=3:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=-1)': '5eb81380272ab7c2',
+    'p=3:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=1)': '9eb7ede79b51132c',
+    'p=3:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=-1)': 'e56d23b164220561',
+    'p=4:R1_l(l=0)': 'e64abe1919c517f5',
+    'p=4:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
+    'p=4:R1_l(l=1/2)': '8239eb6368942cc4',
+    'p=4:T_l(l=1/2,omega=i)': '2538eace841b165f',
+    'p=4:Ri_l(l=1/2,sign=-1)': 'de03dd3ea97e3b88',
+    'p=4:Rsplit_n(n=1,signs=(1, -1))': '7181f2dd54bc7b48',
+    'p=4:Rsplit_n(n=1,signs=(-1, 1))': '8ebe2647d2924eea',
+    'p=4:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '1babd4f27ca4ba11',
+    'p=4:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '01a257c75d6f2f60',
+    'p=4:T_tilde(a=0,b=0,lam=(1.7+0.6j))': '34c3e177865a6d9f',
+    'p=4:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '23af17cafcfbb189',
+    'p=4:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': 'a2b29c656baf156e',
+    'p=4:T_tilde(a=0,b=0,lam=(0.9-0.25j))': 'fc73f10f52451c4c',
+    'p=4:R_ab_lambda(a=0,b=0,lam=2.0)': 'd9c13dfbcf1619e2',
+    'p=4:T_ab_lambda(a=0,b=0,lam=2.0)': '42557efa6f4c9077',
+    'p=4:T_tilde(a=0,b=0,lam=2.0)': 'dc0157199bb59751',
+    'p=4:R_ab_lambda(a=0,b=0,lam=(-0.7071067811865474+0.7071067811865477j))': 'ebe0a3aae09911ce',
+    'p=4:T_ab_lambda(a=0,b=0,lam=(-0.7071067811865474+0.7071067811865477j))': '2e5e1a0cd24daea9',
+    'p=4:T_tilde(a=0,b=0,lam=(-0.7071067811865474+0.7071067811865477j))': 'b810ddb489d8f571',
+    'p=4:R_ab_lambda(a=0,b=0,lam=(0.7071067811865474-0.7071067811865477j))': '0db1960a08157345',
+    'p=4:T_ab_lambda(a=0,b=0,lam=(0.7071067811865474-0.7071067811865477j))': 'c72594f4bad415ed',
+    'p=4:T_tilde(a=0,b=0,lam=(0.7071067811865474-0.7071067811865477j))': 'fb28f124ebfe1445',
+    'p=4:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '6275635954d17330',
+    'p=4:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '132a1a3d7dc750ad',
+    'p=4:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': '7473f47e8c14b912',
+    'p=4:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'ac7e72959339edfb',
+    'p=4:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'fd2f6069da45bf9b',
+    'p=4:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': '6abdf15dbd4ba41f',
+    'p=4:R_ab_lambda(a=0,b=0.5,lam=2.0)': 'a20ed1e67e7890a0',
+    'p=4:T_ab_lambda(a=0,b=0.5,lam=2.0)': 'ff2f0f0717d4e63f',
+    'p=4:T_tilde(a=0,b=0.5,lam=2.0)': '102541f90d86f72e',
+    'p=4:R_ab_lambda(a=0,b=0.5,lam=(-0.7071067811865474+0.7071067811865477j))': 'd586dd4dd087ef96',
+    'p=4:T_ab_lambda(a=0,b=0.5,lam=(-0.7071067811865474+0.7071067811865477j))': '5b86bb80ad9a9909',
+    'p=4:T_tilde(a=0,b=0.5,lam=(-0.7071067811865474+0.7071067811865477j))': 'd3e2e258a2284a8e',
+    'p=4:R_ab_lambda(a=0,b=0.5,lam=(0.7071067811865474-0.7071067811865477j))': '4d779662c1422613',
+    'p=4:T_ab_lambda(a=0,b=0.5,lam=(0.7071067811865474-0.7071067811865477j))': '9d38da0e173346e8',
+    'p=4:T_tilde(a=0,b=0.5,lam=(0.7071067811865474-0.7071067811865477j))': 'c7f7fba11da4de5e',
+    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': 'eaa4b253d5bbc278',
+    'p=4:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '6de78ee0518beb9c',
+    'p=4:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': 'ab47e61ca08ac6f5',
+    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'abea03b7344cb574',
+    'p=4:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'bd87d3dcfa2894e0',
+    'p=4:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '7553c6e42082af1b',
+    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'ec2deeea51570558',
+    'p=4:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'b9ebc53d71cbc2b4',
+    'p=4:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'e27aa6add3d4b762',
+    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.7071067811865474+0.7071067811865477j))': '6d6d410c2632ad17',
+    'p=4:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.7071067811865474+0.7071067811865477j))': 'a0432b21159f4247',
+    'p=4:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.7071067811865474+0.7071067811865477j))': '047a4652e40d00f5',
+    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.7071067811865474-0.7071067811865477j))': 'be334d910766c4cb',
+    'p=4:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.7071067811865474-0.7071067811865477j))': 'a88df0dc894d665d',
+    'p=4:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.7071067811865474-0.7071067811865477j))': 'e262c27fc6837238',
+    'p=4:T_prime(b=0,lam=(1.7+0.6j))': 'd6a4765e772452f0',
+    'p=4:T_prime(b=0,lam=(0.9-0.25j))': 'b49c7bf30b4784ee',
+    'p=4:T_prime(b=0,lam=2.0)': '96cf131db68a90dd',
+    'p=4:T_prime(b=0.5,lam=(1.7+0.6j))': '25db2a09a5786fd9',
+    'p=4:T_prime(b=0.5,lam=(0.9-0.25j))': 'ada2a8a6537661ec',
+    'p=4:T_prime(b=0.5,lam=2.0)': 'de9c34e13762e7e2',
+    'p=4:Qp_lambda(lam=2.0)': '872f355389cb76cf',
+    'p=4:Qp_lambda(lam=(0.7+0.4j))': 'bcb5788cdbe74f23',
+    'p=4:Qp_lambda(lam=1.0)': 'c58ebd45f9572bfd',
+    'p=4:Qp_lambda(lam=(0.7071067811865476+0.7071067811865475j))': '1b46f1ff9d41fd41',
+    'p=4:Qp_lambda(lam=-1.0)': '5973cd20a3d2e0ca',
+    'p=4:Q_root_comp(desc=Q1_1,s1=1)': '1825951270751201',
+    'p=4:Q_root_comp(desc=Q1_1,s1=-1)': '640b65efb0d23e55',
+    'p=4:Q_root_comp(desc=Q1_2,s1=1)': 'ee08a68d447ad795',
+    'p=4:Q_root_comp(desc=Q1_2,s1=-1)': '38a3fe171934a4bd',
+    'p=4:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=1)': '605351186a348882',
+    'p=4:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=-1)': '404ac5e35c84f179',
+    'p=4:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=1)': '1f82980fb4f06a59',
+    'p=4:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=-1)': '4a632dc973204fd8',
+    'p=4:R_ab_degen(a=0.5,b=0.9,variant=plus)': 'ebd82d39b27be8bc',
+    'p=4:R_ab_degen(a=0.5,b=0.9,variant=minus)': '2dd47b251eb5e5a3',
+    'p=4:R_ab_degen(a=0,b=0,variant=plus)': '5c2b57689666fa65',
+    'p=4:R_ab_degen(a=0,b=0,variant=minus)': 'bd522a4dcf0172cf',
+    'p=4:R_ab_degen(a=0.8,b=(2.8124999999999987-1.110223024625156e-15j),variant=plus)': '110068067f70b8a9',
+    'p=4:R_ab_degen(a=0.8,b=(2.8124999999999987-1.110223024625156e-15j),variant=minus)': 'b937cc23a4ac0b82',
+    'p=5:R1_l(l=0)': 'e64abe1919c517f5',
+    'p=5:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
+    'p=5:R1_l(l=1/2)': 'a3b6d36a3f8cbf8e',
+    'p=5:T_l(l=1/2,omega=i)': '295eaf110b9b6041',
+    'p=5:R1_l(l=2)': 'ac6c5abc160ecc6e',
+    'p=5:T_l(l=2,omega=i)': '5411328018b9517a',
+    'p=5:Ri_l(l=1/2,sign=-1)': '5d7110aca59d7c48',
+    'p=5:Ri_l(l=3/2,sign=-1)': '573d8ab3d79559b5',
+    'p=5:Rsplit_n(n=1,signs=(1, -1))': '90724c2613ea08a3',
+    'p=5:Rsplit_n(n=1,signs=(-1, 1))': 'a1658352e685287c',
+    'p=5:Rsplit_n(n=2,signs=(1, -1))': 'ffc2d0c418df2b8e',
+    'p=5:Rsplit_n(n=2,signs=(-1, 1))': '3fcc0c2b384c744d',
+    'p=5:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '7863f2239f985f97',
+    'p=5:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '7350054e71b99439',
+    'p=5:T_tilde(a=0,b=0,lam=(1.7+0.6j))': '9630b129d4843f19',
+    'p=5:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '5cbc5a4187a67b1d',
+    'p=5:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '23009dce866ad706',
+    'p=5:T_tilde(a=0,b=0,lam=(0.9-0.25j))': '9975bbdcb4b21581',
+    'p=5:R_ab_lambda(a=0,b=0,lam=2.0)': '0d3ddc23a7f88e80',
+    'p=5:T_ab_lambda(a=0,b=0,lam=2.0)': '92c320be288b523f',
+    'p=5:T_tilde(a=0,b=0,lam=2.0)': 'c603e9aed3c99df9',
+    'p=5:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '046b1d6ee0f3ffaf',
+    'p=5:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '97c7964455845f5a',
+    'p=5:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': '74b5516188b1b3de',
+    'p=5:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'f6c6d25512b04a1a',
+    'p=5:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '2ffc0f40dc467b43',
+    'p=5:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': '3e437084d722dcef',
+    'p=5:R_ab_lambda(a=0,b=0.5,lam=2.0)': 'f2e2dfeef6aa3264',
+    'p=5:T_ab_lambda(a=0,b=0.5,lam=2.0)': '083784fc767860f2',
+    'p=5:T_tilde(a=0,b=0.5,lam=2.0)': '09b2f1fec0d47a2f',
+    'p=5:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '4e448667a12ace35',
+    'p=5:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '6078e930c8eddc2d',
+    'p=5:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '72c47ad653742004',
+    'p=5:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'b9a75d5b66d47cf1',
+    'p=5:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '47a38253914947f5',
+    'p=5:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '88cfe5b3aab321e8',
+    'p=5:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '869af508d31b0ab0',
+    'p=5:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '87dba0329117d60b',
+    'p=5:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '4844c33a2c452653',
+    'p=5:T_prime(b=0,lam=(1.7+0.6j))': '0e3104d3b164b12d',
+    'p=5:T_prime(b=0,lam=(0.9-0.25j))': '870ee57633613802',
+    'p=5:T_prime(b=0,lam=2.0)': 'a4a12afa51a3ea6b',
+    'p=5:T_prime(b=0.5,lam=(1.7+0.6j))': 'abdd24aac17395d8',
+    'p=5:T_prime(b=0.5,lam=(0.9-0.25j))': 'dd24d17953e6d9bb',
+    'p=5:T_prime(b=0.5,lam=2.0)': 'ef4e68b8f4a9dba2',
+    'p=5:Qp_lambda(lam=2.0)': '100ae63a3ab4e65e',
+    'p=5:Qp_lambda(lam=(0.7+0.4j))': 'df6e6b486ff3d8a3',
+    'p=5:Qp_lambda(lam=1.0)': '6512f504dcdc7ca2',
+    'p=5:Qp_lambda(lam=(0.8090169943749475+0.5877852522924731j))': '64e3a45fbe3eda87',
+    'p=5:Qp_lambda(lam=-1.0)': 'f48c41aefe8d6881',
+    'p=5:Q_root_comp(desc=Q1,s1=1,s2=1)': 'd59f7d9834461586',
+    'p=5:Q_root_comp(desc=Q1,s1=1,s2=-1)': '76b5486f345f71e8',
+    'p=5:Q_root_comp(desc=Q1,s1=-1,s2=1)': '9bf10cc229b0293a',
+    'p=5:Q_root_comp(desc=Q1,s1=-1,s2=-1)': '654325119f50899a',
+    'p=5:Q_root_comp(desc=Q1hat,s1=1,s2=1)': '5645eb410370db2b',
+    'p=5:Q_root_comp(desc=Q1hat,s1=1,s2=-1)': 'eee4d4a8ff0b1c1d',
+    'p=5:Q_root_comp(desc=Q1hat,s1=-1,s2=1)': 'fa015c1001b168c0',
+    'p=5:Q_root_comp(desc=Q1hat,s1=-1,s2=-1)': '0fdd8d6d9d0560eb',
+    'p=5:Q_root_comp(desc=Qsqrt,s1=1,s2=1)': '9d8bc59a1a4d32e6',
+    'p=5:Q_root_comp(desc=Qsqrt,s1=1,s2=-1)': '95be4db557173197',
+    'p=5:Q_root_comp(desc=Qsqrt,s1=-1,s2=1)': 'f533fab492645cd4',
+    'p=5:Q_root_comp(desc=Qsqrt,s1=-1,s2=-1)': 'db580c5e6b0e9e96',
+    'p=5:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=1)': 'e9dc132ae467766c',
+    'p=5:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=-1)': '7eb76c5a693cb730',
+    'p=5:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=1)': 'f298e8c0863a5448',
+    'p=5:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=-1)': '7de156696f9d6902',
+    'p=6:R1_l(l=0)': 'e64abe1919c517f5',
+    'p=6:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
+    'p=6:R1_l(l=1/2)': 'b9f8230c67546021',
+    'p=6:T_l(l=1/2,omega=i)': '6175b6e8d4e7c75c',
+    'p=6:R1_l(l=1)': '13c2534cefc5e162',
+    'p=6:T_l(l=1,omega=i)': 'c9a24e174c07528e',
+    'p=6:Ri_l(l=1/2,sign=-1)': '661822a42d0b7c95',
+    'p=6:Rsplit_n(n=1,signs=(1, -1))': '8869eebbd1fbd8a9',
+    'p=6:Rsplit_n(n=1,signs=(-1, 1))': '005b9705433bea6d',
+    'p=6:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': 'de817046ec8aa881',
+    'p=6:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '6c3cfa1aa5b94585',
+    'p=6:T_tilde(a=0,b=0,lam=(1.7+0.6j))': '87ce7d2a1abbda92',
+    'p=6:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': 'a89c87f233b87160',
+    'p=6:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '740d6bd74aa9541c',
+    'p=6:T_tilde(a=0,b=0,lam=(0.9-0.25j))': 'ccf201fd8acd4f46',
+    'p=6:R_ab_lambda(a=0,b=0,lam=2.0)': '1a49539d5664b7b7',
+    'p=6:T_ab_lambda(a=0,b=0,lam=2.0)': '4068a67cd3187032',
+    'p=6:T_tilde(a=0,b=0,lam=2.0)': '012a1e3c843f5602',
+    'p=6:R_ab_lambda(a=0,b=0,lam=(-0.8660254037844385+0.5000000000000006j))': 'e440abd749fdd8bf',
+    'p=6:T_ab_lambda(a=0,b=0,lam=(-0.8660254037844385+0.5000000000000006j))': '14c02cf5e163c1fd',
+    'p=6:T_tilde(a=0,b=0,lam=(-0.8660254037844385+0.5000000000000006j))': '6311adbf6b3aa7b0',
+    'p=6:R_ab_lambda(a=0,b=0,lam=(0.8660254037844385-0.5000000000000006j))': '00170a9c0bdcd6c4',
+    'p=6:T_ab_lambda(a=0,b=0,lam=(0.8660254037844385-0.5000000000000006j))': '1574337fd0d82b4f',
+    'p=6:T_tilde(a=0,b=0,lam=(0.8660254037844385-0.5000000000000006j))': '38c2a550b060109f',
+    'p=6:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '92268c752199ca7e',
+    'p=6:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '2df672147e6a8f3b',
+    'p=6:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': 'ee87db38b186cc56',
+    'p=6:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'e505abf7e65e47e8',
+    'p=6:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'eb026b3f7a8ca0de',
+    'p=6:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': '7bf6075579ed9f9f',
+    'p=6:R_ab_lambda(a=0,b=0.5,lam=2.0)': 'a090146f1b311c1e',
+    'p=6:T_ab_lambda(a=0,b=0.5,lam=2.0)': 'd9d5d6247715a2ae',
+    'p=6:T_tilde(a=0,b=0.5,lam=2.0)': 'b9ed2b63dc204557',
+    'p=6:R_ab_lambda(a=0,b=0.5,lam=(-0.8660254037844385+0.5000000000000006j))': 'd8535c8adbaabd72',
+    'p=6:T_ab_lambda(a=0,b=0.5,lam=(-0.8660254037844385+0.5000000000000006j))': 'e0fd9b2495371df5',
+    'p=6:T_tilde(a=0,b=0.5,lam=(-0.8660254037844385+0.5000000000000006j))': '94e7d0e5fa39c4cb',
+    'p=6:R_ab_lambda(a=0,b=0.5,lam=(0.8660254037844385-0.5000000000000006j))': 'c4a75a2df3ea6c8c',
+    'p=6:T_ab_lambda(a=0,b=0.5,lam=(0.8660254037844385-0.5000000000000006j))': '86e1ac0720a71bd1',
+    'p=6:T_tilde(a=0,b=0.5,lam=(0.8660254037844385-0.5000000000000006j))': 'f706a36e6111f211',
+    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '3f7a06a84635e27e',
+    'p=6:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '86ab2cbad9bf539c',
+    'p=6:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '0e105b1d29525cbb',
+    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '02755410fec32a4d',
+    'p=6:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '1cb08a00882803f2',
+    'p=6:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '53e897c41a09fd53',
+    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'a483c8d70681de0a',
+    'p=6:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '1dd658864ba354ee',
+    'p=6:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '65cfd15f0b08de91',
+    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.8660254037844385+0.5000000000000006j))': 'f242bcca2f4fd111',
+    'p=6:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.8660254037844385+0.5000000000000006j))': '11b452b4e2bdb2f8',
+    'p=6:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.8660254037844385+0.5000000000000006j))': 'f3d9e38e5e856ccb',
+    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.8660254037844385-0.5000000000000006j))': '16b5a885c01685a1',
+    'p=6:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.8660254037844385-0.5000000000000006j))': 'c1f869ffa0e7541c',
+    'p=6:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.8660254037844385-0.5000000000000006j))': '36556b473841bf27',
+    'p=6:T_prime(b=0,lam=(1.7+0.6j))': 'cb379a13c0652fc4',
+    'p=6:T_prime(b=0,lam=(0.9-0.25j))': '4a8d6f62cbaab16f',
+    'p=6:T_prime(b=0,lam=2.0)': '35a07899d8ca900c',
+    'p=6:T_prime(b=0.5,lam=(1.7+0.6j))': 'c0f52d65a25f92df',
+    'p=6:T_prime(b=0.5,lam=(0.9-0.25j))': '7da536cea46da060',
+    'p=6:T_prime(b=0.5,lam=2.0)': 'e4db604c37938d9a',
+    'p=6:Qp_lambda(lam=2.0)': '7d4cdc9dcc69aef5',
+    'p=6:Qp_lambda(lam=(0.7+0.4j))': '8e65e7cb31fc4c6b',
+    'p=6:Qp_lambda(lam=1.0)': '7325f84c42d3dae9',
+    'p=6:Qp_lambda(lam=(0.8660254037844387+0.49999999999999994j))': '8f8ca79fb9fec5e0',
+    'p=6:Qp_lambda(lam=-1.0)': 'f22dc6796e0a2cc1',
+    'p=6:Q_root_comp(desc=Q1_1,s1=1)': '42cfb3f1bd9c3db8',
+    'p=6:Q_root_comp(desc=Q1_1,s1=-1)': 'c04a8a411bd06844',
+    'p=6:Q_root_comp(desc=Q1_2,s1=1)': '7e8bdb8c1408c68b',
+    'p=6:Q_root_comp(desc=Q1_2,s1=-1)': '5daf49f876ef4bb8',
+    'p=6:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=1)': '9f311a22d3032658',
+    'p=6:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=-1)': '03a25c5581feaa4e',
+    'p=6:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=1)': '3d3e8bbde49080dd',
+    'p=6:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=-1)': '34117807b0481496',
+    'p=6:R_ab_degen(a=0.5,b=0.9,variant=plus)': 'f7b42a57372d8edd',
+    'p=6:R_ab_degen(a=0.5,b=0.9,variant=minus)': '420481e360dd0d5b',
+    'p=8:R1_l(l=0)': 'e64abe1919c517f5',
+    'p=8:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
+    'p=8:R1_l(l=1/2)': '4ef6ec48a211fb92',
+    'p=8:T_l(l=1/2,omega=i)': '9a4e6db9b8ab7bde',
+    'p=8:R1_l(l=3/2)': '0e05db927269545c',
+    'p=8:T_l(l=3/2,omega=i)': 'dcc88ceadcd37f8e',
+    'p=8:Ri_l(l=1/2,sign=-1)': '6ca49f015d2ad5d8',
+    'p=8:Ri_l(l=3/2,sign=-1)': 'ca8fb81c17f2a4bb',
+    'p=8:Rsplit_n(n=1,signs=(1, -1))': 'a2dc3c6a82828e9c',
+    'p=8:Rsplit_n(n=1,signs=(-1, 1))': '81f22a86f8fd0860',
+    'p=8:Rsplit_n(n=2,signs=(1, -1))': '6528b22bfc035dbd',
+    'p=8:Rsplit_n(n=2,signs=(-1, 1))': '9f9c54551c3b810f',
+    'p=8:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '43b4c97852ea6703',
+    'p=8:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '187c77ec0571213f',
+    'p=8:T_tilde(a=0,b=0,lam=(1.7+0.6j))': '47a33512307c2876',
+    'p=8:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': 'ed1a0eb52b1f7465',
+    'p=8:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '34b5029b2ddb4c21',
+    'p=8:T_tilde(a=0,b=0,lam=(0.9-0.25j))': '0f7783a3b8d27023',
+    'p=8:R_ab_lambda(a=0,b=0,lam=2.0)': 'fe693f74b6fbef37',
+    'p=8:T_ab_lambda(a=0,b=0,lam=2.0)': 'e9484ed652dee109',
+    'p=8:T_tilde(a=0,b=0,lam=2.0)': '85b1af845ead5d23',
+    'p=8:R_ab_lambda(a=0,b=0,lam=(-0.9238795325112868+0.38268343236508945j))': '3d427ceddb2e1f97',
+    'p=8:T_ab_lambda(a=0,b=0,lam=(-0.9238795325112868+0.38268343236508945j))': 'b3d0708e092efbf4',
+    'p=8:T_tilde(a=0,b=0,lam=(-0.9238795325112868+0.38268343236508945j))': '84e25dd2072fa43d',
+    'p=8:R_ab_lambda(a=0,b=0,lam=(0.9238795325112868-0.38268343236508945j))': 'b5fabcf31cc92466',
+    'p=8:T_ab_lambda(a=0,b=0,lam=(0.9238795325112868-0.38268343236508945j))': '2f2ac92f1c730814',
+    'p=8:T_tilde(a=0,b=0,lam=(0.9238795325112868-0.38268343236508945j))': '957883aeeab9ad6b',
+    'p=8:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '06a840ab7d0d54d9',
+    'p=8:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '788da0558010d684',
+    'p=8:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': '22f7def6902fb310',
+    'p=8:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '7be5b4e20bfffbe1',
+    'p=8:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'b73c3383004d7ab5',
+    'p=8:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': '951264e394054fc4',
+    'p=8:R_ab_lambda(a=0,b=0.5,lam=2.0)': '3c0131fdfc7bf946',
+    'p=8:T_ab_lambda(a=0,b=0.5,lam=2.0)': '6c59fc020670df05',
+    'p=8:T_tilde(a=0,b=0.5,lam=2.0)': 'ec153dcf9e7633ad',
+    'p=8:R_ab_lambda(a=0,b=0.5,lam=(-0.9238795325112868+0.38268343236508945j))': '7e7314405a150eba',
+    'p=8:T_ab_lambda(a=0,b=0.5,lam=(-0.9238795325112868+0.38268343236508945j))': '6c26991df6f1a6aa',
+    'p=8:T_tilde(a=0,b=0.5,lam=(-0.9238795325112868+0.38268343236508945j))': '24f1958c2485d1f6',
+    'p=8:R_ab_lambda(a=0,b=0.5,lam=(0.9238795325112868-0.38268343236508945j))': 'cc896b427a7e3f7e',
+    'p=8:T_ab_lambda(a=0,b=0.5,lam=(0.9238795325112868-0.38268343236508945j))': 'e58f5586a78207f3',
+    'p=8:T_tilde(a=0,b=0.5,lam=(0.9238795325112868-0.38268343236508945j))': '32bda368180eac38',
+    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '91454145b8496d67',
+    'p=8:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '17b2398991dc0684',
+    'p=8:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': 'b2bc36a1d9a9cdad',
+    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '72b2ef78217c88fa',
+    'p=8:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '50e5366cbf20dbdd',
+    'p=8:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'e8bcc2baaa66c7ca',
+    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '9a80f1552c39dd41',
+    'p=8:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'd8752d805f728154',
+    'p=8:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'db62e453ede6a31c',
+    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9238795325112868+0.38268343236508945j))': '4ba1556515dec779',
+    'p=8:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9238795325112868+0.38268343236508945j))': 'd2ffb091e0df3199',
+    'p=8:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9238795325112868+0.38268343236508945j))': '30d874f2f4f0d3fa',
+    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9238795325112868-0.38268343236508945j))': '75744eece6b9cd15',
+    'p=8:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9238795325112868-0.38268343236508945j))': 'bfbb076104a7fa1b',
+    'p=8:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9238795325112868-0.38268343236508945j))': 'f6c7bbf245e12634',
+    'p=8:T_prime(b=0,lam=(1.7+0.6j))': 'c6b3307f33af58d6',
+    'p=8:T_prime(b=0,lam=(0.9-0.25j))': 'cc60dc7ea2d6e0cf',
+    'p=8:T_prime(b=0,lam=2.0)': '18a5dc17a60bdab9',
+    'p=8:T_prime(b=0.5,lam=(1.7+0.6j))': '29850f468233f607',
+    'p=8:T_prime(b=0.5,lam=(0.9-0.25j))': '7058dc2696a94b72',
+    'p=8:T_prime(b=0.5,lam=2.0)': '04b6b0feab54df2a',
+    'p=8:Qp_lambda(lam=2.0)': '5531931f131bc881',
+    'p=8:Qp_lambda(lam=(0.7+0.4j))': 'd6edd058d4d3d711',
+    'p=8:Qp_lambda(lam=1.0)': 'a6ffb5967782047a',
+    'p=8:Qp_lambda(lam=(0.9238795325112867+0.3826834323650898j))': '98d20dfe4350636a',
+    'p=8:Qp_lambda(lam=-1.0)': '354a28045243b2b1',
+    'p=8:Q_root_comp(desc=Q1_1,s1=1)': '4567cf211449b130',
+    'p=8:Q_root_comp(desc=Q1_1,s1=-1)': 'f073a90736c0e3a9',
+    'p=8:Q_root_comp(desc=Q1_2,s1=1)': 'f046a25a77cc03bb',
+    'p=8:Q_root_comp(desc=Q1_2,s1=-1)': '402f5676269351cd',
+    'p=8:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=1)': '33e0c2d318220509',
+    'p=8:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=-1)': '79f8afe803bd8112',
+    'p=8:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=1)': 'e21fa709eb5b6cb7',
+    'p=8:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=-1)': 'fd3ae3d4406be961',
+    'p=8:R_ab_degen(a=0.5,b=0.9,variant=plus)': 'fb6ad53fe729e065',
+    'p=8:R_ab_degen(a=0.5,b=0.9,variant=minus)': 'bd07e7880b005ad5',
+    'p=8:R_ab_degen(a=0,b=0,variant=plus)': 'b938eb2e723f1ce4',
+    'p=8:R_ab_degen(a=0,b=0,variant=minus)': '8fe5701e15cabb31',
+    'p=8:R_ab_degen(a=0.8,b=(3.16543461535199+8.881784197001252e-16j),variant=plus)': 'e8c3d372f3f36c35',
+    'p=8:R_ab_degen(a=0.8,b=(3.16543461535199+8.881784197001252e-16j),variant=minus)': '4f6d39b8d2666c73',
+    'p=9:R1_l(l=0)': 'e64abe1919c517f5',
+    'p=9:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
+    'p=9:R1_l(l=1/2)': 'a709d3f73a4c5a91',
+    'p=9:T_l(l=1/2,omega=i)': 'dd66064c33cb6632',
+    'p=9:R1_l(l=4)': 'ff409fa4c78f523c',
+    'p=9:T_l(l=4,omega=i)': '6c0cb0c912e19ee8',
+    'p=9:Ri_l(l=1/2,sign=-1)': '6aa4271607fed5ef',
+    'p=9:Ri_l(l=7/2,sign=-1)': '1d62ffbc62a0aa12',
+    'p=9:Rsplit_n(n=1,signs=(1, -1))': 'd95ebe636c37f7a9',
+    'p=9:Rsplit_n(n=1,signs=(-1, 1))': '81fe6e57bbf28238',
+    'p=9:Rsplit_n(n=4,signs=(1, -1))': '8cd6110a924cfb6e',
+    'p=9:Rsplit_n(n=4,signs=(-1, 1))': '17d8f84df726eefd',
+    'p=9:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '29a93e5ac409d161',
+    'p=9:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': 'c889c6f7ae567af8',
+    'p=9:T_tilde(a=0,b=0,lam=(1.7+0.6j))': 'cfff6593420bfe46',
+    'p=9:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '1510ffccb99afe6d',
+    'p=9:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': 'd9aa74041222e969',
+    'p=9:T_tilde(a=0,b=0,lam=(0.9-0.25j))': '4bcd8f19d88cb2c2',
+    'p=9:R_ab_lambda(a=0,b=0,lam=2.0)': '5c428bf5ff5ad991',
+    'p=9:T_ab_lambda(a=0,b=0,lam=2.0)': '168a2da9c7e87a05',
+    'p=9:T_tilde(a=0,b=0,lam=2.0)': 'd497d4a7eaf45244',
+    'p=9:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': 'a4c07f94b23d18b8',
+    'p=9:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': 'c0dee011843a9668',
+    'p=9:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': '9e6107781644d9b2',
+    'p=9:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'f9b421e5be1a9995',
+    'p=9:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '9b9857fefedbe495',
+    'p=9:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': '5daa525a13c97e33',
+    'p=9:R_ab_lambda(a=0,b=0.5,lam=2.0)': '5d75f2c54c1322e9',
+    'p=9:T_ab_lambda(a=0,b=0.5,lam=2.0)': 'd15df3c2195a2480',
+    'p=9:T_tilde(a=0,b=0.5,lam=2.0)': 'dc296c2486a729f2',
+    'p=9:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': 'd11f37084fce03a2',
+    'p=9:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '7647d4fa0e50e0fa',
+    'p=9:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '2dcca8e94fc3fe90',
+    'p=9:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'de5635549c54c433',
+    'p=9:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'c0034f353f907d3b',
+    'p=9:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '352aed3d4f42a8b1',
+    'p=9:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '1d9ba7b0de1652bd',
+    'p=9:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '2a023cb28fc78965',
+    'p=9:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '0e39c8d769719885',
+    'p=9:T_prime(b=0,lam=(1.7+0.6j))': '6915a31a33adcf05',
+    'p=9:T_prime(b=0,lam=(0.9-0.25j))': '8b6ed6c89b4e16e5',
+    'p=9:T_prime(b=0,lam=2.0)': 'b1833bacfe32049b',
+    'p=9:T_prime(b=0.5,lam=(1.7+0.6j))': 'c127e8366b986852',
+    'p=9:T_prime(b=0.5,lam=(0.9-0.25j))': '4b145118bbf0334a',
+    'p=9:T_prime(b=0.5,lam=2.0)': '928b986a34bd1966',
+    'p=9:Qp_lambda(lam=2.0)': '155d2d34379b5a15',
+    'p=9:Qp_lambda(lam=(0.7+0.4j))': 'b9c14d34028cc0dd',
+    'p=9:Qp_lambda(lam=1.0)': '99796dec3b581e38',
+    'p=9:Qp_lambda(lam=(0.9396926207859084+0.3420201433256687j))': 'd91e1c74ad173b02',
+    'p=9:Qp_lambda(lam=-1.0)': '3a971faa0d2fe5ab',
+    'p=9:Q_root_comp(desc=Q1,s1=1,s2=1)': '055c1d3821671964',
+    'p=9:Q_root_comp(desc=Q1,s1=1,s2=-1)': 'f20fc526260591c0',
+    'p=9:Q_root_comp(desc=Q1,s1=-1,s2=1)': 'fe1e6a8a8361923e',
+    'p=9:Q_root_comp(desc=Q1,s1=-1,s2=-1)': '4a6ba88f0b3b7a6d',
+    'p=9:Q_root_comp(desc=Q1hat,s1=1,s2=1)': '44ba5d57d46bd58a',
+    'p=9:Q_root_comp(desc=Q1hat,s1=1,s2=-1)': '9faa937c9ec15895',
+    'p=9:Q_root_comp(desc=Q1hat,s1=-1,s2=1)': '1572a75df1d8ed22',
+    'p=9:Q_root_comp(desc=Q1hat,s1=-1,s2=-1)': '7a44a5e3f1c23504',
+    'p=9:Q_root_comp(desc=Qsqrt,s1=1,s2=1)': '8799e51f9209fd94',
+    'p=9:Q_root_comp(desc=Qsqrt,s1=1,s2=-1)': '82237448d748b2b2',
+    'p=9:Q_root_comp(desc=Qsqrt,s1=-1,s2=1)': '0c00d10409223a39',
+    'p=9:Q_root_comp(desc=Qsqrt,s1=-1,s2=-1)': '2f0de6c99d25a14f',
+    'p=9:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=1)': 'c7f1ba16edae4513',
+    'p=9:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=-1)': 'e94616ddb1d71576',
+    'p=9:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=1)': 'ad50b6438f546c09',
+    'p=9:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=-1)': '6ebef1f4f80d9495',
+    'p=12:R1_l(l=0)': 'e64abe1919c517f5',
+    'p=12:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
+    'p=12:R1_l(l=1/2)': '257b5beebfe4e7ea',
+    'p=12:T_l(l=1/2,omega=i)': '57d6694ef43864b7',
+    'p=12:R1_l(l=5/2)': '1c14b3c670a31be9',
+    'p=12:T_l(l=5/2,omega=i)': 'c98edfed5658ee88',
+    'p=12:Ri_l(l=1/2,sign=-1)': '6fa54b89a65a2f52',
+    'p=12:Ri_l(l=5/2,sign=-1)': 'd316020fcc8fe98a',
+    'p=12:Rsplit_n(n=1,signs=(1, -1))': 'e630be9208dd4dd4',
+    'p=12:Rsplit_n(n=1,signs=(-1, 1))': 'e96e4c325d5f40d2',
+    'p=12:Rsplit_n(n=3,signs=(1, -1))': '8dc0caaea048312f',
+    'p=12:Rsplit_n(n=3,signs=(-1, 1))': '8df273d0bb913bc7',
+    'p=12:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '9e920f78681cd131',
+    'p=12:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '3329f9553909f5c5',
+    'p=12:T_tilde(a=0,b=0,lam=(1.7+0.6j))': '30e74914264d00ff',
+    'p=12:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '0a2f765511dc89cd',
+    'p=12:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': 'c9cc093900628f41',
+    'p=12:T_tilde(a=0,b=0,lam=(0.9-0.25j))': '4ac35423b920bd7a',
+    'p=12:R_ab_lambda(a=0,b=0,lam=2.0)': '1c3d8b35c520b7b5',
+    'p=12:T_ab_lambda(a=0,b=0,lam=2.0)': 'dd7d86df69ec06ae',
+    'p=12:T_tilde(a=0,b=0,lam=2.0)': '1861a028c9d50073',
+    'p=12:R_ab_lambda(a=0,b=0,lam=(-0.9659258262890682+0.2588190451025213j))': 'd201dc2494a5f196',
+    'p=12:T_ab_lambda(a=0,b=0,lam=(-0.9659258262890682+0.2588190451025213j))': 'ef45caf2cd39c501',
+    'p=12:T_tilde(a=0,b=0,lam=(-0.9659258262890682+0.2588190451025213j))': '40c8af204d5d050e',
+    'p=12:R_ab_lambda(a=0,b=0,lam=(0.9659258262890682-0.2588190451025213j))': '6421aaafa2e6a8b8',
+    'p=12:T_ab_lambda(a=0,b=0,lam=(0.9659258262890682-0.2588190451025213j))': 'd6d0dbae7b5d3c61',
+    'p=12:T_tilde(a=0,b=0,lam=(0.9659258262890682-0.2588190451025213j))': '92230efbfd24bc84',
+    'p=12:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '8b482c8daafcc133',
+    'p=12:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': 'dc80094b82127019',
+    'p=12:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': '52967d01eca93fb0',
+    'p=12:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '22ae584620d7b860',
+    'p=12:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '763b9fae18fbd4f7',
+    'p=12:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': 'c995a1647fa6bf5e',
+    'p=12:R_ab_lambda(a=0,b=0.5,lam=2.0)': '78f13b0e65c6a8a4',
+    'p=12:T_ab_lambda(a=0,b=0.5,lam=2.0)': 'de0ac078107818be',
+    'p=12:T_tilde(a=0,b=0.5,lam=2.0)': '621cd5224ccd4966',
+    'p=12:R_ab_lambda(a=0,b=0.5,lam=(-0.9659258262890682+0.2588190451025213j))': 'b14b52776b30d849',
+    'p=12:T_ab_lambda(a=0,b=0.5,lam=(-0.9659258262890682+0.2588190451025213j))': 'acdedd4463c9b962',
+    'p=12:T_tilde(a=0,b=0.5,lam=(-0.9659258262890682+0.2588190451025213j))': '4d1a844575f3f159',
+    'p=12:R_ab_lambda(a=0,b=0.5,lam=(0.9659258262890682-0.2588190451025213j))': 'd0bebb6b4ba59384',
+    'p=12:T_ab_lambda(a=0,b=0.5,lam=(0.9659258262890682-0.2588190451025213j))': '5b9e390838f6c804',
+    'p=12:T_tilde(a=0,b=0.5,lam=(0.9659258262890682-0.2588190451025213j))': 'e0a85b5037120d71',
+    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '100841acb86ca82a',
+    'p=12:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '537ecc976b5166ee',
+    'p=12:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '8c448a5e1eb2a34c',
+    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '236a019ca8fb54c8',
+    'p=12:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '3b791a82ca40d4e0',
+    'p=12:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'a4859153901d8656',
+    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'be9cd30d760c63bc',
+    'p=12:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '057a1af42050868e',
+    'p=12:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '0bab2e028c6c8e67',
+    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9659258262890682+0.2588190451025213j))': '2e5e085aa3f94084',
+    'p=12:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9659258262890682+0.2588190451025213j))': 'cc4d989a4c97b418',
+    'p=12:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9659258262890682+0.2588190451025213j))': '91fd800ab6fb16e4',
+    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9659258262890682-0.2588190451025213j))': '2f232b9c8ed97f41',
+    'p=12:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9659258262890682-0.2588190451025213j))': 'edb1f5087a8d10f7',
+    'p=12:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9659258262890682-0.2588190451025213j))': '6c3b55e96df49efc',
+    'p=12:T_prime(b=0,lam=(1.7+0.6j))': '51fc19da557632f2',
+    'p=12:T_prime(b=0,lam=(0.9-0.25j))': '29618a803a4a5b41',
+    'p=12:T_prime(b=0,lam=2.0)': 'd184d0704685c3c7',
+    'p=12:T_prime(b=0.5,lam=(1.7+0.6j))': '15b4aab0b2dc7b55',
+    'p=12:T_prime(b=0.5,lam=(0.9-0.25j))': 'ef7c501f14e74757',
+    'p=12:T_prime(b=0.5,lam=2.0)': 'a02200b7ba04fc0c',
+    'p=12:Qp_lambda(lam=2.0)': 'bcf6b5bf094a8bdd',
+    'p=12:Qp_lambda(lam=(0.7+0.4j))': 'ac08739fcdcf1b01',
+    'p=12:Qp_lambda(lam=1.0)': '4a8048e23473fd1f',
+    'p=12:Qp_lambda(lam=(0.9659258262890683+0.25881904510252074j))': '2b33368010ac7741',
+    'p=12:Qp_lambda(lam=-1.0)': 'bc30aee9aae94b39',
+    'p=12:Q_root_comp(desc=Q1_1,s1=1)': '263aa6ec8d63ce20',
+    'p=12:Q_root_comp(desc=Q1_1,s1=-1)': '39596ce7cd3530f7',
+    'p=12:Q_root_comp(desc=Q1_2,s1=1)': 'db062ddfa5303bce',
+    'p=12:Q_root_comp(desc=Q1_2,s1=-1)': '0e4c76e5a22024a7',
+    'p=12:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=1)': '5bb48dd05520b801',
+    'p=12:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=-1)': '81591e21c191709c',
+    'p=12:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=1)': '2002a82d32fb6d11',
+    'p=12:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=-1)': '755f9c09cc8deef6',
+    'p=12:R_ab_degen(a=0.5,b=0.9,variant=plus)': '78e9d7eea1806939',
+    'p=12:R_ab_degen(a=0.5,b=0.9,variant=minus)': 'c411b7e0457b1567',
+    'p=12:R_ab_degen(a=0,b=0,variant=plus)': 'cad73ff5f9c43555',
+    'p=12:R_ab_degen(a=0,b=0,variant=minus)': '17d7e407f25971c8',
+}
+
+
+def test_grid_covers_every_registered_family():
+    assert {name for _, name, _ in CASES} == set(REGISTRY)
+    assert len({case_id(c) for c in CASES}) == len(CASES) == len(DIGESTS)
+
+
+def test_family_bytes_pinned():
+    changed = [case_id(c) for c in CASES if case_digest(c) != DIGESTS[case_id(c)]]
+    assert not changed, f"{len(changed)} of {len(CASES)} cases changed: {changed[:10]}"
+
+
+if __name__ == "__main__":
+    for c in CASES:
+        print(f"    {case_id(c)!r}: {case_digest(c)!r},")

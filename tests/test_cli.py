@@ -1,8 +1,10 @@
 """Command-line driver: outputs, exit codes, sweep format."""
 
+import gc
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -133,6 +135,18 @@ class TestSpectrum:
         assert lines[1].endswith(",2")
 
 
+    def test_csv_out_closes_file(self, tmp_path):
+        out_file = tmp_path / "spectrum.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = main(["spectrum", "--family", "Ri_l", "--l", "1/2", "--sign", "+",
+                         "--q", "4", "--format", "csv", "--out", str(out_file)])
+            gc.collect()
+        assert code == 0
+        assert out_file.read_text().startswith("re,im,multiplicity\n")
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 class TestCentral:
     def test_degree_four(self, capsys):
         code, out = run(capsys, "central", "--p", "4", "--k", "1")
@@ -153,6 +167,17 @@ class TestSweep:
             rec = json.loads(line)
             assert rec["ok"] is True
             assert "lambda" in rec["point"]
+
+    def test_out_closes_file(self, tmp_path):
+        out_file = tmp_path / "sweep.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = main(["sweep", "central", "--k", "1", "--p-grid", "3,4",
+                         "--out", str(out_file)])
+            gc.collect()
+        assert code == 0
+        assert len(out_file.read_text().strip().splitlines()) == 2
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_per_point_errors_recorded(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.jsonl"

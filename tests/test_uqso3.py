@@ -404,6 +404,15 @@ class TestDegenerateSplits:
         with pytest.raises(SingularBasisChange):
             U.r_ab_degenerate(p8, 1.0, complex(ab), "plus")
 
+    def test_ill_conditioned_halves_raise(self):
+        # the wrap-free primed basis has condition number ~5e14 at p = 76
+        with pytest.raises(SingularBasisChange, match="residual"):
+            U.r_ab_degenerate(root_of_unity_ctx(76, 1), 0, 0, "plus")
+        comps = U.r_ab_degenerate(root_of_unity_ctx(72, 1), 0, 0, "plus")
+        assert [c.dim for c in comps] == [18, 18]
+        for c in comps:
+            assert verify_so3(c).max_residual <= 1e-9
+
     def test_mult_one_pattern_without_split(self):
         # wrap-free chain at p = 2p' with p' odd: exactly one multiplicity-1
         # point in the spectrum, yet indecomposable (no direct-sum split)
@@ -482,6 +491,10 @@ class TestRootComponents:
             U.q_root_components(p8, ("Q1", 1, 1))
         with pytest.raises(BadDescriptor):
             U.q_root_components(p5, ("nope", 1, 1))
+        with pytest.raises(BadDescriptor):
+            U.q_root_components(p5, ("Q1", 1))
+        with pytest.raises(BadDescriptor):
+            U.q_root_components(p8, ("Q1_2", 1, 1))
 
     def test_components_come_from_cyclic_parent(self, p5):
         # the cyclic constant family at lambda = 1 splits into the two
