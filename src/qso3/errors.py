@@ -52,7 +52,8 @@ class SpecialEpsilon(QAlgebraError):
 
 
 class SingularBasisChange(QAlgebraError):
-    """A diagonal rescaling factor vanishes, so the primed basis is undefined."""
+    """A basis change is numerically singular: a diagonal rescaling factor
+    vanishes, or a first generator has no well-conditioned eigenbasis."""
 
 
 class NoSolution(QAlgebraError):

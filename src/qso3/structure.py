@@ -1,12 +1,30 @@
 """Spectral analysis, invariant subspaces, irreducibility and equivalence.
 
-Two independent irreducibility oracles are provided: the dimension of the
-algebra generated by the representation operators (full matrix algebra iff
-irreducible over C) and the dimension of the commutant (1 iff irreducible).
-Decomposition splits along eigenprojections of a random commutant element,
-drawn from a fixed-seed generator for reproducibility.  All operations work
-on a list of generator matrices, so the same machinery serves both algebra
-flavors.
+Every oracle works in the weight blocks of the first generator (``I1``, or
+``K`` on the sl2 side): the index groups of its tolerance-clustered
+eigenvalues.  Registered families and the tensor products built through the
+localization map have a diagonal first generator; any other input is first
+moved to the generator's eigenbasis and the results are mapped back.
+
+- The commutant and the intertwiners vanish between blocks of different
+  weight, so their unknowns live only on matched blocks (sum of m_a * m_b
+  instead of n_a * n_b) and the equations come from the other generators.
+- The algebra spanned by words in the generators contains the spectral
+  idempotents E_i of the first generator (they are polynomials in it), so
+  its dimension is the sum over block pairs of dim E_i A E_j.  Each piece
+  is grown by left multiplication with the block pieces of the other
+  generators, in ambient dimension m_i * m_j.  Full dimension n^2 means
+  irreducible over C; a span grown in ambient n^2 accumulates rounding until
+  it admits noise and calls reducible representations (the twisted weight
+  families at dimension 12 and up, Clebsch-Gordan products of dimension 24
+  and 30) irreducible.
+- Decomposition splits along eigenprojections of a random commutant
+  element, drawn from a fixed-seed generator for reproducibility, block by
+  block, so component bases stay weight vectors and the recursion stays
+  blocked.
+
+All operations work on a list of generator matrices, so the same machinery
+serves both algebra flavors.
 """
 
 from __future__ import annotations
@@ -15,11 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CtxMismatch
+from .errors import CtxMismatch, SingularBasisChange
 from .repcore import FamilyDescriptor, Sl2FiniteRep, So3FiniteRep
 
 DEFAULT_SEED = 1234
 RANK_TOL = 1e-8
+DEFAULT_TOL = 1e-9  # for bare generator lists, which carry no context
 
 
 def _gens(rep) -> list[np.ndarray]:
@@ -30,29 +49,72 @@ def _gens(rep) -> list[np.ndarray]:
     return list(rep)
 
 
-def cluster(values, tol: float) -> list[tuple[complex, int]]:
-    """Greedy tolerance clustering of complex values into (value, count)."""
-    vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
+def _tol(rep) -> float:
+    ctx = getattr(rep, "ctx", None)
+    return ctx.tol if ctx is not None else DEFAULT_TOL
+
+
+def _cluster_groups(values, tol: float) -> list[tuple[complex, list[int]]]:
+    """Greedy tolerance clustering of complex values into (mean, indices)."""
+    vals = [complex(v) for v in values]
     out: list[list] = []
-    for v in vals:
+    for i in sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag)):
+        v = vals[i]
         for g in out:
             if abs(g[0] - v) <= tol:
-                g[1] += 1
-                g[0] = g[0] + (v - g[0]) / g[1]
+                g[1].append(i)
+                g[0] = g[0] + (v - g[0]) / len(g[1])
                 break
         else:
-            out.append([v, 1])
+            out.append([v, [i]])
     return [(g[0], g[1]) for g in out]
+
+
+def cluster(values, tol: float) -> list[tuple[complex, int]]:
+    """Greedy tolerance clustering of complex values into (value, count)."""
+    return [(v, len(idx)) for v, idx in _cluster_groups(values, tol)]
+
+
+def _first_eig(g0: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues and eigenvector matrix of the first generator; the
+    matrix is None when the generator is diagonal already."""
+    off = np.max(np.abs(g0 - np.diag(np.diag(g0)))) if g0.size else 0.0
+    if off <= 1e-12 * max(1.0, np.max(np.abs(g0))):
+        return np.diag(g0), None
+    return np.linalg.eig(g0)
+
+
+def _cluster_tol(vals, tol: float) -> float:
+    return 10 * tol * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
 
 
 def i1_spectrum(rep: So3FiniteRep) -> list[tuple[complex, int]]:
     """Tolerance-clustered eigenvalue multiset of the first generator."""
-    I1 = rep.I1
-    off = np.max(np.abs(I1 - np.diag(np.diag(I1)))) if I1.size else 0.0
-    vals = np.diag(I1) if off <= 1e-12 * max(1.0, np.max(np.abs(I1))) else \
-        np.linalg.eigvals(I1)
-    scale = max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
-    return cluster(vals, 10 * rep.ctx.tol * scale)
+    vals, _ = _first_eig(rep.I1)
+    return cluster(vals, _cluster_tol(vals, rep.ctx.tol))
+
+
+def _weight_frame(gens: list[np.ndarray], tol: float):
+    """Generators in a weight basis of the first one.
+
+    Returns (generators, eigenvalues, S): S is the eigenvector matrix the
+    generators were conjugated by, or None when the first generator is
+    diagonal already.  Raises SingularBasisChange when the eigenvectors are
+    numerically dependent, i.e. rounding amplified by their condition number
+    exceeds the tolerance.
+    """
+    vals, S = _first_eig(gens[0])
+    if S is None:
+        return gens, vals, None
+    if np.linalg.cond(S) * np.finfo(float).eps > tol:
+        raise SingularBasisChange(
+            "the first generator has no well-conditioned eigenbasis")
+    return [np.linalg.solve(S, g @ S) for g in gens], vals, S
+
+
+def _blocks(vals, tol: float) -> list[np.ndarray]:
+    """Index groups of the clustered eigenvalues of the first generator."""
+    return [np.array(idx) for _, idx in _cluster_groups(vals, _cluster_tol(vals, tol))]
 
 
 class _GrowingSpan:
@@ -73,7 +135,8 @@ class _GrowingSpan:
         Q = self.rows[:self.size]
         for _ in range(2):
             if self.size:
-                v = v - Q.T @ (Q.conj() @ v)
+                # conj(Q) @ v without copying the basis
+                v = v - Q.T @ (Q @ v.conj()).conj()
         nrm = np.linalg.norm(v)
         if nrm > self.drop_tol:
             self.rows[self.size] = v / nrm
@@ -89,7 +152,7 @@ def orbit_span(rep, seed: np.ndarray, tol: float | None = None) -> np.ndarray:
     application with re-orthogonalization until the rank stabilizes.
     """
     gens = _gens(rep)
-    ctx_tol = tol if tol is not None else getattr(rep, "ctx", None).tol
+    ctx_tol = tol if tol is not None else _tol(rep)
     n = gens[0].shape[0]
     scale = max(max(np.max(np.abs(g)) for g in gens), 1.0)
     span = _GrowingSpan(n, 100 * ctx_tol * scale)
@@ -110,29 +173,41 @@ def orbit_span(rep, seed: np.ndarray, tol: float | None = None) -> np.ndarray:
 def burnside_dim(rep, max_rounds: int | None = None) -> tuple[int, bool]:
     """Dimension of the algebra spanned by words in the generators.
 
-    Returns (dimension, converged).  The span grows by left multiplication
-    starting from the identity; it stabilizes in at most dim^2 rounds.
+    Returns (dimension, converged).  The dimension is the sum over weight
+    block pairs (i, j) of dim E_i A E_j, each grown by left multiplication
+    from E_j with the blocks of the other generators; ``max_rounds`` caps
+    the rounds of each column block (default 2 n^2).
     """
     gens = _gens(rep)
     n = gens[0].shape[0]
     cap = max_rounds if max_rounds is not None else 2 * n * n
     scale = max(max(np.max(np.abs(g)) for g in gens), 1.0)
-    span = _GrowingSpan(n * n, 1e-10 * scale)
-    eye = np.eye(n, dtype=complex)
-    span.add(eye / np.sqrt(n))
-    # the frontier holds the orthonormalized new directions, which keeps
-    # product norms bounded by the generator scale
-    frontier = [eye / np.sqrt(n)]
-    rounds = 0
-    while frontier and rounds < cap:
-        rounds += 1
-        new = []
-        for mat in frontier:
-            for g in gens:
-                if span.add(g @ mat):
-                    new.append(span.rows[span.size - 1].reshape(n, n))
-        frontier = new
-    return span.size, not frontier
+    tol = _tol(rep)
+    gens, vals, _ = _weight_frame(gens, tol)
+    blocks = _blocks(vals, tol)
+    # reach[k]: (i, G[i-block, k-block]) for each other generator coupling k to i
+    reach = [[(i, piece) for g in gens[1:] for i, bi in enumerate(blocks)
+              if (piece := g[np.ix_(bi, bk)]).any()] for bk in blocks]
+    total, converged = 0, True
+    for j, bj in enumerate(blocks):
+        mj = len(bj)
+        spans = [_GrowingSpan(len(bi) * mj, 1e-10 * scale) for bi in blocks]
+        # the frontier holds the orthonormalized new directions, which keeps
+        # product norms bounded by the generator scale
+        frontier = [(j, np.eye(mj, dtype=complex) / np.sqrt(mj))]
+        spans[j].add(frontier[0][1])
+        rounds = 0
+        while frontier and rounds < cap:
+            rounds += 1
+            new = []
+            for k, mat in frontier:
+                for i, piece in reach[k]:
+                    if spans[i].add(piece @ mat):
+                        new.append((i, spans[i].rows[spans[i].size - 1].reshape(-1, mj)))
+            frontier = new
+        total += sum(s.size for s in spans)
+        converged = converged and not frontier
+    return total, converged
 
 
 def is_irreducible_burnside(rep) -> tuple[bool, int]:
@@ -143,32 +218,77 @@ def is_irreducible_burnside(rep) -> tuple[bool, int]:
     return (converged and dim == n * n), dim
 
 
-def _nullspace(blocks: list[np.ndarray], width: int, rank_tol: float):
-    """Nullspace of the stacked operator; threshold floored at rank_tol
-    so that near-zero generator matrices count as commuting with everything."""
-    A = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+def _block_solutions(ga, gb, pairs, rank_tol: float) -> list[np.ndarray]:
+    """Basis of the X with X A_j = B_j X for the generators after the first,
+    where X (nb x na) is zero outside the matched weight blocks: pairs[c] =
+    (A indices, B indices) carries the unknown block X[B_c, A_c].
+
+    Block (c, d) of the equation reads X_c A_cd - B_cd X_d = 0; in row-major
+    vectorization its coefficients are I (x) A_cd^T and B_cd (x) I, built per
+    block.  The rank cut is relative to the largest singular value, floored
+    at rank_tol, so near-zero generators count as commuting with everything.
+    """
+    sizes = [len(ib) * len(ia) for ia, ib in pairs]
+    offs = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
+    eqs = []
+    for A, B in zip(ga[1:], gb[1:]):
+        for c, (ia_c, ib_c) in enumerate(pairs):
+            for d, (ia_d, ib_d) in enumerate(pairs):
+                A_cd, B_cd = A[np.ix_(ia_c, ia_d)], B[np.ix_(ib_c, ib_d)]
+                if A_cd.any() or B_cd.any():
+                    eqs.append((c, d, A_cd, B_cd))
+    rows = np.zeros((sum(B_cd.shape[0] * A_cd.shape[1] for _, _, A_cd, B_cd in eqs),
+                     offs[-1]), complex)
+    at = 0
+    for c, d, A_cd, B_cd in eqs:
+        mb, ma = B_cd.shape[0], A_cd.shape[1]
+        rows[at:at + mb * ma, offs[c]:offs[c + 1]] += np.einsum(
+            "ik,lj->ijkl", np.eye(mb), A_cd).reshape(mb * ma, -1)
+        rows[at:at + mb * ma, offs[d]:offs[d + 1]] -= np.einsum(
+            "ik,lj->ijkl", B_cd, np.eye(ma)).reshape(mb * ma, -1)
+        at += mb * ma
+    _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
     thr = rank_tol * max(float(s[0]) if len(s) else 0.0, 1.0)
-    null_count = int(np.sum(s <= thr)) + (width - len(s))
-    return null_count, vh
+    null_count = int(np.sum(s <= thr)) + (offs[-1] - len(s))
+    basis = []
+    for k in range(null_count):
+        x = vh[-(k + 1)].conj()
+        X = np.zeros((gb[0].shape[0], ga[0].shape[0]), complex)
+        for c, (ia, ib) in enumerate(pairs):
+            X[np.ix_(ib, ia)] = x[offs[c]:offs[c + 1]].reshape(len(ib), len(ia))
+        basis.append(X)
+    return basis
+
+
+def _from_frames(basis, Sa, Sb) -> list[np.ndarray]:
+    """Map solutions X found between weight frames back to the callers' bases:
+    X -> Sb X Sa^-1, where None stands for the identity."""
+    if Sa is not None:
+        basis = [np.linalg.solve(Sa.T, X.T).T for X in basis]
+    if Sb is not None:
+        basis = [Sb @ X for X in basis]
+    return basis
 
 
 def commutant(rep, rank_tol: float = RANK_TOL) -> tuple[int, list[np.ndarray]]:
-    """Dimension and orthonormal basis of {X : X G = G X for all generators}."""
-    gens = _gens(rep)
-    n = gens[0].shape[0]
-    eye = np.eye(n)
-    blocks = [np.kron(eye, g.T) - np.kron(g, eye) for g in gens]
-    null_count, vh = _nullspace(blocks, n * n, rank_tol)
-    basis = [vh[-(i + 1)].conj().reshape(n, n) for i in range(null_count)]
-    return null_count, basis
+    """Dimension and basis of {X : X G = G X for all generators}.
+
+    The basis is orthonormal in the weight basis of the first generator
+    (in the caller's basis too when that generator is diagonal).
+    """
+    tol = _tol(rep)
+    gens, vals, S = _weight_frame(_gens(rep), tol)
+    basis = _block_solutions(gens, gens, [(b, b) for b in _blocks(vals, tol)], rank_tol)
+    basis = _from_frames(basis, S, S)
+    return len(basis), basis
 
 
 def intertwiners(rep_a, rep_b, rank_tol: float = RANK_TOL) -> tuple[int, list[np.ndarray]]:
     """Solutions X of X A_j = B_j X for the generator lists of the two reps.
 
     The representations must share a context; X maps the space of rep_a to
-    that of rep_b.
+    that of rep_b.  Unknowns sit only where a weight block of rep_a meets a
+    block of rep_b with the same clustered eigenvalue.
     """
     ctx_a, ctx_b = getattr(rep_a, "ctx", None), getattr(rep_b, "ctx", None)
     if ctx_a is not None and ctx_b is not None and abs(ctx_a.s - ctx_b.s) > 1e-12:
@@ -176,12 +296,18 @@ def intertwiners(rep_a, rep_b, rank_tol: float = RANK_TOL) -> tuple[int, list[np
     ga, gb = _gens(rep_a), _gens(rep_b)
     if len(ga) != len(gb):
         raise CtxMismatch("generator lists have different shapes")
-    na, nb = ga[0].shape[0], gb[0].shape[0]
-    blocks = [np.kron(np.eye(nb), A.T) - np.kron(B, np.eye(na))
-              for A, B in zip(ga, gb)]
-    null_count, vh = _nullspace(blocks, na * nb, rank_tol)
-    basis = [vh[-(i + 1)].conj().reshape(nb, na) for i in range(null_count)]
-    return null_count, basis
+    tol = _tol(rep_a)
+    ga, va, Sa = _weight_frame(ga, tol)
+    gb, vb, Sb = _weight_frame(gb, tol)
+    na = len(va)
+    both = np.concatenate([va, vb])
+    pairs = []
+    for idx in _blocks(both, tol):
+        ia, ib = idx[idx < na], idx[idx >= na] - na
+        if len(ia) and len(ib):
+            pairs.append((ia, ib))
+    basis = _from_frames(_block_solutions(ga, gb, pairs, rank_tol), Sa, Sb)
+    return len(basis), basis
 
 
 def are_equivalent(rep_a, rep_b, seed: int = DEFAULT_SEED) -> bool:
@@ -270,35 +396,52 @@ def _invariance_defect(gens, Q) -> float:
     return max(float(np.max(np.abs(g @ Q - Q @ (Q.conj().T @ g @ Q)))) for g in gens)
 
 
-def _split_once(gens, tol, rng, retries=5, com=None):
-    """One commutant-driven split: returns list of orthonormal bases or None."""
-    cdim, cbasis = com if com is not None else commutant(gens)
+def _split_once(rep, rng, retries=5, com=None):
+    """One commutant-driven split: returns list of orthonormal bases or None.
+
+    The random commutant element is block-diagonal in the weight blocks; it
+    is eigendecomposed block by block and each eigenvalue cluster is
+    orthonormalized per block, so every basis column is a weight vector.
+    """
+    cdim, cbasis = com if com is not None else commutant(rep)
     if cdim <= 1:
         return None
+    gens, tol = _gens(rep), _tol(rep)
     n = gens[0].shape[0]
     scale = max(max(np.max(np.abs(g)) for g in gens), 1.0)
+    vals, S = _first_eig(gens[0])
+    if S is not None:
+        cbasis = [np.linalg.solve(S, X @ S) for X in cbasis]
+    blocks = _blocks(vals, tol)
     for _ in range(retries):
         Z = sum(rng.standard_normal() * X for X in cbasis)
-        evals, evecs = np.linalg.eig(Z)
-        thr = 10 * tol * max(1.0, float(np.max(np.abs(evals))))
+        eigs = [np.linalg.eig(Z[np.ix_(b, b)]) for b in blocks]
+        evals = np.concatenate([e for e, _ in eigs])
+        thr = _cluster_tol(evals, tol)
         groups = cluster(evals, thr)
         if len(groups) <= 1:
             continue
         bases = []
-        ok = True
         for val, _count in groups:
-            cols = [i for i, e in enumerate(evals) if abs(e - val) <= thr]
-            Q, _ = np.linalg.qr(evecs[:, cols])
+            Q = np.zeros((n, n), dtype=complex)
+            width = 0
+            for b, (e, v) in zip(blocks, eigs):
+                cols = np.abs(e - val) <= thr
+                if cols.any():
+                    Qb, _ = np.linalg.qr(v[:, cols])
+                    Q[b, width:width + Qb.shape[1]] = Qb
+                    width += Qb.shape[1]
+            Q = Q[:, :width] if S is None else np.linalg.qr(S @ Q[:, :width])[0]
             if _invariance_defect(gens, Q) > 1e4 * tol * scale:
-                ok = False
                 break
             bases.append(Q)
-        if ok and len(bases) >= 2 and sum(b.shape[1] for b in bases) == n:
-            return bases
+        else:
+            if sum(b.shape[1] for b in bases) == n:
+                return bases
     return None
 
 
-def _wrap_component(rep, basis, gens_r):
+def _wrap_component(rep, gens_r):
     if isinstance(rep, So3FiniteRep):
         from .qscalar import q_pow
         from .repcore import HALF
@@ -326,23 +469,22 @@ def decompose(rep, seed: int = DEFAULT_SEED) -> DecompositionReport:
     """
     gens = _gens(rep)
     n = gens[0].shape[0]
-    ctx = getattr(rep, "ctx", None)
-    tol = ctx.tol if ctx is not None else 1e-9
     rng = np.random.default_rng(seed)
     top_com = commutant(rep)
     cdim = top_com[0]
     irr, bdim = is_irreducible_burnside(rep)
 
-    def recurse(sub_gens, carrier, com=None):
-        bases = _split_once(sub_gens, tol, rng, com=com)
+    def recurse(sub, carrier, com=None):
+        bases = _split_once(sub, rng, com=com)
         if bases is None:
-            return [(carrier, sub_gens)]
+            return [(carrier, sub)]
         out = []
         for Q in bases:
-            out.extend(recurse(_restrict_mats(sub_gens, Q), carrier @ Q))
+            part = _wrap_component(rep, _restrict_mats(_gens(sub), Q))
+            out.extend(recurse(part, carrier @ Q))
         return out
 
-    pieces = recurse(gens, np.eye(n, dtype=complex), com=top_com)
+    pieces = recurse(rep, np.eye(n, dtype=complex), com=top_com)
     if len(pieces) == 1:
         if irr:
             return DecompositionReport(
@@ -350,14 +492,13 @@ def decompose(rep, seed: int = DEFAULT_SEED) -> DecompositionReport:
                 commutant_dim=cdim, burnside_dim=bdim,
                 is_irreducible=True, is_direct_sum=True, combined_condition=1.0)
         # reducible but not split: collect the invariant lattice from seeds
-        lattice = _invariant_lattice(rep, gens, tol)
+        lattice = _invariant_lattice(rep, gens, _tol(rep))
         return DecompositionReport(
             components=[], lattice=lattice, commutant_dim=cdim,
             burnside_dim=bdim, is_irreducible=False, is_direct_sum=False)
     components = []
-    for B, sub in pieces:
-        comp = _wrap_component(rep, B, sub)
-        comp_irr, _ = is_irreducible_burnside(sub)
+    for B, comp in pieces:
+        comp_irr, _ = is_irreducible_burnside(comp)
         if not isinstance(comp, list):
             comp.flags["component_irreducible"] = comp_irr
         components.append((B, comp))
@@ -373,7 +514,7 @@ def _invariant_lattice(rep, gens, tol) -> list[np.ndarray]:
     n = gens[0].shape[0]
     evals, evecs = np.linalg.eig(gens[0])
     seeds = [evecs[:, i] for i in range(n)]
-    thr = 10 * tol * max(1.0, float(np.max(np.abs(evals))))
+    thr = _cluster_tol(evals, tol)
     groups = cluster(evals, thr)
     for val, count in groups:
         if count < 2:

@@ -192,9 +192,12 @@ def t_tilde_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
     constructor so the equivalence is testable.
     """
     lam, a, b = complex(lam), complex(a), complex(b)
-    return _cyclic_sl2(ctx, lam, lambda i: 1j * q_pow(ctx, -i) * lam, "F", b,
-                       lambda i: a * b - _weight_step(ctx, lam, i), a,
-                       FamilyDescriptor("T_tilde", {"a": a, "b": b, "lambda": lam}))
+    rep = _cyclic_sl2(ctx, lam, lambda i: 1j * q_pow(ctx, -i) * lam, "F", b,
+                      lambda i: a * b - _weight_step(ctx, lam, i), a,
+                      FamilyDescriptor("T_tilde", {"a": a, "b": b, "lambda": lam}))
+    if a == 0 and b == 0 and _chain_breaks(ctx, rep.E, rep.dim):
+        rep.flags["reducible"] = True
+    return rep
 
 
 def special_epsilon_values(ctx: QContext, r_range: int = 8) -> list[complex]:

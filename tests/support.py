@@ -1,4 +1,5 @@
-"""Shared helpers: parameter samplers over the family registry."""
+"""Shared helpers: parameter samplers over the family registry, and the
+dense reference oracles the weight-blocked ones are checked against."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import numpy as np
 
 from qso3.qscalar import HalfInt, QContext, generic_ctx, q_pow, root_of_unity_ctx
 from qso3 import uqsl2, uqso3
+from qso3.structure import RANK_TOL, _gens, _GrowingSpan
 
 GENERIC_QS = (1.3, 4.0, np.exp(0.37j))
 ROOT_PS = (3, 5, 7, 8)
@@ -130,3 +132,38 @@ def banded_so3_samples(ctx: QContext):
                 out.append((f"Q_comp[{which},{at},{sgn}]",
                             uqso3.q_lambda_components(ctx, which, at, sgn)))
     return out
+
+
+def dense_commutant_dim(rep, rank_tol: float = RANK_TOL) -> int:
+    """Commutant dimension from the full n^2 x n^2 Kronecker system: the
+    nullity of the stacked I (x) G^T - G (x) I, cut at rank_tol relative to
+    the largest singular value (floored at 1)."""
+    gens = _gens(rep)
+    n = gens[0].shape[0]
+    eye = np.eye(n)
+    A = np.vstack([np.kron(eye, g.T) - np.kron(g, eye) for g in gens])
+    s = np.linalg.svd(A, compute_uv=False)
+    thr = rank_tol * max(float(s[0]) if len(s) else 0.0, 1.0)
+    return int(np.sum(s <= thr)) + (n * n - len(s))
+
+
+def dense_burnside_dim(rep) -> tuple[int, bool]:
+    """Algebra dimension from one span in ambient n^2, grown from the
+    identity by left multiplication with the generators."""
+    gens = _gens(rep)
+    n = gens[0].shape[0]
+    scale = max(max(np.max(np.abs(g)) for g in gens), 1.0)
+    span = _GrowingSpan(n * n, 1e-10 * scale)
+    eye = np.eye(n, dtype=complex) / np.sqrt(n)
+    span.add(eye)
+    frontier = [eye]
+    rounds = 0
+    while frontier and rounds < 2 * n * n:
+        rounds += 1
+        new = []
+        for mat in frontier:
+            for g in gens:
+                if span.add(g @ mat):
+                    new.append(span.rows[span.size - 1].reshape(n, n))
+        frontier = new
+    return span.size, not frontier

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from support import finite_so3_samples, finite_sl2_samples
-from qso3.errors import CtxMismatch
+from support import (dense_burnside_dim, dense_commutant_dim, finite_so3_samples,
+                     finite_sl2_samples, generic_contexts, root_contexts)
+from qso3.errors import CtxMismatch, SingularBasisChange
 from qso3.psihom import compose
 from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
-from qso3.structure import (are_equivalent, commutant, decompose, fingerprint,
-                            i1_spectrum, intertwiners, is_irreducible_burnside,
-                            orbit_span)
+from qso3.structure import (are_equivalent, burnside_dim, commutant, decompose,
+                            fingerprint, i1_spectrum, intertwiners,
+                            is_irreducible_burnside, orbit_span)
 from qso3 import uqso3 as U
 from qso3.uqsl2 import t_omega_l
 
@@ -61,12 +62,16 @@ class TestIrreducibilityOracles:
             assert irr and dim == rep.dim ** 2
             assert commutant(rep)[0] == 1
 
-    def test_twisted_families_reducible(self, q13):
-        for l in (H("1/2"), H("3/2"), H("5/2")):
-            rep = U.r_pm_i_l(q13, l, 1)
-            irr, dim = is_irreducible_burnside(rep)
-            assert not irr and dim == rep.dim ** 2 // 2
-            assert commutant(rep)[0] == 2
+    def test_twisted_families_reducible(self, q13, q4):
+        # two inequivalent halves of dimension n/2: the algebra has
+        # dimension 2 (n/2)^2; a span grown in ambient n^2 reached n^2 at
+        # dimension 12 (q = 1.3) and 10 (q = 4)
+        for ctx in (q13, q4):
+            for l in (H("1/2"), H("3/2"), H("5/2"), H("7/2"), H("9/2"), H("11/2")):
+                rep = U.r_pm_i_l(ctx, l, 1)
+                irr, dim = is_irreducible_burnside(rep)
+                assert not irr and dim == rep.dim ** 2 // 2, (ctx.q, l, dim)
+                assert commutant(rep)[0] == 2
 
     def test_oracles_agree_across_registry(self, q13, p5, p8):
         # full algebra span <=> trivial commutant AND no proper invariant
@@ -92,6 +97,49 @@ class TestIrreducibilityOracles:
         assert count >= 100
 
 
+class TestDenseReference:
+    def test_blocked_matches_dense(self):
+        # the weight-blocked oracles against the full n^2 Kronecker system
+        # and the n^2 span, on every registry sample small enough for both
+        count = 0
+        for ctx in generic_contexts() + root_contexts():
+            for label, rep in finite_so3_samples(ctx) + finite_sl2_samples(ctx):
+                if rep.dim > 8:
+                    continue
+                assert commutant(rep)[0] == dense_commutant_dim(rep), (ctx.q, label)
+                assert burnside_dim(rep) == dense_burnside_dim(rep), (ctx.q, label)
+                count += 1
+        assert count >= 300
+
+
+class TestWeightFrame:
+    def test_defective_first_generator_raises(self):
+        # a Jordan block has no eigenbasis to block in
+        jordan = np.array([[1.0, 1.0], [0.0, 1.0]], complex)
+        other = np.array([[0.0, 0.0], [1.0, 0.0]], complex)
+        for oracle in (commutant, burnside_dim):
+            with pytest.raises(SingularBasisChange):
+                oracle([jordan, other])
+
+    def test_conjugated_rep_maps_back(self, q13):
+        # a non-diagonal I1 is blocked in its eigenbasis; the commutant
+        # basis comes back in the caller's basis
+        from qso3.repcore import FamilyDescriptor, So3FiniteRep
+
+        rep = U.r_pm_i_l(q13, H("3/2"), 1)
+        S = np.random.default_rng(3).standard_normal((4, 4)) + 0j
+        Sinv = np.linalg.inv(S)
+        conj = So3FiniteRep(q13, S @ rep.I1 @ Sinv, S @ rep.I2 @ Sinv,
+                            S @ rep.I3 @ Sinv, FamilyDescriptor("conj", {}), {})
+        dim, basis = commutant(conj)
+        assert dim == 2
+        for X in basis:
+            for g in (conj.I1, conj.I2):
+                assert np.max(np.abs(X @ g - g @ X)) <= 1e-8
+        assert burnside_dim(conj) == burnside_dim(rep)
+        assert decompose(conj).component_dims == [2, 2]
+
+
 class TestCommutant:
     def test_reducible_constant_family(self, p5):
         rep = U.q_prime_lambda(p5, 1.0)
@@ -115,6 +163,15 @@ class TestDecompose:
             from qso3.repcore import verify_so3
 
             assert verify_so3(comp).max_residual <= 1e-9
+
+    def test_components_in_weight_bases(self, q13):
+        # split bases are I1 eigenvectors, so every component has a
+        # diagonal I1
+        for l in (H("5/2"), H("9/2")):
+            for basis, comp in decompose(U.r_pm_i_l(q13, l, -1)).components:
+                off = comp.I1 - np.diag(np.diag(comp.I1))
+                assert np.max(np.abs(off)) <= 1e-12 * np.max(np.abs(comp.I1))
+                assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]))
 
     def test_reassembly(self, q13):
         rep = U.r_pm_i_l(q13, H("3/2"), -1)

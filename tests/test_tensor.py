@@ -68,6 +68,19 @@ class TestCgSo3:
         table = cg_decompose(prod)
         assert table.multiplicities == expected_so3_tensor(1, 1j, 1, H("1/2"))
 
+    @pytest.mark.parametrize("la,lb", [("3/2", "5/2"), ("2", "5/2")])
+    def test_wedderburn_dimensions(self, q13, la, lb):
+        # pairwise inequivalent irreducible components: the algebra is the
+        # sum of their full matrix algebras and the commutant is one scalar
+        # per component (dimension 24: 164 and 4; dimension 30: 220 and 5)
+        from qso3.structure import burnside_dim, commutant, decompose
+
+        prod = tensor_so3(t_omega_l(q13, H(la), 1), t_omega_l(q13, H(lb), -1))
+        dims = decompose(prod).component_dims
+        assert sum(dims) == prod.dim and len(dims) == len(set(dims))
+        assert burnside_dim(prod) == (sum(d * d for d in dims), True)
+        assert commutant(prod)[0] == len(dims)
+
     def test_double_twist_returns_weights(self, q13):
         prod = tensor_so3(t_omega_l(q13, H("1/2"), "i"),
                           t_omega_l(q13, H("1/2"), "i"))

@@ -7,7 +7,8 @@ from support import finite_sl2_samples, rng_params
 from qso3.errors import BadParam, BadRange, CtxMismatch
 from qso3.qscalar import HalfInt, generic_ctx, q_pow, root_of_unity_ctx
 from qso3.repcore import verify_sl2
-from qso3.structure import are_equivalent, cluster, _multiset_close
+from qso3.structure import (are_equivalent, cluster, is_irreducible_burnside,
+                            _multiset_close)
 from qso3.uqsl2 import (classify_epsilon, cyclic_dim, delta_tensor,
                         is_extendable, t_a_epsilon, t_ab_lambda, t_omega_l,
                         t_prime_0b_lambda, t_tilde_ab_lambda)
@@ -130,6 +131,15 @@ class TestCyclicFamilies:
         assert not t_ab_lambda(p5, 0, 0, p5.q ** 2).flags.get("reducible")
         assert not t_ab_lambda(p5, 1, 1, p5.q ** 2).flags.get("reducible")
         assert t_prime_0b_lambda(p5, 0, -p5.q).flags.get("reducible")
+
+    def test_tilde_reducible_where_plain_is(self, p5):
+        # the tilde stepper is the plain one negated, so its chain breaks at
+        # the same lambda; the algebra is then short of the full 25
+        for lam, bdim in ((1.0, 21), (p5.q, 19)):
+            plain, tilde = t_ab_lambda(p5, 0, 0, lam), t_tilde_ab_lambda(p5, 0, 0, lam)
+            assert plain.flags.get("reducible") and tilde.flags.get("reducible")
+            assert is_irreducible_burnside(tilde) == (False, bdim)
+        assert not t_tilde_ab_lambda(p5, 0, 0, p5.q ** 2).flags.get("reducible")
 
     def test_prime_kills_lowering_at_zero(self, p5):
         rep = t_prime_0b_lambda(p5, 0.5, 2)
