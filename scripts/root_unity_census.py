@@ -11,8 +11,9 @@ listed.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from qso3.qscalar import root_of_unity_ctx
 from qso3.repcore import Sl2FiniteRep, verify_sl2, verify_so3

@@ -4,27 +4,53 @@ Subcommands: construct, verify, decompose, equiv, tensor, spectrum,
 central, sweep.  Contexts come either from --q (generic) or from integer
 --p/--k (root of unity, so that minimality of p is exact).  Half-integers
 are written like "3/2"; complex numbers like "0.7+0.1i".  Exit codes:
-0 ok, 1 verification failure, 2 usage or parameter error.
+0 ok, 1 verification failure or a failed sweep point, 2 usage or
+parameter error.
+
+Output is JSON; spectrum and spectrum sweeps can also write csv rows
+re,im,multiplicity.  sweep runs a command over the cartesian product of
+--<flag>-grid value lists and writes one JSON line per point, or with
+--format csv one table whose leading columns are the grid flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import re
 import sys
+from contextlib import nullcontext
+from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
 
 from . import psihom, structure, tensor, uqso3
 from .errors import QAlgebraError
-from .qscalar import HalfInt, generic_ctx, root_of_unity_ctx
+from .qscalar import HalfInt, QContext, generic_ctx, root_of_unity_ctx
 from .registry import REGISTRY, build_family
 from .repcore import (BandedRep, Sl2FiniteRep, So3FiniteRep, rep_to_json,
                       truncate, verify_sl2, verify_so3)
+from .uqsl2 import is_extendable
 
 DEFAULT_WINDOW = 20
+
+
+class UsageError(Exception):
+    """A malformed command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting, so sweeps can record it."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+# A malformed value raises ValueError and a missing family parameter a
+# TypeError from its builder: like usage and domain errors, they exit 2.
+PARAM_ERRORS = (UsageError, QAlgebraError, ValueError, TypeError)
 
 
 def parse_complex(text: str) -> complex:
@@ -36,10 +62,8 @@ def parse_complex(text: str) -> complex:
         raise QAlgebraError(f"cannot parse complex number {text!r}") from exc
 
 
-def parse_sign(text) -> int:
-    if isinstance(text, int):
-        return text
-    t = str(text).strip()
+def parse_sign(text: str) -> int:
+    t = text.strip()
     if t in ("+", "+1", "1"):
         return 1
     if t in ("-", "-1"):
@@ -68,11 +92,6 @@ _PARSERS = {
 _FLAG_OF = {"a_prime": "a-prime", "lam": "lambda", "family": "twist"}
 
 
-def default_tol() -> float:
-    env = os.environ.get("QSO3_TOL")
-    return float(env) if env else 1e-9
-
-
 def make_ctx(args) -> object:
     if args.p is not None:
         return root_of_unity_ctx(args.p, args.k, tol=args.tol)
@@ -85,51 +104,37 @@ def add_ctx_args(sp):
     sp.add_argument("--q", help="generic deformation parameter, e.g. 1.3 or 0.9+0.1i")
     sp.add_argument("--p", type=int, help="root-of-unity order (with --k)")
     sp.add_argument("--k", type=int, default=1, help="root exponent, gcd(k,p)=1")
-    sp.add_argument("--tol", type=float, default=default_tol())
+    sp.add_argument("--tol", type=float, default=QContext.tol)
 
 
 def add_family_args(sp):
+    """--family, and one flag for each parameter name of the registry schemas."""
     sp.add_argument("--family", required=True, choices=sorted(REGISTRY))
-    for flag in ("--l", "--n", "--a", "--b", "--lambda", "--eps", "--a-prime",
-                 "--param", "--kind", "--at", "--desc", "--variant", "--omega"):
-        sp.add_argument(flag)
-    sp.add_argument("--sign", help="+ or -")
-    sp.add_argument("--signs", help="sign pair like (+,-)")
-    sp.add_argument("--branch", help="+ or -")
-    sp.add_argument("--twist", help="+ or - (which twisted parent)")
-    sp.add_argument("--which", type=int)
-    sp.add_argument("--s1", help="+ or -")
-    sp.add_argument("--s2", help="+ or -")
-
-
-def collect_params(args) -> dict:
-    info = REGISTRY[args.family]
-    out = {}
-    for pname, kind in info.params:
-        flag = _FLAG_OF.get(pname, pname)
-        raw = getattr(args, flag.replace("-", "_"), None)
-        if raw is None:
-            continue
-        out[pname] = _PARSERS[kind](raw) if isinstance(raw, str) else raw
-    return out
+    kinds = {name: kind for info in REGISTRY.values() for name, kind in info.params}
+    for name in sorted(kinds):
+        sp.add_argument("--" + _FLAG_OF.get(name, name), help=kinds[name])
 
 
 def build_from_args(args):
-    ctx = make_ctx(args)
-    return ctx, build_family(ctx, args.family, **collect_params(args))
+    info = REGISTRY[args.family]
+    params = {}
+    for pname, kind in info.params:
+        raw = getattr(args, _FLAG_OF.get(pname, pname).replace("-", "_"))
+        if raw is not None:
+            params[pname] = _PARSERS[kind](raw)
+    return build_family(make_ctx(args), args.family, **params)
 
 
 def parse_family_spec(ctx, spec: str):
     """Parse "Rsplit_n,n=2,(+,+)" style inline family descriptions."""
-    parts = [p for p in _smart_split(spec) if p]
-    name = parts[0].strip()
+    # split on commas that are not inside parentheses
+    parts = [p.strip() for p in re.split(r",(?![^()]*\))", spec) if p.strip()]
+    name = parts[0]
     if name not in REGISTRY:
         raise QAlgebraError(f"unknown family {name!r} in spec {spec!r}")
-    info = REGISTRY[name]
-    kinds = dict(info.params)
+    kinds = dict(REGISTRY[name].params)
     params = {}
     for part in parts[1:]:
-        part = part.strip()
         if part.startswith("(") or "=" not in part:
             params["signs"] = parse_signs(part)
             continue
@@ -141,33 +146,41 @@ def parse_family_spec(ctx, spec: str):
     return build_family(ctx, name, **params)
 
 
-def _smart_split(spec: str) -> list[str]:
-    # split on commas not inside parentheses
-    out, depth, cur = [], 0, []
-    for ch in spec:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return out
+@dataclass
+class Sweep:
+    """The records of a sweep, one per grid point, and its grid flag names."""
+
+    grid: list[str]
+    records: list[dict]
 
 
-def emit(payload, args):
-    _write(json.dumps(payload, indent=2, default=_json_default), getattr(args, "out", None))
+def emit(payload, fmt: str, out: str | None) -> None:
+    """Write a command payload or a Sweep to ``out`` (stdout if None).
 
-
-def _write(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+    json: the payload indented, or one compact line per sweep record.
+    csv: ``re,im,multiplicity`` rows of spectrum payloads under one header;
+    a sweep's grid flags lead as columns, and a failed point's error goes
+    to stderr.
+    """
+    if fmt == "csv":
+        sweep = payload if isinstance(payload, Sweep) else \
+            Sweep([], [{"point": {}, "result": payload}])
+        lines = [",".join(sweep.grid + ["re", "im", "multiplicity"])]
+        for rec in sweep.records:
+            if "error" in rec:
+                print(f"error: {rec['point']}: {rec['error']}", file=sys.stderr)
+                continue
+            lead = "".join(f"{rec['point'][g]}," for g in sweep.grid)
+            res = rec["result"]
+            for entry in res if isinstance(res, list) else [res]:
+                lines += [f"{lead}{v.real},{v.imag},{m}" for v, m in entry["spectrum"]]
+        text = "\n".join(lines)
+    elif isinstance(payload, Sweep):
+        text = "\n".join(json.dumps(r, default=_json_default) for r in payload.records)
     else:
-        print(text)
+        text = json.dumps(payload, indent=2, default=_json_default)
+    with open(out, "w") if out else nullcontext(sys.stdout) as fh:
+        fh.write(text + "\n")
 
 
 def _json_default(obj):
@@ -184,59 +197,52 @@ def _json_default(obj):
     return str(obj)
 
 
-def _dump_rep(rep, args):
+def window_truncation(rep: BandedRep, w: int):
+    """The finite window shown for a banded rep: labels [-w, w] when it is
+    unbounded on both sides, else [-2w, 2w]."""
+    k = 1 if rep.n_min is None and rep.n_max is None else 2
+    return truncate(rep, -k * w, k * w)
+
+
+def _dump_rep(rep, w: int):
     if isinstance(rep, BandedRep):
-        w = args.window
-        tr = truncate(rep, -w, w) if rep.n_min is None and rep.n_max is None else \
-            truncate(rep, -2 * w, 2 * w)
-        return rep_to_json(tr, rep.family)
+        return rep_to_json(window_truncation(rep, w), rep.family)
     return rep_to_json(rep)
 
 
-def cmd_construct(args) -> int:
-    _, rep = build_from_args(args)
+def cmd_construct(args):
+    rep = build_from_args(args)
     if isinstance(rep, list):
-        emit([_dump_rep(r, args) for r in rep], args)
-    else:
-        emit(_dump_rep(rep, args), args)
-    return 0
+        return [_dump_rep(r, args.window) for r in rep], 0
+    return _dump_rep(rep, args.window), 0
 
 
-def cmd_verify(args) -> int:
-    _, rep = build_from_args(args)
-    reps = rep if isinstance(rep, list) else [rep]
+def cmd_verify(args):
+    rep = build_from_args(args)
     payload = []
-    worst = 0.0
-    for r in reps:
-        if isinstance(r, So3FiniteRep) or (isinstance(r, BandedRep) and r.flavor == "so3"):
-            report = verify_so3(r, window=args.window)
-        else:
-            report = verify_sl2(r, window=args.window)
+    for r in rep if isinstance(rep, list) else [rep]:
+        so3 = isinstance(r, So3FiniteRep) or (isinstance(r, BandedRep) and r.flavor == "so3")
+        report = (verify_so3 if so3 else verify_sl2)(r, window=args.window)
         entry = {"family": str(r.family), "residuals": report.residuals,
                  "max_residual": report.max_residual}
-        if isinstance(r, Sl2FiniteRep):
-            from .uqsl2 import is_extendable
-
-            ok, _ = is_extendable(r)
-            if ok:
-                psi_report = psihom.verify_psi(r)
-                entry["psi_residuals"] = psi_report.residuals
-                entry["max_residual"] = max(entry["max_residual"],
-                                            psi_report.max_residual)
+        if isinstance(r, Sl2FiniteRep) and is_extendable(r)[0]:
+            psi_report = psihom.verify_psi(r)
+            entry["psi_residuals"] = psi_report.residuals
+            entry["max_residual"] = max(entry["max_residual"],
+                                        psi_report.max_residual)
         payload.append(entry)
-        worst = max(worst, entry["max_residual"])
-    emit({"reports": payload, "max_residual": worst, "tol": args.tol}, args)
-    return 0 if worst <= args.tol else 1
+    worst = max([0.0] + [e["max_residual"] for e in payload])
+    return {"reports": payload, "max_residual": worst, "tol": args.tol}, \
+        0 if worst <= args.tol else 1
 
 
-def cmd_decompose(args) -> int:
-    _, rep = build_from_args(args)
+def cmd_decompose(args):
+    rep = build_from_args(args)
     if isinstance(rep, list):
         rep = rep[0] if len(rep) == 1 else rep
     if isinstance(rep, list):
-        emit({"note": "constructor already returned components",
-              "component_dims": [r.dim for r in rep]}, args)
-        return 0
+        return {"note": "constructor already returned components",
+                "component_dims": [r.dim for r in rep]}, 0
     if isinstance(rep, BandedRep):
         raise QAlgebraError("decompose works on finite representations")
     report = structure.decompose(rep, seed=args.seed)
@@ -252,36 +258,20 @@ def cmd_decompose(args) -> int:
     if args.matrices:
         payload["components"] = [rep_to_json(c) for _, c in report.components]
         payload["bases"] = [b for b, _ in report.components]
-    emit(payload, args)
-    return 0
+    return payload, 0
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args):
     ctx = make_ctx(args)
     rep_a = parse_family_spec(ctx, args.a_spec)
     rep_b = parse_family_spec(ctx, args.b_spec)
     dim, _ = structure.intertwiners(rep_a, rep_b)
-    eq = structure.are_equivalent(rep_a, rep_b)
-    fa, fb = structure.fingerprint(rep_a), structure.fingerprint(rep_b)
-    diffs = []
-    if fa.dim != fb.dim:
-        diffs.append("dim")
-    else:
-        from .structure import _multiset_close
-
-        scale = max(1.0, max((abs(v) for v, _ in fa.spectrum), default=1.0))
-        if not _multiset_close(fa.spectrum, fb.spectrum, 1e-6 * scale):
-            diffs.append("i1_spectrum")
-        if abs(fa.trace_i2 - fb.trace_i2) > 1e-6 * max(1.0, abs(fa.trace_i2)):
-            diffs.append("trace_i2")
-        if abs(fa.trace_i3 - fb.trace_i3) > 1e-6 * max(1.0, abs(fa.trace_i3)):
-            diffs.append("trace_i3")
-    emit({"equivalent": eq, "intertwiner_dim": dim, "fingerprint_diff": diffs},
-         args)
-    return 0
+    diff = structure.fingerprint(rep_a).diff(structure.fingerprint(rep_b))
+    return {"equivalent": structure.are_equivalent(rep_a, rep_b),
+            "intertwiner_dim": dim, "fingerprint_diff": diff}, 0
 
 
-def cmd_tensor(args) -> int:
+def cmd_tensor(args):
     ctx = make_ctx(args)
     rep_a = parse_family_spec(ctx, args.a_spec)
     rep_b = parse_family_spec(ctx, args.b_spec)
@@ -293,39 +283,23 @@ def cmd_tensor(args) -> int:
     else:
         prod = tensor.tensor_so3(rep_a, rep_b)
         table = tensor.cg_decompose(prod, seed=args.seed)
-    emit(table.to_json(), args)
-    return 0
+    return table.to_json(), 0
 
 
-def cmd_spectrum(args) -> int:
-    _, rep = build_from_args(args)
+def cmd_spectrum(args):
+    rep = build_from_args(args)
     if isinstance(rep, list):
-        payload = [{"family": str(r.family),
-                    "spectrum": structure.i1_spectrum(r)} for r in rep]
-    elif isinstance(rep, BandedRep):
-        w = args.window
-        tr = truncate(rep, -w, w) if rep.n_min is None and rep.n_max is None \
-            else truncate(rep, -2 * w, 2 * w)
-        name = "I1" if rep.flavor == "so3" else "K"
-        vals = np.diag(tr.matrices[name])
-        payload = {"family": str(rep.family), "window": w,
-                   "spectrum": structure.cluster(vals, 10 * rep.ctx.tol)}
-    else:
-        payload = {"family": str(rep.family),
-                   "spectrum": structure.i1_spectrum(rep)}
-    if args.format == "csv":
-        lines = ["re,im,multiplicity"]
-        spec = payload["spectrum"] if isinstance(payload, dict) else \
-            [s for pl in payload for s in pl["spectrum"]]
-        for val, mult in spec:
-            lines.append(f"{val.real},{val.imag},{mult}")
-        _write("\n".join(lines), args.out)
-        return 0
-    emit(payload, args)
-    return 0
+        return [{"family": str(r.family),
+                 "spectrum": structure.i1_spectrum(r)} for r in rep], 0
+    if isinstance(rep, BandedRep):
+        tr = window_truncation(rep, args.window)
+        vals = np.diag(tr.matrices["I1" if rep.flavor == "so3" else "K"])
+        return {"family": str(rep.family), "window": args.window,
+                "spectrum": structure.cluster(vals, 10 * rep.ctx.tol)}, 0
+    return {"family": str(rep.family), "spectrum": structure.i1_spectrum(rep)}, 0
 
 
-def cmd_central(args) -> int:
+def cmd_central(args):
     ctx = make_ctx(args)
     if not ctx.is_root_of_unity:
         raise QAlgebraError("central elements need a root-of-unity context (--p/--k)")
@@ -333,8 +307,7 @@ def cmd_central(args) -> int:
     coeffs = []
     for c in poly.coeffs:
         coeffs.append(round(c.real, 12) if abs(c.imag) < 1e-9 else [c.real, c.imag])
-    emit({"p": ctx.p, "coeffs": coeffs}, args)
-    return 0
+    return {"p": ctx.p, "coeffs": coeffs}, 0
 
 
 COMMANDS = {
@@ -348,102 +321,85 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qso3", description=__doc__)
+@cache
+def _build_parser() -> _Parser:
+    ap = _Parser(prog="qso3", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    sps = {name: sub.add_parser(name) for name in COMMANDS}
+    for sp in sps.values():
+        add_ctx_args(sp)
+        sp.add_argument("--out")
     for name in ("construct", "verify", "decompose", "spectrum"):
-        sp = sub.add_parser(name)
-        add_ctx_args(sp)
-        add_family_args(sp)
-        sp.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--seed", type=int, default=structure.DEFAULT_SEED)
-        if name == "decompose":
-            sp.add_argument("--matrices", action="store_true",
-                            help="include component matrices in the report")
+        add_family_args(sps[name])
+    for name in ("construct", "verify", "spectrum"):
+        sps[name].add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    for name in ("decompose", "tensor"):
+        sps[name].add_argument("--seed", type=int, default=structure.DEFAULT_SEED)
     for name in ("equiv", "tensor"):
-        sp = sub.add_parser(name)
-        add_ctx_args(sp)
-        sp.add_argument("--a-spec", required=True, dest="a_spec",
-                        metavar="SPEC", help='e.g. "Rsplit_n,n=2,(+,+)"')
-        sp.add_argument("--b-spec", required=True, dest="b_spec", metavar="SPEC")
-        sp.add_argument("--out")
-        sp.add_argument("--seed", type=int, default=structure.DEFAULT_SEED)
-        if name == "tensor":
-            sp.add_argument("--sl2", action="store_true",
-                            help="decompose on the sl2 side instead")
-    sp = sub.add_parser("central")
-    add_ctx_args(sp)
+        sps[name].add_argument("--a-spec", required=True, dest="a_spec",
+                               metavar="SPEC", help='e.g. "Rsplit_n,n=2,(+,+)"')
+        sps[name].add_argument("--b-spec", required=True, dest="b_spec", metavar="SPEC")
+    sps["spectrum"].add_argument("--format", choices=["json", "csv"], default="json")
+    sps["decompose"].add_argument("--matrices", action="store_true",
+                                  help="include component matrices in the report")
+    sps["tensor"].add_argument("--sl2", action="store_true",
+                               help="decompose on the sl2 side instead")
+    sp = sub.add_parser("sweep", help="run a command over --<flag>-grid v1,v2,... lists")
+    sp.add_argument("target", choices=list(COMMANDS))
     sp.add_argument("--out")
+    sp.add_argument("--format", choices=["json", "csv"], default="json",
+                    help="JSON lines, or csv (spectrum only)")
     return ap
 
 
-def _run_sweep(argv) -> int:
-    """qso3 sweep <command> [flags] [--<name>-grid v1,v2,...] --out FILE"""
-    if not argv or argv[0] not in COMMANDS:
-        print("sweep needs a subcommand: " + ", ".join(COMMANDS), file=sys.stderr)
-        return 2
-    command = argv[0]
-    rest = argv[1:]
-    grids = {}
-    base = []
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
+def run_sweep(args, rest: list[str]):
+    """Run args.target at every point of the grids among ``rest``; the
+    other tokens of ``rest`` are passed to every point."""
+    if args.format == "csv" and args.target != "spectrum":
+        raise UsageError("qso3 sweep: csv output is for spectrum sweeps")
+    grids, base, tokens = {}, [], iter(rest)
+    for tok in tokens:
         if tok.startswith("--") and tok.endswith("-grid"):
-            flag = tok[:-5]
-            grids[flag] = rest[i + 1].split(",")
-            i += 2
+            grids[tok[2:-5]] = next(tokens, "").split(",")
         else:
             base.append(tok)
-            i += 1
-    out_path = None
-    if "--out" in base:
-        j = base.index("--out")
-        out_path = base[j + 1]
-        base = base[:j] + base[j + 2:]
-    names = sorted(grids)
-    lines = []
-    any_failed = False
-    for combo in product(*(grids[n] for n in names)):
-        point = dict(zip(names, combo))
-        argv_point = [command] + base
-        for flag, val in point.items():
-            argv_point += [flag, val]
-        try:
-            parser = _build_parser()
-            args = parser.parse_args(argv_point)
-            import io
-            from contextlib import redirect_stdout
+    sweep = Sweep(sorted(grids), [])
+    for combo in product(*(grids[n] for n in sweep.grid)):
+        point = dict(zip(sweep.grid, combo))
+        flags = [x for name, val in point.items() for x in (f"--{name}", val)]
+        _, record, _ = run([args.target, *base, *flags])
+        sweep.records.append({"point": point, **record})
+    return sweep, int(not all(r["ok"] for r in sweep.records))
 
-            buf = io.StringIO()
-            with redirect_stdout(buf):
-                code = COMMANDS[command](args)
-            result = json.loads(buf.getvalue()) if buf.getvalue().strip() else None
-            line = {"point": {k.lstrip("-"): v for k, v in point.items()},
-                    "ok": code == 0, "result": result}
-            any_failed = any_failed or code != 0
-        except (QAlgebraError, SystemExit, ValueError) as exc:
-            line = {"point": {k.lstrip("-"): v for k, v in point.items()},
-                    "ok": False, "error": str(exc)}
-            any_failed = True
-        lines.append(json.dumps(line, default=_json_default))
-    _write("\n".join(lines), out_path)
-    return 1 if any_failed else 0
+
+def run(argv) -> tuple[object, dict, int]:
+    """Parse and run one command line.
+
+    Returns the parsed args (None if parsing failed), the record
+    {"ok", "result": payload} or {"ok": False, "error": message}, and the
+    exit code; a usage or parameter error gives exit code 2.
+    """
+    args = None
+    try:
+        args, rest = _build_parser().parse_known_args(argv)
+        if args.command == "sweep":
+            payload, code = run_sweep(args, rest)
+        elif rest:
+            raise UsageError(f"qso3: unrecognized arguments: {' '.join(rest)}")
+        else:
+            payload, code = COMMANDS[args.command](args)
+    except PARAM_ERRORS as exc:
+        return args, {"ok": False, "error": str(exc)}, 2
+    return args, {"ok": code == 0, "result": payload}, code
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "sweep":
-        return _run_sweep(argv[1:])
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return COMMANDS[args.command](args)
-    except QAlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    args, record, code = run(sys.argv[1:] if argv is None else list(argv))
+    if "error" in record:
+        print(f"error: {record['error']}", file=sys.stderr)
+    else:
+        emit(record["result"], getattr(args, "format", "json"), args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -355,16 +355,23 @@ class Fingerprint:
     trace_i2: complex
     trace_i3: complex
 
-    def matches(self, other: "Fingerprint", tol: float = 1e-6) -> bool:
+    def diff(self, other: "Fingerprint", tol: float = 1e-6) -> list[str]:
+        """Names of the invariants that differ beyond tol times the largest
+        of 1, |I1 eigenvalue|, |trace I2| and |trace I3| of self."""
         if self.dim != other.dim:
-            return False
+            return ["dim"]
         scale = max([1.0] + [abs(v) for v, _ in self.spectrum]
                     + [abs(self.trace_i2), abs(self.trace_i3)])
         thr = tol * scale
-        if abs(self.trace_i2 - other.trace_i2) > thr or \
-                abs(self.trace_i3 - other.trace_i3) > thr:
-            return False
-        return _multiset_close(self.spectrum, other.spectrum, thr)
+        differs = {
+            "i1_spectrum": not _multiset_close(self.spectrum, other.spectrum, thr),
+            "trace_i2": abs(self.trace_i2 - other.trace_i2) > thr,
+            "trace_i3": abs(self.trace_i3 - other.trace_i3) > thr,
+        }
+        return [name for name, d in differs.items() if d]
+
+    def matches(self, other: "Fingerprint", tol: float = 1e-6) -> bool:
+        return not self.diff(other, tol)
 
 
 def fingerprint(rep: So3FiniteRep) -> Fingerprint:

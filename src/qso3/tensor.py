@@ -18,7 +18,7 @@ from .psihom import compose
 from .qscalar import HalfInt
 from .repcore import Sl2FiniteRep, So3FiniteRep
 from .structure import are_equivalent, decompose, fingerprint
-from .uqsl2 import delta_tensor, t_omega_l
+from .uqsl2 import OMEGAS, delta_tensor, omega_name, t_omega_l
 from .uqso3 import r1_l, r_split_n
 
 
@@ -104,7 +104,6 @@ def sl2_cg_check(ta: Sl2FiniteRep, tb: Sl2FiniteRep, seed: int = 1234) -> CGRepo
     report = decompose(prod, seed=seed)
     out = CGReport()
     ctx = prod.ctx
-    omegas = {"1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j}
     comps = report.components if report.is_direct_sum else [
         (np.eye(prod.dim), prod)]
     from .structure import _multiset_close, cluster
@@ -114,7 +113,7 @@ def sl2_cg_check(ta: Sl2FiniteRep, tb: Sl2FiniteRep, seed: int = 1234) -> CGRepo
         l = HalfInt(comp.dim - 1)
         matched = None
         got = cluster(np.linalg.eigvals(comp.K), 1e-6)
-        for name, omega in omegas.items():
+        for name, omega in OMEGAS.items():
             cand = t_omega_l(ctx, l, omega)
             want = cluster(np.diag(cand.K), 1e-6)
             if not _multiset_close(got, want, 1e-6):
@@ -136,7 +135,7 @@ def expected_sl2_tensor(omega_a: complex, omega_b: complex, la, lb) -> dict:
     la + lb."""
     la, lb = HalfInt.of(la), HalfInt.of(lb)
     omega = complex(omega_a) * complex(omega_b)
-    name = {1 + 0j: "1", -1 + 0j: "-1", 1j: "i", -1j: "-i"}[omega]
+    name = omega_name(omega)
     lo, hi = abs(la.twice - lb.twice), la.twice + lb.twice
     out = {}
     for tw in range(lo, hi + 1, 2):

@@ -35,8 +35,8 @@ def _omega_value(omega) -> complex:
     raise BadParam(f"omega must be one of 1, -1, i, -i (got {omega!r})")
 
 
-def _omega_name(w: complex) -> str:
-    return {1 + 0j: "1", -1 + 0j: "-1", 1j: "i", -1j: "-i"}[w]
+def omega_name(w: complex) -> str:
+    return {v: name for name, v in OMEGAS.items()}[w]
 
 
 def weight_labels(l: HalfInt) -> list[HalfInt]:
@@ -62,7 +62,7 @@ def t_omega_l(ctx: QContext, l, omega=1) -> Sl2FiniteRep:
     bands = {"K": Band(diag=k_diag), "Kinv": Band(diag=lambda n: 1 / k_diag(n)),
              "E": Band(up=lambda n: q_num(ctx, l - labels[n])),
              "F": Band(down=lambda n: f_sign * q_num(ctx, l + labels[n]))}
-    fam = FamilyDescriptor("T_l", {"l": l, "omega": _omega_name(w)})
+    fam = FamilyDescriptor("T_l", {"l": l, "omega": omega_name(w)})
     return _sl2_finite(ctx, bands, len(labels), fam)
 
 

@@ -2,14 +2,18 @@
 
 import gc
 import json
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from qso3.cli import main, parse_complex, parse_family_spec, parse_signs
 from qso3.qscalar import generic_ctx
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -189,6 +193,132 @@ class TestSweep:
         recs = [json.loads(x) for x in out_file.read_text().strip().splitlines()]
         assert sum(1 for r in recs if not r["ok"]) == 1
         assert any("error" in r for r in recs)
+
+
+class TestErrors:
+    def test_malformed_value_exit_2(self, capsys):
+        code = main(["construct", "--family", "R1_l", "--l", "3/4", "--q", "1.3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "3/4" in captured.err
+
+    def test_missing_family_parameter_exit_2(self, capsys):
+        code = main(["construct", "--family", "R1_l", "--q", "1.3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "'l'" in captured.err
+
+    def test_unknown_flag_exit_2(self, capsys):
+        assert main(["central", "--p", "4", "--bogus", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_sweep_records_missing_parameter_per_point(self, capsys):
+        code = main(["sweep", "construct", "--family", "R1_l",
+                     "--q-grid", "1.3,1.5"])
+        recs = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert [r["point"]["q"] for r in recs] == ["1.3", "1.5"]
+        assert all(not r["ok"] and "'l'" in r["error"] for r in recs)
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--family", "R1_l", "--l", "1/2", "--q", "1.3", "--seed", "3"],
+        ["verify", "--family", "R1_l", "--l", "1/2", "--q", "1.3", "--format", "json"],
+        ["decompose", "--family", "R1_l", "--l", "1/2", "--q", "1.3", "--window", "4"],
+        ["equiv", "--q", "4", "--a-spec", "R1_l,l=1", "--b-spec", "R1_l,l=1",
+         "--seed", "3"],
+    ])
+    def test_ignored_options_removed(self, argv, capsys):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_tolerance_env_var_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("QSO3_TOL", "1e-30")
+        code, out = run(capsys, "verify", "--family", "R1_l", "--l", "2",
+                        "--q", "1.3")
+        assert code == 0
+        assert json.loads(out)["tol"] == 1e-9
+
+
+# one direct command line per command, and the flag a one-point sweep grids
+SINGLE_RUNS = {
+    "construct": (["--family", "R1_l", "--l", "3/2"], "--q", "1.3"),
+    "verify": (["--family", "T_ab_lambda", "--p", "5", "--a", "1", "--b", "2"],
+               "--lambda", "3"),
+    "decompose": (["--family", "Ri_l", "--l", "5/2", "--sign", "+"], "--q", "1.3"),
+    "equiv": (["--a-spec", "Rsplit_n,n=2,(+,+)", "--b-spec", "Rsplit_n,n=2,(+,-)"],
+              "--q", "4"),
+    "tensor": (["--a-spec", "T_l,l=1/2,omega=1", "--b-spec", "T_l,l=1,omega=i"],
+               "--q", "1.3"),
+    "spectrum": (["--family", "Qp_lambda", "--p", "5"], "--lambda", "2"),
+    "central": (["--k", "1"], "--p", "4"),
+}
+
+
+class TestSweepMatchesSingleRun:
+    @pytest.mark.parametrize("command", sorted(SINGLE_RUNS))
+    def test_result_equals_direct_output(self, command, capsys):
+        base, flag, value = SINGLE_RUNS[command]
+        code, out = run(capsys, command, *base, flag, value)
+        assert code == 0
+        code, line = run(capsys, "sweep", command, *base, f"{flag}-grid", value)
+        assert code == 0
+        rec = json.loads(line)
+        assert rec["ok"] is True
+        assert rec["point"] == {flag[2:]: value}
+        assert rec["result"] == json.loads(out)
+
+
+class TestCsvSweep:
+    def test_header_and_rows_for_every_point(self, capsys):
+        code, out = run(capsys, "sweep", "spectrum", "--family", "Qp_lambda",
+                        "--p", "5", "--k", "1", "--lambda-grid", "0.5,2",
+                        "--format", "csv")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "lambda,re,im,multiplicity"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[0] for r in rows] == ["0.5"] * 5 + ["2"] * 5
+        assert all(len(r) == 4 and r[3] == "1" for r in rows)
+
+    def test_rows_match_single_run_csv(self, capsys):
+        _, single = run(capsys, "spectrum", "--family", "Qp_lambda", "--p", "5",
+                        "--lambda", "2", "--format", "csv")
+        _, swept = run(capsys, "sweep", "spectrum", "--family", "Qp_lambda",
+                       "--p", "5", "--lambda-grid", "2", "--format", "csv")
+        want = single.strip().splitlines()
+        got = swept.strip().splitlines()
+        assert got[0] == "lambda," + want[0]
+        assert got[1:] == ["2," + row for row in want[1:]]
+
+    def test_failed_point_to_stderr_exit_1(self, capsys):
+        code = main(["sweep", "spectrum", "--family", "Qp_lambda", "--p", "5",
+                     "--lambda-grid", "2,1+", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: " in captured.err and "1+" in captured.err
+        lines = captured.out.strip().splitlines()
+        assert lines[0] == "lambda,re,im,multiplicity"
+        assert lines[1:] and all(x.startswith("2,") for x in lines[1:])
+
+    def test_csv_only_for_spectrum(self, capsys):
+        code = main(["sweep", "central", "--p-grid", "4", "--format", "csv"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestReadmeExamples:
+    def test_every_example_exits_zero(self, capsys, monkeypatch, tmp_path):
+        text = README.read_text()
+        block = text.split("## Command line", 1)[1].split("```bash", 1)[1]
+        block = block.split("```", 1)[0]
+        examples = [shlex.split(x)[1:] for x in block.splitlines()
+                    if x.startswith("qso3 ")]
+        assert len(examples) >= 8
+        monkeypatch.chdir(tmp_path)
+        for argv in examples:
+            code = main(argv)
+            assert code == 0, (argv, capsys.readouterr().err)
 
 
 class TestEntryPoint:

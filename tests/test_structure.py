@@ -273,6 +273,17 @@ class TestFingerprint:
         assert not fps[(1, 1)].matches(fps[(-1, 1)])      # I1 spectrum
         assert fps[(1, 1)].matches(fps[(1, 1)])
 
+    def test_diff_names_the_differing_invariants(self, q4):
+        fps = {signs: fingerprint(U.r_split_n(q4, 2, signs))
+               for signs in ((1, 1), (1, -1), (-1, 1))}
+        assert "trace_i2" in fps[(1, 1)].diff(fps[(1, -1)])
+        assert "i1_spectrum" in fps[(1, 1)].diff(fps[(-1, 1)])
+        assert fps[(1, 1)].diff(fps[(1, 1)]) == []
+        assert fingerprint(U.r1_l(q4, 1)).diff(fps[(1, 1)]) == ["dim"]
+        for a in fps.values():
+            for b in fps.values():
+                assert a.matches(b) == (not a.diff(b))
+
     def test_weight_vs_split_disjoint(self, q4):
         f_weight = fingerprint(U.r1_l(q4, 1))
         f_split = fingerprint(U.r_split_n(q4, 3, (1, 1)))
