@@ -41,7 +41,7 @@ def main():
                 match = "".join("+" if s > 0 else "-" for s in hits[0])
                 i1 = fp.spectrum[0][0]
                 print(f"{tag:>14} {comp.dim:>10} {match:>8} "
-                      f"{i1:>22.6f} {fp.trace_i2:>22.6f}")
+                      f"{i1:>22.6f} {fp.traces['trace_i2']:>22.6f}")
     print("\nfour split classes at n = 3, pairwise intertwiner dimensions:")
     from qso3.structure import intertwiners
 

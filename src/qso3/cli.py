@@ -16,6 +16,8 @@ re,im,multiplicity.  sweep runs a command over the cartesian product of
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import re
 import sys
@@ -125,10 +127,15 @@ def build_from_args(args):
     return build_family(make_ctx(args), args.family, **params)
 
 
+def split_commas(text: str) -> list[str]:
+    """Split on the commas that are not inside parentheses, so that a sign
+    pair such as (+,-) stays one item."""
+    return [p.strip() for p in re.split(r",(?![^()]*\))", text) if p.strip()]
+
+
 def parse_family_spec(ctx, spec: str):
     """Parse "Rsplit_n,n=2,(+,+)" style inline family descriptions."""
-    # split on commas that are not inside parentheses
-    parts = [p.strip() for p in re.split(r",(?![^()]*\))", spec) if p.strip()]
+    parts = split_commas(spec)
     name = parts[0]
     if name not in REGISTRY:
         raise QAlgebraError(f"unknown family {name!r} in spec {spec!r}")
@@ -159,22 +166,24 @@ def emit(payload, fmt: str, out: str | None) -> None:
 
     json: the payload indented, or one compact line per sweep record.
     csv: ``re,im,multiplicity`` rows of spectrum payloads under one header;
-    a sweep's grid flags lead as columns, and a failed point's error goes
-    to stderr.
+    a sweep's grid flags lead as columns (a value with a comma is quoted),
+    and a failed point's error goes to stderr.
     """
     if fmt == "csv":
         sweep = payload if isinstance(payload, Sweep) else \
             Sweep([], [{"point": {}, "result": payload}])
-        lines = [",".join(sweep.grid + ["re", "im", "multiplicity"])]
+        buf = io.StringIO()
+        rows = csv.writer(buf, lineterminator="\n")
+        rows.writerow(sweep.grid + ["re", "im", "multiplicity"])
         for rec in sweep.records:
             if "error" in rec:
                 print(f"error: {rec['point']}: {rec['error']}", file=sys.stderr)
                 continue
-            lead = "".join(f"{rec['point'][g]}," for g in sweep.grid)
+            lead = [rec["point"][g] for g in sweep.grid]
             res = rec["result"]
             for entry in res if isinstance(res, list) else [res]:
-                lines += [f"{lead}{v.real},{v.imag},{m}" for v, m in entry["spectrum"]]
-        text = "\n".join(lines)
+                rows.writerows(lead + [v.real, v.imag, m] for v, m in entry["spectrum"])
+        text = buf.getvalue().rstrip("\n")
     elif isinstance(payload, Sweep):
         text = "\n".join(json.dumps(r, default=_json_default) for r in payload.records)
     else:
@@ -228,8 +237,7 @@ def cmd_verify(args):
         if isinstance(r, Sl2FiniteRep) and is_extendable(r)[0]:
             psi_report = psihom.verify_psi(r)
             entry["psi_residuals"] = psi_report.residuals
-            entry["max_residual"] = max(entry["max_residual"],
-                                        psi_report.max_residual)
+            entry["max_residual"] = max(entry["max_residual"], psi_report.max_residual)
         payload.append(entry)
     worst = max([0.0] + [e["max_residual"] for e in payload])
     return {"reports": payload, "max_residual": worst, "tol": args.tol}, \
@@ -295,7 +303,7 @@ def cmd_spectrum(args):
         tr = window_truncation(rep, args.window)
         vals = np.diag(tr.matrices["I1" if rep.flavor == "so3" else "K"])
         return {"family": str(rep.family), "window": args.window,
-                "spectrum": structure.cluster(vals, 10 * rep.ctx.tol)}, 0
+                "spectrum": structure.cluster(vals, rep.ctx.separation())}, 0
     return {"family": str(rep.family), "spectrum": structure.i1_spectrum(rep)}, 0
 
 
@@ -303,10 +311,8 @@ def cmd_central(args):
     ctx = make_ctx(args)
     if not ctx.is_root_of_unity:
         raise QAlgebraError("central elements need a root-of-unity context (--p/--k)")
-    poly = uqso3.central_poly(ctx)
-    coeffs = []
-    for c in poly.coeffs:
-        coeffs.append(round(c.real, 12) if abs(c.imag) < 1e-9 else [c.real, c.imag])
+    coeffs = [round(c.real, 12) if abs(c.imag) < ctx.threshold() else [c.real, c.imag]
+              for c in uqso3.central_poly(ctx).coeffs]
     return {"p": ctx.p, "coeffs": coeffs}, 0
 
 
@@ -359,17 +365,34 @@ def run_sweep(args, rest: list[str]):
         raise UsageError("qso3 sweep: csv output is for spectrum sweeps")
     grids, base, tokens = {}, [], iter(rest)
     for tok in tokens:
-        if tok.startswith("--") and tok.endswith("-grid"):
-            grids[tok[2:-5]] = next(tokens, "").split(",")
+        flag, eq, value = tok.partition("=")
+        if flag.startswith("--") and flag.endswith("-grid"):
+            values = split_commas(value if eq else next(tokens, ""))
+            if not values:
+                raise UsageError(f"qso3 sweep: {flag} needs a value list")
+            grids[flag[2:-5]] = values
         else:
             base.append(tok)
     sweep = Sweep(sorted(grids), [])
     for combo in product(*(grids[n] for n in sweep.grid)):
         point = dict(zip(sweep.grid, combo))
-        flags = [x for name, val in point.items() for x in (f"--{name}", val)]
+        flags = [f"--{name}={val}" for name, val in point.items()]
         _, record, _ = run([args.target, *base, *flags])
         sweep.records.append({"point": point, **record})
     return sweep, int(not all(r["ok"] for r in sweep.records))
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Write "--flag -v" as "--flag=-v", so that argparse does not take a
+    value with one leading dash (-i, -1.5i) for an option."""
+    out: list[str] = []
+    for tok in argv:
+        if (tok[:1] == "-" and tok[:2] != "--" and tok != "-h" and out
+                and out[-1][:2] == "--" and out[-1] != "--" and "=" not in out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def run(argv) -> tuple[object, dict, int]:
@@ -381,7 +404,7 @@ def run(argv) -> tuple[object, dict, int]:
     """
     args = None
     try:
-        args, rest = _build_parser().parse_known_args(argv)
+        args, rest = _build_parser().parse_known_args(_attach_dash_values(argv))
         if args.command == "sweep":
             payload, code = run_sweep(args, rest)
         elif rest:

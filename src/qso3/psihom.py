@@ -24,13 +24,17 @@ from .repcore import (HALF, Band, BandedRep, FamilyDescriptor, ResidualReport,
 from .uqsl2 import is_extendable
 
 
-def psi_images(t: Sl2FiniteRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense images (I1, I2, I3) of the generators under T composed with the map."""
+def _require_extendable(t: Sl2FiniteRep | BandedRep) -> None:
     ok, witness = is_extendable(t)
     if not ok:
         raise NotExtendable(
             f"K + Kinv has a non-invertible shift (k={witness[0]}, mu={witness[1]:.6g})",
             witness=witness)
+
+
+def psi_images(t: Sl2FiniteRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense images (I1, I2, I3) of the generators under T composed with the map."""
+    _require_extendable(t)
     ctx = t.ctx
     w = ctx.q - 1 / ctx.q
     M = t.K + t.Kinv
@@ -44,21 +48,15 @@ def psi_images(t: Sl2FiniteRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def compose(t: Sl2FiniteRep | BandedRep) -> So3FiniteRep | BandedRep:
     """Package the images of a representation as a rotation-algebra representation."""
+    fam = FamilyDescriptor("psi_compose", {"of": t.family.name, **t.family.params})
+    flags = {**t.flags, "provenance": ("psi", t.family)}
     if isinstance(t, Sl2FiniteRep):
-        I1, I2, I3 = psi_images(t)
-        fam = FamilyDescriptor("psi_compose", {"of": t.family.name, **t.family.params})
-        flags = dict(t.flags)
-        flags["provenance"] = ("psi", t.family)
-        return So3FiniteRep(t.ctx, I1, I2, I3, fam, flags)
-    return _compose_banded(t)
+        return So3FiniteRep(t.ctx, *psi_images(t), fam, flags)
+    return _compose_banded(t, fam, flags)
 
 
-def _compose_banded(t: BandedRep) -> BandedRep:
-    ok, witness = is_extendable(t)
-    if not ok:
-        raise NotExtendable(
-            f"K + Kinv vanishes on the lattice (k={witness[0]}, mu={witness[1]:.6g})",
-            witness=witness)
+def _compose_banded(t: BandedRep, fam: FamilyDescriptor, flags: dict) -> BandedRep:
+    _require_extendable(t)
     ctx = t.ctx
     w = ctx.q - 1 / ctx.q
     k = t.bands["K"].diag
@@ -69,9 +67,6 @@ def _compose_banded(t: BandedRep) -> BandedRep:
     i1 = Band(diag=lambda n: 1j * (k(n) - 1 / k(n)) / w)
     i2 = Band(up=lambda n: e(n) / kappa(n), down=lambda n: -f(n) / kappa(n))
     bands = {"I1": i1, "I2": i2, "I3": so3_i3_band(ctx, i1, i2)}
-    fam = FamilyDescriptor("psi_compose", {"of": t.family.name, **t.family.params})
-    flags = dict(t.flags)
-    flags["provenance"] = ("psi", t.family)
     return BandedRep(ctx, "so3", t.offset, bands, fam, n_min=t.n_min,
                      n_max=t.n_max, flags=flags)
 

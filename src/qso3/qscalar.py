@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BadModulus, BadParam, DegenerateIndex, DegenerateQ
+from .errors import BadModulus, BadParam, CtxMismatch, DegenerateIndex, DegenerateQ
 
 GENERIC_SCAN_BOUND = 64
-ABS_TOL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, order=True)
@@ -113,6 +112,11 @@ class QContext:
     ``kind`` is "generic" or "root_of_unity"; in the latter case ``p`` is the
     minimal positive exponent with q^p = 1 and ``p_prime`` is p for odd p,
     p/2 for even p.
+
+    ``tol`` is the one tolerance setting.  Every numerical cut in the
+    library is one of the levels below: a fixed multiple of ``tol``, named
+    after the decision it makes, times the largest of 1 and the magnitudes
+    passed, and never below ``floor`` of the same magnitudes.
     """
 
     s: complex
@@ -133,18 +137,50 @@ class QContext:
     def is_root_of_unity(self) -> bool:
         return self.kind == "root_of_unity"
 
+    def _level(self, base: float, magnitudes) -> float:
+        # base * max(1, magnitudes), never below the floor 1e-12 * the same
+        return max(base, 1e-12) * max((1.0, *magnitudes))
+
+    def floor(self, *magnitudes: float) -> float:
+        """Rounding level, 1e-12 whatever tol: diagonality, context equality."""
+        return self._level(0.0, magnitudes)
+
     def threshold(self, *magnitudes: float) -> float:
-        """Comparison threshold: relative to the largest magnitude, floored."""
-        m = max([1.0, *magnitudes])
-        return max(self.tol * m, ABS_TOL_FLOOR)
+        """Scalar comparisons and relation residuals: tol."""
+        return self._level(self.tol, magnitudes)
+
+    def separation(self, *magnitudes: float) -> float:
+        """Eigenvalue clustering and rank cuts: 10 tol."""
+        return self._level(10 * self.tol, magnitudes)
+
+    def orbit_drop(self, *magnitudes: float) -> float:
+        """Residual norm of an orbit vector that adds no direction: 100 tol."""
+        return self._level(100 * self.tol, magnitudes)
+
+    def algebra_drop(self, *magnitudes: float) -> float:
+        """Residual norm of a word that adds no Burnside direction: tol / 10."""
+        return self._level(self.tol / 10, magnitudes)
+
+    def invariance(self, *magnitudes: float) -> float:
+        """Largest defect of a subspace accepted as invariant: 1e4 tol."""
+        return self._level(1e4 * self.tol, magnitudes)
+
+    def matching(self, *magnitudes: float) -> float:
+        """Invariant matching (fingerprints, subspaces, fits): 1000 tol."""
+        return self._level(self.tol / 1e-3, magnitudes)  # exactly 1e-6 at the default
 
     def close(self, a, b) -> bool:
         a, b = complex(a), complex(b)
         return abs(a - b) <= self.threshold(abs(a), abs(b))
 
+    def require_same(self, other: "QContext") -> None:
+        """Raise CtxMismatch unless other is the same deformation parameter."""
+        if abs(self.s - other.s) > self.floor() or self.kind != other.kind:
+            raise CtxMismatch("operands were built over different contexts")
+
 
 def generic_ctx(q: complex | None = None, s: complex | None = None,
-                tol: float = 1e-9, scan: int = GENERIC_SCAN_BOUND) -> QContext:
+                tol: float = QContext.tol, scan: int = GENERIC_SCAN_BOUND) -> QContext:
     """Context for q not a root of unity.
 
     Give either q (s defaults to the principal square root) or s directly.
@@ -153,22 +189,22 @@ def generic_ctx(q: complex | None = None, s: complex | None = None,
         if q is None:
             raise BadParam("generic_ctx needs q or s")
         s = cmath.sqrt(complex(q))
-    s = complex(s)
-    q = s * s
+    ctx = QContext(s=complex(s), kind="generic", tol=tol)
+    q = ctx.q
     if q == 0:
         raise BadModulus("q must be nonzero")
-    if abs(q + 1) <= max(tol, ABS_TOL_FLOOR):
+    if abs(q + 1) <= ctx.threshold():
         raise BadModulus("q = -1 is excluded")
     power = 1 + 0j
     for n in range(1, scan + 1):
         power *= q
-        if abs(power - 1) <= max(tol, ABS_TOL_FLOOR):
+        if abs(power - 1) <= ctx.threshold():
             raise BadModulus(
                 f"q^{n} = 1 within tolerance; use root_of_unity_ctx(p={n}, k=...)")
-    return QContext(s=s, kind="generic", tol=tol)
+    return ctx
 
 
-def root_of_unity_ctx(p: int, k: int = 1, tol: float = 1e-9) -> QContext:
+def root_of_unity_ctx(p: int, k: int = 1, tol: float = QContext.tol) -> QContext:
     """Context with q = exp(2*pi*i*k/p), s = exp(pi*i*k/p); requires gcd(k,p)=1."""
     if p in (1, 2) or p < 1:
         raise BadModulus(f"p = {p} is excluded (need p >= 3)")
@@ -228,10 +264,11 @@ def ctx_to_json(ctx: QContext) -> dict:
 
 def ctx_from_json(data: dict) -> QContext:
     s = complex(data["s"][0], data["s"][1])
+    tol = float(data.get("tol", QContext.tol))
     if data["kind"] == "root_of_unity":
         p = int(data["p"])
         return QContext(s=s, kind="root_of_unity", p=p,
                         p_prime=int(data.get("p_prime") or (p if p % 2 else p // 2)),
-                        tol=float(data.get("tol", 1e-9)))
-    return QContext(s=s, kind="generic", tol=float(data.get("tol", 1e-9)))
+                        tol=tol)
+    return QContext(s=s, kind="generic", tol=tol)
 

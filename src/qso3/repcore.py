@@ -111,6 +111,12 @@ class BandedRep:
         return True
 
 
+def so3_i3(ctx: QContext, I1: np.ndarray, I2: np.ndarray) -> np.ndarray:
+    """The derived generator I3 = q^{1/2} I1 I2 - q^{-1/2} I2 I1."""
+    rt = q_pow(ctx, HALF)
+    return rt * I1 @ I2 - (1 / rt) * I2 @ I1
+
+
 def so3_i3_band(ctx: QContext, i1: Band, i2: Band) -> Band:
     """I3 = q^{1/2} I1 I2 - q^{-1/2} I2 I1 for diagonal I1 and tridiagonal I2."""
     rt = q_pow(ctx, HALF)
@@ -151,8 +157,9 @@ class TruncatedRep:
 def truncate(rep: BandedRep, lo, hi) -> TruncatedRep:
     """Restrict to basis labels with lo <= Re(m) <= hi; outside images are dropped."""
     off = as_complex(rep.offset).real
-    n_lo = int(np.ceil(as_complex(lo).real - off - 1e-9))
-    n_hi = int(np.floor(as_complex(hi).real - off + 1e-9))
+    slack = rep.ctx.threshold()
+    n_lo = int(np.ceil(as_complex(lo).real - off - slack))
+    n_hi = int(np.floor(as_complex(hi).real - off + slack))
     if rep.n_min is not None:
         n_lo = max(n_lo, rep.n_min)
     if rep.n_max is not None:
@@ -306,14 +313,11 @@ def _verify_window(rep: BandedRep, window: int) -> TruncatedRep:
     return truncate_n(rep, n_lo, n_hi)
 
 
-
 def _matrix_entry_list(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
 def _param_json(value):
-    from .qscalar import HalfInt
-
     if isinstance(value, HalfInt):
         return str(value)
     if isinstance(value, complex):

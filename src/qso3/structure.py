@@ -23,8 +23,11 @@ moved to the generator's eigenbasis and the results are mapped back.
   block, so component bases stay weight vectors and the recursion stays
   blocked.
 
-All operations work on a list of generator matrices, so the same machinery
-serves both algebra flavors.
+Every oracle takes a finite representation of either flavor (``I1, I2``
+or ``K, E, F``) and makes each cut at a level of its context's tolerance
+policy (``QContext``): eigenvalue clusters and rank cuts at
+``separation``, span growth at ``orbit_drop`` and ``algebra_drop``, split
+bases at ``invariance`` and fingerprints at ``matching``.
 """
 
 from __future__ import annotations
@@ -34,24 +37,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CtxMismatch, SingularBasisChange
-from .repcore import FamilyDescriptor, Sl2FiniteRep, So3FiniteRep
+from .qscalar import QContext
+from .repcore import FamilyDescriptor, Sl2FiniteRep, So3FiniteRep, so3_i3
 
 DEFAULT_SEED = 1234
-RANK_TOL = 1e-8
-DEFAULT_TOL = 1e-9  # for bare generator lists, which carry no context
 
 
 def _gens(rep) -> list[np.ndarray]:
+    """The generators the oracles act with; I3 is the q-commutator of I1
+    and I2, and K^-1 the inverse of K, so neither adds equations."""
     if isinstance(rep, So3FiniteRep):
         return [rep.I1, rep.I2]
-    if isinstance(rep, Sl2FiniteRep):
-        return [rep.K, rep.E, rep.F]
-    return list(rep)
+    return [rep.K, rep.E, rep.F]
 
 
-def _tol(rep) -> float:
-    ctx = getattr(rep, "ctx", None)
-    return ctx.tol if ctx is not None else DEFAULT_TOL
+def _scale(gens) -> float:
+    """Largest entry modulus over the generators."""
+    return max(float(np.max(np.abs(g))) for g in gens)
 
 
 def _cluster_groups(values, tol: float) -> list[tuple[complex, list[int]]]:
@@ -75,26 +77,23 @@ def cluster(values, tol: float) -> list[tuple[complex, int]]:
     return [(v, len(idx)) for v, idx in _cluster_groups(values, tol)]
 
 
-def _first_eig(g0: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _first_eig(g0: np.ndarray, ctx: QContext) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues and eigenvector matrix of the first generator; the
     matrix is None when the generator is diagonal already."""
     off = np.max(np.abs(g0 - np.diag(np.diag(g0)))) if g0.size else 0.0
-    if off <= 1e-12 * max(1.0, np.max(np.abs(g0))):
+    if off <= ctx.floor(np.max(np.abs(g0))):
         return np.diag(g0), None
     return np.linalg.eig(g0)
 
 
-def _cluster_tol(vals, tol: float) -> float:
-    return 10 * tol * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
+def i1_spectrum(rep) -> list[tuple[complex, int]]:
+    """Tolerance-clustered eigenvalue multiset of the first generator
+    (I1, or K on the sl2 side)."""
+    vals, _ = _first_eig(_gens(rep)[0], rep.ctx)
+    return cluster(vals, rep.ctx.separation(*np.abs(vals)))
 
 
-def i1_spectrum(rep: So3FiniteRep) -> list[tuple[complex, int]]:
-    """Tolerance-clustered eigenvalue multiset of the first generator."""
-    vals, _ = _first_eig(rep.I1)
-    return cluster(vals, _cluster_tol(vals, rep.ctx.tol))
-
-
-def _weight_frame(gens: list[np.ndarray], tol: float):
+def _weight_frame(rep):
     """Generators in a weight basis of the first one.
 
     Returns (generators, eigenvalues, S): S is the eigenvector matrix the
@@ -103,18 +102,19 @@ def _weight_frame(gens: list[np.ndarray], tol: float):
     numerically dependent, i.e. rounding amplified by their condition number
     exceeds the tolerance.
     """
-    vals, S = _first_eig(gens[0])
+    gens = _gens(rep)
+    vals, S = _first_eig(gens[0], rep.ctx)
     if S is None:
         return gens, vals, None
-    if np.linalg.cond(S) * np.finfo(float).eps > tol:
+    if np.linalg.cond(S) * np.finfo(float).eps > rep.ctx.threshold():
         raise SingularBasisChange(
             "the first generator has no well-conditioned eigenbasis")
     return [np.linalg.solve(S, g @ S) for g in gens], vals, S
 
 
-def _blocks(vals, tol: float) -> list[np.ndarray]:
+def _blocks(vals, ctx: QContext) -> list[np.ndarray]:
     """Index groups of the clustered eigenvalues of the first generator."""
-    return [np.array(idx) for _, idx in _cluster_groups(vals, _cluster_tol(vals, tol))]
+    return [np.array(idx) for _, idx in _cluster_groups(vals, ctx.separation(*np.abs(vals)))]
 
 
 class _GrowingSpan:
@@ -145,17 +145,15 @@ class _GrowingSpan:
         return False
 
 
-def orbit_span(rep, seed: np.ndarray, tol: float | None = None) -> np.ndarray:
+def orbit_span(rep, seed: np.ndarray) -> np.ndarray:
     """Smallest generator-invariant subspace containing the seed vector.
 
     Returns an orthonormal basis (columns), grown by repeated generator
     application with re-orthogonalization until the rank stabilizes.
     """
     gens = _gens(rep)
-    ctx_tol = tol if tol is not None else _tol(rep)
     n = gens[0].shape[0]
-    scale = max(max(np.max(np.abs(g)) for g in gens), 1.0)
-    span = _GrowingSpan(n, 100 * ctx_tol * scale)
+    span = _GrowingSpan(n, rep.ctx.orbit_drop(_scale(gens)))
     v = np.asarray(seed, dtype=complex).ravel()
     span.add(v)
     frontier = [v / np.linalg.norm(v)]
@@ -178,20 +176,17 @@ def burnside_dim(rep, max_rounds: int | None = None) -> tuple[int, bool]:
     from E_j with the blocks of the other generators; ``max_rounds`` caps
     the rounds of each column block (default 2 n^2).
     """
-    gens = _gens(rep)
-    n = gens[0].shape[0]
-    cap = max_rounds if max_rounds is not None else 2 * n * n
-    scale = max(max(np.max(np.abs(g)) for g in gens), 1.0)
-    tol = _tol(rep)
-    gens, vals, _ = _weight_frame(gens, tol)
-    blocks = _blocks(vals, tol)
+    gens, vals, _ = _weight_frame(rep)
+    cap = max_rounds if max_rounds is not None else 2 * rep.dim ** 2
+    drop = rep.ctx.algebra_drop(_scale(_gens(rep)))
+    blocks = _blocks(vals, rep.ctx)
     # reach[k]: (i, G[i-block, k-block]) for each other generator coupling k to i
     reach = [[(i, piece) for g in gens[1:] for i, bi in enumerate(blocks)
               if (piece := g[np.ix_(bi, bk)]).any()] for bk in blocks]
     total, converged = 0, True
     for j, bj in enumerate(blocks):
         mj = len(bj)
-        spans = [_GrowingSpan(len(bi) * mj, 1e-10 * scale) for bi in blocks]
+        spans = [_GrowingSpan(len(bi) * mj, drop) for bi in blocks]
         # the frontier holds the orthonormalized new directions, which keeps
         # product norms bounded by the generator scale
         frontier = [(j, np.eye(mj, dtype=complex) / np.sqrt(mj))]
@@ -212,21 +207,20 @@ def burnside_dim(rep, max_rounds: int | None = None) -> tuple[int, bool]:
 
 def is_irreducible_burnside(rep) -> tuple[bool, int]:
     """(irreducible?, algebra dimension): irreducible iff the span is full."""
-    gens = _gens(rep)
-    n = gens[0].shape[0]
     dim, converged = burnside_dim(rep)
-    return (converged and dim == n * n), dim
+    return (converged and dim == rep.dim ** 2), dim
 
 
-def _block_solutions(ga, gb, pairs, rank_tol: float) -> list[np.ndarray]:
+def _block_solutions(ga, gb, pairs, ctx: QContext) -> list[np.ndarray]:
     """Basis of the X with X A_j = B_j X for the generators after the first,
     where X (nb x na) is zero outside the matched weight blocks: pairs[c] =
     (A indices, B indices) carries the unknown block X[B_c, A_c].
 
     Block (c, d) of the equation reads X_c A_cd - B_cd X_d = 0; in row-major
     vectorization its coefficients are I (x) A_cd^T and B_cd (x) I, built per
-    block.  The rank cut is relative to the largest singular value, floored
-    at rank_tol, so near-zero generators count as commuting with everything.
+    block.  The rank cut is the separation level relative to the largest
+    singular value (and at least 1), so near-zero generators count as
+    commuting with everything.
     """
     sizes = [len(ib) * len(ia) for ia, ib in pairs]
     offs = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
@@ -248,7 +242,7 @@ def _block_solutions(ga, gb, pairs, rank_tol: float) -> list[np.ndarray]:
             "ik,lj->ijkl", B_cd, np.eye(ma)).reshape(mb * ma, -1)
         at += mb * ma
     _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
-    thr = rank_tol * max(float(s[0]) if len(s) else 0.0, 1.0)
+    thr = ctx.separation(*s[:1])  # relative to the largest singular value
     null_count = int(np.sum(s <= thr)) + (offs[-1] - len(s))
     basis = []
     for k in range(null_count):
@@ -270,43 +264,36 @@ def _from_frames(basis, Sa, Sb) -> list[np.ndarray]:
     return basis
 
 
-def commutant(rep, rank_tol: float = RANK_TOL) -> tuple[int, list[np.ndarray]]:
+def commutant(rep) -> tuple[int, list[np.ndarray]]:
     """Dimension and basis of {X : X G = G X for all generators}.
 
     The basis is orthonormal in the weight basis of the first generator
     (in the caller's basis too when that generator is diagonal).
     """
-    tol = _tol(rep)
-    gens, vals, S = _weight_frame(_gens(rep), tol)
-    basis = _block_solutions(gens, gens, [(b, b) for b in _blocks(vals, tol)], rank_tol)
-    basis = _from_frames(basis, S, S)
+    gens, vals, S = _weight_frame(rep)
+    pairs = [(b, b) for b in _blocks(vals, rep.ctx)]
+    basis = _from_frames(_block_solutions(gens, gens, pairs, rep.ctx), S, S)
     return len(basis), basis
 
 
-def intertwiners(rep_a, rep_b, rank_tol: float = RANK_TOL) -> tuple[int, list[np.ndarray]]:
+def intertwiners(rep_a, rep_b) -> tuple[int, list[np.ndarray]]:
     """Solutions X of X A_j = B_j X for the generator lists of the two reps.
 
     The representations must share a context; X maps the space of rep_a to
     that of rep_b.  Unknowns sit only where a weight block of rep_a meets a
     block of rep_b with the same clustered eigenvalue.
     """
-    ctx_a, ctx_b = getattr(rep_a, "ctx", None), getattr(rep_b, "ctx", None)
-    if ctx_a is not None and ctx_b is not None and abs(ctx_a.s - ctx_b.s) > 1e-12:
-        raise CtxMismatch("representations live over different contexts")
-    ga, gb = _gens(rep_a), _gens(rep_b)
-    if len(ga) != len(gb):
-        raise CtxMismatch("generator lists have different shapes")
-    tol = _tol(rep_a)
-    ga, va, Sa = _weight_frame(ga, tol)
-    gb, vb, Sb = _weight_frame(gb, tol)
+    ctx = rep_a.ctx
+    ctx.require_same(rep_b.ctx)
+    if type(rep_a) is not type(rep_b):
+        raise CtxMismatch("representations of different algebras")
+    ga, va, Sa = _weight_frame(rep_a)
+    gb, vb, Sb = _weight_frame(rep_b)
     na = len(va)
-    both = np.concatenate([va, vb])
-    pairs = []
-    for idx in _blocks(both, tol):
-        ia, ib = idx[idx < na], idx[idx >= na] - na
-        if len(ia) and len(ib):
-            pairs.append((ia, ib))
-    basis = _from_frames(_block_solutions(ga, gb, pairs, rank_tol), Sa, Sb)
+    pairs = [(idx[idx < na], idx[idx >= na] - na)
+             for idx in _blocks(np.concatenate([va, vb]), ctx)]
+    pairs = [(ia, ib) for ia, ib in pairs if len(ia) and len(ib)]
+    basis = _from_frames(_block_solutions(ga, gb, pairs, ctx), Sa, Sb)
     return len(basis), basis
 
 
@@ -316,17 +303,17 @@ def are_equivalent(rep_a, rep_b, seed: int = DEFAULT_SEED) -> bool:
     Representations of different dimension are rejected; otherwise a random
     combination of the intertwiner basis is tested for invertibility.
     """
-    ga, gb = _gens(rep_a), _gens(rep_b)
-    if ga[0].shape[0] != gb[0].shape[0]:
+    n = rep_a.dim
+    if n != rep_b.dim:
         return False
     dim, basis = intertwiners(rep_a, rep_b)
     if dim == 0:
         return False
     rng = np.random.default_rng(seed)
-    n = ga[0].shape[0]
+    cut = rep_a.ctx.separation()
     for _ in range(4):
         X = sum(rng.standard_normal() * B for B in basis)
-        if np.linalg.matrix_rank(X, tol=1e-8 * max(1e-300, np.linalg.norm(X))) == n:
+        if np.linalg.matrix_rank(X, tol=cut * max(1e-300, np.linalg.norm(X))) == n:
             return True
     return False
 
@@ -350,34 +337,39 @@ def _multiset_close(a, b, thr: float) -> bool:
 
 @dataclass
 class Fingerprint:
-    dim: int
-    spectrum: list[tuple[complex, int]]
-    trace_i2: complex
-    trace_i3: complex
+    """Dimension, clustered spectrum of the first generator and traces of
+    the others, keyed by their names: "i1_spectrum", "trace_i2" and
+    "trace_i3" for so3, "k_spectrum", "trace_e" and "trace_f" for sl2."""
 
-    def diff(self, other: "Fingerprint", tol: float = 1e-6) -> list[str]:
-        """Names of the invariants that differ beyond tol times the largest
-        of 1, |I1 eigenvalue|, |trace I2| and |trace I3| of self."""
+    ctx: QContext
+    dim: int
+    spectrum_name: str
+    spectrum: list[tuple[complex, int]]
+    traces: dict[str, complex]
+
+    def diff(self, other: "Fingerprint") -> list[str]:
+        """Names of the invariants that differ beyond the matching level of
+        the largest of 1, |eigenvalue| and |trace| of self."""
         if self.dim != other.dim:
             return ["dim"]
-        scale = max([1.0] + [abs(v) for v, _ in self.spectrum]
-                    + [abs(self.trace_i2), abs(self.trace_i3)])
-        thr = tol * scale
-        differs = {
-            "i1_spectrum": not _multiset_close(self.spectrum, other.spectrum, thr),
-            "trace_i2": abs(self.trace_i2 - other.trace_i2) > thr,
-            "trace_i3": abs(self.trace_i3 - other.trace_i3) > thr,
-        }
-        return [name for name, d in differs.items() if d]
+        thr = self.ctx.matching(*(abs(v) for v, _ in self.spectrum),
+                                *(abs(t) for t in self.traces.values()))
+        out = [] if _multiset_close(self.spectrum, other.spectrum, thr) \
+            else [self.spectrum_name]
+        return out + [name for name, t in self.traces.items()
+                      if abs(t - other.traces[name]) > thr]
 
-    def matches(self, other: "Fingerprint", tol: float = 1e-6) -> bool:
-        return not self.diff(other, tol)
+    def matches(self, other: "Fingerprint") -> bool:
+        return not self.diff(other)
 
 
-def fingerprint(rep: So3FiniteRep) -> Fingerprint:
-    """Cheap separating invariants: dimension, I1 spectrum, traces."""
-    return Fingerprint(rep.dim, i1_spectrum(rep),
-                       complex(np.trace(rep.I2)), complex(np.trace(rep.I3)))
+def fingerprint(rep) -> Fingerprint:
+    """Cheap separating invariants: dimension, I1 (or K) spectrum, traces
+    of I2 and I3 (or E and F)."""
+    first, others = ("i1", ("I2", "I3")) if isinstance(rep, So3FiniteRep) \
+        else ("k", ("E", "F"))
+    traces = {f"trace_{g.lower()}": complex(np.trace(getattr(rep, g))) for g in others}
+    return Fingerprint(rep.ctx, rep.dim, f"{first}_spectrum", i1_spectrum(rep), traces)
 
 
 @dataclass
@@ -395,11 +387,9 @@ class DecompositionReport:
         return sorted(b.shape[1] for b, _ in self.components)
 
 
-def _restrict_mats(gens: list[np.ndarray], Q: np.ndarray) -> list[np.ndarray]:
-    return [Q.conj().T @ g @ Q for g in gens]
-
-
-def _invariance_defect(gens, Q) -> float:
+def invariance_defect(gens, Q) -> float:
+    """Largest entry of G Q - Q Q^H G Q: zero when the orthonormal columns
+    of Q span a subspace invariant under every G."""
     return max(float(np.max(np.abs(g @ Q - Q @ (Q.conj().T @ g @ Q)))) for g in gens)
 
 
@@ -413,18 +403,18 @@ def _split_once(rep, rng, retries=5, com=None):
     cdim, cbasis = com if com is not None else commutant(rep)
     if cdim <= 1:
         return None
-    gens, tol = _gens(rep), _tol(rep)
+    gens, ctx = _gens(rep), rep.ctx
     n = gens[0].shape[0]
-    scale = max(max(np.max(np.abs(g)) for g in gens), 1.0)
-    vals, S = _first_eig(gens[0])
+    max_defect = ctx.invariance(_scale(gens))
+    vals, S = _first_eig(gens[0], ctx)
     if S is not None:
         cbasis = [np.linalg.solve(S, X @ S) for X in cbasis]
-    blocks = _blocks(vals, tol)
+    blocks = _blocks(vals, ctx)
     for _ in range(retries):
         Z = sum(rng.standard_normal() * X for X in cbasis)
         eigs = [np.linalg.eig(Z[np.ix_(b, b)]) for b in blocks]
         evals = np.concatenate([e for e, _ in eigs])
-        thr = _cluster_tol(evals, tol)
+        thr = ctx.separation(*np.abs(evals))
         groups = cluster(evals, thr)
         if len(groups) <= 1:
             continue
@@ -439,7 +429,7 @@ def _split_once(rep, rng, retries=5, com=None):
                     Q[b, width:width + Qb.shape[1]] = Qb
                     width += Qb.shape[1]
             Q = Q[:, :width] if S is None else np.linalg.qr(S @ Q[:, :width])[0]
-            if _invariance_defect(gens, Q) > 1e4 * tol * scale:
+            if invariance_defect(gens, Q) > max_defect:
                 break
             bases.append(Q)
         else:
@@ -449,21 +439,13 @@ def _split_once(rep, rng, retries=5, com=None):
 
 
 def _wrap_component(rep, gens_r):
+    fam = FamilyDescriptor("component", {"of": rep.family.name})
     if isinstance(rep, So3FiniteRep):
-        from .qscalar import q_pow
-        from .repcore import HALF
-
-        rt = q_pow(rep.ctx, HALF)
         I1, I2 = gens_r
-        I3 = rt * I1 @ I2 - (1 / rt) * I2 @ I1
-        fam = FamilyDescriptor("component", {"of": rep.family.name})
-        return So3FiniteRep(rep.ctx, I1, I2, I3, fam, {"parent": rep.family})
-    if isinstance(rep, Sl2FiniteRep):
-        K, E, F = gens_r
-        fam = FamilyDescriptor("component", {"of": rep.family.name})
-        return Sl2FiniteRep(rep.ctx, K, np.linalg.inv(K), E, F, fam,
+        return So3FiniteRep(rep.ctx, I1, I2, so3_i3(rep.ctx, I1, I2), fam,
                             {"parent": rep.family})
-    return gens_r
+    K, E, F = gens_r
+    return Sl2FiniteRep(rep.ctx, K, np.linalg.inv(K), E, F, fam, {"parent": rep.family})
 
 
 def decompose(rep, seed: int = DEFAULT_SEED) -> DecompositionReport:
@@ -474,8 +456,7 @@ def decompose(rep, seed: int = DEFAULT_SEED) -> DecompositionReport:
     the invariant-subspace lattice found from orbit seeds is reported with
     is_direct_sum = False.
     """
-    gens = _gens(rep)
-    n = gens[0].shape[0]
+    n = rep.dim
     rng = np.random.default_rng(seed)
     top_com = commutant(rep)
     cdim = top_com[0]
@@ -487,7 +468,7 @@ def decompose(rep, seed: int = DEFAULT_SEED) -> DecompositionReport:
             return [(carrier, sub)]
         out = []
         for Q in bases:
-            part = _wrap_component(rep, _restrict_mats(_gens(sub), Q))
+            part = _wrap_component(rep, [Q.conj().T @ g @ Q for g in _gens(sub)])
             out.extend(recurse(part, carrier @ Q))
         return out
 
@@ -499,29 +480,24 @@ def decompose(rep, seed: int = DEFAULT_SEED) -> DecompositionReport:
                 commutant_dim=cdim, burnside_dim=bdim,
                 is_irreducible=True, is_direct_sum=True, combined_condition=1.0)
         # reducible but not split: collect the invariant lattice from seeds
-        lattice = _invariant_lattice(rep, gens, _tol(rep))
+        lattice = _invariant_lattice(rep)
         return DecompositionReport(
             components=[], lattice=lattice, commutant_dim=cdim,
             burnside_dim=bdim, is_irreducible=False, is_direct_sum=False)
-    components = []
-    for B, comp in pieces:
-        comp_irr, _ = is_irreducible_burnside(comp)
-        if not isinstance(comp, list):
-            comp.flags["component_irreducible"] = comp_irr
-        components.append((B, comp))
-    combined = np.column_stack([B for B, _ in components])
-    cond = float(np.linalg.cond(combined))
+    for _, comp in pieces:
+        comp.flags["component_irreducible"] = is_irreducible_burnside(comp)[0]
+    cond = float(np.linalg.cond(np.column_stack([B for B, _ in pieces])))
     return DecompositionReport(
-        components=components, commutant_dim=cdim, burnside_dim=bdim,
+        components=pieces, commutant_dim=cdim, burnside_dim=bdim,
         is_irreducible=False, is_direct_sum=True, combined_condition=cond)
 
 
-def _invariant_lattice(rep, gens, tol) -> list[np.ndarray]:
+def _invariant_lattice(rep) -> list[np.ndarray]:
     """Proper invariant subspaces found from I1-eigenvector seeds."""
-    n = gens[0].shape[0]
-    evals, evecs = np.linalg.eig(gens[0])
+    n, ctx = rep.dim, rep.ctx
+    evals, evecs = np.linalg.eig(_gens(rep)[0])
     seeds = [evecs[:, i] for i in range(n)]
-    thr = _cluster_tol(evals, tol)
+    thr = ctx.separation(*np.abs(evals))
     groups = cluster(evals, thr)
     for val, count in groups:
         if count < 2:
@@ -533,19 +509,12 @@ def _invariant_lattice(rep, gens, tol) -> list[np.ndarray]:
                 seeds.append(sub[:, j] * (1 - t) + sub[:, j + 1] * t)
                 seeds.append(sub[:, j] * (1 - t) + 1j * t * sub[:, j + 1])
     found: list[np.ndarray] = []
-    dims_seen = set()
     for seed_vec in seeds:
-        B = orbit_span(rep, seed_vec, tol)
+        B = orbit_span(rep, seed_vec)
         d = B.shape[1]
-        if d == n:
-            continue
-        key = d
-        if key in dims_seen:
-            # keep only subspaces with genuinely different span
-            if any(b.shape[1] == d and
-                   np.linalg.norm(b @ (b.conj().T @ B) - B) < 1e-6
-                   for b in found):
-                continue
-        found.append(B)
-        dims_seen.add(key)
+        # keep proper subspaces whose span is not found already
+        if d < n and not any(b.shape[1] == d and
+                             np.linalg.norm(b @ (b.conj().T @ B) - B) < ctx.matching()
+                             for b in found):
+            found.append(B)
     return found

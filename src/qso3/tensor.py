@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import BadRange
 from .psihom import compose
 from .qscalar import HalfInt
 from .repcore import Sl2FiniteRep, So3FiniteRep
@@ -49,48 +50,46 @@ class CGReport:
 
 
 def _so3_candidates(ctx, dim: int):
-    """Registered generic-q families of the given dimension."""
-    from .errors import BadRange
-
-    cands = []
+    """Registered generic-q families of the given dimension, built as they
+    are asked for, up to the first one out of range."""
     l = HalfInt(dim - 1)  # 2l + 1 = dim
     try:
-        cands.append((f"R1_l[l={l}]", r1_l(ctx, l)))
+        yield f"R1_l[l={l}]", r1_l(ctx, l)
         for s1 in (1, -1):
             for s2 in (1, -1):
-                name = f"Rsplit_n[n={dim},({_sgn(s1)},{_sgn(s2)})]"
-                cands.append((name, r_split_n(ctx, dim, (s1, s2))))
+                yield (f"Rsplit_n[n={dim},({_sgn(s1)},{_sgn(s2)})]",
+                       r_split_n(ctx, dim, (s1, s2)))
     except BadRange:
-        pass
-    return cands
+        return
 
 
 def _sgn(s: int) -> str:
     return "+" if s > 0 else "-"
 
 
+def _name_components(comps, candidates) -> CGReport:
+    """Match each component against ``candidates(dim)``, an iterable of
+    (name, representation) pairs: the first candidate with the same
+    fingerprint that is equivalent names it; otherwise it is unmatched."""
+    out = CGReport()
+    for _, comp in comps:
+        fp = fingerprint(comp)
+        matched = next((name for name, cand in candidates(comp.dim)
+                        if fp.matches(fingerprint(cand)) and are_equivalent(comp, cand)),
+                       None)
+        if matched is None:
+            out.unmatched_dims.append(comp.dim)
+        else:
+            out.component_dims.append(comp.dim)
+            out.multiplicities[matched] = out.multiplicities.get(matched, 0) + 1
+    return out
+
+
 def cg_decompose(prod: So3FiniteRep, seed: int = 1234) -> CGReport:
     """Decompose a finite rotation-algebra representation and name the parts."""
     report = decompose(prod, seed=seed)
-    out = CGReport()
-    ctx = prod.ctx
     comps = report.components if report.is_direct_sum else []
-    for _, comp in comps:
-        out.component_dims.append(comp.dim)
-        fp = fingerprint(comp)
-        matched = None
-        for name, cand in _so3_candidates(ctx, comp.dim):
-            if not fp.matches(fingerprint(cand)):
-                continue
-            if are_equivalent(comp, cand):
-                matched = name
-                break
-        if matched is None:
-            out.unmatched_dims.append(comp.dim)
-            out.component_dims.pop()
-        else:
-            out.multiplicities[matched] = out.multiplicities.get(matched, 0) + 1
-    return out
+    return _name_components(comps, lambda dim: _so3_candidates(prod.ctx, dim))
 
 
 def sl2_cg_check(ta: Sl2FiniteRep, tb: Sl2FiniteRep, seed: int = 1234) -> CGReport:
@@ -98,60 +97,43 @@ def sl2_cg_check(ta: Sl2FiniteRep, tb: Sl2FiniteRep, seed: int = 1234) -> CGRepo
 
     Components are matched against the four sign-twisted weight families;
     for the twisted families the product of the factor twists is the twist
-    of every component.
+    of every component.  A product that is not a direct sum is matched
+    whole.
     """
     prod = delta_tensor(ta, tb)
     report = decompose(prod, seed=seed)
-    out = CGReport()
-    ctx = prod.ctx
-    comps = report.components if report.is_direct_sum else [
-        (np.eye(prod.dim), prod)]
-    from .structure import _multiset_close, cluster
+    comps = report.components if report.is_direct_sum else [(np.eye(prod.dim), prod)]
 
-    for _, comp in comps:
-        out.component_dims.append(comp.dim)
-        l = HalfInt(comp.dim - 1)
-        matched = None
-        got = cluster(np.linalg.eigvals(comp.K), 1e-6)
+    def candidates(dim):
+        l = HalfInt(dim - 1)
         for name, omega in OMEGAS.items():
-            cand = t_omega_l(ctx, l, omega)
-            want = cluster(np.diag(cand.K), 1e-6)
-            if not _multiset_close(got, want, 1e-6):
-                continue
-            if are_equivalent(comp, cand):
-                matched = f"T_l[l={l},omega={name}]"
-                break
-        if matched is None:
-            out.unmatched_dims.append(comp.dim)
-            out.component_dims.pop()
-        else:
-            out.multiplicities[matched] = out.multiplicities.get(matched, 0) + 1
-    return out
+            yield f"T_l[l={l},omega={name}]", t_omega_l(prod.ctx, l, omega)
+
+    return _name_components(comps, candidates)
+
+
+def _cg_range(omega_a: complex, omega_b: complex, la, lb):
+    """The product twist and the values 2l for l = |la - lb|, ..., la + lb."""
+    la, lb = HalfInt.of(la), HalfInt.of(lb)
+    return (complex(omega_a) * complex(omega_b),
+            range(abs(la.twice - lb.twice), la.twice + lb.twice + 1, 2))
 
 
 def expected_sl2_tensor(omega_a: complex, omega_b: complex, la, lb) -> dict:
     """Clebsch-Gordan prediction for the twisted weight families: one copy
     of the (omega_a * omega_b)-twisted family for each l from |la - lb| to
     la + lb."""
-    la, lb = HalfInt.of(la), HalfInt.of(lb)
-    omega = complex(omega_a) * complex(omega_b)
-    name = omega_name(omega)
-    lo, hi = abs(la.twice - lb.twice), la.twice + lb.twice
-    out = {}
-    for tw in range(lo, hi + 1, 2):
-        out[f"T_l[l={HalfInt(tw)},omega={name}]"] = 1
-    return out
+    omega, twices = _cg_range(omega_a, omega_b, la, lb)
+    return {f"T_l[l={HalfInt(tw)},omega={omega_name(omega)}]": 1 for tw in twices}
 
 
 def expected_so3_tensor(omega_a: complex, omega_b: complex, la, lb) -> dict:
     """Rotation-algebra prediction: weight families recombine index-wise;
     products with a single i-twisted factor yield the reducible twisted
     families, which split into sign components of equal halves."""
-    la, lb = HalfInt.of(la), HalfInt.of(lb)
-    omega = complex(omega_a) * complex(omega_b)
-    lo, hi = abs(la.twice - lb.twice), la.twice + lb.twice
+    omega, twices = _cg_range(omega_a, omega_b, la, lb)
     out = {}
-    for tw in range(lo, hi + 1, 2):
+    for tw in twices:
         l = HalfInt(tw)
         if omega.imag == 0:
             out[f"R1_l[l={l}]"] = 1

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import BadParam, BadRange, CtxMismatch
+from .errors import BadParam, BadRange
 from .qscalar import HalfInt, QContext, q_num, q_pow, q_pow_c
 from .repcore import Band, BandedRep, FamilyDescriptor, Sl2FiniteRep, materialize
 
@@ -23,14 +23,14 @@ OMEGAS = {"1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j}
 EXTEND_SCAN_MARGIN = 8
 
 
-def _omega_value(omega) -> complex:
+def _omega_value(ctx: QContext, omega) -> complex:
     if isinstance(omega, str):
         if omega not in OMEGAS:
             raise BadParam(f"omega must be one of 1, -1, i, -i (got {omega!r})")
         return OMEGAS[omega]
     w = complex(omega)
     for cand in OMEGAS.values():
-        if abs(w - cand) < 1e-9:
+        if abs(w - cand) < ctx.threshold():
             return cand
     raise BadParam(f"omega must be one of 1, -1, i, -i (got {omega!r})")
 
@@ -55,7 +55,7 @@ def t_omega_l(ctx: QContext, l, omega=1) -> Sl2FiniteRep:
         raise BadParam(f"l must be >= 0, got {l}")
     if ctx.is_root_of_unity and l.twice >= ctx.p_prime:
         raise BadRange(f"2l = {l.twice} >= p' = {ctx.p_prime}: weight family out of range")
-    w = _omega_value(omega)
+    w = _omega_value(ctx, omega)
     labels = weight_labels(l)
     f_sign = -1.0 if w.real == 0 else 1.0
     k_diag = lambda n: w * q_pow(ctx, labels[n])
@@ -170,8 +170,8 @@ def t_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
 
 
 def _chain_breaks(ctx: QContext, stepper: np.ndarray, dim: int) -> bool:
-    scale = max(1.0, float(np.max(np.abs(stepper))))
-    return any(abs(stepper[i - 1, i]) <= ctx.tol * scale for i in range(1, dim))
+    thr = ctx.threshold(float(np.max(np.abs(stepper))))
+    return any(abs(stepper[i - 1, i]) <= thr for i in range(1, dim))
 
 
 def t_prime_0b_lambda(ctx: QContext, b, lam) -> Sl2FiniteRep:
@@ -248,7 +248,7 @@ def delta_tensor(ta: Sl2FiniteRep, tb: Sl2FiniteRep) -> Sl2FiniteRep:
 
     Kronecker index order is left factor major: (iA, iB) -> iA*dimB + iB.
     """
-    _require_same_ctx(ta, tb)
+    ta.ctx.require_same(tb.ctx)
     K = np.kron(ta.K, tb.K)
     Kinv = np.kron(ta.Kinv, tb.Kinv)
     E = np.kron(ta.E, tb.K) + np.kron(ta.Kinv, tb.E)
@@ -260,11 +260,6 @@ def delta_tensor(ta: Sl2FiniteRep, tb: Sl2FiniteRep) -> Sl2FiniteRep:
 def _require_root(ctx: QContext):
     if not ctx.is_root_of_unity:
         raise BadParam("this family requires a root-of-unity context")
-
-
-def _require_same_ctx(a, b):
-    if abs(a.ctx.s - b.ctx.s) > 1e-12 or a.ctx.kind != b.ctx.kind:
-        raise CtxMismatch("operands were built over different contexts")
 
 
 def _is_integer_mod(ctx: QContext, z: complex) -> bool:

@@ -41,18 +41,12 @@ from .errors import (BadDescriptor, BadParam, BadParity, BadRange,
                      SpecialEpsilon)
 from .qscalar import HalfInt, QContext, as_complex, q_num, q_pow, q_pow_c
 from .repcore import (HALF, Band, BandedRep, FamilyDescriptor, So3FiniteRep,
-                      materialize, so3_i3_band, verify_so3)
+                      materialize, so3_i3, so3_i3_band, verify_so3)
+from .structure import invariance_defect
 from .uqsl2 import (_is_integer_mod, _require_root, classify_epsilon, cyclic_dim,
                     weight_labels)
 
 SQRT2 = math.sqrt(2.0)
-
-
-def _finish_so3(ctx: QContext, I1: np.ndarray, I2: np.ndarray,
-                family: FamilyDescriptor, flags: dict | None = None) -> So3FiniteRep:
-    rt = q_pow(ctx, HALF)
-    I3 = rt * I1 @ I2 - (1 / rt) * I2 @ I1
-    return So3FiniteRep(ctx, I1, I2, I3, family, flags or {})
 
 
 def _so3_finite(ctx: QContext, dim: int, i1_diag, i2: Band,
@@ -60,7 +54,8 @@ def _so3_finite(ctx: QContext, dim: int, i1_diag, i2: Band,
                 cyclic: bool = False) -> So3FiniteRep:
     """Diagonal I1 and banded I2 on n = 0..dim-1 (a cycle if ``cyclic``)."""
     mats = materialize({"I1": Band(diag=i1_diag), "I2": i2}, 0, dim - 1, cyclic)
-    return _finish_so3(ctx, mats["I1"], mats["I2"], family, flags)
+    I1, I2 = mats["I1"], mats["I2"]
+    return So3FiniteRep(ctx, I1, I2, so3_i3(ctx, I1, I2), family, flags or {})
 
 
 def _w(ctx: QContext) -> complex:
@@ -383,12 +378,9 @@ def q_lambda_components(ctx: QContext, which: int, at: str, sign: int = 1) -> Ba
 def excluded_lambda(ctx: QContext, lam: complex) -> bool:
     """Whether lam is within tolerance of +-q^k for some integer k."""
     lam = complex(lam)
-    for k in range(ctx.p):
-        t = q_pow(ctx, k)
-        if abs(lam - t) <= ctx.threshold(abs(lam)) or \
-                abs(lam + t) <= ctx.threshold(abs(lam)):
-            return True
-    return False
+    thr = ctx.threshold(abs(lam))
+    return any(min(abs(lam - t), abs(lam + t)) <= thr
+               for t in (q_pow(ctx, k) for k in range(ctx.p)))
 
 
 def degenerate_lambdas(ctx: QContext, trivial_ab: bool = False) -> list[complex]:
@@ -464,7 +456,7 @@ def solve_split_b(ctx: QContext, a) -> list[complex]:
     poly = a * poly
     poly[-2] += -1.0  # subtract b
     roots = np.roots(poly)
-    return [complex(r) for r in roots if abs(r) > 1e-8]
+    return [complex(r) for r in roots if abs(r) > ctx.separation()]
 
 
 def r_ab_degenerate(ctx: QContext, a, b, variant: str = "plus") -> list[So3FiniteRep]:
@@ -535,7 +527,7 @@ def r_ab_degenerate(ctx: QContext, a, b, variant: str = "plus") -> list[So3Finit
               _restrict(rep, basis2, ("R_ab_degen", 2))]
     for half in halves:
         resid = verify_so3(half).max_residual
-        if resid > ctx.tol:
+        if resid > ctx.threshold():
             raise SingularBasisChange(
                 f"restricted half {half.family.params['component']} fails the "
                 f"relations (residual {resid:.3e}): primed basis too ill-conditioned")
@@ -552,9 +544,8 @@ def _restrict(rep: So3FiniteRep, basis: np.ndarray, tag) -> So3FiniteRep:
     Q, _ = np.linalg.qr(basis)
     new_mats = []
     for mat in (rep.I1, rep.I2, rep.I3):
-        scale = max(np.max(np.abs(mat)), 1.0)
-        leak = np.max(np.abs(mat @ Q - Q @ (Q.conj().T @ mat @ Q)))
-        if leak > 1e4 * ctx.threshold(scale):
+        leak = invariance_defect([mat], Q)
+        if leak > ctx.invariance(np.max(np.abs(mat))):
             raise SingularBasisChange(
                 f"claimed invariant subspace leaks (defect {leak:.3e})")
         coeff, *_ = np.linalg.lstsq(basis, mat @ basis, rcond=None)
@@ -683,8 +674,9 @@ class CentralPoly:
     since constants are trivially central).
     """
 
-    def __init__(self, p: int, coeffs: np.ndarray):
-        self.p = p
+    def __init__(self, ctx: QContext, coeffs: np.ndarray):
+        self.ctx = ctx
+        self.p = ctx.p
         self.coeffs = np.asarray(coeffs, dtype=complex)
 
     def __call__(self, mat: np.ndarray) -> np.ndarray:
@@ -698,7 +690,7 @@ class CentralPoly:
         terms = []
         for j, ck in enumerate(self.coeffs):
             e = self.p - j
-            if abs(ck) > 1e-12:
+            if abs(ck) > self.ctx.floor():
                 terms.append(f"({ck:.6g})*I^{e}" if e else f"({ck:.6g})")
         return "CentralPoly(" + " + ".join(terms) + ")"
 
@@ -716,38 +708,33 @@ def central_poly(ctx: QContext, rep_sample: So3FiniteRep | None = None) -> Centr
     p = ctx.p
     I1, I2 = rep_sample.I1, rep_sample.I2
     d = np.diag(I1)
-    if np.max(np.abs(I1 - np.diag(d))) > 1e-9 * max(1.0, np.max(np.abs(I1))):
+    if np.max(np.abs(I1 - np.diag(d))) > ctx.threshold(np.max(np.abs(I1))):
         d = np.linalg.eigvals(I1)  # fallback, not used by the registered samples
     exps = list(range(p - 2, 0, -2))  # down to 2 (even p) or 1 (odd p)
     rows, rhs = [], []
     n = len(d)
     for r in range(n):
         for col in range(n):
-            if r == col:
-                continue
             weight = I2[r, col]
-            if abs(weight) < 1e-13:
-                continue
-            rows.append([(d[r] ** e - d[col] ** e) * weight for e in exps])
-            rhs.append(-(d[r] ** p - d[col] ** p) * weight)
+            if r != col and abs(weight) >= ctx.floor():
+                rows.append([(d[r] ** e - d[col] ** e) * weight for e in exps])
+                rhs.append(-(d[r] ** p - d[col] ** p) * weight)
     A = np.array(rows, dtype=complex)
     y = np.array(rhs, dtype=complex)
     x, *_ = np.linalg.lstsq(A, y, rcond=None)
     fit_resid = float(np.max(np.abs(A @ x - y))) if len(y) else 0.0
     scale = float(np.max(np.abs(y))) if len(y) else 1.0
-    if fit_resid > 1e-6 * max(scale, 1.0):
+    if fit_resid > ctx.matching(scale):
         raise NoSolution(f"central coefficient system inconsistent (residual {fit_resid:.3e})")
     coeffs = np.zeros(p + 1, dtype=complex)
     coeffs[0] = 1.0
     for e, xe in zip(exps, x):
         coeffs[p - e] = xe
-    poly = CentralPoly(p, coeffs)
-    for gen in (rep_sample.I1, rep_sample.I2):
+    poly = CentralPoly(ctx, coeffs)
+    for gen, other in ((I1, I2), (I2, I1)):
         P = poly(gen)
-        other = rep_sample.I2 if gen is rep_sample.I1 else rep_sample.I1
         comm = P @ other - other @ P
-        scale = max(np.max(np.abs(P)) * np.max(np.abs(other)), 1.0)
-        if np.max(np.abs(comm)) > 1e-6 * scale:
+        if np.max(np.abs(comm)) > ctx.matching(np.max(np.abs(P)) * np.max(np.abs(other))):
             raise NoSolution("solved polynomial fails to commute on the sample")
     return poly
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from qso3.qscalar import HalfInt, QContext, generic_ctx, q_pow, root_of_unity_ctx
 from qso3 import uqsl2, uqso3
-from qso3.structure import RANK_TOL, _gens, _GrowingSpan
+from qso3.structure import _gens, _GrowingSpan, _scale
 
 GENERIC_QS = (1.3, 4.0, np.exp(0.37j))
 ROOT_PS = (3, 5, 7, 8)
@@ -134,16 +134,16 @@ def banded_so3_samples(ctx: QContext):
     return out
 
 
-def dense_commutant_dim(rep, rank_tol: float = RANK_TOL) -> int:
+def dense_commutant_dim(rep) -> int:
     """Commutant dimension from the full n^2 x n^2 Kronecker system: the
-    nullity of the stacked I (x) G^T - G (x) I, cut at rank_tol relative to
-    the largest singular value (floored at 1)."""
+    nullity of the stacked I (x) G^T - G (x) I, cut at the context's
+    separation level relative to the largest singular value (floored at 1)."""
     gens = _gens(rep)
     n = gens[0].shape[0]
     eye = np.eye(n)
     A = np.vstack([np.kron(eye, g.T) - np.kron(g, eye) for g in gens])
     s = np.linalg.svd(A, compute_uv=False)
-    thr = rank_tol * max(float(s[0]) if len(s) else 0.0, 1.0)
+    thr = rep.ctx.separation(*s[:1])
     return int(np.sum(s <= thr)) + (n * n - len(s))
 
 
@@ -152,8 +152,7 @@ def dense_burnside_dim(rep) -> tuple[int, bool]:
     identity by left multiplication with the generators."""
     gens = _gens(rep)
     n = gens[0].shape[0]
-    scale = max(max(np.max(np.abs(g)) for g in gens), 1.0)
-    span = _GrowingSpan(n * n, 1e-10 * scale)
+    span = _GrowingSpan(n * n, rep.ctx.algebra_drop(_scale(gens)))
     eye = np.eye(n, dtype=complex) / np.sqrt(n)
     span.add(eye)
     frontier = [eye]

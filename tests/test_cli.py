@@ -109,6 +109,15 @@ class TestEquiv:
         assert data["intertwiner_dim"] == 0
         assert "trace_i2" in data["fingerprint_diff"]
 
+    def test_sl2_families(self, capsys):
+        code, out = run(capsys, "equiv", "--q", "1.3",
+                        "--a-spec", "T_l,l=1/2,omega=1",
+                        "--b-spec", "T_l,l=1/2,omega=-1")
+        assert code == 0
+        data = json.loads(out)
+        assert data["equivalent"] is False
+        assert data["fingerprint_diff"] == ["k_spectrum"]
+
 
 class TestTensor:
     def test_cg_table(self, capsys):
@@ -138,6 +147,14 @@ class TestSpectrum:
         assert lines[0] == "re,im,multiplicity"
         assert lines[1].endswith(",2")
 
+
+    def test_sl2_finite_family(self, capsys):
+        code, out = run(capsys, "spectrum", "--q", "1.3", "--family", "T_l",
+                        "--l", "1", "--omega", "1")
+        assert code == 0
+        spec = json.loads(out)["spectrum"]
+        assert [m for _, m in spec] == [1, 1, 1]
+        assert spec[1][0] == pytest.approx([1.0, 0.0])
 
     def test_csv_out_closes_file(self, tmp_path):
         out_file = tmp_path / "spectrum.csv"
@@ -253,6 +270,46 @@ SINGLE_RUNS = {
     "spectrum": (["--family", "Qp_lambda", "--p", "5"], "--lambda", "2"),
     "central": (["--k", "1"], "--p", "4"),
 }
+
+
+class TestDashAndCommaValues:
+    @pytest.mark.parametrize("omega", ["-i", "-1"])
+    def test_value_with_leading_dash(self, omega, capsys):
+        code, out = run(capsys, "construct", "--family", "T_l", "--l", "1/2",
+                        "--q", "1.3", "--omega", omega)
+        assert code == 0
+        assert json.loads(out)["params"]["omega"] == omega
+
+    def test_complex_value_with_leading_dash(self, capsys):
+        code, out = run(capsys, "construct", "--family", "R_ab_lambda", "--p", "5",
+                        "--a", "-1.5i", "--b", "1", "--lambda", "2")
+        assert code == 0
+        assert json.loads(out)["params"]["a"] == [0.0, -1.5]
+
+    def test_sign_pair_grid(self, capsys):
+        code, out = run(capsys, "sweep", "spectrum", "--family", "Rsplit_n",
+                        "--n", "2", "--q", "4", "--signs-grid", "(+,+),(+,-)")
+        assert code == 0
+        recs = [json.loads(line) for line in out.strip().splitlines()]
+        assert [r["point"] for r in recs] == [{"signs": "(+,+)"}, {"signs": "(+,-)"}]
+        assert all(r["ok"] for r in recs)
+
+    def test_sign_pair_grid_csv_quotes(self, capsys):
+        code, out = run(capsys, "sweep", "spectrum", "--family", "Rsplit_n",
+                        "--n", "2", "--q", "4", "--signs-grid", "(+,+),(+,-)",
+                        "--format", "csv")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "signs,re,im,multiplicity"
+        assert len(lines) == 5 and lines[1].startswith('"(+,+)",')
+
+    def test_dash_grid_values(self, capsys):
+        code, out = run(capsys, "sweep", "spectrum", "--family", "T_l", "--l", "1/2",
+                        "--q", "1.3", "--omega-grid", "-i,i")
+        assert code == 0
+        recs = [json.loads(line) for line in out.strip().splitlines()]
+        assert [r["point"]["omega"] for r in recs] == ["-i", "i"]
+        assert all(r["ok"] for r in recs)
 
 
 class TestSweepMatchesSingleRun:

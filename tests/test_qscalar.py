@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qso3.errors import BadModulus, DegenerateIndex, DegenerateQ
-from qso3.qscalar import (HalfInt, c_coeff, ctx_from_json, ctx_to_json,
+from qso3.errors import BadModulus, CtxMismatch, DegenerateIndex, DegenerateQ
+from qso3.qscalar import (HalfInt, QContext, c_coeff, ctx_from_json, ctx_to_json,
                           generic_ctx, q_num, q_pow, q_pow_c,
                           root_of_unity_ctx)
 
@@ -117,6 +117,42 @@ class TestRootOfUnityCtx:
 
 
 halfints = st.integers(min_value=-40, max_value=40).map(HalfInt)
+
+
+class TestTolerancePolicy:
+    def test_default_levels(self, q13):
+        # the values the scattered constants had, bit for bit
+        assert QContext.tol == q13.tol == 1e-9
+        assert q13.threshold() == 1e-9
+        assert q13.separation() == 1e-8
+        assert q13.orbit_drop() == 100 * 1e-9
+        assert q13.algebra_drop() == 1e-10
+        assert q13.invariance() == 1e-5
+        assert q13.matching() == 1e-6
+        assert q13.floor() == 1e-12
+
+    def test_levels_follow_tol_and_magnitudes(self):
+        ctx = generic_ctx(q=1.3, tol=1e-6)
+        assert ctx.separation() == pytest.approx(1e-5)
+        assert ctx.separation(0.5, 30.0) == pytest.approx(3e-4)
+        assert ctx.matching() == pytest.approx(1e-3)
+        assert ctx.floor(30.0) == pytest.approx(3e-11)
+
+    def test_floor_bounds_every_level(self):
+        ctx = generic_ctx(q=1.3, tol=1e-20)
+        for level in (ctx.threshold, ctx.separation, ctx.algebra_drop, ctx.matching):
+            assert level() == ctx.floor()
+            assert level(5.0) == ctx.floor(5.0)
+
+    def test_default_written_once(self):
+        assert generic_ctx(q=1.3).tol == root_of_unity_ctx(5).tol == QContext.tol
+        assert ctx_from_json({"s": [1.1, 0.0], "kind": "generic"}).tol == QContext.tol
+
+    def test_require_same(self, q13, q4, p5):
+        q13.require_same(generic_ctx(q=1.3))
+        for other in (q4, p5):
+            with pytest.raises(CtxMismatch):
+                q13.require_same(other)
 
 
 class TestProperties:

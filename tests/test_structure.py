@@ -113,13 +113,17 @@ class TestDenseReference:
 
 
 class TestWeightFrame:
-    def test_defective_first_generator_raises(self):
+    def test_defective_first_generator_raises(self, q13):
         # a Jordan block has no eigenbasis to block in
+        from qso3.repcore import FamilyDescriptor, So3FiniteRep
+
         jordan = np.array([[1.0, 1.0], [0.0, 1.0]], complex)
         other = np.array([[0.0, 0.0], [1.0, 0.0]], complex)
+        rep = So3FiniteRep(q13, jordan, other, np.zeros((2, 2), complex),
+                           FamilyDescriptor("jordan", {}), {})
         for oracle in (commutant, burnside_dim):
             with pytest.raises(SingularBasisChange):
-                oracle([jordan, other])
+                oracle(rep)
 
     def test_conjugated_rep_maps_back(self, q13):
         # a non-diagonal I1 is blocked in its eigenbasis; the commutant
@@ -263,6 +267,19 @@ class TestIntertwiners:
             intertwiners(U.r1_l(q13, 1), U.r1_l(q4, 1))
 
 
+class TestTolerancePolicy:
+    @pytest.mark.parametrize("tol, eps", [(1e-6, 1e-7), (1e-9, 1e-9)])
+    def test_tol_governs_the_rank_cut(self, tol, eps):
+        # lambda within tol of the degenerate value: the I1 pairs cluster at
+        # this tol, and the rank cut must follow, or the commutant misses
+        # the split that the clustering set up
+        ctx = root_of_unity_ctx(8, 1, tol=tol)
+        lam = U.degenerate_lambdas(ctx, True)[0] * (1 + eps)
+        rep = U.r_ab_lambda(ctx, 0, 0, lam)
+        assert commutant(rep)[0] == 2
+        assert decompose(rep).component_dims == [2, 2]
+
+
 class TestFingerprint:
     def test_separates_split_signs(self, q4):
         fps = {}
@@ -283,6 +300,13 @@ class TestFingerprint:
         for a in fps.values():
             for b in fps.values():
                 assert a.matches(b) == (not a.diff(b))
+
+    def test_sl2_names(self, q13):
+        fps = {w: fingerprint(t_omega_l(q13, H("3/2"), w)) for w in ("1", "-1", "i")}
+        assert fps["1"].diff(fps["-1"]) == ["k_spectrum"]
+        assert fps["1"].diff(fps["i"]) == ["k_spectrum"]
+        assert fps["1"].matches(fingerprint(t_omega_l(q13, H("3/2"), 1)))
+        assert set(fps["1"].traces) == {"trace_e", "trace_f"}
 
     def test_weight_vs_split_disjoint(self, q4):
         f_weight = fingerprint(U.r1_l(q4, 1))
