@@ -29,12 +29,11 @@ from itertools import product
 import numpy as np
 
 from . import psihom, structure, tensor, uqso3
-from .errors import QAlgebraError
+from .errors import NotExtendable, QAlgebraError
 from .qscalar import HalfInt, QContext, generic_ctx, root_of_unity_ctx
 from .registry import REGISTRY, build_family
 from .repcore import (BandedRep, Sl2FiniteRep, So3FiniteRep, rep_to_json,
                       truncate, verify_sl2, verify_so3)
-from .uqsl2 import is_extendable
 
 DEFAULT_WINDOW = 20
 
@@ -234,10 +233,15 @@ def cmd_verify(args):
         report = (verify_so3 if so3 else verify_sl2)(r, window=args.window)
         entry = {"family": str(r.family), "residuals": report.residuals,
                  "max_residual": report.max_residual}
-        if isinstance(r, Sl2FiniteRep) and is_extendable(r)[0]:
-            psi_report = psihom.verify_psi(r)
-            entry["psi_residuals"] = psi_report.residuals
-            entry["max_residual"] = max(entry["max_residual"], psi_report.max_residual)
+        if isinstance(r, Sl2FiniteRep):
+            try:
+                psi_report = psihom.verify_psi(r)
+            except NotExtendable:
+                pass  # no localization image, so no psi residuals
+            else:
+                entry["psi_residuals"] = psi_report.residuals
+                entry["max_residual"] = max(entry["max_residual"],
+                                            psi_report.max_residual)
         payload.append(entry)
     worst = max([0.0] + [e["max_residual"] for e in payload])
     return {"reports": payload, "max_residual": worst, "tol": args.tol}, \

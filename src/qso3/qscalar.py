@@ -10,9 +10,12 @@ Complex exponents go through the principal logarithm tau, q = exp(tau).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 from .errors import BadModulus, BadParam, CtxMismatch, DegenerateIndex, DegenerateQ
 
@@ -115,8 +118,9 @@ class QContext:
 
     ``tol`` is the one tolerance setting.  Every numerical cut in the
     library is one of the levels below: a fixed multiple of ``tol``, named
-    after the decision it makes, times the largest of 1 and the magnitudes
-    passed, and never below ``floor`` of the same magnitudes.
+    after the decision it makes, times ``magnitude_scale`` of the
+    magnitudes passed, and never below ``floor`` of the same magnitudes.
+    A magnitude may be an array; the level is then an array, elementwise.
     """
 
     s: complex
@@ -137,9 +141,9 @@ class QContext:
     def is_root_of_unity(self) -> bool:
         return self.kind == "root_of_unity"
 
-    def _level(self, base: float, magnitudes) -> float:
+    def _level(self, base: float, magnitudes):
         # base * max(1, magnitudes), never below the floor 1e-12 * the same
-        return max(base, 1e-12) * max((1.0, *magnitudes))
+        return max(base, 1e-12) * magnitude_scale(*magnitudes)
 
     def floor(self, *magnitudes: float) -> float:
         """Rounding level, 1e-12 whatever tol: diagonality, context equality."""
@@ -177,6 +181,16 @@ class QContext:
         """Raise CtxMismatch unless other is the same deformation parameter."""
         if abs(self.s - other.s) > self.floor() or self.kind != other.kind:
             raise CtxMismatch("operands were built over different contexts")
+
+
+def magnitude_scale(*magnitudes):
+    """The largest of 1 and the magnitudes: the scale every level and every
+    relation residual is measured against.  With an array among the
+    magnitudes the largest is taken elementwise."""
+    for m in magnitudes:
+        if isinstance(m, np.ndarray):
+            return functools.reduce(np.maximum, magnitudes, 1.0)
+    return max((1.0, *magnitudes))
 
 
 def generic_ctx(q: complex | None = None, s: complex | None = None,

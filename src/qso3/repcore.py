@@ -15,7 +15,8 @@ interval or cycle, and infinite representations (``BandedRep``, labels
 m = offset + n) reach it only through truncation windows.
 
 Verification is residual-based: each defining relation is evaluated and the
-max-entry norm of the defect is scaled by the max-entry norms of the terms.
+max-entry norm of the defect is scaled by the max-entry norms of the terms,
+or by 1 where they sum to less.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyWindow
-from .qscalar import HalfInt, QContext, as_complex, q_pow
+from .qscalar import HalfInt, QContext, as_complex, magnitude_scale, q_pow
 
 CoeffFn = Callable[[int], complex]
 HALF = HalfInt(1)  # the half-integer 1/2
@@ -236,15 +237,16 @@ def _maxabs(mat: np.ndarray) -> float:
 
 
 def _scaled_defect(terms: list[np.ndarray], cols: np.ndarray | None = None) -> float:
-    """Max-entry norm of sum(terms), scaled by the term norms.
+    """Max-entry norm of sum(terms), scaled by the term norms but never by
+    less than 1 (``magnitude_scale``), so that a numerically zero
+    representation scores its absolute rounding defect.
 
     ``cols`` restricts the defect to the given columns (window interiors).
     """
     defect = sum(terms)
     if cols is not None:
         defect = defect[:, cols]
-    scale = sum(_maxabs(t) for t in terms)
-    return _maxabs(defect) / max(scale, 1e-300) if _maxabs(defect) else 0.0
+    return _maxabs(defect) / magnitude_scale(sum(_maxabs(t) for t in terms))
 
 
 def so3_relation_residuals(ctx: QContext, I1, I2, I3, cols=None) -> dict[str, float]:
@@ -314,11 +316,14 @@ def _verify_window(rep: BandedRep, window: int) -> TruncatedRep:
 
 
 def _matrix_entry_list(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    """Rows of [re, im] float pairs; any memory layout (solve images are
+    transposed views)."""
+    pairs = np.ascontiguousarray(mat, dtype=complex).view(float)
+    return pairs.reshape(*mat.shape, 2).tolist()
 
 
 def _param_json(value):
-    if isinstance(value, HalfInt):
+    if isinstance(value, (HalfInt, FamilyDescriptor)):
         return str(value)
     if isinstance(value, complex):
         return [value.real, value.imag]

@@ -6,7 +6,8 @@ families T_{ab,lambda}, the one-sided variant T'_{0b,lambda}, and the
 i-twisted T~_{ab,lambda}.  Infinite families: T_{a,eps} on a shifted
 integer lattice.  ``is_extendable`` decides whether all operators
 q^k K + q^{-k} Kinv are invertible, which is what admits division by
-K + Kinv downstream.
+K + Kinv downstream: one array comparison of q^{2k} mu^2 against -1 over
+the whole grid of shifts k and K-eigenvalues mu.
 """
 
 from __future__ import annotations
@@ -73,12 +74,13 @@ def _sl2_finite(ctx: QContext, bands: dict[str, Band], dim: int,
     return Sl2FiniteRep(ctx, mats["K"], mats["Kinv"], mats["E"], mats["F"], family)
 
 
-def is_extendable(rep: Sl2FiniteRep | BandedRep, scan: int | None = None):
+def is_extendable(rep: Sl2FiniteRep | BandedRep):
     """Whether q^k K + q^{-k} Kinv is invertible for all integers k.
 
     A K-eigenvalue mu fails at k iff mu^2 = -q^{-2k}.  The scan covers
-    |k| <= 2*dim + 8 for generic q, and k mod p at a root of unity.
-    Returns (ok, witness) with witness = (k, mu) on failure.
+    |k| <= 2*dim + 8 for generic q (k ordered by |k|, -k first), and k mod p
+    at a root of unity.  Returns (ok, witness) with witness = (k, mu) on
+    failure: the first failing k in scan order, and its first eigenvalue.
     """
     ctx = rep.ctx
     if isinstance(rep, Sl2FiniteRep):
@@ -94,16 +96,18 @@ def is_extendable(rep: Sl2FiniteRep | BandedRep, scan: int | None = None):
     if ctx.is_root_of_unity:
         ks = range(ctx.p)
     else:
-        bound = scan if scan is not None else 2 * dim + EXTEND_SCAN_MARGIN
+        bound = 2 * dim + EXTEND_SCAN_MARGIN
         ks = sorted(range(-bound, bound + 1), key=abs)
-    for k in ks:
-        shift = q_pow_c(ctx, 2 * k)
-        for mu in mus:
-            # mu^2 = -q^{-2k}, tested in the scale-free form q^{2k} mu^2 = -1
-            t = shift * mu * mu
-            if abs(t + 1) <= ctx.threshold(abs(t)):
-                return False, (k, complex(mu))
-    return True, None
+    shift = np.array([q_pow_c(ctx, 2 * k) for k in ks])
+    # mu^2 = -q^{-2k}, tested in the scale-free form q^{2k} mu^2 = -1 on the
+    # whole (k, mu) grid at once
+    t = shift[:, None] * mus * mus
+    hits = np.abs(t + 1) <= ctx.threshold(np.abs(t))
+    if not hits.any():
+        return True, None
+    # row-major argmax: the first hit in the order of the scan
+    i, j = divmod(int(np.argmax(hits)), len(mus))
+    return False, (ks[i], complex(mus[j]))
 
 
 def _is_diagonal(mat: np.ndarray) -> bool:

@@ -1,12 +1,15 @@
-"""Shared helpers: parameter samplers over the family registry, and the
-dense reference oracles the weight-blocked ones are checked against."""
+"""Shared helpers: parameter samplers over the family registry, the dense
+reference oracles the weight-blocked ones are checked against, and the
+scalar extendability scan the array one is checked against."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from qso3.qscalar import HalfInt, QContext, generic_ctx, q_pow, root_of_unity_ctx
+from qso3.qscalar import (HalfInt, QContext, generic_ctx, q_pow, q_pow_c,
+                          root_of_unity_ctx)
 from qso3 import uqsl2, uqso3
+from qso3.repcore import Sl2FiniteRep
 from qso3.structure import _gens, _GrowingSpan, _scale
 
 GENERIC_QS = (1.3, 4.0, np.exp(0.37j))
@@ -166,3 +169,37 @@ def dense_burnside_dim(rep) -> tuple[int, bool]:
                     new.append(span.rows[span.size - 1].reshape(n, n))
         frontier = new
     return span.size, not frontier
+
+
+def reference_is_extendable(rep):
+    """``uqsl2.is_extendable`` as a scalar double loop over (k, mu): one
+    threshold call per pair, returning at the first failing pair."""
+    ctx = rep.ctx
+    if isinstance(rep, Sl2FiniteRep):
+        mus = np.diag(rep.K) if uqsl2._is_diagonal(rep.K) else np.linalg.eigvals(rep.K)
+        dim = rep.dim
+    else:
+        band = rep.bands["K"]
+        ns = range(-40, 41) if rep.n_min is None and rep.n_max is None else \
+            range(rep.n_min if rep.n_min is not None else rep.n_max - 80,
+                  (rep.n_max if rep.n_max is not None else rep.n_min + 80) + 1)
+        mus = np.array([band.diag(n) for n in ns])
+        dim = len(mus)
+    if ctx.is_root_of_unity:
+        ks = range(ctx.p)
+    else:
+        bound = 2 * dim + uqsl2.EXTEND_SCAN_MARGIN
+        ks = sorted(range(-bound, bound + 1), key=abs)
+    for k in ks:
+        shift = q_pow_c(ctx, 2 * k)
+        for mu in mus:
+            # mu^2 = -q^{-2k}, tested in the scale-free form q^{2k} mu^2 = -1
+            t = shift * mu * mu
+            if abs(t + 1) <= ctx.threshold(abs(t)):
+                return False, (k, complex(mu))
+    return True, None
+
+
+def reference_matrix_entry_list(mat) -> list:
+    """``repcore._matrix_entry_list`` entry by entry: rows of [re, im]."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]

@@ -82,6 +82,15 @@ class TestVerify:
         assert data["max_residual"] <= 1e-9
         assert "psi_residuals" in data["reports"][0]
 
+    def test_not_extendable_has_no_psi_residuals(self, capsys):
+        # an i-twisted integer-l weight family has no localization image
+        code, out = run(capsys, "verify", "--family", "T_l", "--l", "1",
+                        "--omega=i", "--q", "1.3")
+        assert code == 0
+        report = json.loads(out)["reports"][0]
+        assert "psi_residuals" not in report
+        assert report["max_residual"] <= 1e-9
+
     def test_tight_tol_exit_one(self, capsys):
         code, _ = run(capsys, "verify", "--family", "R1_l", "--l", "2",
                       "--q", "1.3", "--tol", "1e-30")

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from support import reference_matrix_entry_list
 from qso3.errors import EmptyWindow
 from qso3.qscalar import HalfInt, generic_ctx
-from qso3.repcore import rep_to_json, truncate, verify_sl2, verify_so3
-from qso3 import uqso3
+from qso3.repcore import (FamilyDescriptor, So3FiniteRep, rep_to_json, truncate,
+                          verify_sl2, verify_so3)
+from qso3 import psihom, repcore, structure, tensor, uqso3
 from qso3.uqsl2 import t_omega_l
 
 H = HalfInt.parse
@@ -48,6 +50,25 @@ class TestVerifySo3:
     def test_banded_window(self, q13):
         rep = uqso3.q_lambda(q13, 0.7 + 0.1j, 1)
         assert verify_so3(rep, window=20).max_residual <= 1e-10
+
+    @pytest.mark.parametrize("l", ["3/2", "5/2"])
+    def test_numerically_zero_component_passes(self, q13, l):
+        # the trivial summand of T_l (x) T_l has entries of about 1e-17; its
+        # defect is rounding, not a relative defect of 1
+        t = t_omega_l(q13, H(l), 1)
+        report = structure.decompose(tensor.tensor_so3(t, t))
+        trivial = [c for _, c in report.components if c.dim == 1]
+        assert len(trivial) == 1
+        assert np.max(np.abs(trivial[0].I1)) < 1e-12
+        assert verify_so3(trivial[0]).max_residual <= q13.tol
+
+    def test_small_perturbation_still_fails(self, q13):
+        rep = uqso3.r1_l(q13, H("3/2"))
+        rep.I2[0, 1] += 1e-6
+        assert verify_so3(rep).residuals["cubic_1"] > q13.tol
+        tiny = 1e-6 * np.ones((1, 1), dtype=complex)
+        near_zero = So3FiniteRep(q13, tiny, 0 * tiny, 0 * tiny, FamilyDescriptor("tiny"))
+        assert verify_so3(near_zero).residuals["cubic_1"] > q13.tol
 
 
 class TestTruncate:
@@ -133,3 +154,36 @@ class TestJson:
 
         ctx = ctx_from_json(data["ctx"])
         assert complex(ctx.s) == pytest.approx(complex(q4.s))
+
+
+class TestDumpIdentity:
+    """The array dump writes the same JSON text as the entry-by-entry one."""
+
+    def _texts(self, monkeypatch, rep, family=None):
+        new = json.dumps(rep_to_json(rep, family))
+        with monkeypatch.context() as m:
+            m.setattr(repcore, "_matrix_entry_list", reference_matrix_entry_list)
+            old = json.dumps(rep_to_json(rep, family))
+        return new, old
+
+    def test_finite_reps(self, monkeypatch, q13):
+        for rep in (uqso3.r1_l(q13, H("3/2")), t_omega_l(q13, 2, "i")):
+            new, old = self._texts(monkeypatch, rep)
+            assert new == old
+
+    def test_truncation(self, monkeypatch, q13):
+        rep = uqso3.q_lambda(q13, 0.7 + 0.1j, 1)
+        new, old = self._texts(monkeypatch, truncate(rep, -3, 3), rep.family)
+        assert new == old
+
+    def test_compose_image_not_contiguous(self, monkeypatch, q13):
+        image = psihom.compose(t_omega_l(q13, H("5/2"), "-1"))
+        assert not image.I2.flags.c_contiguous
+        new, old = self._texts(monkeypatch, image)
+        assert new == old
+
+    def test_negative_zero(self, monkeypatch, q13):
+        zero = -np.zeros((2, 2), dtype=complex)
+        rep = So3FiniteRep(q13, zero, np.conj(zero), zero.real, FamilyDescriptor("zeros"))
+        new, old = self._texts(monkeypatch, rep)
+        assert new == old and "-0.0" in new

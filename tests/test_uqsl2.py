@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from support import finite_sl2_samples, rng_params
+from support import (finite_sl2_samples, generic_contexts, reference_is_extendable,
+                     rng_params, root_contexts)
 from qso3.errors import BadParam, BadRange, CtxMismatch
 from qso3.qscalar import HalfInt, generic_ctx, q_pow, root_of_unity_ctx
 from qso3.repcore import verify_sl2
 from qso3.structure import (are_equivalent, cluster, is_irreducible_burnside,
                             _multiset_close)
 from qso3.uqsl2 import (classify_epsilon, cyclic_dim, delta_tensor,
-                        is_extendable, t_a_epsilon, t_ab_lambda, t_omega_l,
-                        t_prime_0b_lambda, t_tilde_ab_lambda)
+                        is_extendable, special_epsilon_values, t_a_epsilon,
+                        t_ab_lambda, t_omega_l, t_prime_0b_lambda,
+                        t_tilde_ab_lambda)
 
 H = HalfInt.parse
 
@@ -100,6 +102,66 @@ class TestExtendability:
                 l = HalfInt(tw)
                 ok, _ = is_extendable(t_omega_l(ctx, l, "i"))
                 assert ok == (not l.is_integer()), (p, l)
+
+
+def _cg_pool_products(ctx):
+    """delta_tensor products of the Clebsch-Gordan table pool: T_l factors
+    with real twists up to l = 5/2 and i-twists at l = 1/2, 3/2, 5/2, in
+    every unordered pair of product dimension 12-30."""
+    facs = [(o, HalfInt(t)) for o in ("1", "-1") for t in range(0, 6)]
+    facs += [(o, HalfInt(t)) for o in ("i", "-i") for t in (1, 3, 5)]
+    return [delta_tensor(t_omega_l(ctx, la, oa), t_omega_l(ctx, lb, ob))
+            for i, (oa, la) in enumerate(facs) for ob, lb in facs[i:]
+            if 12 <= (la.twice + 1) * (lb.twice + 1) <= 30]
+
+
+class TestExtendabilityReference:
+    """The array scan gives the (ok, witness) of the scalar double loop."""
+
+    def _check(self, reps, failing=None):
+        results = []
+        for rep in reps:
+            got = is_extendable(rep)
+            assert got == reference_is_extendable(rep), rep.family
+            results.append(got[0])
+        if failing is not None:
+            assert results.count(False) >= failing
+        return results
+
+    def test_finite_samples(self):
+        for ctx in generic_contexts() + root_contexts():
+            self._check([rep for _, rep in finite_sl2_samples(ctx)], failing=1)
+
+    def test_cg_pool_products(self, q13):
+        prods = _cg_pool_products(q13)
+        assert len(prods) > 30
+        self._check(prods, failing=1)
+
+    def test_i_twisted_integer_l(self):
+        reps = [t_omega_l(ctx, HalfInt(tw), omega)
+                for ctx in generic_contexts() for tw in (0, 2, 4, 8)
+                for omega in ("i", "-i")]
+        reps += [t_omega_l(ctx, HalfInt(tw), "i") for ctx in root_contexts()
+                 for tw in range(0, ctx.p_prime, 2)]
+        assert not any(self._check(reps))
+
+    def test_cyclic_failing_lambda(self):
+        reps = []
+        for ctx in root_contexts():
+            for n in range(ctx.p):
+                qn = q_pow(ctx, n)
+                reps += [t_ab_lambda(ctx, 1, 1, 1j * qn), t_ab_lambda(ctx, 0, 0.5, -1j * qn),
+                         t_tilde_ab_lambda(ctx, 1, 1, qn),
+                         t_prime_0b_lambda(ctx, 0.5, 1j * qn)]
+        assert not any(self._check(reps))
+
+    def test_banded_lattice_family(self):
+        for ctx in generic_contexts():
+            special = special_epsilon_values(ctx)[8]
+            eps_values = (0.4, 0.25 + 0.1j, special, special + 2, special + 0.5)
+            results = self._check([t_a_epsilon(ctx, 0.3 + 0.2j, eps)
+                                   for eps in eps_values])
+            assert results == [True, True, False, False, True]
 
 
 class TestCyclicFamilies:
