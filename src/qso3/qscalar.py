@@ -170,7 +170,7 @@ class QContext:
         return self._level(1e4 * self.tol, magnitudes)
 
     def matching(self, *magnitudes: float) -> float:
-        """Invariant matching (fingerprints, subspaces, fits): 1000 tol."""
+        """Invariant matching (fingerprints, central-polynomial fits): 1000 tol."""
         return self._level(self.tol / 1e-3, magnitudes)  # exactly 1e-6 at the default
 
     def close(self, a, b) -> bool:

@@ -9,25 +9,20 @@ moved to the generator's eigenbasis and the results are mapped back.
 - The commutant and the intertwiners vanish between blocks of different
   weight, so their unknowns live only on matched blocks (sum of m_a * m_b
   instead of n_a * n_b) and the equations come from the other generators.
-- The algebra spanned by words in the generators contains the spectral
-  idempotents E_i of the first generator (they are polynomials in it), so
-  its dimension is the sum over block pairs of dim E_i A E_j.  Each piece
-  is grown by left multiplication with the block pieces of the other
-  generators, in ambient dimension m_i * m_j.  Full dimension n^2 means
-  irreducible over C; a span grown in ambient n^2 accumulates rounding until
-  it admits noise and calls reducible representations (the twisted weight
-  families at dimension 12 and up, Clebsch-Gordan products of dimension 24
-  and 30) irreducible.
+- Irreducibility is Norton's spin test (``is_irreducible``): a vector of
+  a simple weight is spun under the generators and under their adjoints,
+  and a spin that is not full yields the witness, a proper invariant
+  subspace.  ``burnside_dim`` (the algebra dimension) is evidence only.
 - Decomposition splits along eigenprojections of a random commutant
   element, drawn from a fixed-seed generator for reproducibility, block by
-  block, so component bases stay weight vectors and the recursion stays
-  blocked.
+  block, so component bases stay weight vectors, and spins the leaves.
 
 Every oracle takes a finite representation of either flavor (``I1, I2``
 or ``K, E, F``) and makes each cut at a level of its context's tolerance
 policy (``QContext``): eigenvalue clusters and rank cuts at
-``separation``, span growth at ``orbit_drop`` and ``algebra_drop``, split
-bases at ``invariance`` and fingerprints at ``matching``.
+``separation``, spins at ``orbit_drop``, the Burnside span at
+``algebra_drop``, split bases at ``invariance`` and fingerprints at
+``matching``.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CtxMismatch, SingularBasisChange
+from .errors import CtxMismatch, NoSolution, SingularBasisChange
 from .qscalar import QContext
 from .repcore import FamilyDescriptor, Sl2FiniteRep, So3FiniteRep, so3_i3
 
@@ -133,10 +128,8 @@ class _GrowingSpan:
     def add(self, vec: np.ndarray) -> bool:
         v = np.asarray(vec, dtype=complex).ravel()
         Q = self.rows[:self.size]
-        for _ in range(2):
-            if self.size:
-                # conj(Q) @ v without copying the basis
-                v = v - Q.T @ (Q @ v.conj()).conj()
+        for _ in range(2 if self.size else 0):
+            v = v - Q.T @ (Q @ v.conj()).conj()  # conj(Q) @ v without a copy
         nrm = np.linalg.norm(v)
         if nrm > self.drop_tol:
             self.rows[self.size] = v / nrm
@@ -145,70 +138,125 @@ class _GrowingSpan:
         return False
 
 
-def orbit_span(rep, seed: np.ndarray) -> np.ndarray:
-    """Smallest generator-invariant subspace containing the seed vector.
+def _coupled(g, blocks) -> list[tuple[int, int]]:
+    """Sorted (i, k) with a nonzero block g[blocks[i], blocks[k]], from the
+    nonzero entries of g; indices in no block are skipped."""
+    label = np.full(g.shape[0], -1)
+    for k, b in enumerate(blocks):
+        label[b] = k
+    rows, cols = (label[idx].tolist() for idx in np.nonzero(g))
+    return sorted({(i, k) for i, k in zip(rows, cols) if i >= 0 and k >= 0})
 
-    Returns an orthonormal basis (columns), grown by repeated generator
-    application with re-orthogonalization until the rank stabilizes.
-    """
-    gens = _gens(rep)
-    n = gens[0].shape[0]
-    span = _GrowingSpan(n, rep.ctx.orbit_drop(_scale(gens)))
-    v = np.asarray(seed, dtype=complex).ravel()
-    span.add(v)
-    frontier = [v / np.linalg.norm(v)]
-    while frontier:
+
+def _grow(gens, blocks, seeds, drop: float, cap: int):
+    """One span per weight block, grown from seeds [(k, block-k matrix with
+    w columns)], at most one per block, by left multiplication with the
+    blocks of gens[1:] for at most cap rounds.  Returns (spans, converged).
+    The frontier holds orthonormalized new directions, which keeps product
+    norms bounded by the generator scale."""
+    w = seeds[0][1].shape[1]
+    reach = [[] for _ in blocks]  # reach[k]: (i, G[i-block, k-block]) for G after the first
+    for g in gens[1:]:
+        for i, k in _coupled(g, blocks):
+            reach[k].append((i, g[np.ix_(blocks[i], blocks[k])]))
+    spans = [_GrowingSpan(len(b) * w, drop) for b in blocks]
+    frontier = [(k, spans[k].rows[0].reshape(-1, w)) for k, x in seeds if spans[k].add(x)]
+    while frontier and cap:
+        cap -= 1
         new = []
-        for vec in frontier:
-            for g in gens:
-                w = g @ vec
-                if span.add(w):
-                    new.append(span.rows[span.size - 1])
+        for k, mat in frontier:
+            for i, piece in reach[k]:
+                if spans[i].add(piece @ mat):
+                    new.append((i, spans[i].rows[spans[i].size - 1].reshape(-1, w)))
         frontier = new
-    return span.rows[:span.size].T.copy()
+    return spans, not frontier
 
 
-def burnside_dim(rep, max_rounds: int | None = None) -> tuple[int, bool]:
-    """Dimension of the algebra spanned by words in the generators.
+def _spin(gens, blocks, v, ctx: QContext) -> np.ndarray:
+    """Orthonormal columns spanning the smallest gens-invariant subspace
+    that contains v, in a weight frame.  An invariant subspace is the sum of
+    its weight components, so each block grows its own span from its part
+    of v: I1's spread of magnitudes never multiplies a vector."""
+    spans, _ = _grow(gens, blocks, [(k, v[b, None]) for k, b in enumerate(blocks)],
+                     ctx.orbit_drop(_scale(gens)), len(v))
+    return _block_columns(len(v), blocks, [sp.rows[:sp.size].T for sp in spans])
 
-    Returns (dimension, converged).  The dimension is the sum over weight
-    block pairs (i, j) of dim E_i A E_j, each grown by left multiplication
-    from E_j with the blocks of the other generators; ``max_rounds`` caps
-    the rounds of each column block (default 2 n^2).
+
+def _block_columns(n, blocks, cols) -> np.ndarray:
+    """n-row matrix with the columns of cols[k] on the rows of blocks[k]."""
+    out = np.zeros((n, sum(c.shape[1] for c in cols)), complex)
+    at = 0
+    for b, c in zip(blocks, cols):
+        out[b, at:at + c.shape[1]] = c
+        at += c.shape[1]
+    return out
+
+
+def _to_caller(basis, S) -> np.ndarray:
+    """Orthonormal columns in the caller's basis from a weight frame's S."""
+    return basis if S is None else np.linalg.qr(S @ basis)[0]
+
+
+def orbit_span(rep, seed: np.ndarray) -> np.ndarray:
+    """Orthonormal columns of the smallest invariant subspace with the seed."""
+    gens, vals, S = _weight_frame(rep)
+    v = np.asarray(seed, dtype=complex).ravel() if S is None else np.linalg.solve(S, seed)
+    return _to_caller(_spin(gens, _blocks(vals, rep.ctx), v / np.linalg.norm(v), rep.ctx), S)
+
+
+def burnside_dim(rep) -> tuple[int, bool]:
+    """(dimension, converged) of the algebra spanned by words in the
+    generators: the sum over weight block pairs (i, j) of dim E_i A E_j, each
+    grown from E_j for at most 2 n^2 rounds.  Evidence only, read by no
+    verdict: its rank decisions fail from about n = 72, where rounding on
+    deep frontiers passes ``algebra_drop`` (7922 for ``R1_l`` of dimension 90
+    at q = 1.3; 6951 for a T_l (x) T_l of dimension 100, whose algebra has 1330).
     """
     gens, vals, _ = _weight_frame(rep)
-    cap = max_rounds if max_rounds is not None else 2 * rep.dim ** 2
     drop = rep.ctx.algebra_drop(_scale(_gens(rep)))
     blocks = _blocks(vals, rep.ctx)
-    # reach[k]: (i, G[i-block, k-block]) for each other generator coupling k to i
-    reach = [[(i, piece) for g in gens[1:] for i, bi in enumerate(blocks)
-              if (piece := g[np.ix_(bi, bk)]).any()] for bk in blocks]
     total, converged = 0, True
     for j, bj in enumerate(blocks):
-        mj = len(bj)
-        spans = [_GrowingSpan(len(bi) * mj, drop) for bi in blocks]
-        # the frontier holds the orthonormalized new directions, which keeps
-        # product norms bounded by the generator scale
-        frontier = [(j, np.eye(mj, dtype=complex) / np.sqrt(mj))]
-        spans[j].add(frontier[0][1])
-        rounds = 0
-        while frontier and rounds < cap:
-            rounds += 1
-            new = []
-            for k, mat in frontier:
-                for i, piece in reach[k]:
-                    if spans[i].add(piece @ mat):
-                        new.append((i, spans[i].rows[spans[i].size - 1].reshape(-1, mj)))
-            frontier = new
+        seed = np.eye(len(bj), dtype=complex) / np.sqrt(len(bj))
+        spans, done = _grow(gens, blocks, [(j, seed)], drop, 2 * rep.dim ** 2)
         total += sum(s.size for s in spans)
-        converged = converged and not frontier
+        converged = converged and done
     return total, converged
 
 
-def is_irreducible_burnside(rep) -> tuple[bool, int]:
-    """(irreducible?, algebra dimension): irreducible iff the span is full."""
-    dim, converged = burnside_dim(rep)
-    return (converged and dim == rep.dim ** 2), dim
+def is_irreducible(rep) -> tuple[bool, np.ndarray | None]:
+    """Norton's spin test: (irreducible?, witness).  theta, an algebra
+    element with a one-line kernel (v on the right, w on the left), is I1
+    minus a simple weight (v = w = its weight vector), or else a fixed-seed
+    generator combination minus a simple eigenvalue.  A proper invariant
+    subspace contains v or has a quotient whose annihilator contains w, so
+    the representation is irreducible iff the spin of v under the
+    generators and that of w under their adjoints are both full.  Else the
+    witness is orthonormal columns of the right spin if proper, or of the
+    complement of the left spin.  NoSolution: no simple eigenvalue at all.
+    """
+    gens, vals, S = _weight_frame(rep)
+    ctx, n = rep.ctx, rep.dim
+    blocks = _blocks(vals, ctx)
+    simple = [b[0] for b in blocks if len(b) == 1]
+    if simple:
+        v = w = np.eye(n, dtype=complex)[simple[0]]
+    else:
+        rng = np.random.default_rng(DEFAULT_SEED)
+        theta = sum(rng.standard_normal() * g for g in gens)
+        evals = np.linalg.eigvals(theta)
+        simple = [b[0] for b in _blocks(evals, ctx) if len(b) == 1]
+        if not simple:
+            raise NoSolution("no simple eigenvalue to spin from")
+        u, _, vh = np.linalg.svd(theta - evals[simple[0]] * np.eye(n))
+        v, w = vh[-1].conj(), u[:, -1]
+    witness = _spin(gens, blocks, v, ctx)
+    if witness.shape[1] == n:
+        left = _spin([g.conj().T for g in gens], blocks, w, ctx)
+        if left.shape[1] == n:
+            return True, None
+        witness = np.linalg.qr(left, mode="complete")[0][:, left.shape[1]:]
+    return False, _to_caller(witness, S)
 
 
 def _block_solutions(ga, gb, pairs, ctx: QContext) -> list[np.ndarray]:
@@ -224,13 +272,10 @@ def _block_solutions(ga, gb, pairs, ctx: QContext) -> list[np.ndarray]:
     """
     sizes = [len(ib) * len(ia) for ia, ib in pairs]
     offs = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
-    eqs = []
-    for A, B in zip(ga[1:], gb[1:]):
-        for c, (ia_c, ib_c) in enumerate(pairs):
-            for d, (ia_d, ib_d) in enumerate(pairs):
-                A_cd, B_cd = A[np.ix_(ia_c, ia_d)], B[np.ix_(ib_c, ib_d)]
-                if A_cd.any() or B_cd.any():
-                    eqs.append((c, d, A_cd, B_cd))
+    eqs = [(c, d, A[np.ix_(pairs[c][0], pairs[d][0])], B[np.ix_(pairs[c][1], pairs[d][1])])
+           for A, B in zip(ga[1:], gb[1:])
+           for c, d in sorted({*_coupled(A, [ia for ia, _ in pairs]),
+                               *_coupled(B, [ib for _, ib in pairs])})]
     rows = np.zeros((sum(B_cd.shape[0] * A_cd.shape[1] for _, _, A_cd, B_cd in eqs),
                      offs[-1]), complex)
     at = 0
@@ -304,10 +349,7 @@ def are_equivalent(rep_a, rep_b, seed: int = DEFAULT_SEED) -> bool:
     combination of the intertwiner basis is tested for invertibility.
     """
     n = rep_a.dim
-    if n != rep_b.dim:
-        return False
-    dim, basis = intertwiners(rep_a, rep_b)
-    if dim == 0:
+    if n != rep_b.dim or not (basis := intertwiners(rep_a, rep_b)[1]):
         return False
     rng = np.random.default_rng(seed)
     cut = rep_a.ctx.separation()
@@ -320,19 +362,13 @@ def are_equivalent(rep_a, rep_b, seed: int = DEFAULT_SEED) -> bool:
 
 def _multiset_close(a, b, thr: float) -> bool:
     """Greedy nearest matching of (value, multiplicity) multisets."""
-    if len(a) != len(b):
-        return False
-    taken = [False] * len(b)
+    free = list(b)
     for v, m in a:
-        hit = None
-        for j, (v2, m2) in enumerate(b):
-            if not taken[j] and m2 == m and abs(v - v2) <= thr:
-                hit = j
-                break
+        hit = next((x for x in free if x[1] == m and abs(v - x[0]) <= thr), None)
         if hit is None:
             return False
-        taken[hit] = True
-    return True
+        free.remove(hit)
+    return not free
 
 
 @dataclass
@@ -377,7 +413,7 @@ class DecompositionReport:
     components: list[tuple[np.ndarray, object]]
     lattice: list[np.ndarray] = field(default_factory=list)
     commutant_dim: int = 0
-    burnside_dim: int = 0
+    burnside_dim: int | None = None
     is_irreducible: bool = False
     is_direct_sum: bool = False
     combined_condition: float | None = None
@@ -393,14 +429,14 @@ def invariance_defect(gens, Q) -> float:
     return max(float(np.max(np.abs(g @ Q - Q @ (Q.conj().T @ g @ Q)))) for g in gens)
 
 
-def _split_once(rep, rng, retries=5, com=None):
+def _split_once(rep, rng, com):
     """One commutant-driven split: returns list of orthonormal bases or None.
 
     The random commutant element is block-diagonal in the weight blocks; it
     is eigendecomposed block by block and each eigenvalue cluster is
     orthonormalized per block, so every basis column is a weight vector.
     """
-    cdim, cbasis = com if com is not None else commutant(rep)
+    cdim, cbasis = com
     if cdim <= 1:
         return None
     gens, ctx = _gens(rep), rep.ctx
@@ -410,7 +446,7 @@ def _split_once(rep, rng, retries=5, com=None):
     if S is not None:
         cbasis = [np.linalg.solve(S, X @ S) for X in cbasis]
     blocks = _blocks(vals, ctx)
-    for _ in range(retries):
+    for _ in range(5):  # fresh commutant elements before giving up
         Z = sum(rng.standard_normal() * X for X in cbasis)
         eigs = [np.linalg.eig(Z[np.ix_(b, b)]) for b in blocks]
         evals = np.concatenate([e for e, _ in eigs])
@@ -420,15 +456,8 @@ def _split_once(rep, rng, retries=5, com=None):
             continue
         bases = []
         for val, _count in groups:
-            Q = np.zeros((n, n), dtype=complex)
-            width = 0
-            for b, (e, v) in zip(blocks, eigs):
-                cols = np.abs(e - val) <= thr
-                if cols.any():
-                    Qb, _ = np.linalg.qr(v[:, cols])
-                    Q[b, width:width + Qb.shape[1]] = Qb
-                    width += Qb.shape[1]
-            Q = Q[:, :width] if S is None else np.linalg.qr(S @ Q[:, :width])[0]
+            Q = _to_caller(_block_columns(n, blocks, [
+                np.linalg.qr(v[:, np.abs(e - val) <= thr])[0] for e, v in eigs]), S)
             if invariance_defect(gens, Q) > max_defect:
                 break
             bases.append(Q)
@@ -439,82 +468,52 @@ def _split_once(rep, rng, retries=5, com=None):
 
 
 def _wrap_component(rep, gens_r):
-    fam = FamilyDescriptor("component", {"of": rep.family.name})
+    fam, flags = FamilyDescriptor("component", {"of": rep.family.name}), {"parent": rep.family}
     if isinstance(rep, So3FiniteRep):
         I1, I2 = gens_r
-        return So3FiniteRep(rep.ctx, I1, I2, so3_i3(rep.ctx, I1, I2), fam,
-                            {"parent": rep.family})
+        return So3FiniteRep(rep.ctx, I1, I2, so3_i3(rep.ctx, I1, I2), fam, flags)
     K, E, F = gens_r
-    return Sl2FiniteRep(rep.ctx, K, np.linalg.inv(K), E, F, fam, {"parent": rep.family})
+    return Sl2FiniteRep(rep.ctx, K, np.linalg.inv(K), E, F, fam, flags)
 
 
 def decompose(rep, seed: int = DEFAULT_SEED) -> DecompositionReport:
     """Full direct-sum decomposition with oracle evidence.
 
-    Splits recursively along commutant eigenprojections.  If the commutant
-    is trivial but the algebra span is not full (indecomposable reducible),
-    the invariant-subspace lattice found from orbit seeds is reported with
-    is_direct_sum = False.
+    Splits recursively along commutant eigenprojections, then spins only
+    the leaves (``is_irreducible``).  An unsplit reducible input is reported
+    with is_direct_sum = False and the spin's witness as its lattice.
+    ``burnside_dim`` is the algebra dimension implied by Wedderburn: n^2 if
+    irreducible, sum d_i^2 if every component is irreducible and the
+    commutant has one dimension per component, else None.
     """
     n = rep.dim
     rng = np.random.default_rng(seed)
     top_com = commutant(rep)
     cdim = top_com[0]
-    irr, bdim = is_irreducible_burnside(rep)
 
-    def recurse(sub, carrier, com=None):
-        bases = _split_once(sub, rng, com=com)
+    def recurse(sub, carrier, com):
+        bases = _split_once(sub, rng, com)
         if bases is None:
             return [(carrier, sub)]
         out = []
         for Q in bases:
             part = _wrap_component(rep, [Q.conj().T @ g @ Q for g in _gens(sub)])
-            out.extend(recurse(part, carrier @ Q))
+            out.extend(recurse(part, carrier @ Q, commutant(part)))
         return out
 
-    pieces = recurse(rep, np.eye(n, dtype=complex), com=top_com)
+    pieces = recurse(rep, np.eye(n, dtype=complex), top_com)
     if len(pieces) == 1:
+        irr, witness = is_irreducible(rep)
         if irr:
             return DecompositionReport(
-                components=[(np.eye(n, dtype=complex), rep)],
-                commutant_dim=cdim, burnside_dim=bdim,
+                components=pieces, commutant_dim=cdim, burnside_dim=n * n,
                 is_irreducible=True, is_direct_sum=True, combined_condition=1.0)
-        # reducible but not split: collect the invariant lattice from seeds
-        lattice = _invariant_lattice(rep)
-        return DecompositionReport(
-            components=[], lattice=lattice, commutant_dim=cdim,
-            burnside_dim=bdim, is_irreducible=False, is_direct_sum=False)
+        return DecompositionReport(components=[], lattice=[witness], commutant_dim=cdim)
     for _, comp in pieces:
-        comp.flags["component_irreducible"] = is_irreducible_burnside(comp)[0]
+        comp.flags["component_irreducible"] = is_irreducible(comp)[0]
+    simple = cdim == len(pieces) and all(c.flags["component_irreducible"] for _, c in pieces)
     cond = float(np.linalg.cond(np.column_stack([B for B, _ in pieces])))
     return DecompositionReport(
-        components=pieces, commutant_dim=cdim, burnside_dim=bdim,
-        is_irreducible=False, is_direct_sum=True, combined_condition=cond)
-
-
-def _invariant_lattice(rep) -> list[np.ndarray]:
-    """Proper invariant subspaces found from I1-eigenvector seeds."""
-    n, ctx = rep.dim, rep.ctx
-    evals, evecs = np.linalg.eig(_gens(rep)[0])
-    seeds = [evecs[:, i] for i in range(n)]
-    thr = ctx.separation(*np.abs(evals))
-    groups = cluster(evals, thr)
-    for val, count in groups:
-        if count < 2:
-            continue
-        cols = [i for i, e in enumerate(evals) if abs(e - val) <= thr]
-        sub = evecs[:, cols]
-        for t in np.linspace(0, 1, 5)[1:-1]:
-            for j in range(len(cols) - 1):
-                seeds.append(sub[:, j] * (1 - t) + sub[:, j + 1] * t)
-                seeds.append(sub[:, j] * (1 - t) + 1j * t * sub[:, j + 1])
-    found: list[np.ndarray] = []
-    for seed_vec in seeds:
-        B = orbit_span(rep, seed_vec)
-        d = B.shape[1]
-        # keep proper subspaces whose span is not found already
-        if d < n and not any(b.shape[1] == d and
-                             np.linalg.norm(b @ (b.conj().T @ B) - B) < ctx.matching()
-                             for b in found):
-            found.append(B)
-    return found
+        components=pieces, commutant_dim=cdim,
+        burnside_dim=sum(c.dim ** 2 for _, c in pieces) if simple else None,
+        is_direct_sum=True, combined_condition=cond)

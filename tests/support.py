@@ -10,7 +10,7 @@ from qso3.qscalar import (HalfInt, QContext, generic_ctx, q_pow, q_pow_c,
                           root_of_unity_ctx)
 from qso3 import uqsl2, uqso3
 from qso3.repcore import Sl2FiniteRep
-from qso3.structure import _gens, _GrowingSpan, _scale
+from qso3.structure import _gens, _GrowingSpan, _scale, invariance_defect
 
 GENERIC_QS = (1.3, 4.0, np.exp(0.37j))
 ROOT_PS = (3, 5, 7, 8)
@@ -169,6 +169,14 @@ def dense_burnside_dim(rep) -> tuple[int, bool]:
                     new.append(span.rows[span.size - 1].reshape(n, n))
         frontier = new
     return span.size, not frontier
+
+
+def is_proper_witness(rep, witness) -> bool:
+    """A spin witness has 0 < dim < n and is invariant within the context's
+    ``invariance`` level."""
+    gens = _gens(rep)
+    return 0 < witness.shape[1] < rep.dim and \
+        invariance_defect(gens, witness) <= rep.ctx.invariance(_scale(gens))
 
 
 def reference_is_extendable(rep):

@@ -12,14 +12,14 @@ import itertools
 import numpy as np
 import pytest
 
-from support import (banded_so3_samples, finite_sl2_samples,
-                     finite_so3_samples, rng_params, safe_lambda, weight_ls)
+from support import (banded_so3_samples, finite_sl2_samples, finite_so3_samples,
+                     is_proper_witness, rng_params, safe_lambda, weight_ls)
 from qso3.errors import BadParam, NotExtendable
 from qso3.psihom import compose, verify_psi
 from qso3.qscalar import HalfInt, generic_ctx, q_pow, root_of_unity_ctx
 from qso3.repcore import truncate_n, verify_sl2, verify_so3
-from qso3.structure import (are_equivalent, commutant, decompose, fingerprint,
-                            i1_spectrum, intertwiners, is_irreducible_burnside)
+from qso3.structure import (are_equivalent, burnside_dim, commutant, decompose,
+                            fingerprint, i1_spectrum, intertwiners, is_irreducible)
 from qso3.tensor import (cg_decompose, expected_sl2_tensor, expected_so3_tensor,
                          sl2_cg_check, tensor_so3)
 from qso3 import uqso3 as U
@@ -110,7 +110,7 @@ def test_criterion_4_twisted_split():
             assert report.component_dims == [n, n], l
             seen = set()
             for _, comp in report.components:
-                irr, _ = is_irreducible_burnside(comp)
+                irr, _ = is_irreducible(comp)
                 assert irr
                 hits = [(s1, s2) for s1 in (1, -1) for s2 in (1, -1)
                         if are_equivalent(comp, U.r_split_n(ctx, n, (s1, s2)))]
@@ -130,17 +130,18 @@ def test_criterion_4_twisted_split():
 
 
 def test_criterion_5_oracle_agreement():
-    """Full algebra span iff (trivial commutant and no proper invariant
-    subspace), over 100+ registry samples; reducible-flagged points test
+    """The spin verdict, the full algebra span and the trivial commutant
+    agree over 100+ registry samples; reducible-flagged points test
     reducible.  Indecomposable wrap-free chains pair a trivial commutant
-    with a genuine invariant subspace, which the lattice search witnesses."""
+    with a genuine invariant subspace, which the spin witnesses."""
     count = 0
     flagged = 0
     for ctx in (GENERIC[0], ROOTS[1], ROOTS[3]):
         for label, rep in finite_so3_samples(ctx) + finite_sl2_samples(ctx):
-            irr, bdim = is_irreducible_burnside(rep)
+            irr, witness = is_irreducible(rep)
             cdim = commutant(rep)[0]
-            assert irr == (bdim == rep.dim ** 2)
+            assert irr == (burnside_dim(rep) == (rep.dim ** 2, True)), label
+            assert irr or is_proper_witness(rep, witness), label
             if irr:
                 assert cdim == 1, label
             if cdim > 1:
@@ -280,7 +281,7 @@ def test_criterion_8a_nondegenerate_irreducible():
             if any(ctx.close(lam, v) for v in U.degenerate_lambdas(ctx)):
                 lam *= 1.1
             rep = U.r_ab_lambda(ctx, a, b, lam)
-            irr, _ = is_irreducible_burnside(rep)
+            irr, _ = is_irreducible(rep)
             assert irr, (p, a, b, lam)
             total += 1
     _report(8, f"(a) {total} non-degenerate cyclic samples all irreducible")
@@ -296,7 +297,7 @@ def test_criterion_8b_even_split():
     assert [c.dim for c in comps] == [2, 2]
     for c in comps:
         assert verify_so3(c).max_residual <= 1e-9
-        irr, _ = is_irreducible_burnside(c)
+        irr, _ = is_irreducible(c)
         assert irr
     assert not are_equivalent(comps[0], comps[1])
 
@@ -315,7 +316,7 @@ def test_criterion_8b_even_split():
 
     single = U.r_ab_degenerate(ctx, 0.5, 0.9, "plus")
     assert len(single) == 1 and single[0].flags["split"] is False
-    irr, _ = is_irreducible_burnside(single[0])
+    irr, _ = is_irreducible(single[0])
     assert irr
     _report(8, "(b) p=8 degenerate splits: {2,2} at the wrap-free point, "
                "{4,4} on the condition variety, none at generic parameters")
@@ -368,14 +369,14 @@ def test_criterion_8d_constant_cyclic_families():
         ctx = root_of_unity_ctx(p, 1)
         for lam in (2.0, 1.3 - 0.4j, 0.6 + 0.8j):
             rep = U.q_prime_lambda(ctx, lam)
-            irr, _ = is_irreducible_burnside(rep)
+            irr, _ = is_irreducible(rep)
             assert irr, (p, lam)
     for p in (5, 7, 8):
         ctx = root_of_unity_ctx(p, 1)
         reps = [U.q_root_components(ctx, d)
                 for d in U.q_root_component_descriptors(ctx, distinct=True)]
         for rep in reps:
-            irr, _ = is_irreducible_burnside(rep)
+            irr, _ = is_irreducible(rep)
             assert irr, (p, rep.family)
         pairs = 0
         for a, b in itertools.combinations(reps, 2):

@@ -106,6 +106,18 @@ class TestDecompose:
         assert data["component_dims"] == [3, 3]
         assert data["is_direct_sum"] is True
 
+    def test_indecomposable_chain(self, capsys):
+        # lambda = q^{3/2} at p = 10: an invariant line and no direct sum,
+        # so no algebra dimension is implied
+        code, out = run(capsys, "decompose", "--family", "R_ab_lambda", "--p", "10",
+                        "--k", "1", "--a", "0", "--b", "0",
+                        "--lambda", "0.5877852522924731+0.8090169943749472i")
+        assert code == 0
+        data = json.loads(out)
+        assert data["is_direct_sum"] is False and data["component_dims"] == []
+        assert data["burnside_dim"] is None
+        assert data["lattice_dims"] == [1]
+
 
 class TestEquiv:
     def test_split_signs_not_equivalent(self, capsys):

@@ -20,6 +20,7 @@ def test_root_unity_census_outside_repo(tmp_path):
     out = run_script("root_unity_census.py", "--p", "5", cwd=tmp_path)
     assert "=== p = 5" in out
     assert "irreducible" in out
+    assert "DISAGREE" not in out
 
 
 def test_degenerate_lambda_sweep_outside_repo(tmp_path):

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from support import (dense_burnside_dim, dense_commutant_dim, finite_so3_samples,
-                     finite_sl2_samples, generic_contexts, root_contexts)
+                     finite_sl2_samples, generic_contexts, is_proper_witness,
+                     root_contexts)
 from qso3.errors import CtxMismatch, SingularBasisChange
 from qso3.psihom import compose
 from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
 from qso3.structure import (are_equivalent, burnside_dim, commutant, decompose,
                             fingerprint, i1_spectrum, intertwiners,
-                            is_irreducible_burnside, orbit_span)
+                            is_irreducible, orbit_span)
 from qso3 import uqso3 as U
+from qso3.tensor import tensor_so3
 from qso3.uqsl2 import t_omega_l
 
 H = HalfInt.parse
@@ -58,8 +60,8 @@ class TestIrreducibilityOracles:
     def test_weight_families_irreducible(self, q13):
         for l in (0, H("1/2"), H("3/2"), H("9/2")):
             rep = U.r1_l(q13, l)
-            irr, dim = is_irreducible_burnside(rep)
-            assert irr and dim == rep.dim ** 2
+            assert is_irreducible(rep) == (True, None)
+            assert burnside_dim(rep) == (rep.dim ** 2, True)
             assert commutant(rep)[0] == 1
 
     def test_twisted_families_reducible(self, q13, q4):
@@ -69,19 +71,19 @@ class TestIrreducibilityOracles:
         for ctx in (q13, q4):
             for l in (H("1/2"), H("3/2"), H("5/2"), H("7/2"), H("9/2"), H("11/2")):
                 rep = U.r_pm_i_l(ctx, l, 1)
-                irr, dim = is_irreducible_burnside(rep)
-                assert not irr and dim == rep.dim ** 2 // 2, (ctx.q, l, dim)
+                irr, witness = is_irreducible(rep)
+                assert not irr and witness.shape[1] == rep.dim // 2, (ctx.q, l)
+                assert burnside_dim(rep) == (rep.dim ** 2 // 2, True), (ctx.q, l)
                 assert commutant(rep)[0] == 2
 
     def test_oracles_agree_across_registry(self, q13, p5, p8):
-        # full algebra span <=> trivial commutant AND no proper invariant
-        # subspace; indecomposable chains may pair a trivial commutant with
-        # reducibility, which the lattice search must then witness
+        # irreducible => trivial commutant; indecomposable chains may pair a
+        # trivial commutant with reducibility, which the spin then witnesses
         count = 0
         for ctx in (q13, p5, p8):
             samples = finite_so3_samples(ctx) + finite_sl2_samples(ctx)
             for label, rep in samples:
-                irr, _ = is_irreducible_burnside(rep)
+                irr, _ = is_irreducible(rep)
                 cdim = commutant(rep)[0]
                 if irr:
                     assert cdim == 1, (label, cdim)
@@ -99,17 +101,37 @@ class TestIrreducibilityOracles:
 
 class TestDenseReference:
     def test_blocked_matches_dense(self):
-        # the weight-blocked oracles against the full n^2 Kronecker system
-        # and the n^2 span, on every registry sample small enough for both
+        # the weight-blocked oracles and the spin verdict against the full
+        # n^2 Kronecker system and the n^2 span, on every registry sample
+        # small enough for both
         count = 0
         for ctx in generic_contexts() + root_contexts():
             for label, rep in finite_so3_samples(ctx) + finite_sl2_samples(ctx):
                 if rep.dim > 8:
                     continue
                 assert commutant(rep)[0] == dense_commutant_dim(rep), (ctx.q, label)
-                assert burnside_dim(rep) == dense_burnside_dim(rep), (ctx.q, label)
+                dense = dense_burnside_dim(rep)
+                assert burnside_dim(rep) == dense, (ctx.q, label)
+                irr, witness = is_irreducible(rep)
+                assert irr == (dense == (rep.dim ** 2, True)), (ctx.q, label)
+                assert irr or is_proper_witness(rep, witness), (ctx.q, label)
                 count += 1
         assert count >= 300
+
+    def test_no_simple_weight(self, q13, p8):
+        # every I1 weight is paired, so the spin starts from a simple
+        # eigenvalue of a fixed-seed combination of the generators
+        whole = U.r_pm_i_l(q13, H("5/2"), 1)
+        unsplit = U.r_ab_degenerate(p8, 0.5, 0.9, "plus")
+        assert len(unsplit) == 1
+        cases = [(whole, False), (unsplit[0], True),
+                 (U.q_prime_lambda(p8, complex(p8.s)), False)]
+        for rep, irreducible in cases:
+            assert all(m > 1 for _, m in i1_spectrum(rep))
+            irr, witness = is_irreducible(rep)
+            assert irr == irreducible == (dense_burnside_dim(rep) == (rep.dim ** 2, True))
+            assert irr or is_proper_witness(rep, witness)
+        assert is_irreducible(whole)[1].shape[1] == whole.dim // 2
 
 
 class TestWeightFrame:
@@ -121,7 +143,7 @@ class TestWeightFrame:
         other = np.array([[0.0, 0.0], [1.0, 0.0]], complex)
         rep = So3FiniteRep(q13, jordan, other, np.zeros((2, 2), complex),
                            FamilyDescriptor("jordan", {}), {})
-        for oracle in (commutant, burnside_dim):
+        for oracle in (commutant, burnside_dim, is_irreducible):
             with pytest.raises(SingularBasisChange):
                 oracle(rep)
 
@@ -142,6 +164,8 @@ class TestWeightFrame:
                 assert np.max(np.abs(X @ g - g @ X)) <= 1e-8
         assert burnside_dim(conj) == burnside_dim(rep)
         assert decompose(conj).component_dims == [2, 2]
+        irr, witness = is_irreducible(conj)
+        assert not irr and witness.shape[1] == 2 and is_proper_witness(conj, witness)
 
 
 class TestCommutant:
@@ -162,7 +186,7 @@ class TestDecompose:
         assert report.commutant_dim == 2
         assert report.combined_condition < 10
         for basis, comp in report.components:
-            irr, _ = is_irreducible_burnside(comp)
+            irr, _ = is_irreducible(comp)
             assert irr
             from qso3.repcore import verify_so3
 
@@ -222,7 +246,7 @@ class TestDecompose:
         a = U.r1_l(p8, 1)
         lam = complex(p8.s)  # eta_2 vanishes: the chain breaks
         b = U.r_ab_lambda(p8, 0, 0, lam)
-        assert not is_irreducible_burnside(b)[0]
+        assert not is_irreducible(b)[0]
         assert commutant(b)[0] == 1
         n = a.dim + b.dim
         mats = {}
@@ -238,6 +262,36 @@ class TestDecompose:
         flags = {comp.dim: comp.flags["component_irreducible"]
                  for _, comp in report.components}
         assert flags == {3: True, 4: False}
+
+
+class TestReportConsistency:
+    # the report's algebra dimension is the one its decomposition implies
+    # (Wedderburn), never a separate span that can contradict it
+
+    def test_near_degenerate_direct_sum(self, p8):
+        # lambda 1e-9 off the degenerate value: the blocked span called
+        # this [2, 2] direct sum with commutant 2 irreducible (16 = n^2)
+        lam = U.degenerate_lambdas(p8, True)[0] * (1 + 1e-9)
+        report = decompose(U.r_ab_lambda(p8, 0, 0, lam))
+        assert report.component_dims == [2, 2]
+        assert report.commutant_dim == 2
+        assert report.burnside_dim == 8
+
+    def test_large_product_is_sum_of_squares(self, q13):
+        # T_l (x) T_l at l = 9/2 (dimension 100) is one R1_l for each
+        # l = 0..9; the span lost rank decisions there and gave 6951
+        half = t_omega_l(q13, H("9/2"), 1)
+        report = decompose(tensor_so3(half, half))
+        assert report.component_dims == [2 * l + 1 for l in range(10)]
+        assert report.burnside_dim == sum((2 * l + 1) ** 2 for l in range(10)) == 1330
+
+    def test_indecomposable_chain_has_no_algebra_dim(self):
+        ctx = root_of_unity_ctx(10, 1)
+        rep = U.r_ab_lambda(ctx, 0, 0, complex(ctx.s) ** 3)
+        report = decompose(rep)
+        assert report.burnside_dim is None
+        assert [b.shape[1] for b in report.lattice] == [1]
+        assert is_proper_witness(rep, report.lattice[0])
 
 
 class TestIntertwiners:

@@ -8,7 +8,7 @@ from support import (finite_sl2_samples, generic_contexts, reference_is_extendab
 from qso3.errors import BadParam, BadRange, CtxMismatch
 from qso3.qscalar import HalfInt, generic_ctx, q_pow, root_of_unity_ctx
 from qso3.repcore import verify_sl2
-from qso3.structure import (are_equivalent, cluster, is_irreducible_burnside,
+from qso3.structure import (are_equivalent, burnside_dim, cluster, is_irreducible,
                             _multiset_close)
 from qso3.uqsl2 import (classify_epsilon, cyclic_dim, delta_tensor,
                         is_extendable, special_epsilon_values, t_a_epsilon,
@@ -200,7 +200,8 @@ class TestCyclicFamilies:
         for lam, bdim in ((1.0, 21), (p5.q, 19)):
             plain, tilde = t_ab_lambda(p5, 0, 0, lam), t_tilde_ab_lambda(p5, 0, 0, lam)
             assert plain.flags.get("reducible") and tilde.flags.get("reducible")
-            assert is_irreducible_burnside(tilde) == (False, bdim)
+            assert not is_irreducible(tilde)[0]
+            assert burnside_dim(tilde) == (bdim, True)
         assert not t_tilde_ab_lambda(p5, 0, 0, p5.q ** 2).flags.get("reducible")
 
     def test_prime_kills_lowering_at_zero(self, p5):

@@ -422,10 +422,10 @@ class TestDegenerateSplits:
         assert verify_so3(rep).max_residual <= 1e-10
         mults = sorted(m for _, m in i1_spectrum(rep))
         assert mults == [1, 2, 2]
-        from qso3.structure import commutant, is_irreducible_burnside
+        from qso3.structure import commutant, is_irreducible
 
         assert commutant(rep)[0] == 1
-        irr, _ = is_irreducible_burnside(rep)
+        irr, _ = is_irreducible(rep)
         assert not irr
 
 
