@@ -57,24 +57,36 @@ class TestOrbitSpan:
 
 
 class TestIrreducibilityOracles:
-    def test_weight_families_irreducible(self, q13):
-        for l in (0, H("1/2"), H("3/2"), H("9/2")):
-            rep = U.r1_l(q13, l)
-            assert is_irreducible(rep) == (True, None)
-            assert burnside_dim(rep) == (rep.dim ** 2, True)
+    def test_weight_families_irreducible(self, q13, q4):
+        # at q = 4 the chain coupling 1/(q^(l-1) + q^(1-l)) sits many orders
+        # below the largest entry [l]_q (2.4e-4 next to 4369 at l = 7); a
+        # spin dropping at the largest entry's level stopped short of it,
+        # and so does burnside_dim from l = 10
+        cases = [(q13, l) for l in (0, H("1/2"), H("3/2"), H("9/2"))] + \
+            [(q4, H(str(l))) for l in range(7, 11)]
+        for ctx, l in cases:
+            rep = U.r1_l(ctx, l)
+            assert is_irreducible(rep) == (True, None), (ctx.q, l)
             assert commutant(rep)[0] == 1
+            if ctx is q13:
+                assert burnside_dim(rep) == (rep.dim ** 2, True)
 
     def test_twisted_families_reducible(self, q13, q4):
         # two inequivalent halves of dimension n/2: the algebra has
         # dimension 2 (n/2)^2; a span grown in ambient n^2 reached n^2 at
-        # dimension 12 (q = 1.3) and 10 (q = 4)
+        # dimension 12 (q = 1.3) and 10 (q = 4).  From l = 15/2 at q = 4 the
+        # smallest coupling is below 1e-3 of the largest entry, where a
+        # spin dropping at the largest entry's level stopped at dimension 7
+        # and burnside_dim, which still does, falls short from l = 19/2
         for ctx in (q13, q4):
-            for l in (H("1/2"), H("3/2"), H("5/2"), H("7/2"), H("9/2"), H("11/2")):
-                rep = U.r_pm_i_l(ctx, l, 1)
+            for l in ("1/2", "3/2", "5/2", "7/2", "9/2", "11/2", "15/2", "19/2", "23/2"):
+                rep = U.r_pm_i_l(ctx, H(l), 1)
                 irr, witness = is_irreducible(rep)
                 assert not irr and witness.shape[1] == rep.dim // 2, (ctx.q, l)
-                assert burnside_dim(rep) == (rep.dim ** 2 // 2, True), (ctx.q, l)
+                assert is_proper_witness(rep, witness), (ctx.q, l)
                 assert commutant(rep)[0] == 2
+                if H(l) <= H("11/2"):
+                    assert burnside_dim(rep) == (rep.dim ** 2 // 2, True), (ctx.q, l)
 
     def test_oracles_agree_across_registry(self, q13, p5, p8):
         # irreducible => trivial commutant; indecomposable chains may pair a
@@ -143,7 +155,8 @@ class TestWeightFrame:
         other = np.array([[0.0, 0.0], [1.0, 0.0]], complex)
         rep = So3FiniteRep(q13, jordan, other, np.zeros((2, 2), complex),
                            FamilyDescriptor("jordan", {}), {})
-        for oracle in (commutant, burnside_dim, is_irreducible):
+        for oracle in (commutant, burnside_dim, is_irreducible,
+                       lambda r: orbit_span(r, np.ones(2, complex))):
             with pytest.raises(SingularBasisChange):
                 oracle(rep)
 
