@@ -260,6 +260,7 @@ def cmd_decompose(args):
     report = structure.decompose(rep, seed=args.seed)
     payload = {
         "component_dims": report.component_dims,
+        "casimir_values": report.casimir_values,
         "commutant_dim": report.commutant_dim,
         "burnside_dim": report.burnside_dim,
         "is_irreducible": report.is_irreducible,

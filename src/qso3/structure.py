@@ -13,9 +13,13 @@ moved to the generator's eigenbasis and the results are mapped back.
   a simple weight is spun under the generators and under their adjoints,
   and a spin that is not full yields the witness, a proper invariant
   subspace.  ``burnside_dim`` (the algebra dimension) is evidence only.
-- Decomposition splits along eigenprojections of a random commutant
-  element, drawn from a fixed-seed generator for reproducibility, block by
-  block, so component bases stay weight vectors, and spins the leaves.
+- Decomposition splits first along the eigenvalues of the quadratic
+  Casimir (``casimir``), a central element, into pieces that are sums of
+  isotypic components, so no commutant spans the whole of a product.
+  Inside each piece it splits along eigenprojections of a random commutant
+  element, drawn from a fixed-seed generator for reproducibility.  Both
+  splits go block by block, so component bases stay weight vectors, and
+  only the leaves are spun.
 
 Every oracle takes a finite representation of either flavor (``I1, I2``
 or ``K, E, F``) and makes each cut at a level of its context's tolerance
@@ -86,6 +90,23 @@ def i1_spectrum(rep) -> list[tuple[complex, int]]:
     (I1, or K on the sl2 side)."""
     vals, _ = _first_eig(_gens(rep)[0], rep.ctx)
     return cluster(vals, rep.ctx.separation(*np.abs(vals)))
+
+
+def casimir(rep) -> np.ndarray:
+    """The quadratic central element C, in the caller's basis.
+
+    so3 (Havlicek-Klimyk-Posta, math/9911130):
+    C = q^{1/2} (q - q^-1) I1 I2 I3 - q I1^2 - q^-1 I2^2 - q I3^2;
+    sl2: C = E F + (q^-1 K^2 + q K^-2) / (q - q^-1)^2.
+    C commutes with every generator, so it is a scalar on each irreducible
+    and block-diagonal in the weight blocks of the first generator.
+    """
+    q = rep.ctx.q
+    if isinstance(rep, So3FiniteRep):
+        I1, I2, I3 = rep.I1, rep.I2, rep.I3
+        return (rep.ctx.s * (q - 1 / q)) * I1 @ I2 @ I3 \
+            - q * I1 @ I1 - I2 @ I2 / q - q * I3 @ I3
+    return rep.E @ rep.F + (rep.K @ rep.K / q + q * rep.Kinv @ rep.Kinv) / (q - 1 / q) ** 2
 
 
 def _weight_frame(rep):
@@ -443,6 +464,13 @@ class DecompositionReport:
     def component_dims(self) -> list[int]:
         return sorted(b.shape[1] for b, _ in self.components)
 
+    @property
+    def casimir_values(self) -> list[complex]:
+        """Casimir value of each component (trace C / dim, its eigenvalue
+        where C is scalar), in ``component_dims`` order."""
+        comps = sorted((c for _, c in self.components), key=lambda c: c.dim)
+        return [complex(np.trace(casimir(c))) / c.dim for c in comps]
+
 
 def invariance_defect(gens, Q) -> float:
     """Largest entry of G Q - Q Q^H G Q: zero when the orthonormal columns
@@ -450,41 +478,48 @@ def invariance_defect(gens, Q) -> float:
     return max(float(np.max(np.abs(g @ Q - Q @ (Q.conj().T @ g @ Q)))) for g in gens)
 
 
-def _split_once(rep, rng, com):
-    """One commutant-driven split: returns list of orthonormal bases or None.
+def _split_along(rep, Z):
+    """Orthonormal bases of the eigenvalue clusters of Z, an element of the
+    commutant given in the caller's basis, or None when Z has one cluster
+    or a cluster basis fails the invariance or dimension-sum check.
 
-    The random commutant element is block-diagonal in the weight blocks; it
-    is eigendecomposed block by block and each eigenvalue cluster is
-    orthonormalized per block, so every basis column is a weight vector.
+    Z is block-diagonal in the weight blocks; it is eigendecomposed block
+    by block and each eigenvalue cluster is orthonormalized per block, so
+    every basis column is a weight vector.
     """
+    gens, ctx = _gens(rep), rep.ctx
+    n = gens[0].shape[0]
+    vals, S = _first_eig(gens[0], ctx)
+    if S is not None:
+        Z = np.linalg.solve(S, Z @ S)
+    blocks = _blocks(vals, ctx)
+    eigs = [np.linalg.eig(Z[np.ix_(b, b)]) for b in blocks]
+    evals = np.concatenate([e for e, _ in eigs])
+    thr = ctx.separation(*np.abs(evals))
+    groups = cluster(evals, thr)
+    if len(groups) <= 1:
+        return None
+    max_defect = ctx.invariance(_scale(gens))
+    bases = []
+    for val, _count in groups:
+        Q = _to_caller(_block_columns(n, blocks, [
+            np.linalg.qr(v[:, np.abs(e - val) <= thr])[0] for e, v in eigs]), S)
+        if invariance_defect(gens, Q) > max_defect:
+            return None
+        bases.append(Q)
+    return bases if sum(b.shape[1] for b in bases) == n else None
+
+
+def _split_once(rep, rng, com):
+    """One commutant-driven split: the bases of the first of up to five
+    random commutant elements that splits, or None."""
     cdim, cbasis = com
     if cdim <= 1:
         return None
-    gens, ctx = _gens(rep), rep.ctx
-    n = gens[0].shape[0]
-    max_defect = ctx.invariance(_scale(gens))
-    vals, S = _first_eig(gens[0], ctx)
-    if S is not None:
-        cbasis = [np.linalg.solve(S, X @ S) for X in cbasis]
-    blocks = _blocks(vals, ctx)
     for _ in range(5):  # fresh commutant elements before giving up
-        Z = sum(rng.standard_normal() * X for X in cbasis)
-        eigs = [np.linalg.eig(Z[np.ix_(b, b)]) for b in blocks]
-        evals = np.concatenate([e for e, _ in eigs])
-        thr = ctx.separation(*np.abs(evals))
-        groups = cluster(evals, thr)
-        if len(groups) <= 1:
-            continue
-        bases = []
-        for val, _count in groups:
-            Q = _to_caller(_block_columns(n, blocks, [
-                np.linalg.qr(v[:, np.abs(e - val) <= thr])[0] for e, v in eigs]), S)
-            if invariance_defect(gens, Q) > max_defect:
-                break
-            bases.append(Q)
-        else:
-            if sum(b.shape[1] for b in bases) == n:
-                return bases
+        bases = _split_along(rep, sum(rng.standard_normal() * X for X in cbasis))
+        if bases is not None:
+            return bases
     return None
 
 
@@ -501,17 +536,25 @@ def _wrap_component(rep, gens_r):
 def decompose(rep, seed: int = DEFAULT_SEED) -> DecompositionReport:
     """Full direct-sum decomposition with oracle evidence.
 
-    Splits recursively along commutant eigenprojections, then spins only
-    the leaves (``is_irreducible``).  An unsplit reducible input is reported
-    with is_direct_sum = False and the spin's witness as its lattice.
+    Splits first along the eigenvalue clusters of the Casimir (``casimir``)
+    into pieces that are sums of isotypic components; the whole
+    representation is the one piece when C is scalar within ``separation``
+    (every irreducible and indecomposable family, and roots of unity where
+    C does not separate) or its split fails a check.  Each piece is then
+    split recursively along commutant eigenprojections, and only the
+    leaves are spun (``is_irreducible``).  ``commutant_dim`` is the sum of
+    the piece commutant dimensions: intertwiners commute with C, so none
+    connects two pieces.  An unsplit reducible input is reported with
+    is_direct_sum = False and the spin's witness as its lattice.
     ``burnside_dim`` is the algebra dimension implied by Wedderburn: n^2 if
     irreducible, sum d_i^2 if every component is irreducible and the
     commutant has one dimension per component, else None.
     """
     n = rep.dim
     rng = np.random.default_rng(seed)
-    top_com = commutant(rep)
-    cdim = top_com[0]
+
+    def restrict(sub, Q):
+        return _wrap_component(rep, [Q.conj().T @ g @ Q for g in _gens(sub)])
 
     def recurse(sub, carrier, com):
         bases = _split_once(sub, rng, com)
@@ -519,23 +562,31 @@ def decompose(rep, seed: int = DEFAULT_SEED) -> DecompositionReport:
             return [(carrier, sub)]
         out = []
         for Q in bases:
-            part = _wrap_component(rep, [Q.conj().T @ g @ Q for g in _gens(sub)])
+            part = restrict(sub, Q)
             out.extend(recurse(part, carrier @ Q, commutant(part)))
         return out
 
-    pieces = recurse(rep, np.eye(n, dtype=complex), top_com)
-    if len(pieces) == 1:
+    C = casimir(rep)
+    scalar = np.max(np.abs(C - np.trace(C) / n * np.eye(n))) \
+        <= rep.ctx.separation(np.max(np.abs(C)))
+    split = None if scalar else _split_along(rep, C)
+    pieces = [(np.eye(n, dtype=complex), rep)] if split is None \
+        else [(Q, restrict(rep, Q)) for Q in split]
+    coms = [commutant(sub) for _, sub in pieces]
+    cdim = sum(dim for dim, _ in coms)
+    leaves = [leaf for (Q, sub), com in zip(pieces, coms) for leaf in recurse(sub, Q, com)]
+    if len(leaves) == 1:
         irr, witness = is_irreducible(rep)
         if irr:
             return DecompositionReport(
-                components=pieces, commutant_dim=cdim, burnside_dim=n * n,
+                components=leaves, commutant_dim=cdim, burnside_dim=n * n,
                 is_irreducible=True, is_direct_sum=True, combined_condition=1.0)
         return DecompositionReport(components=[], lattice=[witness], commutant_dim=cdim)
-    for _, comp in pieces:
+    for _, comp in leaves:
         comp.flags["component_irreducible"] = is_irreducible(comp)[0]
-    simple = cdim == len(pieces) and all(c.flags["component_irreducible"] for _, c in pieces)
-    cond = float(np.linalg.cond(np.column_stack([B for B, _ in pieces])))
+    simple = cdim == len(leaves) and all(c.flags["component_irreducible"] for _, c in leaves)
+    cond = float(np.linalg.cond(np.column_stack([B for B, _ in leaves])))
     return DecompositionReport(
-        components=pieces, commutant_dim=cdim,
-        burnside_dim=sum(c.dim ** 2 for _, c in pieces) if simple else None,
+        components=leaves, commutant_dim=cdim,
+        burnside_dim=sum(c.dim ** 2 for _, c in leaves) if simple else None,
         is_direct_sum=True, combined_condition=cond)

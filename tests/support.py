@@ -1,6 +1,7 @@
 """Shared helpers: parameter samplers over the family registry, the dense
-reference oracles the weight-blocked ones are checked against, and the
-scalar extendability scan the array one is checked against."""
+reference oracles the weight-blocked ones are checked against, the
+commutant-first decomposition the Casimir-first one is checked against,
+and the scalar extendability scan the array one is checked against."""
 
 from __future__ import annotations
 
@@ -10,7 +11,9 @@ from qso3.qscalar import (HalfInt, QContext, generic_ctx, q_pow, q_pow_c,
                           root_of_unity_ctx)
 from qso3 import uqsl2, uqso3
 from qso3.repcore import Sl2FiniteRep
-from qso3.structure import _blocks, _gens, _GrowingSpan, _scale, _weight_frame
+from qso3.structure import (DEFAULT_SEED, DecompositionReport, _blocks, _gens,
+                            _GrowingSpan, _scale, _split_once, _weight_frame,
+                            _wrap_component, commutant, is_irreducible)
 
 GENERIC_QS = (1.3, 4.0, np.exp(0.37j))
 ROOT_PS = (3, 5, 7, 8)
@@ -189,6 +192,43 @@ def is_proper_witness(rep, witness) -> bool:
                <= rep.ctx.invariance(np.max(np.abs(g[np.ix_(bi, bk)])))
                for g in gens for d in [(g - P @ g) @ P]
                for bi in blocks for bk in blocks)
+
+
+def reference_decompose(rep, seed: int = DEFAULT_SEED) -> DecompositionReport:
+    """``structure.decompose`` with no Casimir split: one commutant of the
+    whole representation, split recursively along commutant
+    eigenprojections, then a spin of each leaf."""
+    n = rep.dim
+    rng = np.random.default_rng(seed)
+    top_com = commutant(rep)
+    cdim = top_com[0]
+
+    def recurse(sub, carrier, com):
+        bases = _split_once(sub, rng, com)
+        if bases is None:
+            return [(carrier, sub)]
+        out = []
+        for Q in bases:
+            part = _wrap_component(rep, [Q.conj().T @ g @ Q for g in _gens(sub)])
+            out.extend(recurse(part, carrier @ Q, commutant(part)))
+        return out
+
+    pieces = recurse(rep, np.eye(n, dtype=complex), top_com)
+    if len(pieces) == 1:
+        irr, witness = is_irreducible(rep)
+        if irr:
+            return DecompositionReport(
+                components=pieces, commutant_dim=cdim, burnside_dim=n * n,
+                is_irreducible=True, is_direct_sum=True, combined_condition=1.0)
+        return DecompositionReport(components=[], lattice=[witness], commutant_dim=cdim)
+    for _, comp in pieces:
+        comp.flags["component_irreducible"] = is_irreducible(comp)[0]
+    simple = cdim == len(pieces) and all(c.flags["component_irreducible"] for _, c in pieces)
+    cond = float(np.linalg.cond(np.column_stack([B for B, _ in pieces])))
+    return DecompositionReport(
+        components=pieces, commutant_dim=cdim,
+        burnside_dim=sum(c.dim ** 2 for _, c in pieces) if simple else None,
+        is_direct_sum=True, combined_condition=cond)
 
 
 def reference_is_extendable(rep):

@@ -12,6 +12,8 @@ import pytest
 
 from qso3.cli import main, parse_complex, parse_family_spec, parse_signs
 from qso3.qscalar import generic_ctx
+from qso3.structure import casimir
+from qso3.uqso3 import r_split_n
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -106,6 +108,18 @@ class TestDecompose:
         assert data["component_dims"] == [3, 3]
         assert data["is_direct_sum"] is True
 
+    def test_casimir_values(self, capsys):
+        # one value per component, in component_dims order; the halves of
+        # R_{+-i} share the value of the split families they are
+        code, out = run(capsys, "decompose", "--family", "Ri_l", "--l", "5/2",
+                        "--q", "1.3", "--sign", "+")
+        assert code == 0
+        want = casimir(r_split_n(generic_ctx(q=1.3), 3, (1, 1)))[0, 0]
+        values = json.loads(out)["casimir_values"]
+        assert len(values) == 2
+        for re, im in values:
+            assert abs(complex(re, im) - want) <= 1e-9 * abs(want)
+
     def test_indecomposable_chain(self, capsys):
         # lambda = q^{3/2} at p = 10: an invariant line and no direct sum,
         # so no algebra dimension is implied
@@ -117,6 +131,7 @@ class TestDecompose:
         assert data["is_direct_sum"] is False and data["component_dims"] == []
         assert data["burnside_dim"] is None
         assert data["lattice_dims"] == [1]
+        assert data["casimir_values"] == []
 
 
 class TestEquiv:

@@ -1,20 +1,24 @@
 """Structure oracles: spectra, orbits, irreducibility, decomposition."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from support import (dense_burnside_dim, dense_commutant_dim, finite_so3_samples,
                      finite_sl2_samples, generic_contexts, is_proper_witness,
-                     root_contexts)
+                     reference_decompose, root_contexts)
+from qso3 import structure
 from qso3.errors import CtxMismatch, SingularBasisChange
 from qso3.psihom import compose
 from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
-from qso3.structure import (are_equivalent, burnside_dim, commutant, decompose,
-                            fingerprint, i1_spectrum, intertwiners,
-                            is_irreducible, orbit_span)
+from qso3.repcore import So3FiniteRep
+from qso3.structure import (_split_along, are_equivalent, burnside_dim, casimir,
+                            commutant, decompose, fingerprint, i1_spectrum,
+                            intertwiners, is_irreducible, orbit_span)
 from qso3 import uqso3 as U
-from qso3.tensor import tensor_so3
-from qso3.uqsl2 import t_omega_l
+from qso3.tensor import cg_decompose, tensor_so3
+from qso3.uqsl2 import delta_tensor, t_omega_l
 
 H = HalfInt.parse
 
@@ -275,6 +279,127 @@ class TestDecompose:
         flags = {comp.dim: comp.flags["component_irreducible"]
                  for _, comp in report.components}
         assert flags == {3: True, 4: False}
+
+
+def _all_generators(rep):
+    if isinstance(rep, So3FiniteRep):
+        return [rep.I1, rep.I2, rep.I3]
+    return [rep.K, rep.Kinv, rep.E, rep.F]
+
+
+class TestCasimir:
+    def test_central_on_registry(self):
+        # every finite sample, roots of unity included
+        count = 0
+        for ctx in generic_contexts() + root_contexts():
+            for label, rep in finite_so3_samples(ctx) + finite_sl2_samples(ctx):
+                C = casimir(rep)
+                for g in _all_generators(rep):
+                    comm = np.max(np.abs(C @ g - g @ C))
+                    assert comm <= ctx.matching(np.max(np.abs(C)) * np.max(np.abs(g))), \
+                        (ctx.q, label)
+                count += 1
+        assert count >= 500
+
+    def test_scalar_on_weight_families(self):
+        for ctx in generic_contexts() + root_contexts():
+            for label, rep in finite_so3_samples(ctx) + finite_sl2_samples(ctx):
+                if label.startswith(("R1_l", "Rsplit_n", "T_l")):
+                    C = casimir(rep)
+                    spread = np.max(np.abs(C - np.trace(C) / rep.dim * np.eye(rep.dim)))
+                    assert spread <= ctx.threshold(np.max(np.abs(C))), (ctx.q, label)
+
+    def test_commutes_with_central_poly(self):
+        # the two central elements at a root of unity: C and P(I1)
+        for ctx in root_contexts():
+            poly = U.central_poly(ctx)
+            for label, rep in finite_so3_samples(ctx):
+                C, P = casimir(rep), poly(rep.I1)
+                comm = np.max(np.abs(C @ P - P @ C))
+                assert comm <= ctx.matching(np.max(np.abs(C)) * np.max(np.abs(P))), \
+                    (ctx.p, label)
+
+
+def _fields(report):
+    return (report.component_dims, report.commutant_dim, report.burnside_dim,
+            report.is_irreducible, report.is_direct_sum,
+            sorted((c.dim, c.flags.get("component_irreducible"))
+                   for _, c in report.components),
+            [b.shape[1] for b in report.lattice])
+
+
+def _triple(ctx, factors):
+    (la, oa), (lb, ob), (lc, oc) = factors
+    ab = delta_tensor(t_omega_l(ctx, H(la), oa), t_omega_l(ctx, H(lb), ob))
+    return compose(delta_tensor(ab, t_omega_l(ctx, H(lc), oc)))
+
+
+class TestCasimirSplit:
+    def test_matches_commutant_first_reference(self):
+        # every registry sample and the sl2 products of T_l, l <= 2
+        cases = []
+        for ctx in generic_contexts() + root_contexts():
+            cases += [(ctx, label, rep)
+                      for label, rep in finite_so3_samples(ctx) + finite_sl2_samples(ctx)]
+        factors = [(HalfInt(t), w) for w in ("1", "-1") for t in range(5)] + \
+            [(H(l), "i") for l in ("1/2", "3/2")]
+        for ctx in generic_contexts():
+            for (la, oa), (lb, ob) in itertools.combinations_with_replacement(factors, 2):
+                cases.append((ctx, f"T_l[{la},{oa}] (x) T_l[{lb},{ob}]",
+                              delta_tensor(t_omega_l(ctx, la, oa), t_omega_l(ctx, lb, ob))))
+        for ctx, label, rep in cases:
+            assert _fields(decompose(rep)) == _fields(reference_decompose(rep)), \
+                (ctx.q, label)
+        assert len(cases) >= 700
+
+    @pytest.mark.parametrize("labels, table", [
+        (("1/2", "1/2", "1/2"), {"1/2": 2, "3/2": 1}),
+        (("1", "1", "1"), {"0": 1, "1": 3, "2": 2, "3": 1}),
+        (("1/2", "1", "3/2"), {"0": 1, "1": 2, "2": 2, "3": 1}),
+        (("2", "2", "2"), {"0": 1, "1": 3, "2": 5, "3": 4, "4": 3, "5": 2, "6": 1}),
+    ])
+    def test_multiplicities(self, q13, labels, table):
+        # pieces with multiplicity above 1 go through the in-piece commutant
+        prod = _triple(q13, [(l, "1") for l in labels])
+        report = cg_decompose(prod)
+        assert report.multiplicities == {f"R1_l[l={l}]": m for l, m in table.items()}
+        assert not report.unmatched_dims
+        assert decompose(prod).commutant_dim == sum(m * m for m in table.values())
+
+    def test_twisted_pair_shares_a_piece(self, q13):
+        # all four sign variants of Rsplit_n share one Casimir value, so
+        # each (+,+)/(+,-) pair is one piece, split by its commutant
+        prod = _triple(q13, [("1/2", "i"), ("1/2", "1"), ("1/2", "1")])
+        assert sorted(Q.shape[1] for Q in _split_along(prod, casimir(prod))) == [4, 4]
+        report = cg_decompose(prod)
+        assert report.multiplicities == {
+            "Rsplit_n[n=1,(+,+)]": 2, "Rsplit_n[n=1,(+,-)]": 2,
+            "Rsplit_n[n=2,(+,+)]": 1, "Rsplit_n[n=2,(+,-)]": 1}
+        assert not report.unmatched_dims
+        assert decompose(prod).commutant_dim == 10
+
+    def test_no_top_level_commutant(self, q13, monkeypatch):
+        # C has several clusters on a product, so no commutant is solved
+        # on the whole representation
+        solved = []
+        original = structure.commutant
+
+        def spy(rep):
+            solved.append(rep.dim)
+            return original(rep)
+
+        monkeypatch.setattr(structure, "commutant", spy)
+        prod = _triple(q13, [("1", "1"), ("1", "1"), ("1", "1")])
+        report = decompose(prod)
+        assert report.commutant_dim == 15
+        assert solved and max(solved) < prod.dim
+
+    def test_casimir_values(self, q13):
+        prod = _triple(q13, [("1/2", "1"), ("1/2", "1"), ("1/2", "1")])
+        report = decompose(prod)
+        want = {d: casimir(U.r1_l(q13, HalfInt(d - 1)))[0, 0] for d in (2, 4)}
+        assert report.component_dims == [2, 2, 4]
+        assert report.casimir_values == [pytest.approx(want[d]) for d in (2, 2, 4)]
 
 
 class TestReportConsistency:

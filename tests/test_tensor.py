@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from qso3.errors import NotExtendable, QAlgebraError
-from qso3.qscalar import HalfInt
+from qso3.qscalar import HalfInt, generic_ctx
 from qso3.repcore import verify_so3
+from qso3.structure import decompose
 from qso3.tensor import (cg_decompose, expected_sl2_tensor, expected_so3_tensor,
                          sl2_cg_check, tensor_so3)
 from qso3 import uqso3 as U
@@ -86,6 +87,32 @@ class TestCgSo3:
                           t_omega_l(q13, H("1/2"), "i"))
         table = cg_decompose(prod)
         assert table.multiplicities == {"R1_l[l=0]": 1, "R1_l[l=1]": 1}
+
+
+def _square(q: float, dim: int):
+    half = t_omega_l(generic_ctx(q=q), HalfInt(round(dim ** 0.5) - 1), 1)
+    return tensor_so3(half, half)
+
+
+class TestCeiling:
+    # T_l (x) T_l with omega = 1 is one R1_l for each l = 0..2L; split along
+    # the Casimir first, no commutant spans the whole product
+    @pytest.mark.parametrize("q, dim", [(1.3, 100), (1.3, 144), (1.3, 196)] +
+                             [(1.01, (2 * k) ** 2) for k in range(5, 13)])
+    def test_full_table(self, q, dim):
+        prod = _square(q, dim)
+        table = cg_decompose(prod)
+        L = HalfInt(round(dim ** 0.5) - 1)
+        assert table.multiplicities == expected_so3_tensor(1, 1, L, L)
+        assert not table.unmatched_dims
+
+    def test_dimension_256(self):
+        # every component is found; one of the 16 is not named, because the
+        # weight basis is badly conditioned there (cond 1.2e7)
+        prod = _square(1.3, 256)
+        report = decompose(prod)
+        assert len(report.components) == 16 and report.commutant_dim == 16
+        assert cg_decompose(prod).total_dim() == 256
 
 
 class TestCgSl2:
