@@ -8,7 +8,8 @@ moved to the generator's eigenbasis and the results are mapped back.
 
 - The commutant and the intertwiners vanish between blocks of different
   weight, so their unknowns live only on matched blocks (sum of m_a * m_b
-  instead of n_a * n_b) and the equations come from the other generators.
+  instead of n_a * n_b); the equations, one per entry of X A - B X for the
+  other generators, are filled in one scatter over the unknowns.
 - Irreducibility is Norton's spin test (``is_irreducible``): a vector of
   a simple weight is spun under the generators and under their adjoints,
   and a spin that is not full yields the witness, a proper invariant
@@ -148,6 +149,8 @@ class _GrowingSpan:
         self.level = level
 
     def add(self, vec: np.ndarray) -> bool:
+        if self.size == len(self.rows):  # full: only rounding would be left
+            return False
         v = np.asarray(vec, dtype=complex).ravel()
         drop = self.level(np.linalg.norm(v))
         Q = self.rows[:self.size]
@@ -184,7 +187,7 @@ def _grow(gens, blocks, seeds, level, cap: int):
     reach = [[] for _ in blocks]  # reach[k]: (i, G[i-block, k-block]) for G after the first
     for g in gens[1:]:
         for i, k in _coupled(g, blocks):
-            reach[k].append((i, g[np.ix_(blocks[i], blocks[k])]))
+            reach[k].append((i, g[blocks[i][:, None], blocks[k]]))
     spans = [_GrowingSpan(len(b) * w, level) for b in blocks]
     frontier = [(k, spans[k].rows[0].reshape(-1, w)) for k, x in seeds if spans[k].add(x)]
     while frontier and cap:
@@ -297,37 +300,40 @@ def _block_solutions(ga, gb, pairs, ctx: QContext) -> list[np.ndarray]:
     where X (nb x na) is zero outside the matched weight blocks: pairs[c] =
     (A indices, B indices) carries the unknown block X[B_c, A_c].
 
-    Block (c, d) of the equation reads X_c A_cd - B_cd X_d = 0; in row-major
-    vectorization its coefficients are I (x) A_cd^T and B_cd (x) I, built per
-    block.  The rank cut is the separation level relative to the largest
-    singular value (and at least 1), so near-zero generators count as
-    commuting with everything.
+    Unknown u is X[r_u, c_u], block by block and row-major inside a block.
+    In the equation X A_t - B_t X = 0 it has coefficient A_t[c_u, j] in
+    entry (r_u, j) and -B_t[i, r_u] in entry (i, c_u); one scatter over all
+    unknowns fills one row per entry (t, i, j) with a nonzero coefficient,
+    at a matched weight or not.  The rank cut is the separation level
+    relative to the largest singular value (and at least 1), so near-zero
+    generators count as commuting with everything.
     """
-    sizes = [len(ib) * len(ia) for ia, ib in pairs]
-    offs = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
-    eqs = [(c, d, A[np.ix_(pairs[c][0], pairs[d][0])], B[np.ix_(pairs[c][1], pairs[d][1])])
-           for A, B in zip(ga[1:], gb[1:])
-           for c, d in sorted({*_coupled(A, [ia for ia, _ in pairs]),
-                               *_coupled(B, [ib for _, ib in pairs])})]
-    rows = np.zeros((sum(B_cd.shape[0] * A_cd.shape[1] for _, _, A_cd, B_cd in eqs),
-                     offs[-1]), complex)
-    at = 0
-    for c, d, A_cd, B_cd in eqs:
-        mb, ma = B_cd.shape[0], A_cd.shape[1]
-        rows[at:at + mb * ma, offs[c]:offs[c + 1]] += np.einsum(
-            "ik,lj->ijkl", np.eye(mb), A_cd).reshape(mb * ma, -1)
-        rows[at:at + mb * ma, offs[d]:offs[d + 1]] -= np.einsum(
-            "ik,lj->ijkl", B_cd, np.eye(ma)).reshape(mb * ma, -1)
-        at += mb * ma
+    if not pairs:
+        return []
+    r = np.concatenate([np.repeat(ib, len(ia)) for ia, ib in pairs])
+    c = np.concatenate([np.tile(ia, len(ib)) for ia, ib in pairs])
+    nb, na = gb[0].shape[0], ga[0].shape[0]
+    keys, unknowns, coeffs = [], [], []
+    for t, (A, B) in enumerate(zip(ga[1:], gb[1:])):
+        Ac, Br = A[c], B[:, r]
+        u, j = np.nonzero(Ac)
+        keys.append((t * nb + r[u]) * na + j)
+        unknowns.append(u)
+        coeffs.append(Ac[u, j])
+        i, u = np.nonzero(Br)
+        keys.append((t * nb + i) * na + c[u])
+        unknowns.append(u)
+        coeffs.append(-Br[i, u])
+    entries, row = np.unique(np.concatenate(keys), return_inverse=True)
+    rows = np.zeros((len(entries), len(r)), complex)
+    np.add.at(rows, (row, np.concatenate(unknowns)), np.concatenate(coeffs))
     _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
     thr = ctx.separation(*s[:1])  # relative to the largest singular value
-    null_count = int(np.sum(s <= thr)) + (offs[-1] - len(s))
+    null_count = int(np.sum(s <= thr)) + (len(r) - len(s))
     basis = []
     for k in range(null_count):
-        x = vh[-(k + 1)].conj()
-        X = np.zeros((gb[0].shape[0], ga[0].shape[0]), complex)
-        for c, (ia, ib) in enumerate(pairs):
-            X[np.ix_(ib, ia)] = x[offs[c]:offs[c + 1]].reshape(len(ib), len(ia))
+        X = np.zeros((nb, na), complex)
+        X[r, c] = vh[-(k + 1)].conj()
         basis.append(X)
     return basis
 
@@ -493,7 +499,7 @@ def _split_along(rep, Z):
     if S is not None:
         Z = np.linalg.solve(S, Z @ S)
     blocks = _blocks(vals, ctx)
-    eigs = [np.linalg.eig(Z[np.ix_(b, b)]) for b in blocks]
+    eigs = [np.linalg.eig(Z[b[:, None], b]) for b in blocks]
     evals = np.concatenate([e for e, _ in eigs])
     thr = ctx.separation(*np.abs(evals))
     groups = cluster(evals, thr)

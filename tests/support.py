@@ -11,9 +11,10 @@ from qso3.qscalar import (HalfInt, QContext, generic_ctx, q_pow, q_pow_c,
                           root_of_unity_ctx)
 from qso3 import uqsl2, uqso3
 from qso3.repcore import Sl2FiniteRep
-from qso3.structure import (DEFAULT_SEED, DecompositionReport, _blocks, _gens,
-                            _GrowingSpan, _scale, _split_once, _weight_frame,
-                            _wrap_component, commutant, is_irreducible)
+from qso3.structure import (DEFAULT_SEED, DecompositionReport, _blocks, _coupled,
+                            _gens, _GrowingSpan, _scale, _split_once,
+                            _weight_frame, _wrap_component, commutant,
+                            is_irreducible)
 
 GENERIC_QS = (1.3, 4.0, np.exp(0.37j))
 ROOT_PS = (3, 5, 7, 8)
@@ -151,6 +152,44 @@ def dense_commutant_dim(rep) -> int:
     s = np.linalg.svd(A, compute_uv=False)
     thr = rep.ctx.separation(*s[:1])
     return int(np.sum(s <= thr)) + (n * n - len(s))
+
+
+def reference_block_solutions(ga, gb, pairs, ctx: QContext) -> list[np.ndarray]:
+    """``structure._block_solutions`` assembled block pair by block pair.
+
+    Block (c, d) of X A_j = B_j X reads X_c A_cd - B_cd X_d = 0; in row-major
+    vectorization its coefficients are I (x) A_cd^T and B_cd (x) I, built per
+    coupled pair (c, d) of matched blocks, so equations at weights that no
+    block matches are left out.  Same unknown order, rank cut and null count
+    as the scatter assembly.
+    """
+    sizes = [len(ib) * len(ia) for ia, ib in pairs]
+    offs = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
+    eqs = [(c, d, A[np.ix_(pairs[c][0], pairs[d][0])], B[np.ix_(pairs[c][1], pairs[d][1])])
+           for A, B in zip(ga[1:], gb[1:])
+           for c, d in sorted({*_coupled(A, [ia for ia, _ in pairs]),
+                               *_coupled(B, [ib for _, ib in pairs])})]
+    rows = np.zeros((sum(B_cd.shape[0] * A_cd.shape[1] for _, _, A_cd, B_cd in eqs),
+                     offs[-1]), complex)
+    at = 0
+    for c, d, A_cd, B_cd in eqs:
+        mb, ma = B_cd.shape[0], A_cd.shape[1]
+        rows[at:at + mb * ma, offs[c]:offs[c + 1]] += np.einsum(
+            "ik,lj->ijkl", np.eye(mb), A_cd).reshape(mb * ma, -1)
+        rows[at:at + mb * ma, offs[d]:offs[d + 1]] -= np.einsum(
+            "ik,lj->ijkl", B_cd, np.eye(ma)).reshape(mb * ma, -1)
+        at += mb * ma
+    _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    thr = ctx.separation(*s[:1])  # relative to the largest singular value
+    null_count = int(np.sum(s <= thr)) + (offs[-1] - len(s))
+    basis = []
+    for k in range(null_count):
+        x = vh[-(k + 1)].conj()
+        X = np.zeros((gb[0].shape[0], ga[0].shape[0]), complex)
+        for c, (ia, ib) in enumerate(pairs):
+            X[np.ix_(ib, ia)] = x[offs[c]:offs[c + 1]].reshape(len(ib), len(ia))
+        basis.append(X)
+    return basis
 
 
 def dense_burnside_dim(rep) -> tuple[int, bool]:

@@ -7,7 +7,7 @@ import pytest
 
 from support import (dense_burnside_dim, dense_commutant_dim, finite_so3_samples,
                      finite_sl2_samples, generic_contexts, is_proper_witness,
-                     reference_decompose, root_contexts)
+                     reference_block_solutions, reference_decompose, root_contexts)
 from qso3 import structure
 from qso3.errors import CtxMismatch, SingularBasisChange
 from qso3.psihom import compose
@@ -17,7 +17,7 @@ from qso3.structure import (_split_along, are_equivalent, burnside_dim, casimir,
                             commutant, decompose, fingerprint, i1_spectrum,
                             intertwiners, is_irreducible, orbit_span)
 from qso3 import uqso3 as U
-from qso3.tensor import cg_decompose, tensor_so3
+from qso3.tensor import _so3_candidates, cg_decompose, tensor_so3
 from qso3.uqsl2 import delta_tensor, t_omega_l
 
 H = HalfInt.parse
@@ -458,6 +458,12 @@ class TestIntertwiners:
         with pytest.raises(CtxMismatch):
             intertwiners(U.r1_l(q13, 1), U.r1_l(q4, 1))
 
+    def test_schur_across_dimensions(self, q13):
+        # the weight-0 vector of R1_0 meets the weight-0 vector of R1_1;
+        # only the equation at R1_1's weights +-1 rules the map out
+        for la, lb in itertools.product(range(3), repeat=2):
+            assert intertwiners(U.r1_l(q13, la), U.r1_l(q13, lb))[0] == (la == lb)
+
 
 class TestTolerancePolicy:
     @pytest.mark.parametrize("tol, eps", [(1e-6, 1e-7), (1e-9, 1e-9)])
@@ -534,3 +540,126 @@ class TestEquivalenceDecisions:
                                 FamilyDescriptor("conj", {}), {})
             assert are_equivalent(rep, conj)
             assert not are_equivalent(U.r_split_n(q13, n, (1, 1)), conj)
+
+
+def _reference(oracle, *reps):
+    """The oracle with ``_block_solutions`` replaced by the block-pair
+    assembly of ``support.reference_block_solutions``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_block_solutions", reference_block_solutions)
+        return oracle(*reps)
+
+
+def _same_solutions(oracle, *reps) -> int:
+    """Assert that the scatter and the block-pair assembly give the same
+    null count and the same solution subspace, and return the count.  The
+    two order their equations differently, so the subspaces are compared
+    through the orthogonal projectors on vec(X), not vector by vector."""
+    (dim, basis), (ref_dim, ref_basis) = oracle(*reps), _reference(oracle, *reps)
+    assert dim == ref_dim
+    if dim:
+        P, R = (_projector(b) for b in (basis, ref_basis))
+        assert np.max(np.abs(P - R)) <= 1e-8
+    return dim
+
+
+def _projector(basis):
+    Q = np.linalg.qr(np.column_stack([X.ravel() for X in basis]))[0]
+    return Q @ Q.conj().T
+
+
+def _max_defect(X, rep_a, rep_b):
+    """Largest entry of X A - B X over the generators of the two reps."""
+    return max(float(np.max(np.abs(X @ A - B @ X)))
+               for A, B in zip(structure._gens(rep_a), structure._gens(rep_b)))
+
+
+_PRODUCTS = [(("1/2", "1"), ("1/2", "1")), (("1", "1"), ("1", "1")),
+             (("1/2", "1"), ("3/2", "1")), (("3/2", "-1"), ("1", "-1")),
+             (("1/2", "i"), ("1", "1"))]
+
+
+def _product(ctx, factors):
+    (la, oa), (lb, ob) = factors
+    return tensor_so3(t_omega_l(ctx, H(la), oa), t_omega_l(ctx, H(lb), ob))
+
+
+class TestBlockAssembly:
+    """``_block_solutions`` (one scatter over all unknowns) against the
+    block-pair assembly it replaced."""
+
+    def test_commutant_matches_reference(self):
+        count = 0
+        for ctx in generic_contexts() + root_contexts():
+            for label, rep in finite_so3_samples(ctx) + finite_sl2_samples(ctx):
+                _same_solutions(commutant, rep)
+                count += 1
+        assert count >= 500
+
+    @pytest.mark.parametrize("factors", _PRODUCTS)
+    def test_named_candidate_and_the_others(self, q13, factors):
+        # one map into the candidate cg_decompose names, none into the rest
+        prod = _product(q13, factors)
+        named = cg_decompose(prod).multiplicities
+        for _, comp in decompose(prod).components:
+            dims = {name: _same_solutions(intertwiners, comp, cand)
+                    for name, cand in _so3_candidates(q13, comp.dim)}
+            hits = [name for name, d in dims.items() if d]
+            assert len(hits) == 1 and dims[hits[0]] == 1 and hits[0] in named
+            assert len(dims) > 1
+
+    def test_disjoint_spectra(self, q13):
+        # no weight of R1_1 is a weight of Rsplit_3: no matched block
+        a, b = U.r1_l(q13, 1), U.r_split_n(q13, 3, (1, 1))
+        assert not {v for v, _ in i1_spectrum(a)} & {v for v, _ in i1_spectrum(b)}
+        assert intertwiners(a, b) == (0, [])
+        assert _same_solutions(intertwiners, a, b) == 0
+
+    @pytest.mark.parametrize("factors", _PRODUCTS[:3] + [
+        (("1/2", "1"), ("1/2", "1"), ("1/2", "1"))])
+    def test_component_into_its_product(self, q13, factors):
+        # a rectangular X (d x n): as many maps as copies of the component.
+        # The block-pair assembly drops the equations at weights no block
+        # matches, so it over-counts the trivial component (weight 0 alone):
+        # it is compared only for d > 1
+        prod = _product(q13, factors) if len(factors) == 2 else _triple(q13, factors)
+        report = decompose(prod)
+        for _, comp in report.components:
+            copies = report.component_dims.count(comp.dim)
+            dim, basis = intertwiners(comp, prod)
+            assert dim == copies
+            assert all(X.shape == (prod.dim, comp.dim) for X in basis)
+            assert max(_max_defect(X, comp, prod) for X in basis) <= 1e-8
+            if comp.dim > 1:
+                assert _same_solutions(intertwiners, comp, prod) == copies
+
+
+_DEGENERATE_EPS = (0, 1e-3, 1e-5, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12)
+
+
+class TestDegeneracyWalk:
+    """Walks to the loci where the commutant rank cut decides: the cyclic
+    family at its fully paired lambda, and R1_l as q -> 1.  The scatter
+    and the block-pair assembly order their equations differently, and
+    these cuts are where a reordering could move a verdict."""
+
+    @pytest.mark.parametrize("p", (8, 12, 16))
+    @pytest.mark.parametrize("eps", _DEGENERATE_EPS)
+    def test_degenerate_lambda(self, p, eps):
+        ctx = root_of_unity_ctx(p, 1)
+        lam = U.degenerate_lambdas(ctx, True)[0] * (1 + eps)
+        rep = U.r_ab_lambda(ctx, 0, 0, lam)
+        # within separation of the degenerate value the pairs split
+        split = eps <= 1e-9
+        assert _same_solutions(commutant, rep) == (2 if split else 1)
+        dims = decompose(rep).component_dims
+        assert dims == _reference(decompose, rep).component_dims
+        assert dims == ([p // 4, p // 4] if split else [p // 2])
+
+    @pytest.mark.parametrize("l", (3, 7))
+    @pytest.mark.parametrize("q", (1.1, 1.01, 1.001, 1.0001, 1.00001))
+    def test_r1_l_towards_q_one(self, l, q):
+        rep = U.r1_l(generic_ctx(q), l)
+        assert _same_solutions(commutant, rep) == 1
+        dims = decompose(rep).component_dims
+        assert dims == _reference(decompose, rep).component_dims == [2 * l + 1]
