@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyWindow
-from .qscalar import HalfInt, QContext, as_complex, magnitude_scale, q_pow
+from .qscalar import HalfInt, QContext, as_complex, ctx_to_json, magnitude_scale, q_pow
 
 CoeffFn = Callable[[int], complex]
 HALF = HalfInt(1)  # the half-integer 1/2
@@ -149,6 +149,7 @@ class TruncatedRep:
     the representation's domain.
     """
 
+    ctx: QContext
     labels: np.ndarray
     ns: np.ndarray
     matrices: dict[str, np.ndarray]
@@ -185,7 +186,7 @@ def truncate_n(rep: BandedRep, n_lo: int, n_hi: int) -> TruncatedRep:
             for m in range(int(n) - 2, int(n) + 3))
         for n in ns
     ])
-    return TruncatedRep(labels=labels, ns=ns, interior=interior,
+    return TruncatedRep(ctx=rep.ctx, labels=labels, ns=ns, interior=interior,
                         matrices=materialize(rep.bands, n_lo, n_hi))
 
 
@@ -315,11 +316,29 @@ def _verify_window(rep: BandedRep, window: int) -> TruncatedRep:
     return truncate_n(rep, n_lo, n_hi)
 
 
-def _matrix_entry_list(mat: np.ndarray) -> list:
-    """Rows of [re, im] float pairs; any memory layout (solve images are
-    transposed views)."""
-    pairs = np.ascontiguousarray(mat, dtype=complex).view(float)
-    return pairs.reshape(*mat.shape, 2).tolist()
+def _pairs(values: np.ndarray) -> list:
+    """[re, im] float pairs of a 1-d complex array, in one ``tolist()``."""
+    return np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+
+def _matrix_diagonals(mat: np.ndarray) -> dict:
+    """A square matrix as its nonzero diagonals: diagonal k (offsets ascending)
+    holds mat[i, i + k] in ``np.diagonal`` order; any memory layout."""
+    rows, cols = np.nonzero(mat)
+    offsets = np.unique(cols - rows).tolist()
+    return {"dim": mat.shape[0], "offsets": offsets,
+            "diagonals": [_pairs(np.diagonal(mat, k)) for k in offsets]}
+
+
+def matrix_from_json(entry: dict) -> np.ndarray:
+    """The dense complex matrix of one dumped ``{"dim", "offsets", "diagonals"}``
+    entry of ``rep_to_json``; entries off the stored diagonals are 0."""
+    n = entry["dim"]
+    mat = np.zeros((n, n), dtype=complex)
+    for k, diagonal in zip(entry["offsets"], entry["diagonals"]):
+        i = np.arange(n - abs(k))
+        mat[i + max(-k, 0), i + max(k, 0)] = np.array(diagonal, dtype=float).view(complex)[:, 0]
+    return mat
 
 
 def _param_json(value):
@@ -334,34 +353,24 @@ def _param_json(value):
 
 def rep_to_json(rep: So3FiniteRep | Sl2FiniteRep | TruncatedRep,
                 family: FamilyDescriptor | None = None) -> dict:
-    """JSON-ready dump: family, params, ctx, row-major matrices of [re, im] pairs."""
-    from .qscalar import ctx_to_json
-
+    """JSON-ready dump: family, params, ctx, and each matrix as its nonzero
+    diagonals (``matrix_from_json`` reads one back); a truncation adds its
+    labels as [re, im] pairs."""
     if isinstance(rep, TruncatedRep):
-        out = {
-            "family": family.name if family else "truncation",
-            "params": {k: _param_json(v) for k, v in (family.params if family else {}).items()},
-            "truncated": True,
-            "labels": [[z.real, z.imag] for z in rep.labels],
-            "matrices": {k: _matrix_entry_list(v) for k, v in rep.matrices.items()},
-        }
-        return out
-    fam = family or rep.family
+        fam, mats, flags = family or FamilyDescriptor("truncation"), rep.matrices, {}
+    else:
+        names = ("I1", "I2", "I3") if isinstance(rep, So3FiniteRep) else ("K", "Kinv", "E", "F")
+        fam, mats, flags = family or rep.family, {k: getattr(rep, k) for k in names}, rep.flags
     out = {
         "family": fam.name,
         "params": {k: _param_json(v) for k, v in fam.params.items()},
         "ctx": ctx_to_json(rep.ctx),
     }
-    if isinstance(rep, So3FiniteRep):
-        out["matrices"] = {"I1": _matrix_entry_list(rep.I1),
-                           "I2": _matrix_entry_list(rep.I2),
-                           "I3": _matrix_entry_list(rep.I3)}
-    else:
-        out["matrices"] = {"K": _matrix_entry_list(rep.K),
-                           "Kinv": _matrix_entry_list(rep.Kinv),
-                           "E": _matrix_entry_list(rep.E),
-                           "F": _matrix_entry_list(rep.F)}
-    if rep.flags:
-        out["flags"] = {k: _param_json(v) for k, v in rep.flags.items()
+    if isinstance(rep, TruncatedRep):
+        out["truncated"] = True
+        out["labels"] = _pairs(rep.labels)
+    out["matrices"] = {k: _matrix_diagonals(v) for k, v in mats.items()}
+    if flags:
+        out["flags"] = {k: _param_json(v) for k, v in flags.items()
                         if isinstance(v, (bool, int, float, str, complex, list, tuple))}
     return out

@@ -300,5 +300,5 @@ def reference_is_extendable(rep):
 
 
 def reference_matrix_entry_list(mat) -> list:
-    """``repcore._matrix_entry_list`` entry by entry: rows of [re, im]."""
+    """The dense dump layout, entry by entry: rows of [re, im] pairs."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]

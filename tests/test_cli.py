@@ -8,12 +8,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qso3.cli import main, parse_complex, parse_family_spec, parse_signs
-from qso3.qscalar import generic_ctx
+from qso3.qscalar import HalfInt, ctx_from_json, generic_ctx
+from qso3.repcore import matrix_from_json
 from qso3.structure import casimir
-from qso3.uqso3 import r_split_n
+from qso3.uqso3 import r1_l, r_split_n
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,14 +52,27 @@ class TestConstruct:
         assert code == 0
         data = json.loads(out)
         assert data["family"] == "R1_l"
-        assert len(data["matrices"]["I1"]) == 4
+        assert data["matrices"]["I1"]["dim"] == 4
+        assert np.array_equal(matrix_from_json(data["matrices"]["I2"]),
+                              r1_l(generic_ctx(q=1.3), HalfInt(3)).I2)
 
     def test_cyclic_family(self, capsys):
         code, out = run(capsys, "construct", "--family", "R_ab_lambda",
                         "--p", "5", "--k", "1", "--a", "1", "--b", "1",
                         "--lambda", "2+0i")
         assert code == 0
-        assert len(json.loads(out)["matrices"]["I1"]) == 5
+        assert json.loads(out)["matrices"]["I1"]["dim"] == 5
+
+    def test_dimension_200_payload_is_small(self, capsys):
+        # K and Kinv are diagonal and E and F one band each: 798 nonzero
+        # entries of 160000 (the dense dump was 8.0 MB)
+        code, out = run(capsys, "construct", "--family", "T_l", "--l", "199/2",
+                        "--omega", "1", "--q", "1.3")
+        assert code == 0
+        assert len(out) < 100_000
+        for entry in json.loads(out)["matrices"].values():
+            assert matrix_from_json(entry).shape == (200, 200)
+            assert len(entry["offsets"]) <= 3
 
     def test_range_guard_exit_2(self, capsys):
         code = main(["construct", "--family", "R1_l", "--l", "3",
@@ -72,6 +87,7 @@ class TestConstruct:
         data = json.loads(out)
         assert data["truncated"] is True
         assert len(data["labels"]) == 11
+        assert ctx_from_json(data["ctx"]) == generic_ctx(q=1.3)
 
 
 class TestVerify:
