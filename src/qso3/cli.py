@@ -163,7 +163,7 @@ class Sweep:
 def emit(payload, fmt: str, out: str | None) -> None:
     """Write a command payload or a Sweep to ``out`` (stdout if None).
 
-    json: the payload indented, or one compact line per sweep record.
+    json: one compact line for the payload, or one per sweep record.
     csv: ``re,im,multiplicity`` rows of spectrum payloads under one header;
     a sweep's grid flags lead as columns (a value with a comma is quoted),
     and a failed point's error goes to stderr.
@@ -183,10 +183,9 @@ def emit(payload, fmt: str, out: str | None) -> None:
             for entry in res if isinstance(res, list) else [res]:
                 rows.writerows(lead + [v.real, v.imag, m] for v, m in entry["spectrum"])
         text = buf.getvalue().rstrip("\n")
-    elif isinstance(payload, Sweep):
-        text = "\n".join(json.dumps(r, default=_json_default) for r in payload.records)
     else:
-        text = json.dumps(payload, indent=2, default=_json_default)
+        records = payload.records if isinstance(payload, Sweep) else [payload]
+        text = "\n".join(json.dumps(r, default=_json_default) for r in records)
     with open(out, "w") if out else nullcontext(sys.stdout) as fh:
         fh.write(text + "\n")
 
@@ -257,7 +256,7 @@ def cmd_decompose(args):
                 "component_dims": [r.dim for r in rep]}, 0
     if isinstance(rep, BandedRep):
         raise QAlgebraError("decompose works on finite representations")
-    report = structure.decompose(rep, seed=args.seed)
+    report = structure.decompose(rep)
     payload = {
         "component_dims": report.component_dims,
         "casimir_values": report.casimir_values,
@@ -292,10 +291,10 @@ def cmd_tensor(args):
         raise QAlgebraError("tensor takes sl2 family specs (products are "
                             "defined through the sl2 factors)")
     if args.sl2:
-        table = tensor.sl2_cg_check(rep_a, rep_b, seed=args.seed)
+        table = tensor.sl2_cg_check(rep_a, rep_b)
     else:
         prod = tensor.tensor_so3(rep_a, rep_b)
-        table = tensor.cg_decompose(prod, seed=args.seed)
+        table = tensor.cg_decompose(prod)
     return table.to_json(), 0
 
 
@@ -344,8 +343,6 @@ def _build_parser() -> _Parser:
         add_family_args(sps[name])
     for name in ("construct", "verify", "spectrum"):
         sps[name].add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    for name in ("decompose", "tensor"):
-        sps[name].add_argument("--seed", type=int, default=structure.DEFAULT_SEED)
     for name in ("equiv", "tensor"):
         sps[name].add_argument("--a-spec", required=True, dest="a_spec",
                                metavar="SPEC", help='e.g. "Rsplit_n,n=2,(+,+)"')

@@ -57,7 +57,7 @@ class SingularBasisChange(QAlgebraError):
 
 
 class NoSolution(QAlgebraError):
-    """A linear solve for central-element coefficients is inconsistent."""
+    """An oracle has nothing to work from: no simple eigenvalue to spin from."""
 
 
 class NotExtendable(QAlgebraError):

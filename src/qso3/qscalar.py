@@ -170,7 +170,7 @@ class QContext:
         return self._level(1e4 * self.tol, magnitudes)
 
     def matching(self, *magnitudes: float) -> float:
-        """Invariant matching (fingerprints, central-polynomial fits): 1000 tol."""
+        """Invariant matching (fingerprints): 1000 tol."""
         return self._level(self.tol / 1e-3, magnitudes)  # exactly 1e-6 at the default
 
     def close(self, a, b) -> bool:
@@ -194,8 +194,9 @@ def magnitude_scale(*magnitudes):
 
 
 def generic_ctx(q: complex | None = None, s: complex | None = None,
-                tol: float = QContext.tol, scan: int = GENERIC_SCAN_BOUND) -> QContext:
-    """Context for q not a root of unity.
+                tol: float = QContext.tol) -> QContext:
+    """Context for q not a root of unity (no q^n = 1 for n up to
+    GENERIC_SCAN_BOUND).
 
     Give either q (s defaults to the principal square root) or s directly.
     """
@@ -210,7 +211,7 @@ def generic_ctx(q: complex | None = None, s: complex | None = None,
     if abs(q + 1) <= ctx.threshold():
         raise BadModulus("q = -1 is excluded")
     power = 1 + 0j
-    for n in range(1, scan + 1):
+    for n in range(1, GENERIC_SCAN_BOUND + 1):
         power *= q
         if abs(power - 1) <= ctx.threshold():
             raise BadModulus(

@@ -381,7 +381,7 @@ def intertwiners(rep_a, rep_b) -> tuple[int, list[np.ndarray]]:
     return len(basis), basis
 
 
-def are_equivalent(rep_a, rep_b, seed: int = DEFAULT_SEED) -> bool:
+def are_equivalent(rep_a, rep_b) -> bool:
     """Equivalence via an invertible intertwiner.
 
     Representations of different dimension are rejected; otherwise a random
@@ -393,7 +393,7 @@ def are_equivalent(rep_a, rep_b, seed: int = DEFAULT_SEED) -> bool:
     dim, basis = intertwiners(rep_a, rep_b)
     if dim == 0:
         return False
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     cut = rep_a.ctx.separation()
     for _ in range(4):
         X = sum(rng.standard_normal() * B for B in basis)
@@ -539,7 +539,7 @@ def _wrap_component(rep, gens_r):
     return Sl2FiniteRep(rep.ctx, K, np.linalg.inv(K), E, F, fam, {"parent": rep.family})
 
 
-def decompose(rep, seed: int = DEFAULT_SEED) -> DecompositionReport:
+def decompose(rep) -> DecompositionReport:
     """Full direct-sum decomposition with oracle evidence.
 
     Splits first along the eigenvalue clusters of the Casimir (``casimir``)
@@ -557,7 +557,7 @@ def decompose(rep, seed: int = DEFAULT_SEED) -> DecompositionReport:
     commutant has one dimension per component, else None.
     """
     n = rep.dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
 
     def restrict(sub, Q):
         return _wrap_component(rep, [Q.conj().T @ g @ Q for g in _gens(sub)])

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BadRange
 from .psihom import compose
 from .qscalar import HalfInt
@@ -63,18 +61,33 @@ def _so3_candidates(ctx, dim: int):
         return
 
 
+def _sl2_candidates(ctx, dim: int):
+    """The four sign-twisted weight families of the given dimension, built
+    as they are asked for; none when the dimension is out of range."""
+    l = HalfInt(dim - 1)
+    try:
+        for name, omega in OMEGAS.items():
+            yield f"T_l[l={l},omega={name}]", t_omega_l(ctx, l, omega)
+    except BadRange:
+        return
+
+
 def _sgn(s: int) -> str:
     return "+" if s > 0 else "-"
 
 
-def _name_components(comps, candidates) -> CGReport:
-    """Match each component against ``candidates(dim)``, an iterable of
-    (name, representation) pairs: the first candidate with the same
-    fingerprint that is equivalent names it; otherwise it is unmatched."""
+def _cg_table(prod, candidates) -> CGReport:
+    """Decompose ``prod`` and match each component against
+    ``candidates(ctx, dim)``, an iterable of (name, representation) pairs:
+    the first candidate with the same fingerprint that is equivalent names
+    it; otherwise it is unmatched.  A product that is not a direct sum is
+    matched whole, so ``total_dim()`` is always the product's dimension."""
+    report = decompose(prod)
+    comps = [c for _, c in report.components] if report.is_direct_sum else [prod]
     out = CGReport()
-    for _, comp in comps:
+    for comp in comps:
         fp = fingerprint(comp)
-        matched = next((name for name, cand in candidates(comp.dim)
+        matched = next((name for name, cand in candidates(prod.ctx, comp.dim)
                         if fp.matches(fingerprint(cand)) and are_equivalent(comp, cand)),
                        None)
         if matched is None:
@@ -85,31 +98,17 @@ def _name_components(comps, candidates) -> CGReport:
     return out
 
 
-def cg_decompose(prod: So3FiniteRep, seed: int = 1234) -> CGReport:
-    """Decompose a finite rotation-algebra representation and name the parts."""
-    report = decompose(prod, seed=seed)
-    comps = report.components if report.is_direct_sum else []
-    return _name_components(comps, lambda dim: _so3_candidates(prod.ctx, dim))
+def cg_decompose(prod: So3FiniteRep) -> CGReport:
+    """Decompose a finite rotation-algebra representation and name the
+    parts after the registered generic-q families."""
+    return _cg_table(prod, _so3_candidates)
 
 
-def sl2_cg_check(ta: Sl2FiniteRep, tb: Sl2FiniteRep, seed: int = 1234) -> CGReport:
-    """Decompose the coproduct tensor on the sl2 side and name the parts.
-
-    Components are matched against the four sign-twisted weight families;
-    for the twisted families the product of the factor twists is the twist
-    of every component.  A product that is not a direct sum is matched
-    whole.
-    """
-    prod = delta_tensor(ta, tb)
-    report = decompose(prod, seed=seed)
-    comps = report.components if report.is_direct_sum else [(np.eye(prod.dim), prod)]
-
-    def candidates(dim):
-        l = HalfInt(dim - 1)
-        for name, omega in OMEGAS.items():
-            yield f"T_l[l={l},omega={name}]", t_omega_l(prod.ctx, l, omega)
-
-    return _name_components(comps, candidates)
+def sl2_cg_check(ta: Sl2FiniteRep, tb: Sl2FiniteRep) -> CGReport:
+    """Decompose the coproduct tensor on the sl2 side and name the parts
+    after the four sign-twisted weight families; for the twisted families
+    the product of the factor twists is the twist of every component."""
+    return _cg_table(delta_tensor(ta, tb), _sl2_candidates)
 
 
 def _cg_range(omega_a: complex, omega_b: complex, la, lb):

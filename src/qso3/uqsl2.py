@@ -22,6 +22,10 @@ from .repcore import Band, BandedRep, FamilyDescriptor, Sl2FiniteRep, materializ
 
 OMEGAS = {"1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j}
 EXTEND_SCAN_MARGIN = 8
+# solutions eps_r of q^{2 eps} = -1 listed for |r| <= SPECIAL_R_RANGE, and
+# the integer shifts |j| <= SPECIAL_J_SCAN away from them that still count
+SPECIAL_R_RANGE = 8
+SPECIAL_J_SCAN = 64
 
 
 def _omega_value(ctx: QContext, omega) -> complex:
@@ -204,13 +208,14 @@ def t_tilde_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
     return rep
 
 
-def special_epsilon_values(ctx: QContext, r_range: int = 8) -> list[complex]:
+def special_epsilon_values(ctx: QContext) -> list[complex]:
     """Solutions of q^{2*eps} = -1: eps = i*pi*(2r+1) / (2*tau)."""
     tau = ctx.tau
-    return [1j * math.pi * (2 * r + 1) / (2 * tau) for r in range(-r_range, r_range + 1)]
+    return [1j * math.pi * (2 * r + 1) / (2 * tau)
+            for r in range(-SPECIAL_R_RANGE, SPECIAL_R_RANGE + 1)]
 
 
-def classify_epsilon(ctx: QContext, eps: complex, j_scan: int = 64) -> str:
+def classify_epsilon(ctx: QContext, eps: complex) -> str:
     """"special0" if eps is congruent mod Z to a solution of q^{2eps} = -1,
     "special_half" if eps - 1/2 is, else "generic"."""
     eps = complex(eps)
@@ -218,7 +223,7 @@ def classify_epsilon(ctx: QContext, eps: complex, j_scan: int = 64) -> str:
         for shift, tag in ((0.0, "special0"), (0.5, "special_half")):
             d = eps - shift - base
             if abs(d - round(d.real)) <= ctx.threshold(abs(eps), abs(base)) and abs(
-                    round(d.real)) <= j_scan:
+                    round(d.real)) <= SPECIAL_J_SCAN:
                 return tag
     return "generic"
 

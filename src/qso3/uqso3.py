@@ -7,7 +7,7 @@ one-sided highest/lowest weight families, and the constant-coefficient
 Q_lambda family with its eight one-sided components.  Root-of-unity
 families: the cyclic R_ab_lambda with its degenerate-parameter splits,
 the cyclic constant-coefficient family Qp_lambda, and its component
-families, plus the central-element machinery.
+families, plus the central polynomial P(I).
 
 Every family is a band description in the ``repcore`` model: a diagonal
 closure for I1 and up/diag/down closures for I2 on a domain coordinate n.
@@ -37,8 +37,7 @@ import math
 import numpy as np
 
 from .errors import (BadDescriptor, BadParam, BadParity, BadRange,
-                     ParityMismatch, SingularBasisChange, NoSolution,
-                     SpecialEpsilon)
+                     ParityMismatch, SingularBasisChange, SpecialEpsilon)
 from .qscalar import HalfInt, QContext, as_complex, q_num, q_pow, q_pow_c
 from .repcore import (HALF, Band, BandedRep, FamilyDescriptor, So3FiniteRep,
                       materialize, so3_i3, so3_i3_band, verify_so3)
@@ -695,48 +694,24 @@ class CentralPoly:
         return "CentralPoly(" + " + ".join(terms) + ")"
 
 
-def central_poly(ctx: QContext, rep_sample: So3FiniteRep | None = None) -> CentralPoly:
-    """Determine the central polynomial by solving [P(I1), I2] = 0.
+def central_poly(ctx: QContext) -> CentralPoly:
+    """The central polynomial in closed form: the Dickson polynomial
+    D_p(I, (q - q^-1)^-2) with its constant term dropped,
 
-    The sample defaults to a cyclic family at generic parameters.  The
-    solved polynomial is cross-checked to commute with both generators on
-    the sample; an inconsistent system raises NoSolution.
+        c_{2j} = (-1)^j * p/(p-j) * C(p-j, j) * (q - q^-1)^(-2j),
+        0 <= 2j < p,
+
+    the coefficient of I^{p-2j} (Havlicek-Klimyk-Posta, math/9911130).
+    It is the polynomial with P((z + 1/z) / (q - q^-1)) equal to
+    (z^p + z^-p) / (q - q^-1)^p up to a constant.
     """
     _require_root(ctx)
-    if rep_sample is None:
-        rep_sample = r_ab_lambda(ctx, 0.7 + 0.31j, 1.2 - 0.4j, 1.7 + 0.6j)
     p = ctx.p
-    I1, I2 = rep_sample.I1, rep_sample.I2
-    d = np.diag(I1)
-    if np.max(np.abs(I1 - np.diag(d))) > ctx.threshold(np.max(np.abs(I1))):
-        d = np.linalg.eigvals(I1)  # fallback, not used by the registered samples
-    exps = list(range(p - 2, 0, -2))  # down to 2 (even p) or 1 (odd p)
-    rows, rhs = [], []
-    n = len(d)
-    for r in range(n):
-        for col in range(n):
-            weight = I2[r, col]
-            if r != col and abs(weight) >= ctx.floor():
-                rows.append([(d[r] ** e - d[col] ** e) * weight for e in exps])
-                rhs.append(-(d[r] ** p - d[col] ** p) * weight)
-    A = np.array(rows, dtype=complex)
-    y = np.array(rhs, dtype=complex)
-    x, *_ = np.linalg.lstsq(A, y, rcond=None)
-    fit_resid = float(np.max(np.abs(A @ x - y))) if len(y) else 0.0
-    scale = float(np.max(np.abs(y))) if len(y) else 1.0
-    if fit_resid > ctx.matching(scale):
-        raise NoSolution(f"central coefficient system inconsistent (residual {fit_resid:.3e})")
+    w = _w(ctx)
     coeffs = np.zeros(p + 1, dtype=complex)
-    coeffs[0] = 1.0
-    for e, xe in zip(exps, x):
-        coeffs[p - e] = xe
-    poly = CentralPoly(ctx, coeffs)
-    for gen, other in ((I1, I2), (I2, I1)):
-        P = poly(gen)
-        comm = P @ other - other @ P
-        if np.max(np.abs(comm)) > ctx.matching(np.max(np.abs(P)) * np.max(np.abs(other))):
-            raise NoSolution("solved polynomial fails to commute on the sample")
-    return poly
+    for j in range((p + 1) // 2):  # j = p/2 would be the constant term
+        coeffs[2 * j] = (-1) ** j * (p * math.comb(p - j, j) // (p - j)) * w ** (-2 * j)
+    return CentralPoly(ctx, coeffs)
 
 
 def _pm(x) -> int:

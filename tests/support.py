@@ -1,7 +1,8 @@
 """Shared helpers: parameter samplers over the family registry, the dense
 reference oracles the weight-blocked ones are checked against, the
 commutant-first decomposition the Casimir-first one is checked against,
-and the scalar extendability scan the array one is checked against."""
+the scalar extendability scan the array one is checked against, and the
+least-squares fit the closed-form central polynomial is checked against."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import numpy as np
 from qso3.qscalar import (HalfInt, QContext, generic_ctx, q_pow, q_pow_c,
                           root_of_unity_ctx)
 from qso3 import uqsl2, uqso3
+from qso3.errors import NoSolution
 from qso3.repcore import Sl2FiniteRep
 from qso3.structure import (DEFAULT_SEED, DecompositionReport, _blocks, _coupled,
                             _gens, _GrowingSpan, _scale, _split_once,
@@ -233,12 +235,12 @@ def is_proper_witness(rep, witness) -> bool:
                for bi in blocks for bk in blocks)
 
 
-def reference_decompose(rep, seed: int = DEFAULT_SEED) -> DecompositionReport:
+def reference_decompose(rep) -> DecompositionReport:
     """``structure.decompose`` with no Casimir split: one commutant of the
     whole representation, split recursively along commutant
     eigenprojections, then a spin of each leaf."""
     n = rep.dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     top_com = commutant(rep)
     cdim = top_com[0]
 
@@ -302,3 +304,40 @@ def reference_is_extendable(rep):
 def reference_matrix_entry_list(mat) -> list:
     """The dense dump layout, entry by entry: rows of [re, im] pairs."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+
+def reference_central_poly(ctx: QContext) -> uqso3.CentralPoly:
+    """The central polynomial fitted by solving [P(I1), I2] = 0 on a cyclic
+    family at generic parameters and cross-checked to commute with both
+    generators on it; an inconsistent system raises NoSolution."""
+    rep_sample = uqso3.r_ab_lambda(ctx, 0.7 + 0.31j, 1.2 - 0.4j, 1.7 + 0.6j)
+    p = ctx.p
+    I1, I2 = rep_sample.I1, rep_sample.I2
+    d = np.diag(I1)
+    exps = list(range(p - 2, 0, -2))  # down to 2 (even p) or 1 (odd p)
+    rows, rhs = [], []
+    n = len(d)
+    for r in range(n):
+        for col in range(n):
+            weight = I2[r, col]
+            if r != col and abs(weight) >= ctx.floor():
+                rows.append([(d[r] ** e - d[col] ** e) * weight for e in exps])
+                rhs.append(-(d[r] ** p - d[col] ** p) * weight)
+    A = np.array(rows, dtype=complex)
+    y = np.array(rhs, dtype=complex)
+    x, *_ = np.linalg.lstsq(A, y, rcond=None)
+    fit_resid = float(np.max(np.abs(A @ x - y))) if len(y) else 0.0
+    scale = float(np.max(np.abs(y))) if len(y) else 1.0
+    if fit_resid > ctx.matching(scale):
+        raise NoSolution(f"central coefficient system inconsistent (residual {fit_resid:.3e})")
+    coeffs = np.zeros(p + 1, dtype=complex)
+    coeffs[0] = 1.0
+    for e, xe in zip(exps, x):
+        coeffs[p - e] = xe
+    poly = uqso3.CentralPoly(ctx, coeffs)
+    for gen, other in ((I1, I2), (I2, I1)):
+        P = poly(gen)
+        comm = P @ other - other @ P
+        if np.max(np.abs(comm)) > ctx.matching(np.max(np.abs(P)) * np.max(np.abs(other))):
+            raise NoSolution("solved polynomial fails to commute on the sample")
+    return poly

@@ -189,6 +189,14 @@ class TestTensor:
         assert data["multiplicities"] == {"T_l[l=0,omega=-1]": 1,
                                           "T_l[l=1,omega=-1]": 1}
 
+    @pytest.mark.parametrize("side", [[], ["--sl2"]])
+    def test_product_not_a_direct_sum(self, side, capsys):
+        # dimension 25 at p = 7: named whole, out of range of every family
+        code, out = run(capsys, "tensor", "--p", "7", *side,
+                        "--a-spec", "T_l,l=2,omega=1", "--b-spec", "T_l,l=2,omega=1")
+        assert code == 0
+        assert json.loads(out) == {"multiplicities": {}, "unmatched_dims": [25]}
+
 
 class TestSpectrum:
     def test_csv(self, capsys):
@@ -296,6 +304,9 @@ class TestErrors:
         ["decompose", "--family", "R1_l", "--l", "1/2", "--q", "1.3", "--window", "4"],
         ["equiv", "--q", "4", "--a-spec", "R1_l,l=1", "--b-spec", "R1_l,l=1",
          "--seed", "3"],
+        ["decompose", "--family", "R1_l", "--l", "1/2", "--q", "1.3", "--seed", "3"],
+        ["tensor", "--q", "1.3", "--a-spec", "T_l,l=1/2,omega=1",
+         "--b-spec", "T_l,l=1/2,omega=1", "--seed", "3"],
     ])
     def test_ignored_options_removed(self, argv, capsys):
         assert main(argv) == 2
@@ -377,6 +388,12 @@ class TestSweepMatchesSingleRun:
         assert rec["point"] == {flag[2:]: value}
         assert rec["result"] == json.loads(out)
 
+    @pytest.mark.parametrize("command", sorted(SINGLE_RUNS))
+    def test_direct_output_is_one_compact_line(self, command, capsys):
+        base, flag, value = SINGLE_RUNS[command]
+        _, out = run(capsys, command, *base, flag, value)
+        assert out == json.dumps(json.loads(out)) + "\n"
+
 
 class TestCsvSweep:
     def test_header_and_rows_for_every_point(self, capsys):
@@ -428,6 +445,19 @@ class TestReadmeExamples:
         for argv in examples:
             code = main(argv)
             assert code == 0, (argv, capsys.readouterr().err)
+
+    def test_library_quick_start(self, capsys):
+        block = README.read_text().split("## Library quick start", 1)[1]
+        block = block.split("```python", 1)[1].split("```", 1)[0]
+        scope = {}
+        exec(block, scope)
+        assert capsys.readouterr().out.splitlines()[1] == "[3, 3]"
+        rctx = scope["rctx"]
+        coeffs = scope["central_poly"](rctx).coeffs
+        powers = np.flatnonzero(np.abs(coeffs) > rctx.floor())
+        assert rctx.p == 8 and list(powers) == [0, 2, 4, 6]  # I^8, I^6, I^4, I^2
+        assert np.all(np.abs(coeffs[powers].real - [1, 4, 5, 2]) <= rctx.threshold(5))
+        assert np.all(np.abs(coeffs.imag) < rctx.floor())
 
 
 class TestEntryPoint:

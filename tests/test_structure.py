@@ -250,8 +250,8 @@ class TestDecompose:
 
     def test_deterministic(self, q13):
         rep = U.r_pm_i_l(q13, H("5/2"), 1)
-        a = decompose(rep, seed=99)
-        b = decompose(rep, seed=99)
+        a = decompose(rep)
+        b = decompose(rep)
         assert np.allclose(a.components[0][0], b.components[0][0])
 
     def test_partial_split_flags_indecomposable_block(self, p8):

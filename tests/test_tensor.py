@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from qso3.errors import NotExtendable, QAlgebraError
-from qso3.qscalar import HalfInt, generic_ctx
+from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
 from qso3.repcore import verify_so3
 from qso3.structure import decompose
 from qso3.tensor import (cg_decompose, expected_sl2_tensor, expected_so3_tensor,
                          sl2_cg_check, tensor_so3)
 from qso3 import uqso3 as U
-from qso3.uqsl2 import t_omega_l
+from qso3.uqsl2 import delta_tensor, t_omega_l
 
 H = HalfInt.parse
 OMEGAS = {"1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j}
@@ -133,6 +133,28 @@ class TestCgSl2:
         for la, lb in (("1", "2"), ("3/2", "1/2")):
             got = sl2_cg_check(t_omega_l(q13, H(la), 1), t_omega_l(q13, H(lb), 1))
             assert got.total_dim() == (H(la).twice + 1) * (H(lb).twice + 1)
+
+
+class TestNotDirectSum:
+    # T_2 (x) T_2 at p = 7 (dimension 25) is not a direct sum on either
+    # side: it is named whole, and with no weight family of dimension 25
+    # in range there it is unmatched rather than an error
+    @pytest.fixture
+    def t2(self):
+        return t_omega_l(root_of_unity_ctx(7, 1), 2, 1)
+
+    def test_so3_side(self, t2):
+        prod = tensor_so3(t2, t2)
+        assert not decompose(prod).is_direct_sum
+        table = cg_decompose(prod)
+        assert table.multiplicities == {} and table.unmatched_dims == [25]
+        assert table.total_dim() == prod.dim == 25
+
+    def test_sl2_side(self, t2):
+        assert not decompose(delta_tensor(t2, t2)).is_direct_sum
+        table = sl2_cg_check(t2, t2)
+        assert table.multiplicities == {} and table.unmatched_dims == [25]
+        assert table.total_dim() == 25
 
 
 class TestExpectedTables:

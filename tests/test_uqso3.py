@@ -1,11 +1,15 @@
 """Explicit rotation-algebra constructors: frozen examples and oracles."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from support import finite_so3_samples, banded_so3_samples, safe_lambda
+from support import (finite_so3_samples, banded_so3_samples, reference_central_poly,
+                     safe_lambda)
 from qso3.errors import (BadDescriptor, BadParam, BadParity, BadRange,
                          ParityMismatch, SingularBasisChange, SpecialEpsilon)
 from qso3.qscalar import HalfInt, generic_ctx, q_num, q_pow, root_of_unity_ctx
@@ -14,6 +18,21 @@ from qso3.structure import cluster, i1_spectrum
 from qso3 import uqso3 as U
 
 H = HalfInt.parse
+
+
+def _coprime(p: int) -> list[int]:
+    return [k for k in range(1, p) if math.gcd(k, p) == 1]
+
+
+@st.composite
+def root_contexts_to_20(draw):
+    p = draw(st.integers(3, 20))
+    return root_of_unity_ctx(p, draw(st.sampled_from(_coprime(p))))
+
+
+complex_box = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+# moduli away from 1 and 0 as well as on the unit circle, where +-q^k lie
+polar = st.builds(cmath.rect, st.floats(0.3, 3), st.floats(0, 2 * math.pi))
 
 
 class TestWeightFamily:
@@ -621,6 +640,35 @@ class TestCentralElements:
                 comm = P @ other - other @ P
                 scale = max(np.max(np.abs(P)) * np.max(np.abs(other)), 1.0)
                 assert np.max(np.abs(comm)) <= 1e-8 * scale, (p, rep.family)
+
+    @pytest.mark.parametrize("p", range(3, 21))
+    def test_closed_form_matches_fit(self, p):
+        for k in _coprime(p):
+            ctx = root_of_unity_ctx(p, k)
+            got = U.central_poly(ctx).coeffs
+            want = reference_central_poly(ctx).coeffs
+            assert np.all(np.abs(got - want) <= ctx.matching(np.abs(want))), (p, k)
+
+    @given(ctx=root_contexts_to_20(), cyclic=st.booleans(), a=complex_box,
+           b=complex_box, lam=polar)
+    @settings(max_examples=60, deadline=None)
+    def test_central_on_drawn_cyclic_families(self, ctx, cyclic, a, b, lam):
+        # [P(I), J] = 0 for I, J in {I1, I2}, at the level of the size of
+        # the evaluation, sum_j |c_j| |I|^(p-j): where P(I) is nearly
+        # scalar (I2 of the wrap-free cyclic family) its terms cancel
+        if cyclic:
+            assume(not U.excluded_lambda(ctx, lam))
+            rep = U.r_ab_lambda(ctx, a, b, lam)
+        else:
+            rep = U.q_prime_lambda(ctx, lam)
+        poly = U.central_poly(ctx)
+        for gen in (rep.I1, rep.I2):
+            P = poly(gen)
+            size = np.polyval(np.abs(poly.coeffs), np.linalg.norm(gen, 2))
+            for other in (rep.I1, rep.I2):
+                comm = P @ other - other @ P
+                assert np.max(np.abs(comm)) <= ctx.matching(
+                    size * np.linalg.norm(other, 2)), (ctx.p, ctx.q, rep.family)
 
 
 class TestRegistrySamples:
