@@ -19,8 +19,8 @@ import numpy as np
 from .errors import NotExtendable
 from .qscalar import q_pow
 from .repcore import (HALF, Band, BandedRep, FamilyDescriptor, ResidualReport,
-                      Sl2FiniteRep, So3FiniteRep, _scaled_defect, so3_i3_band,
-                      so3_relation_residuals)
+                      Sl2FiniteRep, So3FiniteRep, _scaled_defect, relation_operands,
+                      so3_i3_band, so3_relation_residuals)
 from .uqsl2 import is_extendable
 
 
@@ -72,11 +72,12 @@ def _compose_banded(t: BandedRep, fam: FamilyDescriptor, flags: dict) -> BandedR
 
 
 def verify_psi(t: Sl2FiniteRep) -> ResidualReport:
-    """Residuals of the three cyclic identities on the images of T."""
-    I1, I2, I3 = psi_images(t)
+    """Residuals of the three cyclic identities on the images of T (the
+    first is the I3 consistency of ``so3_relation_residuals``)."""
+    I1, I2, I3 = relation_operands(*psi_images(t))
     res = so3_relation_residuals(t.ctx, I1, I2, I3)
     rt = q_pow(t.ctx, HALF)
     rti = 1 / rt
-    res["cyclic_231"] = _scaled_defect([rt * I2 @ I3, -rti * I3 @ I2, -I1])
-    res["cyclic_312"] = _scaled_defect([rt * I3 @ I1, -rti * I1 @ I3, -I2])
+    res["cyclic_231"] = _scaled_defect([rt * (I2 @ I3), -rti * (I3 @ I2), -I1])
+    res["cyclic_312"] = _scaled_defect([rt * (I3 @ I1), -rti * (I1 @ I3), -I2])
     return ResidualReport(res)

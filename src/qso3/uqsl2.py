@@ -7,7 +7,8 @@ i-twisted T~_{ab,lambda}.  Infinite families: T_{a,eps} on a shifted
 integer lattice.  ``is_extendable`` decides whether all operators
 q^k K + q^{-k} Kinv are invertible, which is what admits division by
 K + Kinv downstream: one array comparison of q^{2k} mu^2 against -1 over
-the whole grid of shifts k and K-eigenvalues mu.
+the grid of shifts k and K-eigenvalues mu (off the unit circle, only the
+shifts next to -log|mu| / log|q|).
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ def is_extendable(rep: Sl2FiniteRep | BandedRep):
 
     A K-eigenvalue mu fails at k iff mu^2 = -q^{-2k}.  The scan covers
     |k| <= 2*dim + 8 for generic q (k ordered by |k|, -k first), and k mod p
-    at a root of unity.  Returns (ok, witness) with witness = (k, mu) on
+    at a root of unity.  Off the unit circle only the shifts next to
+    -log|mu| / log|q| can fail (``_nearest_shifts``), and only they are
+    tested.  Returns (ok, witness) with witness = (k, mu) on
     failure: the first failing k in scan order, and its first eigenvalue.
     """
     ctx = rep.ctx
@@ -101,7 +104,11 @@ def is_extendable(rep: Sl2FiniteRep | BandedRep):
         ks = range(ctx.p)
     else:
         bound = 2 * dim + EXTEND_SCAN_MARGIN
-        ks = sorted(range(-bound, bound + 1), key=abs)
+        if ctx.close(abs(ctx.q) ** 2, 1):
+            ks = sorted(range(-bound, bound + 1), key=abs)
+        else:
+            ks = sorted((k for k in _nearest_shifts(ctx, mus) if abs(k) <= bound),
+                        key=lambda k: (abs(k), k))
     shift = np.array([q_pow_c(ctx, 2 * k) for k in ks])
     # mu^2 = -q^{-2k}, tested in the scale-free form q^{2k} mu^2 = -1 on the
     # whole (k, mu) grid at once
@@ -112,6 +119,20 @@ def is_extendable(rep: Sl2FiniteRep | BandedRep):
     # row-major argmax: the first hit in the order of the scan
     i, j = divmod(int(np.argmax(hits)), len(mus))
     return False, (ks[i], complex(mus[j]))
+
+
+def _nearest_shifts(ctx: QContext, mus: np.ndarray) -> set[int]:
+    """The integers next to k* = -log|mu| / log|q| for each nonzero mu.
+
+    |q^{2k} mu^2| = |q|^{2(k - k*)}, so a shift at distance 1 or more from
+    k* puts it at least as far from 1 as |q|^{+-2} is; when |q|^2 is not
+    within ``threshold`` of 1, no such shift can meet q^{2k} mu^2 = -1, and
+    only these are left to test.  Shifts then stay near k*, where q^{2k}
+    does not overflow.
+    """
+    mods = np.abs(mus)
+    kstar = -np.log(mods[mods > 0]) / math.log(abs(ctx.q))
+    return {*np.floor(kstar).astype(int).tolist(), *np.ceil(kstar).astype(int).tolist()}
 
 
 def _is_diagonal(mat: np.ndarray) -> bool:

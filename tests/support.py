@@ -1,18 +1,20 @@
 """Shared helpers: parameter samplers over the family registry, the dense
 reference oracles the weight-blocked ones are checked against, the
 commutant-first decomposition the Casimir-first one is checked against,
-the scalar extendability scan the array one is checked against, and the
-least-squares fit the closed-form central polynomial is checked against."""
+the scalar extendability scan the array one is checked against, the
+least-squares fit the closed-form central polynomial is checked against,
+and the dense relation residuals the diagonal ones are checked against."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from qso3.qscalar import (HalfInt, QContext, generic_ctx, q_pow, q_pow_c,
-                          root_of_unity_ctx)
+from qso3.qscalar import (HalfInt, QContext, generic_ctx, magnitude_scale, q_pow,
+                          q_pow_c, root_of_unity_ctx)
 from qso3 import uqsl2, uqso3
 from qso3.errors import NoSolution
-from qso3.repcore import Sl2FiniteRep
+from qso3.psihom import psi_images
+from qso3.repcore import Diagonals, Sl2FiniteRep
 from qso3.structure import (DEFAULT_SEED, DecompositionReport, _blocks, _coupled,
                             _gens, _GrowingSpan, _scale, _split_once,
                             _weight_frame, _wrap_component, commutant,
@@ -341,3 +343,66 @@ def reference_central_poly(ctx: QContext) -> uqso3.CentralPoly:
         if np.max(np.abs(comm)) > ctx.matching(np.max(np.abs(P)) * np.max(np.abs(other))):
             raise NoSolution("solved polynomial fails to commute on the sample")
     return poly
+
+
+def _dense_maxabs(mat: np.ndarray) -> float:
+    return float(np.max(np.abs(mat))) if mat.size else 0.0
+
+
+def _dense_scaled_defect(terms: list[np.ndarray], cols=None) -> float:
+    """Max-entry norm of sum(terms) (on the columns ``cols``), scaled by the
+    term norms but never by less than 1."""
+    defect = sum(terms)
+    if cols is not None:
+        defect = defect[:, cols]
+    return _dense_maxabs(defect) / magnitude_scale(sum(_dense_maxabs(t) for t in terms))
+
+
+def reference_so3_relation_residuals(ctx: QContext, I1, I2, I3, cols=None) -> dict[str, float]:
+    """The rotation-algebra relations with dense products, each written out."""
+    q = ctx.q
+    nu = q + 1 / q
+    rt = q_pow(ctx, HalfInt(1))
+    rels = {
+        "i3_consistency": [rt * I1 @ I2, -(1 / rt) * I2 @ I1, -I3],
+        "cubic_1": [I1 @ I2 @ I2, -nu * I2 @ I1 @ I2, I2 @ I2 @ I1, I1],
+        "cubic_2": [I2 @ I1 @ I1, -nu * I1 @ I2 @ I1, I1 @ I1 @ I2, I2],
+    }
+    return {name: _dense_scaled_defect(terms, cols) for name, terms in rels.items()}
+
+
+def reference_sl2_relation_residuals(ctx: QContext, K, Kinv, E, F, cols=None) -> dict[str, float]:
+    """The sl2 relations with dense products."""
+    q = ctx.q
+    w = q - 1 / q
+    eye = np.eye(K.shape[0], dtype=complex)
+    rels = {
+        "k_kinv": [K @ Kinv, -eye],
+        "kek": [K @ E @ Kinv, -q * E],
+        "kfk": [K @ F @ Kinv, -(1 / q) * F],
+        "ef_commutator": [E @ F, -F @ E, -(K @ K - Kinv @ Kinv) / w],
+    }
+    return {name: _dense_scaled_defect(terms, cols) for name, terms in rels.items()}
+
+
+def reference_psi_residuals(t: Sl2FiniteRep) -> dict[str, float]:
+    """The relations and the two further cyclic identities on the images of
+    T, with dense products."""
+    I1, I2, I3 = psi_images(t)
+    res = reference_so3_relation_residuals(t.ctx, I1, I2, I3)
+    rt = q_pow(t.ctx, HalfInt(1))
+    rti = 1 / rt
+    res["cyclic_231"] = _dense_scaled_defect([rt * I2 @ I3, -rti * I3 @ I2, -I1])
+    res["cyclic_312"] = _dense_scaled_defect([rt * I3 @ I1, -rti * I1 @ I3, -I2])
+    return res
+
+
+def dense_of_diagonals(diags: Diagonals) -> np.ndarray:
+    """The square matrix whose nonzero diagonals ``diags`` holds."""
+    n = diags.shape[0]
+    mat = np.zeros((n, n), dtype=complex)
+    j = np.arange(n)
+    for k, row in zip(diags.offsets, diags.rows):
+        inside = (j - k >= 0) & (j - k < n)
+        mat[j[inside] - k, j[inside]] = row[inside]
+    return mat

@@ -5,16 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from support import (banded_so3_samples, finite_sl2_samples, finite_so3_samples,
-                     generic_contexts, reference_matrix_entry_list, root_contexts)
+from support import (banded_so3_samples, dense_of_diagonals, finite_sl2_samples,
+                     finite_so3_samples, generic_contexts, reference_matrix_entry_list,
+                     reference_psi_residuals, reference_sl2_relation_residuals,
+                     reference_so3_relation_residuals, root_contexts)
 from qso3.errors import EmptyWindow
-from qso3.qscalar import HalfInt, ctx_from_json, generic_ctx
+from qso3.qscalar import HalfInt, ctx_from_json, generic_ctx, root_of_unity_ctx
 from qso3.registry import REGISTRY
-from qso3.repcore import (Band, FamilyDescriptor, So3FiniteRep, TruncatedRep,
-                          materialize, matrix_from_json, rep_to_json, truncate,
-                          verify_sl2, verify_so3)
-from qso3 import psihom, structure, tensor, uqso3
-from qso3.uqsl2 import t_a_epsilon, t_omega_l
+from qso3.repcore import (Band, Diagonals, FamilyDescriptor, Sl2FiniteRep, So3FiniteRep,
+                          TruncatedRep, materialize, matrix_from_json, rep_to_json,
+                          truncate, verify_sl2, verify_so3)
+from qso3 import psihom, repcore, structure, tensor, uqso3
+from qso3.uqsl2 import delta_tensor, is_extendable, t_a_epsilon, t_omega_l
 
 H = HalfInt.parse
 
@@ -268,3 +270,144 @@ class TestDiagonalDump:
         zero = np.zeros((3, 3))
         data = _round_trip(_so3(q13, zero, zero, zero))
         assert all(e["offsets"] == [] and e["dim"] == 3 for e in data["matrices"].values())
+
+
+class TestDiagonals:
+    """Products and sums on nonzero diagonals equal the dense ones."""
+
+    def _matrices(self, n, rng):
+        def draw(shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        band = np.diag(draw(n)) + np.diag(draw(n - 1), 1) + np.diag(draw(n - 1), -1)
+        cyclic = band.copy()
+        cyclic[0, n - 1] += draw(())
+        cyclic[n - 1, 0] += draw(())
+        return [band, cyclic, draw((n, n)), np.zeros((n, n), dtype=complex)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_arithmetic_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        mats = self._matrices(n, rng)
+        for a in mats:
+            da = Diagonals.of(a)
+            assert np.array_equal(dense_of_diagonals(da), a)
+            assert np.array_equal(dense_of_diagonals(-(2.5j * da)), -(2.5j * a))
+            for b in mats:
+                db = Diagonals.of(b)
+                for got, want in ((da @ db, a @ b), (da + db, a + b), (da - db, a - b)):
+                    assert got.offsets == sorted(set(got.offsets))
+                    assert all(abs(k) < n for k in got.offsets)
+                    assert np.allclose(dense_of_diagonals(got), want, rtol=0, atol=1e-13)
+
+    def test_rows_hold_zero_outside_the_matrix(self):
+        d = Diagonals.of(uqso3.r_ab_lambda(root_of_unity_ctx(5, 1), 1, 1, 2.0).I2)
+        assert d.offsets == [-4, -1, 1, 4]
+        prod = d @ d @ d
+        j = np.arange(5)
+        for k, row in zip(prod.offsets, prod.rows):
+            assert not row[(j - k < 0) | (j - k >= 5)].any()
+
+
+@pytest.fixture(params=["dense", "diagonals"])
+def side(request, monkeypatch):
+    """Evaluates every relation with dense products, then on diagonals,
+    whatever the dimension."""
+    monkeypatch.setattr(repcore, "DIAGONAL_CROSSOVER",
+                        10 ** 9 if request.param == "dense" else 0)
+    return request.param
+
+
+def _agree(got: dict, want: dict, label):
+    assert got.keys() == want.keys(), label
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-14, (label, name, got[name], value)
+
+
+class TestDiagonalResiduals:
+    """Residuals on either side of the crossover equal the dense written-out
+    relations (``support``) within 1e-14; their definition is unchanged."""
+
+    def test_finite_samples(self, side):
+        for ctx in generic_contexts() + root_contexts():
+            for label, rep in finite_so3_samples(ctx):
+                _agree(verify_so3(rep).residuals,
+                       reference_so3_relation_residuals(ctx, rep.I1, rep.I2, rep.I3), label)
+            for label, rep in finite_sl2_samples(ctx):
+                _agree(verify_sl2(rep).residuals,
+                       reference_sl2_relation_residuals(ctx, rep.K, rep.Kinv, rep.E, rep.F),
+                       label)
+                if is_extendable(rep)[0]:
+                    _agree(psihom.verify_psi(rep).residuals, reference_psi_residuals(rep), label)
+
+    def test_two_cycles(self, side):
+        # on a 2-cycle the up and down links of a column land on one entry
+        for p in (3, 4):
+            ctx = root_of_unity_ctx(p, 1)
+            reps = [rep for _, rep in finite_so3_samples(ctx) + finite_sl2_samples(ctx)
+                    if rep.dim == 2]
+            assert len(reps) >= 8
+            for rep in reps:
+                if isinstance(rep, So3FiniteRep):
+                    want = reference_so3_relation_residuals(ctx, rep.I1, rep.I2, rep.I3)
+                    _agree(verify_so3(rep).residuals, want, rep.family)
+                else:
+                    want = reference_sl2_relation_residuals(ctx, rep.K, rep.Kinv, rep.E, rep.F)
+                    _agree(verify_sl2(rep).residuals, want, rep.family)
+
+    @pytest.mark.parametrize("window", [4, 30])
+    def test_banded_windows(self, side, window):
+        for ctx in generic_contexts():
+            for label, rep in banded_so3_samples(ctx):
+                tr = repcore._verify_window(rep, window)
+                assert tr.interior.any(), label
+                cols = np.where(tr.interior)[0]
+                want = reference_so3_relation_residuals(
+                    ctx, tr.matrices["I1"], tr.matrices["I2"], tr.matrices["I3"], cols=cols)
+                _agree(verify_so3(rep, window=window).residuals, want, label)
+            rep = t_a_epsilon(ctx, 0.3 + 0.2j, 0.4 + 0.2j)
+            tr = repcore._verify_window(rep, window)
+            K = tr.matrices["K"]
+            want = reference_sl2_relation_residuals(
+                ctx, K, np.diag(1 / np.diag(K)), tr.matrices["E"], tr.matrices["F"],
+                cols=np.where(tr.interior)[0])
+            _agree(verify_sl2(rep, window=window).residuals, want, "T_a_eps")
+
+    def test_product_and_components(self, side, q13):
+        t = t_omega_l(q13, H("5/2"), "1")
+        prod = tensor.tensor_so3(t, t)
+        _agree(verify_so3(prod).residuals,
+               reference_so3_relation_residuals(q13, prod.I1, prod.I2, prod.I3), "product")
+        _agree(psihom.verify_psi(delta_tensor(t, t)).residuals,
+               reference_psi_residuals(delta_tensor(t, t)), "product psi")
+        report = structure.decompose(prod)
+        assert len(report.components) == 6
+        comps = [comp for _, comp in report.components]
+        # the largest component in a random unitary basis: every entry nonzero
+        rng = np.random.default_rng(5)
+        big = max(comps, key=lambda c: c.dim)
+        u = np.linalg.qr(rng.normal(size=(big.dim, big.dim)) + 1j * rng.normal(size=(big.dim, big.dim)))[0]
+        comps.append(_so3(q13, *(u.conj().T @ g @ u for g in (big.I1, big.I2, big.I3))))
+        assert np.count_nonzero(comps[-1].I2) == big.dim ** 2
+        for comp in comps:
+            _agree(verify_so3(comp).residuals,
+                   reference_so3_relation_residuals(q13, comp.I1, comp.I2, comp.I3), comp.dim)
+
+    @pytest.mark.parametrize("n", [1, 60])
+    def test_zero_and_tiny(self, side, q13, n):
+        zero = np.zeros((n, n), dtype=complex)
+        assert verify_so3(_so3(q13, zero, zero, zero)).max_residual == 0
+        sl2_zero = Sl2FiniteRep(q13, zero, zero, zero, zero, FamilyDescriptor("zero"))
+        # K Kinv = 0 misses the identity by 1 in every column
+        assert verify_sl2(sl2_zero).residuals == {"k_kinv": 1.0, "kek": 0.0, "kfk": 0.0,
+                                                  "ef_commutator": 0.0}
+        # a numerically zero representation scores its absolute defect
+        tiny = 1e-6 * np.eye(n, dtype=complex)
+        res = verify_so3(_so3(q13, tiny, zero, zero)).residuals
+        assert res["cubic_1"] == 1e-6 and res["cubic_2"] == 0
+
+    @pytest.mark.parametrize("l", ["5", "40"])
+    def test_wrong_q_fails(self, side, q13, q4, l):
+        rep = uqso3.r1_l(q13, H(l))
+        assert verify_so3(_so3(q4, rep.I1, rep.I2, rep.I3)).max_residual > 0.1
+        t = t_omega_l(q13, H(l), "1")
+        assert verify_sl2(Sl2FiniteRep(q4, t.K, t.Kinv, t.E, t.F, t.family)).max_residual > 0.1

@@ -115,6 +115,17 @@ class TestCeiling:
         assert cg_decompose(prod).total_dim() == 256
 
 
+class TestLargeProducts:
+    # the extendability scan tests only the shifts next to -log|mu| / log|q|
+    # off the unit circle, so q^(2k) does not overflow at these dimensions
+    @pytest.mark.parametrize("q, l", [(2.0, "15/2"), (1.3, "25/2"), (4.0, "49/2")])
+    def test_builds_and_verifies(self, q, l):
+        t = t_omega_l(generic_ctx(q=q), H(l), "1")
+        prod = tensor_so3(t, t)
+        assert prod.dim == (H(l).twice + 1) ** 2
+        assert verify_so3(prod).max_residual <= 1e-9
+
+
 class TestCgSl2:
     def test_omega_bookkeeping_all_combos(self, q13):
         for oa, ob in itertools.product(OMEGAS, OMEGAS):

@@ -1,5 +1,7 @@
 """sl2-side families: weight families, extendability, cyclic families."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from support import (finite_sl2_samples, generic_contexts, reference_is_extendab
                      rng_params, root_contexts)
 from qso3.errors import BadParam, BadRange, CtxMismatch
 from qso3.qscalar import HalfInt, generic_ctx, q_pow, root_of_unity_ctx
-from qso3.repcore import verify_sl2
+from qso3.repcore import FamilyDescriptor, Sl2FiniteRep, verify_sl2
 from qso3.structure import (are_equivalent, burnside_dim, cluster, is_irreducible,
                             _multiset_close)
 from qso3.uqsl2 import (classify_epsilon, cyclic_dim, delta_tensor,
@@ -162,6 +164,48 @@ class TestExtendabilityReference:
             results = self._check([t_a_epsilon(ctx, 0.3 + 0.2j, eps)
                                    for eps in eps_values])
             assert results == [True, True, False, False, True]
+
+
+def _reference_or_none(rep):
+    """The reference scan, or None where q^(2k) or q^(2k) mu^2 overflows in it."""
+    try:
+        with np.errstate(over="raise"):
+            return reference_is_extendable(rep)
+    except (OverflowError, FloatingPointError):
+        return None
+
+
+class TestExtendabilityNearestShifts:
+    """Off the unit circle only the shifts next to -log|mu| / log|q| are
+    tested; the answer and witness are those of the full scan."""
+
+    @pytest.mark.parametrize("q", [2.0, 4.0, 1.3, 0.6, -1.7 + 0.4j, np.exp(0.37j)])
+    def test_products_match_reference(self, q):
+        ctx = generic_ctx(q=q)
+        failing = 0
+        for (oa, ta), (ob, tb) in itertools.combinations_with_replacement(
+                [("1", 1), ("1", 6), ("-1", 9), ("i", 1), ("i", 5), ("-i", 9)], 2):
+            rep = delta_tensor(t_omega_l(ctx, HalfInt(ta), oa), t_omega_l(ctx, HalfInt(tb), ob))
+            want = _reference_or_none(rep)
+            assert want is not None and is_extendable(rep) == want, rep.family
+            failing += not want[0]
+        assert failing >= 3
+
+    def test_failing_shift_above_the_computed_one(self, q13):
+        # mu = i q^-2 fails at k = 2, where -log|mu| / log|q| rounds to
+        # 1.9999999999999996: the shift above it is tested too
+        mu = 1j * q_pow(q13, -2)
+        rep = Sl2FiniteRep(q13, np.array([[mu]]), np.array([[1 / mu]]), np.zeros((1, 1)),
+                           np.zeros((1, 1)), FamilyDescriptor("K"))
+        assert is_extendable(rep) == reference_is_extendable(rep) == (False, (2, mu))
+
+    def test_overflowing_reference(self):
+        # T_{15/2} (x) T_{15/2} at q = 2: the full scan overflows, the
+        # nearest shifts do not
+        t = t_omega_l(generic_ctx(q=2.0), H("15/2"), "1")
+        rep = delta_tensor(t, t)
+        assert _reference_or_none(rep) is None
+        assert is_extendable(rep) == (True, None)
 
 
 class TestCyclicFamilies:
