@@ -21,7 +21,7 @@ from .qscalar import q_pow
 from .repcore import (HALF, Band, BandedRep, FamilyDescriptor, ResidualReport,
                       Sl2FiniteRep, So3FiniteRep, _scaled_defect, relation_operands,
                       so3_i3_band, so3_relation_residuals)
-from .uqsl2 import is_extendable
+from .uqsl2 import _is_diagonal, is_extendable
 
 
 def _require_extendable(t: Sl2FiniteRep | BandedRep) -> None:
@@ -73,10 +73,24 @@ def _compose_banded(t: BandedRep, fam: FamilyDescriptor, flags: dict) -> BandedR
 
 def verify_psi(t: Sl2FiniteRep) -> ResidualReport:
     """Residuals of the three cyclic identities on the images of T (the
-    first is the I3 consistency of ``so3_relation_residuals``)."""
-    I1, I2, I3 = relation_operands(*psi_images(t))
-    res = so3_relation_residuals(t.ctx, I1, I2, I3)
-    rt = q_pow(t.ctx, HALF)
+    first is the I3 consistency of ``so3_relation_residuals``).
+
+    The images are formed on the relation operands, with (K + Kinv)^{-1}
+    the reciprocal diagonal where K + Kinv is diagonal (every constructor
+    and every coproduct) and ``np.linalg.inv`` otherwise: no solve, and
+    O(n) on nonzero diagonals from ``DIAGONAL_CROSSOVER`` up.
+    """
+    _require_extendable(t)
+    ctx = t.ctx
+    w = ctx.q - 1 / ctx.q
+    M = t.K + t.Kinv
+    Minv = np.diag(1 / np.diag(M)) if _is_diagonal(M) else np.linalg.inv(M)
+    K, Kinv, E, F, Minv = relation_operands(t.K, t.Kinv, t.E, t.F, Minv)
+    I1 = (1j / w) * (K - Kinv)
+    I2 = (E - F) @ Minv
+    I3 = (1j * q_pow(ctx, -HALF)) * (K @ E + Kinv @ F) @ Minv
+    res = so3_relation_residuals(ctx, I1, I2, I3)
+    rt = q_pow(ctx, HALF)
     rti = 1 / rt
     res["cyclic_231"] = _scaled_defect([rt * (I2 @ I3), -rti * (I3 @ I2), -I1])
     res["cyclic_312"] = _scaled_defect([rt * (I3 @ I1), -rti * (I1 @ I3), -I2])

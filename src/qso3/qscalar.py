@@ -111,7 +111,9 @@ def as_complex(a) -> complex:
 class QContext:
     """Deformation parameter with a fixed square-root branch and tolerance.
 
-    ``s`` is the chosen value of q^{1/2}; q = s^2 and tau = Log q are derived.
+    ``s`` is the chosen value of q^{1/2}; q = s^2, tau = Log q and the checked
+    q - q^{-1} are derived once per context and cached beside the fields
+    (equality, hash, repr and ``ctx_to_json`` see the fields only).
     ``kind`` is "generic" or "root_of_unity"; in the latter case ``p`` is the
     minimal positive exponent with q^p = 1 and ``p_prime`` is p for odd p,
     p/2 for even p.
@@ -129,13 +131,22 @@ class QContext:
     p_prime: int | None = None
     tol: float = 1e-9
 
-    @property
+    @functools.cached_property
     def q(self) -> complex:
         return self.s * self.s
 
-    @property
+    @functools.cached_property
     def tau(self) -> complex:
         return cmath.log(self.q)
+
+    @functools.cached_property
+    def q_minus_qinv(self) -> complex:
+        """q - q^{-1}; raises DegenerateQ where it is numerically zero (on
+        every read: a raise caches nothing)."""
+        w = self.q - 1 / self.q
+        if abs(w) <= self.threshold(abs(self.q)):
+            raise DegenerateQ(f"q - 1/q = {w} is numerically zero (q = {self.q})")
+        return w
 
     @property
     def is_root_of_unity(self) -> bool:
@@ -232,8 +243,7 @@ def root_of_unity_ctx(p: int, k: int = 1, tol: float = QContext.tol) -> QContext
 
 def q_pow(ctx: QContext, a) -> complex:
     """q^a for a half-integer a, computed through the stored branch s."""
-    a = HalfInt.of(a)
-    return ctx.s ** a.twice
+    return ctx.s ** (2 * a if isinstance(a, int) else HalfInt.of(a).twice)
 
 
 def q_pow_c(ctx: QContext, a) -> complex:
@@ -243,16 +253,9 @@ def q_pow_c(ctx: QContext, a) -> complex:
     return cmath.exp(complex(a) * ctx.tau)
 
 
-def _q_minus_qinv(ctx: QContext) -> complex:
-    w = ctx.q - 1 / ctx.q
-    if abs(w) <= ctx.threshold(abs(ctx.q)):
-        raise DegenerateQ(f"q - 1/q = {w} is numerically zero (q = {ctx.q})")
-    return w
-
-
 def q_num(ctx: QContext, a) -> complex:
     """The q-number [a] = (q^a - q^{-a}) / (q - q^{-1})."""
-    w = _q_minus_qinv(ctx)
+    w = ctx.q_minus_qinv
     if isinstance(a, (HalfInt, int)):
         t = q_pow(ctx, a)
     else:

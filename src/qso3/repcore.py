@@ -82,11 +82,22 @@ class Sl2FiniteRep:
 
 @dataclass(frozen=True)
 class Band:
-    """Tridiagonal action of one generator: G|n> = up(n)|n+1> + diag(n)|n> + down(n)|n-1>."""
+    """Tridiagonal action of one generator: G|n> = up(n)|n+1> + diag(n)|n> + down(n)|n-1>.
+
+    The coefficients are pure functions of n, and each is memoized: a band
+    derived from others (``so3_i3_band``) reuses their values, and a second
+    window of a ``BandedRep`` reuses those of the first.
+    """
 
     diag: CoeffFn | None = None
     up: CoeffFn | None = None
     down: CoeffFn | None = None
+
+    def __post_init__(self):
+        for part in ("diag", "up", "down"):
+            coeff = getattr(self, part)
+            if coeff is not None:
+                object.__setattr__(self, part, functools.cache(coeff))
 
 
 @dataclass
@@ -106,16 +117,6 @@ class BandedRep:
     n_min: int | None = None
     n_max: int | None = None
     flags: dict = field(default_factory=dict)
-
-    def label(self, n: int) -> complex:
-        return as_complex(self.offset) + n
-
-    def in_domain(self, n: int) -> bool:
-        if self.n_min is not None and n < self.n_min:
-            return False
-        if self.n_max is not None and n > self.n_max:
-            return False
-        return True
 
 
 def so3_i3(ctx: QContext, I1: np.ndarray, I2: np.ndarray) -> np.ndarray:
@@ -186,12 +187,12 @@ def truncate_n(rep: BandedRep, n_lo: int, n_hi: int) -> TruncatedRep:
     if n_hi < n_lo:
         raise EmptyWindow("empty truncation window")
     ns = np.arange(n_lo, n_hi + 1)
-    labels = np.array([rep.label(int(n)) for n in ns])
-    interior = np.array([
-        all(n_lo <= m <= n_hi or not rep.in_domain(m)
-            for m in range(int(n) - 2, int(n) + 3))
-        for n in ns
-    ])
+    labels = as_complex(rep.offset) + ns
+    # a column within reach (2) of a window end is not interior when the
+    # domain goes on past that end
+    open_lo = rep.n_min is None or n_lo > rep.n_min
+    open_hi = rep.n_max is None or n_hi < rep.n_max
+    interior = ~((open_lo & (ns <= n_lo + 1)) | (open_hi & (ns >= n_hi - 1)))
     return TruncatedRep(ctx=rep.ctx, labels=labels, ns=ns, interior=interior,
                         matrices=materialize(rep.bands, n_lo, n_hi))
 

@@ -7,12 +7,12 @@ i-twisted T~_{ab,lambda}.  Infinite families: T_{a,eps} on a shifted
 integer lattice.  ``is_extendable`` decides whether all operators
 q^k K + q^{-k} Kinv are invertible, which is what admits division by
 K + Kinv downstream: one array comparison of q^{2k} mu^2 against -1 over
-the grid of shifts k and K-eigenvalues mu (off the unit circle, only the
-shifts next to -log|mu| / log|q|).
+the candidate pairs of a shift k and a K-eigenvalue mu that can meet it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -82,12 +82,12 @@ def _sl2_finite(ctx: QContext, bands: dict[str, Band], dim: int,
 def is_extendable(rep: Sl2FiniteRep | BandedRep):
     """Whether q^k K + q^{-k} Kinv is invertible for all integers k.
 
-    A K-eigenvalue mu fails at k iff mu^2 = -q^{-2k}.  The scan covers
-    |k| <= 2*dim + 8 for generic q (k ordered by |k|, -k first), and k mod p
-    at a root of unity.  Off the unit circle only the shifts next to
-    -log|mu| / log|q| can fail (``_nearest_shifts``), and only they are
-    tested.  Returns (ok, witness) with witness = (k, mu) on
-    failure: the first failing k in scan order, and its first eigenvalue.
+    A K-eigenvalue mu fails at k iff mu^2 = -q^{-2k}, tested in the
+    scale-free form q^{2k} mu^2 = -1.  The range is |k| <= 2*dim + 8 for
+    generic q and 0 <= k < p at a root of unity; inside it only the
+    candidate pairs (k, mu) of ``_candidate_pairs`` can fail, and only they
+    are tested.  Returns (ok, witness) with witness = (k, mu) on failure:
+    the first failing pair in the order (|k|, k, eigenvalue index).
     """
     ctx = rep.ctx
     if isinstance(rep, Sl2FiniteRep):
@@ -100,39 +100,60 @@ def is_extendable(rep: Sl2FiniteRep | BandedRep):
                   (rep.n_max if rep.n_max is not None else rep.n_min + 80) + 1)
         mus = np.array([band.diag(n) for n in ns])
         dim = len(mus)
-    if ctx.is_root_of_unity:
-        ks = range(ctx.p)
-    else:
-        bound = 2 * dim + EXTEND_SCAN_MARGIN
-        if ctx.close(abs(ctx.q) ** 2, 1):
-            ks = sorted(range(-bound, bound + 1), key=abs)
-        else:
-            ks = sorted((k for k in _nearest_shifts(ctx, mus) if abs(k) <= bound),
-                        key=lambda k: (abs(k), k))
-    shift = np.array([q_pow_c(ctx, 2 * k) for k in ks])
-    # mu^2 = -q^{-2k}, tested in the scale-free form q^{2k} mu^2 = -1 on the
-    # whole (k, mu) grid at once
-    t = shift[:, None] * mus * mus
-    hits = np.abs(t + 1) <= ctx.threshold(np.abs(t))
-    if not hits.any():
+    ks, js = _candidate_pairs(ctx, mus, 2 * dim + EXTEND_SCAN_MARGIN)
+    # q^{2k} once for each k that occurs, in a table over its range
+    lo = ks.min(initial=0)
+    shift = np.zeros(ks.max(initial=0) - lo + 1, dtype=complex)
+    shift[ks - lo] = 1
+    for k in (np.flatnonzero(shift) + lo).tolist():
+        shift[k - lo] = q_pow_c(ctx, 2 * k)
+    t = shift[ks - lo] * mus[js] * mus[js]
+    hit = np.flatnonzero(np.abs(t + 1) <= ctx.threshold(np.abs(t)))
+    if not hit.size:
         return True, None
-    # row-major argmax: the first hit in the order of the scan
-    i, j = divmod(int(np.argmax(hits)), len(mus))
-    return False, (ks[i], complex(mus[j]))
+    first = hit[np.lexsort((js[hit], ks[hit], np.abs(ks[hit])))[0]]
+    return False, (int(ks[first]), complex(mus[js[first]]))
 
 
-def _nearest_shifts(ctx: QContext, mus: np.ndarray) -> set[int]:
-    """The integers next to k* = -log|mu| / log|q| for each nonzero mu.
+def _candidate_pairs(ctx: QContext, mus: np.ndarray, bound: int):
+    """The pairs (k, index of mu) that can meet q^{2k} mu^2 = -1, as two
+    integer arrays.
 
-    |q^{2k} mu^2| = |q|^{2(k - k*)}, so a shift at distance 1 or more from
-    k* puts it at least as far from 1 as |q|^{+-2} is; when |q|^2 is not
-    within ``threshold`` of 1, no such shift can meet q^{2k} mu^2 = -1, and
-    only these are left to test.  Shifts then stay near k*, where q^{2k}
-    does not overflow.
+    At a root of unity: every k < p with every mu.  Otherwise a hit needs
+    |t + 1| <= threshold for t = q^{2k} mu^2, and |t + 1| >= ||t| - 1|:
+
+    * off the unit circle, |t| = |q|^{2(k - k*)} with k* = -log|mu| / log|q|,
+      so a shift at distance 1 or more from k* leaves |t| at least as far
+      from 1 as |q|^{+-2}: the candidates of mu are floor and ceil of k*;
+    * on the unit circle (|q|^2 within ``threshold`` of 1), |t| stays near
+      1 only for the mu with |mu|^2 near 1 (kept with a margin of 2), and
+      t = -1 needs 2 k theta + 2 arg mu = pi mod 2 pi, theta = arg q; a
+      shift at distance 1 or more from every k* = (pi - 2 arg mu + 2 pi j)
+      / (2 theta) puts t at least 2 |theta| from -1 in angle, and |q - 1|
+      above ``threshold`` makes that a miss, so the candidates are floor
+      and ceil of those k* with |k*| <= bound + 1.
     """
-    mods = np.abs(mus)
-    kstar = -np.log(mods[mods > 0]) / math.log(abs(ctx.q))
-    return {*np.floor(kstar).astype(int).tolist(), *np.ceil(kstar).astype(int).tolist()}
+    index = np.arange(len(mus))
+    if ctx.is_root_of_unity:
+        return np.repeat(np.arange(ctx.p), len(mus)), np.tile(index, ctx.p)
+    with np.errstate(divide="ignore"):
+        log_mods = np.log(np.abs(mus))     # -inf at mu = 0, which never fails
+    log_r = math.log(abs(ctx.q))
+    if not ctx.close(abs(ctx.q) ** 2, 1):
+        kstar, js = -log_mods / log_r, index
+    else:
+        # a hit has |log|t|| <= -log(1 - threshold) <= 2 threshold, and
+        # log|t| - log|mu|^2 = 2 k log|q| with |k| <= bound
+        reach = 4 * (ctx.threshold() + bound * abs(log_r))
+        live = index[np.abs(2 * log_mods) <= reach]
+        theta = cmath.phase(ctx.q)
+        jmax = int((bound + 1) * abs(theta) / math.pi) + 2
+        turns = 2 * math.pi * np.arange(-jmax, jmax + 1)
+        kstar = (((math.pi - 2 * np.angle(mus[live]))[:, None] + turns) / (2 * theta)).ravel()
+        js = np.repeat(live, len(turns))
+    ks = np.concatenate([np.floor(kstar), np.ceil(kstar)])
+    inside = np.abs(ks) <= bound
+    return ks[inside].astype(int), np.concatenate([js, js])[inside]
 
 
 def _is_diagonal(mat: np.ndarray) -> bool:

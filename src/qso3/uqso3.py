@@ -665,25 +665,41 @@ def q_root_components(ctx: QContext, descriptor) -> So3FiniteRep:
 # central elements
 
 class CentralPoly:
-    """Monic polynomial P(I) = I^p + a I^{p-2} + ... commuting with the
+    """The central polynomial in closed form: the Dickson polynomial
+    D_p(I, a), a = (q - q^-1)^-2, with its constant term dropped,
+
+        c_{2j} = (-1)^j * p/(p-j) * C(p-j, j) * (q - q^-1)^(-2j),
+        0 <= 2j < p,
+
+    the coefficient of I^{p-2j} (Havlicek-Klimyk-Posta, math/9911130).
+    It is the polynomial with P((z + 1/z) / (q - q^-1)) equal to
+    (z^p + z^-p) / (q - q^-1)^p up to a constant; it commutes with the
     generators in every representation at the given root of unity.
 
-    ``coeffs`` is the full descending coefficient list of length p+1
-    (leading 1; only every other power occurs; constant term fixed to 0
-    since constants are trivially central).
+    ``coeffs`` is the descending coefficient list of length p+1 (leading 1,
+    every other power).  A call evaluates P by the Dickson recurrence
+    D_n = I D_{n-1} - a D_{n-2} (D_0 = 2, D_1 = I), not by Horner's rule
+    on ``coeffs``, whose terms cancel where P(I) is nearly scalar.
     """
 
-    def __init__(self, ctx: QContext, coeffs: np.ndarray):
+    def __init__(self, ctx: QContext):
+        _require_root(ctx)
         self.ctx = ctx
-        self.p = ctx.p
-        self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.p = p = ctx.p
+        w = _w(ctx)
+        self.coeffs = np.zeros(p + 1, dtype=complex)
+        for j in range((p + 1) // 2):  # j = p/2 would be the constant term
+            self.coeffs[2 * j] = (-1) ** j * (p * math.comb(p - j, j) // (p - j)) * w ** (-2 * j)
+        self._a = w ** -2
+        # the constant term of D_p: 2 (-a)^(p/2) for even p, 0 for odd p
+        self._constant = 0.0 if p % 2 else 2 * (-self._a) ** (p // 2)
 
     def __call__(self, mat: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(mat)
         eye = np.eye(mat.shape[0], dtype=complex)
-        for ck in self.coeffs:
-            out = out @ mat + ck * eye
-        return out
+        prev, cur = 2 * eye, np.asarray(mat, dtype=complex)
+        for _ in range(self.p - 1):
+            prev, cur = cur, mat @ cur - self._a * prev
+        return cur - self._constant * eye
 
     def __repr__(self):
         terms = []
@@ -695,23 +711,8 @@ class CentralPoly:
 
 
 def central_poly(ctx: QContext) -> CentralPoly:
-    """The central polynomial in closed form: the Dickson polynomial
-    D_p(I, (q - q^-1)^-2) with its constant term dropped,
-
-        c_{2j} = (-1)^j * p/(p-j) * C(p-j, j) * (q - q^-1)^(-2j),
-        0 <= 2j < p,
-
-    the coefficient of I^{p-2j} (Havlicek-Klimyk-Posta, math/9911130).
-    It is the polynomial with P((z + 1/z) / (q - q^-1)) equal to
-    (z^p + z^-p) / (q - q^-1)^p up to a constant.
-    """
-    _require_root(ctx)
-    p = ctx.p
-    w = _w(ctx)
-    coeffs = np.zeros(p + 1, dtype=complex)
-    for j in range((p + 1) // 2):  # j = p/2 would be the constant term
-        coeffs[2 * j] = (-1) ** j * (p * math.comb(p - j, j) // (p - j)) * w ** (-2 * j)
-    return CentralPoly(ctx, coeffs)
+    """The central polynomial of a root-of-unity context (``CentralPoly``)."""
+    return CentralPoly(ctx)
 
 
 def _pm(x) -> int:

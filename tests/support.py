@@ -14,7 +14,7 @@ from qso3.qscalar import (HalfInt, QContext, generic_ctx, magnitude_scale, q_pow
 from qso3 import uqsl2, uqso3
 from qso3.errors import NoSolution
 from qso3.psihom import psi_images
-from qso3.repcore import Diagonals, Sl2FiniteRep
+from qso3.repcore import Diagonals, FamilyDescriptor, Sl2FiniteRep
 from qso3.structure import (DEFAULT_SEED, DecompositionReport, _blocks, _coupled,
                             _gens, _GrowingSpan, _scale, _split_once,
                             _weight_frame, _wrap_component, commutant,
@@ -303,15 +303,24 @@ def reference_is_extendable(rep):
     return True, None
 
 
+def unitary_conjugate(t: Sl2FiniteRep, seed=3) -> Sl2FiniteRep:
+    """T in a random unitary basis: K is no longer diagonal."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(t.dim, t.dim)) + 1j * rng.normal(size=(t.dim, t.dim)))[0]
+    return Sl2FiniteRep(t.ctx, *(u @ g @ u.conj().T for g in (t.K, t.Kinv, t.E, t.F)),
+                        FamilyDescriptor("conjugated", {"of": t.family}))
+
+
 def reference_matrix_entry_list(mat) -> list:
     """The dense dump layout, entry by entry: rows of [re, im] pairs."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
-def reference_central_poly(ctx: QContext) -> uqso3.CentralPoly:
-    """The central polynomial fitted by solving [P(I1), I2] = 0 on a cyclic
-    family at generic parameters and cross-checked to commute with both
-    generators on it; an inconsistent system raises NoSolution."""
+def reference_central_poly(ctx: QContext) -> np.ndarray:
+    """The descending coefficients of the central polynomial fitted by
+    solving [P(I1), I2] = 0 on a cyclic family at generic parameters and
+    cross-checked, by Horner's rule, to commute with both generators on it;
+    an inconsistent system raises NoSolution."""
     rep_sample = uqso3.r_ab_lambda(ctx, 0.7 + 0.31j, 1.2 - 0.4j, 1.7 + 0.6j)
     p = ctx.p
     I1, I2 = rep_sample.I1, rep_sample.I2
@@ -336,13 +345,14 @@ def reference_central_poly(ctx: QContext) -> uqso3.CentralPoly:
     coeffs[0] = 1.0
     for e, xe in zip(exps, x):
         coeffs[p - e] = xe
-    poly = uqso3.CentralPoly(ctx, coeffs)
     for gen, other in ((I1, I2), (I2, I1)):
-        P = poly(gen)
+        P = np.zeros_like(gen)
+        for ck in coeffs:
+            P = P @ gen + ck * np.eye(n, dtype=complex)
         comm = P @ other - other @ P
         if np.max(np.abs(comm)) > ctx.matching(np.max(np.abs(P)) * np.max(np.abs(other))):
             raise NoSolution("solved polynomial fails to commute on the sample")
-    return poly
+    return coeffs
 
 
 def _dense_maxabs(mat: np.ndarray) -> float:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from support import finite_sl2_samples, weight_ls
+from support import finite_sl2_samples, reference_psi_residuals, unitary_conjugate, weight_ls
 from qso3.errors import NotExtendable
 from qso3.psihom import compose, psi_images, verify_psi
-from qso3.qscalar import HalfInt, root_of_unity_ctx
-from qso3.repcore import truncate, verify_so3
+from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
+from qso3.repcore import DIAGONAL_CROSSOVER, truncate, verify_so3
 from qso3 import uqso3
 from qso3.uqsl2 import delta_tensor, t_a_epsilon, t_ab_lambda, t_omega_l
 
@@ -49,6 +49,29 @@ class TestVerifyPsi:
 
     def test_trivial_exact(self, q13):
         assert verify_psi(t_omega_l(q13, 0, 1)).max_residual == 0
+
+    @pytest.mark.parametrize("tw", [19, 59])     # dims 20 and 60: both sides
+    def test_conjugated_matches_reference(self, tw):
+        # K + Kinv is not diagonal: (K + Kinv)^-1 comes from np.linalg.inv.
+        # q near the unit circle keeps the weight basis balanced, so the
+        # unitary change of basis does not mix scales
+        assert (tw + 1 < DIAGONAL_CROSSOVER) == (tw == 19)
+        for ctx in (generic_ctx(q=1.05), generic_ctx(q=np.exp(0.1j))):
+            for omega in ("1", "i"):
+                rep = unitary_conjugate(t_omega_l(ctx, HalfInt(tw), omega))
+                got, want = verify_psi(rep).residuals, reference_psi_residuals(rep)
+                assert got.keys() == want.keys()
+                for name, value in want.items():
+                    assert abs(got[name] - value) <= 1e-14, (ctx.q, omega, name, got[name], value)
+
+    def test_no_solve(self, q13, qphase, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verify_psi solved a linear system")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        for ctx in (q13, qphase):
+            for tw in (5, 99):
+                assert verify_psi(t_omega_l(ctx, HalfInt(tw), "i")).max_residual <= 1e-12
 
 
 class TestComposeOracles:

@@ -73,6 +73,23 @@ class TestQNum:
         broken = type(ctx)(s=1.0 + 0j, kind="generic", tol=1e-9)
         with pytest.raises(DegenerateQ):
             q_num(broken, 1)
+        # a raise caches nothing: the second call raises too
+        with pytest.raises(DegenerateQ):
+            q_num(broken, 2)
+
+
+class TestContextCache:
+    @pytest.mark.parametrize("ctx", [generic_ctx(q=1.3), generic_ctx(q=cmath.exp(0.37j)),
+                                     root_of_unity_ctx(8, 3)])
+    def test_fields_only_after_derived_reads(self, ctx):
+        fresh = QContext(ctx.s, ctx.kind, ctx.p, ctx.p_prime, ctx.tol)
+        before = (repr(fresh), hash(fresh), ctx_to_json(fresh))
+        assert (ctx.q, ctx.tau, ctx.q_minus_qinv) == (
+            ctx.s * ctx.s, cmath.log(ctx.s * ctx.s), ctx.s * ctx.s - 1 / (ctx.s * ctx.s))
+        assert ctx == fresh and fresh == ctx
+        assert (repr(ctx), hash(ctx), ctx_to_json(ctx)) == before
+        assert ctx_from_json(ctx_to_json(ctx)) == ctx
+        assert {ctx, fresh} == {fresh}
 
 
 class TestCCoeff:

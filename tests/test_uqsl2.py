@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from support import (finite_sl2_samples, generic_contexts, reference_is_extendable,
-                     rng_params, root_contexts)
+                     rng_params, root_contexts, unitary_conjugate)
 from qso3.errors import BadParam, BadRange, CtxMismatch
 from qso3.qscalar import HalfInt, generic_ctx, q_pow, root_of_unity_ctx
 from qso3.repcore import FamilyDescriptor, Sl2FiniteRep, verify_sl2
 from qso3.structure import (are_equivalent, burnside_dim, cluster, is_irreducible,
                             _multiset_close)
-from qso3.uqsl2 import (classify_epsilon, cyclic_dim, delta_tensor,
+from qso3.uqsl2 import (OMEGAS, classify_epsilon, cyclic_dim, delta_tensor,
                         is_extendable, special_epsilon_values, t_a_epsilon,
                         t_ab_lambda, t_omega_l, t_prime_0b_lambda,
                         t_tilde_ab_lambda)
@@ -329,3 +329,88 @@ class TestDeltaTensor:
         assert not ok("-1", "3/2", "-i", "5/2")
         assert ok("i", "1/2", "i", "3/2")
         assert ok("i", "5/2", "-i", "1/2")
+
+
+def _diagonal_k(ctx, mus):
+    """An sl2 datum with K = diag(mus) and E = F = 0: extendability only
+    reads the K-eigenvalues."""
+    mus = np.asarray(mus, dtype=complex)
+    zero = np.zeros((len(mus), len(mus)), dtype=complex)
+    return Sl2FiniteRep(ctx, np.diag(mus), np.diag(1 / mus), zero, zero,
+                        FamilyDescriptor("K"))
+
+
+CIRCLE_QS = [np.exp(0.01j), np.exp(0.37j), np.exp(2.9j), np.exp(-1.3j)]
+
+
+class TestExtendabilityCandidates:
+    """Only candidate pairs (k, mu) are tested, on and off the unit circle;
+    answer and witness are those of the full scan."""
+
+    @pytest.mark.parametrize("q", CIRCLE_QS)
+    def test_weight_families_on_the_circle(self, q):
+        ctx = generic_ctx(q=q)
+        reps = [t_omega_l(ctx, HalfInt(tw), omega)
+                for tw in (0, 1, 2, 5, 8, 13) for omega in OMEGAS]
+        results = [is_extendable(rep) for rep in reps]
+        assert results == [reference_is_extendable(rep) for rep in reps]
+        # i-twisted integer l fails at k = 0 on the zero weight
+        for tw in (0, 2, 8):
+            for omega in ("i", "-i"):
+                ok, (k, mu) = is_extendable(t_omega_l(ctx, HalfInt(tw), omega))
+                assert not ok and k == 0 and abs(mu * mu + 1) <= 1e-12
+
+    @pytest.mark.parametrize("q", CIRCLE_QS)
+    def test_products_on_the_circle(self, q):
+        ctx = generic_ctx(q=q)
+        failing = 0
+        for (oa, ta), (ob, tb) in itertools.combinations_with_replacement(
+                [("1", 1), ("-1", 4), ("i", 1), ("i", 3), ("-i", 4)], 2):
+            rep = delta_tensor(t_omega_l(ctx, HalfInt(ta), oa), t_omega_l(ctx, HalfInt(tb), ob))
+            got = is_extendable(rep)
+            assert got == reference_is_extendable(rep), rep.family
+            failing += not got[0]
+        assert failing >= 3
+
+    @pytest.mark.parametrize("q", CIRCLE_QS + [1.3, 0.6])
+    def test_shifted_failures_and_scan_order(self, q):
+        # i q^-k fails at k; the first failure in the order (|k|, k, index)
+        ctx = generic_ctx(q=q)
+        mus = [1j * q_pow(ctx, -k) for k in (3, -2, 2, 7)] + [2.0]
+        for order in (mus, mus[::-1], mus[2:] + mus[:2]):
+            rep = _diagonal_k(ctx, order)
+            got = is_extendable(rep)
+            assert got == reference_is_extendable(rep)
+            assert got == (False, (-2, mus[1]))
+        assert is_extendable(_diagonal_k(ctx, [mus[0], mus[3]])) == (False, (3, mus[0]))
+
+    def test_lattice_family(self, qphase):
+        # complex eps: |mu| = |q^(eps + n)| != 1, so no mu is kept; real
+        # eps: |mu| = 1, and only the special offsets fail
+        for eps in (0.4 + 0.2j, 0.25 - 0.3j, 0.4):
+            rep = t_a_epsilon(qphase, 0.3 + 0.2j, eps)
+            assert is_extendable(rep) == reference_is_extendable(rep) == (True, None)
+        special = special_epsilon_values(qphase)[8]
+        rep = t_a_epsilon(qphase, 0.3 + 0.2j, special + 2)
+        got = is_extendable(rep)
+        assert got == reference_is_extendable(rep) and not got[0]
+
+    @pytest.mark.parametrize("p", [5, 8, 80])
+    def test_roots_every_shift_below_p(self, p):
+        # the shifts 0 <= k < p may exceed the range 2 dim + 8 of a small family
+        ctx = root_of_unity_ctx(p, 1)
+        reps = [t_omega_l(ctx, HalfInt(tw), omega) for tw in (0, 1) for omega in OMEGAS]
+        reps.append(_diagonal_k(ctx, [1j * q_pow(ctx, -(p - 1))]))
+        results = [is_extendable(rep) for rep in reps]
+        assert results == [reference_is_extendable(rep) for rep in reps]
+        # q^(2k) has period p' in k: the first failure is k = p - 1 mod p'
+        assert results[-1] == (False, ((p - 1) % ctx.p_prime, reps[-1].K[0, 0]))
+
+    @pytest.mark.parametrize("q", CIRCLE_QS + [1.3])
+    def test_conjugated_weight_family(self, q):
+        ctx = generic_ctx(q=q)
+        for tw, omega in ((5, "i"), (4, "i"), (6, "1")):
+            rep = unitary_conjugate(t_omega_l(ctx, HalfInt(tw), omega))
+            assert not np.allclose(rep.K, np.diag(np.diag(rep.K)))
+            assert is_extendable(rep) == reference_is_extendable(rep), (tw, omega)
+        assert not is_extendable(unitary_conjugate(t_omega_l(ctx, HalfInt(4), "i")))[0]

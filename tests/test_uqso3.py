@@ -646,8 +646,19 @@ class TestCentralElements:
         for k in _coprime(p):
             ctx = root_of_unity_ctx(p, k)
             got = U.central_poly(ctx).coeffs
-            want = reference_central_poly(ctx).coeffs
+            want = reference_central_poly(ctx)
             assert np.all(np.abs(got - want) <= ctx.matching(np.abs(want))), (p, k)
+
+    @pytest.mark.parametrize("p", [16, 19, 20])
+    def test_nearly_scalar_evaluation_commutes(self, p):
+        # I2 of Qp_lambda is the circulant (S + S^-1) / (q - q^-1), on which
+        # P is a multiple of the identity: its monomial terms cancel to it
+        ctx = root_of_unity_ctx(p, 1)
+        rep = U.q_prime_lambda(ctx, 0.8 + 0.6j)
+        P = U.central_poly(ctx)(rep.I2)
+        comm = P @ rep.I1 - rep.I1 @ P
+        assert np.max(np.abs(comm)) <= ctx.matching(
+            np.max(np.abs(P)) * np.max(np.abs(rep.I1))), p
 
     @given(ctx=root_contexts_to_20(), cyclic=st.booleans(), a=complex_box,
            b=complex_box, lam=polar)
