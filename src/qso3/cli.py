@@ -239,10 +239,11 @@ def cmd_verify(args):
                 pass  # no localization image, so no psi residuals
             else:
                 entry["psi_residuals"] = psi_report.residuals
-                entry["max_residual"] = max(entry["max_residual"],
-                                            psi_report.max_residual)
+                entry["max_residual"] = float(np.max([entry["max_residual"],
+                                                      psi_report.max_residual]))
         payload.append(entry)
-    worst = max([0.0] + [e["max_residual"] for e in payload])
+    # np.max, unlike max, keeps a NaN residual whatever its place, so it fails
+    worst = float(np.max([0.0] + [e["max_residual"] for e in payload]))
     return {"reports": payload, "max_residual": worst, "tol": args.tol}, \
         0 if worst <= args.tol else 1
 
@@ -305,7 +306,7 @@ def cmd_spectrum(args):
                  "spectrum": structure.i1_spectrum(r)} for r in rep], 0
     if isinstance(rep, BandedRep):
         tr = window_truncation(rep, args.window)
-        vals = np.diag(tr.matrices["I1" if rep.flavor == "so3" else "K"])
+        vals = tr.diagonals["I1" if rep.flavor == "so3" else "K"].diagonal()
         return {"family": str(rep.family), "window": args.window,
                 "spectrum": structure.cluster(vals, rep.ctx.separation())}, 0
     return {"family": str(rep.family), "spectrum": structure.i1_spectrum(rep)}, 0

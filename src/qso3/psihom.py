@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotExtendable
 from .qscalar import q_pow
-from .repcore import (HALF, Band, BandedRep, FamilyDescriptor, ResidualReport,
+from .repcore import (HALF, Band, BandedRep, Diagonals, FamilyDescriptor, ResidualReport,
                       Sl2FiniteRep, So3FiniteRep, _scaled_defect, relation_operands,
                       so3_i3_band, so3_relation_residuals)
 from .uqsl2 import _is_diagonal, is_extendable
@@ -84,7 +84,7 @@ def verify_psi(t: Sl2FiniteRep) -> ResidualReport:
     ctx = t.ctx
     w = ctx.q - 1 / ctx.q
     M = t.K + t.Kinv
-    Minv = np.diag(1 / np.diag(M)) if _is_diagonal(M) else np.linalg.inv(M)
+    Minv = Diagonals([0], (1 / np.diag(M))[None]) if _is_diagonal(M) else np.linalg.inv(M)
     K, Kinv, E, F, Minv = relation_operands(t.K, t.Kinv, t.E, t.F, Minv)
     I1 = (1j / w) * (K - Kinv)
     I2 = (E - F) @ Minv

@@ -9,10 +9,12 @@ closures ``diag``, ``up`` and ``down`` of an integer domain coordinate n,
 G|n> = up(n)|n+1> + diag(n)|n> + down(n)|n-1>.  The domain is one of four:
 an interval, a half-line or the whole line (``BandedRep.n_min``/``n_max``,
 None meaning unbounded), or a cycle n_lo..n_hi on which up at n_hi wraps to
-n_lo and down at n_lo wraps to n_hi.  ``materialize`` is the one place that
-turns bands into dense matrices: finite constructors call it on their whole
-interval or cycle, and infinite representations (``BandedRep``, labels
-m = offset + n) reach it only through truncation windows.
+n_lo and down at n_lo wraps to n_hi.  Finite constructors call
+``materialize``, the one bands-to-dense routine, on their whole interval or
+cycle.  Infinite representations (``BandedRep``, labels m = offset + n) are
+reached only through truncation windows, which ``band_diagonals`` builds as
+diagonals (``Diagonals``) with no dense n x n matrix: windows are verified
+and dumped on those diagonals.
 
 Verification is residual-based: each defining relation is evaluated and the
 max-entry norm of the defect is scaled by the max-entry norms of the terms,
@@ -149,7 +151,7 @@ def so3_i3_band(ctx: QContext, i1: Band, i2: Band) -> Band:
 
 @dataclass
 class TruncatedRep:
-    """Dense window of a banded representation.
+    """Window of a banded representation, each generator as its diagonals.
 
     ``interior[j]`` marks columns whose relation residuals are exact: every
     index within reach (distance 2) is either inside the window or outside
@@ -159,8 +161,13 @@ class TruncatedRep:
     ctx: QContext
     labels: np.ndarray
     ns: np.ndarray
-    matrices: dict[str, np.ndarray]
+    diagonals: dict[str, Diagonals]
     interior: np.ndarray
+
+    @functools.cached_property
+    def matrices(self) -> dict[str, np.ndarray]:
+        """The window as dense matrices, for callers outside the library."""
+        return {name: diags.dense() for name, diags in self.diagonals.items()}
 
 
 def truncate(rep: BandedRep, lo, hi) -> TruncatedRep:
@@ -194,7 +201,36 @@ def truncate_n(rep: BandedRep, n_lo: int, n_hi: int) -> TruncatedRep:
     open_hi = rep.n_max is None or n_hi < rep.n_max
     interior = ~((open_lo & (ns <= n_lo + 1)) | (open_hi & (ns >= n_hi - 1)))
     return TruncatedRep(ctx=rep.ctx, labels=labels, ns=ns, interior=interior,
-                        matrices=materialize(rep.bands, n_lo, n_hi))
+                        diagonals=band_diagonals(rep.bands, n_lo, n_hi))
+
+
+# part of a band: its offset in ``Diagonals`` (column minus row of its entries)
+_PART_OFFSETS = {"diag": 0, "up": -1, "down": 1}
+
+
+def band_diagonals(bands: dict[str, Band], n_lo: int,
+                   n_hi: int) -> dict[str, Diagonals]:
+    """The bands on the interval n_lo..n_hi as diagonals, images outside it
+    dropped: the entries of ``materialize``, bit for bit, with no dense
+    matrix.  Every part a band has is stored, even where it is 0 on the
+    whole window.
+    """
+    ns = range(n_lo, n_hi + 1)
+    n = len(ns)
+    out = {}
+    for name, band in bands.items():
+        rows = np.zeros((3, n), dtype=complex)
+        stored = []
+        for part, k in _PART_OFFSETS.items():
+            coeff = getattr(band, part)
+            lo, hi = max(k, 0), n + min(k, 0)  # the columns whose image stays
+            if coeff is not None and lo < hi:
+                # added to a zero row, so -0.0 folds to 0.0 as in the dense fill
+                rows[k + 1, lo:hi] += [coeff(m) for m in ns[lo:hi]]
+                stored.append(k)
+        stored.sort()
+        out[name] = Diagonals(stored, rows[_run([k + 1 for k in stored])])
+    return out
 
 
 def materialize(bands: dict[str, Band], n_lo: int, n_hi: int,
@@ -233,7 +269,8 @@ class ResidualReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
+        """The largest residual, NaN if any residual is NaN."""
+        return float(np.max([0.0, *self.residuals.values()]))
 
     def __str__(self):
         body = ", ".join(f"{k}={v:.3e}" for k, v in self.residuals.items())
@@ -261,7 +298,7 @@ class Diagonals:
     def of(cls, mat: np.ndarray) -> "Diagonals":
         """The nonzero diagonals of a dense square matrix."""
         n = mat.shape[0]
-        r, c = np.nonzero(mat)
+        r, c = np.nonzero(mat != 0)
         offsets = sorted(set((c - r).tolist()))
         rows = np.zeros((len(offsets), n), dtype=complex)
         for row, k in zip(rows, offsets):
@@ -272,6 +309,22 @@ class Diagonals:
     def shape(self) -> tuple[int, int]:
         n = self.rows.shape[1]
         return n, n
+
+    def diagonal(self, k: int = 0) -> np.ndarray:
+        """The entries (i, i + k) in ``np.diagonal`` order, 0 where k is not stored."""
+        n = self.rows.shape[1]
+        if k not in self.offsets:
+            return np.zeros(n - abs(k), dtype=complex)
+        return self.rows[self.offsets.index(k), max(k, 0):n + min(k, 0)]
+
+    def dense(self) -> np.ndarray:
+        """The square matrix these diagonals hold."""
+        n = self.rows.shape[1]
+        mat = np.zeros((n, n), dtype=complex)
+        for k, row in zip(self.offsets, self.rows):
+            cols = np.arange(max(k, 0), n + min(k, 0))
+            mat[cols - k, cols] = row[cols]
+        return mat
 
     def __matmul__(self, other: "Diagonals") -> "Diagonals":
         n = self.rows.shape[1]
@@ -327,11 +380,11 @@ def _run(positions: list[int]) -> slice | list[int]:
 DIAGONAL_CROSSOVER = 56
 
 
-def relation_operands(*mats: np.ndarray) -> list:
-    """The matrices as the relation formulas take them: dense below
-    ``DIAGONAL_CROSSOVER``, as ``Diagonals`` from it up."""
+def relation_operands(*mats: np.ndarray | Diagonals) -> list:
+    """The matrices (dense or ``Diagonals``) as the relation formulas take
+    them: dense below ``DIAGONAL_CROSSOVER``, as ``Diagonals`` from it up."""
     if mats[0].shape[0] < DIAGONAL_CROSSOVER:
-        return list(mats)
+        return [m.dense() if isinstance(m, Diagonals) else m for m in mats]
     return [m if isinstance(m, Diagonals) else Diagonals.of(m) for m in mats]
 
 
@@ -377,7 +430,8 @@ def so3_relation_residuals(ctx: QContext, I1, I2, I3, cols=None) -> dict[str, fl
 def sl2_relation_residuals(ctx: QContext, K, Kinv, E, F, cols=None) -> dict[str, float]:
     q = ctx.q
     w = q - 1 / q
-    K, Kinv, E, F, eye = relation_operands(K, Kinv, E, F, np.eye(K.shape[0], dtype=complex))
+    eye = Diagonals([0], np.ones((1, K.shape[0]), dtype=complex))
+    K, Kinv, E, F, eye = relation_operands(K, Kinv, E, F, eye)
     rels = {
         "k_kinv": [K @ Kinv, -eye],
         "kek": [K @ E @ Kinv, -q * E],
@@ -397,8 +451,8 @@ def verify_so3(rep: So3FiniteRep | BandedRep, window: int = 20) -> ResidualRepor
     if isinstance(rep, So3FiniteRep):
         return ResidualReport(so3_relation_residuals(rep.ctx, rep.I1, rep.I2, rep.I3))
     tr = _verify_window(rep, window)
-    res = so3_relation_residuals(rep.ctx, tr.matrices["I1"], tr.matrices["I2"],
-                                 tr.matrices["I3"], cols=tr.interior)
+    d = tr.diagonals
+    res = so3_relation_residuals(rep.ctx, d["I1"], d["I2"], d["I3"], cols=tr.interior)
     return ResidualReport(res)
 
 
@@ -407,11 +461,9 @@ def verify_sl2(rep: Sl2FiniteRep | BandedRep, window: int = 20) -> ResidualRepor
         return ResidualReport(
             sl2_relation_residuals(rep.ctx, rep.K, rep.Kinv, rep.E, rep.F))
     tr = _verify_window(rep, window)
-    K = tr.matrices["K"]
-    dk = np.diag(K)
-    Kinv = np.diag(1 / dk)
-    res = sl2_relation_residuals(rep.ctx, K, Kinv, tr.matrices["E"],
-                                 tr.matrices["F"], cols=tr.interior)
+    d = tr.diagonals
+    Kinv = Diagonals([0], (1 / d["K"].diagonal())[None])
+    res = sl2_relation_residuals(rep.ctx, d["K"], Kinv, d["E"], d["F"], cols=tr.interior)
     return ResidualReport(res)
 
 
@@ -431,14 +483,14 @@ def _pairs(values: np.ndarray) -> list:
     return np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
-def _matrix_diagonals(mat: np.ndarray) -> dict:
+def _matrix_diagonals(mat: np.ndarray | Diagonals) -> dict:
     """A square matrix as its nonzero diagonals: diagonal k (offsets ascending)
-    holds mat[i, i + k] in ``np.diagonal`` order."""
-    n = mat.shape[0]
-    diags = Diagonals.of(mat)
-    return {"dim": n, "offsets": diags.offsets,
-            "diagonals": [_pairs(row[max(k, 0):n + min(k, 0)])
-                          for k, row in zip(diags.offsets, diags.rows)]}
+    holds mat[i, i + k] in ``np.diagonal`` order.  An all-zero stored
+    diagonal is left out, so the offsets are those of ``Diagonals.of``."""
+    diags = mat if isinstance(mat, Diagonals) else Diagonals.of(mat)
+    offsets = [k for k, row in zip(diags.offsets, diags.rows) if row.any()]
+    return {"dim": diags.shape[0], "offsets": offsets,
+            "diagonals": [_pairs(diags.diagonal(k)) for k in offsets]}
 
 
 def matrix_from_json(entry: dict) -> np.ndarray:
@@ -468,7 +520,7 @@ def rep_to_json(rep: So3FiniteRep | Sl2FiniteRep | TruncatedRep,
     diagonals (``matrix_from_json`` reads one back); a truncation adds its
     labels as [re, im] pairs."""
     if isinstance(rep, TruncatedRep):
-        fam, mats, flags = family or FamilyDescriptor("truncation"), rep.matrices, {}
+        fam, mats, flags = family or FamilyDescriptor("truncation"), rep.diagonals, {}
     else:
         names = ("I1", "I2", "I3") if isinstance(rep, So3FiniteRep) else ("K", "Kinv", "E", "F")
         fam, mats, flags = family or rep.family, {k: getattr(rep, k) for k in names}, rep.flags

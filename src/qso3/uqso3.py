@@ -14,7 +14,8 @@ closure for I1 and up/diag/down closures for I2 on a domain coordinate n.
 Finite families live on an interval n = 0..dim-1 or, for the cyclic root
 of unity families, on a cycle of that length, and are made dense by the one
 ``repcore.materialize``; infinite families stay ``BandedRep`` closures on a
-half-line or the line.  The root-of-unity component families differ only
+half-line or the line, whose windows ``repcore.band_diagonals`` builds as
+diagonals.  The root-of-unity component families differ only
 in dimension, first label and which ends carry a sqrt(2) link or a diagonal
 entry, so they are a table (``_Q_ROOT_SHAPES``).
 
@@ -526,7 +527,7 @@ def r_ab_degenerate(ctx: QContext, a, b, variant: str = "plus") -> list[So3Finit
               _restrict(rep, basis2, ("R_ab_degen", 2))]
     for half in halves:
         resid = verify_so3(half).max_residual
-        if resid > ctx.threshold():
+        if not resid <= ctx.threshold():  # a NaN residual fails too
             raise SingularBasisChange(
                 f"restricted half {half.family.params['component']} fails the "
                 f"relations (residual {resid:.3e}): primed basis too ill-conditioned")

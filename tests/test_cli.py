@@ -114,6 +114,17 @@ class TestVerify:
                       "--q", "1.3", "--tol", "1e-30")
         assert code == 1
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_residual_exit_one(self, capsys):
+        # q^n overflows near n = 2000, so the cubic_2 defect is NaN
+        code, out = run(capsys, "verify", "--family", "R_a_eps", "--a", "0.3+0.2i",
+                        "--eps", "0.4+0.2i", "--q", "1.3", "--window", "2000")
+        assert code == 1
+        data = json.loads(out)
+        assert np.isnan(data["reports"][0]["residuals"]["cubic_2"])
+        assert np.isnan(data["reports"][0]["max_residual"]) and np.isnan(data["max_residual"])
+
 
 class TestDecompose:
     def test_twisted_split(self, capsys):

@@ -1,6 +1,7 @@
 """Representation data model: conventions, verifiers, truncation, JSON."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from support import (banded_so3_samples, dense_of_diagonals, finite_sl2_samples,
 from qso3.errors import EmptyWindow
 from qso3.qscalar import HalfInt, ctx_from_json, generic_ctx, root_of_unity_ctx
 from qso3.registry import REGISTRY
-from qso3.repcore import (Band, Diagonals, FamilyDescriptor, Sl2FiniteRep, So3FiniteRep,
-                          TruncatedRep, materialize, matrix_from_json, rep_to_json,
-                          truncate, verify_sl2, verify_so3)
+from qso3.repcore import (Band, BandedRep, Diagonals, FamilyDescriptor, ResidualReport,
+                          Sl2FiniteRep, So3FiniteRep, TruncatedRep, materialize,
+                          matrix_from_json, rep_to_json, so3_i3_band, truncate, verify_sl2,
+                          verify_so3)
 from qso3 import psihom, repcore, structure, tensor, uqso3
 from qso3.uqsl2 import delta_tensor, is_extendable, t_a_epsilon, t_omega_l
 
@@ -74,6 +76,18 @@ class TestVerifySo3:
         tiny = 1e-6 * np.ones((1, 1), dtype=complex)
         near_zero = So3FiniteRep(q13, tiny, 0 * tiny, 0 * tiny, FamilyDescriptor("tiny"))
         assert verify_so3(near_zero).residuals["cubic_1"] > q13.tol
+
+
+class TestResidualReport:
+    @pytest.mark.parametrize("keys", [("a", "b"), ("b", "a")])
+    def test_nan_is_never_dropped(self, keys):
+        values = {"a": float("nan"), "b": 1e-17}
+        report = ResidualReport({k: values[k] for k in keys})
+        assert np.isnan(report.max_residual)
+
+    def test_empty_and_largest(self):
+        assert ResidualReport({}).max_residual == 0.0
+        assert ResidualReport({"a": 1e-17, "b": float("inf")}).max_residual == float("inf")
 
 
 class TestTruncate:
@@ -306,6 +320,59 @@ class TestDiagonals:
         j = np.arange(5)
         for k, row in zip(prod.offsets, prod.rows):
             assert not row[(j - k < 0) | (j - k >= 5)].any()
+
+
+def _zero_diag_rep(ctx) -> BandedRep:
+    """A banded rep whose I2 ``diag`` part is -0.0 on every coordinate."""
+    i1 = Band(diag=lambda n: 1j * (n + 0.5))
+    i2 = Band(diag=lambda n: complex(-0.0, -0.0), up=lambda n: 1.0 + 0.1j * n,
+              down=lambda n: -0.5 + 0j)
+    return BandedRep(ctx, "so3", 0.0, {"I1": i1, "I2": i2, "I3": so3_i3_band(ctx, i1, i2)},
+                     FamilyDescriptor("zero_diag"))
+
+
+class TestWindowDiagonals:
+    """Windows are built as diagonals with the entries of the dense fill."""
+
+    def _reps(self, ctx):
+        return ([rep for _, rep in banded_so3_samples(ctx)]
+                + [t_a_epsilon(ctx, 0.3 + 0.2j, 0.4 + 0.2j), _zero_diag_rep(ctx)])
+
+    @pytest.mark.parametrize("w", [6, 40])
+    def test_equal_to_the_dense_window(self, w):
+        for ctx in generic_contexts():
+            for rep in self._reps(ctx):
+                tr = truncate(rep, -w, w)
+                dense = materialize(rep.bands, int(tr.ns[0]), int(tr.ns[-1]))
+                assert tr.diagonals.keys() == dense.keys()
+                for name, mat in dense.items():
+                    assert dense_of_diagonals(tr.diagonals[name]).tobytes() == mat.tobytes()
+                    assert tr.matrices[name].tobytes() == mat.tobytes()
+                # the dump of the dense window goes through Diagonals.of
+                want = {name: repcore._matrix_diagonals(mat) for name, mat in dense.items()}
+                got = rep_to_json(tr, rep.family)["matrices"]
+                assert json.dumps(got) == json.dumps(want), rep.family
+
+    def test_zero_part_is_left_out_of_the_dump(self, q13):
+        tr = truncate(_zero_diag_rep(q13), -6, 6)
+        assert tr.diagonals["I2"].offsets == [-1, 0, 1]
+        zero = tr.diagonals["I2"].diagonal(0)
+        # -0.0 folds to 0.0 as in the dense fill
+        assert not zero.any() and not np.signbit(zero.view(float)).any()
+        assert rep_to_json(tr)["matrices"]["I2"]["offsets"] == [-1, 1]
+
+    def test_window_1000_in_a_few_megabytes(self, q13):
+        rep = uqso3.r_a_epsilon(q13, 0.3 + 0.2j, 0.4 + 0.2j)
+        tracemalloc.start()
+        try:
+            verify_so3(rep, window=1000)
+            data = rep_to_json(truncate(rep, -1000, 1000), rep.family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense window of 2000 complex entries squared alone takes 64 MB
+        assert peak < 16e6
+        assert {e["dim"] for e in data["matrices"].values()} == {2000}
 
 
 @pytest.fixture(params=["dense", "diagonals"])
