@@ -4,8 +4,8 @@ Subcommands: construct, verify, decompose, equiv, tensor, spectrum,
 central, sweep.  Contexts come either from --q (generic) or from integer
 --p/--k (root of unity, so that minimality of p is exact).  Half-integers
 are written like "3/2"; complex numbers like "0.7+0.1i".  Exit codes:
-0 ok, 1 verification failure or a failed sweep point, 2 usage or
-parameter error.
+0 ok, 1 verification failure, a failed sweep point or an oracle with
+nothing to work from (``NoSolution``), 2 usage or parameter error.
 
 Output is JSON; spectrum and spectrum sweeps can also write csv rows
 re,im,multiplicity.  sweep runs a command over the cartesian product of
@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from . import psihom, structure, tensor, uqso3
-from .errors import NotExtendable, QAlgebraError
+from .errors import NoSolution, NotExtendable, QAlgebraError
 from .qscalar import HalfInt, QContext, generic_ctx, root_of_unity_ctx
 from .registry import REGISTRY, build_family
 from .repcore import (BandedRep, Sl2FiniteRep, So3FiniteRep, rep_to_json,
@@ -403,7 +403,8 @@ def run(argv) -> tuple[object, dict, int]:
 
     Returns the parsed args (None if parsing failed), the record
     {"ok", "result": payload} or {"ok": False, "error": message}, and the
-    exit code; a usage or parameter error gives exit code 2.
+    exit code; a usage or parameter error gives exit code 2, ``NoSolution``
+    exit code 1.
     """
     args = None
     try:
@@ -414,6 +415,9 @@ def run(argv) -> tuple[object, dict, int]:
             raise UsageError(f"qso3: unrecognized arguments: {' '.join(rest)}")
         else:
             payload, code = COMMANDS[args.command](args)
+    except NoSolution as exc:
+        # valid input on which an oracle has nothing to work from
+        return args, {"ok": False, "error": str(exc)}, 1
     except PARAM_ERRORS as exc:
         return args, {"ok": False, "error": str(exc)}, 2
     return args, {"ok": code == 0, "result": payload}, code

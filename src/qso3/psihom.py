@@ -32,18 +32,22 @@ def _require_extendable(t: Sl2FiniteRep | BandedRep) -> None:
             witness=witness)
 
 
+def _images(ctx, K, Kinv, E, F, right_divide):
+    """The images (I1, I2, I3) of the generators, on dense matrices or on
+    ``Diagonals``; ``right_divide(X)`` forms X (K + Kinv)^{-1}."""
+    w = ctx.q - 1 / ctx.q
+    I1 = 1j * (K - Kinv) / w
+    I2 = right_divide(E - F)
+    I3 = right_divide(1j * q_pow(ctx, -HALF) * (K @ E + Kinv @ F))
+    return I1, I2, I3
+
+
 def psi_images(t: Sl2FiniteRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense images (I1, I2, I3) of the generators under T composed with the map."""
     _require_extendable(t)
-    ctx = t.ctx
-    w = ctx.q - 1 / ctx.q
     M = t.K + t.Kinv
-    I1 = 1j * (t.K - t.Kinv) / w
     # X M^{-1} computed as a solve against M^T from the right
-    I2 = np.linalg.solve(M.T, (t.E - t.F).T).T
-    core = 1j * q_pow(ctx, -HALF) * (t.K @ t.E + t.Kinv @ t.F)
-    I3 = np.linalg.solve(M.T, core.T).T
-    return I1, I2, I3
+    return _images(t.ctx, t.K, t.Kinv, t.E, t.F, lambda X: np.linalg.solve(M.T, X.T).T)
 
 
 def compose(t: Sl2FiniteRep | BandedRep) -> So3FiniteRep | BandedRep:
@@ -82,13 +86,10 @@ def verify_psi(t: Sl2FiniteRep) -> ResidualReport:
     """
     _require_extendable(t)
     ctx = t.ctx
-    w = ctx.q - 1 / ctx.q
     M = t.K + t.Kinv
     Minv = Diagonals([0], (1 / np.diag(M))[None]) if _is_diagonal(M) else np.linalg.inv(M)
     K, Kinv, E, F, Minv = relation_operands(t.K, t.Kinv, t.E, t.F, Minv)
-    I1 = (1j / w) * (K - Kinv)
-    I2 = (E - F) @ Minv
-    I3 = (1j * q_pow(ctx, -HALF)) * (K @ E + Kinv @ F) @ Minv
+    I1, I2, I3 = _images(ctx, K, Kinv, E, F, lambda X: X @ Minv)
     res = so3_relation_residuals(ctx, I1, I2, I3)
     rt = q_pow(ctx, HALF)
     rti = 1 / rt

@@ -31,10 +31,6 @@ def _build_r_hw(ctx, kind, param):
     return uqso3.r_highest_lowest(ctx, kind, param)
 
 
-def _build_q_comp(ctx, which, at, sign):
-    return uqso3.q_lambda_components(ctx, which, at, sign)
-
-
 def _build_q_root(ctx, desc, s1=1, s2=None):
     descriptor = (desc, s1) if s2 is None else (desc, s1, s2)
     return uqso3.q_root_components(ctx, descriptor)
@@ -62,7 +58,7 @@ _register("R_hw", "so3", False, _build_r_hw,
           [("kind", "str"), ("param", "complex")])
 _register("Q_lambda", "so3", False, uqso3.q_lambda,
           [("lam", "complex"), ("sign", "sign")])
-_register("Q_comp", "so3", False, _build_q_comp,
+_register("Q_comp", "so3", False, uqso3.q_lambda_components,
           [("which", "int"), ("at", "str"), ("sign", "sign")])
 _register("R_ab_lambda", "so3", True, uqso3.r_ab_lambda,
           [("a", "complex"), ("b", "complex"), ("lam", "complex")])

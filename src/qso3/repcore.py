@@ -9,12 +9,13 @@ closures ``diag``, ``up`` and ``down`` of an integer domain coordinate n,
 G|n> = up(n)|n+1> + diag(n)|n> + down(n)|n-1>.  The domain is one of four:
 an interval, a half-line or the whole line (``BandedRep.n_min``/``n_max``,
 None meaning unbounded), or a cycle n_lo..n_hi on which up at n_hi wraps to
-n_lo and down at n_lo wraps to n_hi.  Finite constructors call
-``materialize``, the one bands-to-dense routine, on their whole interval or
-cycle.  Infinite representations (``BandedRep``, labels m = offset + n) are
-reached only through truncation windows, which ``band_diagonals`` builds as
-diagonals (``Diagonals``) with no dense n x n matrix: windows are verified
-and dumped on those diagonals.
+n_lo and down at n_lo wraps to n_hi.  One evaluator, ``band_diagonals``,
+turns bands into diagonals (``Diagonals``).  Finite constructors call it on
+their whole interval or cycle and densify its output with
+``Diagonals.dense``, the one diagonals-to-dense writer.  Infinite
+representations (``BandedRep``, labels m = offset + n) are reached only
+through truncation windows, which it builds with no dense n x n matrix:
+windows are verified and dumped on those diagonals.
 
 Verification is residual-based: each defining relation is evaluated and the
 max-entry norm of the defect is scaled by the max-entry norms of the terms,
@@ -208,59 +209,39 @@ def truncate_n(rep: BandedRep, n_lo: int, n_hi: int) -> TruncatedRep:
 _PART_OFFSETS = {"diag": 0, "up": -1, "down": 1}
 
 
-def band_diagonals(bands: dict[str, Band], n_lo: int,
-                   n_hi: int) -> dict[str, Diagonals]:
-    """The bands on the interval n_lo..n_hi as diagonals, images outside it
-    dropped: the entries of ``materialize``, bit for bit, with no dense
-    matrix.  Every part a band has is stored, even where it is 0 on the
-    whole window.
+def band_diagonals(bands: dict[str, Band], n_lo: int, n_hi: int,
+                   cyclic: bool = False) -> dict[str, Diagonals]:
+    """The bands on the domain coordinates n_lo..n_hi as diagonals, the one
+    evaluator of ``Band`` coefficients.
+
+    On an interval, images outside n_lo..n_hi are dropped; on a cycle, up at
+    n_hi lands on n_lo (offset n - 1) and down at n_lo on n_hi (offset
+    1 - n).  Each part's coefficients are evaluated once, and the parts are
+    added in the order diag, up, down to zero rows: -0.0 folds to 0.0, and
+    where a cycle of length 1 or 2 puts two links on one entry they add up
+    in that order.  Every part a band has is stored, even where it is 0.
     """
     ns = range(n_lo, n_hi + 1)
     n = len(ns)
     out = {}
     for name, band in bands.items():
-        rows = np.zeros((3, n), dtype=complex)
-        stored = []
+        runs = []  # (offset, first column, end column, values)
         for part, k in _PART_OFFSETS.items():
             coeff = getattr(band, part)
-            lo, hi = max(k, 0), n + min(k, 0)  # the columns whose image stays
-            if coeff is not None and lo < hi:
-                # added to a zero row, so -0.0 folds to 0.0 as in the dense fill
-                rows[k + 1, lo:hi] += [coeff(m) for m in ns[lo:hi]]
-                stored.append(k)
-        stored.sort()
-        out[name] = Diagonals(stored, rows[_run([k + 1 for k in stored])])
+            if coeff is None:
+                continue
+            lo, hi = max(k, 0), n + min(k, 0)  # the columns whose image stays inside
+            c0, c1 = (0, n) if cyclic else (lo, hi)  # the columns evaluated
+            values = np.array([coeff(m) for m in ns[c0:c1]], dtype=complex)
+            wrap = [(k + n, hi, n) if k < 0 else (k - n, 0, lo)] if cyclic and k else []
+            runs += [(j, a, b, values[a - c0:b - c0]) for j, a, b in [(k, lo, hi), *wrap]
+                     if a < b]
+        offsets = sorted({run[0] for run in runs})
+        rows = np.zeros((len(offsets), n), dtype=complex)
+        for k, a, b, values in runs:
+            rows[offsets.index(k), a:b] += values
+        out[name] = Diagonals(offsets, rows)
     return out
-
-
-def materialize(bands: dict[str, Band], n_lo: int, n_hi: int,
-                cyclic: bool = False) -> dict[str, np.ndarray]:
-    """Dense matrices of the bands on the domain coordinates n_lo..n_hi.
-
-    On an interval, images outside n_lo..n_hi are dropped; on a cycle, up at
-    n_hi lands on n_lo and down at n_lo on n_hi.  Entries accumulate, so on
-    a 2-cycle the up and down links of a column add up.
-    """
-    ns = range(n_lo, n_hi + 1)
-    j = np.arange(len(ns))
-    # part: (rows, columns, coordinates) of its entries; on an interval the
-    # links that would leave it are dropped, on a cycle they wrap around
-    if cyclic:
-        places = {"diag": (j, j, ns), "up": ((j + 1) % len(ns), j, ns),
-                  "down": (j - 1, j, ns)}
-    else:
-        places = {"diag": (j, j, ns), "up": (j[1:], j[:-1], ns[:-1]),
-                  "down": (j[:-1], j[1:], ns[1:])}
-    mats = {}
-    for name, band in bands.items():
-        mat = np.zeros((len(ns), len(ns)), dtype=complex)
-        for part, (rows, cols, part_ns) in places.items():
-            coeff = getattr(band, part)
-            if coeff is not None and part_ns:
-                # rows are distinct within one part, so += adds every entry
-                mat[rows, cols] += [coeff(n) for n in part_ns]
-        mats[name] = mat
-    return mats
 
 
 @dataclass
@@ -318,12 +299,16 @@ class Diagonals:
         return self.rows[self.offsets.index(k), max(k, 0):n + min(k, 0)]
 
     def dense(self) -> np.ndarray:
-        """The square matrix these diagonals hold."""
+        """The square matrix these diagonals hold.  Entry (j - k, j) sits at
+        j (n + 1) - k n of the flat matrix, so each diagonal is written
+        through one strided view."""
         n = self.rows.shape[1]
         mat = np.zeros((n, n), dtype=complex)
+        flat = mat.reshape(-1)
         for k, row in zip(self.offsets, self.rows):
-            cols = np.arange(max(k, 0), n + min(k, 0))
-            mat[cols - k, cols] = row[cols]
+            lo, hi = max(k, 0), n + min(k, 0)
+            start = lo * (n + 1) - k * n
+            flat[start:start + (hi - lo) * (n + 1):n + 1] = row[lo:hi]
         return mat
 
     def __matmul__(self, other: "Diagonals") -> "Diagonals":
@@ -356,6 +341,9 @@ class Diagonals:
 
     def __rmul__(self, scalar: complex) -> "Diagonals":
         return Diagonals(self.offsets, scalar * self.rows)
+
+    def __truediv__(self, scalar: complex) -> "Diagonals":
+        return Diagonals(self.offsets, self.rows / scalar)
 
 
 def _run(positions: list[int]) -> slice | list[int]:
@@ -497,11 +485,10 @@ def matrix_from_json(entry: dict) -> np.ndarray:
     """The dense complex matrix of one dumped ``{"dim", "offsets", "diagonals"}``
     entry of ``rep_to_json``; entries off the stored diagonals are 0."""
     n = entry["dim"]
-    mat = np.zeros((n, n), dtype=complex)
-    for k, diagonal in zip(entry["offsets"], entry["diagonals"]):
-        i = np.arange(n - abs(k))
-        mat[i + max(-k, 0), i + max(k, 0)] = np.array(diagonal, dtype=float).view(complex)[:, 0]
-    return mat
+    rows = np.zeros((len(entry["offsets"]), n), dtype=complex)
+    for row, k, diagonal in zip(rows, entry["offsets"], entry["diagonals"]):
+        row[max(k, 0):n + min(k, 0)] = np.array(diagonal, dtype=float).view(complex)[:, 0]
+    return Diagonals(entry["offsets"], rows).dense()
 
 
 def _param_json(value):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadParam, BadRange
 from .qscalar import HalfInt, QContext, q_num, q_pow, q_pow_c
-from .repcore import Band, BandedRep, FamilyDescriptor, Sl2FiniteRep, materialize
+from .repcore import Band, BandedRep, FamilyDescriptor, Sl2FiniteRep, band_diagonals
 
 OMEGAS = {"1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j}
 EXTEND_SCAN_MARGIN = 8
@@ -74,8 +74,9 @@ def t_omega_l(ctx: QContext, l, omega=1) -> Sl2FiniteRep:
 
 def _sl2_finite(ctx: QContext, bands: dict[str, Band], dim: int,
                 family: FamilyDescriptor, cyclic: bool = False) -> Sl2FiniteRep:
-    """Materialize K, Kinv, E, F on n = 0..dim-1 (a cycle if ``cyclic``)."""
-    mats = materialize(bands, 0, dim - 1, cyclic)
+    """Dense K, Kinv, E, F on n = 0..dim-1 (a cycle if ``cyclic``)."""
+    diags = band_diagonals(bands, 0, dim - 1, cyclic)
+    mats = {name: d.dense() for name, d in diags.items()}
     return Sl2FiniteRep(ctx, mats["K"], mats["Kinv"], mats["E"], mats["F"], family)
 
 
@@ -94,11 +95,10 @@ def is_extendable(rep: Sl2FiniteRep | BandedRep):
         mus = np.diag(rep.K) if _is_diagonal(rep.K) else np.linalg.eigvals(rep.K)
         dim = rep.dim
     else:
-        band = rep.bands["K"]
         ns = range(-40, 41) if rep.n_min is None and rep.n_max is None else \
             range(rep.n_min if rep.n_min is not None else rep.n_max - 80,
                   (rep.n_max if rep.n_max is not None else rep.n_min + 80) + 1)
-        mus = np.array([band.diag(n) for n in ns])
+        mus = band_diagonals({"K": rep.bands["K"]}, ns[0], ns[-1])["K"].diagonal()
         dim = len(mus)
     ks, js = _candidate_pairs(ctx, mus, 2 * dim + EXTEND_SCAN_MARGIN)
     # q^{2k} once for each k that occurs, in a table over its range

@@ -12,10 +12,11 @@ families, plus the central polynomial P(I).
 Every family is a band description in the ``repcore`` model: a diagonal
 closure for I1 and up/diag/down closures for I2 on a domain coordinate n.
 Finite families live on an interval n = 0..dim-1 or, for the cyclic root
-of unity families, on a cycle of that length, and are made dense by the one
-``repcore.materialize``; infinite families stay ``BandedRep`` closures on a
-half-line or the line, whose windows ``repcore.band_diagonals`` builds as
-diagonals.  The root-of-unity component families differ only
+of unity families, on a cycle of that length; the one band evaluator
+``repcore.band_diagonals`` builds them as diagonals, which
+``Diagonals.dense`` makes dense.  Infinite families stay ``BandedRep``
+closures on a half-line or the line, whose windows the same evaluator
+builds as diagonals.  The root-of-unity component families differ only
 in dimension, first label and which ends carry a sqrt(2) link or a diagonal
 entry, so they are a table (``_Q_ROOT_SHAPES``).
 
@@ -41,7 +42,7 @@ from .errors import (BadDescriptor, BadParam, BadParity, BadRange,
                      ParityMismatch, SingularBasisChange, SpecialEpsilon)
 from .qscalar import HalfInt, QContext, as_complex, q_num, q_pow, q_pow_c
 from .repcore import (HALF, Band, BandedRep, FamilyDescriptor, So3FiniteRep,
-                      materialize, so3_i3, so3_i3_band, verify_so3)
+                      band_diagonals, so3_i3, so3_i3_band, verify_so3)
 from .structure import invariance_defect
 from .uqsl2 import (_is_integer_mod, _require_root, classify_epsilon, cyclic_dim,
                     weight_labels)
@@ -53,8 +54,8 @@ def _so3_finite(ctx: QContext, dim: int, i1_diag, i2: Band,
                 family: FamilyDescriptor, flags: dict | None = None,
                 cyclic: bool = False) -> So3FiniteRep:
     """Diagonal I1 and banded I2 on n = 0..dim-1 (a cycle if ``cyclic``)."""
-    mats = materialize({"I1": Band(diag=i1_diag), "I2": i2}, 0, dim - 1, cyclic)
-    I1, I2 = mats["I1"], mats["I2"]
+    diags = band_diagonals({"I1": Band(diag=i1_diag), "I2": i2}, 0, dim - 1, cyclic)
+    I1, I2 = diags["I1"].dense(), diags["I2"].dense()
     return So3FiniteRep(ctx, I1, I2, so3_i3(ctx, I1, I2), family, flags or {})
 
 

@@ -3,7 +3,8 @@ reference oracles the weight-blocked ones are checked against, the
 commutant-first decomposition the Casimir-first one is checked against,
 the scalar extendability scan the array one is checked against, the
 least-squares fit the closed-form central polynomial is checked against,
-and the dense relation residuals the diagonal ones are checked against."""
+the dense relation residuals the diagonal ones are checked against, and
+the dense fill of bands the diagonal evaluator is checked against."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from qso3.qscalar import (HalfInt, QContext, generic_ctx, magnitude_scale, q_pow
 from qso3 import uqsl2, uqso3
 from qso3.errors import NoSolution
 from qso3.psihom import psi_images
-from qso3.repcore import Diagonals, FamilyDescriptor, Sl2FiniteRep
+from qso3.repcore import Band, Diagonals, FamilyDescriptor, Sl2FiniteRep
 from qso3.structure import (DEFAULT_SEED, DecompositionReport, _blocks, _coupled,
                             _gens, _GrowingSpan, _scale, _split_once,
                             _weight_frame, _wrap_component, commutant,
@@ -416,3 +417,34 @@ def dense_of_diagonals(diags: Diagonals) -> np.ndarray:
         inside = (j - k >= 0) & (j - k < n)
         mat[j[inside] - k, j[inside]] = row[inside]
     return mat
+
+
+def reference_materialize(bands: dict[str, Band], n_lo: int, n_hi: int,
+                          cyclic: bool = False) -> dict[str, np.ndarray]:
+    """Dense matrices of the bands on the domain coordinates n_lo..n_hi,
+    filled entry by entry.
+
+    On an interval, images outside n_lo..n_hi are dropped; on a cycle, up at
+    n_hi lands on n_lo and down at n_lo on n_hi.  Entries accumulate, so on
+    a 2-cycle the up and down links of a column add up.
+    """
+    ns = range(n_lo, n_hi + 1)
+    j = np.arange(len(ns))
+    # part: (rows, columns, coordinates) of its entries; on an interval the
+    # links that would leave it are dropped, on a cycle they wrap around
+    if cyclic:
+        places = {"diag": (j, j, ns), "up": ((j + 1) % len(ns), j, ns),
+                  "down": (j - 1, j, ns)}
+    else:
+        places = {"diag": (j, j, ns), "up": (j[1:], j[:-1], ns[:-1]),
+                  "down": (j[:-1], j[1:], ns[1:])}
+    mats = {}
+    for name, band in bands.items():
+        mat = np.zeros((len(ns), len(ns)), dtype=complex)
+        for part, (rows, cols, part_ns) in places.items():
+            coeff = getattr(band, part)
+            if coeff is not None and part_ns:
+                # rows are distinct within one part, so += adds every entry
+                mat[rows, cols] += [coeff(n) for n in part_ns]
+        mats[name] = mat
+    return mats

@@ -208,6 +208,16 @@ class TestTensor:
         assert code == 0
         assert json.loads(out) == {"multiplicities": {}, "unmatched_dims": [25]}
 
+    def test_no_solution_exit_1(self, capsys):
+        # valid input on which the spin has no simple eigenvalue to start
+        # from: a failed computation, not a usage error
+        code = main(["tensor", "--p", "7", "--a-spec", "T_l,l=3/2,omega=1",
+                     "--b-spec", "T_l,l=5/2,omega=1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: no simple eigenvalue to spin from\n"
+
 
 class TestSpectrum:
     def test_csv(self, capsys):

@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 
 from support import (banded_so3_samples, dense_of_diagonals, finite_sl2_samples,
-                     finite_so3_samples, generic_contexts, reference_matrix_entry_list,
-                     reference_psi_residuals, reference_sl2_relation_residuals,
-                     reference_so3_relation_residuals, root_contexts)
+                     finite_so3_samples, generic_contexts, reference_materialize,
+                     reference_matrix_entry_list, reference_psi_residuals,
+                     reference_sl2_relation_residuals, reference_so3_relation_residuals,
+                     root_contexts)
 from qso3.errors import EmptyWindow
 from qso3.qscalar import HalfInt, ctx_from_json, generic_ctx, root_of_unity_ctx
 from qso3.registry import REGISTRY
 from qso3.repcore import (Band, BandedRep, Diagonals, FamilyDescriptor, ResidualReport,
-                          Sl2FiniteRep, So3FiniteRep, TruncatedRep, materialize,
+                          Sl2FiniteRep, So3FiniteRep, TruncatedRep, band_diagonals,
                           matrix_from_json, rep_to_json, so3_i3_band, truncate, verify_sl2,
                           verify_so3)
-from qso3 import psihom, repcore, structure, tensor, uqso3
+from qso3 import psihom, repcore, structure, tensor, uqsl2, uqso3
 from qso3.uqsl2 import delta_tensor, is_extendable, t_a_epsilon, t_omega_l
 
 H = HalfInt.parse
@@ -258,9 +259,10 @@ class TestDiagonalDump:
         rep = uqso3.r_ab_lambda(p5, 1, 1, 2.0)
         assert _offsets(_round_trip(rep)) == {-4, -1, 0, 1, 4}
         # on a 2-cycle the up link at n = 1 and the down link land on one entry
-        mats = materialize({name: Band(diag=lambda n: 1 + n, up=lambda n: 2.0 + n,
-                                       down=lambda n: 0.5j)
-                            for name in ("I1", "I2", "I3")}, 0, 1, cyclic=True)
+        diags = band_diagonals({name: Band(diag=lambda n: 1 + n, up=lambda n: 2.0 + n,
+                                           down=lambda n: 0.5j)
+                                for name in ("I1", "I2", "I3")}, 0, 1, cyclic=True)
+        mats = {name: d.dense() for name, d in diags.items()}
         assert mats["I2"][0, 1] == 3 + 0.5j
         data = _round_trip(_so3(q13, mats["I1"], mats["I2"], mats["I3"]))
         assert _offsets(data) == {-1, 0, 1}
@@ -322,6 +324,70 @@ class TestDiagonals:
             assert not row[(j - k < 0) | (j - k >= 5)].any()
 
 
+class TestBandDiagonals:
+    """``band_diagonals`` on an interval or a cycle, made dense by
+    ``Diagonals.dense``, equals the entry-by-entry fill of
+    ``support.reference_materialize`` byte for byte."""
+
+    def _check(self, bands, n_lo, n_hi, cyclic):
+        got = band_diagonals(bands, n_lo, n_hi, cyclic)
+        want = reference_materialize(bands, n_lo, n_hi, cyclic)
+        assert got.keys() == want.keys()
+        for name, mat in want.items():
+            assert got[name].dense().tobytes() == mat.tobytes(), (name, n_lo, n_hi, cyclic)
+
+    def test_finite_samples(self, monkeypatch):
+        calls = []
+
+        def recording(bands, n_lo, n_hi, cyclic=False):
+            calls.append((bands, n_lo, n_hi, cyclic))
+            return band_diagonals(bands, n_lo, n_hi, cyclic)
+
+        monkeypatch.setattr(uqso3, "band_diagonals", recording)
+        monkeypatch.setattr(uqsl2, "band_diagonals", recording)
+        # p = 4 has cycles of length 2, on which the up and down links of a
+        # column land on one entry
+        for ctx in generic_contexts() + root_contexts() + [root_of_unity_ctx(4, 1)]:
+            finite_so3_samples(ctx)
+            finite_sl2_samples(ctx)
+        lengths = {n_hi - n_lo + 1 for _, n_lo, n_hi, cyclic in calls if cyclic}
+        assert {2, 3} <= lengths
+        for call in calls:
+            self._check(*call)
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_random_parts(self, n, cyclic):
+        # random complex coefficients in every part, so that each entry of
+        # the reference is matched bit for bit; on a 1-cycle all three parts
+        # share one entry, where "cancelling" pins the order of the sum
+        rng = np.random.default_rng(10 * n + cyclic)
+        table = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        n_lo = -2
+
+        def part(t):
+            return lambda m: complex(table[t, m - n_lo])
+
+        bands = {"all": Band(diag=part(0), up=part(1), down=part(2)),
+                 "links": Band(up=part(1), down=part(2)),
+                 "up": Band(up=part(1)), "down": Band(down=part(2)),
+                 "diag": Band(diag=part(0)),
+                 "negative_zero": Band(diag=lambda m: complex(-0.0, -0.0),
+                                       up=lambda m: -0.0, down=part(2)),
+                 # on a 1-cycle (1 + 1e-16) - 1 is 0 and (1 - 1) + 1e-16 is not
+                 "cancelling": Band(diag=lambda m: 1.0, up=lambda m: 1e-16,
+                                    down=lambda m: -1.0)}
+        self._check(bands, n_lo, n_lo + n - 1, cyclic)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_dense_at_the_corners(self, n):
+        rng = np.random.default_rng(n)
+        for offsets in (list(range(1 - n, n)), sorted({1 - n, n - 1}), [1 - n], [n - 1], []):
+            rows = rng.normal(size=(len(offsets), n)) + 1j * rng.normal(size=(len(offsets), n))
+            diags = Diagonals(offsets, rows)
+            assert diags.dense().tobytes() == dense_of_diagonals(diags).tobytes(), offsets
+
+
 def _zero_diag_rep(ctx) -> BandedRep:
     """A banded rep whose I2 ``diag`` part is -0.0 on every coordinate."""
     i1 = Band(diag=lambda n: 1j * (n + 0.5))
@@ -343,7 +409,7 @@ class TestWindowDiagonals:
         for ctx in generic_contexts():
             for rep in self._reps(ctx):
                 tr = truncate(rep, -w, w)
-                dense = materialize(rep.bands, int(tr.ns[0]), int(tr.ns[-1]))
+                dense = reference_materialize(rep.bands, int(tr.ns[0]), int(tr.ns[-1]))
                 assert tr.diagonals.keys() == dense.keys()
                 for name, mat in dense.items():
                     assert dense_of_diagonals(tr.diagonals[name]).tobytes() == mat.tobytes()
