@@ -54,8 +54,19 @@ class FamilyDescriptor:
         return f"{self.name}({inner})"
 
 
-@dataclass
-class So3FiniteRep:
+class _FiniteRep:
+    """The weight frame the structure oracles read (``structure.WeightFrame``),
+    computed on first use and kept: the finite classes are frozen, so no
+    generator can be swapped under it."""
+
+    @functools.cached_property
+    def weight_frame(self):
+        from .structure import WeightFrame  # structure imports this module
+        return WeightFrame(self)
+
+
+@dataclass(frozen=True)
+class So3FiniteRep(_FiniteRep):
     ctx: QContext
     I1: np.ndarray
     I2: np.ndarray
@@ -68,8 +79,8 @@ class So3FiniteRep:
         return self.I1.shape[0]
 
 
-@dataclass
-class Sl2FiniteRep:
+@dataclass(frozen=True)
+class Sl2FiniteRep(_FiniteRep):
     ctx: QContext
     K: np.ndarray
     Kinv: np.ndarray

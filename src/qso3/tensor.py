@@ -81,15 +81,27 @@ def _cg_table(prod, candidates) -> CGReport:
     ``candidates(ctx, dim)``, an iterable of (name, representation) pairs:
     the first candidate with the same fingerprint that is equivalent names
     it; otherwise it is unmatched.  A product that is not a direct sum is
-    matched whole, so ``total_dim()`` is always the product's dimension."""
+    matched whole, so ``total_dim()`` is always the product's dimension.
+    Candidates and their fingerprints are built as they are first asked
+    for and shared by the components of the same dimension."""
     report = decompose(prod)
     comps = [c for _, c in report.components] if report.is_direct_sum else [prod]
+    pools: dict = {}
+
+    def pool(dim):
+        if dim not in pools:
+            pools[dim] = ([], iter(candidates(prod.ctx, dim)))
+        built, rest = pools[dim]
+        yield from built
+        for name, cand in rest:
+            built.append((name, cand, fingerprint(cand)))
+            yield built[-1]
+
     out = CGReport()
     for comp in comps:
         fp = fingerprint(comp)
-        matched = next((name for name, cand in candidates(prod.ctx, comp.dim)
-                        if fp.matches(fingerprint(cand)) and are_equivalent(comp, cand)),
-                       None)
+        matched = next((name for name, cand, cfp in pool(comp.dim)
+                        if fp.matches(cfp) and are_equivalent(comp, cand)), None)
         if matched is None:
             out.unmatched_dims.append(comp.dim)
         else:

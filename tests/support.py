@@ -3,8 +3,9 @@ reference oracles the weight-blocked ones are checked against, the
 commutant-first decomposition the Casimir-first one is checked against,
 the scalar extendability scan the array one is checked against, the
 least-squares fit the closed-form central polynomial is checked against,
-the dense relation residuals the diagonal ones are checked against, and
-the dense fill of bands the diagonal evaluator is checked against."""
+the dense relation residuals the diagonal ones are checked against, the
+dense fill of bands the diagonal evaluator is checked against, and the
+spin and equation fill the weight-frame oracles are checked against."""
 
 from __future__ import annotations
 
@@ -16,10 +17,9 @@ from qso3 import uqsl2, uqso3
 from qso3.errors import NoSolution
 from qso3.psihom import psi_images
 from qso3.repcore import Band, Diagonals, FamilyDescriptor, Sl2FiniteRep
-from qso3.structure import (DEFAULT_SEED, DecompositionReport, _blocks, _coupled,
-                            _gens, _GrowingSpan, _scale, _split_once,
-                            _weight_frame, _wrap_component, commutant,
-                            is_irreducible)
+from qso3.structure import (DEFAULT_SEED, DecompositionReport, _block_columns,
+                            _coupled, _gens, _GrowingSpan, _scale, _split_once,
+                            _wrap_component, commutant, is_irreducible)
 
 GENERIC_QS = (1.3, 4.0, np.exp(0.37j))
 ROOT_PS = (3, 5, 7, 8)
@@ -197,6 +197,67 @@ def reference_block_solutions(ga, gb, pairs, ctx: QContext) -> list[np.ndarray]:
     return basis
 
 
+def reference_grow(gens, blocks, seeds, level, cap: int):
+    """The span growth of ``structure._grow`` with its pieces cut from the
+    generators on every call, every block seeded (zero parts too) and every
+    product formed, also for spans that are already full."""
+    w = seeds[0][1].shape[1]
+    reach = [[] for _ in blocks]
+    for g in gens[1:]:
+        for i, k in _coupled(g, blocks):
+            reach[k].append((i, g[blocks[i][:, None], blocks[k]]))
+    spans = [_GrowingSpan(len(b) * w, level) for b in blocks]
+    frontier = [(k, spans[k].rows[0].reshape(-1, w)) for k, x in seeds if spans[k].add(x)]
+    while frontier and cap:
+        cap -= 1
+        new = []
+        for k, mat in frontier:
+            for i, piece in reach[k]:
+                if spans[i].add(piece @ mat):
+                    new.append((i, spans[i].rows[spans[i].size - 1].reshape(-1, w)))
+        frontier = new
+    return spans, not frontier
+
+
+def reference_spin(gens, blocks, v, ctx: QContext) -> np.ndarray:
+    """``structure._spin`` on explicit generators (pass the adjoints for the
+    left spin), through ``reference_grow``."""
+    spans, _ = reference_grow(gens, blocks, [(k, v[b, None]) for k, b in enumerate(blocks)],
+                              ctx.orbit_drop, len(v))
+    return _block_columns(len(v), blocks, [sp.rows[:sp.size].T for sp in spans])
+
+
+def reference_scatter_solutions(ga, gb, pairs, ctx: QContext) -> list[np.ndarray]:
+    """``structure._block_solutions`` with the equations filled by
+    ``np.add.at`` and the null basis written one matrix at a time."""
+    r = np.concatenate([np.repeat(ib, len(ia)) for ia, ib in pairs])
+    c = np.concatenate([np.tile(ia, len(ib)) for ia, ib in pairs])
+    nb, na = gb[0].shape[0], ga[0].shape[0]
+    keys, unknowns, coeffs = [], [], []
+    for t, (A, B) in enumerate(zip(ga[1:], gb[1:])):
+        Ac, Br = A[c], B[:, r]
+        u, j = np.nonzero(Ac)
+        keys.append((t * nb + r[u]) * na + j)
+        unknowns.append(u)
+        coeffs.append(Ac[u, j])
+        i, u = np.nonzero(Br)
+        keys.append((t * nb + i) * na + c[u])
+        unknowns.append(u)
+        coeffs.append(-Br[i, u])
+    entries, row = np.unique(np.concatenate(keys), return_inverse=True)
+    rows = np.zeros((len(entries), len(r)), complex)
+    np.add.at(rows, (row, np.concatenate(unknowns)), np.concatenate(coeffs))
+    _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    thr = ctx.separation(*s[:1])
+    null_count = int(np.sum(s <= thr)) + (len(r) - len(s))
+    basis = []
+    for k in range(null_count):
+        X = np.zeros((nb, na), complex)
+        X[r, c] = vh[-(k + 1)].conj()
+        basis.append(X)
+    return basis
+
+
 def dense_burnside_dim(rep) -> tuple[int, bool]:
     """Algebra dimension from one span in ambient n^2, grown from the
     identity by left multiplication with the generators."""
@@ -228,10 +289,10 @@ def is_proper_witness(rep, witness) -> bool:
     it (the 14 of 15 weights of R1_7 at q = 4)."""
     if not 0 < witness.shape[1] < rep.dim:
         return False
-    gens, vals, S = _weight_frame(rep)
+    frame = rep.weight_frame
+    gens, S, blocks = frame.gens, frame.S, frame.blocks
     W = np.linalg.qr(witness if S is None else np.linalg.solve(S, witness))[0]
     P = W @ W.conj().T
-    blocks = _blocks(vals, rep.ctx)
     return all(np.max(np.abs(d[np.ix_(bi, bk)]))
                <= rep.ctx.invariance(np.max(np.abs(g[np.ix_(bi, bk)])))
                for g in gens for d in [(g - P @ g) @ P]

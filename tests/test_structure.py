@@ -1,5 +1,6 @@
 """Structure oracles: spectra, orbits, irreducibility, decomposition."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 
 from support import (dense_burnside_dim, dense_commutant_dim, finite_so3_samples,
                      finite_sl2_samples, generic_contexts, is_proper_witness,
-                     reference_block_solutions, reference_decompose, root_contexts)
+                     reference_block_solutions, reference_decompose,
+                     reference_scatter_solutions, reference_spin, root_contexts)
 from qso3 import structure
 from qso3.errors import CtxMismatch, SingularBasisChange
 from qso3.psihom import compose
 from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
-from qso3.repcore import So3FiniteRep
-from qso3.structure import (_split_along, are_equivalent, burnside_dim, casimir,
+from qso3.repcore import FamilyDescriptor, So3FiniteRep
+from qso3.structure import (_spin, _split_along, are_equivalent, burnside_dim, casimir,
                             commutant, decompose, fingerprint, i1_spectrum,
                             intertwiners, is_irreducible, orbit_span)
 from qso3 import uqso3 as U
@@ -183,6 +185,67 @@ class TestWeightFrame:
         assert decompose(conj).component_dims == [2, 2]
         irr, witness = is_irreducible(conj)
         assert not irr and witness.shape[1] == 2 and is_proper_witness(conj, witness)
+
+    def test_one_frame_per_representation(self, q13, monkeypatch):
+        # decompose, the component spins, fingerprints and equivalence
+        # decisions of a whole table share each representation's frame
+        framed = []
+
+        class Spy(structure.WeightFrame):
+            def __init__(self, rep):
+                framed.append(rep)
+                super().__init__(rep)
+
+        monkeypatch.setattr(structure, "WeightFrame", Spy)
+        prod = _product(q13, (("1", "1"), ("1", "1")))
+        table = cg_decompose(prod)
+        assert table.multiplicities == {f"R1_l[l={l}]": 1 for l in (0, 1, 2)}
+        assert len({id(rep) for rep in framed}) == len(framed)
+        # the product, its three components and their named candidates at least
+        assert len(framed) >= 7 and framed[0] is prod
+
+    def test_generators_cannot_be_swapped(self, q13):
+        rep, t = U.r1_l(q13, 1), t_omega_l(q13, H("1/2"), 1)
+        frame = rep.weight_frame
+        for target, name in ((rep, "I2"), (t, "K")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(target, name, np.zeros((target.dim, target.dim), complex))
+        assert rep.weight_frame is frame
+
+
+def _registry_samples():
+    return [(label, rep) for ctx in generic_contexts() + root_contexts()
+            for label, rep in finite_so3_samples(ctx) + finite_sl2_samples(ctx)]
+
+
+class TestFrameReferences:
+    """The frame-based spin and equation fill against copies of the code
+    they replaced: the results are equal bit for bit."""
+
+    def test_spin_matches_reference(self):
+        rng = np.random.default_rng(5)
+        count = 0
+        for label, rep in _registry_samples():
+            f = rep.weight_frame
+            adjoints = [g.conj().T for g in f.gens]
+            simple = [b[0] for b in f.blocks if len(b) == 1]
+            seeds = [rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)]
+            seeds += [np.eye(rep.dim, dtype=complex)[simple[0]]] if simple else []
+            for v in seeds:
+                assert np.array_equal(_spin(f, v),
+                                      reference_spin(f.gens, f.blocks, v, rep.ctx)), label
+                assert np.array_equal(_spin(f, v, adjoint=True),
+                                      reference_spin(adjoints, f.blocks, v, rep.ctx)), label
+                count += 1
+        assert count >= 500
+
+    def test_commutant_matches_scatter_reference(self):
+        for label, rep in _registry_samples():
+            dim, basis = commutant(rep)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(structure, "_block_solutions", reference_scatter_solutions)
+                ref_dim, ref_basis = commutant(rep)
+            assert dim == ref_dim and all(map(np.array_equal, basis, ref_basis)), label
 
 
 class TestCommutant:
@@ -526,6 +589,22 @@ class TestEquivalenceDecisions:
     def test_inequivalent_same_dim(self, q13):
         assert not are_equivalent(U.r1_l(q13, 1), U.r_split_n(q13, 3, (1, 1)))
 
+    def test_one_rank_test_for_a_one_dimensional_space(self, q13, monkeypatch):
+        # X (+) Y and X (+) Z with Y, Z inequivalent: every intertwiner is a
+        # multiple of one singular map, so one rank evaluation decides
+        x, y, z = (U.r_split_n(q13, 2, signs) for signs in ((1, 1), (1, -1), (-1, 1)))
+        a, b = _direct_sum(x, y), _direct_sum(x, z)
+        assert intertwiners(a, b)[0] == 1
+        ranks = []
+        rank = np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank",
+                            lambda *args, **kw: ranks.append(1) or rank(*args, **kw))
+        assert not are_equivalent(a, b)
+        assert len(ranks) == 1
+        # dim End(a) = 2: its first combination is already invertible
+        assert intertwiners(a, a)[0] == 2
+        assert are_equivalent(a, a) and len(ranks) == 2
+
     def test_equivalence_invariant_under_conjugation(self, q13):
         from qso3.repcore import FamilyDescriptor, So3FiniteRep
 
@@ -540,6 +619,19 @@ class TestEquivalenceDecisions:
                                 FamilyDescriptor("conj", {}), {})
             assert are_equivalent(rep, conj)
             assert not are_equivalent(U.r_split_n(q13, n, (1, 1)), conj)
+
+
+def _direct_sum(*reps):
+    """The block-diagonal sum of rotation-algebra representations."""
+    def blocks(name):
+        out = np.zeros((sum(r.dim for r in reps),) * 2, complex)
+        at = 0
+        for r in reps:
+            out[at:at + r.dim, at:at + r.dim] = getattr(r, name)
+            at += r.dim
+        return out
+    return So3FiniteRep(reps[0].ctx, blocks("I1"), blocks("I2"), blocks("I3"),
+                        FamilyDescriptor("sum", {}))
 
 
 def _reference(oracle, *reps):

@@ -69,6 +69,24 @@ class TestCgSo3:
         table = cg_decompose(prod)
         assert table.multiplicities == expected_so3_tensor(1, 1j, 1, H("1/2"))
 
+    def test_each_candidate_built_once_per_table(self, q13):
+        # the halves of each twisted family share a dimension, and with it
+        # the candidates built (and fingerprinted) for the first half
+        from qso3.tensor import _cg_table, _so3_candidates
+
+        built = []
+
+        def logged(ctx, dim):
+            for name, cand in _so3_candidates(ctx, dim):
+                built.append(name)
+                yield name, cand
+
+        prod = tensor_so3(t_omega_l(q13, 1, 1), t_omega_l(q13, H("1/2"), "i"))
+        table = _cg_table(prod, logged)
+        assert table.multiplicities == cg_decompose(prod).multiplicities
+        assert sorted(table.component_dims) == [1, 1, 2, 2]
+        assert len(built) == len(set(built)) > 0
+
     @pytest.mark.parametrize("la,lb", [("3/2", "5/2"), ("2", "5/2")])
     def test_wedderburn_dimensions(self, q13, la, lb):
         # pairwise inequivalent irreducible components: the algebra is the
