@@ -308,7 +308,7 @@ def cmd_spectrum(args):
         tr = window_truncation(rep, args.window)
         vals = tr.diagonals["I1" if rep.flavor == "so3" else "K"].diagonal()
         return {"family": str(rep.family), "window": args.window,
-                "spectrum": structure.cluster(vals, rep.ctx.separation())}, 0
+                "spectrum": structure.cluster(vals, rep.ctx.separation(np.abs(vals)))}, 0
     return {"family": str(rep.family), "spectrum": structure.i1_spectrum(rep)}, 0
 
 

@@ -56,14 +56,16 @@ def _scale(gens) -> float:
     return max(float(np.max(np.abs(g))) for g in gens)
 
 
-def _cluster_groups(values, tol: float) -> list[tuple[complex, list[int]]]:
-    """Greedy tolerance clustering of complex values into (mean, indices)."""
+def _cluster_groups(values, tol) -> list[tuple[complex, list[int]]]:
+    """Greedy tolerance clustering of complex values into (mean, indices);
+    tol is one level, or an array of one level per value."""
     vals = [complex(v) for v in values]
+    tols = np.broadcast_to(tol, len(vals)).tolist()
     out: list[list] = []
     for i in sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag)):
         v = vals[i]
         for g in out:
-            if abs(g[0] - v) <= tol:
+            if abs(g[0] - v) <= tols[i]:
                 g[1].append(i)
                 g[0] = g[0] + (v - g[0]) / len(g[1])
                 break
@@ -72,8 +74,8 @@ def _cluster_groups(values, tol: float) -> list[tuple[complex, list[int]]]:
     return [(g[0], g[1]) for g in out]
 
 
-def cluster(values, tol: float) -> list[tuple[complex, int]]:
-    """Greedy tolerance clustering of complex values into (value, count)."""
+def cluster(values, tol) -> list[tuple[complex, int]]:
+    """Greedy tolerance clustering (``_cluster_groups``) into (value, count)."""
     return [(v, len(idx)) for v, idx in _cluster_groups(values, tol)]
 
 
@@ -531,14 +533,15 @@ def _split_once(rep, rng, com):
     return None
 
 
-def _wrap_component(rep, gens_r):
+def _wrap_component(rep, sub, Q):
+    """sub (a piece of rep) restricted to the span of Q: Q^H G Q."""
     fam = FamilyDescriptor("component", {"of": rep.family.name})
+    flags = {"parent": rep.family}
+    gens = [Q.conj().T @ g @ Q for g in _gens(sub)]
     if isinstance(rep, So3FiniteRep):
-        I1, I2 = gens_r
-        return So3FiniteRep(rep.ctx, I1, I2, so3_i3(rep.ctx, I1, I2), fam,
-                            {"parent": rep.family})
-    K, E, F = gens_r
-    return Sl2FiniteRep(rep.ctx, K, np.linalg.inv(K), E, F, fam, {"parent": rep.family})
+        return So3FiniteRep(rep.ctx, *gens, so3_i3(rep.ctx, *gens), fam, flags)
+    K, E, F = gens
+    return Sl2FiniteRep(rep.ctx, K, np.linalg.inv(K), E, F, fam, flags)
 
 
 def decompose(rep) -> DecompositionReport:
@@ -549,8 +552,10 @@ def decompose(rep) -> DecompositionReport:
     representation is the one piece when C is scalar within ``separation``
     (every irreducible and indecomposable family, and roots of unity where
     C does not separate) or its split fails a check.  Each piece is split
-    recursively along commutant eigenprojections, and only the leaves are
-    spun (``is_irreducible``).  ``commutant_dim`` sums the piece commutant
+    along commutant eigenprojections, depth first, and only the leaves are
+    spun (``is_irreducible``).  A split into as many parts as its commutant
+    dimension leaves parts of commutant dimension 1 (Wedderburn), which are
+    leaves with no solve.  ``commutant_dim`` sums the piece commutant
     dimensions: intertwiners commute with C, so none connects two pieces.
     An unsplit reducible input has is_direct_sum = False and the spin's
     witness as its lattice.  ``burnside_dim`` is the algebra dimension by
@@ -558,29 +563,25 @@ def decompose(rep) -> DecompositionReport:
     irreducible with one commutant dimension each, else None."""
     n = rep.dim
     rng = np.random.default_rng(DEFAULT_SEED)
-
-    def restrict(sub, Q):
-        return _wrap_component(rep, [Q.conj().T @ g @ Q for g in _gens(sub)])
-
-    def recurse(sub, carrier, com):
-        bases = _split_once(sub, rng, com)
-        if bases is None:
-            return [(carrier, sub)]
-        out = []
-        for Q in bases:
-            part = restrict(sub, Q)
-            out.extend(recurse(part, carrier @ Q, commutant(part)))
-        return out
-
     C = casimir(rep)
     scalar = np.max(np.abs(C - np.trace(C) / n * np.eye(n))) \
         <= rep.ctx.separation(np.max(np.abs(C)))
     split = None if scalar else _split_along(rep, C)
     pieces = [(np.eye(n, dtype=complex), rep)] if split is None \
-        else [(Q, restrict(rep, Q)) for Q in split]
-    coms = [commutant(sub) for _, sub in pieces]
-    cdim = sum(dim for dim, _ in coms)
-    leaves = [leaf for (Q, sub), com in zip(pieces, coms) for leaf in recurse(sub, Q, com)]
+        else [(Q, _wrap_component(rep, rep, Q)) for Q in split]
+    work = [(Q, sub, commutant(sub)) for Q, sub in reversed(pieces)]
+    cdim = sum(com[0] for _, _, com in work)
+    leaves = []
+    while work:  # depth first, so the draws come in a fixed order
+        carrier, sub, com = work.pop()
+        com = commutant(sub) if com is None else com
+        bases = _split_once(sub, rng, com)
+        if bases is None:
+            leaves.append((carrier, sub))
+            continue
+        settled = (1, []) if len(bases) == com[0] else None
+        work.extend((carrier @ Q, _wrap_component(rep, sub, Q), settled)
+                    for Q in reversed(bases))
     if len(leaves) == 1:
         irr, witness = is_irreducible(rep)
         if irr:

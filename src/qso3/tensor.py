@@ -10,6 +10,7 @@ generic-q families.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import BadRange
@@ -47,16 +48,23 @@ class CGReport:
                 "unmatched_dims": list(self.unmatched_dims)}
 
 
+@functools.cache
+def _candidate(build, ctx, *args):
+    """A registered family, built once per process for each (constructor,
+    context, arguments); only candidate families are kept here."""
+    return build(ctx, *args)
+
+
 def _so3_candidates(ctx, dim: int):
     """Registered generic-q families of the given dimension, built as they
     are asked for, up to the first one out of range."""
     l = HalfInt(dim - 1)  # 2l + 1 = dim
     try:
-        yield f"R1_l[l={l}]", r1_l(ctx, l)
+        yield f"R1_l[l={l}]", _candidate(r1_l, ctx, l)
         for s1 in (1, -1):
             for s2 in (1, -1):
                 yield (f"Rsplit_n[n={dim},({_sgn(s1)},{_sgn(s2)})]",
-                       r_split_n(ctx, dim, (s1, s2)))
+                       _candidate(r_split_n, ctx, dim, (s1, s2)))
     except BadRange:
         return
 
@@ -67,7 +75,7 @@ def _sl2_candidates(ctx, dim: int):
     l = HalfInt(dim - 1)
     try:
         for name, omega in OMEGAS.items():
-            yield f"T_l[l={l},omega={name}]", t_omega_l(ctx, l, omega)
+            yield f"T_l[l={l},omega={name}]", _candidate(t_omega_l, ctx, l, omega)
     except BadRange:
         return
 
@@ -82,26 +90,16 @@ def _cg_table(prod, candidates) -> CGReport:
     the first candidate with the same fingerprint that is equivalent names
     it; otherwise it is unmatched.  A product that is not a direct sum is
     matched whole, so ``total_dim()`` is always the product's dimension.
-    Candidates and their fingerprints are built as they are first asked
-    for and shared by the components of the same dimension."""
+    Candidates come from the per-process cache of ``_candidate``, and their
+    fingerprints read the candidate's weight frame."""
     report = decompose(prod)
     comps = [c for _, c in report.components] if report.is_direct_sum else [prod]
-    pools: dict = {}
-
-    def pool(dim):
-        if dim not in pools:
-            pools[dim] = ([], iter(candidates(prod.ctx, dim)))
-        built, rest = pools[dim]
-        yield from built
-        for name, cand in rest:
-            built.append((name, cand, fingerprint(cand)))
-            yield built[-1]
-
     out = CGReport()
     for comp in comps:
         fp = fingerprint(comp)
-        matched = next((name for name, cand, cfp in pool(comp.dim)
-                        if fp.matches(cfp) and are_equivalent(comp, cand)), None)
+        matched = next((name for name, cand in candidates(prod.ctx, comp.dim)
+                        if fp.matches(fingerprint(cand)) and are_equivalent(comp, cand)),
+                       None)
         if matched is None:
             out.unmatched_dims.append(comp.dim)
         else:

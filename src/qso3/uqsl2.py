@@ -101,13 +101,10 @@ def is_extendable(rep: Sl2FiniteRep | BandedRep):
         mus = band_diagonals({"K": rep.bands["K"]}, ns[0], ns[-1])["K"].diagonal()
         dim = len(mus)
     ks, js = _candidate_pairs(ctx, mus, 2 * dim + EXTEND_SCAN_MARGIN)
-    # q^{2k} once for each k that occurs, in a table over its range
-    lo = ks.min(initial=0)
-    shift = np.zeros(ks.max(initial=0) - lo + 1, dtype=complex)
-    shift[ks - lo] = 1
-    for k in (np.flatnonzero(shift) + lo).tolist():
-        shift[k - lo] = q_pow_c(ctx, 2 * k)
-    t = shift[ks - lo] * mus[js] * mus[js]
+    # q^{2k} once for each k that occurs
+    kset, at = np.unique(ks, return_inverse=True)
+    shift = np.array([q_pow_c(ctx, 2 * k) for k in kset.tolist()], dtype=complex)
+    t = shift[at] * mus[js] * mus[js]
     hit = np.flatnonzero(np.abs(t + 1) <= ctx.threshold(np.abs(t)))
     if not hit.size:
         return True, None

@@ -314,7 +314,7 @@ def reference_decompose(rep) -> DecompositionReport:
             return [(carrier, sub)]
         out = []
         for Q in bases:
-            part = _wrap_component(rep, [Q.conj().T @ g @ Q for g in _gens(sub)])
+            part = _wrap_component(rep, sub, Q)
             out.extend(recurse(part, carrier @ Q, commutant(part)))
         return out
 

@@ -229,6 +229,16 @@ class TestSpectrum:
         assert lines[1].endswith(",2")
 
 
+    def test_wide_window_pairs(self, capsys):
+        # labels k and -k share a weight, and the weights reach 5e11 at
+        # window 100; each is clustered at the separation level of its own
+        # size, so no outer pair splits
+        code, out = run(capsys, "spectrum", "--family", "Q_lambda", "--lambda", "1",
+                        "--q", "1.3", "--window", "100")
+        assert code == 0
+        mults = [m for _, m in json.loads(out)["spectrum"]]
+        assert mults.count(2) == 100 and mults.count(1) == 1 and len(mults) == 101
+
     def test_sl2_finite_family(self, capsys):
         code, out = run(capsys, "spectrum", "--q", "1.3", "--family", "T_l",
                         "--l", "1", "--omega", "1")

@@ -1,7 +1,9 @@
 """Structure oracles: spectra, orbits, irreducibility, decomposition."""
 
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from support import (dense_burnside_dim, dense_commutant_dim, finite_so3_samples
                      finite_sl2_samples, generic_contexts, is_proper_witness,
                      reference_block_solutions, reference_decompose,
                      reference_scatter_solutions, reference_spin, root_contexts)
-from qso3 import structure
+from qso3 import structure, tensor
 from qso3.errors import CtxMismatch, SingularBasisChange
 from qso3.psihom import compose
 from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
@@ -197,6 +199,7 @@ class TestWeightFrame:
                 super().__init__(rep)
 
         monkeypatch.setattr(structure, "WeightFrame", Spy)
+        tensor._candidate.cache_clear()  # candidates are built once per process
         prod = _product(q13, (("1", "1"), ("1", "1")))
         table = cg_decompose(prod)
         assert table.multiplicities == {f"R1_l[l={l}]": 1 for l in (0, 1, 2)}
@@ -397,6 +400,15 @@ def _triple(ctx, factors):
     return compose(delta_tensor(ab, t_omega_l(ctx, H(lc), oc)))
 
 
+@pytest.fixture
+def solved(monkeypatch):
+    """The dimensions of the representations ``commutant`` is solved on."""
+    dims, original = [], structure.commutant
+    monkeypatch.setattr(structure, "commutant",
+                        lambda rep: dims.append(rep.dim) or original(rep))
+    return dims
+
+
 class TestCasimirSplit:
     def test_matches_commutant_first_reference(self):
         # every registry sample and the sl2 products of T_l, l <= 2
@@ -457,12 +469,47 @@ class TestCasimirSplit:
         assert report.commutant_dim == 15
         assert solved and max(solved) < prod.dim
 
+    def test_exhaustive_split_solves_no_part(self, q13, solved):
+        # Ri_l has commutant dimension 2 and splits into two parts, so both
+        # parts have commutant dimension 1 and are leaves without a solve
+        rep = U.r_pm_i_l(q13, H("5/2"), 1)
+        report = decompose(rep)
+        assert report.component_dims == [3, 3] and report.commutant_dim == 2
+        assert solved == [rep.dim]
+
+    def test_multiplicity_two_recurses(self, q13, solved):
+        # the l = 1/2 piece (commutant dimension 4) splits into two parts,
+        # fewer than 4, so the parts' commutants are solved
+        prod = _triple(q13, [("1/2", "1"), ("1/2", "1"), ("1/2", "1")])
+        report = decompose(prod)
+        assert sorted(solved) == [2, 2, 4, 4]
+        assert report.component_dims == [2, 2, 4] and report.commutant_dim == 5
+        assert _fields(report) == _fields(reference_decompose(prod))
+
     def test_casimir_values(self, q13):
         prod = _triple(q13, [("1/2", "1"), ("1/2", "1"), ("1/2", "1")])
         report = decompose(prod)
         want = {d: casimir(U.r1_l(q13, HalfInt(d - 1)))[0, 0] for d in (2, 4)}
         assert report.component_dims == [2, 2, 4]
         assert report.casimir_values == [pytest.approx(want[d]) for d in (2, 2, 4)]
+
+
+class TestNoReferenceCycle:
+    def test_product_freed_on_return(self, q13):
+        # decompose and the table hold no cycle: with the cyclic collector
+        # off, the product dies with its last reference
+        prod = _product(q13, (("3", "1"), ("3", "1")))
+        gc.collect()
+        gc.disable()
+        try:
+            ref = weakref.ref(prod)
+            table = cg_decompose(prod)
+            del prod
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert table.multiplicities == {f"R1_l[l={l}]": 1 for l in range(7)}
 
 
 class TestReportConsistency:

@@ -69,22 +69,23 @@ class TestCgSo3:
         table = cg_decompose(prod)
         assert table.multiplicities == expected_so3_tensor(1, 1j, 1, H("1/2"))
 
-    def test_each_candidate_built_once_per_table(self, q13):
-        # the halves of each twisted family share a dimension, and with it
-        # the candidates built (and fingerprinted) for the first half
-        from qso3.tensor import _cg_table, _so3_candidates
+    def test_each_candidate_built_once_per_table(self, q13, monkeypatch):
+        # two tables whose components share dimensions 1 and 2 build each
+        # candidate (family, arguments) once between them
+        import qso3.tensor as T
 
         built = []
+        for name in ("r1_l", "r_split_n"):
+            def logged(ctx, *args, name=name, build=getattr(T, name)):
+                built.append((name, args))
+                return build(ctx, *args)
 
-        def logged(ctx, dim):
-            for name, cand in _so3_candidates(ctx, dim):
-                built.append(name)
-                yield name, cand
-
-        prod = tensor_so3(t_omega_l(q13, 1, 1), t_omega_l(q13, H("1/2"), "i"))
-        table = _cg_table(prod, logged)
-        assert table.multiplicities == cg_decompose(prod).multiplicities
-        assert sorted(table.component_dims) == [1, 1, 2, 2]
+            monkeypatch.setattr(T, name, logged)
+        for omega in ("i", "-i"):
+            prod = tensor_so3(t_omega_l(q13, 1, 1), t_omega_l(q13, H("1/2"), omega))
+            table = cg_decompose(prod)
+            assert table.multiplicities == expected_so3_tensor(1, OMEGAS[omega], 1, H("1/2"))
+            assert sorted(table.component_dims) == [1, 1, 2, 2]
         assert len(built) == len(set(built)) > 0
 
     @pytest.mark.parametrize("la,lb", [("3/2", "5/2"), ("2", "5/2")])
