@@ -14,40 +14,86 @@ pinned by the cyclic identities, which ``verify_psi`` checks directly.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import NotExtendable
 from .qscalar import q_pow
 from .repcore import (HALF, Band, BandedRep, Diagonals, FamilyDescriptor, ResidualReport,
-                      Sl2FiniteRep, So3FiniteRep, _scaled_defect, relation_operands,
+                      Sl2FiniteRep, So3FiniteRep, _entries, _scaled_defect, relation_operands,
                       so3_i3_band, so3_relation_residuals)
-from .uqsl2 import _is_diagonal, is_extendable
+from .uqsl2 import is_extendable
 
 
 def _require_extendable(t: Sl2FiniteRep | BandedRep) -> None:
-    ok, witness = is_extendable(t)
+    ok, witness = t.extendability if isinstance(t, Sl2FiniteRep) else is_extendable(t)
     if not ok:
         raise NotExtendable(
             f"K + Kinv has a non-invertible shift (k={witness[0]}, mu={witness[1]:.6g})",
             witness=witness)
 
 
-def _images(ctx, K, Kinv, E, F, right_divide):
+def _images(ctx, K, Kinv, E, F, right_divide, times=operator.matmul):
     """The images (I1, I2, I3) of the generators, on dense matrices or on
-    ``Diagonals``; ``right_divide(X)`` forms X (K + Kinv)^{-1}."""
+    ``Diagonals``; ``right_divide(X)`` forms X (K + Kinv)^{-1} and
+    ``times(D, X)`` the product D X."""
     w = ctx.q - 1 / ctx.q
     I1 = 1j * (K - Kinv) / w
     I2 = right_divide(E - F)
-    I3 = right_divide(1j * q_pow(ctx, -HALF) * (K @ E + Kinv @ F))
+    I3 = right_divide(1j * q_pow(ctx, -HALF) * (times(K, E) + times(Kinv, F)))
     return I1, I2, I3
 
 
-def psi_images(t: Sl2FiniteRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense images (I1, I2, I3) of the generators under T composed with the map."""
+def _row_scaled(D: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """D X for a diagonal dense D: row i of X times D_ii."""
+    return np.diagonal(D)[:, None] * X
+
+
+def _psi_images(t: Sl2FiniteRep) -> tuple[tuple, dict[str, Diagonals]]:
+    """The dense images and, from ``DIAGONAL_CROSSOVER`` up, their diagonals.
+
+    Where K and Kinv are diagonal (every constructor and every coproduct)
+    the images cost O(n^2): K E and Kinv F are row scalings, and
+    X (K + Kinv)^{-1} divides column j of X by kappa_j = (K + Kinv)_jj as
+    one 1 x 1 LAPACK solve per column (``np.linalg.solve`` on a stack of n
+    1 x 1 systems).  LAPACK's own 1 x 1 solve gives the bits of the dense
+    solve against the diagonal matrix, which a plain division or a
+    reciprocal does not, and the last bits of I2 decide splits at roots of
+    unity.  Like the relation formulas, the images are formed on the
+    ``operands``: the dense fields below ``DIAGONAL_CROSSOVER``, where the
+    diagonals cost more than they save, and the generators' diagonals views
+    from it up, which the composed representation takes over.  Otherwise
+    two dense solves against the transpose of K + Kinv form the images from
+    the dense fields.
+    """
     _require_extendable(t)
-    M = t.K + t.Kinv
-    # X M^{-1} computed as a solve against M^T from the right
-    return _images(t.ctx, t.K, t.Kinv, t.E, t.F, lambda X: np.linalg.solve(M.T, X.T).T)
+    K, Kinv = t.view("K"), t.view("Kinv")
+    if not (K.is_diagonal() and Kinv.is_diagonal()):
+        M = t.K + t.Kinv
+        # X M^{-1} computed as a solve against M^T from the right
+        return _images(t.ctx, t.K, t.Kinv, t.E, t.F, lambda X: np.linalg.solve(M.T, X.T).T), {}
+    kappa = K.diagonal() + Kinv.diagonal()
+
+    def right_divide(X):
+        # the entries of X by column in the last axis, dense or diagonals
+        cols = np.linalg.solve(kappa[:, None, None], _entries(X).T[:, None, :])[:, 0, :].T
+        if isinstance(X, Diagonals):
+            return Diagonals(X.offsets, np.ascontiguousarray(cols))
+        return cols
+
+    ops = t.operands()
+    if not isinstance(ops[0], Diagonals):
+        return _images(t.ctx, *ops, right_divide, _row_scaled), {}
+    diags = dict(zip(So3FiniteRep.GENERATORS, _images(t.ctx, *ops, right_divide)))
+    return tuple(d.dense() for d in diags.values()), diags
+
+
+def psi_images(t: Sl2FiniteRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense images (I1, I2, I3) of the generators under T composed with the
+    map: O(n^2) where K and Kinv are diagonal, with no dense solve or
+    product."""
+    return _psi_images(t)[0]
 
 
 def compose(t: Sl2FiniteRep | BandedRep) -> So3FiniteRep | BandedRep:
@@ -55,7 +101,8 @@ def compose(t: Sl2FiniteRep | BandedRep) -> So3FiniteRep | BandedRep:
     fam = FamilyDescriptor("psi_compose", {"of": t.family.name, **t.family.params})
     flags = {**t.flags, "provenance": ("psi", t.family)}
     if isinstance(t, Sl2FiniteRep):
-        return So3FiniteRep(t.ctx, *psi_images(t), fam, flags)
+        mats, diags = _psi_images(t)
+        return So3FiniteRep(t.ctx, *mats, fam, flags, diagonals=diags)
     return _compose_banded(t, fam, flags)
 
 
@@ -79,16 +126,20 @@ def verify_psi(t: Sl2FiniteRep) -> ResidualReport:
     """Residuals of the three cyclic identities on the images of T (the
     first is the I3 consistency of ``so3_relation_residuals``).
 
-    The images are formed on the relation operands, with (K + Kinv)^{-1}
-    the reciprocal diagonal where K + Kinv is diagonal (every constructor
-    and every coproduct) and ``np.linalg.inv`` otherwise: no solve, and
-    O(n) on nonzero diagonals from ``DIAGONAL_CROSSOVER`` up.
+    The images are formed on the relation operands (``operands``: the
+    dense fields, or from ``DIAGONAL_CROSSOVER`` up the generators'
+    diagonals views), with (K + Kinv)^{-1} the reciprocal diagonal where
+    K + Kinv is diagonal (every constructor and every coproduct) and
+    ``np.linalg.inv`` otherwise: no solve, and O(n) on nonzero diagonals
+    from ``DIAGONAL_CROSSOVER`` up.  The extendability verdict is the one
+    ``compose`` reads.
     """
     _require_extendable(t)
     ctx = t.ctx
-    M = t.K + t.Kinv
-    Minv = Diagonals([0], (1 / np.diag(M))[None]) if _is_diagonal(M) else np.linalg.inv(M)
-    K, Kinv, E, F, Minv = relation_operands(t.K, t.Kinv, t.E, t.F, Minv)
+    M = t.view("K") + t.view("Kinv")
+    Minv = (Diagonals([0], (1 / M.diagonal())[None]) if M.is_diagonal()
+            else np.linalg.inv(t.K + t.Kinv))
+    K, Kinv, E, F, Minv = relation_operands(*t.operands(), Minv)
     I1, I2, I3 = _images(ctx, K, Kinv, E, F, lambda X: X @ Minv)
     res = so3_relation_residuals(ctx, I1, I2, I3)
     rt = q_pow(ctx, HALF)

@@ -11,8 +11,11 @@ an interval, a half-line or the whole line (``BandedRep.n_min``/``n_max``,
 None meaning unbounded), or a cycle n_lo..n_hi on which up at n_hi wraps to
 n_lo and down at n_lo wraps to n_hi.  One evaluator, ``band_diagonals``,
 turns bands into diagonals (``Diagonals``).  Finite constructors call it on
-their whole interval or cycle and densify its output with
-``Diagonals.dense``, the one diagonals-to-dense writer.  Infinite
+their whole interval or cycle, densify its output with ``Diagonals.dense``,
+the one diagonals-to-dense writer, and hand that output over to the
+representation as the diagonals view of those generators (``view``); any
+other generator, and every generator of a representation built from dense
+matrices, is converted with ``Diagonals.of`` on its first read, once.  Infinite
 representations (``BandedRep``, labels m = offset + n) are reached only
 through truncation windows, which it builds with no dense n x n matrix:
 windows are verified and dumped on those diagonals.
@@ -23,14 +26,16 @@ or by 1 where they sum to less.  The relation formulas are written once and
 run on dense matrices below ``DIAGONAL_CROSSOVER`` (56) and on their nonzero
 diagonals (``Diagonals``) from it up, where a banded product costs O(n)
 instead of O(n^3); the norms are maxima over the same entries either way, so
-the definition of a residual does not depend on the path.
+the definition of a residual does not depend on the path.  A finite
+representation's relations and dump read its diagonals view, so no dense
+n x n scan repeats.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -55,14 +60,40 @@ class FamilyDescriptor:
 
 
 class _FiniteRep:
-    """The weight frame the structure oracles read (``structure.WeightFrame``),
-    computed on first use and kept: the finite classes are frozen, so no
-    generator can be swapped under it."""
+    """What is derived once from the generators of a frozen finite
+    representation and kept: the finite classes are frozen, so no generator
+    can be swapped under it.  The weight frame the structure oracles read
+    (``structure.WeightFrame``) is computed on first use, and each
+    generator's ``Diagonals`` view (``view``) on first read, starting from
+    those the constructor hands over as the init-only ``diagonals``, which
+    a copy made with ``dataclasses.replace`` does not inherit."""
+
+    GENERATORS: tuple[str, ...]
+
+    def __post_init__(self, diagonals: dict | None):
+        object.__setattr__(self, "_views", dict(diagonals or {}))
 
     @functools.cached_property
     def weight_frame(self):
         from .structure import WeightFrame  # structure imports this module
         return WeightFrame(self)
+
+    def view(self, name: str) -> "Diagonals":
+        """Generator ``name`` as its diagonals: the view handed over by the
+        constructor (which may store an all-zero diagonal), else
+        ``Diagonals.of`` of the dense field, made on first read and kept."""
+        diags = self._views.get(name)
+        if diags is None:
+            diags = self._views[name] = Diagonals.of(getattr(self, name))
+        return diags
+
+    def operands(self) -> list:
+        """The generators as the relation formulas take them
+        (``relation_operands``): the dense fields below
+        ``DIAGONAL_CROSSOVER``, their views from it up."""
+        if self.dim < DIAGONAL_CROSSOVER:
+            return [getattr(self, name) for name in self.GENERATORS]
+        return [self.view(name) for name in self.GENERATORS]
 
 
 @dataclass(frozen=True)
@@ -73,6 +104,9 @@ class So3FiniteRep(_FiniteRep):
     I3: np.ndarray
     family: FamilyDescriptor
     flags: dict = field(default_factory=dict)
+    diagonals: InitVar[dict | None] = field(default=None, kw_only=True)
+
+    GENERATORS = ("I1", "I2", "I3")
 
     @property
     def dim(self) -> int:
@@ -88,10 +122,20 @@ class Sl2FiniteRep(_FiniteRep):
     F: np.ndarray
     family: FamilyDescriptor
     flags: dict = field(default_factory=dict)
+    diagonals: InitVar[dict | None] = field(default=None, kw_only=True)
+
+    GENERATORS = ("K", "Kinv", "E", "F")
 
     @property
     def dim(self) -> int:
         return self.K.shape[0]
+
+    @functools.cached_property
+    def extendability(self) -> tuple[bool, tuple | None]:
+        """``uqsl2.is_extendable`` of this representation, decided on first
+        read and kept, so composing and checking the map scan once."""
+        from . import uqsl2  # uqsl2 imports this module
+        return uqsl2.is_extendable(self)
 
 
 @dataclass(frozen=True)
@@ -302,6 +346,10 @@ class Diagonals:
         n = self.rows.shape[1]
         return n, n
 
+    def is_diagonal(self) -> bool:
+        """Whether every entry off the main diagonal is 0."""
+        return not any(k and row.any() for k, row in zip(self.offsets, self.rows))
+
     def diagonal(self, k: int = 0) -> np.ndarray:
         """The entries (i, i + k) in ``np.diagonal`` order, 0 where k is not stored."""
         n = self.rows.shape[1]
@@ -448,7 +496,7 @@ def verify_so3(rep: So3FiniteRep | BandedRep, window: int = 20) -> ResidualRepor
     reported residuals exact for the infinite operator.
     """
     if isinstance(rep, So3FiniteRep):
-        return ResidualReport(so3_relation_residuals(rep.ctx, rep.I1, rep.I2, rep.I3))
+        return ResidualReport(so3_relation_residuals(rep.ctx, *rep.operands()))
     tr = _verify_window(rep, window)
     d = tr.diagonals
     res = so3_relation_residuals(rep.ctx, d["I1"], d["I2"], d["I3"], cols=tr.interior)
@@ -457,8 +505,7 @@ def verify_so3(rep: So3FiniteRep | BandedRep, window: int = 20) -> ResidualRepor
 
 def verify_sl2(rep: Sl2FiniteRep | BandedRep, window: int = 20) -> ResidualReport:
     if isinstance(rep, Sl2FiniteRep):
-        return ResidualReport(
-            sl2_relation_residuals(rep.ctx, rep.K, rep.Kinv, rep.E, rep.F))
+        return ResidualReport(sl2_relation_residuals(rep.ctx, *rep.operands()))
     tr = _verify_window(rep, window)
     d = tr.diagonals
     Kinv = Diagonals([0], (1 / d["K"].diagonal())[None])
@@ -520,8 +567,8 @@ def rep_to_json(rep: So3FiniteRep | Sl2FiniteRep | TruncatedRep,
     if isinstance(rep, TruncatedRep):
         fam, mats, flags = family or FamilyDescriptor("truncation"), rep.diagonals, {}
     else:
-        names = ("I1", "I2", "I3") if isinstance(rep, So3FiniteRep) else ("K", "Kinv", "E", "F")
-        fam, mats, flags = family or rep.family, {k: getattr(rep, k) for k in names}, rep.flags
+        fam, flags = family or rep.family, rep.flags
+        mats = {k: rep.view(k) for k in rep.GENERATORS}
     out = {
         "family": fam.name,
         "params": {k: _param_json(v) for k, v in fam.params.items()},

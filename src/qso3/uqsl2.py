@@ -74,10 +74,12 @@ def t_omega_l(ctx: QContext, l, omega=1) -> Sl2FiniteRep:
 
 def _sl2_finite(ctx: QContext, bands: dict[str, Band], dim: int,
                 family: FamilyDescriptor, cyclic: bool = False) -> Sl2FiniteRep:
-    """Dense K, Kinv, E, F on n = 0..dim-1 (a cycle if ``cyclic``)."""
+    """Dense K, Kinv, E, F on n = 0..dim-1 (a cycle if ``cyclic``), with
+    their diagonals handed over as the representation's views."""
     diags = band_diagonals(bands, 0, dim - 1, cyclic)
     mats = {name: d.dense() for name, d in diags.items()}
-    return Sl2FiniteRep(ctx, mats["K"], mats["Kinv"], mats["E"], mats["F"], family)
+    return Sl2FiniteRep(ctx, mats["K"], mats["Kinv"], mats["E"], mats["F"], family,
+                        diagonals=diags)
 
 
 def is_extendable(rep: Sl2FiniteRep | BandedRep):
@@ -88,11 +90,13 @@ def is_extendable(rep: Sl2FiniteRep | BandedRep):
     generic q and 0 <= k < p at a root of unity; inside it only the
     candidate pairs (k, mu) of ``_candidate_pairs`` can fail, and only they
     are tested.  Returns (ok, witness) with witness = (k, mu) on failure:
-    the first failing pair in the order (|k|, k, eigenvalue index).
+    the first failing pair in the order (|k|, k, eigenvalue index).  A
+    finite representation keeps its verdict (``Sl2FiniteRep.extendability``).
     """
     ctx = rep.ctx
     if isinstance(rep, Sl2FiniteRep):
-        mus = np.diag(rep.K) if _is_diagonal(rep.K) else np.linalg.eigvals(rep.K)
+        K = rep.view("K")
+        mus = K.diagonal() if K.is_diagonal() else np.linalg.eigvals(rep.K)
         dim = rep.dim
     else:
         ns = range(-40, 41) if rep.n_min is None and rep.n_max is None else \
@@ -151,10 +155,6 @@ def _candidate_pairs(ctx: QContext, mus: np.ndarray, bound: int):
     ks = np.concatenate([np.floor(kstar), np.ceil(kstar)])
     inside = np.abs(ks) <= bound
     return ks[inside].astype(int), np.concatenate([js, js])[inside]
-
-
-def _is_diagonal(mat: np.ndarray) -> bool:
-    return np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
 
 
 def cyclic_dim(ctx: QContext, wraps: bool) -> int:

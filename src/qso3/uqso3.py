@@ -53,10 +53,13 @@ SQRT2 = math.sqrt(2.0)
 def _so3_finite(ctx: QContext, dim: int, i1_diag, i2: Band,
                 family: FamilyDescriptor, flags: dict | None = None,
                 cyclic: bool = False) -> So3FiniteRep:
-    """Diagonal I1 and banded I2 on n = 0..dim-1 (a cycle if ``cyclic``)."""
+    """Diagonal I1 and banded I2 on n = 0..dim-1 (a cycle if ``cyclic``),
+    with their diagonals handed over as the representation's views; I3's
+    view is made on its first read."""
     diags = band_diagonals({"I1": Band(diag=i1_diag), "I2": i2}, 0, dim - 1, cyclic)
     I1, I2 = diags["I1"].dense(), diags["I2"].dense()
-    return So3FiniteRep(ctx, I1, I2, so3_i3(ctx, I1, I2), family, flags or {})
+    return So3FiniteRep(ctx, I1, I2, so3_i3(ctx, I1, I2), family, flags or {},
+                        diagonals=diags)
 
 
 def _w(ctx: QContext) -> complex:

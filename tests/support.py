@@ -4,8 +4,10 @@ commutant-first decomposition the Casimir-first one is checked against,
 the scalar extendability scan the array one is checked against, the
 least-squares fit the closed-form central polynomial is checked against,
 the dense relation residuals the diagonal ones are checked against, the
-dense fill of bands the diagonal evaluator is checked against, and the
-spin and equation fill the weight-frame oracles are checked against."""
+dense fill of bands the diagonal evaluator is checked against, the spin
+and equation fill the weight-frame oracles are checked against, and the
+dense-solve images and dense-scan map residuals the diagonal localization
+map is checked against."""
 
 from __future__ import annotations
 
@@ -15,8 +17,9 @@ from qso3.qscalar import (HalfInt, QContext, generic_ctx, magnitude_scale, q_pow
                           q_pow_c, root_of_unity_ctx)
 from qso3 import uqsl2, uqso3
 from qso3.errors import NoSolution
-from qso3.psihom import psi_images
-from qso3.repcore import Band, Diagonals, FamilyDescriptor, Sl2FiniteRep
+from qso3.psihom import _images
+from qso3.repcore import (Band, Diagonals, FamilyDescriptor, Sl2FiniteRep, _scaled_defect,
+                          relation_operands, so3_relation_residuals)
 from qso3.structure import (DEFAULT_SEED, DecompositionReport, _block_columns,
                             _coupled, _gens, _GrowingSpan, _scale, _split_once,
                             _wrap_component, commutant, is_irreducible)
@@ -341,7 +344,8 @@ def reference_is_extendable(rep):
     threshold call per pair, returning at the first failing pair."""
     ctx = rep.ctx
     if isinstance(rep, Sl2FiniteRep):
-        mus = np.diag(rep.K) if uqsl2._is_diagonal(rep.K) else np.linalg.eigvals(rep.K)
+        diagonal = np.count_nonzero(rep.K - np.diag(np.diag(rep.K))) == 0
+        mus = np.diag(rep.K) if diagonal else np.linalg.eigvals(rep.K)
         dim = rep.dim
     else:
         band = rep.bands["K"]
@@ -457,15 +461,48 @@ def reference_sl2_relation_residuals(ctx: QContext, K, Kinv, E, F, cols=None) ->
     return {name: _dense_scaled_defect(terms, cols) for name, terms in rels.items()}
 
 
+def reference_psi_images(t: Sl2FiniteRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The images of the generators under T composed with the localization
+    map, with dense products K E and Kinv F and X (K + Kinv)^{-1} as a dense
+    solve against (K + Kinv)^T, whatever K + Kinv is; no extendability
+    check."""
+    ctx = t.ctx
+    M = t.K + t.Kinv
+    w = ctx.q - 1 / ctx.q
+    I1 = 1j * (t.K - t.Kinv) / w
+    I2 = np.linalg.solve(M.T, (t.E - t.F).T).T
+    I3 = np.linalg.solve(M.T, (1j * q_pow(ctx, -HalfInt(1)) * (t.K @ t.E + t.Kinv @ t.F)).T).T
+    return I1, I2, I3
+
+
 def reference_psi_residuals(t: Sl2FiniteRep) -> dict[str, float]:
     """The relations and the two further cyclic identities on the images of
     T, with dense products."""
-    I1, I2, I3 = psi_images(t)
+    I1, I2, I3 = reference_psi_images(t)
     res = reference_so3_relation_residuals(t.ctx, I1, I2, I3)
     rt = q_pow(t.ctx, HalfInt(1))
     rti = 1 / rt
     res["cyclic_231"] = _dense_scaled_defect([rt * I2 @ I3, -rti * I3 @ I2, -I1])
     res["cyclic_312"] = _dense_scaled_defect([rt * I3 @ I1, -rti * I1 @ I3, -I2])
+    return res
+
+
+def dense_scan_psi_residuals(t: Sl2FiniteRep) -> dict[str, float]:
+    """``psihom.verify_psi`` as it reads the dense fields alone: K + Kinv
+    summed and tested for being diagonal as dense matrices, and every
+    operand converted by ``relation_operands`` (``Diagonals.of`` from
+    ``DIAGONAL_CROSSOVER`` up) on each call."""
+    ctx = t.ctx
+    M = t.K + t.Kinv
+    diagonal = np.count_nonzero(M - np.diag(np.diag(M))) == 0
+    Minv = Diagonals([0], (1 / np.diag(M))[None]) if diagonal else np.linalg.inv(M)
+    K, Kinv, E, F, Minv = relation_operands(t.K, t.Kinv, t.E, t.F, Minv)
+    I1, I2, I3 = _images(ctx, K, Kinv, E, F, lambda X: X @ Minv)
+    res = so3_relation_residuals(ctx, I1, I2, I3)
+    rt = q_pow(ctx, HalfInt(1))
+    rti = 1 / rt
+    res["cyclic_231"] = _scaled_defect([rt * (I2 @ I3), -rti * (I3 @ I2), -I1])
+    res["cyclic_312"] = _scaled_defect([rt * (I3 @ I1), -rti * (I1 @ I3), -I2])
     return res
 
 

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from support import finite_sl2_samples, reference_psi_residuals, unitary_conjugate, weight_ls
-from qso3.errors import NotExtendable
+from support import (finite_sl2_samples, generic_contexts, reference_is_extendable,
+                     reference_psi_images, reference_psi_residuals, unitary_conjugate, weight_ls)
+from qso3.errors import NotExtendable, QAlgebraError
 from qso3.psihom import compose, psi_images, verify_psi
 from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
-from qso3.repcore import DIAGONAL_CROSSOVER, truncate, verify_so3
-from qso3 import uqso3
+from qso3.repcore import DIAGONAL_CROSSOVER, FamilyDescriptor, So3FiniteRep, truncate, verify_so3
+from qso3 import uqsl2, uqso3
+from qso3.structure import decompose
+from qso3.tensor import cg_decompose, tensor_so3
 from qso3.uqsl2 import delta_tensor, t_a_epsilon, t_ab_lambda, t_omega_l
 
 H = HalfInt.parse
@@ -36,6 +39,174 @@ class TestImages:
         with pytest.raises(NotExtendable) as err:
             psi_images(t_omega_l(q4, 1, "i"))
         assert err.value.witness is not None
+
+
+ROOT_PS = (5, 7, 8, 9, 12, 16)
+
+
+def _root_products(p: int, cap: int):
+    """T_a (x) T_b at the root of unity p with an untwisted or i-twisted
+    left factor and an untwisted right one, for (2a + 1)(2b + 1) <= cap."""
+    ctx = root_of_unity_ctx(p, 1)
+    for ta in range(ctx.p_prime):
+        for tb in range(ctx.p_prime):
+            if (ta + 1) * (tb + 1) <= cap:
+                for omega in ("1", "i"):
+                    yield (p, ta, tb, omega), delta_tensor(
+                        t_omega_l(ctx, HalfInt(ta), omega), t_omega_l(ctx, HalfInt(tb), "1"))
+
+
+def _image_samples():
+    """(label, T) for extendable weight families at q = 1.3, 4 and e^{0.37i}
+    (dims 1-10 and across the crossover) and coproducts of them, and the
+    root-of-unity coproducts of ``_root_products``."""
+    for ctx in generic_contexts():
+        for tw in [*range(10), 59, 99]:
+            for omega in ("1", "-1", "i", "-i"):
+                yield (ctx.q, tw, omega), t_omega_l(ctx, HalfInt(tw), omega)
+        for ta, tb in ((1, 2), (3, 4), (7, 8)):
+            for omega in ("1", "i"):
+                yield (ctx.q, ta, tb, omega), delta_tensor(
+                    t_omega_l(ctx, HalfInt(ta), omega), t_omega_l(ctx, HalfInt(tb), "1"))
+    for p in ROOT_PS:
+        yield from _root_products(p, 64)
+
+
+def _report(run, rep):
+    """What a decomposition or table run reports: the summary of its report,
+    or the name of the error it raised."""
+    try:
+        report = run(rep)
+    except QAlgebraError as exc:
+        return type(exc).__name__
+    if hasattr(report, "to_json"):
+        return report.to_json(), report.component_dims
+    return (report.is_direct_sum, report.is_irreducible, report.component_dims,
+            report.commutant_dim, report.burnside_dim, [b.shape[1] for b in report.lattice])
+
+
+class TestImagesAgainstDenseSolve:
+    """The images equal those of two dense solves and dense products
+    (``reference_psi_images``): I1 and I2 entry for entry, I3 within
+    threshold and entry for entry at real q."""
+
+    def test_images(self):
+        checked = 0
+        for label, t in _image_samples():
+            if not t.extendability[0]:
+                continue
+            got, want = psi_images(t), reference_psi_images(t)
+            for name, a, b in zip(("I1", "I2"), got, want):
+                assert np.array_equal(a + 0.0, b + 0.0), (label, name)
+            scale = np.max(np.abs(want[2])) if want[2].size else 0.0
+            assert np.max(np.abs(got[2] - want[2])) <= t.ctx.threshold(scale), label
+            if not t.ctx.is_root_of_unity and np.isreal(t.ctx.q):
+                assert np.array_equal(got[2] + 0.0, want[2] + 0.0), label
+            checked += 1
+        assert checked > 350
+
+    def test_compose_hands_over_the_image_diagonals(self, qphase):
+        t = delta_tensor(t_omega_l(qphase, H("7/2"), "i"), t_omega_l(qphase, H("3"), "1"))
+        image = compose(t)
+        assert set(image._views) == {"I1", "I2", "I3"}
+        for name in ("I1", "I2", "I3"):
+            assert np.array_equal(image.view(name).dense(), getattr(image, name)), name
+
+    def test_only_one_by_one_solves(self, q13, qphase, p8, monkeypatch):
+        shapes = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            shapes.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        for ctx in (q13, qphase, p8):
+            t = t_omega_l(ctx, HalfInt(3), "i")
+            reps = [t, delta_tensor(t, t_omega_l(ctx, HalfInt(2), "1"))]
+            if not ctx.is_root_of_unity:    # from DIAGONAL_CROSSOVER up too
+                reps.append(t_omega_l(ctx, HalfInt(59), "i"))
+            for rep in reps:
+                shapes.clear()
+                psi_images(rep)
+                compose(rep)
+                assert shapes == [(rep.dim, 1, 1)] * 4, (ctx.q, rep.dim)
+        # a K + Kinv that is not diagonal keeps the two dense solves
+        conj = unitary_conjugate(t_omega_l(q13, H("3/2"), "1"))
+        shapes.clear()
+        psi_images(conj)
+        assert shapes == [(4, 4)] * 2
+
+
+class TestRootOfUnityReports:
+    """At roots of unity the splits hang on the last bits of the images:
+    the composed products decompose and tabulate exactly as the products
+    built from the dense-solve images do, including the three products whose
+    verdicts a plain division flips."""
+
+    FLIPS = ((7, 4, 4), (7, 3, 5), (8, 2, 3))   # (p, 2a, 2b)
+
+    def _check(self, t):
+        got = compose(t)
+        want = So3FiniteRep(t.ctx, *reference_psi_images(t), got.family)
+        for run in (decompose, cg_decompose):
+            assert _report(run, got) == _report(run, want), (t.family, run.__name__)
+
+    def test_division_flips(self):
+        for p, ta, tb in self.FLIPS:
+            ctx = root_of_unity_ctx(p, 1)
+            self._check(delta_tensor(t_omega_l(ctx, HalfInt(ta), "1"),
+                                     t_omega_l(ctx, HalfInt(tb), "1")))
+
+    def test_small_products(self):
+        for p in ROOT_PS:
+            for label, t in _root_products(p, 16):
+                if t.extendability[0]:
+                    self._check(t)
+
+
+class TestExtendabilityOnce:
+    """A finite representation decides extendability once
+    (``Sl2FiniteRep.extendability``), and compose and verify_psi share it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        scan = uqsl2.is_extendable
+
+        def spy(rep):
+            seen.append(rep)
+            return scan(rep)
+
+        monkeypatch.setattr(uqsl2, "is_extendable", spy)
+        return seen
+
+    def test_compose_then_verify(self, q13, qphase, calls):
+        for ctx in (q13, qphase):
+            t = t_omega_l(ctx, H("99/2"), "i")
+            compose(t)
+            verify_psi(t)
+            psi_images(t)
+            assert len(calls) == 1 and calls[0] is t
+            calls.clear()
+
+    def test_one_scan_per_product(self, q13, calls):
+        ta, tb = t_omega_l(q13, H("3/2"), "i"), t_omega_l(q13, H("2"), "1")
+        for _ in range(3):
+            tensor_so3(ta, tb)
+        assert len(calls) == 3 and all(rep.family.name == "delta_tensor" for rep in calls)
+
+    def test_refused_pair_keeps_its_witness(self, q13):
+        # one i-twisted factor and an integer total label
+        ta, tb = t_omega_l(q13, H("1/2"), "i"), t_omega_l(q13, H("3/2"), "1")
+        prod = delta_tensor(ta, tb)
+        want = reference_is_extendable(prod)
+        assert not want[0]
+        for entry in (lambda: tensor_so3(ta, tb), lambda: compose(prod),
+                      lambda: verify_psi(prod), lambda: psi_images(prod)):
+            with pytest.raises(NotExtendable) as err:
+                entry()
+            assert err.value.witness == want[1]
 
 
 class TestVerifyPsi:

@@ -1,14 +1,15 @@
 """Representation data model: conventions, verifiers, truncation, JSON."""
 
+import dataclasses
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from support import (banded_so3_samples, dense_of_diagonals, finite_sl2_samples,
-                     finite_so3_samples, generic_contexts, reference_materialize,
-                     reference_matrix_entry_list, reference_psi_residuals,
+from support import (banded_so3_samples, dense_of_diagonals, dense_scan_psi_residuals,
+                     finite_sl2_samples, finite_so3_samples, generic_contexts,
+                     reference_materialize, reference_matrix_entry_list, reference_psi_residuals,
                      reference_sl2_relation_residuals, reference_so3_relation_residuals,
                      root_contexts)
 from qso3.errors import EmptyWindow
@@ -16,8 +17,8 @@ from qso3.qscalar import HalfInt, ctx_from_json, generic_ctx, root_of_unity_ctx
 from qso3.registry import REGISTRY
 from qso3.repcore import (Band, BandedRep, Diagonals, FamilyDescriptor, ResidualReport,
                           Sl2FiniteRep, So3FiniteRep, TruncatedRep, band_diagonals,
-                          matrix_from_json, rep_to_json, so3_i3_band, truncate, verify_sl2,
-                          verify_so3)
+                          matrix_from_json, rep_to_json, sl2_relation_residuals, so3_i3_band,
+                          so3_relation_residuals, truncate, verify_sl2, verify_so3)
 from qso3 import psihom, repcore, structure, tensor, uqsl2, uqso3
 from qso3.uqsl2 import delta_tensor, is_extendable, t_a_epsilon, t_omega_l
 
@@ -544,3 +545,81 @@ class TestDiagonalResiduals:
         assert verify_so3(_so3(q4, rep.I1, rep.I2, rep.I3)).max_residual > 0.1
         t = t_omega_l(q13, H(l), "1")
         assert verify_sl2(Sl2FiniteRep(q4, t.K, t.Kinv, t.E, t.F, t.family)).max_residual > 0.1
+
+
+def _view_samples():
+    """Every finite registry sample of the support contexts, the images of
+    the extendable sl2 samples under the localization map, and coproducts
+    of weight families across the crossover."""
+    for ctx in generic_contexts() + root_contexts():
+        yield from finite_so3_samples(ctx)
+        for label, t in finite_sl2_samples(ctx):
+            yield label, t
+            if t.extendability[0]:
+                yield f"psi({label})", psihom.compose(t)
+    for ctx in generic_contexts():
+        prod = delta_tensor(t_omega_l(ctx, H("7/2"), "i"), t_omega_l(ctx, H("3"), "1"))
+        yield "T_7/2,i (x) T_3", prod
+        yield "psi(T_7/2,i (x) T_3)", psihom.compose(prod)
+
+
+class TestDiagonalsView:
+    """A finite representation's diagonals view (``view``), handed over by
+    its constructor or made once by ``Diagonals.of``, holds the nonzero
+    diagonals of its dense fields, and the verifiers and the dump that read
+    it return what the dense scans return."""
+
+    def test_nonzero_rows_are_the_dense_diagonals(self):
+        for label, rep in _view_samples():
+            for name in rep.GENERATORS:
+                view, want = rep.view(name), Diagonals.of(getattr(rep, name))
+                kept = [k for k, row in zip(view.offsets, view.rows) if row.any()]
+                assert kept == want.offsets, (label, name)
+                for k in kept:
+                    got = view.diagonal(k).tobytes()
+                    assert got == want.diagonal(k).tobytes(), (label, name, k)
+
+    def test_residuals_equal_the_dense_scan(self, side):
+        for label, rep in _view_samples():
+            if isinstance(rep, So3FiniteRep):
+                want = so3_relation_residuals(rep.ctx, rep.I1, rep.I2, rep.I3)
+                assert verify_so3(rep).residuals == want, label
+                continue
+            want = sl2_relation_residuals(rep.ctx, rep.K, rep.Kinv, rep.E, rep.F)
+            assert verify_sl2(rep).residuals == want, label
+            if rep.extendability[0]:
+                assert psihom.verify_psi(rep).residuals == dense_scan_psi_residuals(rep), label
+
+    def test_dump_unchanged(self):
+        for label, rep in _view_samples():
+            dense_only = dataclasses.replace(rep)   # no view handed over
+            assert not dense_only._views
+            assert json.dumps(rep_to_json(rep)) == json.dumps(rep_to_json(dense_only)), label
+
+    def test_each_generator_converted_at_most_once(self, q13, monkeypatch):
+        shapes = []
+        of = Diagonals.of.__func__
+
+        def spy(cls, mat):
+            shapes.append(mat.shape)
+            return of(cls, mat)
+
+        monkeypatch.setattr(Diagonals, "of", classmethod(spy))
+        t = t_omega_l(q13, H("61/2"), "i")
+        prod = delta_tensor(t_omega_l(q13, H("7/2"), "i"), t_omega_l(q13, H("3"), "1"))
+        r = uqso3.r1_l(q13, H("30"))
+        for _ in range(2):
+            for rep in (t, prod):
+                image = psihom.compose(rep)
+                verify_sl2(rep), psihom.verify_psi(rep), rep_to_json(rep)
+                verify_so3(image), rep_to_json(image)
+            verify_so3(r), rep_to_json(r)
+        # the four generators of the coproduct, and the derived I3 of R1_l;
+        # constructors and compose hand theirs over
+        assert sorted(shapes) == [(56, 56)] * 4 + [(61, 61)]
+
+    def test_is_diagonal(self, q13):
+        t = t_omega_l(q13, H("3/2"), "1")
+        assert t.view("K").is_diagonal() and not t.view("E").is_diagonal()
+        zero_off = Diagonals([-1, 0], np.array([[0, 0, 0], [1, 2, 3]], dtype=complex))
+        assert zero_off.is_diagonal()
