@@ -8,8 +8,10 @@ Images of the three rotation generators under a representation T:
 
 The inverse exists exactly when the representation extends to the
 localization (see ``uqsl2.is_extendable``).  Composition with T yields a
-rotation-algebra representation; the q^{-1/2} factor in the third image is
-pinned by the cyclic identities, which ``verify_psi`` checks directly.
+rotation-algebra representation, which from ``DIAGONAL_CROSSOVER`` up
+holds the images as diagonals and makes them dense only when read; the
+q^{-1/2} factor in the third image is pinned by the cyclic identities,
+which ``verify_psi`` checks directly.
 """
 
 from __future__ import annotations
@@ -50,21 +52,22 @@ def _row_scaled(D: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.diagonal(D)[:, None] * X
 
 
-def _psi_images(t: Sl2FiniteRep) -> tuple[tuple, dict[str, Diagonals]]:
-    """The dense images and, from ``DIAGONAL_CROSSOVER`` up, their diagonals.
+def _psi_images(t: Sl2FiniteRep) -> tuple:
+    """The images (I1, I2, I3): dense below ``DIAGONAL_CROSSOVER``, as
+    ``Diagonals`` from it up where K and Kinv are diagonal.
 
     Where K and Kinv are diagonal (every constructor and every coproduct)
-    the images cost O(n^2): K E and Kinv F are row scalings, and
-    X (K + Kinv)^{-1} divides column j of X by kappa_j = (K + Kinv)_jj as
-    one 1 x 1 LAPACK solve per column (``np.linalg.solve`` on a stack of n
-    1 x 1 systems).  LAPACK's own 1 x 1 solve gives the bits of the dense
-    solve against the diagonal matrix, which a plain division or a
-    reciprocal does not, and the last bits of I2 decide splits at roots of
-    unity.  Like the relation formulas, the images are formed on the
-    ``operands``: the dense fields below ``DIAGONAL_CROSSOVER``, where the
-    diagonals cost more than they save, and the generators' diagonals views
-    from it up, which the composed representation takes over.  Otherwise
-    two dense solves against the transpose of K + Kinv form the images from
+    the images cost O(n^2) dense and O(n) on diagonals: K E and Kinv F are
+    row scalings, and X (K + Kinv)^{-1} divides column j of X by
+    kappa_j = (K + Kinv)_jj as one 1 x 1 LAPACK solve per column
+    (``np.linalg.solve`` on a stack of n 1 x 1 systems).  LAPACK's own
+    1 x 1 solve gives the bits of the dense solve against the diagonal
+    matrix, which a plain division or a reciprocal does not, and the last
+    bits of I2 decide splits at roots of unity.  Like the relation
+    formulas, the images are formed on the ``operands``: the dense fields
+    below ``DIAGONAL_CROSSOVER``, where the diagonals cost more than they
+    save, and the generators' diagonals views from it up.  Otherwise two
+    dense solves against the transpose of K + Kinv form the images from
     the dense fields.
     """
     _require_extendable(t)
@@ -72,7 +75,7 @@ def _psi_images(t: Sl2FiniteRep) -> tuple[tuple, dict[str, Diagonals]]:
     if not (K.is_diagonal() and Kinv.is_diagonal()):
         M = t.K + t.Kinv
         # X M^{-1} computed as a solve against M^T from the right
-        return _images(t.ctx, t.K, t.Kinv, t.E, t.F, lambda X: np.linalg.solve(M.T, X.T).T), {}
+        return _images(t.ctx, t.K, t.Kinv, t.E, t.F, lambda X: np.linalg.solve(M.T, X.T).T)
     kappa = K.diagonal() + Kinv.diagonal()
 
     def right_divide(X):
@@ -83,26 +86,27 @@ def _psi_images(t: Sl2FiniteRep) -> tuple[tuple, dict[str, Diagonals]]:
         return cols
 
     ops = t.operands()
-    if not isinstance(ops[0], Diagonals):
-        return _images(t.ctx, *ops, right_divide, _row_scaled), {}
-    diags = dict(zip(So3FiniteRep.GENERATORS, _images(t.ctx, *ops, right_divide)))
-    return tuple(d.dense() for d in diags.values()), diags
+    if isinstance(ops[0], Diagonals):
+        return _images(t.ctx, *ops, right_divide)
+    return _images(t.ctx, *ops, right_divide, _row_scaled)
 
 
 def psi_images(t: Sl2FiniteRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense images (I1, I2, I3) of the generators under T composed with the
     map: O(n^2) where K and Kinv are diagonal, with no dense solve or
     product."""
-    return _psi_images(t)[0]
+    return tuple(m.dense() if isinstance(m, Diagonals) else m for m in _psi_images(t))
 
 
 def compose(t: Sl2FiniteRep | BandedRep) -> So3FiniteRep | BandedRep:
-    """Package the images of a representation as a rotation-algebra representation."""
+    """Package the images of a representation as a rotation-algebra
+    representation; a finite one takes them as ``_psi_images`` forms them,
+    so from ``DIAGONAL_CROSSOVER`` up it holds diagonals and densifies on
+    first read."""
     fam = FamilyDescriptor("psi_compose", {"of": t.family.name, **t.family.params})
     flags = {**t.flags, "provenance": ("psi", t.family)}
     if isinstance(t, Sl2FiniteRep):
-        mats, diags = _psi_images(t)
-        return So3FiniteRep(t.ctx, *mats, fam, flags, diagonals=diags)
+        return So3FiniteRep(t.ctx, *_psi_images(t), fam, flags)
     return _compose_banded(t, fam, flags)
 
 

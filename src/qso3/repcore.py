@@ -10,15 +10,16 @@ G|n> = up(n)|n+1> + diag(n)|n> + down(n)|n-1>.  The domain is one of four:
 an interval, a half-line or the whole line (``BandedRep.n_min``/``n_max``,
 None meaning unbounded), or a cycle n_lo..n_hi on which up at n_hi wraps to
 n_lo and down at n_lo wraps to n_hi.  One evaluator, ``band_diagonals``,
-turns bands into diagonals (``Diagonals``).  Finite constructors call it on
-their whole interval or cycle, densify its output with ``Diagonals.dense``,
-the one diagonals-to-dense writer, and hand that output over to the
-representation as the diagonals view of those generators (``view``); any
-other generator, and every generator of a representation built from dense
-matrices, is converted with ``Diagonals.of`` on its first read, once.  Infinite
-representations (``BandedRep``, labels m = offset + n) are reached only
-through truncation windows, which it builds with no dense n x n matrix:
-windows are verified and dumped on those diagonals.
+turns bands into diagonals (``Diagonals``).  A finite representation takes
+each generator as a dense matrix or as its diagonals and makes the other
+form on its first read, once: the dense field with ``Diagonals.dense``, the
+one diagonals-to-dense writer, and the diagonals view (``view``) with
+``Diagonals.of``.  The sl2 constructors, the coproduct (``Diagonals.kron``)
+and the localization map from ``DIAGONAL_CROSSOVER`` up hand over
+diagonals, so construct, verify and dump make no dense n x n matrix on
+them.  Infinite representations (``BandedRep``, labels m = offset + n) are
+reached only through truncation windows, which it builds with no dense
+n x n matrix: windows are verified and dumped on those diagonals.
 
 Verification is residual-based: each defining relation is evaluated and the
 max-entry norm of the defect is scaled by the max-entry norms of the terms,
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -62,16 +63,34 @@ class FamilyDescriptor:
 class _FiniteRep:
     """What is derived once from the generators of a frozen finite
     representation and kept: the finite classes are frozen, so no generator
-    can be swapped under it.  The weight frame the structure oracles read
-    (``structure.WeightFrame``) is computed on first use, and each
-    generator's ``Diagonals`` view (``view``) on first read, starting from
-    those the constructor hands over as the init-only ``diagonals``, which
-    a copy made with ``dataclasses.replace`` does not inherit."""
+    can be swapped under it.  Each generator is given as a dense array or
+    as its ``Diagonals``; a generator given as diagonals is its view
+    (``view``), and its dense field is made with ``Diagonals.dense`` on the
+    first read and kept.  The weight frame the structure oracles read
+    (``structure.WeightFrame``) is computed on first use.  A copy made with
+    ``dataclasses.replace`` reads the dense fields and keeps no view."""
 
     GENERATORS: tuple[str, ...]
 
-    def __post_init__(self, diagonals: dict | None):
-        object.__setattr__(self, "_views", dict(diagonals or {}))
+    def __post_init__(self):
+        views = {name: self.__dict__.pop(name) for name in self.GENERATORS
+                 if isinstance(self.__dict__[name], Diagonals)}
+        object.__setattr__(self, "_views", views)
+
+    def __getattr__(self, name: str):
+        # reached only for a generator given as diagonals and not yet read dense
+        diags = self.__dict__.get("_views", {}).get(name)
+        if diags is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        mat = diags.dense()
+        object.__setattr__(self, name, mat)
+        return mat
+
+    @property
+    def dim(self) -> int:
+        """From the first generator in whichever form is present."""
+        first = self.GENERATORS[0]
+        return self.__dict__.get(first, self._views.get(first)).shape[0]
 
     @functools.cached_property
     def weight_frame(self):
@@ -79,9 +98,9 @@ class _FiniteRep:
         return WeightFrame(self)
 
     def view(self, name: str) -> "Diagonals":
-        """Generator ``name`` as its diagonals: the view handed over by the
-        constructor (which may store an all-zero diagonal), else
-        ``Diagonals.of`` of the dense field, made on first read and kept."""
+        """Generator ``name`` as its diagonals: as given to the constructor
+        (which may store an all-zero diagonal), else ``Diagonals.of`` of the
+        dense field, made on first read and kept."""
         diags = self._views.get(name)
         if diags is None:
             diags = self._views[name] = Diagonals.of(getattr(self, name))
@@ -99,36 +118,26 @@ class _FiniteRep:
 @dataclass(frozen=True)
 class So3FiniteRep(_FiniteRep):
     ctx: QContext
-    I1: np.ndarray
-    I2: np.ndarray
-    I3: np.ndarray
+    I1: np.ndarray | Diagonals
+    I2: np.ndarray | Diagonals
+    I3: np.ndarray | Diagonals
     family: FamilyDescriptor
     flags: dict = field(default_factory=dict)
-    diagonals: InitVar[dict | None] = field(default=None, kw_only=True)
 
     GENERATORS = ("I1", "I2", "I3")
-
-    @property
-    def dim(self) -> int:
-        return self.I1.shape[0]
 
 
 @dataclass(frozen=True)
 class Sl2FiniteRep(_FiniteRep):
     ctx: QContext
-    K: np.ndarray
-    Kinv: np.ndarray
-    E: np.ndarray
-    F: np.ndarray
+    K: np.ndarray | Diagonals
+    Kinv: np.ndarray | Diagonals
+    E: np.ndarray | Diagonals
+    F: np.ndarray | Diagonals
     family: FamilyDescriptor
     flags: dict = field(default_factory=dict)
-    diagonals: InitVar[dict | None] = field(default=None, kw_only=True)
 
     GENERATORS = ("K", "Kinv", "E", "F")
-
-    @property
-    def dim(self) -> int:
-        return self.K.shape[0]
 
     @functools.cached_property
     def extendability(self) -> tuple[bool, tuple | None]:
@@ -331,11 +340,13 @@ class Diagonals:
         self.offsets, self.rows = offsets, rows
 
     @classmethod
-    def of(cls, mat: np.ndarray) -> "Diagonals":
-        """The nonzero diagonals of a dense square matrix."""
+    def of(cls, mat: np.ndarray, offsets: list[int] | None = None) -> "Diagonals":
+        """The diagonals of a dense square matrix at the ascending
+        ``offsets``, by default at those of its nonzero entries."""
         n = mat.shape[0]
-        r, c = np.nonzero(mat != 0)
-        offsets = sorted(set((c - r).tolist()))
+        if offsets is None:
+            r, c = np.nonzero(mat != 0)
+            offsets = sorted(set((c - r).tolist()))
         rows = np.zeros((len(offsets), n), dtype=complex)
         for row, k in zip(rows, offsets):
             row[max(k, 0):n + min(k, 0)] = np.diagonal(mat, k)
@@ -383,6 +394,28 @@ class Diagonals:
                 self.rows[:, lo - b:hi - b] * row[lo:hi]
         inside = [t for t, k in enumerate(sums) if abs(k) < n]
         return Diagonals([sums[t] for t in inside], rows[inside])
+
+    def kron(self, other: "Diagonals") -> "Diagonals":
+        """The Kronecker product, with index (i, i') at i m + i' for m the
+        dimension of ``other``: diagonals a of self and b of other land on
+        a m + b as their outer product.  No two pairs (a, b) share an entry
+        (pairs that share an offset, as a cyclic wrap makes, fill different
+        columns and are added), and the product is broadcast as ``np.kron``
+        broadcasts it, a stride-0 factor against a contiguous row of m, so
+        each entry has the bits of ``np.kron``'s one complex multiply
+        (``np.multiply.outer`` takes another path on 1 x 1 inputs); an
+        offset with one pair keeps its zero signs too."""
+        m = other.rows.shape[1]
+        parts = {}
+        for a, row_a in zip(self.offsets, self.rows):
+            for b, row_b in zip(other.offsets, other.rows):
+                parts.setdefault(a * m + b, []).append(
+                    np.multiply(row_a[:, None], row_b[None, :]).ravel())
+        sums = sorted(parts)
+        rows = np.empty((len(sums), self.rows.shape[1] * m), dtype=complex)
+        for t, k in enumerate(sums):
+            rows[t] = functools.reduce(operator.add, parts[k])
+        return Diagonals(sums, rows)
 
     def __add__(self, other: "Diagonals") -> "Diagonals":
         offsets = sorted({*self.offsets, *other.offsets})

@@ -7,7 +7,12 @@ i-twisted T~_{ab,lambda}.  Infinite families: T_{a,eps} on a shifted
 integer lattice.  ``is_extendable`` decides whether all operators
 q^k K + q^{-k} Kinv are invertible, which is what admits division by
 K + Kinv downstream: one array comparison of q^{2k} mu^2 against -1 over
-the candidate pairs of a shift k and a K-eigenvalue mu that can meet it.
+the candidate pairs of a shift k and a K-eigenvalue mu that can meet it
+(on the unit circle found by sorted angles, in O(n + bound) memory).
+
+The finite families and the coproduct ``delta_tensor`` hand their
+generators to ``Sl2FiniteRep`` as diagonals; the dense fields are made
+only when read.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import numpy as np
 
 from .errors import BadParam, BadRange
 from .qscalar import HalfInt, QContext, q_num, q_pow, q_pow_c
-from .repcore import Band, BandedRep, FamilyDescriptor, Sl2FiniteRep, band_diagonals
+from .repcore import (Band, BandedRep, Diagonals, FamilyDescriptor, Sl2FiniteRep,
+                      band_diagonals)
 
 OMEGAS = {"1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j}
 EXTEND_SCAN_MARGIN = 8
@@ -74,12 +80,9 @@ def t_omega_l(ctx: QContext, l, omega=1) -> Sl2FiniteRep:
 
 def _sl2_finite(ctx: QContext, bands: dict[str, Band], dim: int,
                 family: FamilyDescriptor, cyclic: bool = False) -> Sl2FiniteRep:
-    """Dense K, Kinv, E, F on n = 0..dim-1 (a cycle if ``cyclic``), with
-    their diagonals handed over as the representation's views."""
-    diags = band_diagonals(bands, 0, dim - 1, cyclic)
-    mats = {name: d.dense() for name, d in diags.items()}
-    return Sl2FiniteRep(ctx, mats["K"], mats["Kinv"], mats["E"], mats["F"], family,
-                        diagonals=diags)
+    """K, Kinv, E, F on n = 0..dim-1 (a cycle if ``cyclic``), handed over as
+    their diagonals; the dense fields are made on first read."""
+    return Sl2FiniteRep(ctx, family=family, **band_diagonals(bands, 0, dim - 1, cyclic))
 
 
 def is_extendable(rep: Sl2FiniteRep | BandedRep):
@@ -128,11 +131,17 @@ def _candidate_pairs(ctx: QContext, mus: np.ndarray, bound: int):
       from 1 as |q|^{+-2}: the candidates of mu are floor and ceil of k*;
     * on the unit circle (|q|^2 within ``threshold`` of 1), |t| stays near
       1 only for the mu with |mu|^2 near 1 (kept with a margin of 2), and
-      t = -1 needs 2 k theta + 2 arg mu = pi mod 2 pi, theta = arg q; a
-      shift at distance 1 or more from every k* = (pi - 2 arg mu + 2 pi j)
-      / (2 theta) puts t at least 2 |theta| from -1 in angle, and |q - 1|
-      above ``threshold`` makes that a miss, so the candidates are floor
-      and ceil of those k* with |k*| <= bound + 1.
+      t = -1 needs psi_k = 2 k theta to meet phi_mu = pi - 2 arg mu mod
+      2 pi, theta = arg q.  With |t + 1|^2 = (1 - |t|)^2 + 4 |t|
+      sin^2(delta / 2) for delta the angle of t from pi, a hit has
+      |delta| <= (pi / 2) threshold / sqrt|t|, about 1.6 threshold.  The
+      candidates of k are the mu whose phi_mu lies within
+      margin = 4 threshold + 64 eps (2 bound |theta| + 4 pi) of psi_k on the
+      circle: the second term covers the rounding of psi_k (its argument
+      is at most 2 bound |theta|) and of phi_mu and the reduction mod
+      2 pi.  The phi_mu are sorted once and each window is found by
+      ``searchsorted``, so the scan costs O((n + bound) log n) time and
+      O(n + bound) memory.
     """
     index = np.arange(len(mus))
     if ctx.is_root_of_unity:
@@ -140,21 +149,39 @@ def _candidate_pairs(ctx: QContext, mus: np.ndarray, bound: int):
     with np.errstate(divide="ignore"):
         log_mods = np.log(np.abs(mus))     # -inf at mu = 0, which never fails
     log_r = math.log(abs(ctx.q))
-    if not ctx.close(abs(ctx.q) ** 2, 1):
-        kstar, js = -log_mods / log_r, index
-    else:
-        # a hit has |log|t|| <= -log(1 - threshold) <= 2 threshold, and
-        # log|t| - log|mu|^2 = 2 k log|q| with |k| <= bound
-        reach = 4 * (ctx.threshold() + bound * abs(log_r))
-        live = index[np.abs(2 * log_mods) <= reach]
-        theta = cmath.phase(ctx.q)
-        jmax = int((bound + 1) * abs(theta) / math.pi) + 2
-        turns = 2 * math.pi * np.arange(-jmax, jmax + 1)
-        kstar = (((math.pi - 2 * np.angle(mus[live]))[:, None] + turns) / (2 * theta)).ravel()
-        js = np.repeat(live, len(turns))
+    if ctx.close(abs(ctx.q) ** 2, 1):
+        return _circle_pairs(ctx, mus, log_mods, log_r, bound)
+    kstar = -log_mods / log_r
     ks = np.concatenate([np.floor(kstar), np.ceil(kstar)])
     inside = np.abs(ks) <= bound
-    return ks[inside].astype(int), np.concatenate([js, js])[inside]
+    return ks[inside].astype(int), np.concatenate([index, index])[inside]
+
+
+def _circle_pairs(ctx: QContext, mus: np.ndarray, log_mods: np.ndarray, log_r: float,
+                  bound: int):
+    """``_candidate_pairs`` on the unit circle: the mu near |mu| = 1 whose
+    target angle lies within the margin of 2 k theta."""
+    # a hit has |log|t|| <= -log(1 - threshold) <= 2 threshold, and
+    # log|t| - log|mu|^2 = 2 k log|q| with |k| <= bound
+    reach = 4 * (ctx.threshold() + bound * abs(log_r))
+    live = np.flatnonzero(np.abs(2 * log_mods) <= reach)
+    theta = cmath.phase(ctx.q)
+    turn = 2 * math.pi
+    phi = np.mod(math.pi - 2 * np.angle(mus[live]), turn)
+    order = np.argsort(phi, kind="stable")
+    live, phi = live[order], phi[order]
+    ks = np.arange(-bound, bound + 1)
+    psi = np.mod(2 * ks * theta, turn)
+    margin = 4 * ctx.threshold() + 64 * np.finfo(float).eps * (2 * bound * abs(theta)
+                                                               + 2 * turn)
+    # windows that cross 0 or 2 pi find the targets a turn away
+    around = np.concatenate([phi - turn, phi, phi + turn])
+    lo = np.searchsorted(around, psi - margin, "left")
+    counts = np.searchsorted(around, psi + margin, "right") - lo
+    # positions lo .. lo + count - 1 of each window, concatenated
+    starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    at = starts + np.arange(counts.sum())
+    return np.repeat(ks, counts), live[at % len(live)]
 
 
 def cyclic_dim(ctx: QContext, wraps: bool) -> int:
@@ -211,14 +238,16 @@ def t_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
                       lambda i: a * b + _weight_step(ctx, lam, i), a,
                       FamilyDescriptor("T_ab_lambda", {"a": a, "b": b, "lambda": lam}))
     # wrap-free chains break exactly where a raising coefficient vanishes
-    if a == 0 and b == 0 and _chain_breaks(ctx, rep.E, rep.dim):
+    if a == 0 and b == 0 and _chain_breaks(ctx, rep.view("E")):
         rep.flags["reducible"] = True
     return rep
 
 
-def _chain_breaks(ctx: QContext, stepper: np.ndarray, dim: int) -> bool:
-    thr = ctx.threshold(float(np.max(np.abs(stepper))))
-    return any(abs(stepper[i - 1, i]) <= thr for i in range(1, dim))
+def _chain_breaks(ctx: QContext, stepper: Diagonals) -> bool:
+    """Whether a step i -> i-1 (entry (i-1, i)) vanishes against the
+    largest entry of the stepper."""
+    thr = ctx.threshold(float(np.max(np.abs(stepper.rows))))
+    return bool(np.any(np.abs(stepper.diagonal(1)) <= thr))
 
 
 def t_prime_0b_lambda(ctx: QContext, b, lam) -> Sl2FiniteRep:
@@ -227,7 +256,7 @@ def t_prime_0b_lambda(ctx: QContext, b, lam) -> Sl2FiniteRep:
     rep = _cyclic_sl2(ctx, lam, lambda i: q_pow(ctx, i) / lam, "E", b,
                       lambda i: _weight_step(ctx, lam, i), 0,
                       FamilyDescriptor("T_prime", {"b": b, "lambda": lam}))
-    if b == 0 and _chain_breaks(ctx, rep.F, rep.dim):
+    if b == 0 and _chain_breaks(ctx, rep.view("F")):
         rep.flags["reducible"] = True
     return rep
 
@@ -242,7 +271,7 @@ def t_tilde_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
     rep = _cyclic_sl2(ctx, lam, lambda i: 1j * q_pow(ctx, -i) * lam, "F", b,
                       lambda i: a * b - _weight_step(ctx, lam, i), a,
                       FamilyDescriptor("T_tilde", {"a": a, "b": b, "lambda": lam}))
-    if a == 0 and b == 0 and _chain_breaks(ctx, rep.E, rep.dim):
+    if a == 0 and b == 0 and _chain_breaks(ctx, rep.view("E")):
         rep.flags["reducible"] = True
     return rep
 
@@ -295,12 +324,15 @@ def delta_tensor(ta: Sl2FiniteRep, tb: Sl2FiniteRep) -> Sl2FiniteRep:
     """Coproduct tensor product: K -> K(x)K, E -> E(x)K + Kinv(x)E, likewise F.
 
     Kronecker index order is left factor major: (iA, iB) -> iA*dimB + iB.
+    The products are formed on the factors' views (``Diagonals.kron``),
+    entry for entry those of ``np.kron``, and handed over as diagonals.
     """
     ta.ctx.require_same(tb.ctx)
-    K = np.kron(ta.K, tb.K)
-    Kinv = np.kron(ta.Kinv, tb.Kinv)
-    E = np.kron(ta.E, tb.K) + np.kron(ta.Kinv, tb.E)
-    F = np.kron(ta.F, tb.K) + np.kron(ta.Kinv, tb.F)
+    a, b = ({name: t.view(name) for name in t.GENERATORS} for t in (ta, tb))
+    K = a["K"].kron(b["K"])
+    Kinv = a["Kinv"].kron(b["Kinv"])
+    E = a["E"].kron(b["K"]) + a["Kinv"].kron(b["E"])
+    F = a["F"].kron(b["K"]) + a["Kinv"].kron(b["F"])
     fam = FamilyDescriptor("delta_tensor", {"left": ta.family, "right": tb.family})
     return Sl2FiniteRep(ta.ctx, K, Kinv, E, F, fam)
 

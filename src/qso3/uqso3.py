@@ -13,8 +13,8 @@ Every family is a band description in the ``repcore`` model: a diagonal
 closure for I1 and up/diag/down closures for I2 on a domain coordinate n.
 Finite families live on an interval n = 0..dim-1 or, for the cyclic root
 of unity families, on a cycle of that length; the one band evaluator
-``repcore.band_diagonals`` builds them as diagonals, which
-``Diagonals.dense`` makes dense.  Infinite families stay ``BandedRep``
+``repcore.band_diagonals`` builds them as diagonals, which the
+representation takes, making them dense on first read.  Infinite families stay ``BandedRep``
 closures on a half-line or the line, whose windows the same evaluator
 builds as diagonals.  The root-of-unity component families differ only
 in dimension, first label and which ends carry a sqrt(2) link or a diagonal
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import (BadDescriptor, BadParam, BadParity, BadRange,
                      ParityMismatch, SingularBasisChange, SpecialEpsilon)
 from .qscalar import HalfInt, QContext, as_complex, q_num, q_pow, q_pow_c
-from .repcore import (HALF, Band, BandedRep, FamilyDescriptor, So3FiniteRep,
+from .repcore import (HALF, Band, BandedRep, Diagonals, FamilyDescriptor, So3FiniteRep,
                       band_diagonals, so3_i3, so3_i3_band, verify_so3)
 from .structure import invariance_defect
 from .uqsl2 import (_is_integer_mod, _require_root, classify_epsilon, cyclic_dim,
@@ -54,12 +54,13 @@ def _so3_finite(ctx: QContext, dim: int, i1_diag, i2: Band,
                 family: FamilyDescriptor, flags: dict | None = None,
                 cyclic: bool = False) -> So3FiniteRep:
     """Diagonal I1 and banded I2 on n = 0..dim-1 (a cycle if ``cyclic``),
-    with their diagonals handed over as the representation's views; I3's
-    view is made on its first read."""
-    diags = band_diagonals({"I1": Band(diag=i1_diag), "I2": i2}, 0, dim - 1, cyclic)
-    I1, I2 = diags["I1"].dense(), diags["I2"].dense()
-    return So3FiniteRep(ctx, I1, I2, so3_i3(ctx, I1, I2), family, flags or {},
-                        diagonals=diags)
+    handed over as their diagonals, and I3 as the diagonals of the dense
+    product ``so3_i3`` at I2's offsets (the only ones a diagonal I1 leaves
+    nonzero).  The product's bits on the unit circle are not those of the
+    same product on diagonals, so I3 is formed dense."""
+    d1, d2 = band_diagonals({"I1": Band(diag=i1_diag), "I2": i2}, 0, dim - 1, cyclic).values()
+    I3 = so3_i3(ctx, d1.dense(), d2.dense())
+    return So3FiniteRep(ctx, d1, d2, Diagonals.of(I3, d2.offsets), family, flags or {})
 
 
 def _w(ctx: QContext) -> complex:

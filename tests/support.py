@@ -7,7 +7,8 @@ the dense relation residuals the diagonal ones are checked against, the
 dense fill of bands the diagonal evaluator is checked against, the spin
 and equation fill the weight-frame oracles are checked against, and the
 dense-solve images and dense-scan map residuals the diagonal localization
-map is checked against."""
+map is checked against, and the dense Kronecker coproduct the diagonal one
+is checked against."""
 
 from __future__ import annotations
 
@@ -367,6 +368,14 @@ def reference_is_extendable(rep):
             if abs(t + 1) <= ctx.threshold(abs(t)):
                 return False, (k, complex(mu))
     return True, None
+
+
+def reference_delta_tensor(ta: Sl2FiniteRep, tb: Sl2FiniteRep) -> tuple[np.ndarray, ...]:
+    """K, Kinv, E, F of the coproduct tensor as ``np.kron`` of the factors'
+    dense fields: K (x) K, Kinv (x) Kinv, E (x) K + Kinv (x) E, likewise F."""
+    return (np.kron(ta.K, tb.K), np.kron(ta.Kinv, tb.Kinv),
+            np.kron(ta.E, tb.K) + np.kron(ta.Kinv, tb.E),
+            np.kron(ta.F, tb.K) + np.kron(ta.Kinv, tb.F))
 
 
 def unitary_conjugate(t: Sl2FiniteRep, seed=3) -> Sl2FiniteRep:

@@ -316,6 +316,24 @@ class TestDiagonals:
                     assert all(abs(k) < n for k in got.offsets)
                     assert np.allclose(dense_of_diagonals(got), want, rtol=0, atol=1e-13)
 
+    def test_kron_is_np_kron(self):
+        # every pair of sizes 1-7, with cyclic wraps whose offsets coincide
+        # (a = 1, b = -1 and a = 0, b = m - 1 both land on m - 1)
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 7):
+            for m in (1, 2, 3, 7):
+                for a in self._matrices(n, rng):
+                    for b in self._matrices(m, rng):
+                        got = Diagonals.of(a).kron(Diagonals.of(b))
+                        assert got.offsets == sorted(set(got.offsets))
+                        assert np.array_equal(got.dense(), np.kron(a, b)), (n, m)
+
+    def test_of_at_given_offsets(self):
+        a = self._matrices(5, np.random.default_rng(1))[1]
+        d = Diagonals.of(a, [-4, -1, 0, 1, 3, 4])
+        assert d.offsets == [-4, -1, 0, 1, 3, 4] and not d.diagonal(3).any()
+        assert np.array_equal(d.dense(), a)
+
     def test_rows_hold_zero_outside_the_matrix(self):
         d = Diagonals.of(uqso3.r_ab_lambda(root_of_unity_ctx(5, 1), 1, 1, 2.0).I2)
         assert d.offsets == [-4, -1, 1, 4]
@@ -600,9 +618,9 @@ class TestDiagonalsView:
         shapes = []
         of = Diagonals.of.__func__
 
-        def spy(cls, mat):
+        def spy(cls, mat, offsets=None):
             shapes.append(mat.shape)
-            return of(cls, mat)
+            return of(cls, mat, offsets)
 
         monkeypatch.setattr(Diagonals, "of", classmethod(spy))
         t = t_omega_l(q13, H("61/2"), "i")
@@ -614,12 +632,79 @@ class TestDiagonalsView:
                 verify_sl2(rep), psihom.verify_psi(rep), rep_to_json(rep)
                 verify_so3(image), rep_to_json(image)
             verify_so3(r), rep_to_json(r)
-        # the four generators of the coproduct, and the derived I3 of R1_l;
-        # constructors and compose hand theirs over
-        assert sorted(shapes) == [(56, 56)] * 4 + [(61, 61)]
+        # the derived I3 of R1_l, read at I2's offsets; the constructors,
+        # the coproduct and compose hand the other generators over
+        assert sorted(shapes) == [(61, 61)]
 
     def test_is_diagonal(self, q13):
         t = t_omega_l(q13, H("3/2"), "1")
         assert t.view("K").is_diagonal() and not t.view("E").is_diagonal()
         zero_off = Diagonals([-1, 0], np.array([[0, 0, 0], [1, 2, 3]], dtype=complex))
         assert zero_off.is_diagonal()
+
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """The shapes of the matrices ``Diagonals.dense`` makes from here on."""
+    calls = []
+    dense = Diagonals.dense
+
+    def spy(self):
+        calls.append(self.shape)
+        return dense(self)
+
+    monkeypatch.setattr(Diagonals, "dense", spy)
+    return calls
+
+
+class TestDenseOnFirstRead:
+    """A finite representation given diagonals makes its dense fields only
+    when they are read: construct, coproduct, compose, verify and dump of
+    the sl2 families from ``DIAGONAL_CROSSOVER`` up make none."""
+
+    def test_weight_family_path_makes_no_dense_matrix(self, q13, qphase, dense_calls):
+        for ctx in (q13, qphase):
+            t = t_omega_l(ctx, H("199/2"), "1")
+            image = psihom.compose(t)
+            verify_sl2(t), psihom.verify_psi(t), verify_so3(image)
+            rep_to_json(t), rep_to_json(image)
+        assert dense_calls == []
+
+    def test_tensor_path_makes_no_dense_matrix(self, q13, qphase, dense_calls):
+        for ctx in (q13, qphase):
+            for (la, oa), lb in ((("7/2", "i"), "3"), (("13/2", "1"), "13/2")):
+                prod = tensor.tensor_so3(t_omega_l(ctx, H(la), oa), t_omega_l(ctx, H(lb), "1"))
+                assert prod.dim >= repcore.DIAGONAL_CROSSOVER
+                assert verify_so3(prod).max_residual <= 1e-12
+                rep_to_json(prod)
+        assert dense_calls == []
+
+    def test_cyclic_family_path_makes_no_dense_matrix(self, dense_calls):
+        # wrap-free (a = b = 0): dimension p' = 79, above the crossover
+        rep = uqsl2.t_ab_lambda(root_of_unity_ctx(79, 1), 0, 0, 1.7 + 0.6j)
+        assert rep.dim == 79 and verify_sl2(rep).max_residual <= 1e-12
+        rep_to_json(rep)
+        assert dense_calls == []
+
+    def test_dense_field_made_once_on_first_read(self, q13, dense_calls):
+        t = t_omega_l(q13, H("5/2"), "1")
+        assert t.dim == 6 and dense_calls == []     # dim converts nothing
+        first = t.E
+        assert t.E is first and dense_calls == [(6, 6)]
+        assert np.array_equal(first, t.view("E").dense())
+
+    def test_generators_frozen_before_and_after_first_read(self, q13):
+        t, r = t_omega_l(q13, H("5/2"), "1"), uqso3.r1_l(q13, 2)
+        for rep, name in ((t, "K"), (t, "F"), (r, "I3")):
+            zero = np.zeros((rep.dim, rep.dim), dtype=complex)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rep, name, zero)
+            before = getattr(rep, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rep, name, zero)
+            assert getattr(rep, name) is before
+
+    def test_unknown_attribute_raises(self, q13):
+        with pytest.raises(AttributeError):
+            t_omega_l(q13, 1, "1").I1

@@ -1,20 +1,21 @@
 """sl2-side families: weight families, extendability, cyclic families."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from support import (finite_sl2_samples, generic_contexts, reference_is_extendable,
-                     rng_params, root_contexts, unitary_conjugate)
+from support import (finite_sl2_samples, generic_contexts, reference_delta_tensor,
+                     reference_is_extendable, rng_params, root_contexts, unitary_conjugate)
 from qso3.errors import BadParam, BadRange, CtxMismatch
 from qso3.qscalar import HalfInt, generic_ctx, q_pow, root_of_unity_ctx
-from qso3.repcore import FamilyDescriptor, Sl2FiniteRep, verify_sl2
+from qso3.repcore import FamilyDescriptor, Sl2FiniteRep, rep_to_json, verify_sl2
 from qso3.structure import (are_equivalent, burnside_dim, cluster, is_irreducible,
                             _multiset_close)
-from qso3.uqsl2 import (OMEGAS, classify_epsilon, cyclic_dim, delta_tensor,
-                        is_extendable, special_epsilon_values, t_a_epsilon,
-                        t_ab_lambda, t_omega_l, t_prime_0b_lambda,
+from qso3.uqsl2 import (EXTEND_SCAN_MARGIN, OMEGAS, _candidate_pairs, classify_epsilon,
+                        cyclic_dim, delta_tensor, is_extendable, special_epsilon_values,
+                        t_a_epsilon, t_ab_lambda, t_omega_l, t_prime_0b_lambda,
                         t_tilde_ab_lambda)
 
 H = HalfInt.parse
@@ -308,6 +309,31 @@ class TestDeltaTensor:
         dt = delta_tensor(t_omega_l(q13, 1, "i"), t_omega_l(q13, H("1/2"), "-1"))
         assert verify_sl2(dt).max_residual <= 1e-10
 
+    def test_fields_are_the_dense_kron(self):
+        """Weight-family products at generic q, and weight and cyclic
+        products at p = 5-16 (cyclic wraps whose offsets coincide), equal
+        the ``np.kron`` reference entry for entry."""
+        pairs = []
+        for ctx in generic_contexts():
+            facs = [t_omega_l(ctx, HalfInt(tw), o) for tw in (0, 1, 4, 7) for o in ("1", "i")]
+            pairs += itertools.product(facs, facs)
+            pairs.append((t_omega_l(ctx, H("13/2"), "1"), t_omega_l(ctx, H("13/2"), "-i")))
+        for p in range(5, 17):
+            ctx = root_of_unity_ctx(p, 1)
+            facs = [t_omega_l(ctx, 1, "1"), t_omega_l(ctx, H("1/2"), "i"),
+                    t_ab_lambda(ctx, 0.7 + 0.3j, 1.2, 1.7 + 0.6j), t_ab_lambda(ctx, 0, 0, 2.0),
+                    t_prime_0b_lambda(ctx, 0.5, 2.0), t_tilde_ab_lambda(ctx, 1, 1, 1.3 - 0.4j)]
+            pairs += itertools.product(facs, facs)
+        for ta, tb in pairs:
+            dt = delta_tensor(ta, tb)
+            want = reference_delta_tensor(ta, tb)
+            # the dump reads the handed-over diagonals, zero signs included
+            dense = Sl2FiniteRep(ta.ctx, *want, dt.family)
+            assert json.dumps(rep_to_json(dt)) == json.dumps(rep_to_json(dense)), dt.family
+            for name, mat in zip(dt.GENERATORS, want):
+                assert np.array_equal(getattr(dt, name), mat), (ta.family, tb.family, name)
+        assert len(pairs) == 3 * 65 + 12 * 36
+
     def test_ctx_mismatch(self, q13, q4):
         with pytest.raises(CtxMismatch):
             delta_tensor(t_omega_l(q13, 1, 1), t_omega_l(q4, 1, 1))
@@ -383,6 +409,22 @@ class TestExtendabilityCandidates:
             assert got == reference_is_extendable(rep)
             assert got == (False, (-2, mus[1]))
         assert is_extendable(_diagonal_k(ctx, [mus[0], mus[3]])) == (False, (3, mus[0]))
+
+    def test_dimension_200_on_the_circle(self, qphase):
+        t = t_omega_l(qphase, H("199/2"), "1")
+        assert is_extendable(t) == reference_is_extendable(t) == (True, None)
+        # one weight moved to i q^-150, which fails at k = 150
+        mus = t.view("K").diagonal().copy()
+        mus[17] = 1j * q_pow(qphase, -150)
+        rep = _diagonal_k(qphase, mus)
+        assert is_extendable(rep) == reference_is_extendable(rep) == (False, (150, mus[17]))
+
+    def test_at_most_dim_candidates_on_the_circle(self, qphase):
+        # the sorted-angle windows keep no more pairs than weights here
+        t = t_omega_l(qphase, H("199/2"), "1")
+        ks, js = _candidate_pairs(qphase, t.view("K").diagonal(),
+                                  2 * t.dim + EXTEND_SCAN_MARGIN)
+        assert len(ks) == len(js) <= t.dim
 
     def test_lattice_family(self, qphase):
         # complex eps: |mu| = |q^(eps + n)| != 1, so no mu is kept; real
