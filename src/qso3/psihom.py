@@ -21,7 +21,7 @@ import operator
 import numpy as np
 
 from .errors import NotExtendable
-from .qscalar import q_pow
+from .qscalar import c_div, q_pow
 from .repcore import (HALF, Band, BandedRep, Diagonals, FamilyDescriptor, ResidualReport,
                       Sl2FiniteRep, So3FiniteRep, _entries, _scaled_defect, relation_operands,
                       so3_i3_band, so3_relation_residuals)
@@ -117,10 +117,17 @@ def _compose_banded(t: BandedRep, fam: FamilyDescriptor, flags: dict) -> BandedR
     k = t.bands["K"].diag
     e = t.bands["E"].up
     f = t.bands["F"].down
-    kappa = lambda n: k(n) + 1 / k(n)
 
-    i1 = Band(diag=lambda n: 1j * (k(n) - 1 / k(n)) / w)
-    i2 = Band(up=lambda n: e(n) / kappa(n), down=lambda n: -f(n) / kappa(n))
+    def kappa(n):
+        kn = k(n)
+        return kn + c_div(1, kn)
+
+    def i1_diag(n):
+        kn = k(n)
+        return c_div(1j * (kn - c_div(1, kn)), w)
+
+    i1 = Band(diag=i1_diag)
+    i2 = Band(up=lambda n: c_div(e(n), kappa(n)), down=lambda n: c_div(-f(n), kappa(n)))
     bands = {"I1": i1, "I2": i2, "I3": so3_i3_band(ctx, i1, i2)}
     return BandedRep(ctx, "so3", t.offset, bands, fam, n_min=t.n_min,
                      n_max=t.n_max, flags=flags)

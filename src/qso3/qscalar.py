@@ -5,6 +5,18 @@ All families downstream are phrased in terms of powers q^a and q-numbers
 the choice of square root of q, so the context stores the chosen root ``s``
 as data and every half-integer power is computed as a power of ``s``.
 Complex exponents go through the principal logarithm tau, q = exp(tau).
+
+``q_pow``, ``q_pow_c`` and ``q_num`` take an exponent array as well as a
+scalar, and give elementwise the bits of the scalar call.  numpy's complex
+``*`` and ``/`` do not round as CPython's do (its SIMD product fuses, its
+quotient multiplies by a reciprocal), so every complex product and quotient
+on arrays goes through ``c_mul`` and ``c_div``, which give the bits of
+CPython's ``_Py_c_prod`` and ``_Py_c_quot``.  ``+``, ``-`` and scaling by a
+real number or by a multiple of 1j already round alike.  Powers ``s ** t``
+and ``cmath.exp`` stay Python calls: ``cmath.exp`` one per entry, and the
+integer powers of ``s`` and the q-numbers of half-integer exponents once
+per exponent, kept in tables on the context (``QContext.s_powers``,
+``QContext.q_numbers``).
 """
 
 from __future__ import annotations
@@ -14,6 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 from math import gcd
+from typing import Callable
 
 import numpy as np
 
@@ -24,15 +37,17 @@ GENERIC_SCAN_BOUND = 64
 
 @dataclass(frozen=True, order=True)
 class HalfInt:
-    """An exact half-integer n/2, stored as the integer n.
+    """An exact half-integer n/2, stored as the integer n, or elementwise
+    the half-integers of an integer array n (the labels of a window).
 
     Addition, negation and comparison are exact; ``value`` is the float n/2.
     """
 
-    twice: int
+    twice: int | np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.twice, int):
+        if not (isinstance(self.twice, int) or
+                isinstance(self.twice, np.ndarray) and self.twice.dtype.kind in "iu"):
             raise TypeError(f"twice must be int, got {type(self.twice).__name__}")
 
     @staticmethod
@@ -193,6 +208,53 @@ class QContext:
         if abs(self.s - other.s) > self.floor() or self.kind != other.kind:
             raise CtxMismatch("operands were built over different contexts")
 
+    @functools.cached_property
+    def s_powers(self) -> "ExponentTable":
+        """``s ** t`` for integer arrays t, each power made by Python."""
+        return ExponentTable(self._powers)
+
+    @functools.cached_property
+    def q_numbers(self) -> "ExponentTable":
+        """The q-numbers [t/2] = (s^t - s^-t) / (q - q^{-1}) for integer
+        arrays t, with the bits of the scalar ``q_num``."""
+        return ExponentTable(self._q_numbers)
+
+    def _powers(self, ts: np.ndarray) -> np.ndarray:
+        return np.array([self.s ** t for t in ts.tolist()], dtype=complex)
+
+    def _q_numbers(self, ts: np.ndarray) -> np.ndarray:
+        t = self.s_powers(ts)
+        return c_div(t - c_div(1, t), self.q_minus_qinv)
+
+
+class ExponentTable:
+    """An elementwise function of integer exponents, each value made once.
+
+    ``make`` maps an integer array to the values there; a call on an
+    integer array t returns the values at t from a table that spans every
+    exponent asked for so far, calling ``make`` only on the exponents by
+    which the span grows.
+    """
+
+    def __init__(self, make: Callable[[np.ndarray], np.ndarray]):
+        self.make = make
+        self.t0, self.values = 0, np.empty(0, dtype=complex)
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        if not ts.size:
+            return np.empty(ts.shape, dtype=complex)
+        lo, hi = int(ts.min()), int(ts.max())
+        t0, t1 = self.t0, self.t0 + len(self.values)
+        if not self.values.size:
+            self.t0, self.values = lo, self.make(np.arange(lo, hi + 1))
+        elif lo < t0 or hi >= t1:
+            parts = [self.make(np.arange(lo, t0))] if lo < t0 else []
+            parts.append(self.values)
+            if hi >= t1:
+                parts.append(self.make(np.arange(t1, hi + 1)))
+            self.t0, self.values = min(lo, t0), np.concatenate(parts)
+        return self.values[ts - self.t0]
+
 
 def magnitude_scale(*magnitudes):
     """The largest of 1 and the magnitudes: the scale every level and every
@@ -241,25 +303,112 @@ def root_of_unity_ctx(p: int, k: int = 1, tol: float = QContext.tol) -> QContext
     return QContext(s=s, kind="root_of_unity", p=p, p_prime=p_prime, tol=tol)
 
 
-def q_pow(ctx: QContext, a) -> complex:
-    """q^a for a half-integer a, computed through the stored branch s."""
-    return ctx.s ** (2 * a if isinstance(a, int) else HalfInt.of(a).twice)
+def _operand(x):
+    """An array of one or more dimensions as a complex array, anything
+    else (a number, a 0-d array) as a Python complex, whose parts are
+    Python floats."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        return x.astype(complex, copy=False)
+    return complex(x)
 
 
-def q_pow_c(ctx: QContext, a) -> complex:
-    """q^a = exp(a*tau) for arbitrary complex a (principal branch of tau)."""
-    if isinstance(a, (HalfInt, int)):
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def c_mul(a, b) -> np.ndarray:
+    """a * b elementwise (numbers or arrays, broadcast) with the bits of
+    CPython's complex product ``_Py_c_prod``, (ar br - ai bi, ar bi + ai br),
+    up to the sign of a zero part.
+
+    It is formed as a Re(b) + a (i Im(b)): numpy's complex product with a
+    factor whose real or imaginary part is 0 rounds each part once, fused
+    or not (the other term is an exact zero), so both terms hold the
+    rounded products, and their sum is the CPython sum of the same two."""
+    a, b = _operand(a), _operand(b)
+    if isinstance(a, complex) and isinstance(b, complex):
+        return np.asarray(a * b)
+    return a * b.real + a * (1j * b.imag)
+
+
+def c_div(a, b) -> np.ndarray:
+    """a / b elementwise (numbers or arrays, broadcast) with the bits of
+    CPython's complex quotient ``_Py_c_quot``: Smith's algorithm, which
+    divides through by the part of b of larger modulus (the real part on a
+    tie).  A zero b raises ZeroDivisionError, as Python's ``/`` does."""
+    a, b = _operand(a), _operand(b)
+    br, bi = b.real, b.imag
+    if isinstance(b, complex):
+        if not b:
+            raise ZeroDivisionError("complex division by zero")
+        by_real = abs(br) >= abs(bi)
+        every, mixed = by_real, False
+    else:
+        if np.count_nonzero(b) < b.size:
+            raise ZeroDivisionError("complex division by zero")
+        by_real = np.abs(br) >= np.abs(bi)
+        count = np.count_nonzero(by_real)
+        every, mixed = count == b.size, 0 < count < b.size
+    # big is the part of b divided through with, u the part of a it pairs with
+    ar, ai = a.real, a.imag
+    if mixed:
+        big, small = np.where(by_real, br, bi), np.where(by_real, bi, br)
+        u, v = np.where(by_real, ar, ai), np.where(by_real, ai, ar)
+    else:
+        big, small, u, v = (br, bi, ar, ai) if every else (bi, br, ai, ar)
+    ratio = small / big
+    denom = big + small * ratio
+    ur = u * ratio
+    im = np.where(by_real, v - ur, ur - v) if mixed else v - ur if every else ur - v
+    return _complex((u + v * ratio) / denom, im / denom)
+
+
+def _exact_twice(a):
+    """2a for an exact exponent a (an int, a HalfInt, an integer array), or
+    None."""
+    if isinstance(a, HalfInt):
+        return a.twice
+    if isinstance(a, int) or isinstance(a, np.ndarray) and a.dtype.kind in "iu":
+        return 2 * a
+    return None
+
+
+def q_pow(ctx: QContext, a):
+    """q^a for a half-integer a, computed through the stored branch s; for
+    an integer array or a HalfInt of one, elementwise (``s_powers``)."""
+    twice = _exact_twice(a)
+    if twice is None:
+        twice = HalfInt.of(a).twice
+    if isinstance(twice, np.ndarray):
+        return ctx.s_powers(twice)
+    return ctx.s ** twice
+
+
+def q_pow_c(ctx: QContext, a):
+    """q^a = exp(a*tau) for arbitrary complex a (principal branch of tau);
+    elementwise for an array, through ``q_pow`` for exact exponents."""
+    if _exact_twice(a) is not None:
         return q_pow(ctx, a)
+    if isinstance(a, np.ndarray):
+        exponents = c_mul(a, ctx.tau)
+        return np.array(list(map(cmath.exp, exponents.ravel().tolist())),
+                        dtype=complex).reshape(a.shape)
     return cmath.exp(complex(a) * ctx.tau)
 
 
-def q_num(ctx: QContext, a) -> complex:
-    """The q-number [a] = (q^a - q^{-a}) / (q - q^{-1})."""
+def q_num(ctx: QContext, a):
+    """The q-number [a] = (q^a - q^{-a}) / (q - q^{-1}); elementwise for
+    an array, from the context's table (``QContext.q_numbers``) for exact
+    exponents."""
     w = ctx.q_minus_qinv
-    if isinstance(a, (HalfInt, int)):
-        t = q_pow(ctx, a)
-    else:
-        t = q_pow_c(ctx, a)
+    twice = _exact_twice(a)
+    if isinstance(twice, np.ndarray):
+        return ctx.q_numbers(twice)
+    t = q_pow_c(ctx, a)
+    if isinstance(t, np.ndarray):
+        return c_div(t - c_div(1, t), w)
     return (t - 1 / t) / w
 
 

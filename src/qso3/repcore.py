@@ -5,8 +5,16 @@ G|m> = sum_j c_j |m_j> puts c_j in column index(m), row index(m_j), with
 basis labels in ascending order.
 
 Every registered family is described by bands: per generator, coefficient
-closures ``diag``, ``up`` and ``down`` of an integer domain coordinate n,
-G|n> = up(n)|n+1> + diag(n)|n> + down(n)|n-1>.  The domain is one of four:
+closures ``diag``, ``up`` and ``down`` of the integer domain coordinate n,
+G|n> = up(n)|n+1> + diag(n)|n> + down(n)|n-1>.  A closure takes an integer
+array of coordinates and returns the coefficients there as an array (or as
+one number that holds at all of them), so a whole window is evaluated in
+one call per part; point cases such as n == 0 are masked assignments, and
+every complex product and quotient goes through ``qscalar.c_mul`` and
+``qscalar.c_div``, so each coefficient has the bits of the same formula
+evaluated by Python on one coordinate.  A part keeps its values on the
+last window it was evaluated on (``Band``), which a derived band and a
+smaller window inside it read.  The domain is one of four:
 an interval, a half-line or the whole line (``BandedRep.n_min``/``n_max``,
 None meaning unbounded), or a cycle n_lo..n_hi on which up at n_hi wraps to
 n_lo and down at n_lo wraps to n_hi.  One evaluator, ``band_diagonals``,
@@ -42,9 +50,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyWindow
-from .qscalar import HalfInt, QContext, as_complex, ctx_to_json, magnitude_scale, q_pow
+from .qscalar import (HalfInt, QContext, as_complex, c_mul, ctx_to_json, magnitude_scale,
+                      q_pow)
 
-CoeffFn = Callable[[int], complex]
+# integer coordinates -> the coefficients there (an array, or one number for all)
+CoeffFn = Callable[[np.ndarray], "np.ndarray | complex"]
 HALF = HalfInt(1)  # the half-integer 1/2
 
 
@@ -96,6 +106,13 @@ class _FiniteRep:
     def weight_frame(self):
         from .structure import WeightFrame  # structure imports this module
         return WeightFrame(self)
+
+    def set_dense(self, **mats: np.ndarray) -> None:
+        """Keep dense matrices already made from generators given as
+        diagonals (by ``Diagonals.dense``), so their first dense read makes
+        none."""
+        for name, mat in mats.items():
+            object.__setattr__(self, name, mat)
 
     def view(self, name: str) -> "Diagonals":
         """Generator ``name`` as its diagonals: as given to the constructor
@@ -151,9 +168,16 @@ class Sl2FiniteRep(_FiniteRep):
 class Band:
     """Tridiagonal action of one generator: G|n> = up(n)|n+1> + diag(n)|n> + down(n)|n-1>.
 
-    The coefficients are pure functions of n, and each is memoized: a band
-    derived from others (``so3_i3_band``) reuses their values, and a second
-    window of a ``BandedRep`` reuses those of the first.
+    Each part maps an integer array of coordinates to the coefficients
+    there, elementwise: the value at n depends on n alone, so any window
+    or any single coordinate gives the same bits.  A part may return one
+    number for all coordinates; the band's part returns a read-only complex
+    array of the coordinates' shape either way.  Each part keeps its values
+    on the last run of consecutive coordinates it was evaluated on and
+    reads a call inside that run from them (``_window_cache``): a band
+    derived from others (``so3_i3_band``) reads their values of the window
+    being evaluated, and a window inside the last one (a dump after a
+    verification) is not evaluated again.
     """
 
     diag: CoeffFn | None = None
@@ -164,7 +188,36 @@ class Band:
         for part in ("diag", "up", "down"):
             coeff = getattr(self, part)
             if coeff is not None:
-                object.__setattr__(self, part, functools.cache(coeff))
+                object.__setattr__(self, part, _window_cache(coeff))
+
+
+def _window_cache(coeff: CoeffFn) -> Callable[[np.ndarray], np.ndarray]:
+    """``coeff`` returning read-only complex arrays of the coordinates'
+    shape, and keeping its values on the last run of consecutive
+    coordinates it was evaluated on."""
+    kept = [0, None]  # the run's first coordinate, the values on it
+
+    def part(ns: np.ndarray) -> np.ndarray:
+        first, values = kept
+        if values is not None and ns.size:
+            at = ns - first
+            if at.min() >= 0 and at.max() < len(values):
+                return values[at]
+        out = np.asarray(coeff(ns), dtype=complex)
+        if out.shape != ns.shape:
+            out = np.full(ns.shape, out)
+        out.flags.writeable = False
+        if ns.size and ns[-1] - ns[0] == ns.size - 1 and (ns[1:] - ns[:-1] == 1).all():
+            kept[:] = int(ns[0]), out
+        return out
+    return part
+
+
+def masked(where: np.ndarray, value, other=0.0) -> np.ndarray:
+    """Coefficients that are ``value`` where ``where`` holds and ``other``
+    elsewhere (each a number or an array over the same coordinates): the
+    point cases of a band part, such as n == 0 or the end of a cycle."""
+    return np.asarray(np.where(where, value, other), dtype=complex)
 
 
 @dataclass
@@ -199,19 +252,15 @@ def so3_i3_band(ctx: QContext, i1: Band, i2: Band) -> Band:
     g = i1.diag
 
     def diag(n):
-        d = i2.diag(n) if i2.diag else 0
-        return d * g(n) * (rt - rti)
+        return c_mul(c_mul(i2.diag(n), g(n)), rt - rti)
 
-    def up(n):
-        u = i2.up(n) if i2.up else 0
-        return u * (rt * g(n + 1) - rti * g(n))
+    def link(part, step):
+        return lambda n: c_mul(part(n), c_mul(rt, g(n + step)) - c_mul(rti, g(n)))
 
-    def down(n):
-        d = i2.down(n) if i2.down else 0
-        return d * (rt * g(n - 1) - rti * g(n))
+    up = link(i2.up, 1) if i2.up else None
+    down = link(i2.down, -1) if i2.down else None
 
-    return Band(diag=diag if i2.diag else None, up=up if i2.up else None,
-                down=down if i2.down else None)
+    return Band(diag=diag if i2.diag else None, up=up, down=down)
 
 
 @dataclass
@@ -280,12 +329,13 @@ def band_diagonals(bands: dict[str, Band], n_lo: int, n_hi: int,
 
     On an interval, images outside n_lo..n_hi are dropped; on a cycle, up at
     n_hi lands on n_lo (offset n - 1) and down at n_lo on n_hi (offset
-    1 - n).  Each part's coefficients are evaluated once, and the parts are
-    added in the order diag, up, down to zero rows: -0.0 folds to 0.0, and
-    where a cycle of length 1 or 2 puts two links on one entry they add up
-    in that order.  Every part a band has is stored, even where it is 0.
+    1 - n).  Each part is called once, on the array of the columns it has
+    an entry in (none where it has no column), and the parts are added in
+    the order diag, up, down to zero rows: -0.0 folds to 0.0, and where a
+    cycle of length 1 or 2 puts two links on one entry they add up in that
+    order.  Every part a band has is stored, even where it is 0.
     """
-    ns = range(n_lo, n_hi + 1)
+    ns = np.arange(n_lo, n_hi + 1)
     n = len(ns)
     out = {}
     for name, band in bands.items():
@@ -296,7 +346,9 @@ def band_diagonals(bands: dict[str, Band], n_lo: int, n_hi: int,
                 continue
             lo, hi = max(k, 0), n + min(k, 0)  # the columns whose image stays inside
             c0, c1 = (0, n) if cyclic else (lo, hi)  # the columns evaluated
-            values = np.array([coeff(m) for m in ns[c0:c1]], dtype=complex)
+            if c0 >= c1:
+                continue
+            values = coeff(ns[c0:c1])
             wrap = [(k + n, hi, n) if k < 0 else (k - n, 0, lo)] if cyclic and k else []
             runs += [(j, a, b, values[a - c0:b - c0]) for j, a, b in [(k, lo, hi), *wrap]
                      if a < b]

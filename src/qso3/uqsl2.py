@@ -23,9 +23,9 @@ import math
 import numpy as np
 
 from .errors import BadParam, BadRange
-from .qscalar import HalfInt, QContext, q_num, q_pow, q_pow_c
+from .qscalar import HalfInt, QContext, c_div, c_mul, q_num, q_pow, q_pow_c
 from .repcore import (Band, BandedRep, Diagonals, FamilyDescriptor, Sl2FiniteRep,
-                      band_diagonals)
+                      band_diagonals, masked)
 
 OMEGAS = {"1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j}
 EXTEND_SCAN_MARGIN = 8
@@ -51,9 +51,10 @@ def omega_name(w: complex) -> str:
     return {v: name for name, v in OMEGAS.items()}[w]
 
 
-def weight_labels(l: HalfInt) -> list[HalfInt]:
-    """Basis labels m = -l, -l+1, ..., l in ascending order."""
-    return [HalfInt(t) for t in range(-l.twice, l.twice + 1, 2)]
+def weight_label(l: HalfInt, n: np.ndarray) -> HalfInt:
+    """The basis labels m = -l + n of the coordinates n = 0..2l (ascending
+    labels -l, -l+1, ..., l), as a HalfInt array."""
+    return HalfInt(2 * n - l.twice)
 
 
 def t_omega_l(ctx: QContext, l, omega=1) -> Sl2FiniteRep:
@@ -68,14 +69,13 @@ def t_omega_l(ctx: QContext, l, omega=1) -> Sl2FiniteRep:
     if ctx.is_root_of_unity and l.twice >= ctx.p_prime:
         raise BadRange(f"2l = {l.twice} >= p' = {ctx.p_prime}: weight family out of range")
     w = _omega_value(ctx, omega)
-    labels = weight_labels(l)
     f_sign = -1.0 if w.real == 0 else 1.0
-    k_diag = lambda n: w * q_pow(ctx, labels[n])
-    bands = {"K": Band(diag=k_diag), "Kinv": Band(diag=lambda n: 1 / k_diag(n)),
-             "E": Band(up=lambda n: q_num(ctx, l - labels[n])),
-             "F": Band(down=lambda n: f_sign * q_num(ctx, l + labels[n]))}
+    k_diag = lambda n: w * q_pow(ctx, weight_label(l, n))
+    bands = {"K": Band(diag=k_diag), "Kinv": Band(diag=lambda n: c_div(1, k_diag(n))),
+             "E": Band(up=lambda n: q_num(ctx, l - weight_label(l, n))),
+             "F": Band(down=lambda n: f_sign * q_num(ctx, l + weight_label(l, n)))}
     fam = FamilyDescriptor("T_l", {"l": l, "omega": omega_name(w)})
-    return _sl2_finite(ctx, bands, len(labels), fam)
+    return _sl2_finite(ctx, bands, l.twice + 1, fam)
 
 
 def _sl2_finite(ctx: QContext, bands: dict[str, Band], dim: int,
@@ -105,7 +105,7 @@ def is_extendable(rep: Sl2FiniteRep | BandedRep):
         ns = range(-40, 41) if rep.n_min is None and rep.n_max is None else \
             range(rep.n_min if rep.n_min is not None else rep.n_max - 80,
                   (rep.n_max if rep.n_max is not None else rep.n_min + 80) + 1)
-        mus = band_diagonals({"K": rep.bands["K"]}, ns[0], ns[-1])["K"].diagonal()
+        mus = rep.bands["K"].diag(np.arange(ns.start, ns.stop))
         dim = len(mus)
     ks, js = _candidate_pairs(ctx, mus, 2 * dim + EXTEND_SCAN_MARGIN)
     # q^{2k} once for each k that occurs
@@ -211,18 +211,18 @@ def _cyclic_sl2(ctx: QContext, lam, k_diag, up_name: str, up_wrap, step, down_wr
     bands = {
         "K": Band(diag=k_diag),
         # numpy's complex reciprocal, which can differ from Python's in the last bit
-        "Kinv": Band(diag=lambda i: 1 / np.complex128(k_diag(i))),
-        up_name: Band(up=lambda i: up_wrap if i == dim - 1 else 1.0),
-        down_name: Band(down=lambda i: down_wrap if i == 0 else step(i)),
+        "Kinv": Band(diag=lambda i: 1 / k_diag(i)),
+        up_name: Band(up=lambda i: masked(i == dim - 1, up_wrap, 1.0)),
+        down_name: Band(down=lambda i: masked(i == 0, down_wrap, step(i))),
     }
     return _sl2_finite(ctx, bands, dim, family, cyclic=True)
 
 
-def _weight_step(ctx: QContext, lam: complex, i: int) -> complex:
+def _weight_step(ctx: QContext, lam: complex, i: np.ndarray) -> np.ndarray:
     """[i] (lam^2 q^{1-i} - lam^{-2} q^{i-1}) / (q - 1/q)."""
     q = ctx.q
-    return q_num(ctx, i) * (
-        lam ** 2 * q_pow(ctx, 1 - i) - lam ** -2 * q_pow(ctx, i - 1)) / (q - 1 / q)
+    return c_div(c_mul(q_num(ctx, i), c_mul(lam ** 2, q_pow(ctx, 1 - i))
+                       - c_mul(lam ** -2, q_pow(ctx, i - 1))), q - 1 / q)
 
 
 def t_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
@@ -234,7 +234,7 @@ def t_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
     are constructed with a flag, never refused.
     """
     lam, a, b = complex(lam), complex(a), complex(b)
-    rep = _cyclic_sl2(ctx, lam, lambda i: q_pow(ctx, -i) * lam, "F", b,
+    rep = _cyclic_sl2(ctx, lam, lambda i: c_mul(q_pow(ctx, -i), lam), "F", b,
                       lambda i: a * b + _weight_step(ctx, lam, i), a,
                       FamilyDescriptor("T_ab_lambda", {"a": a, "b": b, "lambda": lam}))
     # wrap-free chains break exactly where a raising coefficient vanishes
@@ -253,7 +253,7 @@ def _chain_breaks(ctx: QContext, stepper: Diagonals) -> bool:
 def t_prime_0b_lambda(ctx: QContext, b, lam) -> Sl2FiniteRep:
     """One-sided cyclic variant: E steps up (wrapping with weight b), F|0> = 0."""
     lam, b = complex(lam), complex(b)
-    rep = _cyclic_sl2(ctx, lam, lambda i: q_pow(ctx, i) / lam, "E", b,
+    rep = _cyclic_sl2(ctx, lam, lambda i: c_div(q_pow(ctx, i), lam), "E", b,
                       lambda i: _weight_step(ctx, lam, i), 0,
                       FamilyDescriptor("T_prime", {"b": b, "lambda": lam}))
     if b == 0 and _chain_breaks(ctx, rep.view("F")):
@@ -268,7 +268,7 @@ def t_tilde_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
     constructor so the equivalence is testable.
     """
     lam, a, b = complex(lam), complex(a), complex(b)
-    rep = _cyclic_sl2(ctx, lam, lambda i: 1j * q_pow(ctx, -i) * lam, "F", b,
+    rep = _cyclic_sl2(ctx, lam, lambda i: c_mul(1j * q_pow(ctx, -i), lam), "F", b,
                       lambda i: a * b - _weight_step(ctx, lam, i), a,
                       FamilyDescriptor("T_tilde", {"a": a, "b": b, "lambda": lam}))
     if a == 0 and b == 0 and _chain_breaks(ctx, rep.view("E")):

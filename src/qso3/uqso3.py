@@ -10,13 +10,19 @@ the cyclic constant-coefficient family Qp_lambda, and its component
 families, plus the central polynomial P(I).
 
 Every family is a band description in the ``repcore`` model: a diagonal
-closure for I1 and up/diag/down closures for I2 on a domain coordinate n.
-Finite families live on an interval n = 0..dim-1 or, for the cyclic root
-of unity families, on a cycle of that length; the one band evaluator
+closure for I1 and up/diag/down closures for I2 of the domain coordinates
+n, each evaluated on a whole integer array of them at once.  A point case
+(n == 0, the last coordinate of a cycle) is a masked assignment
+(``repcore.masked``), and every complex product and quotient goes through
+``qscalar.c_mul``/``c_div``, so the coefficients keep the bits of the
+same formulas evaluated by Python one coordinate at a time.  Finite
+families live on an interval n = 0..dim-1 or, for the cyclic root of
+unity families, on a cycle of that length; the one band evaluator
 ``repcore.band_diagonals`` builds them as diagonals, which the
-representation takes, making them dense on first read.  Infinite families stay ``BandedRep``
-closures on a half-line or the line, whose windows the same evaluator
-builds as diagonals.  The root-of-unity component families differ only
+representation takes (with, below ``DIAGONAL_CROSSOVER``, the dense
+matrices the I3 product was formed from).  Infinite families stay
+``BandedRep`` closures on a half-line or the line, whose windows the same
+evaluator builds as diagonals.  The root-of-unity component families differ only
 in dimension, first label and which ends carry a sqrt(2) link or a diagonal
 entry, so they are a table (``_Q_ROOT_SHAPES``).
 
@@ -40,12 +46,12 @@ import numpy as np
 
 from .errors import (BadDescriptor, BadParam, BadParity, BadRange,
                      ParityMismatch, SingularBasisChange, SpecialEpsilon)
-from .qscalar import HalfInt, QContext, as_complex, q_num, q_pow, q_pow_c
-from .repcore import (HALF, Band, BandedRep, Diagonals, FamilyDescriptor, So3FiniteRep,
-                      band_diagonals, so3_i3, so3_i3_band, verify_so3)
+from .qscalar import HalfInt, QContext, as_complex, c_div, c_mul, q_num, q_pow, q_pow_c
+from .repcore import (DIAGONAL_CROSSOVER, HALF, Band, BandedRep, Diagonals, FamilyDescriptor,
+                      So3FiniteRep, band_diagonals, masked, so3_i3, so3_i3_band, verify_so3)
 from .structure import invariance_defect
 from .uqsl2 import (_is_integer_mod, _require_root, classify_epsilon, cyclic_dim,
-                    weight_labels)
+                    weight_label)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -57,10 +63,17 @@ def _so3_finite(ctx: QContext, dim: int, i1_diag, i2: Band,
     handed over as their diagonals, and I3 as the diagonals of the dense
     product ``so3_i3`` at I2's offsets (the only ones a diagonal I1 leaves
     nonzero).  The product's bits on the unit circle are not those of the
-    same product on diagonals, so I3 is formed dense."""
+    same product on diagonals, so I3 is formed dense.  Below
+    ``DIAGONAL_CROSSOVER``, where the relations and the oracles read the
+    dense fields, the representation keeps the dense matrices the product
+    was formed from and its result."""
     d1, d2 = band_diagonals({"I1": Band(diag=i1_diag), "I2": i2}, 0, dim - 1, cyclic).values()
-    I3 = so3_i3(ctx, d1.dense(), d2.dense())
-    return So3FiniteRep(ctx, d1, d2, Diagonals.of(I3, d2.offsets), family, flags or {})
+    I1, I2 = d1.dense(), d2.dense()
+    I3 = so3_i3(ctx, I1, I2)
+    rep = So3FiniteRep(ctx, d1, d2, Diagonals.of(I3, d2.offsets), family, flags or {})
+    if dim < DIAGONAL_CROSSOVER:
+        rep.set_dense(I1=I1, I2=I2, I3=I3)
+    return rep
 
 
 def _w(ctx: QContext) -> complex:
@@ -81,11 +94,11 @@ def r1_l(ctx: QContext, l) -> So3FiniteRep:
     if l.twice < 0:
         raise BadParam(f"l must be >= 0, got {l}")
     _guard_weight_range(ctx, l)
-    labels = weight_labels(l)
-    den = lambda n: q_pow(ctx, labels[n]) + q_pow(ctx, -labels[n])
-    i2 = Band(up=lambda n: q_num(ctx, l - labels[n]) / den(n),
-              down=lambda n: -q_num(ctx, l + labels[n]) / den(n))
-    return _so3_finite(ctx, len(labels), lambda n: 1j * q_num(ctx, labels[n]), i2,
+    m = lambda n: weight_label(l, n)
+    den = lambda n: q_pow(ctx, m(n)) + q_pow(ctx, -m(n))
+    i2 = Band(up=lambda n: c_div(q_num(ctx, l - m(n)), den(n)),
+              down=lambda n: c_div(-q_num(ctx, l + m(n)), den(n)))
+    return _so3_finite(ctx, l.twice + 1, lambda n: 1j * q_num(ctx, m(n)), i2,
                        FamilyDescriptor("R1_l", {"l": l}))
 
 
@@ -103,13 +116,12 @@ def r_pm_i_l(ctx: QContext, l, sign: int = 1) -> So3FiniteRep:
     _guard_weight_range(ctx, l)
     sign = _pm(sign)
     w = _w(ctx)
-    labels = weight_labels(l)
-    t = lambda n: q_pow(ctx, labels[n])
-    den = lambda n: t(n) - q_pow(ctx, -labels[n])
-    i1_diag = lambda n: -sign * (t(n) + q_pow(ctx, -labels[n])) / w
-    i2 = Band(up=lambda n: -sign * 1j * q_num(ctx, l - labels[n]) / den(n),
-              down=lambda n: -sign * 1j * q_num(ctx, l + labels[n]) / den(n))
-    return _so3_finite(ctx, len(labels), i1_diag, i2,
+    m = lambda n: weight_label(l, n)
+    den = lambda n: q_pow(ctx, m(n)) - q_pow(ctx, -m(n))
+    i1_diag = lambda n: c_div(-sign * (q_pow(ctx, m(n)) + q_pow(ctx, -m(n))), w)
+    i2 = Band(up=lambda n: c_div(-sign * 1j * q_num(ctx, l - m(n)), den(n)),
+              down=lambda n: c_div(-sign * 1j * q_num(ctx, l + m(n)), den(n)))
+    return _so3_finite(ctx, l.twice + 1, i1_diag, i2,
                        FamilyDescriptor("Ri_l", {"l": l, "sign": sign}),
                        {"reducible": True})
 
@@ -143,11 +155,12 @@ def r_split_n(ctx: QContext, n: int, signs=(1, 1)) -> So3FiniteRep:
     w = _w(ctx)
     delta = q_pow(ctx, HALF) - q_pow(ctx, -HALF)
     kh = lambda j: HalfInt(2 * j + 1)  # k - 1/2 for the basis index k = j + 1
-    den = lambda j: delta if j == 0 else q_pow(ctx, kh(j)) - q_pow(ctx, -kh(j))
-    i1_diag = lambda j: -s1 * (q_pow(ctx, kh(j)) + q_pow(ctx, -kh(j))) / w
-    i2 = Band(diag=lambda j: s1 * (s2 * q_num(ctx, n) / delta) if j == 0 else 0.0,
-              up=lambda j: s1 * (1j * q_num(ctx, n - j - 1) / den(j)),
-              down=lambda j: s1 * (1j * q_num(ctx, n + j) / den(j)))
+
+    den = lambda j: masked(j == 0, delta, q_pow(ctx, kh(j)) - q_pow(ctx, -kh(j)))
+    i1_diag = lambda j: c_div(-s1 * (q_pow(ctx, kh(j)) + q_pow(ctx, -kh(j))), w)
+    i2 = Band(diag=lambda j: masked(j == 0, s1 * (s2 * q_num(ctx, n) / delta)),
+              up=lambda j: s1 * c_div(1j * q_num(ctx, n - j - 1), den(j)),
+              down=lambda j: s1 * c_div(1j * q_num(ctx, n + j), den(j)))
     return _so3_finite(ctx, n, i1_diag, i2,
                        FamilyDescriptor("Rsplit_n", {"n": n, "signs": (s1, s2)}))
 
@@ -178,12 +191,13 @@ def r_a_epsilon(ctx: QContext, a, eps) -> BandedRep:
         raise SpecialEpsilon(
             f"eps = {eps} is a special offset ({kind}); use r_a_special for the "
             "half-shifted branch")
-    m_of = lambda n: eps + n
-    qm = lambda n: q_pow_c(ctx, m_of(n))
+    def den(n):
+        t = q_pow_c(ctx, eps + n)
+        return t + c_div(1, t)
 
-    i1_diag = lambda n: 1j * q_num(ctx, m_of(n))
-    i2_up = lambda n: q_num(ctx, a - m_of(n)) / (qm(n) + 1 / qm(n))
-    i2_down = lambda n: -q_num(ctx, a + m_of(n)) / (qm(n) + 1 / qm(n))
+    i1_diag = lambda n: 1j * q_num(ctx, eps + n)
+    i2_up = lambda n: c_div(q_num(ctx, a - (eps + n)), den(n))
+    i2_down = lambda n: c_div(-q_num(ctx, a + (eps + n)), den(n))
     irr = not (_is_integer_mod(ctx, a - eps) or _is_integer_mod(ctx, a + eps))
     fam = FamilyDescriptor("R_a_eps", {"a": a, "eps": eps})
     return _so3_banded(ctx, eps, i1_diag, None, i2_up, i2_down, fam,
@@ -206,15 +220,15 @@ def r_a_special(ctx: QContext, a, branch: int = 1) -> BandedRep:
 
     def i1_diag(n):
         t = q_pow(ctx, kh(n))
-        return -branch * (t + 1 / t) / w
+        return c_div(-branch * (t + c_div(1, t)), w)
 
     def i2_up(n):
         t = q_pow(ctx, kh(n))
-        return branch * 1j * q_num(ctx, a_prime - (n + 0.5)) / (t - 1 / t)
+        return c_div(branch * 1j * q_num(ctx, a_prime - (n + 0.5)), t - c_div(1, t))
 
     def i2_down(n):
         t = q_pow(ctx, kh(n))
-        return branch * 1j * q_num(ctx, a_prime + (n + 0.5)) / (t - 1 / t)
+        return c_div(branch * 1j * q_num(ctx, a_prime + (n + 0.5)), t - c_div(1, t))
 
     fam = FamilyDescriptor("R_a_special", {"a": a, "branch": branch})
     return _so3_banded(ctx, 0.5, i1_diag, None, i2_up, i2_down, fam,
@@ -237,22 +251,20 @@ def r_split_infinite(ctx: QContext, a_prime, family: int = 1, sign: int = 1) -> 
 
     def i1_diag(n):
         t = q_pow(ctx, kh(n))
-        return -family * (t + 1 / t) / w
+        return c_div(-family * (t + c_div(1, t)), w)
 
     def i2_diag(n):
-        return family * sign * q_num(ctx, ap) / delta if n == 1 else 0.0
+        return masked(n == 1, family * sign * q_num(ctx, ap) / delta)
 
     def i2_up(n):
-        if n == 1:
-            return family * 1j * q_num(ctx, ap - 1) / delta
         t = q_pow(ctx, kh(n))
-        return family * 1j * q_num(ctx, ap - n) / (t - 1 / t)
+        return masked(n == 1, family * 1j * q_num(ctx, ap - 1) / delta,
+                      c_div(family * 1j * q_num(ctx, ap - n), t - c_div(1, t)))
 
     def i2_down(n):
-        if n <= 1:
-            return 0.0
         t = q_pow(ctx, kh(n))
-        return family * 1j * q_num(ctx, ap + n - 1) / (t - 1 / t)
+        return masked(n <= 1, 0.0,
+                      c_div(family * 1j * q_num(ctx, ap + n - 1), t - c_div(1, t)))
 
     fam = FamilyDescriptor("Rsplit_inf", {"a_prime": ap, "family": family, "sign": sign})
     return _so3_banded(ctx, 0, i1_diag, i2_diag, i2_up, i2_down, fam, n_min=1)
@@ -303,12 +315,11 @@ def r_highest_lowest(ctx: QContext, kind: str, param) -> BandedRep:
         return 1j * q_num(ctx, m_of(n))
 
     def den(n):
-        m = m_of(n)
-        t = q_pow(ctx, m) if isinstance(m, HalfInt) else q_pow_c(ctx, m)
-        return t + 1 / t
+        t = q_pow_c(ctx, m_of(n))
+        return t + c_div(1, t)
 
-    i2_up = lambda n: q_num(ctx, up_arg(n)) / den(n)
-    i2_down = lambda n: -q_num(ctx, down_arg(n)) / den(n)
+    i2_up = lambda n: c_div(q_num(ctx, up_arg(n)), den(n))
+    i2_down = lambda n: c_div(-q_num(ctx, down_arg(n)), den(n))
     return _so3_banded(ctx, as_complex(offset), i1_diag, None, i2_up, i2_down,
                        fam, n_min=n_min, n_max=n_max, flags={"irreducible": True})
 
@@ -329,7 +340,7 @@ def q_lambda(ctx: QContext, lam, sign: int = 1) -> BandedRep:
 
     def i1_diag(n):
         t = q_pow(ctx, n)
-        return sign * (lam * t + (1 / lam) / t) / w
+        return c_div(sign * (c_mul(lam, t) + c_div(1 / lam, t)), w)
 
     reducible = ctx.close(lam, 1) or ctx.close(lam, ctx.s)
     fam = FamilyDescriptor("Q_lambda", {"lambda": lam, "sign": sign})
@@ -358,21 +369,21 @@ def q_lambda_components(ctx: QContext, which: int, at: str, sign: int = 1) -> Ba
     if at == "1":
         def i1_diag(n):
             t = q_pow(ctx, n)
-            return sign * (t + 1 / t) / w
+            return c_div(sign * (t + c_div(1, t)), w)
 
         if which == 1:
-            up = lambda n: SQRT2 * c if n == 0 else c
-            down = lambda n: SQRT2 * c if n == 1 else c
+            up = lambda n: masked(n == 0, SQRT2 * c, c)
+            down = lambda n: masked(n == 1, SQRT2 * c, c)
             return _so3_banded(ctx, 0, i1_diag, None, up, down, fam, n_min=0)
         return _so3_banded(ctx, 0, i1_diag, None, lambda n: c, lambda n: c,
                            fam, n_min=1)
 
     def i1_diag(n):
         t = q_pow(ctx, HalfInt(2 * n + 1))
-        return sign * (t + 1 / t) / w
+        return c_div(sign * (t + c_div(1, t)), w)
 
     d0 = -c if which == 1 else c
-    diag = lambda n: d0 if n == 0 else 0.0
+    diag = lambda n: masked(n == 0, d0)
     return _so3_banded(ctx, 0.5, i1_diag, diag, lambda n: c, lambda n: c,
                        fam, n_min=0)
 
@@ -419,13 +430,17 @@ def r_ab_lambda(ctx: QContext, a, b, lam) -> So3FiniteRep:
     w = _w(ctx)
 
     def eta(i):
-        return a * b + q_num(ctx, i) * (
-            lam ** 2 * q_pow(ctx, 1 - i) - lam ** -2 * q_pow(ctx, i - 1)) / w
+        return a * b + c_div(c_mul(q_num(ctx, i), c_mul(lam ** 2, q_pow(ctx, 1 - i))
+                                   - c_mul(lam ** -2, q_pow(ctx, i - 1))), w)
 
-    ci = lambda i: 1j / (q_pow(ctx, -i) * lam - q_pow(ctx, i) / lam)
-    i1_diag = lambda i: -(q_pow(ctx, -i) * lam + q_pow(ctx, i) / lam) / w
-    i2 = Band(up=lambda i: ci(i) * b if i == dim - 1 else ci(i),
-              down=lambda i: ci(i) * a if i == 0 else ci(i) * eta(i))
+    ci = lambda i: c_div(1j, c_mul(q_pow(ctx, -i), lam) - c_div(q_pow(ctx, i), lam))
+    i1_diag = lambda i: c_div(-(c_mul(q_pow(ctx, -i), lam) + c_div(q_pow(ctx, i), lam)), w)
+
+    def up(i):
+        c = ci(i)
+        return masked(i == dim - 1, c_mul(c, b), c)
+
+    i2 = Band(up=up, down=lambda i: c_mul(ci(i), masked(i == 0, a, eta(i))))
     flags = {}
     if any(ctx.close(lam, v) for v in degenerate_lambdas(ctx, a == 0 and b == 0)):
         flags["degenerate_lambda"] = True
@@ -575,7 +590,7 @@ def q_prime_lambda(ctx: QContext, lam) -> So3FiniteRep:
         raise BadParam("lambda must be nonzero")
     w = _w(ctx)
     c = 1 / w
-    i1_diag = lambda m: (lam * q_pow(ctx, m) + (1 / lam) * q_pow(ctx, -m)) / w
+    i1_diag = lambda m: c_div(c_mul(lam, q_pow(ctx, m)) + c_mul(1 / lam, q_pow(ctx, -m)), w)
     reducible = ctx.close(lam, 1) or ctx.close(lam, ctx.s)
     fam = FamilyDescriptor("Qp_lambda", {"lambda": lam})
     return _so3_finite(ctx, ctx.p, i1_diag, Band(up=lambda m: c, down=lambda m: c),
@@ -655,13 +670,13 @@ def q_root_components(ctx: QContext, descriptor) -> So3FiniteRep:
 
     def i1_diag(n):
         t = q_pow(ctx, HalfInt(first_twice + 2 * n))
-        return s1 * ((t + 1 / t) / w)
+        return s1 * c_div(t + c_div(1, t), w)
 
     def at_end(n, ends, last):
-        return ("lo" in ends and n == 0) or ("hi" in ends and n == last)
+        return ("lo" in ends) & (n == 0) | ("hi" in ends) & (n == last)
 
-    link = lambda n: SQRT2 * c if at_end(n, root2_ends, dim - 2) else c  # n -- n+1
-    i2 = Band(diag=lambda n: s2 * c if at_end(n, diag_ends, dim - 1) else 0.0,
+    link = lambda n: masked(at_end(n, root2_ends, dim - 2), SQRT2 * c, c)  # n -- n+1
+    i2 = Band(diag=lambda n: masked(at_end(n, diag_ends, dim - 1), s2 * c),
               up=link, down=lambda n: link(n - 1))
     fam = FamilyDescriptor("Q_root_comp", {"name": name, "signs": tuple(signs)})
     return _so3_finite(ctx, dim, i1_diag, i2, fam)

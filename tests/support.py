@@ -353,7 +353,7 @@ def reference_is_extendable(rep):
         ns = range(-40, 41) if rep.n_min is None and rep.n_max is None else \
             range(rep.n_min if rep.n_min is not None else rep.n_max - 80,
                   (rep.n_max if rep.n_max is not None else rep.n_min + 80) + 1)
-        mus = np.array([band.diag(n) for n in ns])
+        mus = np.array([coefficient(band.diag, n) for n in ns])
         dim = len(mus)
     if ctx.is_root_of_unity:
         ks = range(ctx.p)
@@ -526,10 +526,17 @@ def dense_of_diagonals(diags: Diagonals) -> np.ndarray:
     return mat
 
 
+def coefficient(coeff, n: int) -> complex:
+    """One band part at the single coordinate n: the part called on the
+    one-element array [n] (a number it returns holds for every n)."""
+    return complex(np.broadcast_to(coeff(np.array([n])), (1,))[0])
+
+
 def reference_materialize(bands: dict[str, Band], n_lo: int, n_hi: int,
                           cyclic: bool = False) -> dict[str, np.ndarray]:
     """Dense matrices of the bands on the domain coordinates n_lo..n_hi,
-    filled entry by entry.
+    filled entry by entry, each part called on one coordinate at a time
+    (``coefficient``).
 
     On an interval, images outside n_lo..n_hi are dropped; on a cycle, up at
     n_hi lands on n_lo and down at n_lo on n_hi.  Entries accumulate, so on
@@ -552,6 +559,6 @@ def reference_materialize(bands: dict[str, Band], n_lo: int, n_hi: int,
             coeff = getattr(band, part)
             if coeff is not None and part_ns:
                 # rows are distinct within one part, so += adds every entry
-                mat[rows, cols] += [coeff(n) for n in part_ns]
+                mat[rows, cols] += [coefficient(coeff, n) for n in part_ns]
         mats[name] = mat
     return mats

@@ -18,7 +18,8 @@ from qso3.registry import REGISTRY
 from qso3.repcore import (Band, BandedRep, Diagonals, FamilyDescriptor, ResidualReport,
                           Sl2FiniteRep, So3FiniteRep, TruncatedRep, band_diagonals,
                           matrix_from_json, rep_to_json, sl2_relation_residuals, so3_i3_band,
-                          so3_relation_residuals, truncate, verify_sl2, verify_so3)
+                          so3_relation_residuals, truncate, truncate_n, verify_sl2,
+                          verify_so3)
 from qso3 import psihom, repcore, structure, tensor, uqsl2, uqso3
 from qso3.uqsl2 import delta_tensor, is_extendable, t_a_epsilon, t_omega_l
 
@@ -374,6 +375,71 @@ class TestBandDiagonals:
         for call in calls:
             self._check(*call)
 
+    @staticmethod
+    def _counting(bands, calls):
+        """The bands with every part wrapped to record its argument."""
+        def counted(key, coeff):
+            def part(ns):
+                calls.append((key, ns))
+                return coeff(ns)
+            return part
+        return {name: Band(**{part: counted((name, part), getattr(band, part))
+                              for part in ("diag", "up", "down") if getattr(band, part)})
+                for name, band in bands.items()}
+
+    def _assert_once(self, calls, bands, n):
+        # every part once; on one coordinate the links have no column
+        keys = [key for key, _ in calls]
+        parts = {(name, part) for name, band in bands.items()
+                 for part in ("diag", "up", "down") if getattr(band, part)}
+        assert len(keys) == len(set(keys)), keys
+        assert set(keys) == parts if n > 1 else set(keys) <= parts, keys
+        for key, ns in calls:
+            assert isinstance(ns, np.ndarray) and ns.dtype.kind == "i", key
+            assert len(ns) >= n - 1, (key, len(ns))
+
+    def test_each_part_called_once_per_window(self, monkeypatch):
+        # finite families: one call per part in the constructor's evaluation
+        for module in (uqso3, uqsl2):
+            def recording(bands, n_lo, n_hi, cyclic=False):
+                calls = []
+                got = band_diagonals(self._counting(bands, calls), n_lo, n_hi, cyclic)
+                self._assert_once(calls, bands, n_hi - n_lo + 1)
+                return got
+            monkeypatch.setattr(module, "band_diagonals", recording)
+        for ctx in (generic_ctx(q=1.3), root_of_unity_ctx(8, 1)):
+            assert finite_so3_samples(ctx) and finite_sl2_samples(ctx)
+        # banded families: one call per part in each window
+        ctx = generic_ctx(q=1.3)
+        for rep in [rep for _, rep in banded_so3_samples(ctx)] + [t_a_epsilon(ctx, 0.3, 0.4)]:
+            bands, calls = rep.bands, []
+            rep.bands = self._counting(bands, calls)
+            for w in (6, 40):
+                calls.clear()
+                tr = truncate(rep, -w, w)
+                self._assert_once(calls, bands, len(tr.ns))
+
+    def test_windows_inside_the_last_one(self):
+        # a part keeps its values on the last window; windows inside it,
+        # and single coordinates, are read from them with the same bits
+        ctx = generic_ctx(q=1.3)
+
+        def reps():
+            return [rep for _, rep in banded_so3_samples(ctx)] + [t_a_epsilon(ctx, 0.3, 0.4)]
+
+        # the reference reads a second build of each family, never windowed
+        for rep, fresh in zip(reps(), reps()):
+            calls = []
+            rep.bands = self._counting(rep.bands, calls)
+            a, b = (int(n) for n in truncate_n(rep, -30, 30).ns[[0, -1]])
+            calls.clear()
+            for lo, hi in ((a, b), (a + 3, b - 5), (a + 2, a + 2), (b - 1, b)):
+                tr = truncate_n(rep, lo, hi)
+                want = reference_materialize(fresh.bands, int(tr.ns[0]), int(tr.ns[-1]))
+                for name, mat in want.items():
+                    assert tr.diagonals[name].dense().tobytes() == mat.tobytes(), rep.family
+            assert not [key for key, ns in calls if len(ns) > 1], rep.family
+
     @pytest.mark.parametrize("cyclic", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     def test_random_parts(self, n, cyclic):
@@ -385,7 +451,7 @@ class TestBandDiagonals:
         n_lo = -2
 
         def part(t):
-            return lambda m: complex(table[t, m - n_lo])
+            return lambda m: table[t, m - n_lo]
 
         bands = {"all": Band(diag=part(0), up=part(1), down=part(2)),
                  "links": Band(up=part(1), down=part(2)),
