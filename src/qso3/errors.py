@@ -11,10 +11,6 @@ class DegenerateQ(QAlgebraError):
     """q - 1/q is (numerically) zero, so q-numbers are undefined."""
 
 
-class DegenerateIndex(QAlgebraError):
-    """A coefficient denominator q^j - q^{-j} vanishes."""
-
-
 class BadModulus(QAlgebraError):
     """Invalid root-of-unity order (p in {1, 2} or non-primitive exponent)."""
 

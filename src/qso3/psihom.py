@@ -8,22 +8,20 @@ Images of the three rotation generators under a representation T:
 
 The inverse exists exactly when the representation extends to the
 localization (see ``uqsl2.is_extendable``).  Composition with T yields a
-rotation-algebra representation, which from ``DIAGONAL_CROSSOVER`` up
-holds the images as diagonals and makes them dense only when read; the
-q^{-1/2} factor in the third image is pinned by the cyclic identities,
-which ``verify_psi`` checks directly.
+rotation-algebra representation that holds the images as diagonals, at
+every dimension, and makes them dense only when read; the q^{-1/2} factor
+in the third image is pinned by the cyclic identities, which
+``verify_psi`` checks on the images ``compose`` returns.
 """
 
 from __future__ import annotations
-
-import operator
 
 import numpy as np
 
 from .errors import NotExtendable
 from .qscalar import c_div, q_pow
 from .repcore import (HALF, Band, BandedRep, Diagonals, FamilyDescriptor, ResidualReport,
-                      Sl2FiniteRep, So3FiniteRep, _entries, _scaled_defect, relation_operands,
+                      Sl2FiniteRep, So3FiniteRep, _scaled_defect, relation_operands,
                       so3_i3_band, so3_relation_residuals)
 from .uqsl2 import is_extendable
 
@@ -36,39 +34,30 @@ def _require_extendable(t: Sl2FiniteRep | BandedRep) -> None:
             witness=witness)
 
 
-def _images(ctx, K, Kinv, E, F, right_divide, times=operator.matmul):
+def _images(ctx, K, Kinv, E, F, right_divide):
     """The images (I1, I2, I3) of the generators, on dense matrices or on
-    ``Diagonals``; ``right_divide(X)`` forms X (K + Kinv)^{-1} and
-    ``times(D, X)`` the product D X."""
+    ``Diagonals``; ``right_divide(X)`` forms X (K + Kinv)^{-1}."""
     w = ctx.q - 1 / ctx.q
     I1 = 1j * (K - Kinv) / w
     I2 = right_divide(E - F)
-    I3 = right_divide(1j * q_pow(ctx, -HALF) * (times(K, E) + times(Kinv, F)))
+    I3 = right_divide(1j * q_pow(ctx, -HALF) * (K @ E + Kinv @ F))
     return I1, I2, I3
 
 
-def _row_scaled(D: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """D X for a diagonal dense D: row i of X times D_ii."""
-    return np.diagonal(D)[:, None] * X
-
-
 def _psi_images(t: Sl2FiniteRep) -> tuple:
-    """The images (I1, I2, I3): dense below ``DIAGONAL_CROSSOVER``, as
-    ``Diagonals`` from it up where K and Kinv are diagonal.
+    """The images (I1, I2, I3), as ``Diagonals`` where K and Kinv are
+    diagonal.
 
     Where K and Kinv are diagonal (every constructor and every coproduct)
-    the images cost O(n^2) dense and O(n) on diagonals: K E and Kinv F are
-    row scalings, and X (K + Kinv)^{-1} divides column j of X by
-    kappa_j = (K + Kinv)_jj as one 1 x 1 LAPACK solve per column
+    the images are formed on the generators' diagonals views in O(n): K E
+    and Kinv F are row scalings, and X (K + Kinv)^{-1} divides column j of
+    X by kappa_j = (K + Kinv)_jj as one 1 x 1 LAPACK solve per column
     (``np.linalg.solve`` on a stack of n 1 x 1 systems).  LAPACK's own
     1 x 1 solve gives the bits of the dense solve against the diagonal
     matrix, which a plain division or a reciprocal does not, and the last
-    bits of I2 decide splits at roots of unity.  Like the relation
-    formulas, the images are formed on the ``operands``: the dense fields
-    below ``DIAGONAL_CROSSOVER``, where the diagonals cost more than they
-    save, and the generators' diagonals views from it up.  Otherwise two
-    dense solves against the transpose of K + Kinv form the images from
-    the dense fields.
+    bits of I2 decide splits at roots of unity.  Otherwise two dense
+    solves against the transpose of K + Kinv form the images from the
+    dense fields.
     """
     _require_extendable(t)
     K, Kinv = t.view("K"), t.view("Kinv")
@@ -78,31 +67,17 @@ def _psi_images(t: Sl2FiniteRep) -> tuple:
         return _images(t.ctx, t.K, t.Kinv, t.E, t.F, lambda X: np.linalg.solve(M.T, X.T).T)
     kappa = K.diagonal() + Kinv.diagonal()
 
-    def right_divide(X):
-        # the entries of X by column in the last axis, dense or diagonals
-        cols = np.linalg.solve(kappa[:, None, None], _entries(X).T[:, None, :])[:, 0, :].T
-        if isinstance(X, Diagonals):
-            return Diagonals(X.offsets, np.ascontiguousarray(cols))
-        return cols
+    def right_divide(X: Diagonals) -> Diagonals:
+        cols = np.linalg.solve(kappa[:, None, None], X.rows.T[:, None, :])[:, 0, :].T
+        return Diagonals(X.offsets, np.ascontiguousarray(cols))
 
-    ops = t.operands()
-    if isinstance(ops[0], Diagonals):
-        return _images(t.ctx, *ops, right_divide)
-    return _images(t.ctx, *ops, right_divide, _row_scaled)
-
-
-def psi_images(t: Sl2FiniteRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense images (I1, I2, I3) of the generators under T composed with the
-    map: O(n^2) where K and Kinv are diagonal, with no dense solve or
-    product."""
-    return tuple(m.dense() if isinstance(m, Diagonals) else m for m in _psi_images(t))
+    return _images(t.ctx, K, Kinv, t.view("E"), t.view("F"), right_divide)
 
 
 def compose(t: Sl2FiniteRep | BandedRep) -> So3FiniteRep | BandedRep:
     """Package the images of a representation as a rotation-algebra
     representation; a finite one takes them as ``_psi_images`` forms them,
-    so from ``DIAGONAL_CROSSOVER`` up it holds diagonals and densifies on
-    first read."""
+    so it holds diagonals and densifies on first read."""
     fam = FamilyDescriptor("psi_compose", {"of": t.family.name, **t.family.params})
     flags = {**t.flags, "provenance": ("psi", t.family)}
     if isinstance(t, Sl2FiniteRep):
@@ -137,21 +112,13 @@ def verify_psi(t: Sl2FiniteRep) -> ResidualReport:
     """Residuals of the three cyclic identities on the images of T (the
     first is the I3 consistency of ``so3_relation_residuals``).
 
-    The images are formed on the relation operands (``operands``: the
-    dense fields, or from ``DIAGONAL_CROSSOVER`` up the generators'
-    diagonals views), with (K + Kinv)^{-1} the reciprocal diagonal where
-    K + Kinv is diagonal (every constructor and every coproduct) and
-    ``np.linalg.inv`` otherwise: no solve, and O(n) on nonzero diagonals
-    from ``DIAGONAL_CROSSOVER`` up.  The extendability verdict is the one
-    ``compose`` reads.
+    The images are those ``compose`` returns (``_psi_images``), and the
+    relations run on their ``relation_operands``, so the so3 residuals
+    equal ``verify_so3`` of the composed representation.  The
+    extendability verdict is the one ``compose`` reads.
     """
-    _require_extendable(t)
     ctx = t.ctx
-    M = t.view("K") + t.view("Kinv")
-    Minv = (Diagonals([0], (1 / M.diagonal())[None]) if M.is_diagonal()
-            else np.linalg.inv(t.K + t.Kinv))
-    K, Kinv, E, F, Minv = relation_operands(*t.operands(), Minv)
-    I1, I2, I3 = _images(ctx, K, Kinv, E, F, lambda X: X @ Minv)
+    I1, I2, I3 = relation_operands(*_psi_images(t))
     res = so3_relation_residuals(ctx, I1, I2, I3)
     rt = q_pow(ctx, HALF)
     rti = 1 / rt

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadModulus, BadParam, CtxMismatch, DegenerateIndex, DegenerateQ
+from .errors import BadModulus, BadParam, CtxMismatch, DegenerateQ
 
 GENERIC_SCAN_BOUND = 64
 
@@ -287,6 +287,8 @@ def generic_ctx(q: complex | None = None, s: complex | None = None,
     for n in range(1, GENERIC_SCAN_BOUND + 1):
         power *= q
         if abs(power - 1) <= ctx.threshold():
+            if n == 1:
+                raise BadModulus("q = 1 is excluded: the classical point, where q - q^{-1} = 0")
             raise BadModulus(
                 f"q^{n} = 1 within tolerance; use root_of_unity_ctx(p={n}, k=...)")
     return ctx
@@ -410,15 +412,6 @@ def q_num(ctx: QContext, a):
     if isinstance(t, np.ndarray):
         return c_div(t - c_div(1, t), w)
     return (t - 1 / t) / w
-
-
-def c_coeff(ctx: QContext, j) -> complex:
-    """The coefficient i / (q^j - q^{-j})."""
-    t = q_pow_c(ctx, j)
-    d = t - 1 / t
-    if abs(d) <= ctx.threshold(abs(t)):
-        raise DegenerateIndex(f"q^(2*{j}) = 1 within tolerance, coefficient undefined")
-    return 1j / d
 
 
 def ctx_to_json(ctx: QContext) -> dict:

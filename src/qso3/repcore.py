@@ -23,11 +23,11 @@ each generator as a dense matrix or as its diagonals and makes the other
 form on its first read, once: the dense field with ``Diagonals.dense``, the
 one diagonals-to-dense writer, and the diagonals view (``view``) with
 ``Diagonals.of``.  The sl2 constructors, the coproduct (``Diagonals.kron``)
-and the localization map from ``DIAGONAL_CROSSOVER`` up hand over
-diagonals, so construct, verify and dump make no dense n x n matrix on
-them.  Infinite representations (``BandedRep``, labels m = offset + n) are
-reached only through truncation windows, which it builds with no dense
-n x n matrix: windows are verified and dumped on those diagonals.
+and the localization map hand over diagonals at every dimension, so
+construct, verify and dump make no dense n x n matrix on them.  Infinite
+representations (``BandedRep``, labels m = offset + n) are reached only
+through truncation windows, which it builds with no dense n x n matrix:
+windows are verified and dumped on those diagonals.
 
 Verification is residual-based: each defining relation is evaluated and the
 max-entry norm of the defect is scaled by the max-entry norms of the terms,
@@ -35,9 +35,12 @@ or by 1 where they sum to less.  The relation formulas are written once and
 run on dense matrices below ``DIAGONAL_CROSSOVER`` (56) and on their nonzero
 diagonals (``Diagonals``) from it up, where a banded product costs O(n)
 instead of O(n^3); the norms are maxima over the same entries either way, so
-the definition of a residual does not depend on the path.  A finite
-representation's relations and dump read its diagonals view, so no dense
-n x n scan repeats.
+the definition of a residual does not depend on the path.  The choice
+between the two is made here alone, in ``relation_operands`` and
+``operands``; everything else (the so3 constructors, the localization map
+and its check ``psihom.verify_psi``) works on diagonals at every
+dimension.  A finite representation's relations and dump read its
+diagonals view, so no dense n x n scan repeats.
 """
 
 from __future__ import annotations
@@ -106,13 +109,6 @@ class _FiniteRep:
     def weight_frame(self):
         from .structure import WeightFrame  # structure imports this module
         return WeightFrame(self)
-
-    def set_dense(self, **mats: np.ndarray) -> None:
-        """Keep dense matrices already made from generators given as
-        diagonals (by ``Diagonals.dense``), so their first dense read makes
-        none."""
-        for name, mat in mats.items():
-            object.__setattr__(self, name, mat)
 
     def view(self, name: str) -> "Diagonals":
         """Generator ``name`` as its diagonals: as given to the constructor

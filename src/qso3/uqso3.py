@@ -19,11 +19,10 @@ same formulas evaluated by Python one coordinate at a time.  Finite
 families live on an interval n = 0..dim-1 or, for the cyclic root of
 unity families, on a cycle of that length; the one band evaluator
 ``repcore.band_diagonals`` builds them as diagonals, which the
-representation takes (with, below ``DIAGONAL_CROSSOVER``, the dense
-matrices the I3 product was formed from).  Infinite families stay
-``BandedRep`` closures on a half-line or the line, whose windows the same
-evaluator builds as diagonals.  The root-of-unity component families differ only
-in dimension, first label and which ends carry a sqrt(2) link or a diagonal
+representation takes.  Infinite families stay ``BandedRep`` closures on a
+half-line or the line, whose windows the same evaluator builds as
+diagonals.  The root-of-unity component families differ only in
+dimension, first label and which ends carry a sqrt(2) link or a diagonal
 entry, so they are a table (``_Q_ROOT_SHAPES``).
 
 Everywhere the third generator is derived from the first two through the
@@ -47,7 +46,7 @@ import numpy as np
 from .errors import (BadDescriptor, BadParam, BadParity, BadRange,
                      ParityMismatch, SingularBasisChange, SpecialEpsilon)
 from .qscalar import HalfInt, QContext, as_complex, c_div, c_mul, q_num, q_pow, q_pow_c
-from .repcore import (DIAGONAL_CROSSOVER, HALF, Band, BandedRep, Diagonals, FamilyDescriptor,
+from .repcore import (HALF, Band, BandedRep, Diagonals, FamilyDescriptor,
                       So3FiniteRep, band_diagonals, masked, so3_i3, so3_i3_band, verify_so3)
 from .structure import invariance_defect
 from .uqsl2 import (_is_integer_mod, _require_root, classify_epsilon, cyclic_dim,
@@ -63,17 +62,10 @@ def _so3_finite(ctx: QContext, dim: int, i1_diag, i2: Band,
     handed over as their diagonals, and I3 as the diagonals of the dense
     product ``so3_i3`` at I2's offsets (the only ones a diagonal I1 leaves
     nonzero).  The product's bits on the unit circle are not those of the
-    same product on diagonals, so I3 is formed dense.  Below
-    ``DIAGONAL_CROSSOVER``, where the relations and the oracles read the
-    dense fields, the representation keeps the dense matrices the product
-    was formed from and its result."""
+    same product on diagonals, so I3 is formed dense."""
     d1, d2 = band_diagonals({"I1": Band(diag=i1_diag), "I2": i2}, 0, dim - 1, cyclic).values()
-    I1, I2 = d1.dense(), d2.dense()
-    I3 = so3_i3(ctx, I1, I2)
-    rep = So3FiniteRep(ctx, d1, d2, Diagonals.of(I3, d2.offsets), family, flags or {})
-    if dim < DIAGONAL_CROSSOVER:
-        rep.set_dense(I1=I1, I2=I2, I3=I3)
-    return rep
+    I3 = so3_i3(ctx, d1.dense(), d2.dense())
+    return So3FiniteRep(ctx, d1, d2, Diagonals.of(I3, d2.offsets), family, flags or {})
 
 
 def _w(ctx: QContext) -> complex:

@@ -18,9 +18,7 @@ from qso3.qscalar import (HalfInt, QContext, generic_ctx, magnitude_scale, q_pow
                           q_pow_c, root_of_unity_ctx)
 from qso3 import uqsl2, uqso3
 from qso3.errors import NoSolution
-from qso3.psihom import _images
-from qso3.repcore import (Band, Diagonals, FamilyDescriptor, Sl2FiniteRep, _scaled_defect,
-                          relation_operands, so3_relation_residuals)
+from qso3.repcore import Band, Diagonals, FamilyDescriptor, Sl2FiniteRep
 from qso3.structure import (DEFAULT_SEED, DecompositionReport, _block_columns,
                             _coupled, _gens, _GrowingSpan, _scale, _split_once,
                             _wrap_component, commutant, is_irreducible)
@@ -493,25 +491,6 @@ def reference_psi_residuals(t: Sl2FiniteRep) -> dict[str, float]:
     rti = 1 / rt
     res["cyclic_231"] = _dense_scaled_defect([rt * I2 @ I3, -rti * I3 @ I2, -I1])
     res["cyclic_312"] = _dense_scaled_defect([rt * I3 @ I1, -rti * I1 @ I3, -I2])
-    return res
-
-
-def dense_scan_psi_residuals(t: Sl2FiniteRep) -> dict[str, float]:
-    """``psihom.verify_psi`` as it reads the dense fields alone: K + Kinv
-    summed and tested for being diagonal as dense matrices, and every
-    operand converted by ``relation_operands`` (``Diagonals.of`` from
-    ``DIAGONAL_CROSSOVER`` up) on each call."""
-    ctx = t.ctx
-    M = t.K + t.Kinv
-    diagonal = np.count_nonzero(M - np.diag(np.diag(M))) == 0
-    Minv = Diagonals([0], (1 / np.diag(M))[None]) if diagonal else np.linalg.inv(M)
-    K, Kinv, E, F, Minv = relation_operands(t.K, t.Kinv, t.E, t.F, Minv)
-    I1, I2, I3 = _images(ctx, K, Kinv, E, F, lambda X: X @ Minv)
-    res = so3_relation_residuals(ctx, I1, I2, I3)
-    rt = q_pow(ctx, HalfInt(1))
-    rti = 1 / rt
-    res["cyclic_231"] = _scaled_defect([rt * (I2 @ I3), -rti * (I3 @ I2), -I1])
-    res["cyclic_312"] = _scaled_defect([rt * (I3 @ I1), -rti * (I1 @ I3), -I2])
     return res
 
 

@@ -317,6 +317,13 @@ class TestErrors:
         assert code == 2
         assert captured.err.startswith("error: ") and "'l'" in captured.err
 
+    def test_classical_point_exit_2(self, capsys):
+        code = main(["verify", "--family", "R1_l", "--l", "3/2", "--q", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: q = 1 is excluded")
+        assert "p=1" not in captured.err
+
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["central", "--p", "4", "--bogus", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")

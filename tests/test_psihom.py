@@ -6,7 +6,7 @@ import pytest
 from support import (finite_sl2_samples, generic_contexts, reference_is_extendable,
                      reference_psi_images, reference_psi_residuals, unitary_conjugate, weight_ls)
 from qso3.errors import NotExtendable, QAlgebraError
-from qso3.psihom import compose, psi_images, verify_psi
+from qso3.psihom import compose, verify_psi
 from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
 from qso3.repcore import DIAGONAL_CROSSOVER, FamilyDescriptor, So3FiniteRep, truncate, verify_so3
 from qso3 import uqsl2, uqso3
@@ -23,21 +23,27 @@ def entrywise(rep_a, rep_b) -> float:
                np.max(np.abs(rep_a.I3 - rep_b.I3)))
 
 
+def images(t) -> tuple:
+    """The dense generators of the composed representation."""
+    image = compose(t)
+    return image.I1, image.I2, image.I3
+
+
 class TestImages:
     def test_frozen_half(self, q4):
-        I1, I2, I3 = psi_images(t_omega_l(q4, H("1/2"), 1))
+        I1, I2, I3 = images(t_omega_l(q4, H("1/2"), 1))
         assert np.allclose(np.diag(I1), [-0.4j, 0.4j])
         assert I2[1, 0] == pytest.approx(0.4)
         assert I2[0, 1] == pytest.approx(-0.4)
         assert I3[1, 0] == pytest.approx(0.4j)
 
     def test_trivial(self, q4):
-        I1, I2, I3 = psi_images(t_omega_l(q4, 0, 1))
+        I1, I2, I3 = images(t_omega_l(q4, 0, 1))
         assert abs(I1).max() == 0 and abs(I2).max() == 0 and abs(I3).max() == 0
 
     def test_not_extendable(self, q4):
         with pytest.raises(NotExtendable) as err:
-            psi_images(t_omega_l(q4, 1, "i"))
+            compose(t_omega_l(q4, 1, "i"))
         assert err.value.witness is not None
 
 
@@ -95,7 +101,7 @@ class TestImagesAgainstDenseSolve:
         for label, t in _image_samples():
             if not t.extendability[0]:
                 continue
-            got, want = psi_images(t), reference_psi_images(t)
+            got, want = images(t), reference_psi_images(t)
             for name, a, b in zip(("I1", "I2"), got, want):
                 assert np.array_equal(a + 0.0, b + 0.0), (label, name)
             scale = np.max(np.abs(want[2])) if want[2].size else 0.0
@@ -124,17 +130,17 @@ class TestImagesAgainstDenseSolve:
         for ctx in (q13, qphase, p8):
             t = t_omega_l(ctx, HalfInt(3), "i")
             reps = [t, delta_tensor(t, t_omega_l(ctx, HalfInt(2), "1"))]
-            if not ctx.is_root_of_unity:    # from DIAGONAL_CROSSOVER up too
+            if not ctx.is_root_of_unity:
                 reps.append(t_omega_l(ctx, HalfInt(59), "i"))
             for rep in reps:
                 shapes.clear()
-                psi_images(rep)
                 compose(rep)
+                verify_psi(rep)
                 assert shapes == [(rep.dim, 1, 1)] * 4, (ctx.q, rep.dim)
         # a K + Kinv that is not diagonal keeps the two dense solves
         conj = unitary_conjugate(t_omega_l(q13, H("3/2"), "1"))
         shapes.clear()
-        psi_images(conj)
+        compose(conj)
         assert shapes == [(4, 4)] * 2
 
 
@@ -186,7 +192,6 @@ class TestExtendabilityOnce:
             t = t_omega_l(ctx, H("99/2"), "i")
             compose(t)
             verify_psi(t)
-            psi_images(t)
             assert len(calls) == 1 and calls[0] is t
             calls.clear()
 
@@ -203,7 +208,7 @@ class TestExtendabilityOnce:
         want = reference_is_extendable(prod)
         assert not want[0]
         for entry in (lambda: tensor_so3(ta, tb), lambda: compose(prod),
-                      lambda: verify_psi(prod), lambda: psi_images(prod)):
+                      lambda: verify_psi(prod)):
             with pytest.raises(NotExtendable) as err:
                 entry()
             assert err.value.witness == want[1]
@@ -223,7 +228,7 @@ class TestVerifyPsi:
 
     @pytest.mark.parametrize("tw", [19, 59])     # dims 20 and 60: both sides
     def test_conjugated_matches_reference(self, tw):
-        # K + Kinv is not diagonal: (K + Kinv)^-1 comes from np.linalg.inv.
+        # K + Kinv is not diagonal: the images come from two dense solves.
         # q near the unit circle keeps the weight basis balanced, so the
         # unitary change of basis does not mix scales
         assert (tw + 1 < DIAGONAL_CROSSOVER) == (tw == 19)
@@ -235,14 +240,23 @@ class TestVerifyPsi:
                 for name, value in want.items():
                     assert abs(got[name] - value) <= 1e-14, (ctx.q, omega, name, got[name], value)
 
-    def test_no_solve(self, q13, qphase, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("verify_psi solved a linear system")
-
-        monkeypatch.setattr(np.linalg, "solve", refuse)
-        for ctx in (q13, qphase):
-            for tw in (5, 99):
-                assert verify_psi(t_omega_l(ctx, HalfInt(tw), "i")).max_residual <= 1e-12
+    def test_checks_the_composed_images(self, q13, qphase):
+        # the relations verify_psi reports are those of the representation
+        # compose returns, bit for bit, on both sides of the crossover
+        p7 = root_of_unity_ctx(7, 1)
+        weights = [t_omega_l(ctx, HalfInt(tw), omega)
+                   for ctx, tws in ((q13, range(1, 100)), (qphase, range(1, 100)), (p7, range(1, 7)))
+                   for tw in tws for omega in ("1", "i")]
+        samples = [t for t in weights if t.extendability[0]]
+        # a root-of-unity coproduct, and K + Kinv not diagonal on both sides
+        samples += [delta_tensor(t_omega_l(p7, H("3/2"), "1"), t_omega_l(p7, H("5/2"), "1")),
+                    unitary_conjugate(t_omega_l(generic_ctx(q=1.05), H("3/2"), "i")),
+                    unitary_conjugate(t_omega_l(generic_ctx(q=np.exp(0.1j)), HalfInt(59), "1"))]
+        assert len(samples) > 300
+        for t in samples:
+            got = verify_psi(t).residuals
+            want = verify_so3(compose(t)).residuals
+            assert {name: got[name] for name in want} == want, (t.ctx.q, t.family)
 
 
 class TestComposeOracles:

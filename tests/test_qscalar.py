@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qso3.errors import BadModulus, CtxMismatch, DegenerateIndex, DegenerateQ
-from qso3.qscalar import (HalfInt, QContext, c_coeff, ctx_from_json, ctx_to_json,
-                          generic_ctx, q_num, q_pow, q_pow_c,
-                          root_of_unity_ctx)
+from qso3.errors import BadModulus, CtxMismatch, DegenerateQ
+from qso3.qscalar import (HalfInt, QContext, ctx_from_json, ctx_to_json, generic_ctx, q_num,
+                          q_pow, q_pow_c, root_of_unity_ctx)
 
 
 class TestHalfInt:
@@ -92,18 +91,6 @@ class TestContextCache:
         assert {ctx, fresh} == {fresh}
 
 
-class TestCCoeff:
-    def test_frozen_examples(self):
-        ctx = generic_ctx(q=4)
-        assert c_coeff(ctx, 1) == pytest.approx(1j / 3.75)
-        assert c_coeff(ctx, 0.5) == pytest.approx(1j / 1.5)
-
-    def test_degenerate_index(self):
-        ctx = root_of_unity_ctx(4, 1)
-        with pytest.raises(DegenerateIndex):
-            c_coeff(ctx, 2)
-
-
 class TestRootOfUnityCtx:
     def test_odd_p(self):
         ctx = root_of_unity_ctx(3, 1)
@@ -124,6 +111,13 @@ class TestRootOfUnityCtx:
     def test_generic_rejects_roots(self):
         with pytest.raises(BadModulus):
             generic_ctx(q=cmath.exp(2j * math.pi / 5))
+
+    @pytest.mark.parametrize("q", [1, 1 + 1e-11])
+    def test_generic_rejects_the_classical_point(self, q):
+        # root_of_unity_ctx(p=1) is excluded too, so the message must not point there
+        with pytest.raises(BadModulus, match="q = 1 is excluded") as err:
+            generic_ctx(q=q)
+        assert "p=1" not in str(err.value) and "root_of_unity_ctx" not in str(err.value)
 
     def test_json_round_trip(self):
         for ctx in (generic_ctx(q=1.3), root_of_unity_ctx(8, 3)):
