@@ -22,12 +22,12 @@ turns bands into diagonals (``Diagonals``).  A finite representation takes
 each generator as a dense matrix or as its diagonals and makes the other
 form on its first read, once: the dense field with ``Diagonals.dense``, the
 one diagonals-to-dense writer, and the diagonals view (``view``) with
-``Diagonals.of``.  The sl2 constructors, the coproduct (``Diagonals.kron``)
-and the localization map hand over diagonals at every dimension, so
-construct, verify and dump make no dense n x n matrix on them.  Infinite
-representations (``BandedRep``, labels m = offset + n) are reached only
-through truncation windows, which it builds with no dense n x n matrix:
-windows are verified and dumped on those diagonals.
+``Diagonals.of``.  The sl2 and so3 constructors, the coproduct
+(``Diagonals.kron``) and the localization map hand over diagonals at every
+dimension, so construct, verify and dump make no dense n x n matrix on
+them.  Infinite representations (``BandedRep``, labels m = offset + n) are
+reached only through truncation windows, which it builds with no dense
+n x n matrix: windows are verified and dumped on those diagonals.
 
 Verification is residual-based: each defining relation is evaluated and the
 max-entry norm of the defect is scaled by the max-entry norms of the terms,
@@ -236,7 +236,7 @@ class BandedRep:
 
 
 def so3_i3(ctx: QContext, I1: np.ndarray, I2: np.ndarray) -> np.ndarray:
-    """The derived generator I3 = q^{1/2} I1 I2 - q^{-1/2} I2 I1."""
+    """The derived generator I3 = q^{1/2} I1 I2 - q^{-1/2} I2 I1 (dense)."""
     rt = q_pow(ctx, HALF)
     return rt * I1 @ I2 - (1 / rt) * I2 @ I1
 
@@ -388,13 +388,12 @@ class Diagonals:
         self.offsets, self.rows = offsets, rows
 
     @classmethod
-    def of(cls, mat: np.ndarray, offsets: list[int] | None = None) -> "Diagonals":
-        """The diagonals of a dense square matrix at the ascending
-        ``offsets``, by default at those of its nonzero entries."""
+    def of(cls, mat: np.ndarray) -> "Diagonals":
+        """The diagonals of a dense square matrix at the offsets of its
+        nonzero entries."""
         n = mat.shape[0]
-        if offsets is None:
-            r, c = np.nonzero(mat != 0)
-            offsets = sorted(set((c - r).tolist()))
+        r, c = np.nonzero(mat != 0)
+        offsets = sorted(set((c - r).tolist()))
         rows = np.zeros((len(offsets), n), dtype=complex)
         for row, k in zip(rows, offsets):
             row[max(k, 0):n + min(k, 0)] = np.diagonal(mat, k)

@@ -14,16 +14,16 @@ closure for I1 and up/diag/down closures for I2 of the domain coordinates
 n, each evaluated on a whole integer array of them at once.  A point case
 (n == 0, the last coordinate of a cycle) is a masked assignment
 (``repcore.masked``), and every complex product and quotient goes through
-``qscalar.c_mul``/``c_div``, so the coefficients keep the bits of the
-same formulas evaluated by Python one coordinate at a time.  Finite
-families live on an interval n = 0..dim-1 or, for the cyclic root of
-unity families, on a cycle of that length; the one band evaluator
-``repcore.band_diagonals`` builds them as diagonals, which the
-representation takes.  Infinite families stay ``BandedRep`` closures on a
-half-line or the line, whose windows the same evaluator builds as
-diagonals.  The root-of-unity component families differ only in
-dimension, first label and which ends carry a sqrt(2) link or a diagonal
-entry, so they are a table (``_Q_ROOT_SHAPES``).
+``qscalar.c_mul``/``c_div``, so the coefficients keep the bits of the same
+formulas evaluated by Python one coordinate at a time.  Finite families
+live on an interval n = 0..dim-1 or, for the cyclic root of unity
+families, on a cycle of that length; the one band evaluator
+``repcore.band_diagonals`` builds them as diagonals (I3 on I2's, with the
+same exact products), which the representation takes.  Infinite families
+stay ``BandedRep`` closures on a half-line or the line, whose windows the
+same evaluator builds as diagonals.  The root-of-unity component families
+differ only in dimension, first label and which ends carry a sqrt(2) link
+or a diagonal entry, so they are a table (``_Q_ROOT_SHAPES``).
 
 Everywhere the third generator is derived from the first two through the
 defining q-commutator, which keeps every constructor internally
@@ -47,7 +47,7 @@ from .errors import (BadDescriptor, BadParam, BadParity, BadRange,
                      ParityMismatch, SingularBasisChange, SpecialEpsilon)
 from .qscalar import HalfInt, QContext, as_complex, c_div, c_mul, q_num, q_pow, q_pow_c
 from .repcore import (HALF, Band, BandedRep, Diagonals, FamilyDescriptor,
-                      So3FiniteRep, band_diagonals, masked, so3_i3, so3_i3_band, verify_so3)
+                      So3FiniteRep, band_diagonals, masked, so3_i3_band, verify_so3)
 from .structure import invariance_defect
 from .uqsl2 import (_is_integer_mod, _require_root, classify_epsilon, cyclic_dim,
                     weight_label)
@@ -58,14 +58,17 @@ SQRT2 = math.sqrt(2.0)
 def _so3_finite(ctx: QContext, dim: int, i1_diag, i2: Band,
                 family: FamilyDescriptor, flags: dict | None = None,
                 cyclic: bool = False) -> So3FiniteRep:
-    """Diagonal I1 and banded I2 on n = 0..dim-1 (a cycle if ``cyclic``),
-    handed over as their diagonals, and I3 as the diagonals of the dense
-    product ``so3_i3`` at I2's offsets (the only ones a diagonal I1 leaves
-    nonzero).  The product's bits on the unit circle are not those of the
-    same product on diagonals, so I3 is formed dense."""
+    """Diagonal I1 (entries g) and banded I2 on n = 0..dim-1 (a cycle if
+    ``cyclic``), and I3 = q^{1/2} I1 I2 - q^{-1/2} I2 I1 on I2's offsets,
+    all as diagonals.  I3_ij = (q^{1/2} g_i) I2_ij - (q^{-1/2} I2_ij) g_j
+    has the bits of Python's complex products, i = (j - k) mod dim on
+    offset k; adding it to zero rows folds -0.0 into 0.0."""
     d1, d2 = band_diagonals({"I1": Band(diag=i1_diag), "I2": i2}, 0, dim - 1, cyclic).values()
-    I3 = so3_i3(ctx, d1.dense(), d2.dense())
-    return So3FiniteRep(ctx, d1, d2, Diagonals.of(I3, d2.offsets), family, flags or {})
+    rt, g = q_pow(ctx, HALF), d1.rows[0]
+    g_rows = g[(np.arange(dim) - np.array(d2.offsets, dtype=int)[:, None]) % dim]
+    i3 = np.zeros_like(d2.rows)
+    i3 += c_mul(c_mul(rt, g_rows), d2.rows) - c_mul(c_mul(1 / rt, d2.rows), g)
+    return So3FiniteRep(ctx, d1, d2, Diagonals(d2.offsets, i3), family, flags or {})
 
 
 def _w(ctx: QContext) -> complex:
@@ -482,9 +485,9 @@ def r_ab_degenerate(ctx: QContext, a, b, variant: str = "plus") -> list[So3Finit
     spectrum) and splits unconditionally into halves; for nonzero wraps the
     dimension-p family splits exactly when a prod(f_j) = b with
     f_j = ab - zeta [j]^2.  Components are returned in the primed bases
-    |j>' , |j>'' = |j>^o +- i (-1)^{dim/2 - j - 1} |dim-1-j>^o.  A half
-    that fails the relations at the context tolerance (the primed basis is
-    too ill-conditioned, as for (0, 0) at p >= 76) raises SingularBasisChange.
+    |j>' , |j>'' = |j>^o +- i (-1)^{dim/2 - j - 1} |dim-1-j>^o (``_restrict``
+    is exact whatever their norms).  A half that fails the relations at the
+    context tolerance raises SingularBasisChange.
     """
     _require_root(ctx)
     sgn = {"plus": 1, "minus": -1}.get(variant)
@@ -525,47 +528,44 @@ def r_ab_degenerate(ctx: QContext, a, b, variant: str = "plus") -> list[So3Finit
     sig = np.ones(dim, dtype=complex)
     for i in range(1, dim):
         sig[i] = sig[i - 1] / roots[i]
-    half = dim // 2
-    basis1 = np.zeros((dim, half), dtype=complex)
-    basis2 = np.zeros((dim, half), dtype=complex)
-    for j in range(half):
-        e_j = np.zeros(dim, dtype=complex)
-        e_j[j] = sig[j]
-        e_r = np.zeros(dim, dtype=complex)
-        e_r[dim - 1 - j] = sig[dim - 1 - j]
-        basis1[:, j] = e_j + 1j * (-1) ** (half - j - 1) * e_r
-        basis2[:, j] = e_j + 1j * (-1) ** (half - j) * e_r
-    halves = [_restrict(rep, basis1, ("R_ab_degen", 1)),
-              _restrict(rep, basis2, ("R_ab_degen", 2))]
+    half, j = dim // 2, np.arange(dim // 2)
+    sign = 1j * (-1.0) ** (half - j - 1)  # of |dim-1-j>^o in |j>', negated in |j>''
+    halves = []
+    for idx, mirror in ((1, sign), (2, -sign)):
+        basis = np.zeros((dim, half), dtype=complex)
+        basis[j, j], basis[dim - 1 - j, j] = sig[j], mirror * sig[dim - 1 - j]
+        halves.append(_restrict(rep, basis, ("R_ab_degen", idx)))
     for half in halves:
         resid = verify_so3(half).max_residual
         if not resid <= ctx.threshold():  # a NaN residual fails too
             raise SingularBasisChange(
                 f"restricted half {half.family.params['component']} fails the "
-                f"relations (residual {resid:.3e}): primed basis too ill-conditioned")
+                f"relations (residual {resid:.3e})")
     return halves
 
 
 def _restrict(rep: So3FiniteRep, basis: np.ndarray, tag) -> So3FiniteRep:
-    """Restrict to the span of the (invariant) basis columns.
+    """Restrict to the span of the (invariant) primed basis columns b_j.
 
-    Invariance is tested with an orthonormal projector; the restricted
-    matrices are expressed in the given (not necessarily orthonormal) basis.
-    """
+    Invariance is tested with an orthonormal projector.  b_j is nonzero at
+    rows j and dim-1-j only, so entry (i, j) of a restricted generator M is
+    (M b_j)_i / (b_i)_i, a two-term sum formed with Python's complex bits."""
     ctx = rep.ctx
     Q, _ = np.linalg.qr(basis)
+    half = basis.shape[1]
+    own, mirror = np.diagonal(basis), np.diagonal(basis[::-1])
     new_mats = []
     for mat in (rep.I1, rep.I2, rep.I3):
         leak = invariance_defect([mat], Q)
         if leak > ctx.invariance(np.max(np.abs(mat))):
             raise SingularBasisChange(
                 f"claimed invariant subspace leaks (defect {leak:.3e})")
-        coeff, *_ = np.linalg.lstsq(basis, mat @ basis, rcond=None)
-        new_mats.append(coeff)
+        top = mat[:half]
+        num = c_mul(top[:, :half], own) + c_mul(top[:, ::-1][:, :half], mirror)
+        new_mats.append(c_div(num, own[:, None]))
     name, idx = tag
     fam = FamilyDescriptor(name, {**rep.family.params, "component": idx})
-    return So3FiniteRep(ctx, new_mats[0], new_mats[1], new_mats[2], fam,
-                        {"parent": rep.family, "basis": basis})
+    return So3FiniteRep(ctx, *new_mats, fam, {"parent": rep.family, "basis": basis})
 
 
 def q_prime_lambda(ctx: QContext, lam) -> So3FiniteRep:

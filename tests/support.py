@@ -7,8 +7,9 @@ the dense relation residuals the diagonal ones are checked against, the
 dense fill of bands the diagonal evaluator is checked against, the spin
 and equation fill the weight-frame oracles are checked against, and the
 dense-solve images and dense-scan map residuals the diagonal localization
-map is checked against, and the dense Kronecker coproduct the diagonal one
-is checked against."""
+map is checked against, the dense Kronecker coproduct the diagonal one
+is checked against, and the entry-by-entry derived generator the
+constructors' diagonal one is checked against."""
 
 from __future__ import annotations
 
@@ -466,6 +467,22 @@ def reference_sl2_relation_residuals(ctx: QContext, K, Kinv, E, F, cols=None) ->
         "ef_commutator": [E @ F, -F @ E, -(K @ K - Kinv @ Kinv) / w],
     }
     return {name: _dense_scaled_defect(terms, cols) for name, terms in rels.items()}
+
+
+def reference_so3_i3(ctx: QContext, I1: np.ndarray, I2: np.ndarray) -> np.ndarray:
+    """I3 = q^{1/2} I1 I2 - q^{-1/2} I2 I1 for a diagonal I1, entry by
+    entry with Python's complex ``*``: (q^{1/2} g_i) I2_ij - (q^{-1/2} I2_ij) g_j
+    for g the diagonal of I1."""
+    rt = complex(q_pow(ctx, HalfInt(1)))
+    rti = 1 / rt
+    g = [complex(z) for z in np.diag(I1)]
+    n = len(g)
+    out = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            v = complex(I2[i, j])
+            out[i, j] = (rt * g[i]) * v - (rti * v) * g[j]
+    return out
 
 
 def reference_psi_images(t: Sl2FiniteRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -271,7 +271,7 @@ DIGESTS = {
     'q=e^0.37i:T_l(l=0,omega=-1)': '1bf4b7eb6ce7f954',
     'q=e^0.37i:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
     'q=e^0.37i:T_l(l=0,omega=-i)': '181f1de1163f52f7',
-    'q=e^0.37i:R1_l(l=1/2)': '88872e63d939989b',
+    'q=e^0.37i:R1_l(l=1/2)': 'd466565f82a286e2',
     'q=e^0.37i:T_l(l=1/2,omega=1)': '82f0a76a0e15cd4d',
     'q=e^0.37i:T_l(l=1/2,omega=-1)': 'c06e13c81600cd9c',
     'q=e^0.37i:T_l(l=1/2,omega=i)': '59040639b6195e5e',
@@ -281,34 +281,34 @@ DIGESTS = {
     'q=e^0.37i:T_l(l=1,omega=-1)': '3bb120d624f5d510',
     'q=e^0.37i:T_l(l=1,omega=i)': 'fcedc20192eb9da1',
     'q=e^0.37i:T_l(l=1,omega=-i)': '418fa038cd65be58',
-    'q=e^0.37i:R1_l(l=7/2)': '2d928e5da8854457',
+    'q=e^0.37i:R1_l(l=7/2)': 'eec8b24dbf26f491',
     'q=e^0.37i:T_l(l=7/2,omega=1)': '04aa2d7f6f165b70',
     'q=e^0.37i:T_l(l=7/2,omega=-1)': '09d7f2b282daa514',
     'q=e^0.37i:T_l(l=7/2,omega=i)': '0b79ee5758f9ff9f',
     'q=e^0.37i:T_l(l=7/2,omega=-i)': 'fcbfdd02b9a06714',
-    'q=e^0.37i:R1_l(l=12)': '02eb9173064b2a6c',
+    'q=e^0.37i:R1_l(l=12)': 'a12fc8ae5549957b',
     'q=e^0.37i:T_l(l=12,omega=1)': '19e962b57ed6665f',
     'q=e^0.37i:T_l(l=12,omega=-1)': '41cee92acab82626',
     'q=e^0.37i:T_l(l=12,omega=i)': '74acb73293f2001c',
     'q=e^0.37i:T_l(l=12,omega=-i)': 'f3d4436f74b14306',
-    'q=e^0.37i:Ri_l(l=1/2,sign=1)': '258e28adafe61d83',
-    'q=e^0.37i:Ri_l(l=1/2,sign=-1)': '49c63db8a86aed46',
-    'q=e^0.37i:Ri_l(l=5/2,sign=1)': '47586ec6a9add2ae',
-    'q=e^0.37i:Ri_l(l=5/2,sign=-1)': '86b15bd8cff4a759',
-    'q=e^0.37i:Ri_l(l=19/2,sign=1)': 'd72e4ac4affb38fd',
-    'q=e^0.37i:Ri_l(l=19/2,sign=-1)': '6d8d4d6814b714f8',
-    'q=e^0.37i:Rsplit_n(n=1,signs=(1, 1))': 'de439e56d033cd48',
-    'q=e^0.37i:Rsplit_n(n=1,signs=(1, -1))': '1796aecadacd21ac',
-    'q=e^0.37i:Rsplit_n(n=1,signs=(-1, 1))': '856aa63c32fd3780',
-    'q=e^0.37i:Rsplit_n(n=1,signs=(-1, -1))': '91b1c8a9f26b173f',
-    'q=e^0.37i:Rsplit_n(n=2,signs=(1, 1))': '372fcfffb367baa6',
-    'q=e^0.37i:Rsplit_n(n=2,signs=(1, -1))': '3fe847200fa0fce1',
-    'q=e^0.37i:Rsplit_n(n=2,signs=(-1, 1))': 'e2816a66636212a3',
-    'q=e^0.37i:Rsplit_n(n=2,signs=(-1, -1))': 'cf104ca864884774',
-    'q=e^0.37i:Rsplit_n(n=9,signs=(1, 1))': 'bdea4bedf51a4189',
-    'q=e^0.37i:Rsplit_n(n=9,signs=(1, -1))': 'ea32eb22d1975676',
-    'q=e^0.37i:Rsplit_n(n=9,signs=(-1, 1))': 'ca7e92627942930a',
-    'q=e^0.37i:Rsplit_n(n=9,signs=(-1, -1))': '93d18a3953a1bbe0',
+    'q=e^0.37i:Ri_l(l=1/2,sign=1)': 'd87c65ec0d2a6f03',
+    'q=e^0.37i:Ri_l(l=1/2,sign=-1)': '434926a434940f95',
+    'q=e^0.37i:Ri_l(l=5/2,sign=1)': 'cac58a2646a8413e',
+    'q=e^0.37i:Ri_l(l=5/2,sign=-1)': 'b27281736cc951d9',
+    'q=e^0.37i:Ri_l(l=19/2,sign=1)': '13d966dd4f678d38',
+    'q=e^0.37i:Ri_l(l=19/2,sign=-1)': 'a1050562490592f0',
+    'q=e^0.37i:Rsplit_n(n=1,signs=(1, 1))': 'cf487b2e12f1d2f2',
+    'q=e^0.37i:Rsplit_n(n=1,signs=(1, -1))': 'b5b76ca14e571357',
+    'q=e^0.37i:Rsplit_n(n=1,signs=(-1, 1))': '54043bca4ff84c34',
+    'q=e^0.37i:Rsplit_n(n=1,signs=(-1, -1))': 'f41952aad26a385f',
+    'q=e^0.37i:Rsplit_n(n=2,signs=(1, 1))': '982a50fc9338ddf7',
+    'q=e^0.37i:Rsplit_n(n=2,signs=(1, -1))': 'd188f2d97696c094',
+    'q=e^0.37i:Rsplit_n(n=2,signs=(-1, 1))': 'fb5c79c6c4a8f767',
+    'q=e^0.37i:Rsplit_n(n=2,signs=(-1, -1))': 'ce7001f77ba301aa',
+    'q=e^0.37i:Rsplit_n(n=9,signs=(1, 1))': '9c962de3900fd83a',
+    'q=e^0.37i:Rsplit_n(n=9,signs=(1, -1))': 'ce5210f0b3a18633',
+    'q=e^0.37i:Rsplit_n(n=9,signs=(-1, 1))': '4cef6502ca61a748',
+    'q=e^0.37i:Rsplit_n(n=9,signs=(-1, -1))': '62d0329953e98385',
     'q=e^0.37i:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-3, 3))': 'adc9c1fd33d4a274',
     'q=e^0.37i:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-1, 24))': '57f62021fa225106',
     'q=e^0.37i:T_a_eps(a=(0.3+0.2j),eps=0.4,window=(-3, 3))': '1eabdc1aa4552199',
@@ -365,36 +365,36 @@ DIGESTS = {
     'p=3:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
     'p=3:R1_l(l=1/2)': '6a822960a0637338',
     'p=3:T_l(l=1/2,omega=i)': 'c904b75a3d3473c8',
-    'p=3:R1_l(l=1)': '096c2cfe6e7c0f36',
+    'p=3:R1_l(l=1)': 'ea9f114592d37380',
     'p=3:T_l(l=1,omega=i)': '4b952307eb5ec5a9',
     'p=3:Ri_l(l=1/2,sign=-1)': 'e109cbcaaab3bb9e',
     'p=3:Rsplit_n(n=1,signs=(1, -1))': '16449bb387c0cd43',
     'p=3:Rsplit_n(n=1,signs=(-1, 1))': 'cd44b699a32d874d',
-    'p=3:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '314e130174f89840',
+    'p=3:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '18d34cb338113775',
     'p=3:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': 'd638f16a85a221af',
     'p=3:T_tilde(a=0,b=0,lam=(1.7+0.6j))': 'ba629b4b71ad3109',
-    'p=3:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '63c94aa55419f952',
+    'p=3:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '607f82ae09aac46f',
     'p=3:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '3e724ea9601a11e5',
     'p=3:T_tilde(a=0,b=0,lam=(0.9-0.25j))': 'c7d0feb55d469dfc',
-    'p=3:R_ab_lambda(a=0,b=0,lam=2.0)': 'ec058c0f2dfc92e9',
+    'p=3:R_ab_lambda(a=0,b=0,lam=2.0)': 'f00c11e873c2ed66',
     'p=3:T_ab_lambda(a=0,b=0,lam=2.0)': 'e340714cf7594ee3',
     'p=3:T_tilde(a=0,b=0,lam=2.0)': 'ace0b81740508bb7',
-    'p=3:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '3cb69200799c2cfd',
+    'p=3:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '5e9b7ae779b7649b',
     'p=3:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '4b25672d6ff50930',
     'p=3:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': '71889572f8cdd794',
-    'p=3:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '5c7badf3fb8b0fc1',
+    'p=3:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '1cb5b966fb7ba35f',
     'p=3:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'a5eb5acea90653dc',
     'p=3:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': 'c719e56de4fa6afa',
-    'p=3:R_ab_lambda(a=0,b=0.5,lam=2.0)': '7905f85b3364c832',
+    'p=3:R_ab_lambda(a=0,b=0.5,lam=2.0)': '48dfdf46b55eaca9',
     'p=3:T_ab_lambda(a=0,b=0.5,lam=2.0)': '0d9063039c67a552',
     'p=3:T_tilde(a=0,b=0.5,lam=2.0)': '370773c664776731',
-    'p=3:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '350953c305935bec',
+    'p=3:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '9672f1ef993f03b5',
     'p=3:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '655e0768b875e501',
     'p=3:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': 'e77f72b4017073f3',
-    'p=3:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'e6f0a535be479a84',
+    'p=3:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '7b6ae963c2d192f5',
     'p=3:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'd08769599d2ef828',
     'p=3:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '5474048ca6f88377',
-    'p=3:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'cb8976cdab165bc2',
+    'p=3:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '5d82c646d7125d3c',
     'p=3:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '18cd0a47242c2b0a',
     'p=3:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '97fff3a0d6e5bdb7',
     'p=3:T_prime(b=0,lam=(1.7+0.6j))': '5c334c5d2e7cd267',
@@ -403,23 +403,23 @@ DIGESTS = {
     'p=3:T_prime(b=0.5,lam=(1.7+0.6j))': 'ff412d27dcff1240',
     'p=3:T_prime(b=0.5,lam=(0.9-0.25j))': 'd90be72900ba63ee',
     'p=3:T_prime(b=0.5,lam=2.0)': 'f53fe2009cbc8d1c',
-    'p=3:Qp_lambda(lam=2.0)': 'bddc3413e7a75144',
+    'p=3:Qp_lambda(lam=2.0)': 'a793e720179aff69',
     'p=3:Qp_lambda(lam=(0.7+0.4j))': 'cb0f9af9aef46d7b',
     'p=3:Qp_lambda(lam=1.0)': '4e5655665e3862e4',
-    'p=3:Qp_lambda(lam=(0.5000000000000001+0.8660254037844386j))': '29db709a79c1aad6',
+    'p=3:Qp_lambda(lam=(0.5000000000000001+0.8660254037844386j))': '0796686c29637017',
     'p=3:Qp_lambda(lam=-1.0)': 'c26b89f4b5a2fd5b',
-    'p=3:Q_root_comp(desc=Q1,s1=1,s2=1)': 'a40e487369b30793',
-    'p=3:Q_root_comp(desc=Q1,s1=1,s2=-1)': '1ce976b2815d095a',
-    'p=3:Q_root_comp(desc=Q1,s1=-1,s2=1)': 'b459522bd53ebd33',
-    'p=3:Q_root_comp(desc=Q1,s1=-1,s2=-1)': '5ca69ce85103a21c',
+    'p=3:Q_root_comp(desc=Q1,s1=1,s2=1)': 'c24c474093009801',
+    'p=3:Q_root_comp(desc=Q1,s1=1,s2=-1)': 'a70d4fd74f28169d',
+    'p=3:Q_root_comp(desc=Q1,s1=-1,s2=1)': '24244b412e459e8c',
+    'p=3:Q_root_comp(desc=Q1,s1=-1,s2=-1)': '02cc6d637094f2b1',
     'p=3:Q_root_comp(desc=Q1hat,s1=1,s2=1)': '39b130177f8f257c',
     'p=3:Q_root_comp(desc=Q1hat,s1=1,s2=-1)': '6ce7db06b0c693f9',
     'p=3:Q_root_comp(desc=Q1hat,s1=-1,s2=1)': 'a5d602ca29c38891',
     'p=3:Q_root_comp(desc=Q1hat,s1=-1,s2=-1)': '9c9bdc7e21116c7c',
-    'p=3:Q_root_comp(desc=Qsqrt,s1=1,s2=1)': 'e0573d7a1aa2f373',
-    'p=3:Q_root_comp(desc=Qsqrt,s1=1,s2=-1)': '76c43854edf73508',
-    'p=3:Q_root_comp(desc=Qsqrt,s1=-1,s2=1)': '0a2c66ca43ae9876',
-    'p=3:Q_root_comp(desc=Qsqrt,s1=-1,s2=-1)': '0137895fac7f7e01',
+    'p=3:Q_root_comp(desc=Qsqrt,s1=1,s2=1)': 'dad9f606595ac530',
+    'p=3:Q_root_comp(desc=Qsqrt,s1=1,s2=-1)': 'a73d914e7fdddfc4',
+    'p=3:Q_root_comp(desc=Qsqrt,s1=-1,s2=1)': 'e5c46ac503ed2f40',
+    'p=3:Q_root_comp(desc=Qsqrt,s1=-1,s2=-1)': 'b96b243c5ebc17e9',
     'p=3:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=1)': '52c62322dad4693c',
     'p=3:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=-1)': '5eb81380272ab7c2',
     'p=3:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=1)': '9eb7ede79b51132c',
@@ -431,10 +431,10 @@ DIGESTS = {
     'p=4:Ri_l(l=1/2,sign=-1)': 'de03dd3ea97e3b88',
     'p=4:Rsplit_n(n=1,signs=(1, -1))': '7181f2dd54bc7b48',
     'p=4:Rsplit_n(n=1,signs=(-1, 1))': '8ebe2647d2924eea',
-    'p=4:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '1babd4f27ca4ba11',
+    'p=4:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': 'ed22986438c7f490',
     'p=4:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '01a257c75d6f2f60',
     'p=4:T_tilde(a=0,b=0,lam=(1.7+0.6j))': '34c3e177865a6d9f',
-    'p=4:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '23af17cafcfbb189',
+    'p=4:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '571e837acbf61334',
     'p=4:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': 'a2b29c656baf156e',
     'p=4:T_tilde(a=0,b=0,lam=(0.9-0.25j))': 'fc73f10f52451c4c',
     'p=4:R_ab_lambda(a=0,b=0,lam=2.0)': 'd9c13dfbcf1619e2',
@@ -446,13 +446,13 @@ DIGESTS = {
     'p=4:R_ab_lambda(a=0,b=0,lam=(0.7071067811865474-0.7071067811865477j))': '0db1960a08157345',
     'p=4:T_ab_lambda(a=0,b=0,lam=(0.7071067811865474-0.7071067811865477j))': 'c72594f4bad415ed',
     'p=4:T_tilde(a=0,b=0,lam=(0.7071067811865474-0.7071067811865477j))': 'fb28f124ebfe1445',
-    'p=4:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '6275635954d17330',
+    'p=4:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '84187950b2dcb793',
     'p=4:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '132a1a3d7dc750ad',
     'p=4:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': '7473f47e8c14b912',
-    'p=4:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'ac7e72959339edfb',
+    'p=4:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'c2fda473c1116b15',
     'p=4:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'fd2f6069da45bf9b',
     'p=4:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': '6abdf15dbd4ba41f',
-    'p=4:R_ab_lambda(a=0,b=0.5,lam=2.0)': 'a20ed1e67e7890a0',
+    'p=4:R_ab_lambda(a=0,b=0.5,lam=2.0)': '8f1e91eb5d3f7253',
     'p=4:T_ab_lambda(a=0,b=0.5,lam=2.0)': 'ff2f0f0717d4e63f',
     'p=4:T_tilde(a=0,b=0.5,lam=2.0)': '102541f90d86f72e',
     'p=4:R_ab_lambda(a=0,b=0.5,lam=(-0.7071067811865474+0.7071067811865477j))': 'd586dd4dd087ef96',
@@ -461,19 +461,19 @@ DIGESTS = {
     'p=4:R_ab_lambda(a=0,b=0.5,lam=(0.7071067811865474-0.7071067811865477j))': '4d779662c1422613',
     'p=4:T_ab_lambda(a=0,b=0.5,lam=(0.7071067811865474-0.7071067811865477j))': '9d38da0e173346e8',
     'p=4:T_tilde(a=0,b=0.5,lam=(0.7071067811865474-0.7071067811865477j))': 'c7f7fba11da4de5e',
-    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': 'eaa4b253d5bbc278',
+    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': 'd86edb4038fc699d',
     'p=4:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '6de78ee0518beb9c',
     'p=4:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': 'ab47e61ca08ac6f5',
-    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'abea03b7344cb574',
+    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '8cd4d2e0ece2a520',
     'p=4:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'bd87d3dcfa2894e0',
     'p=4:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '7553c6e42082af1b',
-    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'ec2deeea51570558',
+    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'c9e46a5a6f33acae',
     'p=4:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'b9ebc53d71cbc2b4',
     'p=4:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'e27aa6add3d4b762',
-    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.7071067811865474+0.7071067811865477j))': '6d6d410c2632ad17',
+    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.7071067811865474+0.7071067811865477j))': 'f27056e5b3df2b41',
     'p=4:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.7071067811865474+0.7071067811865477j))': 'a0432b21159f4247',
     'p=4:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.7071067811865474+0.7071067811865477j))': '047a4652e40d00f5',
-    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.7071067811865474-0.7071067811865477j))': 'be334d910766c4cb',
+    'p=4:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.7071067811865474-0.7071067811865477j))': 'bbd457ddf013b79a',
     'p=4:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.7071067811865474-0.7071067811865477j))': 'a88df0dc894d665d',
     'p=4:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.7071067811865474-0.7071067811865477j))': 'e262c27fc6837238',
     'p=4:T_prime(b=0,lam=(1.7+0.6j))': 'd6a4765e772452f0',
@@ -483,7 +483,7 @@ DIGESTS = {
     'p=4:T_prime(b=0.5,lam=(0.9-0.25j))': 'ada2a8a6537661ec',
     'p=4:T_prime(b=0.5,lam=2.0)': 'de9c34e13762e7e2',
     'p=4:Qp_lambda(lam=2.0)': '872f355389cb76cf',
-    'p=4:Qp_lambda(lam=(0.7+0.4j))': 'bcb5788cdbe74f23',
+    'p=4:Qp_lambda(lam=(0.7+0.4j))': 'e0e464772380bd79',
     'p=4:Qp_lambda(lam=1.0)': 'c58ebd45f9572bfd',
     'p=4:Qp_lambda(lam=(0.7071067811865476+0.7071067811865475j))': '1b46f1ff9d41fd41',
     'p=4:Qp_lambda(lam=-1.0)': '5973cd20a3d2e0ca',
@@ -497,44 +497,44 @@ DIGESTS = {
     'p=4:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=-1)': '4a632dc973204fd8',
     'p=4:R_ab_degen(a=0.5,b=0.9,variant=plus)': 'ebd82d39b27be8bc',
     'p=4:R_ab_degen(a=0.5,b=0.9,variant=minus)': '2dd47b251eb5e5a3',
-    'p=4:R_ab_degen(a=0,b=0,variant=plus)': '5c2b57689666fa65',
-    'p=4:R_ab_degen(a=0,b=0,variant=minus)': 'bd522a4dcf0172cf',
-    'p=4:R_ab_degen(a=0.8,b=(2.8124999999999987-1.110223024625156e-15j),variant=plus)': '110068067f70b8a9',
-    'p=4:R_ab_degen(a=0.8,b=(2.8124999999999987-1.110223024625156e-15j),variant=minus)': 'b937cc23a4ac0b82',
+    'p=4:R_ab_degen(a=0,b=0,variant=plus)': 'd5d210973139c4f2',
+    'p=4:R_ab_degen(a=0,b=0,variant=minus)': 'b20f69534eb0909e',
+    'p=4:R_ab_degen(a=0.8,b=(2.8124999999999987-1.110223024625156e-15j),variant=plus)': '79e8d4fd5e60a4b7',
+    'p=4:R_ab_degen(a=0.8,b=(2.8124999999999987-1.110223024625156e-15j),variant=minus)': '5f7ceb0c96f0e06a',
     'p=5:R1_l(l=0)': 'e64abe1919c517f5',
     'p=5:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
-    'p=5:R1_l(l=1/2)': 'a3b6d36a3f8cbf8e',
+    'p=5:R1_l(l=1/2)': '9630df68c86a1075',
     'p=5:T_l(l=1/2,omega=i)': '295eaf110b9b6041',
-    'p=5:R1_l(l=2)': 'ac6c5abc160ecc6e',
+    'p=5:R1_l(l=2)': '857223929910151d',
     'p=5:T_l(l=2,omega=i)': '5411328018b9517a',
     'p=5:Ri_l(l=1/2,sign=-1)': '5d7110aca59d7c48',
     'p=5:Ri_l(l=3/2,sign=-1)': '573d8ab3d79559b5',
     'p=5:Rsplit_n(n=1,signs=(1, -1))': '90724c2613ea08a3',
     'p=5:Rsplit_n(n=1,signs=(-1, 1))': 'a1658352e685287c',
-    'p=5:Rsplit_n(n=2,signs=(1, -1))': 'ffc2d0c418df2b8e',
-    'p=5:Rsplit_n(n=2,signs=(-1, 1))': '3fcc0c2b384c744d',
-    'p=5:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '7863f2239f985f97',
+    'p=5:Rsplit_n(n=2,signs=(1, -1))': '9a64a0acb8c73dd4',
+    'p=5:Rsplit_n(n=2,signs=(-1, 1))': '6c7c77775b0d8b32',
+    'p=5:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': 'ecf103c632758b55',
     'p=5:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '7350054e71b99439',
     'p=5:T_tilde(a=0,b=0,lam=(1.7+0.6j))': '9630b129d4843f19',
-    'p=5:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '5cbc5a4187a67b1d',
+    'p=5:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '58d8cb1eecb90ddd',
     'p=5:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '23009dce866ad706',
     'p=5:T_tilde(a=0,b=0,lam=(0.9-0.25j))': '9975bbdcb4b21581',
-    'p=5:R_ab_lambda(a=0,b=0,lam=2.0)': '0d3ddc23a7f88e80',
+    'p=5:R_ab_lambda(a=0,b=0,lam=2.0)': 'd876cf2f54304cf0',
     'p=5:T_ab_lambda(a=0,b=0,lam=2.0)': '92c320be288b523f',
     'p=5:T_tilde(a=0,b=0,lam=2.0)': 'c603e9aed3c99df9',
-    'p=5:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '046b1d6ee0f3ffaf',
+    'p=5:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '071f7b825c8e4a0f',
     'p=5:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '97c7964455845f5a',
     'p=5:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': '74b5516188b1b3de',
-    'p=5:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'f6c6d25512b04a1a',
+    'p=5:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'f5a4f55e7ef40299',
     'p=5:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '2ffc0f40dc467b43',
     'p=5:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': '3e437084d722dcef',
-    'p=5:R_ab_lambda(a=0,b=0.5,lam=2.0)': 'f2e2dfeef6aa3264',
+    'p=5:R_ab_lambda(a=0,b=0.5,lam=2.0)': 'cd1a577d76a206f1',
     'p=5:T_ab_lambda(a=0,b=0.5,lam=2.0)': '083784fc767860f2',
     'p=5:T_tilde(a=0,b=0.5,lam=2.0)': '09b2f1fec0d47a2f',
-    'p=5:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '4e448667a12ace35',
+    'p=5:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '589a566750f6b31f',
     'p=5:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '6078e930c8eddc2d',
     'p=5:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '72c47ad653742004',
-    'p=5:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'b9a75d5b66d47cf1',
+    'p=5:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'cb9c68a170643e7f',
     'p=5:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '47a38253914947f5',
     'p=5:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '88cfe5b3aab321e8',
     'p=5:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '869af508d31b0ab0',
@@ -546,27 +546,27 @@ DIGESTS = {
     'p=5:T_prime(b=0.5,lam=(1.7+0.6j))': 'abdd24aac17395d8',
     'p=5:T_prime(b=0.5,lam=(0.9-0.25j))': 'dd24d17953e6d9bb',
     'p=5:T_prime(b=0.5,lam=2.0)': 'ef4e68b8f4a9dba2',
-    'p=5:Qp_lambda(lam=2.0)': '100ae63a3ab4e65e',
-    'p=5:Qp_lambda(lam=(0.7+0.4j))': 'df6e6b486ff3d8a3',
-    'p=5:Qp_lambda(lam=1.0)': '6512f504dcdc7ca2',
-    'p=5:Qp_lambda(lam=(0.8090169943749475+0.5877852522924731j))': '64e3a45fbe3eda87',
-    'p=5:Qp_lambda(lam=-1.0)': 'f48c41aefe8d6881',
-    'p=5:Q_root_comp(desc=Q1,s1=1,s2=1)': 'd59f7d9834461586',
-    'p=5:Q_root_comp(desc=Q1,s1=1,s2=-1)': '76b5486f345f71e8',
-    'p=5:Q_root_comp(desc=Q1,s1=-1,s2=1)': '9bf10cc229b0293a',
-    'p=5:Q_root_comp(desc=Q1,s1=-1,s2=-1)': '654325119f50899a',
-    'p=5:Q_root_comp(desc=Q1hat,s1=1,s2=1)': '5645eb410370db2b',
-    'p=5:Q_root_comp(desc=Q1hat,s1=1,s2=-1)': 'eee4d4a8ff0b1c1d',
-    'p=5:Q_root_comp(desc=Q1hat,s1=-1,s2=1)': 'fa015c1001b168c0',
-    'p=5:Q_root_comp(desc=Q1hat,s1=-1,s2=-1)': '0fdd8d6d9d0560eb',
-    'p=5:Q_root_comp(desc=Qsqrt,s1=1,s2=1)': '9d8bc59a1a4d32e6',
-    'p=5:Q_root_comp(desc=Qsqrt,s1=1,s2=-1)': '95be4db557173197',
-    'p=5:Q_root_comp(desc=Qsqrt,s1=-1,s2=1)': 'f533fab492645cd4',
-    'p=5:Q_root_comp(desc=Qsqrt,s1=-1,s2=-1)': 'db580c5e6b0e9e96',
-    'p=5:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=1)': 'e9dc132ae467766c',
-    'p=5:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=-1)': '7eb76c5a693cb730',
-    'p=5:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=1)': 'f298e8c0863a5448',
-    'p=5:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=-1)': '7de156696f9d6902',
+    'p=5:Qp_lambda(lam=2.0)': 'fa53e9068724adcf',
+    'p=5:Qp_lambda(lam=(0.7+0.4j))': '19d01867d88ecf49',
+    'p=5:Qp_lambda(lam=1.0)': '5eecf795c2f909f8',
+    'p=5:Qp_lambda(lam=(0.8090169943749475+0.5877852522924731j))': 'a356f9a67f962c18',
+    'p=5:Qp_lambda(lam=-1.0)': '75ad06e74296bfd3',
+    'p=5:Q_root_comp(desc=Q1,s1=1,s2=1)': '903f9802dd8e0862',
+    'p=5:Q_root_comp(desc=Q1,s1=1,s2=-1)': '7392021c55cd7b6b',
+    'p=5:Q_root_comp(desc=Q1,s1=-1,s2=1)': '81222988a27d2485',
+    'p=5:Q_root_comp(desc=Q1,s1=-1,s2=-1)': '3199b7d7dbfe61eb',
+    'p=5:Q_root_comp(desc=Q1hat,s1=1,s2=1)': '6cadb4be33e2f223',
+    'p=5:Q_root_comp(desc=Q1hat,s1=1,s2=-1)': 'd1aa9d19ceb02727',
+    'p=5:Q_root_comp(desc=Q1hat,s1=-1,s2=1)': '7743facf1e21018c',
+    'p=5:Q_root_comp(desc=Q1hat,s1=-1,s2=-1)': '1e11b8951899d2a8',
+    'p=5:Q_root_comp(desc=Qsqrt,s1=1,s2=1)': 'f873aabb1f47b4e4',
+    'p=5:Q_root_comp(desc=Qsqrt,s1=1,s2=-1)': 'af15bf0dd7a5c319',
+    'p=5:Q_root_comp(desc=Qsqrt,s1=-1,s2=1)': '8377d4fd8ea8a8f1',
+    'p=5:Q_root_comp(desc=Qsqrt,s1=-1,s2=-1)': '06d066497246ee1e',
+    'p=5:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=1)': 'bc73c2e7dec22874',
+    'p=5:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=-1)': '0265bcd82065de31',
+    'p=5:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=1)': 'ff1fde7bb7d69b54',
+    'p=5:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=-1)': '7f5e7c023b7bf06d',
     'p=6:R1_l(l=0)': 'e64abe1919c517f5',
     'p=6:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
     'p=6:R1_l(l=1/2)': 'b9f8230c67546021',
@@ -576,49 +576,49 @@ DIGESTS = {
     'p=6:Ri_l(l=1/2,sign=-1)': '661822a42d0b7c95',
     'p=6:Rsplit_n(n=1,signs=(1, -1))': '8869eebbd1fbd8a9',
     'p=6:Rsplit_n(n=1,signs=(-1, 1))': '005b9705433bea6d',
-    'p=6:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': 'de817046ec8aa881',
+    'p=6:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '43ae038d78502321',
     'p=6:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '6c3cfa1aa5b94585',
     'p=6:T_tilde(a=0,b=0,lam=(1.7+0.6j))': '87ce7d2a1abbda92',
-    'p=6:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': 'a89c87f233b87160',
+    'p=6:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': 'ef3b995b20518919',
     'p=6:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '740d6bd74aa9541c',
     'p=6:T_tilde(a=0,b=0,lam=(0.9-0.25j))': 'ccf201fd8acd4f46',
-    'p=6:R_ab_lambda(a=0,b=0,lam=2.0)': '1a49539d5664b7b7',
+    'p=6:R_ab_lambda(a=0,b=0,lam=2.0)': '40f5b100f3140282',
     'p=6:T_ab_lambda(a=0,b=0,lam=2.0)': '4068a67cd3187032',
     'p=6:T_tilde(a=0,b=0,lam=2.0)': '012a1e3c843f5602',
-    'p=6:R_ab_lambda(a=0,b=0,lam=(-0.8660254037844385+0.5000000000000006j))': 'e440abd749fdd8bf',
+    'p=6:R_ab_lambda(a=0,b=0,lam=(-0.8660254037844385+0.5000000000000006j))': 'b2afa34165b7723d',
     'p=6:T_ab_lambda(a=0,b=0,lam=(-0.8660254037844385+0.5000000000000006j))': '14c02cf5e163c1fd',
     'p=6:T_tilde(a=0,b=0,lam=(-0.8660254037844385+0.5000000000000006j))': '6311adbf6b3aa7b0',
-    'p=6:R_ab_lambda(a=0,b=0,lam=(0.8660254037844385-0.5000000000000006j))': '00170a9c0bdcd6c4',
+    'p=6:R_ab_lambda(a=0,b=0,lam=(0.8660254037844385-0.5000000000000006j))': '37c7b5736e4cfaa0',
     'p=6:T_ab_lambda(a=0,b=0,lam=(0.8660254037844385-0.5000000000000006j))': '1574337fd0d82b4f',
     'p=6:T_tilde(a=0,b=0,lam=(0.8660254037844385-0.5000000000000006j))': '38c2a550b060109f',
-    'p=6:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '92268c752199ca7e',
+    'p=6:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '099349d9fe1cbdea',
     'p=6:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '2df672147e6a8f3b',
     'p=6:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': 'ee87db38b186cc56',
-    'p=6:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'e505abf7e65e47e8',
+    'p=6:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '02990aa4a46b3363',
     'p=6:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'eb026b3f7a8ca0de',
     'p=6:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': '7bf6075579ed9f9f',
-    'p=6:R_ab_lambda(a=0,b=0.5,lam=2.0)': 'a090146f1b311c1e',
+    'p=6:R_ab_lambda(a=0,b=0.5,lam=2.0)': '9664d3b631f6809b',
     'p=6:T_ab_lambda(a=0,b=0.5,lam=2.0)': 'd9d5d6247715a2ae',
     'p=6:T_tilde(a=0,b=0.5,lam=2.0)': 'b9ed2b63dc204557',
-    'p=6:R_ab_lambda(a=0,b=0.5,lam=(-0.8660254037844385+0.5000000000000006j))': 'd8535c8adbaabd72',
+    'p=6:R_ab_lambda(a=0,b=0.5,lam=(-0.8660254037844385+0.5000000000000006j))': 'c9342a24d036a9d9',
     'p=6:T_ab_lambda(a=0,b=0.5,lam=(-0.8660254037844385+0.5000000000000006j))': 'e0fd9b2495371df5',
     'p=6:T_tilde(a=0,b=0.5,lam=(-0.8660254037844385+0.5000000000000006j))': '94e7d0e5fa39c4cb',
-    'p=6:R_ab_lambda(a=0,b=0.5,lam=(0.8660254037844385-0.5000000000000006j))': 'c4a75a2df3ea6c8c',
+    'p=6:R_ab_lambda(a=0,b=0.5,lam=(0.8660254037844385-0.5000000000000006j))': '9090ce4f0a6bcc22',
     'p=6:T_ab_lambda(a=0,b=0.5,lam=(0.8660254037844385-0.5000000000000006j))': '86e1ac0720a71bd1',
     'p=6:T_tilde(a=0,b=0.5,lam=(0.8660254037844385-0.5000000000000006j))': 'f706a36e6111f211',
-    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '3f7a06a84635e27e',
+    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': 'c01978e51cfdffe6',
     'p=6:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '86ab2cbad9bf539c',
     'p=6:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '0e105b1d29525cbb',
-    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '02755410fec32a4d',
+    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '4f7edcd09eec4120',
     'p=6:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '1cb08a00882803f2',
     'p=6:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '53e897c41a09fd53',
-    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'a483c8d70681de0a',
+    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '854e65153d91e6ad',
     'p=6:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '1dd658864ba354ee',
     'p=6:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '65cfd15f0b08de91',
-    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.8660254037844385+0.5000000000000006j))': 'f242bcca2f4fd111',
+    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.8660254037844385+0.5000000000000006j))': '67d8eadb3738597f',
     'p=6:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.8660254037844385+0.5000000000000006j))': '11b452b4e2bdb2f8',
     'p=6:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.8660254037844385+0.5000000000000006j))': 'f3d9e38e5e856ccb',
-    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.8660254037844385-0.5000000000000006j))': '16b5a885c01685a1',
+    'p=6:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.8660254037844385-0.5000000000000006j))': '6ad894e4d2065b3b',
     'p=6:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.8660254037844385-0.5000000000000006j))': 'c1f869ffa0e7541c',
     'p=6:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.8660254037844385-0.5000000000000006j))': '36556b473841bf27',
     'p=6:T_prime(b=0,lam=(1.7+0.6j))': 'cb379a13c0652fc4',
@@ -627,26 +627,26 @@ DIGESTS = {
     'p=6:T_prime(b=0.5,lam=(1.7+0.6j))': 'c0f52d65a25f92df',
     'p=6:T_prime(b=0.5,lam=(0.9-0.25j))': '7da536cea46da060',
     'p=6:T_prime(b=0.5,lam=2.0)': 'e4db604c37938d9a',
-    'p=6:Qp_lambda(lam=2.0)': '7d4cdc9dcc69aef5',
-    'p=6:Qp_lambda(lam=(0.7+0.4j))': '8e65e7cb31fc4c6b',
-    'p=6:Qp_lambda(lam=1.0)': '7325f84c42d3dae9',
-    'p=6:Qp_lambda(lam=(0.8660254037844387+0.49999999999999994j))': '8f8ca79fb9fec5e0',
-    'p=6:Qp_lambda(lam=-1.0)': 'f22dc6796e0a2cc1',
-    'p=6:Q_root_comp(desc=Q1_1,s1=1)': '42cfb3f1bd9c3db8',
-    'p=6:Q_root_comp(desc=Q1_1,s1=-1)': 'c04a8a411bd06844',
+    'p=6:Qp_lambda(lam=2.0)': '9950496007f09158',
+    'p=6:Qp_lambda(lam=(0.7+0.4j))': 'd01cc66120f7a7c8',
+    'p=6:Qp_lambda(lam=1.0)': '28dfcf0037292210',
+    'p=6:Qp_lambda(lam=(0.8660254037844387+0.49999999999999994j))': '02e8c8a722c959c8',
+    'p=6:Qp_lambda(lam=-1.0)': '24ded39f147eec84',
+    'p=6:Q_root_comp(desc=Q1_1,s1=1)': '30a22c693dadfa04',
+    'p=6:Q_root_comp(desc=Q1_1,s1=-1)': 'f617ca5d67321c68',
     'p=6:Q_root_comp(desc=Q1_2,s1=1)': '7e8bdb8c1408c68b',
     'p=6:Q_root_comp(desc=Q1_2,s1=-1)': '5daf49f876ef4bb8',
     'p=6:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=1)': '9f311a22d3032658',
     'p=6:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=-1)': '03a25c5581feaa4e',
     'p=6:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=1)': '3d3e8bbde49080dd',
     'p=6:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=-1)': '34117807b0481496',
-    'p=6:R_ab_degen(a=0.5,b=0.9,variant=plus)': 'f7b42a57372d8edd',
-    'p=6:R_ab_degen(a=0.5,b=0.9,variant=minus)': '420481e360dd0d5b',
+    'p=6:R_ab_degen(a=0.5,b=0.9,variant=plus)': 'fa07f2aa3fc0b1f0',
+    'p=6:R_ab_degen(a=0.5,b=0.9,variant=minus)': '87a983d7189944d2',
     'p=8:R1_l(l=0)': 'e64abe1919c517f5',
     'p=8:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
     'p=8:R1_l(l=1/2)': '4ef6ec48a211fb92',
     'p=8:T_l(l=1/2,omega=i)': '9a4e6db9b8ab7bde',
-    'p=8:R1_l(l=3/2)': '0e05db927269545c',
+    'p=8:R1_l(l=3/2)': '7053d71a7c76a769',
     'p=8:T_l(l=3/2,omega=i)': 'dcc88ceadcd37f8e',
     'p=8:Ri_l(l=1/2,sign=-1)': '6ca49f015d2ad5d8',
     'p=8:Ri_l(l=3/2,sign=-1)': 'ca8fb81c17f2a4bb',
@@ -654,49 +654,49 @@ DIGESTS = {
     'p=8:Rsplit_n(n=1,signs=(-1, 1))': '81f22a86f8fd0860',
     'p=8:Rsplit_n(n=2,signs=(1, -1))': '6528b22bfc035dbd',
     'p=8:Rsplit_n(n=2,signs=(-1, 1))': '9f9c54551c3b810f',
-    'p=8:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '43b4c97852ea6703',
+    'p=8:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': 'dc8b15ef598ee69a',
     'p=8:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '187c77ec0571213f',
     'p=8:T_tilde(a=0,b=0,lam=(1.7+0.6j))': '47a33512307c2876',
-    'p=8:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': 'ed1a0eb52b1f7465',
+    'p=8:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': 'faeec246699edfee',
     'p=8:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '34b5029b2ddb4c21',
     'p=8:T_tilde(a=0,b=0,lam=(0.9-0.25j))': '0f7783a3b8d27023',
-    'p=8:R_ab_lambda(a=0,b=0,lam=2.0)': 'fe693f74b6fbef37',
+    'p=8:R_ab_lambda(a=0,b=0,lam=2.0)': '929dc576d3775304',
     'p=8:T_ab_lambda(a=0,b=0,lam=2.0)': 'e9484ed652dee109',
     'p=8:T_tilde(a=0,b=0,lam=2.0)': '85b1af845ead5d23',
-    'p=8:R_ab_lambda(a=0,b=0,lam=(-0.9238795325112868+0.38268343236508945j))': '3d427ceddb2e1f97',
+    'p=8:R_ab_lambda(a=0,b=0,lam=(-0.9238795325112868+0.38268343236508945j))': 'fd4485fe33a38002',
     'p=8:T_ab_lambda(a=0,b=0,lam=(-0.9238795325112868+0.38268343236508945j))': 'b3d0708e092efbf4',
     'p=8:T_tilde(a=0,b=0,lam=(-0.9238795325112868+0.38268343236508945j))': '84e25dd2072fa43d',
-    'p=8:R_ab_lambda(a=0,b=0,lam=(0.9238795325112868-0.38268343236508945j))': 'b5fabcf31cc92466',
+    'p=8:R_ab_lambda(a=0,b=0,lam=(0.9238795325112868-0.38268343236508945j))': 'ef85ff0a80eef665',
     'p=8:T_ab_lambda(a=0,b=0,lam=(0.9238795325112868-0.38268343236508945j))': '2f2ac92f1c730814',
     'p=8:T_tilde(a=0,b=0,lam=(0.9238795325112868-0.38268343236508945j))': '957883aeeab9ad6b',
-    'p=8:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '06a840ab7d0d54d9',
+    'p=8:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': 'fd35ec19aca1ff85',
     'p=8:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '788da0558010d684',
     'p=8:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': '22f7def6902fb310',
-    'p=8:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '7be5b4e20bfffbe1',
+    'p=8:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'c26249649efdba55',
     'p=8:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'b73c3383004d7ab5',
     'p=8:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': '951264e394054fc4',
-    'p=8:R_ab_lambda(a=0,b=0.5,lam=2.0)': '3c0131fdfc7bf946',
+    'p=8:R_ab_lambda(a=0,b=0.5,lam=2.0)': '2d20f60a5ea6da61',
     'p=8:T_ab_lambda(a=0,b=0.5,lam=2.0)': '6c59fc020670df05',
     'p=8:T_tilde(a=0,b=0.5,lam=2.0)': 'ec153dcf9e7633ad',
-    'p=8:R_ab_lambda(a=0,b=0.5,lam=(-0.9238795325112868+0.38268343236508945j))': '7e7314405a150eba',
+    'p=8:R_ab_lambda(a=0,b=0.5,lam=(-0.9238795325112868+0.38268343236508945j))': '67bb4f24067268bd',
     'p=8:T_ab_lambda(a=0,b=0.5,lam=(-0.9238795325112868+0.38268343236508945j))': '6c26991df6f1a6aa',
     'p=8:T_tilde(a=0,b=0.5,lam=(-0.9238795325112868+0.38268343236508945j))': '24f1958c2485d1f6',
-    'p=8:R_ab_lambda(a=0,b=0.5,lam=(0.9238795325112868-0.38268343236508945j))': 'cc896b427a7e3f7e',
+    'p=8:R_ab_lambda(a=0,b=0.5,lam=(0.9238795325112868-0.38268343236508945j))': '12da239a6d235059',
     'p=8:T_ab_lambda(a=0,b=0.5,lam=(0.9238795325112868-0.38268343236508945j))': 'e58f5586a78207f3',
     'p=8:T_tilde(a=0,b=0.5,lam=(0.9238795325112868-0.38268343236508945j))': '32bda368180eac38',
-    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '91454145b8496d67',
+    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '929c61975b7c57a7',
     'p=8:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '17b2398991dc0684',
     'p=8:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': 'b2bc36a1d9a9cdad',
-    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '72b2ef78217c88fa',
+    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '99ef88b5d368f64b',
     'p=8:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '50e5366cbf20dbdd',
     'p=8:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'e8bcc2baaa66c7ca',
-    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '9a80f1552c39dd41',
+    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'f5378424e71131d6',
     'p=8:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'd8752d805f728154',
     'p=8:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'db62e453ede6a31c',
-    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9238795325112868+0.38268343236508945j))': '4ba1556515dec779',
+    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9238795325112868+0.38268343236508945j))': 'b7f01a700afbe17e',
     'p=8:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9238795325112868+0.38268343236508945j))': 'd2ffb091e0df3199',
     'p=8:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9238795325112868+0.38268343236508945j))': '30d874f2f4f0d3fa',
-    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9238795325112868-0.38268343236508945j))': '75744eece6b9cd15',
+    'p=8:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9238795325112868-0.38268343236508945j))': 'd4518d7511af1a92',
     'p=8:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9238795325112868-0.38268343236508945j))': 'bfbb076104a7fa1b',
     'p=8:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9238795325112868-0.38268343236508945j))': 'f6c7bbf245e12634',
     'p=8:T_prime(b=0,lam=(1.7+0.6j))': 'c6b3307f33af58d6',
@@ -705,8 +705,8 @@ DIGESTS = {
     'p=8:T_prime(b=0.5,lam=(1.7+0.6j))': '29850f468233f607',
     'p=8:T_prime(b=0.5,lam=(0.9-0.25j))': '7058dc2696a94b72',
     'p=8:T_prime(b=0.5,lam=2.0)': '04b6b0feab54df2a',
-    'p=8:Qp_lambda(lam=2.0)': '5531931f131bc881',
-    'p=8:Qp_lambda(lam=(0.7+0.4j))': 'd6edd058d4d3d711',
+    'p=8:Qp_lambda(lam=2.0)': '2eaf4ce00b4b4eb5',
+    'p=8:Qp_lambda(lam=(0.7+0.4j))': '3f3901e594f445d6',
     'p=8:Qp_lambda(lam=1.0)': 'a6ffb5967782047a',
     'p=8:Qp_lambda(lam=(0.9238795325112867+0.3826834323650898j))': '98d20dfe4350636a',
     'p=8:Qp_lambda(lam=-1.0)': '354a28045243b2b1',
@@ -718,49 +718,49 @@ DIGESTS = {
     'p=8:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=-1)': '79f8afe803bd8112',
     'p=8:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=1)': 'e21fa709eb5b6cb7',
     'p=8:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=-1)': 'fd3ae3d4406be961',
-    'p=8:R_ab_degen(a=0.5,b=0.9,variant=plus)': 'fb6ad53fe729e065',
-    'p=8:R_ab_degen(a=0.5,b=0.9,variant=minus)': 'bd07e7880b005ad5',
-    'p=8:R_ab_degen(a=0,b=0,variant=plus)': 'b938eb2e723f1ce4',
-    'p=8:R_ab_degen(a=0,b=0,variant=minus)': '8fe5701e15cabb31',
-    'p=8:R_ab_degen(a=0.8,b=(3.16543461535199+8.881784197001252e-16j),variant=plus)': 'e8c3d372f3f36c35',
-    'p=8:R_ab_degen(a=0.8,b=(3.16543461535199+8.881784197001252e-16j),variant=minus)': '4f6d39b8d2666c73',
+    'p=8:R_ab_degen(a=0.5,b=0.9,variant=plus)': '1c6079cac8b46b4f',
+    'p=8:R_ab_degen(a=0.5,b=0.9,variant=minus)': 'ed3627f08c01e98e',
+    'p=8:R_ab_degen(a=0,b=0,variant=plus)': '83eed9be8e4722d5',
+    'p=8:R_ab_degen(a=0,b=0,variant=minus)': 'b913e112d05eaf0e',
+    'p=8:R_ab_degen(a=0.8,b=(3.16543461535199+8.881784197001252e-16j),variant=plus)': '2ebf0fa9f2bb07d0',
+    'p=8:R_ab_degen(a=0.8,b=(3.16543461535199+8.881784197001252e-16j),variant=minus)': '956c8a543a8f3aa9',
     'p=9:R1_l(l=0)': 'e64abe1919c517f5',
     'p=9:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
-    'p=9:R1_l(l=1/2)': 'a709d3f73a4c5a91',
+    'p=9:R1_l(l=1/2)': 'c91ffe651ab27f61',
     'p=9:T_l(l=1/2,omega=i)': 'dd66064c33cb6632',
-    'p=9:R1_l(l=4)': 'ff409fa4c78f523c',
+    'p=9:R1_l(l=4)': 'ff23c56e2f213139',
     'p=9:T_l(l=4,omega=i)': '6c0cb0c912e19ee8',
     'p=9:Ri_l(l=1/2,sign=-1)': '6aa4271607fed5ef',
-    'p=9:Ri_l(l=7/2,sign=-1)': '1d62ffbc62a0aa12',
+    'p=9:Ri_l(l=7/2,sign=-1)': '9b0967ae31599bbe',
     'p=9:Rsplit_n(n=1,signs=(1, -1))': 'd95ebe636c37f7a9',
     'p=9:Rsplit_n(n=1,signs=(-1, 1))': '81fe6e57bbf28238',
-    'p=9:Rsplit_n(n=4,signs=(1, -1))': '8cd6110a924cfb6e',
-    'p=9:Rsplit_n(n=4,signs=(-1, 1))': '17d8f84df726eefd',
-    'p=9:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '29a93e5ac409d161',
+    'p=9:Rsplit_n(n=4,signs=(1, -1))': '8455f1a38508e2ad',
+    'p=9:Rsplit_n(n=4,signs=(-1, 1))': 'da5dffa974882d70',
+    'p=9:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '338cbfd970a16e36',
     'p=9:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': 'c889c6f7ae567af8',
     'p=9:T_tilde(a=0,b=0,lam=(1.7+0.6j))': 'cfff6593420bfe46',
-    'p=9:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '1510ffccb99afe6d',
+    'p=9:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': 'c868f50d265041b0',
     'p=9:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': 'd9aa74041222e969',
     'p=9:T_tilde(a=0,b=0,lam=(0.9-0.25j))': '4bcd8f19d88cb2c2',
-    'p=9:R_ab_lambda(a=0,b=0,lam=2.0)': '5c428bf5ff5ad991',
+    'p=9:R_ab_lambda(a=0,b=0,lam=2.0)': '874f3ca16dd3fabb',
     'p=9:T_ab_lambda(a=0,b=0,lam=2.0)': '168a2da9c7e87a05',
     'p=9:T_tilde(a=0,b=0,lam=2.0)': 'd497d4a7eaf45244',
-    'p=9:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': 'a4c07f94b23d18b8',
+    'p=9:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '6ef5d3622a474127',
     'p=9:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': 'c0dee011843a9668',
     'p=9:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': '9e6107781644d9b2',
-    'p=9:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'f9b421e5be1a9995',
+    'p=9:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '3263e6ab1c7c6fd5',
     'p=9:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '9b9857fefedbe495',
     'p=9:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': '5daa525a13c97e33',
-    'p=9:R_ab_lambda(a=0,b=0.5,lam=2.0)': '5d75f2c54c1322e9',
+    'p=9:R_ab_lambda(a=0,b=0.5,lam=2.0)': '02acb83d41950799',
     'p=9:T_ab_lambda(a=0,b=0.5,lam=2.0)': 'd15df3c2195a2480',
     'p=9:T_tilde(a=0,b=0.5,lam=2.0)': 'dc296c2486a729f2',
-    'p=9:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': 'd11f37084fce03a2',
+    'p=9:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '6804a4450fe3f6b5',
     'p=9:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '7647d4fa0e50e0fa',
     'p=9:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '2dcca8e94fc3fe90',
-    'p=9:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'de5635549c54c433',
+    'p=9:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '434016ed7afac421',
     'p=9:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'c0034f353f907d3b',
     'p=9:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '352aed3d4f42a8b1',
-    'p=9:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '1d9ba7b0de1652bd',
+    'p=9:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '74b0e96aee3b6094',
     'p=9:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '2a023cb28fc78965',
     'p=9:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '0e39c8d769719885',
     'p=9:T_prime(b=0,lam=(1.7+0.6j))': '6915a31a33adcf05',
@@ -769,82 +769,82 @@ DIGESTS = {
     'p=9:T_prime(b=0.5,lam=(1.7+0.6j))': 'c127e8366b986852',
     'p=9:T_prime(b=0.5,lam=(0.9-0.25j))': '4b145118bbf0334a',
     'p=9:T_prime(b=0.5,lam=2.0)': '928b986a34bd1966',
-    'p=9:Qp_lambda(lam=2.0)': '155d2d34379b5a15',
-    'p=9:Qp_lambda(lam=(0.7+0.4j))': 'b9c14d34028cc0dd',
-    'p=9:Qp_lambda(lam=1.0)': '99796dec3b581e38',
-    'p=9:Qp_lambda(lam=(0.9396926207859084+0.3420201433256687j))': 'd91e1c74ad173b02',
-    'p=9:Qp_lambda(lam=-1.0)': '3a971faa0d2fe5ab',
-    'p=9:Q_root_comp(desc=Q1,s1=1,s2=1)': '055c1d3821671964',
-    'p=9:Q_root_comp(desc=Q1,s1=1,s2=-1)': 'f20fc526260591c0',
-    'p=9:Q_root_comp(desc=Q1,s1=-1,s2=1)': 'fe1e6a8a8361923e',
-    'p=9:Q_root_comp(desc=Q1,s1=-1,s2=-1)': '4a6ba88f0b3b7a6d',
-    'p=9:Q_root_comp(desc=Q1hat,s1=1,s2=1)': '44ba5d57d46bd58a',
-    'p=9:Q_root_comp(desc=Q1hat,s1=1,s2=-1)': '9faa937c9ec15895',
-    'p=9:Q_root_comp(desc=Q1hat,s1=-1,s2=1)': '1572a75df1d8ed22',
-    'p=9:Q_root_comp(desc=Q1hat,s1=-1,s2=-1)': '7a44a5e3f1c23504',
-    'p=9:Q_root_comp(desc=Qsqrt,s1=1,s2=1)': '8799e51f9209fd94',
-    'p=9:Q_root_comp(desc=Qsqrt,s1=1,s2=-1)': '82237448d748b2b2',
-    'p=9:Q_root_comp(desc=Qsqrt,s1=-1,s2=1)': '0c00d10409223a39',
-    'p=9:Q_root_comp(desc=Qsqrt,s1=-1,s2=-1)': '2f0de6c99d25a14f',
-    'p=9:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=1)': 'c7f1ba16edae4513',
-    'p=9:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=-1)': 'e94616ddb1d71576',
-    'p=9:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=1)': 'ad50b6438f546c09',
-    'p=9:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=-1)': '6ebef1f4f80d9495',
+    'p=9:Qp_lambda(lam=2.0)': 'd76080b6c719517d',
+    'p=9:Qp_lambda(lam=(0.7+0.4j))': '64d058683b915af8',
+    'p=9:Qp_lambda(lam=1.0)': '39f13cc1b4fa0f17',
+    'p=9:Qp_lambda(lam=(0.9396926207859084+0.3420201433256687j))': '0b9a484611397408',
+    'p=9:Qp_lambda(lam=-1.0)': 'a055143ae018deeb',
+    'p=9:Q_root_comp(desc=Q1,s1=1,s2=1)': '1f99b9007d553328',
+    'p=9:Q_root_comp(desc=Q1,s1=1,s2=-1)': '607c23b7fae7f21f',
+    'p=9:Q_root_comp(desc=Q1,s1=-1,s2=1)': '8be66fe742a2c513',
+    'p=9:Q_root_comp(desc=Q1,s1=-1,s2=-1)': '8c386f46d76ff530',
+    'p=9:Q_root_comp(desc=Q1hat,s1=1,s2=1)': 'e624299e15228ad5',
+    'p=9:Q_root_comp(desc=Q1hat,s1=1,s2=-1)': '54306df53ec86c14',
+    'p=9:Q_root_comp(desc=Q1hat,s1=-1,s2=1)': '71eb04f40ca8c06f',
+    'p=9:Q_root_comp(desc=Q1hat,s1=-1,s2=-1)': '95720b948ad57c69',
+    'p=9:Q_root_comp(desc=Qsqrt,s1=1,s2=1)': '266beeac34e6e179',
+    'p=9:Q_root_comp(desc=Qsqrt,s1=1,s2=-1)': 'a854330d5d687ed0',
+    'p=9:Q_root_comp(desc=Qsqrt,s1=-1,s2=1)': 'abd5c6e46627e2a1',
+    'p=9:Q_root_comp(desc=Qsqrt,s1=-1,s2=-1)': '72f242a6e2615412',
+    'p=9:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=1)': 'e879841eb9558195',
+    'p=9:Q_root_comp(desc=Qsqrt_breve,s1=1,s2=-1)': 'e6426b03409ca9d2',
+    'p=9:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=1)': '0d731ad1aa946f56',
+    'p=9:Q_root_comp(desc=Qsqrt_breve,s1=-1,s2=-1)': 'e393f1398f352850',
     'p=12:R1_l(l=0)': 'e64abe1919c517f5',
     'p=12:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
-    'p=12:R1_l(l=1/2)': '257b5beebfe4e7ea',
+    'p=12:R1_l(l=1/2)': '83dad117fa5fb713',
     'p=12:T_l(l=1/2,omega=i)': '57d6694ef43864b7',
-    'p=12:R1_l(l=5/2)': '1c14b3c670a31be9',
+    'p=12:R1_l(l=5/2)': '7e59f823828cd410',
     'p=12:T_l(l=5/2,omega=i)': 'c98edfed5658ee88',
-    'p=12:Ri_l(l=1/2,sign=-1)': '6fa54b89a65a2f52',
-    'p=12:Ri_l(l=5/2,sign=-1)': 'd316020fcc8fe98a',
-    'p=12:Rsplit_n(n=1,signs=(1, -1))': 'e630be9208dd4dd4',
-    'p=12:Rsplit_n(n=1,signs=(-1, 1))': 'e96e4c325d5f40d2',
-    'p=12:Rsplit_n(n=3,signs=(1, -1))': '8dc0caaea048312f',
-    'p=12:Rsplit_n(n=3,signs=(-1, 1))': '8df273d0bb913bc7',
-    'p=12:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '9e920f78681cd131',
+    'p=12:Ri_l(l=1/2,sign=-1)': 'e3901914cbb48d68',
+    'p=12:Ri_l(l=5/2,sign=-1)': 'ca7e6ba7f64e3cd9',
+    'p=12:Rsplit_n(n=1,signs=(1, -1))': 'd94563f38817de0a',
+    'p=12:Rsplit_n(n=1,signs=(-1, 1))': 'ece0ae6b4d025f22',
+    'p=12:Rsplit_n(n=3,signs=(1, -1))': 'ad33e9d0926d60c4',
+    'p=12:Rsplit_n(n=3,signs=(-1, 1))': 'b2a41d2c565d6bfd',
+    'p=12:R_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '303f0c164f242e82',
     'p=12:T_ab_lambda(a=0,b=0,lam=(1.7+0.6j))': '3329f9553909f5c5',
     'p=12:T_tilde(a=0,b=0,lam=(1.7+0.6j))': '30e74914264d00ff',
-    'p=12:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '0a2f765511dc89cd',
+    'p=12:R_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': '2ae48fd1cea055fd',
     'p=12:T_ab_lambda(a=0,b=0,lam=(0.9-0.25j))': 'c9cc093900628f41',
     'p=12:T_tilde(a=0,b=0,lam=(0.9-0.25j))': '4ac35423b920bd7a',
-    'p=12:R_ab_lambda(a=0,b=0,lam=2.0)': '1c3d8b35c520b7b5',
+    'p=12:R_ab_lambda(a=0,b=0,lam=2.0)': '83367c01d757a854',
     'p=12:T_ab_lambda(a=0,b=0,lam=2.0)': 'dd7d86df69ec06ae',
     'p=12:T_tilde(a=0,b=0,lam=2.0)': '1861a028c9d50073',
-    'p=12:R_ab_lambda(a=0,b=0,lam=(-0.9659258262890682+0.2588190451025213j))': 'd201dc2494a5f196',
+    'p=12:R_ab_lambda(a=0,b=0,lam=(-0.9659258262890682+0.2588190451025213j))': 'e29cc7e5db16144f',
     'p=12:T_ab_lambda(a=0,b=0,lam=(-0.9659258262890682+0.2588190451025213j))': 'ef45caf2cd39c501',
     'p=12:T_tilde(a=0,b=0,lam=(-0.9659258262890682+0.2588190451025213j))': '40c8af204d5d050e',
-    'p=12:R_ab_lambda(a=0,b=0,lam=(0.9659258262890682-0.2588190451025213j))': '6421aaafa2e6a8b8',
+    'p=12:R_ab_lambda(a=0,b=0,lam=(0.9659258262890682-0.2588190451025213j))': 'f9171fab77245dd5',
     'p=12:T_ab_lambda(a=0,b=0,lam=(0.9659258262890682-0.2588190451025213j))': 'd6d0dbae7b5d3c61',
     'p=12:T_tilde(a=0,b=0,lam=(0.9659258262890682-0.2588190451025213j))': '92230efbfd24bc84',
-    'p=12:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '8b482c8daafcc133',
+    'p=12:R_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': '2e1aa989999c744f',
     'p=12:T_ab_lambda(a=0,b=0.5,lam=(1.7+0.6j))': 'dc80094b82127019',
     'p=12:T_tilde(a=0,b=0.5,lam=(1.7+0.6j))': '52967d01eca93fb0',
-    'p=12:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '22ae584620d7b860',
+    'p=12:R_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': 'e3945b454ce73ba7',
     'p=12:T_ab_lambda(a=0,b=0.5,lam=(0.9-0.25j))': '763b9fae18fbd4f7',
     'p=12:T_tilde(a=0,b=0.5,lam=(0.9-0.25j))': 'c995a1647fa6bf5e',
-    'p=12:R_ab_lambda(a=0,b=0.5,lam=2.0)': '78f13b0e65c6a8a4',
+    'p=12:R_ab_lambda(a=0,b=0.5,lam=2.0)': 'b8f71dc11d145ffd',
     'p=12:T_ab_lambda(a=0,b=0.5,lam=2.0)': 'de0ac078107818be',
     'p=12:T_tilde(a=0,b=0.5,lam=2.0)': '621cd5224ccd4966',
-    'p=12:R_ab_lambda(a=0,b=0.5,lam=(-0.9659258262890682+0.2588190451025213j))': 'b14b52776b30d849',
+    'p=12:R_ab_lambda(a=0,b=0.5,lam=(-0.9659258262890682+0.2588190451025213j))': 'b2379f062798de3e',
     'p=12:T_ab_lambda(a=0,b=0.5,lam=(-0.9659258262890682+0.2588190451025213j))': 'acdedd4463c9b962',
     'p=12:T_tilde(a=0,b=0.5,lam=(-0.9659258262890682+0.2588190451025213j))': '4d1a844575f3f159',
-    'p=12:R_ab_lambda(a=0,b=0.5,lam=(0.9659258262890682-0.2588190451025213j))': 'd0bebb6b4ba59384',
+    'p=12:R_ab_lambda(a=0,b=0.5,lam=(0.9659258262890682-0.2588190451025213j))': '56836f49e2833d5f',
     'p=12:T_ab_lambda(a=0,b=0.5,lam=(0.9659258262890682-0.2588190451025213j))': '5b9e390838f6c804',
     'p=12:T_tilde(a=0,b=0.5,lam=(0.9659258262890682-0.2588190451025213j))': 'e0a85b5037120d71',
-    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '100841acb86ca82a',
+    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '16bca1fe1ddde28c',
     'p=12:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '537ecc976b5166ee',
     'p=12:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(1.7+0.6j))': '8c448a5e1eb2a34c',
-    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '236a019ca8fb54c8',
+    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '22c41fa79a73fd4c',
     'p=12:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': '3b791a82ca40d4e0',
     'p=12:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9-0.25j))': 'a4859153901d8656',
-    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': 'be9cd30d760c63bc',
+    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '7aa6e4f6b3c25850',
     'p=12:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '057a1af42050868e',
     'p=12:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=2.0)': '0bab2e028c6c8e67',
-    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9659258262890682+0.2588190451025213j))': '2e5e085aa3f94084',
+    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9659258262890682+0.2588190451025213j))': '998bb637aa50f743',
     'p=12:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9659258262890682+0.2588190451025213j))': 'cc4d989a4c97b418',
     'p=12:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(-0.9659258262890682+0.2588190451025213j))': '91fd800ab6fb16e4',
-    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9659258262890682-0.2588190451025213j))': '2f232b9c8ed97f41',
+    'p=12:R_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9659258262890682-0.2588190451025213j))': '9a1adb9ec5397469',
     'p=12:T_ab_lambda(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9659258262890682-0.2588190451025213j))': 'edb1f5087a8d10f7',
     'p=12:T_tilde(a=(0.7+0.31j),b=(1.2-0.4j),lam=(0.9659258262890682-0.2588190451025213j))': '6c3b55e96df49efc',
     'p=12:T_prime(b=0,lam=(1.7+0.6j))': '51fc19da557632f2',
@@ -853,23 +853,23 @@ DIGESTS = {
     'p=12:T_prime(b=0.5,lam=(1.7+0.6j))': '15b4aab0b2dc7b55',
     'p=12:T_prime(b=0.5,lam=(0.9-0.25j))': 'ef7c501f14e74757',
     'p=12:T_prime(b=0.5,lam=2.0)': 'a02200b7ba04fc0c',
-    'p=12:Qp_lambda(lam=2.0)': 'bcf6b5bf094a8bdd',
-    'p=12:Qp_lambda(lam=(0.7+0.4j))': 'ac08739fcdcf1b01',
-    'p=12:Qp_lambda(lam=1.0)': '4a8048e23473fd1f',
-    'p=12:Qp_lambda(lam=(0.9659258262890683+0.25881904510252074j))': '2b33368010ac7741',
-    'p=12:Qp_lambda(lam=-1.0)': 'bc30aee9aae94b39',
-    'p=12:Q_root_comp(desc=Q1_1,s1=1)': '263aa6ec8d63ce20',
-    'p=12:Q_root_comp(desc=Q1_1,s1=-1)': '39596ce7cd3530f7',
-    'p=12:Q_root_comp(desc=Q1_2,s1=1)': 'db062ddfa5303bce',
-    'p=12:Q_root_comp(desc=Q1_2,s1=-1)': '0e4c76e5a22024a7',
-    'p=12:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=1)': '5bb48dd05520b801',
-    'p=12:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=-1)': '81591e21c191709c',
-    'p=12:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=1)': '2002a82d32fb6d11',
-    'p=12:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=-1)': '755f9c09cc8deef6',
-    'p=12:R_ab_degen(a=0.5,b=0.9,variant=plus)': '78e9d7eea1806939',
-    'p=12:R_ab_degen(a=0.5,b=0.9,variant=minus)': 'c411b7e0457b1567',
-    'p=12:R_ab_degen(a=0,b=0,variant=plus)': 'cad73ff5f9c43555',
-    'p=12:R_ab_degen(a=0,b=0,variant=minus)': '17d7e407f25971c8',
+    'p=12:Qp_lambda(lam=2.0)': 'b39735a1578793cc',
+    'p=12:Qp_lambda(lam=(0.7+0.4j))': '35b2ae5f2dcf67fa',
+    'p=12:Qp_lambda(lam=1.0)': 'b8849bc8e0891512',
+    'p=12:Qp_lambda(lam=(0.9659258262890683+0.25881904510252074j))': '8db41e9f2d276b14',
+    'p=12:Qp_lambda(lam=-1.0)': '834fb1936cb3a016',
+    'p=12:Q_root_comp(desc=Q1_1,s1=1)': 'cece9b52020449dd',
+    'p=12:Q_root_comp(desc=Q1_1,s1=-1)': 'b1cc96d57eb1d73f',
+    'p=12:Q_root_comp(desc=Q1_2,s1=1)': 'e30360027aa164dd',
+    'p=12:Q_root_comp(desc=Q1_2,s1=-1)': '1e631585e47ef5ed',
+    'p=12:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=1)': '3832b1c7bc37768d',
+    'p=12:Q_root_comp(desc=Qsqrt_hat,s1=1,s2=-1)': 'a70628e27ff6e3af',
+    'p=12:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=1)': 'cae480605fea4be8',
+    'p=12:Q_root_comp(desc=Qsqrt_hat,s1=-1,s2=-1)': '577ea1a9a590c210',
+    'p=12:R_ab_degen(a=0.5,b=0.9,variant=plus)': 'fc26a53bbd607608',
+    'p=12:R_ab_degen(a=0.5,b=0.9,variant=minus)': '00b039bb07159395',
+    'p=12:R_ab_degen(a=0,b=0,variant=plus)': '391c24ba20072ebb',
+    'p=12:R_ab_degen(a=0,b=0,variant=minus)': '7c37ce6f8e6d7c34',
 }
 
 

@@ -329,12 +329,6 @@ class TestDiagonals:
                         assert got.offsets == sorted(set(got.offsets))
                         assert np.array_equal(got.dense(), np.kron(a, b)), (n, m)
 
-    def test_of_at_given_offsets(self):
-        a = self._matrices(5, np.random.default_rng(1))[1]
-        d = Diagonals.of(a, [-4, -1, 0, 1, 3, 4])
-        assert d.offsets == [-4, -1, 0, 1, 3, 4] and not d.diagonal(3).any()
-        assert np.array_equal(d.dense(), a)
-
     def test_rows_hold_zero_outside_the_matrix(self):
         d = Diagonals.of(uqso3.r_ab_lambda(root_of_unity_ctx(5, 1), 1, 1, 2.0).I2)
         assert d.offsets == [-4, -1, 1, 4]
@@ -686,9 +680,9 @@ class TestDiagonalsView:
         shapes = []
         of = Diagonals.of.__func__
 
-        def spy(cls, mat, offsets=None):
+        def spy(cls, mat):
             shapes.append(mat.shape)
-            return of(cls, mat, offsets)
+            return of(cls, mat)
 
         monkeypatch.setattr(Diagonals, "of", classmethod(spy))
         t = t_omega_l(q13, H("61/2"), "i")
@@ -700,9 +694,8 @@ class TestDiagonalsView:
                 verify_sl2(rep), psihom.verify_psi(rep), rep_to_json(rep)
                 verify_so3(image), rep_to_json(image)
             verify_so3(r), rep_to_json(r)
-        # the derived I3 of R1_l, read at I2's offsets; the constructors,
-        # the coproduct and compose hand the other generators over
-        assert sorted(shapes) == [(61, 61)]
+        # the constructors, the coproduct and compose hand every generator over
+        assert shapes == []
 
     def test_is_diagonal(self, q13):
         t = t_omega_l(q13, H("3/2"), "1")
@@ -729,7 +722,8 @@ def dense_calls(monkeypatch):
 class TestDenseOnFirstRead:
     """A finite representation given diagonals makes its dense fields only
     when they are read: construct, coproduct, compose, verify and dump of
-    the sl2 families from ``DIAGONAL_CROSSOVER`` up make none."""
+    the sl2 and the finite so3 families from ``DIAGONAL_CROSSOVER`` up make
+    none."""
 
     def test_weight_family_path_makes_no_dense_matrix(self, q13, qphase, dense_calls):
         for ctx in (q13, qphase):
@@ -753,6 +747,19 @@ class TestDenseOnFirstRead:
         rep = uqsl2.t_ab_lambda(root_of_unity_ctx(79, 1), 0, 0, 1.7 + 0.6j)
         assert rep.dim == 79 and verify_sl2(rep).max_residual <= 1e-12
         rep_to_json(rep)
+        assert dense_calls == []
+
+    def test_so3_family_path_makes_no_dense_matrix(self, q13, qphase, dense_calls):
+        reps = []
+        for ctx in (q13, qphase):
+            reps += [uqso3.r1_l(ctx, H("199/2")), uqso3.r_pm_i_l(ctx, H("191/2"), -1),
+                     uqso3.r_split_n(ctx, 190, (1, -1))]
+        p79 = root_of_unity_ctx(79, 1)
+        reps += [uqso3.r_ab_lambda(p79, 0.7 + 0.3j, 1.2, 1.7 + 0.6j),
+                 uqso3.q_prime_lambda(p79, 0.7 + 0.4j)]
+        for rep in reps:
+            assert rep.dim >= 79 and verify_so3(rep).max_residual <= 1e-9, rep.family
+            rep_to_json(rep)
         assert dense_calls == []
 
     def test_dense_field_made_once_on_first_read(self, q13, dense_calls):

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from support import (finite_so3_samples, banded_so3_samples, reference_central_poly,
-                     safe_lambda)
+from support import (finite_so3_samples, banded_so3_samples, generic_contexts,
+                     reference_central_poly, reference_so3_i3, root_contexts, safe_lambda)
 from qso3.errors import (BadDescriptor, BadParam, BadParity, BadRange,
                          ParityMismatch, SingularBasisChange, SpecialEpsilon)
 from qso3.qscalar import HalfInt, generic_ctx, q_num, q_pow, root_of_unity_ctx
-from qso3.repcore import truncate, truncate_n, verify_so3
+from qso3.repcore import (Band, FamilyDescriptor, ResidualReport, so3_i3, truncate, truncate_n,
+                          verify_so3)
 from qso3.structure import cluster, i1_spectrum
 from qso3 import uqso3 as U
 
@@ -65,6 +66,39 @@ class TestWeightFamily:
             if j - 1 >= 0:
                 want = 1j * rt * q_pow(q13, -m) * q_num(q13, l + m) / den
                 assert rep.I3[j - 1, j] == pytest.approx(complex(want))
+
+
+class TestDerivedI3:
+    """I3 of every finite constructor, formed on I2's diagonals, has the
+    bits of Python's complex products entry by entry and stays within
+    ``threshold`` of the dense product ``so3_i3``."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        out = [s for ctx in generic_contexts() + root_contexts() for s in finite_so3_samples(ctx)]
+        # cycles of length 1-3, every link drawn, so the wraps of a short
+        # cycle land on the same entries as the inner links
+        rng = np.random.default_rng(5)
+        draw = lambda: complex(*rng.normal(size=2))
+        for ctx in (generic_ctx(q=np.exp(0.37j)), root_of_unity_ctx(3, 1)):
+            for dim in (1, 2, 3):
+                g, parts = [draw() for _ in range(dim)], [[draw() for _ in range(dim)]
+                                                         for _ in range(3)]
+                i2 = Band(*(lambda n, c=c: np.array(c)[n] for c in parts))
+                out.append((f"cycle[{dim}]", U._so3_finite(
+                    ctx, dim, lambda n: np.array(g)[n], i2, FamilyDescriptor("cycle"), cyclic=True)))
+        return out
+
+    def test_bits_of_python_products(self, samples):
+        for label, rep in samples:
+            want = reference_so3_i3(rep.ctx, rep.I1, rep.I2) + 0.0
+            assert (rep.I3 + 0.0).tobytes() == want.tobytes(), label
+
+    def test_within_threshold_of_dense_product(self, samples):
+        for label, rep in samples:
+            dense = so3_i3(rep.ctx, rep.I1, rep.I2)
+            scale = np.max(np.abs(dense), initial=0.0)
+            assert np.max(np.abs(rep.I3 - dense)) <= rep.ctx.threshold(scale), label
 
 
 class TestTwistedFamily:
@@ -423,14 +457,19 @@ class TestDegenerateSplits:
         with pytest.raises(SingularBasisChange):
             U.r_ab_degenerate(p8, 1.0, complex(ab), "plus")
 
-    def test_ill_conditioned_halves_raise(self):
-        # the wrap-free primed basis has condition number ~5e14 at p = 76
+    def test_ill_conditioned_basis_halves_verify(self, monkeypatch):
+        # the wrap-free primed basis has condition number ~5e14 at p = 76;
+        # the restriction reads each entry off two terms, so the halves
+        # stay exact past it
+        for p, half in ((72, 18), (76, 19), (100, 25)):
+            comps = U.r_ab_degenerate(root_of_unity_ctx(p, 1), 0, 0, "plus")
+            assert [c.dim for c in comps] == [half, half]
+            for c in comps:
+                assert verify_so3(c).max_residual <= 1e-12
+        # a half that fails the relations (here a NaN residual) raises
+        monkeypatch.setattr(U, "verify_so3", lambda rep: ResidualReport({"cubic_1": np.nan}))
         with pytest.raises(SingularBasisChange, match="residual"):
-            U.r_ab_degenerate(root_of_unity_ctx(76, 1), 0, 0, "plus")
-        comps = U.r_ab_degenerate(root_of_unity_ctx(72, 1), 0, 0, "plus")
-        assert [c.dim for c in comps] == [18, 18]
-        for c in comps:
-            assert verify_so3(c).max_residual <= 1e-9
+            U.r_ab_degenerate(root_of_unity_ctx(8, 1), 0, 0, "plus")
 
     def test_mult_one_pattern_without_split(self):
         # wrap-free chain at p = 2p' with p' odd: exactly one multiplicity-1
