@@ -21,8 +21,8 @@ import numpy as np
 from .errors import NotExtendable
 from .qscalar import c_div, q_pow
 from .repcore import (HALF, Band, BandedRep, Diagonals, FamilyDescriptor, ResidualReport,
-                      Sl2FiniteRep, So3FiniteRep, _scaled_defect, relation_operands,
-                      so3_i3_band, so3_relation_residuals)
+                      Sl2FiniteRep, So3FiniteRep, _scaled_defect, is_diagonal,
+                      relation_operands, so3_relation_residuals)
 from .uqsl2 import is_extendable
 
 
@@ -60,11 +60,11 @@ def _psi_images(t: Sl2FiniteRep) -> tuple:
     dense fields.
     """
     _require_extendable(t)
-    K, Kinv = t.view("K"), t.view("Kinv")
-    if not (K.is_diagonal() and Kinv.is_diagonal()):
+    if not (is_diagonal(t.given["K"]) and is_diagonal(t.given["Kinv"])):
         M = t.K + t.Kinv
         # X M^{-1} computed as a solve against M^T from the right
         return _images(t.ctx, t.K, t.Kinv, t.E, t.F, lambda X: np.linalg.solve(M.T, X.T).T)
+    K, Kinv = t.view("K"), t.view("Kinv")
     kappa = K.diagonal() + Kinv.diagonal()
 
     def right_divide(X: Diagonals) -> Diagonals:
@@ -101,9 +101,9 @@ def _compose_banded(t: BandedRep, fam: FamilyDescriptor, flags: dict) -> BandedR
         kn = k(n)
         return c_div(1j * (kn - c_div(1, kn)), w)
 
-    i1 = Band(diag=i1_diag)
-    i2 = Band(up=lambda n: c_div(e(n), kappa(n)), down=lambda n: c_div(-f(n), kappa(n)))
-    bands = {"I1": i1, "I2": i2, "I3": so3_i3_band(ctx, i1, i2)}
+    bands = {"I1": Band(diag=i1_diag),
+             "I2": Band(up=lambda n: c_div(e(n), kappa(n)),
+                        down=lambda n: c_div(-f(n), kappa(n)))}
     return BandedRep(ctx, "so3", t.offset, bands, fam, n_min=t.n_min,
                      n_max=t.n_max, flags=flags)
 

@@ -138,6 +138,7 @@ class QContext:
     after the decision it makes, times ``magnitude_scale`` of the
     magnitudes passed, and never below ``floor`` of the same magnitudes.
     A magnitude may be an array; the level is then an array, elementwise.
+    A NaN, infinite or negative ``tol`` raises BadParam.
     """
 
     s: complex
@@ -145,6 +146,10 @@ class QContext:
     p: int | None = None
     p_prime: int | None = None
     tol: float = 1e-9
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise BadParam(f"tol must be finite and >= 0, got {self.tol}")
 
     @functools.cached_property
     def q(self) -> complex:

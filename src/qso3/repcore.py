@@ -13,8 +13,9 @@ one call per part; point cases such as n == 0 are masked assignments, and
 every complex product and quotient goes through ``qscalar.c_mul`` and
 ``qscalar.c_div``, so each coefficient has the bits of the same formula
 evaluated by Python on one coordinate.  A part keeps its values on the
-last window it was evaluated on (``Band``), which a derived band and a
-smaller window inside it read.  The domain is one of four:
+last window it was evaluated on (``Band``).  An so3 family is I1 and I2
+alone: ``so3_i3_diagonals`` forms I3 on every window's diagonals and every
+finite representation's.  The domain is one of four:
 an interval, a half-line or the whole line (``BandedRep.n_min``/``n_max``,
 None meaning unbounded), or a cycle n_lo..n_hi on which up at n_hi wraps to
 n_lo and down at n_lo wraps to n_hi.  One evaluator, ``band_diagonals``,
@@ -32,15 +33,14 @@ n x n matrix: windows are verified and dumped on those diagonals.
 Verification is residual-based: each defining relation is evaluated and the
 max-entry norm of the defect is scaled by the max-entry norms of the terms,
 or by 1 where they sum to less.  The relation formulas are written once and
-run on dense matrices below ``DIAGONAL_CROSSOVER`` (56) and on their nonzero
-diagonals (``Diagonals``) from it up, where a banded product costs O(n)
-instead of O(n^3); the norms are maxima over the same entries either way, so
-the definition of a residual does not depend on the path.  The choice
-between the two is made here alone, in ``relation_operands`` and
-``operands``; everything else (the so3 constructors, the localization map
-and its check ``psihom.verify_psi``) works on diagonals at every
-dimension.  A finite representation's relations and dump read its
-diagonals view, so no dense n x n scan repeats.
+run on nonzero diagonals (``Diagonals``) where every operand was handed
+over as diagonals and n is at least ``DIAGONAL_CROSSOVER`` (56), where a
+banded product costs O(n) instead of O(n^3), and on dense matrices
+otherwise; the norms are maxima over the same entries either way, so the
+definition of a residual does not depend on the path.  The choice between
+the two is made here alone, in ``relation_operands``, which never converts
+a dense matrix into diagonals; a finite representation's relations read
+its generators in the form they were given (``given``).
 """
 
 from __future__ import annotations
@@ -77,18 +77,27 @@ class _FiniteRep:
     """What is derived once from the generators of a frozen finite
     representation and kept: the finite classes are frozen, so no generator
     can be swapped under it.  Each generator is given as a dense array or
-    as its ``Diagonals``; a generator given as diagonals is its view
-    (``view``), and its dense field is made with ``Diagonals.dense`` on the
-    first read and kept.  The weight frame the structure oracles read
-    (``structure.WeightFrame``) is computed on first use.  A copy made with
-    ``dataclasses.replace`` reads the dense fields and keeps no view."""
+    as its ``Diagonals``, and ``given`` maps its name to that form.  A
+    generator given as diagonals is its view (``view``), and its dense
+    field is made with ``Diagonals.dense`` on the first read and kept.  A
+    dense field, given (held as a view, not a copy) or made, is read-only,
+    so every reader sees the same generators.  The weight frame the
+    structure oracles read (``structure.WeightFrame``) is computed on first
+    use.  A copy made with ``dataclasses.replace`` reads the dense fields
+    and keeps no view."""
 
     GENERATORS: tuple[str, ...]
 
     def __post_init__(self):
-        views = {name: self.__dict__.pop(name) for name in self.GENERATORS
-                 if isinstance(self.__dict__[name], Diagonals)}
-        object.__setattr__(self, "_views", views)
+        given = {name: self.__dict__.pop(name) for name in self.GENERATORS}
+        for name, gen in given.items():
+            if not isinstance(gen, Diagonals):
+                given[name] = gen = np.asarray(gen).view()
+                gen.flags.writeable = False
+                object.__setattr__(self, name, gen)
+        object.__setattr__(self, "given", given)
+        object.__setattr__(self, "_views", {name: gen for name, gen in given.items()
+                                            if isinstance(gen, Diagonals)})
 
     def __getattr__(self, name: str):
         # reached only for a generator given as diagonals and not yet read dense
@@ -96,14 +105,13 @@ class _FiniteRep:
         if diags is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         mat = diags.dense()
+        mat.flags.writeable = False
         object.__setattr__(self, name, mat)
         return mat
 
     @property
     def dim(self) -> int:
-        """From the first generator in whichever form is present."""
-        first = self.GENERATORS[0]
-        return self.__dict__.get(first, self._views.get(first)).shape[0]
+        return self.given[self.GENERATORS[0]].shape[0]
 
     @functools.cached_property
     def weight_frame(self):
@@ -119,13 +127,13 @@ class _FiniteRep:
             diags = self._views[name] = Diagonals.of(getattr(self, name))
         return diags
 
-    def operands(self) -> list:
-        """The generators as the relation formulas take them
-        (``relation_operands``): the dense fields below
-        ``DIAGONAL_CROSSOVER``, their views from it up."""
-        if self.dim < DIAGONAL_CROSSOVER:
-            return [getattr(self, name) for name in self.GENERATORS]
-        return [self.view(name) for name in self.GENERATORS]
+
+def is_diagonal(mat: np.ndarray | Diagonals) -> bool:
+    """Whether every entry of a dense matrix or ``Diagonals`` off the main
+    diagonal is 0."""
+    if isinstance(mat, Diagonals):
+        return not any(k and row.any() for k, row in zip(mat.offsets, mat.rows))
+    return np.count_nonzero(mat) == np.count_nonzero(mat.diagonal())
 
 
 @dataclass(frozen=True)
@@ -170,10 +178,9 @@ class Band:
     number for all coordinates; the band's part returns a read-only complex
     array of the coordinates' shape either way.  Each part keeps its values
     on the last run of consecutive coordinates it was evaluated on and
-    reads a call inside that run from them (``_window_cache``): a band
-    derived from others (``so3_i3_band``) reads their values of the window
-    being evaluated, and a window inside the last one (a dump after a
-    verification) is not evaluated again.
+    reads a call inside that run from them (``_window_cache``), so a
+    window inside the last one (a dump after a verification) is not
+    evaluated again.
     """
 
     diag: CoeffFn | None = None
@@ -190,7 +197,8 @@ class Band:
 def _window_cache(coeff: CoeffFn) -> Callable[[np.ndarray], np.ndarray]:
     """``coeff`` returning read-only complex arrays of the coordinates'
     shape, and keeping its values on the last run of consecutive
-    coordinates it was evaluated on."""
+    coordinates it was evaluated on: parts that read one window of it
+    (``psihom.compose``'s of K) and a later window inside it reuse them."""
     kept = [0, None]  # the run's first coordinate, the values on it
 
     def part(ns: np.ndarray) -> np.ndarray:
@@ -221,8 +229,9 @@ class BandedRep:
     """Infinite-dimensional representation on basis labels m = offset + n.
 
     The domain is n in [n_min, n_max] with None meaning unbounded.  For so3
-    flavor ``bands`` holds I1 (diagonal), I2, and the derived I3; for sl2
-    flavor it holds K (diagonal), E (up shift), F (down shift).
+    flavor ``bands`` holds I1 (diagonal) and I2 only, and a window forms I3
+    from them (``so3_i3_diagonals``); for sl2 flavor it holds K (diagonal),
+    E (up shift), F (down shift).
     """
 
     ctx: QContext
@@ -241,22 +250,19 @@ def so3_i3(ctx: QContext, I1: np.ndarray, I2: np.ndarray) -> np.ndarray:
     return rt * I1 @ I2 - (1 / rt) * I2 @ I1
 
 
-def so3_i3_band(ctx: QContext, i1: Band, i2: Band) -> Band:
-    """I3 = q^{1/2} I1 I2 - q^{-1/2} I2 I1 for diagonal I1 and tridiagonal I2."""
-    rt = q_pow(ctx, HALF)
-    rti = 1 / rt
-    g = i1.diag
-
-    def diag(n):
-        return c_mul(c_mul(i2.diag(n), g(n)), rt - rti)
-
-    def link(part, step):
-        return lambda n: c_mul(part(n), c_mul(rt, g(n + step)) - c_mul(rti, g(n)))
-
-    up = link(i2.up, 1) if i2.up else None
-    down = link(i2.down, -1) if i2.down else None
-
-    return Band(diag=diag if i2.diag else None, up=up, down=down)
+def so3_i3_diagonals(ctx: QContext, I1: Diagonals, I2: Diagonals) -> Diagonals:
+    """I3 = q^{1/2} I1 I2 - q^{-1/2} I2 I1 for a diagonal I1, on I2's
+    offsets.  I3_ij = (q^{1/2} g_i) I2_ij - (q^{-1/2} I2_ij) g_j, for g the
+    diagonal of I1 and i = (j - k) mod n on offset k, has the bits of
+    Python's complex products; adding it to zero rows folds -0.0 into 0.0.
+    The entry reads only g_i, g_j and I2_ij, so on a truncation window it
+    is the window of the infinite operator's I3."""
+    n = I2.shape[0]
+    rt, g = q_pow(ctx, HALF), I1.diagonal()
+    g_rows = g[(np.arange(n) - np.array(I2.offsets, dtype=int)[:, None]) % n]
+    i3 = np.zeros_like(I2.rows)
+    i3 += c_mul(c_mul(rt, g_rows), I2.rows) - c_mul(c_mul(1 / rt, I2.rows), g)
+    return Diagonals(I2.offsets, i3)
 
 
 @dataclass
@@ -310,8 +316,10 @@ def truncate_n(rep: BandedRep, n_lo: int, n_hi: int) -> TruncatedRep:
     open_lo = rep.n_min is None or n_lo > rep.n_min
     open_hi = rep.n_max is None or n_hi < rep.n_max
     interior = ~((open_lo & (ns <= n_lo + 1)) | (open_hi & (ns >= n_hi - 1)))
-    return TruncatedRep(ctx=rep.ctx, labels=labels, ns=ns, interior=interior,
-                        diagonals=band_diagonals(rep.bands, n_lo, n_hi))
+    diagonals = band_diagonals(rep.bands, n_lo, n_hi)
+    if rep.flavor == "so3":
+        diagonals["I3"] = so3_i3_diagonals(rep.ctx, diagonals["I1"], diagonals["I2"])
+    return TruncatedRep(rep.ctx, labels, ns, diagonals, interior)
 
 
 # part of a band: its offset in ``Diagonals`` (column minus row of its entries)
@@ -403,10 +411,6 @@ class Diagonals:
     def shape(self) -> tuple[int, int]:
         n = self.rows.shape[1]
         return n, n
-
-    def is_diagonal(self) -> bool:
-        """Whether every entry off the main diagonal is 0."""
-        return not any(k and row.any() for k, row in zip(self.offsets, self.rows))
 
     def diagonal(self, k: int = 0) -> np.ndarray:
         """The entries (i, i + k) in ``np.diagonal`` order, 0 where k is not stored."""
@@ -509,10 +513,12 @@ DIAGONAL_CROSSOVER = 56
 
 def relation_operands(*mats: np.ndarray | Diagonals) -> list:
     """The matrices (dense or ``Diagonals``) as the relation formulas take
-    them: dense below ``DIAGONAL_CROSSOVER``, as ``Diagonals`` from it up."""
-    if mats[0].shape[0] < DIAGONAL_CROSSOVER:
+    them: as given where every one is ``Diagonals`` and n is at least
+    ``DIAGONAL_CROSSOVER``, all dense otherwise.  A dense matrix is never
+    converted into diagonals."""
+    if mats[0].shape[0] < DIAGONAL_CROSSOVER or not all(isinstance(m, Diagonals) for m in mats):
         return [m.dense() if isinstance(m, Diagonals) else m for m in mats]
-    return [m if isinstance(m, Diagonals) else Diagonals.of(m) for m in mats]
+    return list(mats)
 
 
 def _entries(mat: np.ndarray | Diagonals) -> np.ndarray:
@@ -576,7 +582,7 @@ def verify_so3(rep: So3FiniteRep | BandedRep, window: int = 20) -> ResidualRepor
     reported residuals exact for the infinite operator.
     """
     if isinstance(rep, So3FiniteRep):
-        return ResidualReport(so3_relation_residuals(rep.ctx, *rep.operands()))
+        return ResidualReport(so3_relation_residuals(rep.ctx, *rep.given.values()))
     tr = _verify_window(rep, window)
     d = tr.diagonals
     res = so3_relation_residuals(rep.ctx, d["I1"], d["I2"], d["I3"], cols=tr.interior)
@@ -585,7 +591,7 @@ def verify_so3(rep: So3FiniteRep | BandedRep, window: int = 20) -> ResidualRepor
 
 def verify_sl2(rep: Sl2FiniteRep | BandedRep, window: int = 20) -> ResidualReport:
     if isinstance(rep, Sl2FiniteRep):
-        return ResidualReport(sl2_relation_residuals(rep.ctx, *rep.operands()))
+        return ResidualReport(sl2_relation_residuals(rep.ctx, *rep.given.values()))
     tr = _verify_window(rep, window)
     d = tr.diagonals
     Kinv = Diagonals([0], (1 / d["K"].diagonal())[None])

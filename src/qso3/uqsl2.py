@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BadParam, BadRange
 from .qscalar import HalfInt, QContext, c_div, c_mul, q_num, q_pow, q_pow_c
 from .repcore import (Band, BandedRep, Diagonals, FamilyDescriptor, Sl2FiniteRep,
-                      band_diagonals, masked)
+                      band_diagonals, is_diagonal, masked)
 
 OMEGAS = {"1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j}
 EXTEND_SCAN_MARGIN = 8
@@ -98,8 +98,8 @@ def is_extendable(rep: Sl2FiniteRep | BandedRep):
     """
     ctx = rep.ctx
     if isinstance(rep, Sl2FiniteRep):
-        K = rep.view("K")
-        mus = K.diagonal() if K.is_diagonal() else np.linalg.eigvals(rep.K)
+        K = rep.given["K"]
+        mus = K.diagonal() if is_diagonal(K) else np.linalg.eigvals(rep.K)
         dim = rep.dim
     else:
         ns = range(-40, 41) if rep.n_min is None and rep.n_max is None else \

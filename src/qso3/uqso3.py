@@ -18,16 +18,17 @@ n, each evaluated on a whole integer array of them at once.  A point case
 formulas evaluated by Python one coordinate at a time.  Finite families
 live on an interval n = 0..dim-1 or, for the cyclic root of unity
 families, on a cycle of that length; the one band evaluator
-``repcore.band_diagonals`` builds them as diagonals (I3 on I2's, with the
-same exact products), which the representation takes.  Infinite families
-stay ``BandedRep`` closures on a half-line or the line, whose windows the
-same evaluator builds as diagonals.  The root-of-unity component families
+``repcore.band_diagonals`` builds them as diagonals, which the
+representation takes.  Infinite families stay ``BandedRep`` closures on a
+half-line or the line, whose windows the same evaluator builds as
+diagonals.  The root-of-unity component families
 differ only in dimension, first label and which ends carry a sqrt(2) link
 or a diagonal entry, so they are a table (``_Q_ROOT_SHAPES``).
 
-Everywhere the third generator is derived from the first two through the
-defining q-commutator, which keeps every constructor internally
-consistent; unit tests check the derived entries against closed forms.
+No family carries I3: one function, ``repcore.so3_i3_diagonals``, forms it
+through the defining q-commutator on the diagonals of a finite family and
+of each window of an infinite one, which keeps every constructor
+internally consistent; unit tests check the entries against closed forms.
 
 Sign conventions: the twisted families here are the exact images of the
 twisted sl2 families under the localization map (entrywise equal to
@@ -46,8 +47,8 @@ import numpy as np
 from .errors import (BadDescriptor, BadParam, BadParity, BadRange,
                      ParityMismatch, SingularBasisChange, SpecialEpsilon)
 from .qscalar import HalfInt, QContext, as_complex, c_div, c_mul, q_num, q_pow, q_pow_c
-from .repcore import (HALF, Band, BandedRep, Diagonals, FamilyDescriptor,
-                      So3FiniteRep, band_diagonals, masked, so3_i3_band, verify_so3)
+from .repcore import (HALF, Band, BandedRep, FamilyDescriptor, So3FiniteRep,
+                      band_diagonals, masked, so3_i3_diagonals, verify_so3)
 from .structure import invariance_defect
 from .uqsl2 import (_is_integer_mod, _require_root, classify_epsilon, cyclic_dim,
                     weight_label)
@@ -58,17 +59,11 @@ SQRT2 = math.sqrt(2.0)
 def _so3_finite(ctx: QContext, dim: int, i1_diag, i2: Band,
                 family: FamilyDescriptor, flags: dict | None = None,
                 cyclic: bool = False) -> So3FiniteRep:
-    """Diagonal I1 (entries g) and banded I2 on n = 0..dim-1 (a cycle if
-    ``cyclic``), and I3 = q^{1/2} I1 I2 - q^{-1/2} I2 I1 on I2's offsets,
-    all as diagonals.  I3_ij = (q^{1/2} g_i) I2_ij - (q^{-1/2} I2_ij) g_j
-    has the bits of Python's complex products, i = (j - k) mod dim on
-    offset k; adding it to zero rows folds -0.0 into 0.0."""
+    """Diagonal I1 and banded I2 on n = 0..dim-1 (a cycle if ``cyclic``),
+    and I3 = q^{1/2} I1 I2 - q^{-1/2} I2 I1 formed on them
+    (``repcore.so3_i3_diagonals``), all as diagonals."""
     d1, d2 = band_diagonals({"I1": Band(diag=i1_diag), "I2": i2}, 0, dim - 1, cyclic).values()
-    rt, g = q_pow(ctx, HALF), d1.rows[0]
-    g_rows = g[(np.arange(dim) - np.array(d2.offsets, dtype=int)[:, None]) % dim]
-    i3 = np.zeros_like(d2.rows)
-    i3 += c_mul(c_mul(rt, g_rows), d2.rows) - c_mul(c_mul(1 / rt, d2.rows), g)
-    return So3FiniteRep(ctx, d1, d2, Diagonals(d2.offsets, i3), family, flags or {})
+    return So3FiniteRep(ctx, d1, d2, so3_i3_diagonals(ctx, d1, d2), family, flags or {})
 
 
 def _w(ctx: QContext) -> complex:
@@ -163,13 +158,10 @@ def r_split_n(ctx: QContext, n: int, signs=(1, 1)) -> So3FiniteRep:
 # ---------------------------------------------------------------------------
 # infinite families, generic q
 
-def _so3_banded(ctx, offset, i1_diag, i2_diag, i2_up, i2_down, family,
+def _so3_banded(ctx, offset, i1_diag, i2: Band, family,
                 n_min=None, n_max=None, flags=None) -> BandedRep:
-    i1 = Band(diag=i1_diag)
-    i2 = Band(diag=i2_diag, up=i2_up, down=i2_down)
-    bands = {"I1": i1, "I2": i2, "I3": so3_i3_band(ctx, i1, i2)}
-    return BandedRep(ctx, "so3", offset, bands, family, n_min=n_min,
-                     n_max=n_max, flags=flags or {})
+    return BandedRep(ctx, "so3", offset, {"I1": Band(diag=i1_diag), "I2": i2}, family,
+                     n_min=n_min, n_max=n_max, flags=flags or {})
 
 
 def r_a_epsilon(ctx: QContext, a, eps) -> BandedRep:
@@ -191,12 +183,11 @@ def r_a_epsilon(ctx: QContext, a, eps) -> BandedRep:
         return t + c_div(1, t)
 
     i1_diag = lambda n: 1j * q_num(ctx, eps + n)
-    i2_up = lambda n: c_div(q_num(ctx, a - (eps + n)), den(n))
-    i2_down = lambda n: c_div(-q_num(ctx, a + (eps + n)), den(n))
+    i2 = Band(up=lambda n: c_div(q_num(ctx, a - (eps + n)), den(n)),
+              down=lambda n: c_div(-q_num(ctx, a + (eps + n)), den(n)))
     irr = not (_is_integer_mod(ctx, a - eps) or _is_integer_mod(ctx, a + eps))
     fam = FamilyDescriptor("R_a_eps", {"a": a, "eps": eps})
-    return _so3_banded(ctx, eps, i1_diag, None, i2_up, i2_down, fam,
-                       flags={"irreducible": irr})
+    return _so3_banded(ctx, eps, i1_diag, i2, fam, flags={"irreducible": irr})
 
 
 def r_a_special(ctx: QContext, a, branch: int = 1) -> BandedRep:
@@ -217,16 +208,14 @@ def r_a_special(ctx: QContext, a, branch: int = 1) -> BandedRep:
         t = q_pow(ctx, kh(n))
         return c_div(-branch * (t + c_div(1, t)), w)
 
-    def i2_up(n):
+    def den(n):
         t = q_pow(ctx, kh(n))
-        return c_div(branch * 1j * q_num(ctx, a_prime - (n + 0.5)), t - c_div(1, t))
+        return t - c_div(1, t)
 
-    def i2_down(n):
-        t = q_pow(ctx, kh(n))
-        return c_div(branch * 1j * q_num(ctx, a_prime + (n + 0.5)), t - c_div(1, t))
-
+    i2 = Band(up=lambda n: c_div(branch * 1j * q_num(ctx, a_prime - (n + 0.5)), den(n)),
+              down=lambda n: c_div(branch * 1j * q_num(ctx, a_prime + (n + 0.5)), den(n)))
     fam = FamilyDescriptor("R_a_special", {"a": a, "branch": branch})
-    return _so3_banded(ctx, 0.5, i1_diag, None, i2_up, i2_down, fam,
+    return _so3_banded(ctx, 0.5, i1_diag, i2, fam,
                        flags={"reducible": True, "a_prime": a_prime})
 
 
@@ -262,7 +251,8 @@ def r_split_infinite(ctx: QContext, a_prime, family: int = 1, sign: int = 1) -> 
                       c_div(family * 1j * q_num(ctx, ap + n - 1), t - c_div(1, t)))
 
     fam = FamilyDescriptor("Rsplit_inf", {"a_prime": ap, "family": family, "sign": sign})
-    return _so3_banded(ctx, 0, i1_diag, i2_diag, i2_up, i2_down, fam, n_min=1)
+    return _so3_banded(ctx, 0, i1_diag, Band(diag=i2_diag, up=i2_up, down=i2_down), fam,
+                       n_min=1)
 
 
 def r_highest_lowest(ctx: QContext, kind: str, param) -> BandedRep:
@@ -313,10 +303,10 @@ def r_highest_lowest(ctx: QContext, kind: str, param) -> BandedRep:
         t = q_pow_c(ctx, m_of(n))
         return t + c_div(1, t)
 
-    i2_up = lambda n: c_div(q_num(ctx, up_arg(n)), den(n))
-    i2_down = lambda n: c_div(-q_num(ctx, down_arg(n)), den(n))
-    return _so3_banded(ctx, as_complex(offset), i1_diag, None, i2_up, i2_down,
-                       fam, n_min=n_min, n_max=n_max, flags={"irreducible": True})
+    i2 = Band(up=lambda n: c_div(q_num(ctx, up_arg(n)), den(n)),
+              down=lambda n: c_div(-q_num(ctx, down_arg(n)), den(n)))
+    return _so3_banded(ctx, as_complex(offset), i1_diag, i2, fam, n_min=n_min,
+                       n_max=n_max, flags={"irreducible": True})
 
 
 def q_lambda(ctx: QContext, lam, sign: int = 1) -> BandedRep:
@@ -339,7 +329,7 @@ def q_lambda(ctx: QContext, lam, sign: int = 1) -> BandedRep:
 
     reducible = ctx.close(lam, 1) or ctx.close(lam, ctx.s)
     fam = FamilyDescriptor("Q_lambda", {"lambda": lam, "sign": sign})
-    return _so3_banded(ctx, 0, i1_diag, None, lambda n: c, lambda n: c, fam,
+    return _so3_banded(ctx, 0, i1_diag, Band(up=lambda n: c, down=lambda n: c), fam,
                        flags={"reducible": reducible})
 
 
@@ -367,10 +357,10 @@ def q_lambda_components(ctx: QContext, which: int, at: str, sign: int = 1) -> Ba
             return c_div(sign * (t + c_div(1, t)), w)
 
         if which == 1:
-            up = lambda n: masked(n == 0, SQRT2 * c, c)
-            down = lambda n: masked(n == 1, SQRT2 * c, c)
-            return _so3_banded(ctx, 0, i1_diag, None, up, down, fam, n_min=0)
-        return _so3_banded(ctx, 0, i1_diag, None, lambda n: c, lambda n: c,
+            i2 = Band(up=lambda n: masked(n == 0, SQRT2 * c, c),
+                      down=lambda n: masked(n == 1, SQRT2 * c, c))
+            return _so3_banded(ctx, 0, i1_diag, i2, fam, n_min=0)
+        return _so3_banded(ctx, 0, i1_diag, Band(up=lambda n: c, down=lambda n: c),
                            fam, n_min=1)
 
     def i1_diag(n):
@@ -378,9 +368,8 @@ def q_lambda_components(ctx: QContext, which: int, at: str, sign: int = 1) -> Ba
         return c_div(sign * (t + c_div(1, t)), w)
 
     d0 = -c if which == 1 else c
-    diag = lambda n: masked(n == 0, d0)
-    return _so3_banded(ctx, 0.5, i1_diag, diag, lambda n: c, lambda n: c,
-                       fam, n_min=0)
+    i2 = Band(diag=lambda n: masked(n == 0, d0), up=lambda n: c, down=lambda n: c)
+    return _so3_banded(ctx, 0.5, i1_diag, i2, fam, n_min=0)
 
 
 # ---------------------------------------------------------------------------

@@ -214,58 +214,58 @@ DIGESTS = {
     'q=1.3:Rsplit_n(n=9,signs=(1, -1))': '2c39184004f0e3eb',
     'q=1.3:Rsplit_n(n=9,signs=(-1, 1))': '52ddaef819ba9270',
     'q=1.3:Rsplit_n(n=9,signs=(-1, -1))': 'faca5f9c189b1754',
-    'q=1.3:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-3, 3))': 'a70916aab8c36b7e',
-    'q=1.3:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-1, 24))': '0199eebe65c2177f',
+    'q=1.3:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-3, 3))': '37f331d936785db4',
+    'q=1.3:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-1, 24))': 'b8318f7985653ad3',
     'q=1.3:T_a_eps(a=(0.3+0.2j),eps=0.4,window=(-3, 3))': '511f8f1b3e4f362a',
     'q=1.3:T_a_eps(a=(0.3+0.2j),eps=0.4,window=(-1, 24))': 'b3b37ae855a6b193',
-    'q=1.3:R_a_special(a=0.7,branch=1,window=(-3, 3))': 'a8dd904697db983e',
-    'q=1.3:R_a_special(a=0.7,branch=1,window=(-1, 24))': '94a6984828db57fb',
-    'q=1.3:R_a_special(a=0.7,branch=-1,window=(-3, 3))': '3bc92eb632d096cf',
-    'q=1.3:R_a_special(a=0.7,branch=-1,window=(-1, 24))': '7a3962d927896e6b',
-    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=1,window=(-3, 3))': '8f0ea67cb8255a1a',
-    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=1,window=(-1, 24))': '1f5e7bbd69560e19',
-    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=-1,window=(-3, 3))': '6226cacef5e31f25',
-    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=-1,window=(-1, 24))': '6701a0bf28512688',
-    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=1,window=(-3, 3))': '7fdc1ff709986a7a',
-    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=1,window=(-1, 24))': 'b026f1fa6f0e0430',
-    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=-1,window=(-3, 3))': 'e00cd0ea118985de',
-    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=-1,window=(-1, 24))': '73bb6ef0cd5a4c69',
-    'q=1.3:R_hw(kind=l+,param=1/2,window=(-3, 3))': 'f1b58641cfe3570c',
-    'q=1.3:R_hw(kind=l+,param=1/2,window=(-1, 24))': '855476a7da9e75ca',
-    'q=1.3:R_hw(kind=l+,param=3/2,window=(-3, 3))': 'b38713305e861d01',
-    'q=1.3:R_hw(kind=l+,param=3/2,window=(-1, 24))': '3a1a0df89621705b',
-    'q=1.3:R_hw(kind=l-,param=1/2,window=(-3, 3))': '488e6817acec1b53',
+    'q=1.3:R_a_special(a=0.7,branch=1,window=(-3, 3))': 'bad816b34e14e2d0',
+    'q=1.3:R_a_special(a=0.7,branch=1,window=(-1, 24))': '8af9ba19218a5930',
+    'q=1.3:R_a_special(a=0.7,branch=-1,window=(-3, 3))': '92898f5a74e519ee',
+    'q=1.3:R_a_special(a=0.7,branch=-1,window=(-1, 24))': '2dce736b119355d6',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=1,window=(-3, 3))': 'a1fe2eecc6bbbf8a',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=1,window=(-1, 24))': 'a125aae8caa0645e',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=-1,window=(-3, 3))': '0ab3af80f5207ae0',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=-1,window=(-1, 24))': '3a975a395eb19616',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=1,window=(-3, 3))': '80414ce1458ba897',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=1,window=(-1, 24))': '947881e6171d475b',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=-1,window=(-3, 3))': 'b98f7dbd4d961afb',
+    'q=1.3:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=-1,window=(-1, 24))': '793b06447ad98271',
+    'q=1.3:R_hw(kind=l+,param=1/2,window=(-3, 3))': '662d6ed32426c825',
+    'q=1.3:R_hw(kind=l+,param=1/2,window=(-1, 24))': 'd636d19d19c0c592',
+    'q=1.3:R_hw(kind=l+,param=3/2,window=(-3, 3))': '71e0d331983de90c',
+    'q=1.3:R_hw(kind=l+,param=3/2,window=(-1, 24))': '11e3ae4c72821f23',
+    'q=1.3:R_hw(kind=l-,param=1/2,window=(-3, 3))': '040198d21509c11e',
     'q=1.3:R_hw(kind=l-,param=1/2,window=(-1, 24))': 'b5f73342036bf53c',
-    'q=1.3:R_hw(kind=l-,param=3/2,window=(-3, 3))': '5e88c17a20060e25',
-    'q=1.3:R_hw(kind=l-,param=3/2,window=(-1, 24))': '70aa813422577f9f',
-    'q=1.3:R_hw(kind=a+,param=(0.3+0.2j),window=(-3, 3))': 'c485b6de0c70b88b',
-    'q=1.3:R_hw(kind=a+,param=(0.3+0.2j),window=(-1, 24))': 'f2f5caf172ed5f40',
-    'q=1.3:R_hw(kind=a-,param=(0.3+0.2j),window=(-3, 3))': '574f921a215103f1',
-    'q=1.3:R_hw(kind=a-,param=(0.3+0.2j),window=(-1, 24))': '71e0181d70702740',
-    'q=1.3:Q_lambda(lam=(0.7+0.1j),sign=1,window=(-3, 3))': '2620759e0370104b',
-    'q=1.3:Q_lambda(lam=(0.7+0.1j),sign=1,window=(-1, 24))': 'ad7694c3c41481d7',
-    'q=1.3:Q_lambda(lam=(0.7+0.1j),sign=-1,window=(-3, 3))': '4847756a2c23cd91',
-    'q=1.3:Q_lambda(lam=(0.7+0.1j),sign=-1,window=(-1, 24))': 'f10df9b37502b07d',
-    'q=1.3:Q_lambda(lam=1.0,sign=1,window=(-3, 3))': 'ce9039475c54685f',
-    'q=1.3:Q_lambda(lam=1.0,sign=1,window=(-1, 24))': '094958f873d94baf',
-    'q=1.3:Q_lambda(lam=1.0,sign=-1,window=(-3, 3))': '836ff7296dd2e08e',
-    'q=1.3:Q_lambda(lam=1.0,sign=-1,window=(-1, 24))': '40e4f3f64d850dc3',
-    'q=1.3:Q_comp(which=1,at=1,sign=1,window=(-3, 3))': 'cc694e89d7c329d9',
-    'q=1.3:Q_comp(which=1,at=1,sign=1,window=(-1, 24))': '62535828ca705d0b',
-    'q=1.3:Q_comp(which=1,at=1,sign=-1,window=(-3, 3))': '1ace5dea9f5e3585',
-    'q=1.3:Q_comp(which=1,at=1,sign=-1,window=(-1, 24))': 'e11e842b05cc55e6',
-    'q=1.3:Q_comp(which=1,at=sqrt_q,sign=1,window=(-3, 3))': '3434c1f15bda05ad',
-    'q=1.3:Q_comp(which=1,at=sqrt_q,sign=1,window=(-1, 24))': '1cb3b058c0c71cda',
-    'q=1.3:Q_comp(which=1,at=sqrt_q,sign=-1,window=(-3, 3))': '3703afc0d8c8f069',
-    'q=1.3:Q_comp(which=1,at=sqrt_q,sign=-1,window=(-1, 24))': '86c5f69fc28ac628',
-    'q=1.3:Q_comp(which=2,at=1,sign=1,window=(-3, 3))': '6fd5058006e2d057',
-    'q=1.3:Q_comp(which=2,at=1,sign=1,window=(-1, 24))': 'bcfcce67491c4ce2',
-    'q=1.3:Q_comp(which=2,at=1,sign=-1,window=(-3, 3))': '3c6815c385bacd80',
-    'q=1.3:Q_comp(which=2,at=1,sign=-1,window=(-1, 24))': '8b284e6f0daaa966',
-    'q=1.3:Q_comp(which=2,at=sqrt_q,sign=1,window=(-3, 3))': '8206a2dcbaba3132',
-    'q=1.3:Q_comp(which=2,at=sqrt_q,sign=1,window=(-1, 24))': '043af0fc6a82063d',
-    'q=1.3:Q_comp(which=2,at=sqrt_q,sign=-1,window=(-3, 3))': '24c9fda96d0fc5c7',
-    'q=1.3:Q_comp(which=2,at=sqrt_q,sign=-1,window=(-1, 24))': 'b3aebcc801b7c374',
+    'q=1.3:R_hw(kind=l-,param=3/2,window=(-3, 3))': '4aa5aeb135547a1a',
+    'q=1.3:R_hw(kind=l-,param=3/2,window=(-1, 24))': '6bd228338ee34830',
+    'q=1.3:R_hw(kind=a+,param=(0.3+0.2j),window=(-3, 3))': '843c0d3f3c177b77',
+    'q=1.3:R_hw(kind=a+,param=(0.3+0.2j),window=(-1, 24))': '59612146174f18f2',
+    'q=1.3:R_hw(kind=a-,param=(0.3+0.2j),window=(-3, 3))': '7c17af8b039d6530',
+    'q=1.3:R_hw(kind=a-,param=(0.3+0.2j),window=(-1, 24))': '346b323db8efafbc',
+    'q=1.3:Q_lambda(lam=(0.7+0.1j),sign=1,window=(-3, 3))': 'f2e7a9e307a0dff9',
+    'q=1.3:Q_lambda(lam=(0.7+0.1j),sign=1,window=(-1, 24))': '52c4e7fe821ac9ad',
+    'q=1.3:Q_lambda(lam=(0.7+0.1j),sign=-1,window=(-3, 3))': '2d175d1ae935f627',
+    'q=1.3:Q_lambda(lam=(0.7+0.1j),sign=-1,window=(-1, 24))': '5391756d48054a01',
+    'q=1.3:Q_lambda(lam=1.0,sign=1,window=(-3, 3))': '13dc8bd4b622eb48',
+    'q=1.3:Q_lambda(lam=1.0,sign=1,window=(-1, 24))': '12e7bdc190a59170',
+    'q=1.3:Q_lambda(lam=1.0,sign=-1,window=(-3, 3))': '5c5fa6b7bd682242',
+    'q=1.3:Q_lambda(lam=1.0,sign=-1,window=(-1, 24))': '512ddcfdf80f0db1',
+    'q=1.3:Q_comp(which=1,at=1,sign=1,window=(-3, 3))': '58f1eaa5bdaa8700',
+    'q=1.3:Q_comp(which=1,at=1,sign=1,window=(-1, 24))': 'c1e3d999a730a0b5',
+    'q=1.3:Q_comp(which=1,at=1,sign=-1,window=(-3, 3))': '874358ee33a7bebb',
+    'q=1.3:Q_comp(which=1,at=1,sign=-1,window=(-1, 24))': 'c45f9587c0670d10',
+    'q=1.3:Q_comp(which=1,at=sqrt_q,sign=1,window=(-3, 3))': 'e154b677636270df',
+    'q=1.3:Q_comp(which=1,at=sqrt_q,sign=1,window=(-1, 24))': 'd91269a790eb3766',
+    'q=1.3:Q_comp(which=1,at=sqrt_q,sign=-1,window=(-3, 3))': '3eeacee3477f1a5c',
+    'q=1.3:Q_comp(which=1,at=sqrt_q,sign=-1,window=(-1, 24))': 'c0a2664557cdd65d',
+    'q=1.3:Q_comp(which=2,at=1,sign=1,window=(-3, 3))': 'cabb1e18a7eff4f0',
+    'q=1.3:Q_comp(which=2,at=1,sign=1,window=(-1, 24))': '585db5037ad294c4',
+    'q=1.3:Q_comp(which=2,at=1,sign=-1,window=(-3, 3))': 'c863c3012e1697fc',
+    'q=1.3:Q_comp(which=2,at=1,sign=-1,window=(-1, 24))': '86c03268f3c023e7',
+    'q=1.3:Q_comp(which=2,at=sqrt_q,sign=1,window=(-3, 3))': 'ebf9d3773f26fb01',
+    'q=1.3:Q_comp(which=2,at=sqrt_q,sign=1,window=(-1, 24))': '9e2f42588a7cfeee',
+    'q=1.3:Q_comp(which=2,at=sqrt_q,sign=-1,window=(-3, 3))': '694d43cd2d154356',
+    'q=1.3:Q_comp(which=2,at=sqrt_q,sign=-1,window=(-1, 24))': 'bc1d84235eb62ba5',
     'q=e^0.37i:R1_l(l=0)': 'e64abe1919c517f5',
     'q=e^0.37i:T_l(l=0,omega=1)': '7dbf33908beb91d6',
     'q=e^0.37i:T_l(l=0,omega=-1)': '1bf4b7eb6ce7f954',
@@ -309,58 +309,58 @@ DIGESTS = {
     'q=e^0.37i:Rsplit_n(n=9,signs=(1, -1))': 'ce5210f0b3a18633',
     'q=e^0.37i:Rsplit_n(n=9,signs=(-1, 1))': '4cef6502ca61a748',
     'q=e^0.37i:Rsplit_n(n=9,signs=(-1, -1))': '62d0329953e98385',
-    'q=e^0.37i:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-3, 3))': 'adc9c1fd33d4a274',
-    'q=e^0.37i:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-1, 24))': '57f62021fa225106',
+    'q=e^0.37i:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-3, 3))': '8776dfe095bcdbec',
+    'q=e^0.37i:R_a_eps(a=(0.3+0.2j),eps=0.4,window=(-1, 24))': 'e18cd604393c9e2c',
     'q=e^0.37i:T_a_eps(a=(0.3+0.2j),eps=0.4,window=(-3, 3))': '1eabdc1aa4552199',
     'q=e^0.37i:T_a_eps(a=(0.3+0.2j),eps=0.4,window=(-1, 24))': '1bdb99263a8ff33a',
-    'q=e^0.37i:R_a_special(a=0.7,branch=1,window=(-3, 3))': 'cbc512062e3922db',
-    'q=e^0.37i:R_a_special(a=0.7,branch=1,window=(-1, 24))': 'bb6e11a5f9a8370a',
-    'q=e^0.37i:R_a_special(a=0.7,branch=-1,window=(-3, 3))': 'e36f7ac974e35db4',
-    'q=e^0.37i:R_a_special(a=0.7,branch=-1,window=(-1, 24))': '054a3ce433934f93',
-    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=1,window=(-3, 3))': '3326cefeae332e27',
-    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=1,window=(-1, 24))': 'a676e3c58ba05941',
-    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=-1,window=(-3, 3))': '4e11049fecc155fc',
-    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=-1,window=(-1, 24))': '93aa9a3ca7789c88',
-    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=1,window=(-3, 3))': 'cbc577efa7ff835c',
-    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=1,window=(-1, 24))': 'e7fb033ff2440045',
-    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=-1,window=(-3, 3))': '9c0284da44c3d30b',
-    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=-1,window=(-1, 24))': '14ce4e560364fda3',
-    'q=e^0.37i:R_hw(kind=l+,param=1/2,window=(-3, 3))': 'f7ed3a387c3c512f',
-    'q=e^0.37i:R_hw(kind=l+,param=1/2,window=(-1, 24))': 'f86cc329f20cfea1',
-    'q=e^0.37i:R_hw(kind=l+,param=3/2,window=(-3, 3))': '76d5a7c9bcbda398',
-    'q=e^0.37i:R_hw(kind=l+,param=3/2,window=(-1, 24))': 'a94103c5abddd8bc',
-    'q=e^0.37i:R_hw(kind=l-,param=1/2,window=(-3, 3))': '9078150b35d9589d',
-    'q=e^0.37i:R_hw(kind=l-,param=1/2,window=(-1, 24))': 'dcdf6d0775be1997',
-    'q=e^0.37i:R_hw(kind=l-,param=3/2,window=(-3, 3))': '1a78f517ac9adca5',
-    'q=e^0.37i:R_hw(kind=l-,param=3/2,window=(-1, 24))': '763e4c62318bbdfd',
-    'q=e^0.37i:R_hw(kind=a+,param=(0.3+0.2j),window=(-3, 3))': '099d8ed7961afd19',
-    'q=e^0.37i:R_hw(kind=a+,param=(0.3+0.2j),window=(-1, 24))': 'fe3224d7d4fa1bd4',
-    'q=e^0.37i:R_hw(kind=a-,param=(0.3+0.2j),window=(-3, 3))': '6ced8d4a1f8c993a',
-    'q=e^0.37i:R_hw(kind=a-,param=(0.3+0.2j),window=(-1, 24))': 'b286882a4a894271',
-    'q=e^0.37i:Q_lambda(lam=(0.7+0.1j),sign=1,window=(-3, 3))': 'df1495100b4c6709',
-    'q=e^0.37i:Q_lambda(lam=(0.7+0.1j),sign=1,window=(-1, 24))': 'c09cd543423ec38c',
-    'q=e^0.37i:Q_lambda(lam=(0.7+0.1j),sign=-1,window=(-3, 3))': '37e2ee64e390dcbf',
-    'q=e^0.37i:Q_lambda(lam=(0.7+0.1j),sign=-1,window=(-1, 24))': '80f4b8f95aeb1700',
-    'q=e^0.37i:Q_lambda(lam=1.0,sign=1,window=(-3, 3))': '676999e5488efdc9',
-    'q=e^0.37i:Q_lambda(lam=1.0,sign=1,window=(-1, 24))': 'efaf55476e6e4460',
-    'q=e^0.37i:Q_lambda(lam=1.0,sign=-1,window=(-3, 3))': 'da23ff0bdfed19e6',
-    'q=e^0.37i:Q_lambda(lam=1.0,sign=-1,window=(-1, 24))': '2fe98c6bfc9da392',
-    'q=e^0.37i:Q_comp(which=1,at=1,sign=1,window=(-3, 3))': '04ea36dc708b6d18',
-    'q=e^0.37i:Q_comp(which=1,at=1,sign=1,window=(-1, 24))': 'ca1d5e2658bbc18b',
-    'q=e^0.37i:Q_comp(which=1,at=1,sign=-1,window=(-3, 3))': 'd5ab56df50635027',
-    'q=e^0.37i:Q_comp(which=1,at=1,sign=-1,window=(-1, 24))': '7da71db92277c70d',
-    'q=e^0.37i:Q_comp(which=1,at=sqrt_q,sign=1,window=(-3, 3))': 'e631c59cb913491c',
-    'q=e^0.37i:Q_comp(which=1,at=sqrt_q,sign=1,window=(-1, 24))': 'c22cced7b6e74f4a',
-    'q=e^0.37i:Q_comp(which=1,at=sqrt_q,sign=-1,window=(-3, 3))': '2ce6a48b7df97dc6',
-    'q=e^0.37i:Q_comp(which=1,at=sqrt_q,sign=-1,window=(-1, 24))': 'aca2a31bdfe822b5',
-    'q=e^0.37i:Q_comp(which=2,at=1,sign=1,window=(-3, 3))': '229bb720b67da2f4',
-    'q=e^0.37i:Q_comp(which=2,at=1,sign=1,window=(-1, 24))': '80aa919528f2b110',
-    'q=e^0.37i:Q_comp(which=2,at=1,sign=-1,window=(-3, 3))': 'c7ca29b64b359113',
-    'q=e^0.37i:Q_comp(which=2,at=1,sign=-1,window=(-1, 24))': 'a31fac0ec3fc4ff9',
-    'q=e^0.37i:Q_comp(which=2,at=sqrt_q,sign=1,window=(-3, 3))': 'b41cf0249229257d',
-    'q=e^0.37i:Q_comp(which=2,at=sqrt_q,sign=1,window=(-1, 24))': 'e539a6e71d4a298f',
-    'q=e^0.37i:Q_comp(which=2,at=sqrt_q,sign=-1,window=(-3, 3))': '3362ad8dce151712',
-    'q=e^0.37i:Q_comp(which=2,at=sqrt_q,sign=-1,window=(-1, 24))': '6e71279798f07576',
+    'q=e^0.37i:R_a_special(a=0.7,branch=1,window=(-3, 3))': '91f483cebcb08691',
+    'q=e^0.37i:R_a_special(a=0.7,branch=1,window=(-1, 24))': 'a296f757d25a4e8f',
+    'q=e^0.37i:R_a_special(a=0.7,branch=-1,window=(-3, 3))': '3ddcefa6975a7e33',
+    'q=e^0.37i:R_a_special(a=0.7,branch=-1,window=(-1, 24))': '5103b0c4dbdefb42',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=1,window=(-3, 3))': '21a52b41d0df2514',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=1,window=(-1, 24))': '66430f916752a7f8',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=-1,window=(-3, 3))': '1cda6bce6969c481',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=1,sign=-1,window=(-1, 24))': '8adecede816c595b',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=1,window=(-3, 3))': 'bc1ec225e4ae61a2',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=1,window=(-1, 24))': '5f79828ea45872c7',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=-1,window=(-3, 3))': 'a7abc0d69d7ba47f',
+    'q=e^0.37i:Rsplit_inf(a_prime=(0.4+0.1j),family=-1,sign=-1,window=(-1, 24))': 'e50b3dadf269f4b0',
+    'q=e^0.37i:R_hw(kind=l+,param=1/2,window=(-3, 3))': 'eeab0d808cbeae9a',
+    'q=e^0.37i:R_hw(kind=l+,param=1/2,window=(-1, 24))': '87353b1b3eb650f3',
+    'q=e^0.37i:R_hw(kind=l+,param=3/2,window=(-3, 3))': '807a3d5678d7e5f3',
+    'q=e^0.37i:R_hw(kind=l+,param=3/2,window=(-1, 24))': '4639b491910f0677',
+    'q=e^0.37i:R_hw(kind=l-,param=1/2,window=(-3, 3))': '0fc872cd9e1ce8f2',
+    'q=e^0.37i:R_hw(kind=l-,param=1/2,window=(-1, 24))': 'dd71ec9d547b9bb7',
+    'q=e^0.37i:R_hw(kind=l-,param=3/2,window=(-3, 3))': '63c0adf3313aef98',
+    'q=e^0.37i:R_hw(kind=l-,param=3/2,window=(-1, 24))': '8c709ee4de210911',
+    'q=e^0.37i:R_hw(kind=a+,param=(0.3+0.2j),window=(-3, 3))': '76c9690d281868f1',
+    'q=e^0.37i:R_hw(kind=a+,param=(0.3+0.2j),window=(-1, 24))': '9f54fa5889135230',
+    'q=e^0.37i:R_hw(kind=a-,param=(0.3+0.2j),window=(-3, 3))': '4bc95c4d8328e09b',
+    'q=e^0.37i:R_hw(kind=a-,param=(0.3+0.2j),window=(-1, 24))': 'f8aa6bdddba847ad',
+    'q=e^0.37i:Q_lambda(lam=(0.7+0.1j),sign=1,window=(-3, 3))': 'cc79e8ac4dbd0cd4',
+    'q=e^0.37i:Q_lambda(lam=(0.7+0.1j),sign=1,window=(-1, 24))': '1405011e11352911',
+    'q=e^0.37i:Q_lambda(lam=(0.7+0.1j),sign=-1,window=(-3, 3))': '14d7efcf2e8d8ffb',
+    'q=e^0.37i:Q_lambda(lam=(0.7+0.1j),sign=-1,window=(-1, 24))': 'f0b8f34383851e5e',
+    'q=e^0.37i:Q_lambda(lam=1.0,sign=1,window=(-3, 3))': 'cfd915ddd5969117',
+    'q=e^0.37i:Q_lambda(lam=1.0,sign=1,window=(-1, 24))': 'c8380a0dba5f393f',
+    'q=e^0.37i:Q_lambda(lam=1.0,sign=-1,window=(-3, 3))': 'f26e68dd991e2dff',
+    'q=e^0.37i:Q_lambda(lam=1.0,sign=-1,window=(-1, 24))': '30761cf8918900bf',
+    'q=e^0.37i:Q_comp(which=1,at=1,sign=1,window=(-3, 3))': '2f32cd5e4ef52d8d',
+    'q=e^0.37i:Q_comp(which=1,at=1,sign=1,window=(-1, 24))': 'd50a00e514241653',
+    'q=e^0.37i:Q_comp(which=1,at=1,sign=-1,window=(-3, 3))': 'c40deb7f345c43b4',
+    'q=e^0.37i:Q_comp(which=1,at=1,sign=-1,window=(-1, 24))': 'e691d842060351a5',
+    'q=e^0.37i:Q_comp(which=1,at=sqrt_q,sign=1,window=(-3, 3))': '56bb52405d6c04a1',
+    'q=e^0.37i:Q_comp(which=1,at=sqrt_q,sign=1,window=(-1, 24))': '04f25f3bea957230',
+    'q=e^0.37i:Q_comp(which=1,at=sqrt_q,sign=-1,window=(-3, 3))': '4269d8e435c2152a',
+    'q=e^0.37i:Q_comp(which=1,at=sqrt_q,sign=-1,window=(-1, 24))': '50a031f3aceb6e9a',
+    'q=e^0.37i:Q_comp(which=2,at=1,sign=1,window=(-3, 3))': '50b32d18cd018cc4',
+    'q=e^0.37i:Q_comp(which=2,at=1,sign=1,window=(-1, 24))': 'd4e8c3a9b3be9b39',
+    'q=e^0.37i:Q_comp(which=2,at=1,sign=-1,window=(-3, 3))': 'c522fa6afb32badb',
+    'q=e^0.37i:Q_comp(which=2,at=1,sign=-1,window=(-1, 24))': 'e590df16aa5137d8',
+    'q=e^0.37i:Q_comp(which=2,at=sqrt_q,sign=1,window=(-3, 3))': 'cd2cba1178d37a87',
+    'q=e^0.37i:Q_comp(which=2,at=sqrt_q,sign=1,window=(-1, 24))': '0d06df04cac3adeb',
+    'q=e^0.37i:Q_comp(which=2,at=sqrt_q,sign=-1,window=(-3, 3))': 'e5361517cd325c76',
+    'q=e^0.37i:Q_comp(which=2,at=sqrt_q,sign=-1,window=(-1, 24))': '9b266e7ef36a7a10',
     'p=3:R1_l(l=0)': 'e64abe1919c517f5',
     'p=3:T_l(l=0,omega=i)': 'b9c01517dc960ae0',
     'p=3:R1_l(l=1/2)': '6a822960a0637338',

@@ -324,6 +324,13 @@ class TestErrors:
         assert captured.err.startswith("error: q = 1 is excluded")
         assert "p=1" not in captured.err
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_exit_2(self, tol, capsys):
+        code = main(["verify", "--family", "R1_l", "--l", "1", "--q", "1.3", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: tol must be finite and >= 0")
+
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["central", "--p", "4", "--bogus", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -228,7 +228,8 @@ class TestVerifyPsi:
 
     @pytest.mark.parametrize("tw", [19, 59])     # dims 20 and 60: both sides
     def test_conjugated_matches_reference(self, tw):
-        # K + Kinv is not diagonal: the images come from two dense solves.
+        # K + Kinv is not diagonal: the images come from two dense solves,
+        # and a representation given dense is verified dense at any dimension.
         # q near the unit circle keeps the weight basis balanced, so the
         # unitary change of basis does not mix scales
         assert (tw + 1 < DIAGONAL_CROSSOVER) == (tw == 19)

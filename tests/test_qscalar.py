@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qso3.errors import BadModulus, CtxMismatch, DegenerateQ
+from qso3.errors import BadModulus, BadParam, CtxMismatch, DegenerateQ
 from qso3.qscalar import (HalfInt, QContext, ctx_from_json, ctx_to_json, generic_ctx, q_num,
                           q_pow, q_pow_c, root_of_unity_ctx)
 
@@ -154,6 +154,21 @@ class TestTolerancePolicy:
         for level in (ctx.threshold, ctx.separation, ctx.algebra_drop, ctx.matching):
             assert level() == ctx.floor()
             assert level(5.0) == ctx.floor(5.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_tol_rejected_where_a_context_is_made(self, tol):
+        # NaN passed every level comparison as false, inf made q = 1.3 read as
+        # q = -1, and a negative tol failed residuals of 0
+        makers = (lambda: generic_ctx(q=1.3, tol=tol), lambda: root_of_unity_ctx(5, tol=tol),
+                  lambda: ctx_from_json({"s": [1.1, 0.0], "kind": "generic", "tol": tol}),
+                  lambda: QContext(1.1 + 0j, "generic", tol=tol))
+        for make in makers:
+            with pytest.raises(BadParam, match="tol"):
+                make()
+
+    def test_zero_tol_is_legal(self):
+        ctx = generic_ctx(q=1.3, tol=0)
+        assert ctx.tol == 0 and ctx.threshold() == ctx.floor() == 1e-12
 
     def test_default_written_once(self):
         assert generic_ctx(q=1.3).tol == root_of_unity_ctx(5).tol == QContext.tol

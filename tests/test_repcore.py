@@ -9,14 +9,14 @@ import pytest
 
 from support import (banded_so3_samples, dense_of_diagonals, finite_sl2_samples, finite_so3_samples, generic_contexts,
                      reference_materialize, reference_matrix_entry_list, reference_psi_residuals,
-                     reference_sl2_relation_residuals, reference_so3_relation_residuals,
-                     root_contexts)
+                     reference_sl2_relation_residuals, reference_so3_i3,
+                     reference_so3_relation_residuals, root_contexts, unitary_conjugate)
 from qso3.errors import EmptyWindow
 from qso3.qscalar import HalfInt, ctx_from_json, generic_ctx, root_of_unity_ctx
 from qso3.registry import REGISTRY
 from qso3.repcore import (Band, BandedRep, Diagonals, FamilyDescriptor, ResidualReport,
                           Sl2FiniteRep, So3FiniteRep, TruncatedRep, band_diagonals,
-                          matrix_from_json, rep_to_json, sl2_relation_residuals, so3_i3_band,
+                          matrix_from_json, rep_to_json, sl2_relation_residuals,
                           so3_relation_residuals, truncate, truncate_n, verify_sl2,
                           verify_so3)
 from qso3 import psihom, repcore, structure, tensor, uqsl2, uqso3
@@ -51,8 +51,7 @@ class TestVerifySo3:
 
     def test_broken_rep_is_flagged(self, q4):
         rep = uqso3.r1_l(q4, H("1/2"))
-        rep.I2[:] = 0
-        report = verify_so3(rep)
+        report = verify_so3(dataclasses.replace(rep, I2=np.zeros_like(rep.I2)))
         # zeroed I2 violates the cubic relation whose right side is -I1
         assert report.residuals["cubic_1"] > 0.1
 
@@ -73,8 +72,9 @@ class TestVerifySo3:
 
     def test_small_perturbation_still_fails(self, q13):
         rep = uqso3.r1_l(q13, H("3/2"))
-        rep.I2[0, 1] += 1e-6
-        assert verify_so3(rep).residuals["cubic_1"] > q13.tol
+        I2 = rep.I2.copy()
+        I2[0, 1] += 1e-6
+        assert verify_so3(dataclasses.replace(rep, I2=I2)).residuals["cubic_1"] > q13.tol
         tiny = 1e-6 * np.ones((1, 1), dtype=complex)
         near_zero = So3FiniteRep(q13, tiny, 0 * tiny, 0 * tiny, FamilyDescriptor("tiny"))
         assert verify_so3(near_zero).residuals["cubic_1"] > q13.tol
@@ -472,16 +472,18 @@ def _zero_diag_rep(ctx) -> BandedRep:
     i1 = Band(diag=lambda n: 1j * (n + 0.5))
     i2 = Band(diag=lambda n: complex(-0.0, -0.0), up=lambda n: 1.0 + 0.1j * n,
               down=lambda n: -0.5 + 0j)
-    return BandedRep(ctx, "so3", 0.0, {"I1": i1, "I2": i2, "I3": so3_i3_band(ctx, i1, i2)},
-                     FamilyDescriptor("zero_diag"))
+    return BandedRep(ctx, "so3", 0.0, {"I1": i1, "I2": i2}, FamilyDescriptor("zero_diag"))
 
 
 class TestWindowDiagonals:
-    """Windows are built as diagonals with the entries of the dense fill."""
+    """Windows are built as diagonals with the entries of the dense fill;
+    an so3 window's I3 is formed on the window's I1 and I2 with the bits
+    of Python's complex products."""
 
     def _reps(self, ctx):
+        t = t_a_epsilon(ctx, 0.3 + 0.2j, 0.4 + 0.2j)
         return ([rep for _, rep in banded_so3_samples(ctx)]
-                + [t_a_epsilon(ctx, 0.3 + 0.2j, 0.4 + 0.2j), _zero_diag_rep(ctx)])
+                + [t, psihom.compose(t), _zero_diag_rep(ctx)])
 
     @pytest.mark.parametrize("w", [6, 40])
     def test_equal_to_the_dense_window(self, w):
@@ -489,6 +491,9 @@ class TestWindowDiagonals:
             for rep in self._reps(ctx):
                 tr = truncate(rep, -w, w)
                 dense = reference_materialize(rep.bands, int(tr.ns[0]), int(tr.ns[-1]))
+                if rep.flavor == "so3":
+                    assert rep.bands.keys() == {"I1", "I2"}
+                    dense["I3"] = reference_so3_i3(ctx, dense["I1"], dense["I2"]) + 0.0
                 assert tr.diagonals.keys() == dense.keys()
                 for name, mat in dense.items():
                     assert dense_of_diagonals(tr.diagonals[name]).tobytes() == mat.tobytes()
@@ -522,8 +527,9 @@ class TestWindowDiagonals:
 
 @pytest.fixture(params=["dense", "diagonals"])
 def side(request, monkeypatch):
-    """Evaluates every relation with dense products, then on diagonals,
-    whatever the dimension."""
+    """Evaluates every relation with dense products, then on diagonals
+    wherever every operand is handed over as diagonals, whatever the
+    dimension."""
     monkeypatch.setattr(repcore, "DIAGONAL_CROSSOVER",
                         10 ** 9 if request.param == "dense" else 0)
     return request.param
@@ -641,6 +647,20 @@ def _view_samples():
         yield "psi(T_7/2,i (x) T_3)", psihom.compose(prod)
 
 
+@pytest.fixture
+def of_calls(monkeypatch):
+    """The shapes of the matrices ``Diagonals.of`` converts from here on."""
+    calls = []
+    of = Diagonals.of.__func__
+
+    def spy(cls, mat):
+        calls.append(mat.shape)
+        return of(cls, mat)
+
+    monkeypatch.setattr(Diagonals, "of", classmethod(spy))
+    return calls
+
+
 class TestDiagonalsView:
     """A finite representation's diagonals view (``view``), handed over by
     its constructor or made once by ``Diagonals.of``, holds the nonzero
@@ -659,11 +679,14 @@ class TestDiagonalsView:
 
     def test_residuals_equal_the_dense_scan(self, side):
         for label, rep in _view_samples():
+            # the dense fields as diagonals, so the relations take the path
+            # the representation's own diagonals take
+            diags = [Diagonals.of(getattr(rep, name)) for name in rep.GENERATORS]
             if isinstance(rep, So3FiniteRep):
-                want = so3_relation_residuals(rep.ctx, rep.I1, rep.I2, rep.I3)
+                want = so3_relation_residuals(rep.ctx, *diags)
                 assert verify_so3(rep).residuals == want, label
                 continue
-            want = sl2_relation_residuals(rep.ctx, rep.K, rep.Kinv, rep.E, rep.F)
+            want = sl2_relation_residuals(rep.ctx, *diags)
             assert verify_sl2(rep).residuals == want, label
             if rep.extendability[0]:
                 dense_only = dataclasses.replace(rep)   # no view handed over
@@ -676,15 +699,7 @@ class TestDiagonalsView:
             assert not dense_only._views
             assert json.dumps(rep_to_json(rep)) == json.dumps(rep_to_json(dense_only)), label
 
-    def test_each_generator_converted_at_most_once(self, q13, monkeypatch):
-        shapes = []
-        of = Diagonals.of.__func__
-
-        def spy(cls, mat):
-            shapes.append(mat.shape)
-            return of(cls, mat)
-
-        monkeypatch.setattr(Diagonals, "of", classmethod(spy))
+    def test_each_generator_converted_at_most_once(self, q13, of_calls):
         t = t_omega_l(q13, H("61/2"), "i")
         prod = delta_tensor(t_omega_l(q13, H("7/2"), "i"), t_omega_l(q13, H("3"), "1"))
         r = uqso3.r1_l(q13, H("30"))
@@ -695,13 +710,25 @@ class TestDiagonalsView:
                 verify_so3(image), rep_to_json(image)
             verify_so3(r), rep_to_json(r)
         # the constructors, the coproduct and compose hand every generator over
-        assert shapes == []
+        assert of_calls == []
+
+    @pytest.mark.parametrize("tw", [59, 99])     # dims 60 and 100
+    def test_dense_given_rep_is_verified_dense(self, tw, of_calls):
+        # a representation given dense converts no generator into diagonals:
+        # its relations, its extendability and its images run dense
+        t = unitary_conjugate(t_omega_l(generic_ctx(q=1.05), HalfInt(tw), "1"))
+        assert t.dim >= repcore.DIAGONAL_CROSSOVER
+        assert verify_sl2(t).max_residual <= 1e-9
+        assert psihom.verify_psi(t).max_residual <= 1e-9
+        assert verify_so3(psihom.compose(t)).max_residual <= 1e-9
+        assert of_calls == []
 
     def test_is_diagonal(self, q13):
         t = t_omega_l(q13, H("3/2"), "1")
-        assert t.view("K").is_diagonal() and not t.view("E").is_diagonal()
         zero_off = Diagonals([-1, 0], np.array([[0, 0, 0], [1, 2, 3]], dtype=complex))
-        assert zero_off.is_diagonal()
+        for diagonal, mats in ((True, (t.view("K"), t.K, zero_off, zero_off.dense())),
+                               (False, (t.view("E"), t.E))):
+            assert all(repcore.is_diagonal(mat) == diagonal for mat in mats)
 
 
 
@@ -779,6 +806,19 @@ class TestDenseOnFirstRead:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(rep, name, zero)
             assert getattr(rep, name) is before
+
+    @pytest.mark.parametrize("l", ["1/2", "30"])     # dims 2 and 61
+    def test_generator_arrays_are_read_only(self, q4, l):
+        # every reader (relations, dump, structure) sees the same generators
+        reps = [uqso3.r1_l(q4, H(l)), t_omega_l(q4, H(l), "1")]
+        given = np.eye(reps[0].dim, dtype=complex)
+        reps.append(dataclasses.replace(reps[0], I1=given))   # a dense generator given
+        for rep in reps:
+            for name in rep.GENERATORS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(rep, name)[:] = 0
+        # held as a view, not a copy
+        assert np.shares_memory(reps[-1].I1, given) and reps[-1].given["I1"] is reps[-1].I1
 
     def test_unknown_attribute_raises(self, q13):
         with pytest.raises(AttributeError):
