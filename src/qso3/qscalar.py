@@ -283,15 +283,15 @@ def generic_ctx(q: complex | None = None, s: complex | None = None,
             raise BadParam("generic_ctx needs q or s")
         s = cmath.sqrt(complex(q))
     ctx = QContext(s=complex(s), kind="generic", tol=tol)
-    q = ctx.q
+    q, thr = ctx.q, ctx.threshold()
     if q == 0:
         raise BadModulus("q must be nonzero")
-    if abs(q + 1) <= ctx.threshold():
+    if abs(q + 1) <= thr:
         raise BadModulus("q = -1 is excluded")
     power = 1 + 0j
     for n in range(1, GENERIC_SCAN_BOUND + 1):
         power *= q
-        if abs(power - 1) <= ctx.threshold():
+        if abs(power - 1) <= thr:
             if n == 1:
                 raise BadModulus("q = 1 is excluded: the classical point, where q - q^{-1} = 0")
             raise BadModulus(

@@ -81,7 +81,9 @@ class _FiniteRep:
     generator given as diagonals is its view (``view``), and its dense
     field is made with ``Diagonals.dense`` on the first read and kept.  A
     dense field, given (held as a view, not a copy) or made, is read-only,
-    so every reader sees the same generators.  The weight frame the
+    and so are the rows of every view, given (held as a read-only view of
+    the given rows) or made by ``Diagonals.of``, so every reader sees the
+    same generators.  The weight frame the
     structure oracles read (``structure.WeightFrame``) is computed on first
     use.  A copy made with ``dataclasses.replace`` reads the dense fields
     and keeps no view."""
@@ -91,9 +93,10 @@ class _FiniteRep:
     def __post_init__(self):
         given = {name: self.__dict__.pop(name) for name in self.GENERATORS}
         for name, gen in given.items():
-            if not isinstance(gen, Diagonals):
-                given[name] = gen = np.asarray(gen).view()
-                gen.flags.writeable = False
+            if isinstance(gen, Diagonals):
+                given[name] = Diagonals(gen.offsets, _read_only(gen.rows))
+            else:
+                given[name] = gen = _read_only(np.asarray(gen))
                 object.__setattr__(self, name, gen)
         object.__setattr__(self, "given", given)
         object.__setattr__(self, "_views", {name: gen for name, gen in given.items()
@@ -124,8 +127,17 @@ class _FiniteRep:
         dense field, made on first read and kept."""
         diags = self._views.get(name)
         if diags is None:
-            diags = self._views[name] = Diagonals.of(getattr(self, name))
+            diags = Diagonals.of(getattr(self, name))
+            diags.rows.flags.writeable = False
+            self._views[name] = diags
         return diags
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def is_diagonal(mat: np.ndarray | Diagonals) -> bool:

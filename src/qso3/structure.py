@@ -32,6 +32,8 @@ at ``algebra_drop``, split bases at ``invariance``, fingerprints at ``matching``
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,18 +81,17 @@ def cluster(values, tol) -> list[tuple[complex, int]]:
     return [(v, len(idx)) for v, idx in _cluster_groups(values, tol)]
 
 
-def _blocks(vals, ctx: QContext) -> list[np.ndarray]:
-    """Index groups of the clustered eigenvalues vals."""
-    return [np.array(idx) for _, idx in _cluster_groups(vals, ctx.separation(*np.abs(vals)))]
-
-
 class WeightFrame:
     """What every oracle reads of a finite representation, computed once per
     representation (its ``weight_frame``): the eigenvalues ``vals`` of the
     first generator, their eigenvector matrix ``S`` (None when the generator
-    is diagonal already), the clustered ``groups`` (mean, indices) and their
-    index arrays ``blocks``; ``gens``, ``reach`` and ``adjoint_reach`` are
-    built on first read."""
+    is diagonal already), the clustered ``groups`` (mean, indices), the
+    indices in block ``order`` (those of the first group, then of the
+    second, and so on), the slices of it that are the ``blocks``, and the
+    block ``label`` of each index; ``gens``, ``reach`` and ``adjoint_reach``
+    are built on first read.  The generators after the first are held in
+    block order (``_ordered``), and the pieces of ``reach`` and
+    ``adjoint_reach`` are cut from them."""
 
     def __init__(self, rep):
         self.ctx, self.caller_gens = rep.ctx, _gens(rep)
@@ -99,7 +100,13 @@ class WeightFrame:
         self.vals, self.S = (np.diag(g0), None) if off <= rep.ctx.floor(np.max(np.abs(g0))) \
             else np.linalg.eig(g0)
         self.groups = _cluster_groups(self.vals, rep.ctx.separation(*np.abs(self.vals)))
-        self.blocks = [np.array(idx) for _, idx in self.groups]
+        sizes = [len(idx) for _, idx in self.groups]
+        ends = list(itertools.accumulate(sizes))
+        self._slices = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+        self.order = np.array([i for _, idx in self.groups for i in idx], dtype=int)
+        self.blocks = [self.order[sl] for sl in self._slices]
+        self.label = np.empty(len(self.order), dtype=int)
+        self.label[self.order] = np.repeat(np.arange(len(sizes)), sizes)
 
     @functools.cached_property
     def gens(self) -> list[np.ndarray]:
@@ -114,25 +121,33 @@ class WeightFrame:
 
     @functools.cached_property
     def _couplings(self) -> list[list[tuple[int, int]]]:
-        return [_coupled(g, self.blocks) for g in self.gens[1:]]
+        return [_coupled(g, self.label) for g in self.gens[1:]]
 
-    def _pieces(self, gens, couplings) -> list[list[tuple[int, np.ndarray]]]:
+    @functools.cached_property
+    def _ordered(self) -> list[np.ndarray]:
+        """The generators after the first in block order, each permuted once."""
+        return [g[self.order[:, None], self.order] for g in self.gens[1:]]
+
+    def _pieces(self, ordered, couplings) -> list[list[tuple[int, np.ndarray]]]:
+        """reach lists of the nonzero blocks of block-ordered matrices: each
+        piece a contiguous copy of a slice, with the values and the layout
+        of a gather G[block i, block k] of the unordered matrix."""
         reach = [[] for _ in self.blocks]
-        for g, pairs in zip(gens, couplings):
+        for g, pairs in zip(ordered, couplings):
             for i, k in pairs:
-                reach[k].append((i, g[self.blocks[i][:, None], self.blocks[k]]))
+                reach[k].append((i, g[self._slices[i], self._slices[k]].copy()))
         return reach
 
     @functools.cached_property
     def reach(self) -> list[list[tuple[int, np.ndarray]]]:
         """reach[k]: (i, G[block i, block k]) for each nonzero block of each
         generator G after the first, by generator and then by i."""
-        return self._pieces(self.gens[1:], self._couplings)
+        return self._pieces(self._ordered, self._couplings)
 
     @functools.cached_property
     def adjoint_reach(self) -> list[list[tuple[int, np.ndarray]]]:
         """``reach`` for the adjoints, whose couplings are the transposes."""
-        return self._pieces([g.conj().T for g in self.gens[1:]],
+        return self._pieces([g.conj().T for g in self._ordered],
                             [sorted((k, i) for i, k in c) for c in self._couplings])
 
 
@@ -157,11 +172,19 @@ def casimir(rep) -> np.ndarray:
     return rep.E @ rep.F + (rep.K @ rep.K / q + q * rep.Kinv @ rep.Kinv) / (q - 1 / q) ** 2
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-d vector, with its bits: numpy's own
+    formula for a complex vector, sqrt(Re v . Re v + Im v . Im v)."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 class _GrowingSpan:
     """Orthonormal row basis with vectorized (twice-through) projection.
-    A candidate is projected raw and its residual norm compared against the
-    drop level of its own norm (``level`` maps the norm to the level), so
-    near-zero images are never amplified into spurious directions."""
+    A candidate (a complex array, read flat) is projected raw and its
+    residual norm compared against the drop level of its own norm
+    (``level`` maps the norm to the level), so near-zero images are never
+    amplified into spurious directions."""
 
     def __init__(self, ambient: int, level):
         self.rows = np.zeros((ambient, ambient), dtype=complex)
@@ -171,14 +194,15 @@ class _GrowingSpan:
     def add(self, vec: np.ndarray) -> bool:
         if self.size == len(self.rows):  # full: only rounding would be left
             return False
-        v = np.asarray(vec, dtype=complex).ravel()
-        drop = self.level(np.linalg.norm(v))
-        Q = self.rows[:self.size]
-        for _ in range(2):
-            if self.size:
+        v = vec.ravel()
+        nrm = _norm(v)
+        drop = self.level(nrm)
+        if self.size:
+            Q = self.rows[:self.size]
+            for _ in range(2):
                 # conj(Q) @ v without copying the basis
                 v = v - Q.T @ (Q @ v.conj()).conj()
-        nrm = np.linalg.norm(v)
+            nrm = _norm(v)
         if nrm > drop:
             self.rows[self.size] = v / nrm
             self.size += 1
@@ -186,14 +210,11 @@ class _GrowingSpan:
         return False
 
 
-def _coupled(g, blocks) -> list[tuple[int, int]]:
+def _coupled(g, label) -> list[tuple[int, int]]:
     """Sorted (i, k) with a nonzero block g[blocks[i], blocks[k]], from the
-    nonzero entries of g; indices in no block are skipped."""
-    label = np.full(g.shape[0], -1)
-    for k, b in enumerate(blocks):
-        label[b] = k
+    nonzero entries of g and the block label of each index."""
     rows, cols = (label[idx].tolist() for idx in np.nonzero(g))
-    return sorted({(i, k) for i, k in zip(rows, cols) if i >= 0 and k >= 0})
+    return sorted(set(zip(rows, cols)))
 
 
 def _grow(reach, blocks, seeds, w: int, level, cap: int):
@@ -226,7 +247,8 @@ def _spin(frame: WeightFrame, v, adjoint: bool = False) -> np.ndarray:
     below the largest generator entry (2.4e-4 next to 4369 in R1_7 at q = 4)
     is kept; one below ``orbit_drop(1)`` counts as zero (R1_l at q = 4 from
     l = 13)."""
-    seeds = [(k, v[b, None]) for k, b in enumerate(frame.blocks) if v[b].any()]
+    seeds = [(k, v[frame.blocks[k], None])
+             for k in sorted(set(frame.label[np.flatnonzero(v)].tolist()))]
     spans, _ = _grow(frame.adjoint_reach if adjoint else frame.reach, frame.blocks,
                      seeds, 1, frame.ctx.orbit_drop, len(v))
     return _block_columns(len(v), frame.blocks, [sp.rows[:sp.size].T for sp in spans])
@@ -295,7 +317,8 @@ def is_irreducible(rep) -> tuple[bool, np.ndarray | None]:
         rng = np.random.default_rng(DEFAULT_SEED)
         theta = sum(rng.standard_normal() * g for g in frame.gens)
         evals = np.linalg.eigvals(theta)
-        simple = [b[0] for b in _blocks(evals, ctx) if len(b) == 1]
+        simple = [idx[0] for _, idx in _cluster_groups(evals, ctx.separation(*np.abs(evals)))
+                  if len(idx) == 1]
         if not simple:
             raise NoSolution("no simple eigenvalue to spin from")
         u, _, vh = np.linalg.svd(theta - evals[simple[0]] * np.eye(n))
@@ -309,10 +332,22 @@ def is_irreducible(rep) -> tuple[bool, np.ndarray | None]:
     return False, _to_caller(witness, frame.S)
 
 
+def _unknowns(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(r, c) with unknown u the entry X[r_u, c_u]: the blocks X[B_c, A_c]
+    of pairs[c] = (A indices, B indices) in turn, each row-major, so every
+    index of B_c comes once per index of A_c, and A_c once per index of
+    B_c; one repeat and two concatenations over all the blocks."""
+    r = np.repeat(np.concatenate([ib for _, ib in pairs]),
+                  [len(ia) for ia, ib in pairs for _ in range(len(ib))])
+    c = np.concatenate([ia for ia, ib in pairs for _ in range(len(ib))])
+    return r, c
+
+
 def _block_solutions(ga, gb, pairs, ctx: QContext) -> list[np.ndarray]:
     """Basis of the X with X A_j = B_j X for the generators after the first,
     where X (nb x na) is zero outside the matched weight blocks: pairs[c] =
-    (A indices, B indices) carries the unknown block X[B_c, A_c].
+    (A indices, B indices), arrays or lists, carries the unknown block
+    X[B_c, A_c].
 
     Unknown u is X[r_u, c_u], block by block and row-major inside a block.
     In the equation X A_t - B_t X = 0 it has coefficient A_t[c_u, j] in
@@ -322,8 +357,7 @@ def _block_solutions(ga, gb, pairs, ctx: QContext) -> list[np.ndarray]:
     largest singular value (at least 1), so a near-zero generator commutes."""
     if not pairs:
         return []
-    r = np.concatenate([np.repeat(ib, len(ia)) for ia, ib in pairs])
-    c = np.concatenate([np.tile(ia, len(ib)) for ia, ib in pairs])
+    r, c = _unknowns(pairs)
     nb, na = gb[0].shape[0], ga[0].shape[0]
     keys, unknowns, coeffs = [], [], []
     for t, (A, B) in enumerate(zip(ga[1:], gb[1:])):
@@ -380,9 +414,10 @@ def intertwiners(rep_a, rep_b) -> tuple[int, list[np.ndarray]]:
         raise CtxMismatch("representations of different algebras")
     fa, fb = rep_a.weight_frame, rep_b.weight_frame
     na = len(fa.vals)
-    pairs = [(idx[idx < na], idx[idx >= na] - na)
-             for idx in _blocks(np.concatenate([fa.vals, fb.vals]), ctx)]
-    pairs = [(ia, ib) for ia, ib in pairs if len(ia) and len(ib)]
+    vals = np.concatenate([fa.vals, fb.vals])
+    pairs = [([i for i in idx if i < na], [i - na for i in idx if i >= na])
+             for _, idx in _cluster_groups(vals, ctx.separation(*np.abs(vals)))]
+    pairs = [(ia, ib) for ia, ib in pairs if ia and ib]
     basis = _from_frames(_block_solutions(fa.gens, fb.gens, pairs, ctx), fa.S, fb.S)
     return len(basis), basis
 

@@ -8,8 +8,10 @@ dense fill of bands the diagonal evaluator is checked against, the spin
 and equation fill the weight-frame oracles are checked against, and the
 dense-solve images and dense-scan map residuals the diagonal localization
 map is checked against, the dense Kronecker coproduct the diagonal one
-is checked against, and the entry-by-entry derived generator the
-constructors' diagonal one is checked against."""
+is checked against, the entry-by-entry derived generator the
+constructors' diagonal one is checked against, and the per-candidate
+spin, piece gathers and unknown index build the weight frame's kernels
+are checked against bit for bit."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from qso3 import uqsl2, uqso3
 from qso3.errors import NoSolution
 from qso3.repcore import Band, Diagonals, FamilyDescriptor, Sl2FiniteRep
 from qso3.structure import (DEFAULT_SEED, DecompositionReport, _block_columns,
-                            _coupled, _gens, _GrowingSpan, _scale, _split_once,
+                            _gens, _GrowingSpan, _scale, _split_once,
                             _wrap_component, commutant, is_irreducible)
 
 GENERIC_QS = (1.3, 4.0, np.exp(0.37j))
@@ -175,8 +177,8 @@ def reference_block_solutions(ga, gb, pairs, ctx: QContext) -> list[np.ndarray]:
     offs = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
     eqs = [(c, d, A[np.ix_(pairs[c][0], pairs[d][0])], B[np.ix_(pairs[c][1], pairs[d][1])])
            for A, B in zip(ga[1:], gb[1:])
-           for c, d in sorted({*_coupled(A, [ia for ia, _ in pairs]),
-                               *_coupled(B, [ib for _, ib in pairs])})]
+           for c, d in sorted({*reference_coupled(A, [ia for ia, _ in pairs]),
+                               *reference_coupled(B, [ib for _, ib in pairs])})]
     rows = np.zeros((sum(B_cd.shape[0] * A_cd.shape[1] for _, _, A_cd, B_cd in eqs),
                      offs[-1]), complex)
     at = 0
@@ -200,6 +202,94 @@ def reference_block_solutions(ga, gb, pairs, ctx: QContext) -> list[np.ndarray]:
     return basis
 
 
+def reference_coupled(g, blocks) -> list[tuple[int, int]]:
+    """``structure._coupled`` with the labels written block by block and
+    the pairs collected in a Python set."""
+    label = np.full(g.shape[0], -1)
+    for k, b in enumerate(blocks):
+        label[b] = k
+    rows, cols = (label[idx].tolist() for idx in np.nonzero(g))
+    return sorted({(i, k) for i, k in zip(rows, cols) if i >= 0 and k >= 0})
+
+
+def reference_pieces(blocks, gens, couplings) -> list[list[tuple[int, np.ndarray]]]:
+    """``WeightFrame._pieces`` with one fancy-index gather per coupled pair
+    of the unordered generators."""
+    reach = [[] for _ in blocks]
+    for g, pairs in zip(gens, couplings):
+        for i, k in pairs:
+            reach[k].append((i, g[blocks[i][:, None], blocks[k]]))
+    return reach
+
+
+def reference_reach(frame, adjoint: bool = False) -> list[list[tuple[int, np.ndarray]]]:
+    """A frame's ``reach`` (or ``adjoint_reach``) through ``reference_pieces``
+    and ``reference_coupled``."""
+    couplings = [reference_coupled(g, frame.blocks) for g in frame.gens[1:]]
+    if adjoint:
+        return reference_pieces(frame.blocks, [g.conj().T for g in frame.gens[1:]],
+                                [sorted((k, i) for i, k in c) for c in couplings])
+    return reference_pieces(frame.blocks, frame.gens[1:], couplings)
+
+
+class ReferenceGrowingSpan:
+    """``structure._GrowingSpan`` with ``np.linalg.norm``, an ``np.asarray``
+    of every candidate and the projection loop run on an empty span too."""
+
+    def __init__(self, ambient: int, level):
+        self.rows = np.zeros((ambient, ambient), dtype=complex)
+        self.size = 0
+        self.level = level
+
+    def add(self, vec: np.ndarray) -> bool:
+        if self.size == len(self.rows):  # full: only rounding would be left
+            return False
+        v = np.asarray(vec, dtype=complex).ravel()
+        drop = self.level(np.linalg.norm(v))
+        Q = self.rows[:self.size]
+        for _ in range(2):
+            if self.size:
+                # conj(Q) @ v without copying the basis
+                v = v - Q.T @ (Q @ v.conj()).conj()
+        nrm = np.linalg.norm(v)
+        if nrm > drop:
+            self.rows[self.size] = v / nrm
+            self.size += 1
+            return True
+        return False
+
+
+def reference_frame_grow(reach, blocks, seeds, w: int, level, cap: int):
+    """``structure._grow`` on ``ReferenceGrowingSpan``."""
+    spans = [ReferenceGrowingSpan(len(b) * w, level) for b in blocks]
+    frontier = [(k, spans[k].rows[0].reshape(-1, w)) for k, x in seeds if spans[k].add(x)]
+    while frontier and cap:
+        cap -= 1
+        new = []
+        for k, mat in frontier:
+            for i, piece in reach[k]:
+                if spans[i].size < len(spans[i].rows) and spans[i].add(piece @ mat):
+                    new.append((i, spans[i].rows[spans[i].size - 1].reshape(-1, w)))
+        frontier = new
+    return spans, not frontier
+
+
+def reference_frame_spin(frame, v, adjoint: bool = False) -> np.ndarray:
+    """``structure._spin`` seeded block by block with ``v[b].any()`` and
+    grown by ``reference_frame_grow`` on ``reference_reach``."""
+    seeds = [(k, v[b, None]) for k, b in enumerate(frame.blocks) if v[b].any()]
+    spans, _ = reference_frame_grow(reference_reach(frame, adjoint), frame.blocks,
+                                    seeds, 1, frame.ctx.orbit_drop, len(v))
+    return _block_columns(len(v), frame.blocks, [sp.rows[:sp.size].T for sp in spans])
+
+
+def reference_unknowns(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """``structure._unknowns`` with one repeat and one tile per block pair."""
+    r = np.concatenate([np.repeat(ib, len(ia)) for ia, ib in pairs])
+    c = np.concatenate([np.tile(ia, len(ib)) for ia, ib in pairs])
+    return r, c
+
+
 def reference_grow(gens, blocks, seeds, level, cap: int):
     """The span growth of ``structure._grow`` with its pieces cut from the
     generators on every call, every block seeded (zero parts too) and every
@@ -207,9 +297,9 @@ def reference_grow(gens, blocks, seeds, level, cap: int):
     w = seeds[0][1].shape[1]
     reach = [[] for _ in blocks]
     for g in gens[1:]:
-        for i, k in _coupled(g, blocks):
+        for i, k in reference_coupled(g, blocks):
             reach[k].append((i, g[blocks[i][:, None], blocks[k]]))
-    spans = [_GrowingSpan(len(b) * w, level) for b in blocks]
+    spans = [ReferenceGrowingSpan(len(b) * w, level) for b in blocks]
     frontier = [(k, spans[k].rows[0].reshape(-1, w)) for k, x in seeds if spans[k].add(x)]
     while frontier and cap:
         cap -= 1

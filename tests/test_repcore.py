@@ -820,6 +820,30 @@ class TestDenseOnFirstRead:
         # held as a view, not a copy
         assert np.shares_memory(reps[-1].I1, given) and reps[-1].given["I1"] is reps[-1].I1
 
+    @pytest.mark.parametrize("l", ["1/2", "30"])     # dims 2 and 61
+    def test_view_rows_are_read_only(self, q4, l):
+        # given diagonals, and the Diagonals.of a dense generator gets on
+        # its first view: a write through a view would leave the dump and
+        # the relations reading other generators than the oracles
+        so3 = uqso3.r1_l(q4, H(l))
+        so3.I2  # the dense field read first, as in a decompose
+        reps = [so3, t_omega_l(q4, H(l), "1"), dataclasses.replace(so3)]
+        for rep in reps:
+            for name in rep.GENERATORS:
+                with pytest.raises(ValueError, match="read-only"):
+                    rep.view(name).rows[:] = 0
+                assert np.array_equal(rep.view(name).dense(), getattr(rep, name))
+        assert verify_so3(so3).max_residual <= 1e-9
+
+    def test_given_diagonals_stay_writable_for_their_owner(self, q13):
+        # the representation holds a read-only view, not the given rows
+        rows = np.arange(1, 4, dtype=complex)[None]
+        diags = Diagonals([0], rows)
+        zero = Diagonals([0], np.zeros((1, 3), complex))
+        rep = So3FiniteRep(q13, diags, zero, zero, FamilyDescriptor("diagonals"))
+        assert np.shares_memory(rep.view("I1").rows, rows)
+        assert rows.flags.writeable and not rep.view("I1").rows.flags.writeable
+
     def test_unknown_attribute_raises(self, q13):
         with pytest.raises(AttributeError):
             t_omega_l(q13, 1, "1").I1

@@ -10,16 +10,19 @@ import pytest
 
 from support import (dense_burnside_dim, dense_commutant_dim, finite_so3_samples,
                      finite_sl2_samples, generic_contexts, is_proper_witness,
-                     reference_block_solutions, reference_decompose,
-                     reference_scatter_solutions, reference_spin, root_contexts)
+                     reference_block_solutions,
+                     reference_decompose, reference_frame_spin, reference_reach,
+                     reference_scatter_solutions, reference_spin, reference_unknowns,
+                     root_contexts)
 from qso3 import structure, tensor
 from qso3.errors import CtxMismatch, SingularBasisChange
 from qso3.psihom import compose
 from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
 from qso3.repcore import FamilyDescriptor, So3FiniteRep
-from qso3.structure import (_spin, _split_along, are_equivalent, burnside_dim, casimir,
-                            commutant, decompose, fingerprint, i1_spectrum,
-                            intertwiners, is_irreducible, orbit_span)
+from qso3.structure import (_norm, _spin, _split_along, _unknowns,
+                            are_equivalent, burnside_dim, casimir, commutant, decompose,
+                            fingerprint, i1_spectrum, intertwiners, is_irreducible,
+                            orbit_span)
 from qso3 import uqso3 as U
 from qso3.tensor import _so3_candidates, cg_decompose, tensor_so3
 from qso3.uqsl2 import delta_tensor, t_omega_l
@@ -249,6 +252,78 @@ class TestFrameReferences:
                 mp.setattr(structure, "_block_solutions", reference_scatter_solutions)
                 ref_dim, ref_basis = commutant(rep)
             assert dim == ref_dim and all(map(np.array_equal, basis, ref_basis)), label
+
+
+def _fresh(rep):
+    """The representation built again from its given generators: no frame."""
+    return type(rep)(rep.ctx, *rep.given.values(), rep.family, dict(rep.flags))
+
+
+class TestKernelReferences:
+    """The frame kernels against verbatim copies of the per-candidate and
+    per-block code they replaced (``support``): equal bit for bit on every
+    finite sample of all seven contexts."""
+
+    def test_norm_is_numpy_norm(self):
+        rng = np.random.default_rng(11)
+        count = 0
+        for dim in range(1, 40):
+            for exponent in range(-20, 21):
+                for _ in range(5):
+                    v = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) \
+                        * 10.0 ** exponent
+                    assert _norm(v) == np.linalg.norm(v)
+                    count += 1
+        assert count == 7995
+
+    def test_frames_match_references(self):
+        rng = np.random.default_rng(5)
+        count = 0
+        for label, rep in _registry_samples():
+            f = rep.weight_frame
+            # the blocks, and the pieces of both reaches
+            assert all(map(np.array_equal, f.blocks, [np.array(idx) for _, idx in f.groups])), label
+            assert all((f.label[b] == k).all() for k, b in enumerate(f.blocks)), label
+            for adjoint, reach in ((False, f.reach), (True, f.adjoint_reach)):
+                ref = reference_reach(f, adjoint)
+                assert [[i for i, _ in r] for r in reach] == [[i for i, _ in r] for r in ref]
+                for got, want in zip(reach, ref):
+                    for (_, a), (_, b) in zip(got, want):
+                        assert np.array_equal(a, b) and a.strides == b.strides, label
+            # the spin columns from each simple weight and a random vector
+            seeds = [np.eye(rep.dim, dtype=complex)[b[0]] for b in f.blocks if len(b) == 1]
+            seeds.append(rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim))
+            for v in seeds:
+                for adjoint in (False, True):
+                    assert np.array_equal(_spin(f, v, adjoint),
+                                          reference_frame_spin(f, v, adjoint)), label
+            # the unknowns of the commutant's blocks
+            pairs = [(b, b) for b in f.blocks]
+            for got, want in zip(_unknowns(pairs), reference_unknowns(pairs)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), label
+            count += 1
+        assert count >= 500
+
+    def test_commutant_and_intertwiners_match_references(self):
+        samples = _registry_samples()
+        # each sample into itself, and into the next sample of its algebra
+        # and context (the two index lists of a matched block then differ)
+        fresh = [_fresh(rep) for _, rep in samples]
+        others = [next((b for b in fresh[k + 1:] if type(b) is type(rep) and b.ctx == rep.ctx),
+                       fresh[k]) for k, (_, rep) in enumerate(samples)]
+        for (label, rep), other in zip(samples, others):
+            dim, basis = commutant(rep)
+            idims = [intertwiners(rep, b) for b in (_fresh(rep), other)]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(structure, "_unknowns", reference_unknowns)
+                dense = dataclasses.replace(rep)   # no frame kept
+                ref_dim, ref_basis = commutant(dense)
+                ref_idims = [intertwiners(dense, dataclasses.replace(b))
+                             for b in (dense, other)]
+            assert dim == ref_dim and all(map(np.array_equal, basis, ref_basis)), label
+            for (idim, ibasis), (ref_idim, ref_ibasis) in zip(idims, ref_idims):
+                assert idim == ref_idim, label
+                assert all(map(np.array_equal, ibasis, ref_ibasis)), label
 
 
 class TestCommutant:
