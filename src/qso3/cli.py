@@ -199,8 +199,10 @@ def _json_default(obj):
         return obj.tolist()
     if isinstance(obj, (np.complexfloating,)):
         return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.floating):
         return float(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     return str(obj)
 
 

@@ -34,13 +34,13 @@ Verification is residual-based: each defining relation is evaluated and the
 max-entry norm of the defect is scaled by the max-entry norms of the terms,
 or by 1 where they sum to less.  The relation formulas are written once and
 run on nonzero diagonals (``Diagonals``) where every operand was handed
-over as diagonals and n is at least ``DIAGONAL_CROSSOVER`` (56), where a
-banded product costs O(n) instead of O(n^3), and on dense matrices
-otherwise; the norms are maxima over the same entries either way, so the
-definition of a residual does not depend on the path.  The choice between
-the two is made here alone, in ``relation_operands``, which never converts
-a dense matrix into diagonals; a finite representation's relations read
-its generators in the form they were given (``given``).
+over as diagonals, at every dimension, and on dense matrices otherwise; the
+norms are maxima over the same entries either way, so the definition of a
+residual does not depend on the path.  The choice is made here alone, in
+``relation_operands``, which never converts a dense matrix into diagonals:
+a generator given dense may fill all of them, where a banded product costs
+more than a dense one.  A finite representation's relations read its
+generators in the form they were given (``given``).
 """
 
 from __future__ import annotations
@@ -77,16 +77,16 @@ class _FiniteRep:
     """What is derived once from the generators of a frozen finite
     representation and kept: the finite classes are frozen, so no generator
     can be swapped under it.  Each generator is given as a dense array or
-    as its ``Diagonals``, and ``given`` maps its name to that form.  A
-    generator given as diagonals is its view (``view``), and its dense
-    field is made with ``Diagonals.dense`` on the first read and kept.  A
-    dense field, given (held as a view, not a copy) or made, is read-only,
-    and so are the rows of every view, given (held as a read-only view of
-    the given rows) or made by ``Diagonals.of``, so every reader sees the
-    same generators.  The weight frame the
-    structure oracles read (``structure.WeightFrame``) is computed on first
-    use.  A copy made with ``dataclasses.replace`` reads the dense fields
-    and keeps no view."""
+    as its ``Diagonals``, and ``given`` maps its name to that form, the one
+    its relations are verified in (on diagonals where all are, at any
+    dimension).  A generator given as diagonals is its view (``view``), and
+    its dense field is made with ``Diagonals.dense`` on the first read and
+    kept.  A dense field, given (held as a view, not a copy) or made, is
+    read-only, and so are the rows of every view, given (held as a
+    read-only view of the given rows) or made by ``Diagonals.of``, so every
+    reader sees the same generators.  The weight frame the structure oracles
+    read (``structure.WeightFrame``) is computed on first use.  A copy made
+    with ``dataclasses.replace`` reads the dense fields and keeps no view."""
 
     GENERATORS: tuple[str, ...]
 
@@ -256,12 +256,6 @@ class BandedRep:
     flags: dict = field(default_factory=dict)
 
 
-def so3_i3(ctx: QContext, I1: np.ndarray, I2: np.ndarray) -> np.ndarray:
-    """The derived generator I3 = q^{1/2} I1 I2 - q^{-1/2} I2 I1 (dense)."""
-    rt = q_pow(ctx, HALF)
-    return rt * I1 @ I2 - (1 / rt) * I2 @ I1
-
-
 def so3_i3_diagonals(ctx: QContext, I1: Diagonals, I2: Diagonals) -> Diagonals:
     """I3 = q^{1/2} I1 I2 - q^{-1/2} I2 I1 for a diagonal I1, on I2's
     offsets.  I3_ij = (q^{1/2} g_i) I2_ij - (q^{-1/2} I2_ij) g_j, for g the
@@ -397,9 +391,11 @@ class Diagonals:
     0 where that row index leaves the matrix; ``offsets`` is an ascending
     list.  The product of diagonals a and b lands on a + b, so ``@`` costs
     O(d_a d_b n) for d_a and d_b diagonals; sums with |a + b| >= n hold no
-    entry and are dropped, so a cyclic wrap needs no special case.  ``+``,
-    ``-``, unary ``-`` and scalar ``*`` complete the arithmetic of the
-    relation formulas.
+    entry and are dropped, so a cyclic wrap needs no special case.  A
+    product with a diagonal factor scales rows or columns and a sum of equal
+    offsets adds the rows, each entry with the bits of the general loops up
+    to the sign of a zero.  ``+``, ``-``, unary ``-`` and scalar ``*``
+    complete the arithmetic of the relation formulas.
     """
 
     __slots__ = ("offsets", "rows")
@@ -445,6 +441,8 @@ class Diagonals:
         return mat
 
     def __matmul__(self, other: "Diagonals") -> "Diagonals":
+        if self.offsets == [0] or other.offsets == [0]:
+            return self._scaled(other)
         n = self.rows.shape[1]
         sums = sorted({a + b for a in self.offsets for b in other.offsets})
         at = {k: t for t, k in enumerate(sums)}
@@ -455,8 +453,23 @@ class Diagonals:
             lo, hi = max(b, 0), n + min(b, 0)
             rows[_run([at[a + b] for a in self.offsets]), lo:hi] += \
                 self.rows[:, lo - b:hi - b] * row[lo:hi]
-        inside = [t for t, k in enumerate(sums) if abs(k) < n]
-        return Diagonals([sums[t] for t in inside], rows[inside])
+        inside = [t for t, k in enumerate(sums) if abs(k) < n]   # consecutive
+        return Diagonals([sums[t] for t in inside], rows[_run(inside)])
+
+    def _scaled(self, other: "Diagonals") -> "Diagonals":
+        """The product with a factor d whose only offset is 0: each in-range
+        entry of the other factor x times d_i on the left (d * x) or d_j on
+        the right (x * d), the general loop's products with no add to zero
+        rows; slots outside the matrix stay 0 (the loop's 0 * d_j there is
+        NaN for an infinite d_j)."""
+        n = self.rows.shape[1]
+        left = self.offsets == [0]
+        d, x = (self.rows[0], other) if left else (other.rows[0], self)
+        rows = np.zeros(x.rows.shape, dtype=complex)
+        for row, k, xk in zip(rows, x.offsets, x.rows):
+            lo, hi = max(k, 0), n + min(k, 0)
+            row[lo:hi] = d[lo - k:hi - k] * xk[lo:hi] if left else xk[lo:hi] * d[lo:hi]
+        return Diagonals(x.offsets, rows)
 
     def kron(self, other: "Diagonals") -> "Diagonals":
         """The Kronecker product, with index (i, i') at i m + i' for m the
@@ -481,6 +494,8 @@ class Diagonals:
         return Diagonals(sums, rows)
 
     def __add__(self, other: "Diagonals") -> "Diagonals":
+        if self.offsets == other.offsets:
+            return Diagonals(self.offsets, self.rows + other.rows)
         offsets = sorted({*self.offsets, *other.offsets})
         at = {k: t for t, k in enumerate(offsets)}
         rows = np.zeros((len(offsets), self.rows.shape[1]), dtype=complex)
@@ -509,28 +524,12 @@ def _run(positions: list[int]) -> slice | list[int]:
     return positions
 
 
-# Dimension from which the relations are evaluated on nonzero diagonals
-# instead of with dense products: the smallest measured n at which the
-# diagonals won or tied on each input below.  Median ms per call, dense /
-# diagonals (numpy 2.4, OpenBLAS on 2 threads, 2-vCPU shared VM):
-#     n   R1_l verify_so3  R_ab_lambda verify_so3  T_l verify_sl2  T_l verify_psi
-#    24   0.18 / 0.45      0.18 / 0.67             0.19 / 0.38     0.64 / 1.05
-#    48   0.52 / 0.53      0.52 / 0.72             0.58 / 0.36     1.64 / 1.78
-#    52   0.58 / 0.60      0.58 / 0.84             0.63 / 0.54     2.16 / 2.09
-#    56   0.63 / 0.54      0.50 / 0.50             0.59 / 0.54     2.18 / 1.83
-#   100   2.15 / 0.78      2.12 / 1.06             2.32 / 0.96     7.68 / 4.06
-#   200   15.9 / 1.78      16.7 / 2.22             17.9 / 2.96     40.0 / 16.8
-DIAGONAL_CROSSOVER = 56
-
-
 def relation_operands(*mats: np.ndarray | Diagonals) -> list:
     """The matrices (dense or ``Diagonals``) as the relation formulas take
-    them: as given where every one is ``Diagonals`` and n is at least
-    ``DIAGONAL_CROSSOVER``, all dense otherwise.  A dense matrix is never
-    converted into diagonals."""
-    if mats[0].shape[0] < DIAGONAL_CROSSOVER or not all(isinstance(m, Diagonals) for m in mats):
-        return [m.dense() if isinstance(m, Diagonals) else m for m in mats]
-    return list(mats)
+    them: as given where every one is ``Diagonals``, all dense otherwise.
+    A dense matrix is never converted into diagonals."""
+    dense = not all(isinstance(m, Diagonals) for m in mats)
+    return [m.dense() if dense and isinstance(m, Diagonals) else m for m in mats]
 
 
 def _entries(mat: np.ndarray | Diagonals) -> np.ndarray:

@@ -21,7 +21,8 @@ moved to the generator's eigenbasis and the results are mapped back.  This
   Inside each piece it splits along eigenprojections of a random commutant
   element, drawn from a fixed-seed generator for reproducibility.  Both
   splits go block by block, so component bases stay weight vectors, and
-  only the leaves are spun.
+  only the leaves are spun.  A part with basis Q is Q^H G Q for every
+  generator, I3 and K^-1 too, so its residuals show how invariant Q is.
 
 Every oracle takes a finite representation of either flavor (``I1, I2`` or
 ``K, E, F``) and cuts at levels of its context's tolerance policy: clusters
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import CtxMismatch, NoSolution, SingularBasisChange
 from .qscalar import QContext
-from .repcore import FamilyDescriptor, Sl2FiniteRep, So3FiniteRep, so3_i3
+from .repcore import FamilyDescriptor, So3FiniteRep
 
 DEFAULT_SEED = 1234
 
@@ -571,12 +572,9 @@ def _split_once(rep, rng, com):
 def _wrap_component(rep, sub, Q):
     """sub (a piece of rep) restricted to the span of Q: Q^H G Q."""
     fam = FamilyDescriptor("component", {"of": rep.family.name})
-    flags = {"parent": rep.family}
-    gens = [Q.conj().T @ g @ Q for g in _gens(sub)]
-    if isinstance(rep, So3FiniteRep):
-        return So3FiniteRep(rep.ctx, *gens, so3_i3(rep.ctx, *gens), fam, flags)
-    K, E, F = gens
-    return Sl2FiniteRep(rep.ctx, K, np.linalg.inv(K), E, F, fam, flags)
+    Qh = Q.conj().T
+    gens = [Qh @ getattr(sub, name) @ Q for name in sub.GENERATORS]
+    return type(rep)(rep.ctx, *gens, fam, {"parent": rep.family})
 
 
 def decompose(rep) -> DecompositionReport:

@@ -8,8 +8,8 @@ dense fill of bands the diagonal evaluator is checked against, the spin
 and equation fill the weight-frame oracles are checked against, and the
 dense-solve images and dense-scan map residuals the diagonal localization
 map is checked against, the dense Kronecker coproduct the diagonal one
-is checked against, the entry-by-entry derived generator the
-constructors' diagonal one is checked against, and the per-candidate
+is checked against, the entry-by-entry and the dense derived generator
+the constructors' diagonal one is checked against, and the per-candidate
 spin, piece gathers and unknown index build the weight frame's kernels
 are checked against bit for bit."""
 
@@ -557,6 +557,12 @@ def reference_sl2_relation_residuals(ctx: QContext, K, Kinv, E, F, cols=None) ->
         "ef_commutator": [E @ F, -F @ E, -(K @ K - Kinv @ Kinv) / w],
     }
     return {name: _dense_scaled_defect(terms, cols) for name, terms in rels.items()}
+
+
+def dense_so3_i3(ctx: QContext, I1: np.ndarray, I2: np.ndarray) -> np.ndarray:
+    """I3 = q^{1/2} I1 I2 - q^{-1/2} I2 I1 with dense products."""
+    rt = q_pow(ctx, HalfInt(1))
+    return rt * I1 @ I2 - (1 / rt) * I2 @ I1
 
 
 def reference_so3_i3(ctx: QContext, I1: np.ndarray, I2: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qso3.cli import main, parse_complex, parse_family_spec, parse_signs
+from qso3.cli import emit, main, parse_complex, parse_family_spec, parse_signs
 from qso3.qscalar import HalfInt, ctx_from_json, generic_ctx
 from qso3.repcore import matrix_from_json
 from qso3.structure import casimir
@@ -301,6 +301,13 @@ class TestSweep:
         recs = [json.loads(x) for x in out_file.read_text().strip().splitlines()]
         assert sum(1 for r in recs if not r["ok"]) == 1
         assert any("error" in r for r in recs)
+
+
+class TestEmit:
+    def test_numpy_scalars_keep_their_json_type(self, capsys):
+        emit({"n": np.int64(3), "b": np.bool_(True), "x": np.float32(0.5),
+              "z": np.complex128(1 - 2j)}, "json", None)
+        assert capsys.readouterr().out == '{"n": 3, "b": true, "x": 0.5, "z": [1.0, -2.0]}\n'
 
 
 class TestErrors:

@@ -8,7 +8,7 @@ from support import (finite_sl2_samples, generic_contexts, reference_is_extendab
 from qso3.errors import NotExtendable, QAlgebraError
 from qso3.psihom import compose, verify_psi
 from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
-from qso3.repcore import DIAGONAL_CROSSOVER, FamilyDescriptor, So3FiniteRep, truncate, verify_so3
+from qso3.repcore import FamilyDescriptor, So3FiniteRep, truncate, verify_so3
 from qso3 import uqsl2, uqso3
 from qso3.structure import decompose
 from qso3.tensor import cg_decompose, tensor_so3
@@ -64,7 +64,7 @@ def _root_products(p: int, cap: int):
 
 def _image_samples():
     """(label, T) for extendable weight families at q = 1.3, 4 and e^{0.37i}
-    (dims 1-10 and across the crossover) and coproducts of them, and the
+    (dims 1-10, 60 and 100) and coproducts of them, and the
     root-of-unity coproducts of ``_root_products``."""
     for ctx in generic_contexts():
         for tw in [*range(10), 59, 99]:
@@ -226,13 +226,12 @@ class TestVerifyPsi:
     def test_trivial_exact(self, q13):
         assert verify_psi(t_omega_l(q13, 0, 1)).max_residual == 0
 
-    @pytest.mark.parametrize("tw", [19, 59])     # dims 20 and 60: both sides
+    @pytest.mark.parametrize("tw", [19, 59])     # dims 20 and 60
     def test_conjugated_matches_reference(self, tw):
         # K + Kinv is not diagonal: the images come from two dense solves,
         # and a representation given dense is verified dense at any dimension.
         # q near the unit circle keeps the weight basis balanced, so the
         # unitary change of basis does not mix scales
-        assert (tw + 1 < DIAGONAL_CROSSOVER) == (tw == 19)
         for ctx in (generic_ctx(q=1.05), generic_ctx(q=np.exp(0.1j))):
             for omega in ("1", "i"):
                 rep = unitary_conjugate(t_omega_l(ctx, HalfInt(tw), omega))
@@ -243,13 +242,13 @@ class TestVerifyPsi:
 
     def test_checks_the_composed_images(self, q13, qphase):
         # the relations verify_psi reports are those of the representation
-        # compose returns, bit for bit, on both sides of the crossover
+        # compose returns, bit for bit, at dims 2 to 100
         p7 = root_of_unity_ctx(7, 1)
         weights = [t_omega_l(ctx, HalfInt(tw), omega)
                    for ctx, tws in ((q13, range(1, 100)), (qphase, range(1, 100)), (p7, range(1, 7)))
                    for tw in tws for omega in ("1", "i")]
         samples = [t for t in weights if t.extendability[0]]
-        # a root-of-unity coproduct, and K + Kinv not diagonal on both sides
+        # a root-of-unity coproduct, and K + Kinv not diagonal at dims 4 and 60
         samples += [delta_tensor(t_omega_l(p7, H("3/2"), "1"), t_omega_l(p7, H("5/2"), "1")),
                     unitary_conjugate(t_omega_l(generic_ctx(q=1.05), H("3/2"), "i")),
                     unitary_conjugate(t_omega_l(generic_ctx(q=np.exp(0.1j)), HalfInt(59), "1"))]

@@ -317,6 +317,65 @@ class TestDiagonals:
                     assert all(abs(k) < n for k in got.offsets)
                     assert np.allclose(dense_of_diagonals(got), want, rtol=0, atol=1e-13)
 
+    def _pools(self):
+        """Lists of operands of one dimension: the generators of registry
+        samples (2-cycles and longer cycles with wraps among them), and at
+        dims 1-3 the matrices of ``_matrices`` with a random diagonal, each
+        also with an infinite entry."""
+        for ctx in (generic_ctx(q=1.3), root_of_unity_ctx(4, 1), root_of_unity_ctx(5, 1)):
+            for _, rep in finite_so3_samples(ctx) + finite_sl2_samples(ctx):
+                yield [rep.view(name) for name in rep.GENERATORS]
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3):
+            mats = self._matrices(n, rng)
+            mats.append(np.diag(rng.normal(size=n) + 1j * rng.normal(size=n)))
+            for a in mats[:2] + mats[-1:]:
+                a = a.copy()
+                a[0, 0] = np.inf
+                mats.append(a)
+            yield [Diagonals.of(a) for a in mats]
+
+    @staticmethod
+    def _padded(d: Diagonals) -> Diagonals:
+        """d with an all-zero offset 2n added: the general loop runs, and
+        the products of the added offset land outside the matrix."""
+        n = d.shape[0]
+        return Diagonals(d.offsets + [2 * n], np.vstack([d.rows, np.zeros((1, n))]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")   # 0 * inf
+    def test_diagonal_factor_is_the_general_loop(self):
+        # the fast path's in-range entries have the general loop's bits up
+        # to the sign of a zero, and its slots outside the matrix hold 0
+        # where the loop may write 0 * inf
+        count = 0
+        for pool in self._pools():
+            n = pool[0].shape[0]
+            for a in pool:
+                for b in pool:
+                    if [0] not in (a.offsets, b.offsets):
+                        continue
+                    got, want = a @ b, self._padded(a) @ self._padded(b)
+                    assert got.offsets == want.offsets
+                    for k, g, w in zip(got.offsets, got.rows, want.rows):
+                        lo, hi = max(k, 0), n + min(k, 0)
+                        assert (g[lo:hi] + 0.0).tobytes() == (w[lo:hi] + 0.0).tobytes(), (n, k)
+                        assert not g[:lo].any() and not g[hi:].any(), (n, k)
+                    count += 1
+        assert count > 500
+
+    def test_sum_of_equal_offsets_is_the_general_loop(self):
+        count = 0
+        for pool in self._pools():
+            for a in pool:
+                for b in pool:
+                    if a.offsets != b.offsets:
+                        continue
+                    got, want = a + b, self._padded(a) + b
+                    assert got.offsets == want.offsets[:-1]
+                    assert (got.rows + 0.0).tobytes() == (want.rows[:-1] + 0.0).tobytes()
+                    count += 1
+        assert count > 500
+
     def test_kron_is_np_kron(self):
         # every pair of sizes 1-7, with cyclic wraps whose offsets coincide
         # (a = 1, b = -1 and a = 0, b = m - 1 both land on m - 1)
@@ -528,10 +587,13 @@ class TestWindowDiagonals:
 @pytest.fixture(params=["dense", "diagonals"])
 def side(request, monkeypatch):
     """Evaluates every relation with dense products, then on diagonals
-    wherever every operand is handed over as diagonals, whatever the
-    dimension."""
-    monkeypatch.setattr(repcore, "DIAGONAL_CROSSOVER",
-                        10 ** 9 if request.param == "dense" else 0)
+    wherever every operand is handed over as diagonals (the library's own
+    rule)."""
+    if request.param == "dense":
+        def dense(*mats):
+            return [m.dense() if isinstance(m, Diagonals) else m for m in mats]
+        for module in (repcore, psihom):
+            monkeypatch.setattr(module, "relation_operands", dense)
     return request.param
 
 
@@ -542,7 +604,7 @@ def _agree(got: dict, want: dict, label):
 
 
 class TestDiagonalResiduals:
-    """Residuals on either side of the crossover equal the dense written-out
+    """Residuals on dense products and on diagonals equal the dense written-out
     relations (``support``) within 1e-14; their definition is unchanged."""
 
     def test_finite_samples(self, side):
@@ -634,7 +696,7 @@ class TestDiagonalResiduals:
 def _view_samples():
     """Every finite registry sample of the support contexts, the images of
     the extendable sl2 samples under the localization map, and coproducts
-    of weight families across the crossover."""
+    of weight families."""
     for ctx in generic_contexts() + root_contexts():
         yield from finite_so3_samples(ctx)
         for label, t in finite_sl2_samples(ctx):
@@ -717,7 +779,6 @@ class TestDiagonalsView:
         # a representation given dense converts no generator into diagonals:
         # its relations, its extendability and its images run dense
         t = unitary_conjugate(t_omega_l(generic_ctx(q=1.05), HalfInt(tw), "1"))
-        assert t.dim >= repcore.DIAGONAL_CROSSOVER
         assert verify_sl2(t).max_residual <= 1e-9
         assert psihom.verify_psi(t).max_residual <= 1e-9
         assert verify_so3(psihom.compose(t)).max_residual <= 1e-9
@@ -749,8 +810,33 @@ def dense_calls(monkeypatch):
 class TestDenseOnFirstRead:
     """A finite representation given diagonals makes its dense fields only
     when they are read: construct, coproduct, compose, verify and dump of
-    the sl2 and the finite so3 families from ``DIAGONAL_CROSSOVER`` up make
-    none."""
+    the sl2 and the finite so3 families make none, at any dimension."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 24])
+    def test_small_dims_make_no_dense_matrix(self, q13, qphase, dim, dense_calls):
+        l = HalfInt(dim - 1)    # 2 l + 1 = dim
+        factors = {1: (1, 1), 2: (2, 1), 8: (4, 2), 24: (6, 4)}[dim]
+        sl2, so3 = [], []
+        for ctx in (q13, qphase):
+            sl2 += [t_omega_l(ctx, l, omega) for omega in ("1", "i")]
+            sl2.append(delta_tensor(*(t_omega_l(ctx, HalfInt(f - 1), "1") for f in factors)))
+            so3 += [uqso3.r1_l(ctx, l), uqso3.r_split_n(ctx, dim, (1, -1))]
+            so3 += [uqso3.r_pm_i_l(ctx, l, -1)] if dim % 2 == 0 else []
+        if dim > 2:     # cycles of length dim (p = dim), with wraps
+            p = root_of_unity_ctx(dim, 1)
+            sl2.append(uqsl2.t_ab_lambda(p, 1, 2, 3))
+            so3 += [uqso3.r_ab_lambda(p, 0.7 + 0.3j, 1.2, 1.7 + 0.6j),
+                    uqso3.q_prime_lambda(p, 0.7 + 0.4j)]
+        for t in sl2:
+            assert t.dim == dim and verify_sl2(t).max_residual <= 1e-9, t.family
+            rep_to_json(t)
+            if t.extendability[0]:
+                assert psihom.verify_psi(t).max_residual <= 1e-9, t.family
+                so3.append(psihom.compose(t))
+        for rep in so3:
+            assert rep.dim == dim and verify_so3(rep).max_residual <= 1e-9, rep.family
+            rep_to_json(rep)
+        assert dense_calls == []
 
     def test_weight_family_path_makes_no_dense_matrix(self, q13, qphase, dense_calls):
         for ctx in (q13, qphase):
@@ -764,13 +850,12 @@ class TestDenseOnFirstRead:
         for ctx in (q13, qphase):
             for (la, oa), lb in ((("7/2", "i"), "3"), (("13/2", "1"), "13/2")):
                 prod = tensor.tensor_so3(t_omega_l(ctx, H(la), oa), t_omega_l(ctx, H(lb), "1"))
-                assert prod.dim >= repcore.DIAGONAL_CROSSOVER
                 assert verify_so3(prod).max_residual <= 1e-12
                 rep_to_json(prod)
         assert dense_calls == []
 
     def test_cyclic_family_path_makes_no_dense_matrix(self, dense_calls):
-        # wrap-free (a = b = 0): dimension p' = 79, above the crossover
+        # wrap-free (a = b = 0): dimension p' = 79
         rep = uqsl2.t_ab_lambda(root_of_unity_ctx(79, 1), 0, 0, 1.7 + 0.6j)
         assert rep.dim == 79 and verify_sl2(rep).max_residual <= 1e-12
         rep_to_json(rep)

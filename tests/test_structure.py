@@ -18,7 +18,7 @@ from qso3 import structure, tensor
 from qso3.errors import CtxMismatch, SingularBasisChange
 from qso3.psihom import compose
 from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
-from qso3.repcore import FamilyDescriptor, So3FiniteRep
+from qso3.repcore import FamilyDescriptor, So3FiniteRep, verify_sl2, verify_so3
 from qso3.structure import (_norm, _spin, _split_along, _unknowns,
                             are_equivalent, burnside_dim, casimir, commutant, decompose,
                             fingerprint, i1_spectrum, intertwiners, is_irreducible,
@@ -372,6 +372,26 @@ class TestDecompose:
         back = order @ block_mat @ np.linalg.inv(order)
         scale = max(1.0, np.max(np.abs(rep.I2)))
         assert np.max(np.abs(back - rep.I2)) <= 1e-8 * scale
+
+    @staticmethod
+    def _verified_components(rep) -> int:
+        """Every component of rep, all of its generators restricted (I3 and
+        K^-1 included), satisfies every relation within ``threshold``."""
+        verify = verify_so3 if isinstance(rep, So3FiniteRep) else verify_sl2
+        comps = [comp for _, comp in decompose(rep).components]
+        for comp in comps:
+            res = verify(comp)
+            assert res.max_residual <= comp.ctx.threshold(), (rep.family, comp.dim, res)
+        return len(comps)
+
+    def test_registry_components_satisfy_the_relations(self):
+        assert sum(self._verified_components(rep) for _, rep in _registry_samples()) >= 500
+
+    def test_product_components_satisfy_the_relations(self, q13, qphase):
+        for ctx in (q13, qphase):
+            for la, lb, count in (("5/2", "5/2", 6), ("3", "2", 5), ("7/2", "3/2", 4)):
+                prod = tensor_so3(t_omega_l(ctx, H(la), "1"), t_omega_l(ctx, H(lb), "1"))
+                assert self._verified_components(prod) == count
 
     def test_irreducible_input(self, q13):
         report = decompose(U.r1_l(q13, 2))

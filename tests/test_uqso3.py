@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from support import (finite_so3_samples, banded_so3_samples, generic_contexts,
+from support import (dense_so3_i3, finite_so3_samples, banded_so3_samples, generic_contexts,
                      reference_central_poly, reference_so3_i3, root_contexts, safe_lambda)
 from qso3.errors import (BadDescriptor, BadParam, BadParity, BadRange,
                          ParityMismatch, SingularBasisChange, SpecialEpsilon)
 from qso3.qscalar import HalfInt, generic_ctx, q_num, q_pow, root_of_unity_ctx
-from qso3.repcore import (Band, FamilyDescriptor, ResidualReport, so3_i3, truncate, truncate_n,
+from qso3.repcore import (Band, FamilyDescriptor, ResidualReport, truncate, truncate_n,
                           verify_so3)
 from qso3.structure import cluster, i1_spectrum
 from qso3 import uqso3 as U
@@ -71,7 +71,7 @@ class TestWeightFamily:
 class TestDerivedI3:
     """I3 of every finite constructor, formed on I2's diagonals, has the
     bits of Python's complex products entry by entry and stays within
-    ``threshold`` of the dense product ``so3_i3``."""
+    ``threshold`` of the dense product (``support.dense_so3_i3``)."""
 
     @pytest.fixture(scope="class")
     def samples(self):
@@ -96,7 +96,7 @@ class TestDerivedI3:
 
     def test_within_threshold_of_dense_product(self, samples):
         for label, rep in samples:
-            dense = so3_i3(rep.ctx, rep.I1, rep.I2)
+            dense = dense_so3_i3(rep.ctx, rep.I1, rep.I2)
             scale = np.max(np.abs(dense), initial=0.0)
             assert np.max(np.abs(rep.I3 - dense)) <= rep.ctx.threshold(scale), label
 
