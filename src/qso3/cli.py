@@ -3,14 +3,16 @@
 Subcommands: construct, verify, decompose, equiv, tensor, spectrum,
 central, sweep.  Contexts come either from --q (generic) or from integer
 --p/--k (root of unity, so that minimality of p is exact).  Half-integers
-are written like "3/2"; complex numbers like "0.7+0.1i".  Exit codes:
+are written like "3/2"; complex numbers like "0.7+0.1i"; signs as +, +1,
+1, - or -1 (``qscalar.sign_of``), a sign pair as (+,-).  Exit codes:
 0 ok, 1 verification failure, a failed sweep point or an oracle with
 nothing to work from (``NoSolution``), 2 usage or parameter error.
 
-Output is JSON; spectrum and spectrum sweeps can also write csv rows
-re,im,multiplicity.  sweep runs a command over the cartesian product of
---<flag>-grid value lists and writes one JSON line per point, or with
---format csv one table whose leading columns are the grid flags.
+Output is JSON, its values written by ``repcore.json_value``; spectrum
+and spectrum sweeps can also write csv rows re,im,multiplicity.  sweep
+runs a command over the cartesian product of --<flag>-grid value lists
+and writes one JSON line per point, or with --format csv one table whose
+leading columns are the grid flags.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ import numpy as np
 
 from . import psihom, structure, tensor, uqso3
 from .errors import NoSolution, NotExtendable, QAlgebraError
-from .qscalar import HalfInt, QContext, generic_ctx, root_of_unity_ctx
+from .qscalar import HalfInt, QContext, generic_ctx, root_of_unity_ctx, sign_of
 from .registry import REGISTRY, build_family
-from .repcore import (BandedRep, Sl2FiniteRep, So3FiniteRep, rep_to_json,
+from .repcore import (BandedRep, Sl2FiniteRep, So3FiniteRep, json_value, rep_to_json,
                       truncate, verify_sl2, verify_so3)
 
 DEFAULT_WINDOW = 20
@@ -63,28 +65,19 @@ def parse_complex(text: str) -> complex:
         raise QAlgebraError(f"cannot parse complex number {text!r}") from exc
 
 
-def parse_sign(text: str) -> int:
-    t = text.strip()
-    if t in ("+", "+1", "1"):
-        return 1
-    if t in ("-", "-1"):
-        return -1
-    raise QAlgebraError(f"cannot parse sign {text!r} (use + or -)")
-
-
 def parse_signs(text: str) -> tuple[int, int]:
     t = text.strip().strip("()")
     parts = t.split(",")
     if len(parts) != 2:
         raise QAlgebraError(f"cannot parse sign pair {text!r} (use (+,-))")
-    return parse_sign(parts[0]), parse_sign(parts[1])
+    return sign_of(parts[0]), sign_of(parts[1])
 
 
 _PARSERS = {
     "halfint": HalfInt.parse,
     "int": int,
     "complex": parse_complex,
-    "sign": parse_sign,
+    "sign": sign_of,
     "signs": parse_signs,
     "str": str.strip,
 }
@@ -185,25 +178,9 @@ def emit(payload, fmt: str, out: str | None) -> None:
         text = buf.getvalue().rstrip("\n")
     else:
         records = payload.records if isinstance(payload, Sweep) else [payload]
-        text = "\n".join(json.dumps(r, default=_json_default) for r in records)
+        text = "\n".join(json.dumps(r, default=json_value) for r in records)
     with open(out, "w") if out else nullcontext(sys.stdout) as fh:
         fh.write(text + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, HalfInt):
-        return str(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.complexfloating,)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, (np.integer, np.bool_)):
-        return obj.item()
-    return str(obj)
 
 
 def window_truncation(rep: BandedRep, w: int):

@@ -37,8 +37,7 @@ def _require_extendable(t: Sl2FiniteRep | BandedRep) -> None:
 def _images(ctx, K, Kinv, E, F, right_divide):
     """The images (I1, I2, I3) of the generators, on dense matrices or on
     ``Diagonals``; ``right_divide(X)`` forms X (K + Kinv)^{-1}."""
-    w = ctx.q - 1 / ctx.q
-    I1 = 1j * (K - Kinv) / w
+    I1 = 1j * (K - Kinv) / ctx.q_minus_qinv
     I2 = right_divide(E - F)
     I3 = right_divide(1j * q_pow(ctx, -HALF) * (K @ E + Kinv @ F))
     return I1, I2, I3
@@ -88,7 +87,7 @@ def compose(t: Sl2FiniteRep | BandedRep) -> So3FiniteRep | BandedRep:
 def _compose_banded(t: BandedRep, fam: FamilyDescriptor, flags: dict) -> BandedRep:
     _require_extendable(t)
     ctx = t.ctx
-    w = ctx.q - 1 / ctx.q
+    w = ctx.q_minus_qinv
     k = t.bands["K"].diag
     e = t.bands["E"].up
     f = t.bands["F"].down

@@ -17,6 +17,14 @@ and ``cmath.exp`` stay Python calls: ``cmath.exp`` one per entry, and the
 integer powers of ``s`` and the q-numbers of half-integer exponents once
 per exponent, kept in tables on the context (``QContext.s_powers``,
 ``QContext.q_numbers``).
+
+Each fact about q that more than one module reads has one home here:
+q - q^{-1} is ``QContext.q_minus_qinv`` alone, which refuses a numerically
+zero value; the domain guards are ``QContext.require_same``,
+``require_root``, ``require_generic`` and ``require_weight_range``; a sign
+is read by ``sign_of``, for the constructors and the command line alike;
+and ``ctx_from_json`` makes a stored context through the checks of
+``generic_ctx`` or ``root_of_unity_ctx``.
 """
 
 from __future__ import annotations
@@ -24,13 +32,14 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from math import gcd
 from typing import Callable
 
 import numpy as np
 
-from .errors import BadModulus, BadParam, CtxMismatch, DegenerateQ
+from .errors import BadModulus, BadParam, BadRange, CtxMismatch, DegenerateQ
 
 GENERIC_SCAN_BOUND = 64
 
@@ -115,11 +124,20 @@ class HalfInt:
         return f"HalfInt({self.twice})"
 
 
-def as_complex(a) -> complex:
-    """HalfInt | int | float | complex -> complex."""
-    if isinstance(a, HalfInt):
-        return complex(a.twice / 2)
-    return complex(a)
+_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
+
+
+def sign_of(x) -> int:
+    """The sign +1 or -1 that x spells: a real number equal to +1 or -1, or
+    one of the strings '+', '+1', '1', '-', '-1' (blanks around it
+    ignored).  Anything else raises BadParam."""
+    if isinstance(x, str):
+        sign = _SIGNS.get(x.strip())
+    else:
+        sign = int(x) if isinstance(x, numbers.Real) and x in (1, -1) else None
+    if sign is None:
+        raise BadParam(f"cannot parse sign {x!r} (use + or -)")
+    return sign
 
 
 @dataclass(frozen=True)
@@ -212,6 +230,22 @@ class QContext:
         """Raise CtxMismatch unless other is the same deformation parameter."""
         if abs(self.s - other.s) > self.floor() or self.kind != other.kind:
             raise CtxMismatch("operands were built over different contexts")
+
+    def require_root(self) -> None:
+        """Raise BadParam unless q is a root of unity."""
+        if not self.is_root_of_unity:
+            raise BadParam("this family requires a root-of-unity context")
+
+    def require_generic(self, message: str) -> None:
+        """Raise BadParam(message) if q is a root of unity."""
+        if self.is_root_of_unity:
+            raise BadParam(message)
+
+    def require_weight_range(self, l: HalfInt) -> None:
+        """Raise BadRange unless 2l < p', where q is a root of unity."""
+        if self.is_root_of_unity and l.twice >= self.p_prime:
+            raise BadRange(
+                f"2l = {l.twice} >= p' = {self.p_prime}: weight family out of range")
 
     @functools.cached_property
     def s_powers(self) -> "ExponentTable":
@@ -428,12 +462,17 @@ def ctx_to_json(ctx: QContext) -> dict:
 
 
 def ctx_from_json(data: dict) -> QContext:
+    """The context ``ctx_to_json`` wrote, with its s bits, made through the
+    checks of ``generic_ctx`` or ``root_of_unity_ctx``: a root-of-unity
+    record must hold s = e^{i pi k/p} for some k coprime to p."""
     s = complex(data["s"][0], data["s"][1])
     tol = float(data.get("tol", QContext.tol))
-    if data["kind"] == "root_of_unity":
-        p = int(data["p"])
-        return QContext(s=s, kind="root_of_unity", p=p,
-                        p_prime=int(data.get("p_prime") or (p if p % 2 else p // 2)),
-                        tol=tol)
-    return QContext(s=s, kind="generic", tol=tol)
-
+    if data["kind"] == "generic":
+        return generic_ctx(s=s, tol=tol)
+    if data["kind"] != "root_of_unity":
+        raise BadParam(f"unknown context kind {data['kind']!r}")
+    p = int(data["p"])
+    ctx = root_of_unity_ctx(p, round(cmath.phase(s) * p / math.pi), tol=tol)
+    if not ctx.close(s, ctx.s):
+        raise BadModulus(f"s = {s} is not e^(i pi k/{p}): q is no root of unity of order {p}")
+    return replace(ctx, s=s)

@@ -2,7 +2,8 @@
 
 Each entry maps a registry name to a builder taking (ctx, **params) plus a
 parameter schema used by the command line for parsing.  Parameter kinds:
-"halfint", "int", "complex", "sign", "signs", "str".
+"halfint", "int", "complex", "sign", "signs", "str"; a sign, on the
+command line or passed to a builder, is read by ``qscalar.sign_of``.
 """
 
 from __future__ import annotations

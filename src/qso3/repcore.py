@@ -53,8 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyWindow
-from .qscalar import (HalfInt, QContext, as_complex, c_mul, ctx_to_json, magnitude_scale,
-                      q_pow)
+from .qscalar import HalfInt, QContext, c_mul, ctx_to_json, magnitude_scale, q_pow
 
 # integer coordinates -> the coefficients there (an array, or one number for all)
 CoeffFn = Callable[[np.ndarray], "np.ndarray | complex"]
@@ -294,10 +293,10 @@ class TruncatedRep:
 
 def truncate(rep: BandedRep, lo, hi) -> TruncatedRep:
     """Restrict to basis labels with lo <= Re(m) <= hi; outside images are dropped."""
-    off = as_complex(rep.offset).real
+    off = complex(rep.offset).real
     slack = rep.ctx.threshold()
-    n_lo = int(np.ceil(as_complex(lo).real - off - slack))
-    n_hi = int(np.floor(as_complex(hi).real - off + slack))
+    n_lo = int(np.ceil(complex(lo).real - off - slack))
+    n_hi = int(np.floor(complex(hi).real - off + slack))
     if rep.n_min is not None:
         n_lo = max(n_lo, rep.n_min)
     if rep.n_max is not None:
@@ -316,7 +315,7 @@ def truncate_n(rep: BandedRep, n_lo: int, n_hi: int) -> TruncatedRep:
     if n_hi < n_lo:
         raise EmptyWindow("empty truncation window")
     ns = np.arange(n_lo, n_hi + 1)
-    labels = as_complex(rep.offset) + ns
+    labels = complex(rep.offset) + ns
     # a column within reach (2) of a window end is not interior when the
     # domain goes on past that end
     open_lo = rep.n_min is None or n_lo > rep.n_min
@@ -572,8 +571,7 @@ def so3_relation_residuals(ctx: QContext, I1, I2, I3, cols=None) -> dict[str, fl
 
 
 def sl2_relation_residuals(ctx: QContext, K, Kinv, E, F, cols=None) -> dict[str, float]:
-    q = ctx.q
-    w = q - 1 / q
+    q, w = ctx.q, ctx.q_minus_qinv
     eye = Diagonals([0], np.ones((1, K.shape[0]), dtype=complex))
     K, Kinv, E, F, eye = relation_operands(K, Kinv, E, F, eye)
     rels = {
@@ -646,14 +644,30 @@ def matrix_from_json(entry: dict) -> np.ndarray:
     return Diagonals(entry["offsets"], rows).dense()
 
 
-def _param_json(value):
+def json_value(value):
+    """A value as JSON data: a HalfInt or a family descriptor as its
+    string, a complex number as [re, im], a list, tuple or array as a list
+    and a dict as a dict of the values of its items, a numpy scalar as the
+    Python number it holds, None, bools, numbers and strings as they are,
+    anything else as its string.  ``rep_to_json`` writes its parameters and
+    flags with it, and ``json.dumps`` takes it as ``default=``."""
     if isinstance(value, (HalfInt, FamilyDescriptor)):
         return str(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
     if isinstance(value, (list, tuple)):
-        return [_param_json(v) for v in value]
-    return value
+        return [json_value(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return json_value(value.tolist())
+    if isinstance(value, dict):
+        return {k: json_value(v) for k, v in value.items()}
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return str(value)
 
 
 def rep_to_json(rep: So3FiniteRep | Sl2FiniteRep | TruncatedRep,
@@ -668,7 +682,7 @@ def rep_to_json(rep: So3FiniteRep | Sl2FiniteRep | TruncatedRep,
         mats = {k: rep.view(k) for k in rep.GENERATORS}
     out = {
         "family": fam.name,
-        "params": {k: _param_json(v) for k, v in fam.params.items()},
+        "params": json_value(fam.params),
         "ctx": ctx_to_json(rep.ctx),
     }
     if isinstance(rep, TruncatedRep):
@@ -676,6 +690,6 @@ def rep_to_json(rep: So3FiniteRep | Sl2FiniteRep | TruncatedRep,
         out["labels"] = _pairs(rep.labels)
     out["matrices"] = {k: _matrix_diagonals(v) for k, v in mats.items()}
     if flags:
-        out["flags"] = {k: _param_json(v) for k, v in flags.items()
+        out["flags"] = {k: json_value(v) for k, v in flags.items()
                         if isinstance(v, (bool, int, float, str, complex, list, tuple))}
     return out

@@ -165,12 +165,11 @@ def casimir(rep) -> np.ndarray:
     sl2: C = E F + (q^-1 K^2 + q K^-2) / (q - q^-1)^2.
     C commutes with every generator, so it is a scalar on each irreducible
     and block-diagonal in the weight blocks of the first generator."""
-    q = rep.ctx.q
+    q, w = rep.ctx.q, rep.ctx.q_minus_qinv
     if isinstance(rep, So3FiniteRep):
         I1, I2, I3 = rep.I1, rep.I2, rep.I3
-        return (rep.ctx.s * (q - 1 / q)) * I1 @ I2 @ I3 \
-            - q * I1 @ I1 - I2 @ I2 / q - q * I3 @ I3
-    return rep.E @ rep.F + (rep.K @ rep.K / q + q * rep.Kinv @ rep.Kinv) / (q - 1 / q) ** 2
+        return (rep.ctx.s * w) * I1 @ I2 @ I3 - q * I1 @ I1 - I2 @ I2 / q - q * I3 @ I3
+    return rep.E @ rep.F + (rep.K @ rep.K / q + q * rep.Kinv @ rep.Kinv) / w ** 2
 
 
 def _norm(v: np.ndarray) -> float:

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import BadParam, BadRange
+from .errors import BadParam
 from .qscalar import HalfInt, QContext, c_div, c_mul, q_num, q_pow, q_pow_c
 from .repcore import (Band, BandedRep, Diagonals, FamilyDescriptor, Sl2FiniteRep,
                       band_diagonals, is_diagonal, masked)
@@ -66,8 +66,7 @@ def t_omega_l(ctx: QContext, l, omega=1) -> Sl2FiniteRep:
     l = HalfInt.of(l)
     if l.twice < 0:
         raise BadParam(f"l must be >= 0, got {l}")
-    if ctx.is_root_of_unity and l.twice >= ctx.p_prime:
-        raise BadRange(f"2l = {l.twice} >= p' = {ctx.p_prime}: weight family out of range")
+    ctx.require_weight_range(l)
     w = _omega_value(ctx, omega)
     f_sign = -1.0 if w.real == 0 else 1.0
     k_diag = lambda n: w * q_pow(ctx, weight_label(l, n))
@@ -203,7 +202,7 @@ def _cyclic_sl2(ctx: QContext, lam, k_diag, up_name: str, up_wrap, step, down_wr
     """Cyclic family on a cycle of length ``cyclic_dim``: generator
     ``up_name`` steps i -> i+1 with weight 1, wrapping with ``up_wrap``; the
     other of E, F steps i -> i-1 with ``step(i)``, wrapping with ``down_wrap``."""
-    _require_root(ctx)
+    ctx.require_root()
     if lam == 0:
         raise BadParam("lambda must be nonzero")
     dim = cyclic_dim(ctx, up_wrap != 0 or down_wrap != 0)
@@ -220,9 +219,8 @@ def _cyclic_sl2(ctx: QContext, lam, k_diag, up_name: str, up_wrap, step, down_wr
 
 def _weight_step(ctx: QContext, lam: complex, i: np.ndarray) -> np.ndarray:
     """[i] (lam^2 q^{1-i} - lam^{-2} q^{i-1}) / (q - 1/q)."""
-    q = ctx.q
     return c_div(c_mul(q_num(ctx, i), c_mul(lam ** 2, q_pow(ctx, 1 - i))
-                       - c_mul(lam ** -2, q_pow(ctx, i - 1))), q - 1 / q)
+                       - c_mul(lam ** -2, q_pow(ctx, i - 1))), ctx.q_minus_qinv)
 
 
 def t_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
@@ -303,8 +301,7 @@ def t_a_epsilon(ctx: QContext, a, eps) -> BandedRep:
     irreducibility (a != +-eps mod Z) and extendability (eps avoids the
     special offsets where K + Kinv has a zero eigenvalue).
     """
-    if ctx.is_root_of_unity:
-        raise BadParam("lattice family is defined for generic q only")
+    ctx.require_generic("lattice family is defined for generic q only")
     a, eps = complex(a), complex(eps)
     k_band = Band(diag=lambda n: q_pow_c(ctx, eps + n))
     e_band = Band(up=lambda n: q_num(ctx, a - eps - n))
@@ -335,11 +332,6 @@ def delta_tensor(ta: Sl2FiniteRep, tb: Sl2FiniteRep) -> Sl2FiniteRep:
     F = a["F"].kron(b["K"]) + a["Kinv"].kron(b["F"])
     fam = FamilyDescriptor("delta_tensor", {"left": ta.family, "right": tb.family})
     return Sl2FiniteRep(ta.ctx, K, Kinv, E, F, fam)
-
-
-def _require_root(ctx: QContext):
-    if not ctx.is_root_of_unity:
-        raise BadParam("this family requires a root-of-unity context")
 
 
 def _is_integer_mod(ctx: QContext, z: complex) -> bool:

@@ -46,12 +46,11 @@ import numpy as np
 
 from .errors import (BadDescriptor, BadParam, BadParity, BadRange,
                      ParityMismatch, SingularBasisChange, SpecialEpsilon)
-from .qscalar import HalfInt, QContext, as_complex, c_div, c_mul, q_num, q_pow, q_pow_c
+from .qscalar import HalfInt, QContext, c_div, c_mul, q_num, q_pow, q_pow_c, sign_of
 from .repcore import (HALF, Band, BandedRep, FamilyDescriptor, So3FiniteRep,
                       band_diagonals, masked, so3_i3_diagonals, verify_so3)
 from .structure import invariance_defect
-from .uqsl2 import (_is_integer_mod, _require_root, classify_epsilon, cyclic_dim,
-                    weight_label)
+from .uqsl2 import _is_integer_mod, classify_epsilon, cyclic_dim, weight_label
 
 SQRT2 = math.sqrt(2.0)
 
@@ -66,15 +65,6 @@ def _so3_finite(ctx: QContext, dim: int, i1_diag, i2: Band,
     return So3FiniteRep(ctx, d1, d2, so3_i3_diagonals(ctx, d1, d2), family, flags or {})
 
 
-def _w(ctx: QContext) -> complex:
-    return ctx.q - 1 / ctx.q
-
-
-def _guard_weight_range(ctx: QContext, l: HalfInt):
-    if ctx.is_root_of_unity and l.twice >= ctx.p_prime:
-        raise BadRange(f"2l = {l.twice} >= p' = {ctx.p_prime}: out of the admissible range")
-
-
 # ---------------------------------------------------------------------------
 # finite families, generic q (also valid below the root-of-unity range guard)
 
@@ -83,7 +73,7 @@ def r1_l(ctx: QContext, l) -> So3FiniteRep:
     l = HalfInt.of(l)
     if l.twice < 0:
         raise BadParam(f"l must be >= 0, got {l}")
-    _guard_weight_range(ctx, l)
+    ctx.require_weight_range(l)
     m = lambda n: weight_label(l, n)
     den = lambda n: q_pow(ctx, m(n)) + q_pow(ctx, -m(n))
     i2 = Band(up=lambda n: c_div(q_num(ctx, l - m(n)), den(n)),
@@ -103,9 +93,9 @@ def r_pm_i_l(ctx: QContext, l, sign: int = 1) -> So3FiniteRep:
         raise BadParity(f"l = {l} must be half-odd for the twisted family")
     if l.twice < 0:
         raise BadParam(f"l must be > 0, got {l}")
-    _guard_weight_range(ctx, l)
-    sign = _pm(sign)
-    w = _w(ctx)
+    ctx.require_weight_range(l)
+    sign = sign_of(sign)
+    w = ctx.q_minus_qinv
     m = lambda n: weight_label(l, n)
     den = lambda n: q_pow(ctx, m(n)) - q_pow(ctx, -m(n))
     i1_diag = lambda n: c_div(-sign * (q_pow(ctx, m(n)) + q_pow(ctx, -m(n))), w)
@@ -141,8 +131,8 @@ def r_split_n(ctx: QContext, n: int, signs=(1, 1)) -> So3FiniteRep:
     cap = split_n_max(ctx)
     if cap is not None and n > cap:
         raise BadRange(f"n = {n} > {cap}: split family out of range at p = {ctx.p}")
-    s1, s2 = _pm(signs[0]), _pm(signs[1])
-    w = _w(ctx)
+    s1, s2 = sign_of(signs[0]), sign_of(signs[1])
+    w = ctx.q_minus_qinv
     delta = q_pow(ctx, HALF) - q_pow(ctx, -HALF)
     kh = lambda j: HalfInt(2 * j + 1)  # k - 1/2 for the basis index k = j + 1
 
@@ -170,8 +160,7 @@ def r_a_epsilon(ctx: QContext, a, eps) -> BandedRep:
     Offsets eps with q^{2*eps} = -1 are rejected (no localization image);
     offsets with q^{2*(eps - 1/2)} = -1 are redirected to ``r_a_special``.
     """
-    if ctx.is_root_of_unity:
-        raise BadParam("lattice family is defined for generic q only")
+    ctx.require_generic("lattice family is defined for generic q only")
     a, eps = complex(a), complex(eps)
     kind = classify_epsilon(ctx, eps)
     if kind != "generic":
@@ -196,12 +185,11 @@ def r_a_special(ctx: QContext, a, branch: int = 1) -> BandedRep:
     branch = +1/-1 selects the two special offsets; a' = a + branch*i*pi/(2 tau).
     Reducible: splits into two one-sided components (see r_split_infinite).
     """
-    if ctx.is_root_of_unity:
-        raise BadParam("lattice family is defined for generic q only")
-    branch = _pm(branch)
+    ctx.require_generic("lattice family is defined for generic q only")
+    branch = sign_of(branch)
     a = complex(a)
     a_prime = a + branch * 1j * math.pi / (2 * ctx.tau)
-    w = _w(ctx)
+    w = ctx.q_minus_qinv
     kh = lambda n: HalfInt(2 * n + 1)  # k = n + 1/2
 
     def i1_diag(n):
@@ -225,11 +213,10 @@ def r_split_infinite(ctx: QContext, a_prime, family: int = 1, sign: int = 1) -> 
     family = +1/-1 picks the twist (negating the second generator as a
     whole); sign is the sign of the diagonal entry at k = 1.
     """
-    if ctx.is_root_of_unity:
-        raise BadParam("infinite split family is defined for generic q only")
-    family, sign = _pm(family), _pm(sign)
+    ctx.require_generic("infinite split family is defined for generic q only")
+    family, sign = sign_of(family), sign_of(sign)
     ap = complex(a_prime)
-    w = _w(ctx)
+    w = ctx.q_minus_qinv
     delta = q_pow(ctx, HALF) - q_pow(ctx, -HALF)
     kh = lambda n: HalfInt(2 * n - 1)  # k - 1/2
 
@@ -263,8 +250,7 @@ def r_highest_lowest(ctx: QContext, kind: str, param) -> BandedRep:
     coefficient [0] vanish exactly).  kind "a+": basis m = -a, -a+1, ...;
     "a-": basis m = a, a-1, ... for a not in Z or 1/2 + Z mod Z.
     """
-    if ctx.is_root_of_unity:
-        raise BadParam("one-sided lattice families are defined for generic q only")
+    ctx.require_generic("one-sided lattice families are defined for generic q only")
     if kind in ("l+", "l-"):
         l = HalfInt.of(param)
         if l.twice <= 0:
@@ -305,7 +291,7 @@ def r_highest_lowest(ctx: QContext, kind: str, param) -> BandedRep:
 
     i2 = Band(up=lambda n: c_div(q_num(ctx, up_arg(n)), den(n)),
               down=lambda n: c_div(-q_num(ctx, down_arg(n)), den(n)))
-    return _so3_banded(ctx, as_complex(offset), i1_diag, i2, fam, n_min=n_min,
+    return _so3_banded(ctx, complex(offset), i1_diag, i2, fam, n_min=n_min,
                        n_max=n_max, flags={"irreducible": True})
 
 
@@ -319,8 +305,8 @@ def q_lambda(ctx: QContext, lam, sign: int = 1) -> BandedRep:
     lam = complex(lam)
     if lam == 0:
         raise BadParam("lambda must be nonzero")
-    sign = _pm(sign)
-    w = _w(ctx)
+    sign = sign_of(sign)
+    w = ctx.q_minus_qinv
     c = 1 / w
 
     def i1_diag(n):
@@ -343,12 +329,12 @@ def q_lambda_components(ctx: QContext, which: int, at: str, sign: int = 1) -> Ba
     |m> + |-m-1> (which = 2, diagonal entry +c).  sign is the overall sign
     of the diagonal first generator inherited from the parent.
     """
-    sign = _pm(sign)
+    sign = sign_of(sign)
     if which not in (1, 2):
         raise BadParam(f"which must be 1 or 2, got {which}")
     if at not in ("1", "sqrt_q"):
         raise BadParam(f"at must be '1' or 'sqrt_q', got {at!r}")
-    w = _w(ctx)
+    w = ctx.q_minus_qinv
     c = 1 / w
     fam = FamilyDescriptor("Q_comp", {"which": which, "at": at, "sign": sign})
     if at == "1":
@@ -390,7 +376,7 @@ def degenerate_lambdas(ctx: QContext, trivial_ab: bool = False) -> list[complex]
     Empty for odd p: there the candidates +-q^{(dim-1)/2} land on excluded
     points +-q^k, since q^{1/2} itself is +-q^{(p+1)/2}.
     """
-    _require_root(ctx)
+    ctx.require_root()
     dim = cyclic_dim(ctx, not trivial_ab)
     vals = [q_pow(ctx, HalfInt(dim - 1)), -q_pow(ctx, HalfInt(dim - 1))]
     return [v for v in vals if not excluded_lambda(ctx, v)]
@@ -403,7 +389,7 @@ def r_ab_lambda(ctx: QContext, a, b, lam) -> So3FiniteRep:
     column denominators q^{-i} lam - q^{i} lam^{-1} would vanish).  Equals
     the localization image of the cyclic sl2 family at (-a, b, +i*lam).
     """
-    _require_root(ctx)
+    ctx.require_root()
     lam = complex(lam)
     if lam == 0:
         raise BadParam("lambda must be nonzero")
@@ -411,7 +397,7 @@ def r_ab_lambda(ctx: QContext, a, b, lam) -> So3FiniteRep:
         raise BadParam(f"lambda = {lam} is within tolerance of +-q^k (excluded)")
     a, b = complex(a), complex(b)
     dim = cyclic_dim(ctx, a != 0 or b != 0)
-    w = _w(ctx)
+    w = ctx.q_minus_qinv
 
     def eta(i):
         return a * b + c_div(c_mul(q_num(ctx, i), c_mul(lam ** 2, q_pow(ctx, 1 - i))
@@ -446,7 +432,7 @@ def solve_split_b(ctx: QContext, a) -> list[complex]:
     Near-zero roots are dropped (the wrap-free point is handled separately
     and splits unconditionally when p' is even).
     """
-    _require_root(ctx)
+    ctx.require_root()
     if ctx.p % 2:
         raise BadParam("no in-domain degenerate lambda exists for odd p")
     a = complex(a)
@@ -478,7 +464,7 @@ def r_ab_degenerate(ctx: QContext, a, b, variant: str = "plus") -> list[So3Finit
     is exact whatever their norms).  A half that fails the relations at the
     context tolerance raises SingularBasisChange.
     """
-    _require_root(ctx)
+    ctx.require_root()
     sgn = {"plus": 1, "minus": -1}.get(variant)
     if sgn is None:
         raise BadParam(f"variant must be 'plus' or 'minus', got {variant!r}")
@@ -565,11 +551,11 @@ def q_prime_lambda(ctx: QContext, lam) -> So3FiniteRep:
     does not close since q^{p'} = -1).  Reducible exactly at lambda in
     {1, q^{1/2}} modulo the shift relabeling.
     """
-    _require_root(ctx)
+    ctx.require_root()
     lam = complex(lam)
     if lam == 0:
         raise BadParam("lambda must be nonzero")
-    w = _w(ctx)
+    w = ctx.q_minus_qinv
     c = 1 / w
     i1_diag = lambda m: c_div(c_mul(lam, q_pow(ctx, m)) + c_mul(1 / lam, q_pow(ctx, -m)), w)
     reducible = ctx.close(lam, 1) or ctx.close(lam, ctx.s)
@@ -589,7 +575,7 @@ def q_root_component_descriptors(ctx: QContext, distinct: bool = False) -> list[
     diagonal sign is absorbed by the label reflection, so only one first
     sign is listed.
     """
-    _require_root(ctx)
+    ctx.require_root()
     if ctx.p % 2:
         names = ["Q1", "Q1hat"] if distinct else \
             ["Q1", "Q1hat", "Qsqrt", "Qsqrt_breve"]
@@ -631,11 +617,11 @@ def q_root_components(ctx: QContext, descriptor) -> So3FiniteRep:
     dimension p' with diagonal entries s2*c at both ends.  The s1 = -1
     variants are equivalent to s1 = +1 by the label reflection.
     """
-    _require_root(ctx)
+    ctx.require_root()
     if not isinstance(descriptor, (tuple, list)) or not descriptor:
         raise BadDescriptor(f"bad descriptor {descriptor!r}")
     name = descriptor[0]
-    signs = [_pm(x) for x in descriptor[1:]]
+    signs = [sign_of(x) for x in descriptor[1:]]
     if name not in _Q_ROOT_SHAPES:
         raise BadDescriptor(f"unknown component family {name!r}")
     p_parity, dim_of, first_twice, root2_ends, diag_ends = _Q_ROOT_SHAPES[name]
@@ -646,7 +632,7 @@ def q_root_components(ctx: QContext, descriptor) -> So3FiniteRep:
         raise BadDescriptor(f"wrong number of signs in {descriptor!r}")
     s1, s2 = signs[0], signs[-1]
     dim = dim_of(ctx.p_prime)
-    w = _w(ctx)
+    w = ctx.q_minus_qinv
     c = 1 / w
 
     def i1_diag(n):
@@ -685,10 +671,10 @@ class CentralPoly:
     """
 
     def __init__(self, ctx: QContext):
-        _require_root(ctx)
+        ctx.require_root()
         self.ctx = ctx
         self.p = p = ctx.p
-        w = _w(ctx)
+        w = ctx.q_minus_qinv
         self.coeffs = np.zeros(p + 1, dtype=complex)
         for j in range((p + 1) // 2):  # j = p/2 would be the constant term
             self.coeffs[2 * j] = (-1) ** j * (p * math.comb(p - j, j) // (p - j)) * w ** (-2 * j)
@@ -716,11 +702,3 @@ def central_poly(ctx: QContext) -> CentralPoly:
     """The central polynomial of a root-of-unity context (``CentralPoly``)."""
     return CentralPoly(ctx)
 
-
-def _pm(x) -> int:
-    if isinstance(x, str):
-        x = {"+": 1, "-": -1, "+1": 1, "-1": -1}.get(x.strip(), x)
-    xi = int(x)
-    if xi not in (1, -1):
-        raise BadParam(f"sign must be +1 or -1, got {x!r}")
-    return xi

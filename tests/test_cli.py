@@ -14,8 +14,8 @@ import pytest
 from qso3.cli import emit, main, parse_complex, parse_family_spec, parse_signs
 from qso3.qscalar import HalfInt, ctx_from_json, generic_ctx
 from qso3.repcore import matrix_from_json
-from qso3.structure import casimir
-from qso3.uqso3 import r1_l, r_split_n
+from qso3.structure import casimir, decompose
+from qso3.uqso3 import r1_l, r_pm_i_l, r_split_n
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -160,6 +160,50 @@ class TestDecompose:
         assert data["lattice_dims"] == [1]
         assert data["casimir_values"] == []
 
+    def test_matrices_decode(self, capsys):
+        # each component dumps as rep_to_json does, and each basis as the
+        # n x d array of [re, im] pairs of the library's basis, bit for bit
+        code, out = run(capsys, "decompose", "--family", "Ri_l", "--l", "3/2",
+                        "--q", "1.3", "--sign", "+", "--matrices")
+        assert code == 0
+        data = json.loads(out)
+        report = decompose(r_pm_i_l(generic_ctx(q=1.3), HalfInt(3), 1))
+        assert data["component_dims"] == [2, 2]
+        assert len(data["components"]) == len(data["bases"]) == 2
+        for comp, basis, (want_basis, want) in zip(data["components"], data["bases"],
+                                                   report.components):
+            assert list(comp["matrices"]) == ["I1", "I2", "I3"]
+            for name, entry in comp["matrices"].items():
+                assert np.array_equal(matrix_from_json(entry), getattr(want, name))
+            pairs = np.array(basis, dtype=float)
+            assert pairs.shape == (4, 2, 2)
+            assert np.array_equal(pairs.view(complex)[..., 0], want_basis)
+
+    def test_constructor_components_noted(self, capsys):
+        # (a, b) = (0, 0) at p = 8: the wrap-free chain splits in the constructor
+        code, out = run(capsys, "decompose", "--family", "R_ab_degen", "--p", "8",
+                        "--a", "0", "--b", "0", "--variant", "plus")
+        assert code == 0
+        assert json.loads(out) == {"note": "constructor already returned components",
+                                   "component_dims": [2, 2]}
+
+    def test_unsplit_constructor_result_decomposed(self, capsys):
+        # a*b = 0.21 at p = 4 misses the split condition: the one
+        # representation returned is decomposed, and is irreducible
+        code, out = run(capsys, "decompose", "--family", "R_ab_degen", "--p", "4",
+                        "--a", "0.3", "--b", "0.7", "--variant", "plus")
+        assert code == 0
+        data = json.loads(out)
+        assert data["component_dims"] == [4] and data["is_irreducible"] is True
+        assert "note" not in data
+
+    def test_banded_family_exit_2(self, capsys):
+        code = main(["decompose", "--family", "Q_lambda", "--lambda", "0.7",
+                     "--q", "1.3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: decompose works on finite representations\n"
+
 
 class TestEquiv:
     def test_split_signs_not_equivalent(self, capsys):
@@ -258,12 +302,31 @@ class TestSpectrum:
         assert out_file.read_text().startswith("re,im,multiplicity\n")
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
+    def test_constructor_components(self, capsys):
+        # one entry per component the constructor returned, in its order
+        code, out = run(capsys, "spectrum", "--family", "R_ab_degen", "--p", "8",
+                        "--a", "0", "--b", "0", "--variant", "plus")
+        assert code == 0
+        data = json.loads(out)
+        assert len(data) == 2
+        for idx, entry in enumerate(data, 1):
+            assert entry["family"].startswith("R_ab_degen(")
+            assert entry["family"].endswith(f"component={idx})")
+            assert [m for _, m in entry["spectrum"]] == [1, 1]
+
 
 class TestCentral:
     def test_degree_four(self, capsys):
         code, out = run(capsys, "central", "--p", "4", "--k", "1")
         assert code == 0
         assert json.loads(out)["coeffs"] == [1, 0, 1, 0, 0]
+
+    def test_generic_q_exit_2(self, capsys):
+        code = main(["central", "--q", "1.3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: central elements need a root-of-unity "
+                                "context (--p/--k)\n")
 
 
 class TestSweep:

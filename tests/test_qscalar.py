@@ -1,15 +1,19 @@
 """Scalar layer: frozen values, branch handling, tolerance policy."""
 
 import cmath
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qso3.errors import BadModulus, BadParam, CtxMismatch, DegenerateQ
+from support import GENERIC_QS
+
+from qso3.errors import BadModulus, BadParam, BadRange, CtxMismatch, DegenerateQ
 from qso3.qscalar import (HalfInt, QContext, ctx_from_json, ctx_to_json, generic_ctx, q_num,
-                          q_pow, q_pow_c, root_of_unity_ctx)
+                          q_pow, q_pow_c, root_of_unity_ctx, sign_of)
 
 
 class TestHalfInt:
@@ -34,6 +38,22 @@ class TestHalfInt:
         assert HalfInt.of(0.5).twice == 1
         with pytest.raises(TypeError):
             HalfInt.of(0.3)
+
+
+class TestSignOf:
+    @pytest.mark.parametrize("x, want", [
+        (1, 1), (-1, -1), (1.0, 1), (-1.0, -1), (np.int64(-1), -1),
+        ("+", 1), ("+1", 1), ("1", 1), ("-", -1), ("-1", -1), (" - ", -1)])
+    def test_spellings(self, x, want):
+        got = sign_of(x)
+        assert got == want and type(got) is int
+
+    @pytest.mark.parametrize("x", [1.5, -1.7, "x", 0, 2, -0.5, math.nan, "1.0", "+-", "",
+                                   None, 1j])
+    def test_anything_else_is_bad_param(self, x):
+        # 1.5 read as +1 and -1.7 as -1, and "x" raised a bare ValueError
+        with pytest.raises(BadParam, match="cannot parse sign"):
+            sign_of(x)
 
 
 class TestQPow:
@@ -127,6 +147,54 @@ class TestRootOfUnityCtx:
             assert back.p == ctx.p
 
 
+
+def _test_contexts():
+    """The contexts the tests build: every root of unity of order 3..80 at
+    every exponent k with |k| <= 2p, and the generic q values, at the
+    tolerances the tests set."""
+    tols = (1e-9, 1e-6, 0.0, 1e-20)
+    qs = [*GENERIC_QS, 2.0, 0.6, 1.05, -1.7 + 0.4j, *(np.exp(t * 1j) for t in (
+        0.01, 0.1, 0.3, 2.9, -1.3)), *(1 + 10.0 ** -e for e in range(1, 6))]
+    roots = [root_of_unity_ctx(p, k, tol=tol) for p in range(3, 81)
+             for k in range(-2 * p, 2 * p + 1) if math.gcd(k, p) == 1 for tol in tols]
+    return roots + [generic_ctx(q=q, tol=tol) for q in qs for tol in tols]
+
+
+class TestContextJson:
+    def test_every_test_context_round_trips_bit_for_bit(self):
+        for ctx in _test_contexts():
+            back = ctx_from_json(json.loads(json.dumps(ctx_to_json(ctx))))
+            # the repr shows every field, s with its shortest round-trip digits
+            assert repr(back) == repr(ctx) and back == ctx
+
+    @pytest.mark.parametrize("data", [
+        {"s": [1.0, 0.0], "kind": "generic"},  # q = 1
+        {"s": [0.0, 1.0], "kind": "generic"},  # q = -1
+        {"s": [0.8090169943749475, 0.5877852522924731], "kind": "generic"},  # q^5 = 1
+        {"s": [0.0, 1.0], "kind": "root_of_unity", "p": 2},
+        {"s": [0.5, 0.0], "kind": "root_of_unity", "p": 5},  # q = 0.25
+        {"s": [0.4045084971874737, 0.29389262614623657], "kind": "root_of_unity",
+         "p": 5},  # s = e^{i pi/5} / 2, q = e^{2 i pi/5} / 4
+        {"s": [math.cos(0.7), math.sin(0.7)], "kind": "root_of_unity", "p": 5},
+        {"s": [0.8090169943749475, 0.5877852522924731], "kind": "root_of_unity",
+         "p": 10},  # q = e^{2 i pi/5} has order 5, not 10
+    ])
+    def test_records_that_name_no_context_rejected(self, data):
+        with pytest.raises(BadModulus):
+            ctx_from_json(data)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(BadParam, match="kind"):
+            ctx_from_json({"s": [1.1, 0.0], "kind": "classical"})
+
+    def test_stored_s_kept(self):
+        # s = -e^{i pi/5} is e^{i pi k/5} at k = -4: q is the same, s is not
+        ctx = root_of_unity_ctx(5, 1)
+        data = {**ctx_to_json(ctx), "s": [-ctx.s.real, -ctx.s.imag]}
+        back = ctx_from_json(data)
+        assert back.s == -ctx.s and back.p == 5 and back.p_prime == 5
+
+
 halfints = st.integers(min_value=-40, max_value=40).map(HalfInt)
 
 
@@ -179,6 +247,18 @@ class TestTolerancePolicy:
         for other in (q4, p5):
             with pytest.raises(CtxMismatch):
                 q13.require_same(other)
+
+    def test_domain_guards(self, q13, p5):
+        p5.require_root()
+        q13.require_generic("generic only")
+        q13.require_weight_range(HalfInt(99))
+        p5.require_weight_range(HalfInt(4))
+        with pytest.raises(BadParam, match="requires a root-of-unity context"):
+            q13.require_root()
+        with pytest.raises(BadParam, match="^generic only$"):
+            p5.require_generic("generic only")
+        with pytest.raises(BadRange, match="2l = 5 >= p' = 5"):
+            p5.require_weight_range(HalfInt(5))
 
 
 class TestProperties:

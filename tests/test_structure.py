@@ -663,6 +663,13 @@ class TestIntertwiners:
         with pytest.raises(CtxMismatch):
             intertwiners(U.r1_l(q13, 1), U.r1_l(q4, 1))
 
+    def test_algebra_mismatch(self, q13):
+        # same context and dimension, but an so3 and an sl2 representation
+        so3, sl2 = U.r1_l(q13, 1), t_omega_l(q13, 1)
+        for a, b in ((so3, sl2), (sl2, so3)):
+            with pytest.raises(CtxMismatch, match="different algebras"):
+                intertwiners(a, b)
+
     def test_schur_across_dimensions(self, q13):
         # the weight-0 vector of R1_0 meets the weight-0 vector of R1_1;
         # only the equation at R1_1's weights +-1 rules the map out

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from support import (dense_so3_i3, finite_so3_samples, banded_so3_samples, generic_contexts,
                      reference_central_poly, reference_so3_i3, root_contexts, safe_lambda)
-from qso3.errors import (BadDescriptor, BadParam, BadParity, BadRange,
+from qso3.errors import (BadDescriptor, BadParam, BadParity, BadRange, DegenerateQ,
                          ParityMismatch, SingularBasisChange, SpecialEpsilon)
 from qso3.qscalar import HalfInt, generic_ctx, q_num, q_pow, root_of_unity_ctx
 from qso3.repcore import (Band, FamilyDescriptor, ResidualReport, truncate, truncate_n,
                           verify_so3)
 from qso3.structure import cluster, i1_spectrum
 from qso3 import uqso3 as U
+from qso3.uqsl2 import t_omega_l
 
 H = HalfInt.parse
 
@@ -66,6 +67,15 @@ class TestWeightFamily:
             if j - 1 >= 0:
                 want = 1j * rt * q_pow(q13, -m) * q_num(q13, l + m) / den
                 assert rep.I3[j - 1, j] == pytest.approx(complex(want))
+
+
+class TestWeightRange:
+    def test_one_guard_for_so3_and_sl2(self, p5):
+        # 2l = p' = 5: the weight families of both algebras refuse alike
+        for make in (U.r1_l, U.r_pm_i_l, t_omega_l):
+            with pytest.raises(BadRange, match="^2l = 5 >= p' = 5: weight family out of range$"):
+                make(p5, H("5/2"))
+            make(p5, H("3/2"))
 
 
 class TestDerivedI3:
@@ -122,6 +132,29 @@ class TestTwistedFamily:
         minus = U.r_pm_i_l(q13, H("3/2"), -1)
         assert np.allclose(plus.I1, -minus.I1)
         assert np.allclose(plus.I2, -minus.I2)
+
+    @pytest.mark.parametrize("bad", [1.5, -1.7, "x"])
+    def test_non_sign_rejected_by_every_signed_constructor(self, bad, q13, p5):
+        # 1.5 built sign = 1 and -1.7 sign = -1; "x" raised a bare ValueError
+        makers = [lambda s: U.r_pm_i_l(q13, H("3/2"), s),
+                  lambda s: U.r_split_n(q13, 2, (s, 1)),
+                  lambda s: U.r_split_n(q13, 2, (1, s)),
+                  lambda s: U.r_a_special(q13, 0.3, s),
+                  lambda s: U.r_split_infinite(q13, 0.3, s, 1),
+                  lambda s: U.r_split_infinite(q13, 0.3, 1, s),
+                  lambda s: U.q_lambda(q13, 0.7, s),
+                  lambda s: U.q_lambda_components(q13, 1, "1", s),
+                  lambda s: U.q_root_components(p5, ("Q1", s, 1)),
+                  lambda s: U.q_root_components(p5, ("Q1", 1, s))]
+        for make in makers:
+            with pytest.raises(BadParam, match="cannot parse sign"):
+                make(bad)
+
+    def test_sign_spellings_build_the_same_family(self, q13):
+        for spelled, sign in (("+", 1), ("1", 1), (1.0, 1), ("-", -1), ("-1", -1)):
+            rep = U.r_pm_i_l(q13, H("3/2"), spelled)
+            assert rep.family.params["sign"] == sign
+            assert np.array_equal(rep.I2, U.r_pm_i_l(q13, H("3/2"), sign).I2)
 
     def test_alternating_conjugation_flips_offdiagonal(self, q13):
         # the variant with negated I2, I3 is the same family in an
@@ -298,6 +331,15 @@ class TestHighestLowest:
 
 
 class TestConstantFamily:
+    def test_degenerate_q_raises(self):
+        # |q - 1/q| = 3.75 is within tol |q| = 4 of zero: the families that
+        # read no q-number raise as the others do
+        ctx = generic_ctx(q=4.0, tol=1.0)
+        for make in (lambda: U.q_lambda(ctx, 0.7), lambda: U.q_lambda_components(ctx, 1, "1"),
+                     lambda: U.r_a_special(ctx, 0.3), lambda: U.r1_l(ctx, 1)):
+            with pytest.raises(DegenerateQ):
+                make()
+
     def test_lambda_one_multiplicities(self, q13):
         rep = U.q_lambda(q13, 1.0, 1)
         assert rep.flags["reducible"]
