@@ -9,8 +9,8 @@ families induced from the localized quantum sl2 algebra.
 
 from .qscalar import HalfInt, QContext, generic_ctx, q_num, q_pow, q_pow_c, root_of_unity_ctx
 from .repcore import (BandedRep, FamilyDescriptor, ResidualReport,
-                      Sl2FiniteRep, So3FiniteRep, matrix_from_json, rep_to_json,
-                      truncate, verify_sl2, verify_so3)
+                      Sl2FiniteRep, So3FiniteRep, array_from_json, array_to_json,
+                      matrix_from_json, rep_to_json, truncate, verify_sl2, verify_so3)
 from .registry import REGISTRY, build_family
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "q_num", "q_pow", "q_pow_c",
     "BandedRep", "FamilyDescriptor", "ResidualReport",
     "Sl2FiniteRep", "So3FiniteRep",
-    "matrix_from_json", "rep_to_json", "truncate", "verify_sl2", "verify_so3",
+    "array_from_json", "array_to_json", "matrix_from_json", "rep_to_json",
+    "truncate", "verify_sl2", "verify_so3",
     "REGISTRY", "build_family",
 ]

@@ -8,11 +8,14 @@ are written like "3/2"; complex numbers like "0.7+0.1i"; signs as +, +1,
 0 ok, 1 verification failure, a failed sweep point or an oracle with
 nothing to work from (``NoSolution``), 2 usage or parameter error.
 
-Output is JSON, its values written by ``repcore.json_value``; spectrum
-and spectrum sweeps can also write csv rows re,im,multiplicity.  sweep
-runs a command over the cartesian product of --<flag>-grid value lists
-and writes one JSON line per point, or with --format csv one table whose
-leading columns are the grid flags.
+Output is JSON, its values written by ``repcore.json_value``; a dumped
+representation (``repcore.rep_to_json``) writes each stored diagonal and
+a window's labels as one base64 string of complex128 bytes
+(``repcore.array_to_json``; ``matrix_from_json`` reads a matrix back bit
+for bit).  spectrum and spectrum sweeps can also write csv rows
+re,im,multiplicity.  sweep runs a command over the cartesian product of
+--<flag>-grid value lists and writes one JSON line per point, or with
+--format csv one table whose leading columns are the grid flags.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ localization (see ``uqsl2.is_extendable``).  Composition with T yields a
 rotation-algebra representation that holds the images as diagonals, at
 every dimension, and makes them dense only when read; the q^{-1/2} factor
 in the third image is pinned by the cyclic identities, which
-``verify_psi`` checks on the images ``compose`` returns.
+``verify_psi`` checks on the images ``compose`` returns.  A finite
+representation forms its images once and keeps them
+(``Sl2FiniteRep.psi_images``), so composing and checking it share them.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ def _images(ctx, K, Kinv, E, F, right_divide):
 
 def _psi_images(t: Sl2FiniteRep) -> tuple:
     """The images (I1, I2, I3), as ``Diagonals`` where K and Kinv are
-    diagonal.
+    diagonal; ``Sl2FiniteRep.psi_images`` forms them here once and keeps
+    them.
 
     Where K and Kinv are diagonal (every constructor and every coproduct)
     the images are formed on the generators' diagonals views in O(n): K E
@@ -75,12 +78,13 @@ def _psi_images(t: Sl2FiniteRep) -> tuple:
 
 def compose(t: Sl2FiniteRep | BandedRep) -> So3FiniteRep | BandedRep:
     """Package the images of a representation as a rotation-algebra
-    representation; a finite one takes them as ``_psi_images`` forms them,
-    so it holds diagonals and densifies on first read."""
+    representation; a finite one takes the images it keeps
+    (``Sl2FiniteRep.psi_images``), so it holds diagonals and densifies on
+    first read."""
     fam = FamilyDescriptor("psi_compose", {"of": t.family.name, **t.family.params})
     flags = {**t.flags, "provenance": ("psi", t.family)}
     if isinstance(t, Sl2FiniteRep):
-        return So3FiniteRep(t.ctx, *_psi_images(t), fam, flags)
+        return So3FiniteRep(t.ctx, *t.psi_images, fam, flags)
     return _compose_banded(t, fam, flags)
 
 
@@ -111,13 +115,13 @@ def verify_psi(t: Sl2FiniteRep) -> ResidualReport:
     """Residuals of the three cyclic identities on the images of T (the
     first is the I3 consistency of ``so3_relation_residuals``).
 
-    The images are those ``compose`` returns (``_psi_images``), and the
-    relations run on their ``relation_operands``, so the so3 residuals
-    equal ``verify_so3`` of the composed representation.  The
-    extendability verdict is the one ``compose`` reads.
+    The images are the ones ``compose`` takes (``Sl2FiniteRep.psi_images``,
+    formed once per representation), and the relations run on their
+    ``relation_operands``, so the so3 residuals equal ``verify_so3`` of the
+    composed representation.
     """
     ctx = t.ctx
-    I1, I2, I3 = relation_operands(*_psi_images(t))
+    I1, I2, I3 = relation_operands(*t.psi_images)
     res = so3_relation_residuals(ctx, I1, I2, I3)
     rt = q_pow(ctx, HALF)
     rti = 1 / rt

@@ -311,6 +311,8 @@ def generic_ctx(q: complex | None = None, s: complex | None = None,
     GENERIC_SCAN_BOUND).
 
     Give either q (s defaults to the principal square root) or s directly.
+    Raises ``BadModulus`` at q = 0, q = -1 and q^n = 1, and ``DegenerateQ``
+    where q - q^{-1} is numerically zero at ``tol`` (``q_minus_qinv``).
     """
     if s is None:
         if q is None:
@@ -330,6 +332,7 @@ def generic_ctx(q: complex | None = None, s: complex | None = None,
                 raise BadModulus("q = 1 is excluded: the classical point, where q - q^{-1} = 0")
             raise BadModulus(
                 f"q^{n} = 1 within tolerance; use root_of_unity_ctx(p={n}, k=...)")
+    ctx.q_minus_qinv  # raises DegenerateQ where every q-number would
     return ctx
 
 

@@ -45,6 +45,7 @@ generators in the form they were given (``given``).
 
 from __future__ import annotations
 
+import binascii
 import functools
 import operator
 from dataclasses import dataclass, field
@@ -92,10 +93,8 @@ class _FiniteRep:
     def __post_init__(self):
         given = {name: self.__dict__.pop(name) for name in self.GENERATORS}
         for name, gen in given.items():
-            if isinstance(gen, Diagonals):
-                given[name] = Diagonals(gen.offsets, _read_only(gen.rows))
-            else:
-                given[name] = gen = _read_only(np.asarray(gen))
+            given[name] = gen = _frozen(gen)
+            if not isinstance(gen, Diagonals):
                 object.__setattr__(self, name, gen)
         object.__setattr__(self, "given", given)
         object.__setattr__(self, "_views", {name: gen for name, gen in given.items()
@@ -139,6 +138,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
+def _frozen(gen: np.ndarray | Diagonals) -> np.ndarray | Diagonals:
+    """A read-only view of a dense matrix, or the same diagonals over a
+    read-only view of their rows."""
+    if isinstance(gen, Diagonals):
+        return Diagonals(gen.offsets, _read_only(gen.rows))
+    return _read_only(np.asarray(gen))
+
+
 def is_diagonal(mat: np.ndarray | Diagonals) -> bool:
     """Whether every entry of a dense matrix or ``Diagonals`` off the main
     diagonal is 0."""
@@ -177,6 +184,15 @@ class Sl2FiniteRep(_FiniteRep):
         read and kept, so composing and checking the map scan once."""
         from . import uqsl2  # uqsl2 imports this module
         return uqsl2.is_extendable(self)
+
+    @functools.cached_property
+    def psi_images(self) -> tuple:
+        """``psihom``'s images (I1, I2, I3) of the rotation generators,
+        formed on first read and kept with read-only rows, so composing and
+        checking the map form them once.  Raises ``NotExtendable`` (and
+        keeps nothing) where the map does not exist."""
+        from . import psihom  # psihom imports this module
+        return tuple(_frozen(image) for image in psihom._psi_images(self))
 
 
 @dataclass(frozen=True)
@@ -619,28 +635,47 @@ def _verify_window(rep: BandedRep, window: int) -> TruncatedRep:
     return truncate_n(rep, n_lo, n_hi)
 
 
-def _pairs(values: np.ndarray) -> list:
-    """[re, im] float pairs of a 1-d complex array, in one ``tolist()``."""
-    return np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2).tolist()
+def array_to_json(values: np.ndarray) -> str:
+    """A 1-d complex array as one JSON string: the base64 of its
+    little-endian complex128 bytes, exact bit for bit (-0.0, inf and NaN
+    included); ``array_from_json`` reads it back."""
+    data = np.ascontiguousarray(values, dtype="<c16")
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
+
+
+def array_from_json(text: str) -> np.ndarray:
+    """The complex array ``array_to_json`` wrote, bit for bit; raises
+    ValueError on text that is not the base64 of whole complex128 values."""
+    raw = binascii.a2b_base64(text)  # binascii.Error is a ValueError
+    if len(raw) % 16 or binascii.b2a_base64(raw, newline=False) != text.encode("ascii"):
+        raise ValueError(f"not the base64 of complex128 values: {text[:40]!r}")
+    return np.frombuffer(raw, dtype="<c16").astype(complex)
 
 
 def _matrix_diagonals(mat: np.ndarray | Diagonals) -> dict:
     """A square matrix as its nonzero diagonals: diagonal k (offsets ascending)
-    holds mat[i, i + k] in ``np.diagonal`` order.  An all-zero stored
-    diagonal is left out, so the offsets are those of ``Diagonals.of``."""
+    holds mat[i, i + k] in ``np.diagonal`` order, as ``array_to_json``
+    text.  An all-zero stored diagonal is left out, so the offsets are
+    those of ``Diagonals.of``."""
     diags = mat if isinstance(mat, Diagonals) else Diagonals.of(mat)
     offsets = [k for k, row in zip(diags.offsets, diags.rows) if row.any()]
     return {"dim": diags.shape[0], "offsets": offsets,
-            "diagonals": [_pairs(diags.diagonal(k)) for k in offsets]}
+            "diagonals": [array_to_json(diags.diagonal(k)) for k in offsets]}
 
 
 def matrix_from_json(entry: dict) -> np.ndarray:
     """The dense complex matrix of one dumped ``{"dim", "offsets", "diagonals"}``
-    entry of ``rep_to_json``; entries off the stored diagonals are 0."""
+    entry of ``rep_to_json``, bit for bit; entries off the stored diagonals
+    are 0.  Raises ValueError on a diagonal k whose length is not
+    dim - |k|."""
     n = entry["dim"]
     rows = np.zeros((len(entry["offsets"]), n), dtype=complex)
-    for row, k, diagonal in zip(rows, entry["offsets"], entry["diagonals"]):
-        row[max(k, 0):n + min(k, 0)] = np.array(diagonal, dtype=float).view(complex)[:, 0]
+    for row, k, text in zip(rows, entry["offsets"], entry["diagonals"]):
+        diagonal = array_from_json(text)
+        if len(diagonal) != n - abs(k):
+            raise ValueError(f"diagonal {k} of a dimension-{n} matrix has "
+                             f"{len(diagonal)} entries, not {n - abs(k)}")
+        row[max(k, 0):n + min(k, 0)] = diagonal
     return Diagonals(entry["offsets"], rows).dense()
 
 
@@ -673,8 +708,9 @@ def json_value(value):
 def rep_to_json(rep: So3FiniteRep | Sl2FiniteRep | TruncatedRep,
                 family: FamilyDescriptor | None = None) -> dict:
     """JSON-ready dump: family, params, ctx, and each matrix as its nonzero
-    diagonals (``matrix_from_json`` reads one back); a truncation adds its
-    labels as [re, im] pairs."""
+    diagonals, each one ``array_to_json`` string (``matrix_from_json``
+    reads a matrix back); a truncation adds its labels as one such
+    string."""
     if isinstance(rep, TruncatedRep):
         fam, mats, flags = family or FamilyDescriptor("truncation"), rep.diagonals, {}
     else:
@@ -687,7 +723,7 @@ def rep_to_json(rep: So3FiniteRep | Sl2FiniteRep | TruncatedRep,
     }
     if isinstance(rep, TruncatedRep):
         out["truncated"] = True
-        out["labels"] = _pairs(rep.labels)
+        out["labels"] = array_to_json(rep.labels)
     out["matrices"] = {k: _matrix_diagonals(v) for k, v in mats.items()}
     if flags:
         out["flags"] = {k: json_value(v) for k, v in flags.items()

@@ -13,7 +13,7 @@ import pytest
 
 from qso3.cli import emit, main, parse_complex, parse_family_spec, parse_signs
 from qso3.qscalar import HalfInt, ctx_from_json, generic_ctx
-from qso3.repcore import matrix_from_json
+from qso3.repcore import array_from_json, matrix_from_json
 from qso3.structure import casimir, decompose
 from qso3.uqso3 import r1_l, r_pm_i_l, r_split_n
 
@@ -86,7 +86,7 @@ class TestConstruct:
         assert code == 0
         data = json.loads(out)
         assert data["truncated"] is True
-        assert len(data["labels"]) == 11
+        assert len(array_from_json(data["labels"])) == 11
         assert ctx_from_json(data["ctx"]) == generic_ctx(q=1.3)
 
 
@@ -113,6 +113,11 @@ class TestVerify:
         code, _ = run(capsys, "verify", "--family", "R1_l", "--l", "2",
                       "--q", "1.3", "--tol", "1e-30")
         assert code == 1
+
+    def test_degenerate_q_exit_2(self, capsys):
+        # generic_ctx refuses q = 4 at tol 1: q - 1/q is numerically zero
+        code = main(["verify", "--family", "R1_l", "--l", "1", "--q", "4", "--tol", "1"])
+        assert code == 2
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")

@@ -136,7 +136,7 @@ class TestImagesAgainstDenseSolve:
                 shapes.clear()
                 compose(rep)
                 verify_psi(rep)
-                assert shapes == [(rep.dim, 1, 1)] * 4, (ctx.q, rep.dim)
+                assert shapes == [(rep.dim, 1, 1)] * 2, (ctx.q, rep.dim)
         # a K + Kinv that is not diagonal keeps the two dense solves
         conj = unitary_conjugate(t_omega_l(q13, H("3/2"), "1"))
         shapes.clear()

@@ -139,6 +139,12 @@ class TestRootOfUnityCtx:
             generic_ctx(q=q)
         assert "p=1" not in str(err.value) and "root_of_unity_ctx" not in str(err.value)
 
+    def test_generic_rejects_a_degenerate_q_minus_qinv(self):
+        # |q - 1| = 3 is above tol, but |q - 1/q| = 3.75 is within tol |q| = 4
+        # of zero, where every q-number would raise
+        with pytest.raises(DegenerateQ):
+            generic_ctx(q=4.0, tol=1.0)
+
     def test_json_round_trip(self):
         for ctx in (generic_ctx(q=1.3), root_of_unity_ctx(8, 3)):
             back = ctx_from_json(ctx_to_json(ctx))
@@ -182,6 +188,10 @@ class TestContextJson:
     def test_records_that_name_no_context_rejected(self, data):
         with pytest.raises(BadModulus):
             ctx_from_json(data)
+
+    def test_degenerate_q_minus_qinv_rejected(self):
+        with pytest.raises(DegenerateQ):
+            ctx_from_json({"s": [2.0, 0.0], "kind": "generic", "tol": 1.0})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(BadParam, match="kind"):

@@ -1,5 +1,6 @@
 """Representation data model: conventions, verifiers, truncation, JSON."""
 
+import binascii
 import dataclasses
 import json
 import tracemalloc
@@ -15,10 +16,10 @@ from qso3.errors import EmptyWindow
 from qso3.qscalar import HalfInt, ctx_from_json, generic_ctx, root_of_unity_ctx
 from qso3.registry import REGISTRY
 from qso3.repcore import (Band, BandedRep, Diagonals, FamilyDescriptor, ResidualReport,
-                          Sl2FiniteRep, So3FiniteRep, TruncatedRep, band_diagonals,
-                          matrix_from_json, rep_to_json, sl2_relation_residuals,
-                          so3_relation_residuals, truncate, truncate_n, verify_sl2,
-                          verify_so3)
+                          Sl2FiniteRep, So3FiniteRep, TruncatedRep, array_from_json,
+                          array_to_json, band_diagonals, matrix_from_json, rep_to_json,
+                          sl2_relation_residuals, so3_relation_residuals, truncate,
+                          truncate_n, verify_sl2, verify_so3)
 from qso3 import psihom, repcore, structure, tensor, uqsl2, uqso3
 from qso3.uqsl2 import delta_tensor, is_extendable, t_a_epsilon, t_omega_l
 
@@ -163,7 +164,7 @@ class TestJson:
         tr = truncate(rep, -3, 3)
         data = rep_to_json(tr, rep.family)
         assert data["truncated"] is True
-        assert len(data["labels"]) == 7
+        assert len(array_from_json(data["labels"])) == 7
         assert ctx_from_json(json.loads(json.dumps(data))["ctx"]) == q13
 
     def test_matrix_entries_round_trip(self, q4):
@@ -178,11 +179,21 @@ def _source(rep, name):
     return rep.matrices[name] if isinstance(rep, TruncatedRep) else getattr(rep, name)
 
 
+def _bits(values) -> np.ndarray:
+    """The float bits of a complex array, so -0.0 and NaN payloads count."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
 def _round_trip(rep, family=None) -> dict:
-    """Every dumped matrix decodes to its source exactly; returns the dump."""
+    """Every dumped matrix decodes to its source, each stored diagonal bit
+    for bit (the dump leaves out a diagonal that is all zeros, -0.0 or
+    not, and it decodes to 0.0); returns the dump."""
     data = json.loads(json.dumps(rep_to_json(rep, family)))
     for name, entry in data["matrices"].items():
-        assert np.array_equal(matrix_from_json(entry), _source(rep, name)), name
+        got, src = matrix_from_json(entry), _source(rep, name)
+        assert np.array_equal(got, src, equal_nan=True), name
+        for k in entry["offsets"]:
+            assert np.array_equal(_bits(np.diagonal(got, k)), _bits(np.diagonal(src, k))), (name, k)
     return data
 
 
@@ -215,9 +226,8 @@ class TestDumpIdentity:
     def test_truncation(self, q13):
         rep = uqso3.q_lambda(q13, 0.7 + 0.1j, 1)
         tr = truncate(rep, -3, 3)
-        text, _ = self._check(tr, rep.family)
-        labels = json.dumps([[z.real, z.imag] for z in tr.labels])
-        assert f'"labels": {labels}' in text
+        _, data = self._check(tr, rep.family)
+        assert np.array_equal(_bits(array_from_json(data["labels"])), _bits(tr.labels))
 
     def test_generator_not_contiguous(self, q13):
         image = psihom.compose(t_omega_l(q13, H("5/2"), "-1"))
@@ -228,10 +238,43 @@ class TestDumpIdentity:
     def test_negative_zero(self, q13):
         i1 = np.diag([complex(-0.0, 1.5), complex(2.0, -0.0)])
         rep = _so3(q13, i1, np.conj(i1), i1.real)
-        text, data = self._check(rep)
-        assert "-0.0" in text
+        _, data = self._check(rep)
+        # the encoded bytes keep the sign bits: re and im of I1[0, 0], I1[1, 1]
+        raw = binascii.a2b_base64(data["matrices"]["I1"]["diagonals"][0])
+        assert (np.frombuffer(raw, dtype="<u8") >> 63).tolist() == [1, 0, 0, 1]
         decoded = matrix_from_json(data["matrices"]["I1"])
         assert np.signbit(decoded[0, 0].real) and np.signbit(decoded[1, 1].imag)
+
+
+class TestArrayCodec:
+    """Each dumped array is the base64 of its complex128 bytes: strict JSON
+    text whatever the values, decoded bit for bit, and anything else is
+    refused."""
+
+    def test_non_finite_values(self, q13):
+        nan = np.uint64(0x7FF8_0000_0000_0123).view(float)  # a NaN with a payload
+        i1 = np.diag([complex(np.inf, -0.0), complex(nan, -np.inf), complex(-0.0, 2.5)])
+        i2 = np.diag([complex(1.0, nan), -np.inf], 1)
+        rep = _so3(q13, i1, i2, i2.T)
+        text = json.dumps(rep_to_json(rep), allow_nan=False)
+        data = _round_trip(rep)
+        assert json.loads(text) == data
+        for name in ("I1", "I2", "I3"):
+            got = matrix_from_json(data["matrices"][name])
+            assert np.array_equal(_bits(got), _bits(getattr(rep, name))), name
+        labels = np.array([complex(-0.0, nan), complex(np.inf, 1.0)])
+        assert np.array_equal(_bits(array_from_json(array_to_json(labels))), _bits(labels))
+
+    def test_malformed_diagonals_refused(self, q13):
+        entry = rep_to_json(uqso3.r1_l(q13, H("3/2")))["matrices"]["I2"]
+        k = entry["offsets"][0]
+        short = array_to_json(array_from_json(entry["diagonals"][0])[1:])
+        for bad in (short, "not base64!", entry["diagonals"][0][:-4],
+                    array_to_json(np.zeros(3))[:-2] + "A="):
+            with pytest.raises(ValueError):
+                matrix_from_json({**entry, "diagonals": [bad, *entry["diagonals"][1:]]})
+        with pytest.raises(ValueError, match=f"diagonal {k} of a dimension-4 matrix has 2"):
+            matrix_from_json({**entry, "diagonals": [short, *entry["diagonals"][1:]]})
 
 
 class TestDiagonalDump:
@@ -253,7 +296,8 @@ class TestDiagonalDump:
             {name for name, info in REGISTRY.items() if not info.finite}
         for rep in reps:
             data = _round_trip(truncate(rep, -6, 6), rep.family)
-            assert {e["dim"] for e in data["matrices"].values()} == {len(data["labels"])}
+            assert {e["dim"] for e in data["matrices"].values()} == \
+                {len(array_from_json(data["labels"]))}
             assert _offsets(data) <= {-1, 0, 1}
             assert ctx_from_json(data["ctx"]) == q13
 

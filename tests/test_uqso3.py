@@ -12,7 +12,7 @@ from support import (dense_so3_i3, finite_so3_samples, banded_so3_samples, gener
                      reference_central_poly, reference_so3_i3, root_contexts, safe_lambda)
 from qso3.errors import (BadDescriptor, BadParam, BadParity, BadRange, DegenerateQ,
                          ParityMismatch, SingularBasisChange, SpecialEpsilon)
-from qso3.qscalar import HalfInt, generic_ctx, q_num, q_pow, root_of_unity_ctx
+from qso3.qscalar import HalfInt, QContext, generic_ctx, q_num, q_pow, root_of_unity_ctx
 from qso3.repcore import (Band, FamilyDescriptor, ResidualReport, truncate, truncate_n,
                           verify_so3)
 from qso3.structure import cluster, i1_spectrum
@@ -333,8 +333,9 @@ class TestHighestLowest:
 class TestConstantFamily:
     def test_degenerate_q_raises(self):
         # |q - 1/q| = 3.75 is within tol |q| = 4 of zero: the families that
-        # read no q-number raise as the others do
-        ctx = generic_ctx(q=4.0, tol=1.0)
+        # read no q-number raise as the others do (generic_ctx refuses this
+        # context, so it is made directly)
+        ctx = QContext(s=2.0, kind="generic", tol=1.0)
         for make in (lambda: U.q_lambda(ctx, 0.7), lambda: U.q_lambda_components(ctx, 1, "1"),
                      lambda: U.r_a_special(ctx, 0.3), lambda: U.r1_l(ctx, 1)):
             with pytest.raises(DegenerateQ):
