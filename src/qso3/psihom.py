@@ -115,10 +115,9 @@ def verify_psi(t: Sl2FiniteRep) -> ResidualReport:
     """Residuals of the three cyclic identities on the images of T (the
     first is the I3 consistency of ``so3_relation_residuals``).
 
-    The images are the ones ``compose`` takes (``Sl2FiniteRep.psi_images``,
-    formed once per representation), and the relations run on their
-    ``relation_operands``, so the so3 residuals equal ``verify_so3`` of the
-    composed representation.
+    The images are the ones ``compose`` takes (``Sl2FiniteRep.psi_images``),
+    and the relations run on their ``relation_operands``, so the so3
+    residuals equal ``verify_so3`` of the composed representation.
     """
     ctx = t.ctx
     I1, I2, I3 = relation_operands(*t.psi_images)
