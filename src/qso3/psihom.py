@@ -13,7 +13,8 @@ every dimension, and makes them dense only when read; the q^{-1/2} factor
 in the third image is pinned by the cyclic identities, which
 ``verify_psi`` checks on the images ``compose`` returns.  A finite
 representation forms its images once and keeps them
-(``Sl2FiniteRep.psi_images``), so composing and checking it share them.
+(``Sl2FiniteRep.psi_images``), so composing and checking it share them
+and the one extendability scan.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .uqsl2 import is_extendable
 
 
 def _require_extendable(t: Sl2FiniteRep | BandedRep) -> None:
-    ok, witness = t.extendability if isinstance(t, Sl2FiniteRep) else is_extendable(t)
+    ok, witness = is_extendable(t)
     if not ok:
         raise NotExtendable(
             f"K + Kinv has a non-invertible shift (k={witness[0]}, mu={witness[1]:.6g})",

@@ -179,13 +179,6 @@ class Sl2FiniteRep(_FiniteRep):
     GENERATORS = ("K", "Kinv", "E", "F")
 
     @functools.cached_property
-    def extendability(self) -> tuple[bool, tuple | None]:
-        """``uqsl2.is_extendable`` of this representation, decided on first
-        read and kept, so composing and checking the map scan once."""
-        from . import uqsl2  # uqsl2 imports this module
-        return uqsl2.is_extendable(self)
-
-    @functools.cached_property
     def psi_images(self) -> tuple:
         """``psihom``'s images (I1, I2, I3) of the rotation generators,
         formed on first read and kept with read-only rows, so composing and

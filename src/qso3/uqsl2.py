@@ -4,11 +4,11 @@ Finite families: the four sign-twisted weight families T_l^(omega) for
 omega in {1, -1, i, -i}; at a root of unity additionally the cyclic
 families T_{ab,lambda}, the one-sided variant T'_{0b,lambda}, and the
 i-twisted T~_{ab,lambda}.  Infinite families: T_{a,eps} on a shifted
-integer lattice.  ``is_extendable`` decides whether all operators
-q^k K + q^{-k} Kinv are invertible, which is what admits division by
-K + Kinv downstream: one array comparison of q^{2k} mu^2 against -1 over
-the candidate pairs of a shift k and a K-eigenvalue mu that can meet it
-(on the unit circle found by sorted angles, in O(n + bound) memory).
+integer lattice.  ``is_extendable``, ``classify_epsilon`` and
+``uqso3.excluded_lambda`` ask one test, ``_shift_hits``, where the
+localization map does not exist: q^{2k} mu^2 against -1 over the candidate
+pairs of a shift k and a K-eigenvalue mu that can meet it (on the unit
+circle found by sorted angles, in O(n + bound) memory).
 
 The finite families and the coproduct ``delta_tensor`` hand their
 generators to ``Sl2FiniteRep`` as diagonals; the dense fields are made
@@ -29,10 +29,8 @@ from .repcore import (Band, BandedRep, Diagonals, FamilyDescriptor, Sl2FiniteRep
 
 OMEGAS = {"1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j}
 EXTEND_SCAN_MARGIN = 8
-# solutions eps_r of q^{2 eps} = -1 listed for |r| <= SPECIAL_R_RANGE, and
-# the integer shifts |j| <= SPECIAL_J_SCAN away from them that still count
-SPECIAL_R_RANGE = 8
-SPECIAL_J_SCAN = 64
+# a lattice band is scanned on 2 * this + 1 coordinates
+LATTICE_SCAN_HALF_WIDTH = 40
 
 
 def _omega_value(ctx: QContext, omega) -> complex:
@@ -88,12 +86,10 @@ def is_extendable(rep: Sl2FiniteRep | BandedRep):
     """Whether q^k K + q^{-k} Kinv is invertible for all integers k.
 
     A K-eigenvalue mu fails at k iff mu^2 = -q^{-2k}, tested in the
-    scale-free form q^{2k} mu^2 = -1.  The range is |k| <= 2*dim + 8 for
-    generic q and 0 <= k < p at a root of unity; inside it only the
-    candidate pairs (k, mu) of ``_candidate_pairs`` can fail, and only they
-    are tested.  Returns (ok, witness) with witness = (k, mu) on failure:
-    the first failing pair in the order (|k|, k, eigenvalue index).  A
-    finite representation keeps its verdict (``Sl2FiniteRep.extendability``).
+    scale-free form q^{2k} mu^2 = -1 (``_shift_hits``) for |k| <= 2*dim + 8
+    (0 <= k < p at a root of unity).  Returns (ok, witness) with
+    witness = (k, mu) on failure: the first failing pair in the order
+    (|k|, k, eigenvalue index).
     """
     ctx = rep.ctx
     if isinstance(rep, Sl2FiniteRep):
@@ -101,21 +97,27 @@ def is_extendable(rep: Sl2FiniteRep | BandedRep):
         mus = K.diagonal() if is_diagonal(K) else np.linalg.eigvals(rep.K)
         dim = rep.dim
     else:
-        ns = range(-40, 41) if rep.n_min is None and rep.n_max is None else \
-            range(rep.n_min if rep.n_min is not None else rep.n_max - 80,
-                  (rep.n_max if rep.n_max is not None else rep.n_min + 80) + 1)
-        mus = rep.bands["K"].diag(np.arange(ns.start, ns.stop))
+        w = LATTICE_SCAN_HALF_WIDTH
+        lo = rep.n_min if rep.n_min is not None else -w if rep.n_max is None else rep.n_max - 2 * w
+        hi = rep.n_max if rep.n_max is not None else lo + 2 * w
+        mus = rep.bands["K"].diag(np.arange(lo, hi + 1))
         dim = len(mus)
-    ks, js = _candidate_pairs(ctx, mus, 2 * dim + EXTEND_SCAN_MARGIN)
-    # q^{2k} once for each k that occurs
-    kset, at = np.unique(ks, return_inverse=True)
-    shift = np.array([q_pow_c(ctx, 2 * k) for k in kset.tolist()], dtype=complex)
-    t = shift[at] * mus[js] * mus[js]
-    hit = np.flatnonzero(np.abs(t + 1) <= ctx.threshold(np.abs(t)))
-    if not hit.size:
+    ks, js = _shift_hits(ctx, mus, 2 * dim + EXTEND_SCAN_MARGIN)
+    if not ks.size:
         return True, None
-    first = hit[np.lexsort((js[hit], ks[hit], np.abs(ks[hit])))[0]]
+    first = np.lexsort((js, ks, np.abs(ks)))[0]
     return False, (int(ks[first]), complex(mus[js[first]]))
+
+
+def _shift_hits(ctx: QContext, mus: np.ndarray, bound: int):
+    """The pairs (k, index of mu) with q^{2k} mu^2 = -1 within threshold,
+    as two integer arrays; only the candidate pairs of ``_candidate_pairs``
+    (|k| <= bound, or 0 <= k < p at a root of unity) are tested."""
+    ks, js = _candidate_pairs(ctx, mus, bound)
+    # q^{2k} from the context's table of powers (``QContext.s_powers``)
+    t = q_pow(ctx, 2 * ks) * mus[js] * mus[js]
+    hit = np.abs(t + 1) <= ctx.threshold(np.abs(t))
+    return ks[hit], js[hit]
 
 
 def _candidate_pairs(ctx: QContext, mus: np.ndarray, bound: int):
@@ -274,32 +276,24 @@ def t_tilde_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
     return rep
 
 
-def special_epsilon_values(ctx: QContext) -> list[complex]:
-    """Solutions of q^{2*eps} = -1: eps = i*pi*(2r+1) / (2*tau)."""
-    tau = ctx.tau
-    return [1j * math.pi * (2 * r + 1) / (2 * tau)
-            for r in range(-SPECIAL_R_RANGE, SPECIAL_R_RANGE + 1)]
-
-
 def classify_epsilon(ctx: QContext, eps: complex) -> str:
-    """"special0" if eps is congruent mod Z to a solution of q^{2eps} = -1,
-    "special_half" if eps - 1/2 is, else "generic"."""
+    """"special0" if q^{2(eps + j)} = -1 for a shift j in reach (``_shift_hits``
+    on mu = q^eps), "special_half" if q^{2(eps - 1/2 + j)} = -1, else
+    "generic".  The reach |j| <= w + 2 (2w + 1) + 8 is the one ``is_extendable``
+    gives the lattice band of w = ``LATTICE_SCAN_HALF_WIDTH`` coordinates a side."""
     eps = complex(eps)
-    for base in special_epsilon_values(ctx):
-        for shift, tag in ((0.0, "special0"), (0.5, "special_half")):
-            d = eps - shift - base
-            if abs(d - round(d.real)) <= ctx.threshold(abs(eps), abs(base)) and abs(
-                    round(d.real)) <= SPECIAL_J_SCAN:
-                return tag
-    return "generic"
+    w = LATTICE_SCAN_HALF_WIDTH
+    mus = np.array([q_pow_c(ctx, eps), q_pow_c(ctx, eps - 0.5)])
+    _, js = _shift_hits(ctx, mus, w + 2 * (2 * w + 1) + EXTEND_SCAN_MARGIN)
+    return "special0" if 0 in js else "special_half" if 1 in js else "generic"
 
 
 def t_a_epsilon(ctx: QContext, a, eps) -> BandedRep:
     """Two-sided lattice family on labels m = eps + n, n in Z.
 
     K|m> = q^m|m>, E|m> = [a-m]|m+1>, F|m> = [a+m]|m-1>.  Flags record
-    irreducibility (a != +-eps mod Z) and extendability (eps avoids the
-    special offsets where K + Kinv has a zero eigenvalue).
+    irreducibility (a != +-eps mod Z) and extendability (eps is not a
+    special offset, where K + Kinv is singular: ``classify_epsilon``).
     """
     ctx.require_generic("lattice family is defined for generic q only")
     a, eps = complex(a), complex(eps)
@@ -307,11 +301,8 @@ def t_a_epsilon(ctx: QContext, a, eps) -> BandedRep:
     e_band = Band(up=lambda n: q_num(ctx, a - eps - n))
     f_band = Band(down=lambda n: q_num(ctx, a + eps + n))
     kind = classify_epsilon(ctx, eps)
-    flags = {
-        "extendable": kind == "generic" or kind == "special_half",
-        "epsilon_class": kind,
-        "irreducible": not (_is_integer_mod(ctx, a - eps) or _is_integer_mod(ctx, a + eps)),
-    }
+    flags = {"extendable": kind != "special0", "epsilon_class": kind,
+             "irreducible": not (_is_integer_mod(ctx, a - eps) or _is_integer_mod(ctx, a + eps))}
     fam = FamilyDescriptor("T_a_eps", {"a": a, "eps": eps})
     return BandedRep(ctx, "sl2", eps, {"K": k_band, "E": e_band, "F": f_band},
                      fam, flags=flags)

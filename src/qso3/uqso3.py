@@ -50,7 +50,8 @@ from .qscalar import HalfInt, QContext, c_div, c_mul, q_num, q_pow, q_pow_c, sig
 from .repcore import (HALF, Band, BandedRep, FamilyDescriptor, So3FiniteRep,
                       band_diagonals, masked, so3_i3_diagonals, verify_so3)
 from .structure import invariance_defect
-from .uqsl2 import _is_integer_mod, classify_epsilon, cyclic_dim, weight_label
+from .uqsl2 import (_is_integer_mod, _shift_hits, _weight_step, classify_epsilon, cyclic_dim,
+                    weight_label)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -154,6 +155,18 @@ def _so3_banded(ctx, offset, i1_diag, i2: Band, family,
                      n_min=n_min, n_max=n_max, flags=flags or {})
 
 
+def _lattice_bands(ctx: QContext, m_of, up_arg, down_arg) -> tuple:
+    """I1 = i[m] and the I2 band with up [up_arg] / (q^m + q^{-m}) and
+    down -[down_arg] / (q^m + q^{-m}) on the labels m = m_of(n)."""
+    def den(n):
+        t = q_pow_c(ctx, m_of(n))
+        return t + c_div(1, t)
+
+    i2 = Band(up=lambda n: c_div(q_num(ctx, up_arg(n)), den(n)),
+              down=lambda n: c_div(-q_num(ctx, down_arg(n)), den(n)))
+    return lambda n: 1j * q_num(ctx, m_of(n)), i2
+
+
 def r_a_epsilon(ctx: QContext, a, eps) -> BandedRep:
     """Two-sided lattice family on labels m = eps + n: I1|m> = i[m]|m>.
 
@@ -167,13 +180,8 @@ def r_a_epsilon(ctx: QContext, a, eps) -> BandedRep:
         raise SpecialEpsilon(
             f"eps = {eps} is a special offset ({kind}); use r_a_special for the "
             "half-shifted branch")
-    def den(n):
-        t = q_pow_c(ctx, eps + n)
-        return t + c_div(1, t)
-
-    i1_diag = lambda n: 1j * q_num(ctx, eps + n)
-    i2 = Band(up=lambda n: c_div(q_num(ctx, a - (eps + n)), den(n)),
-              down=lambda n: c_div(-q_num(ctx, a + (eps + n)), den(n)))
+    i1_diag, i2 = _lattice_bands(ctx, lambda n: eps + n, lambda n: a - (eps + n),
+                                 lambda n: a + (eps + n))
     irr = not (_is_integer_mod(ctx, a - eps) or _is_integer_mod(ctx, a + eps))
     fam = FamilyDescriptor("R_a_eps", {"a": a, "eps": eps})
     return _so3_banded(ctx, eps, i1_diag, i2, fam, flags={"irreducible": irr})
@@ -281,16 +289,7 @@ def r_highest_lowest(ctx: QContext, kind: str, param) -> BandedRep:
         offset = -a if sign > 0 else a
         n_min, n_max = (0, None) if sign > 0 else (None, 0)
         fam = FamilyDescriptor("R_hw", {"kind": kind, "a": a})
-
-    def i1_diag(n):
-        return 1j * q_num(ctx, m_of(n))
-
-    def den(n):
-        t = q_pow_c(ctx, m_of(n))
-        return t + c_div(1, t)
-
-    i2 = Band(up=lambda n: c_div(q_num(ctx, up_arg(n)), den(n)),
-              down=lambda n: c_div(-q_num(ctx, down_arg(n)), den(n)))
+    i1_diag, i2 = _lattice_bands(ctx, m_of, up_arg, down_arg)
     return _so3_banded(ctx, complex(offset), i1_diag, i2, fam, n_min=n_min,
                        n_max=n_max, flags={"irreducible": True})
 
@@ -362,11 +361,11 @@ def q_lambda_components(ctx: QContext, which: int, at: str, sign: int = 1) -> Ba
 # root-of-unity families
 
 def excluded_lambda(ctx: QContext, lam: complex) -> bool:
-    """Whether lam is within tolerance of +-q^k for some integer k."""
-    lam = complex(lam)
-    thr = ctx.threshold(abs(lam))
-    return any(min(abs(lam - t), abs(lam + t)) <= thr
-               for t in (q_pow(ctx, k) for k in range(ctx.p)))
+    """Whether lam is within tolerance of +-q^k: where mu = i lam, the K of the
+    sl2 family ``r_ab_lambda`` is the image of, has q^{2k} mu^2 = -1 (``_shift_hits``)."""
+    ctx.require_root()
+    ks, _ = _shift_hits(ctx, np.array([1j * complex(lam)]), ctx.p)
+    return bool(ks.size)
 
 
 def degenerate_lambdas(ctx: QContext, trivial_ab: bool = False) -> list[complex]:
@@ -398,11 +397,7 @@ def r_ab_lambda(ctx: QContext, a, b, lam) -> So3FiniteRep:
     a, b = complex(a), complex(b)
     dim = cyclic_dim(ctx, a != 0 or b != 0)
     w = ctx.q_minus_qinv
-
-    def eta(i):
-        return a * b + c_div(c_mul(q_num(ctx, i), c_mul(lam ** 2, q_pow(ctx, 1 - i))
-                                   - c_mul(lam ** -2, q_pow(ctx, i - 1))), w)
-
+    eta = lambda i: a * b + _weight_step(ctx, lam, i)
     ci = lambda i: c_div(1j, c_mul(q_pow(ctx, -i), lam) - c_div(q_pow(ctx, i), lam))
     i1_diag = lambda i: c_div(-(c_mul(q_pow(ctx, -i), lam) + c_div(q_pow(ctx, i), lam)), w)
 

@@ -119,6 +119,13 @@ class TestVerify:
         code = main(["verify", "--family", "R1_l", "--l", "1", "--q", "4", "--tol", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "construct"])
+    def test_special_offset_exit_2(self, command, capsys):
+        # q^(2 eps) = -1 at this offset (r = 9): the family does not exist
+        code, out = run(capsys, command, "--family", "R_a_eps", "--a", "0.3",
+                        "--eps", "0+113.75455521611651i", "--q", "1.3")
+        assert code == 2 and out == ""
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     def test_nan_residual_exit_one(self, capsys):

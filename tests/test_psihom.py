@@ -9,10 +9,10 @@ from qso3.errors import NotExtendable, QAlgebraError
 from qso3.psihom import compose, verify_psi
 from qso3.qscalar import HalfInt, generic_ctx, root_of_unity_ctx
 from qso3.repcore import FamilyDescriptor, So3FiniteRep, truncate, verify_so3
-from qso3 import uqsl2, uqso3
+from qso3 import psihom, uqso3
 from qso3.structure import decompose
 from qso3.tensor import cg_decompose, tensor_so3
-from qso3.uqsl2 import delta_tensor, t_a_epsilon, t_ab_lambda, t_omega_l
+from qso3.uqsl2 import delta_tensor, is_extendable, t_a_epsilon, t_ab_lambda, t_omega_l
 
 H = HalfInt.parse
 
@@ -99,7 +99,7 @@ class TestImagesAgainstDenseSolve:
     def test_images(self):
         checked = 0
         for label, t in _image_samples():
-            if not t.extendability[0]:
+            if not is_extendable(t)[0]:
                 continue
             got, want = images(t), reference_psi_images(t)
             for name, a, b in zip(("I1", "I2"), got, want):
@@ -167,24 +167,25 @@ class TestRootOfUnityReports:
     def test_small_products(self):
         for p in ROOT_PS:
             for label, t in _root_products(p, 16):
-                if t.extendability[0]:
+                if is_extendable(t)[0]:
                     self._check(t)
 
 
 class TestExtendabilityOnce:
-    """A finite representation decides extendability once
-    (``Sl2FiniteRep.extendability``), and compose and verify_psi share it."""
+    """A finite representation is scanned once, before the images it keeps
+    are formed (``Sl2FiniteRep.psi_images``), and compose and verify_psi
+    share that scan."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         seen = []
-        scan = uqsl2.is_extendable
+        scan = psihom.is_extendable
 
         def spy(rep):
             seen.append(rep)
             return scan(rep)
 
-        monkeypatch.setattr(uqsl2, "is_extendable", spy)
+        monkeypatch.setattr(psihom, "is_extendable", spy)
         return seen
 
     def test_compose_then_verify(self, q13, qphase, calls):
@@ -247,7 +248,7 @@ class TestVerifyPsi:
         weights = [t_omega_l(ctx, HalfInt(tw), omega)
                    for ctx, tws in ((q13, range(1, 100)), (qphase, range(1, 100)), (p7, range(1, 7)))
                    for tw in tws for omega in ("1", "i")]
-        samples = [t for t in weights if t.extendability[0]]
+        samples = [t for t in weights if is_extendable(t)[0]]
         # a root-of-unity coproduct, and K + Kinv not diagonal at dims 4 and 60
         samples += [delta_tensor(t_omega_l(p7, H("3/2"), "1"), t_omega_l(p7, H("5/2"), "1")),
                     unitary_conjugate(t_omega_l(generic_ctx(q=1.05), H("3/2"), "i")),

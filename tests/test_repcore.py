@@ -745,7 +745,7 @@ def _view_samples():
         yield from finite_so3_samples(ctx)
         for label, t in finite_sl2_samples(ctx):
             yield label, t
-            if t.extendability[0]:
+            if is_extendable(t)[0]:
                 yield f"psi({label})", psihom.compose(t)
     for ctx in generic_contexts():
         prod = delta_tensor(t_omega_l(ctx, H("7/2"), "i"), t_omega_l(ctx, H("3"), "1"))
@@ -794,7 +794,7 @@ class TestDiagonalsView:
                 continue
             want = sl2_relation_residuals(rep.ctx, *diags)
             assert verify_sl2(rep).residuals == want, label
-            if rep.extendability[0]:
+            if is_extendable(rep)[0]:
                 dense_only = dataclasses.replace(rep)   # no view handed over
                 assert psihom.verify_psi(rep).residuals == \
                     psihom.verify_psi(dense_only).residuals, label
@@ -874,7 +874,7 @@ class TestDenseOnFirstRead:
         for t in sl2:
             assert t.dim == dim and verify_sl2(t).max_residual <= 1e-9, t.family
             rep_to_json(t)
-            if t.extendability[0]:
+            if is_extendable(t)[0]:
                 assert psihom.verify_psi(t).max_residual <= 1e-9, t.family
                 so3.append(psihom.compose(t))
         for rep in so3:

@@ -14,9 +14,8 @@ from qso3.repcore import FamilyDescriptor, Sl2FiniteRep, rep_to_json, verify_sl2
 from qso3.structure import (are_equivalent, burnside_dim, cluster, is_irreducible,
                             _multiset_close)
 from qso3.uqsl2 import (EXTEND_SCAN_MARGIN, OMEGAS, _candidate_pairs, classify_epsilon,
-                        cyclic_dim, delta_tensor, is_extendable, special_epsilon_values,
-                        t_a_epsilon, t_ab_lambda, t_omega_l, t_prime_0b_lambda,
-                        t_tilde_ab_lambda)
+                        cyclic_dim, delta_tensor, is_extendable, t_a_epsilon, t_ab_lambda,
+                        t_omega_l, t_prime_0b_lambda, t_tilde_ab_lambda)
 
 H = HalfInt.parse
 
@@ -160,7 +159,7 @@ class TestExtendabilityReference:
 
     def test_banded_lattice_family(self):
         for ctx in generic_contexts():
-            special = special_epsilon_values(ctx)[8]
+            special = 1j * np.pi / (2 * ctx.tau)
             eps_values = (0.4, 0.25 + 0.1j, special, special + 2, special + 0.5)
             results = self._check([t_a_epsilon(ctx, 0.3 + 0.2j, eps)
                                    for eps in eps_values])
@@ -291,6 +290,23 @@ class TestLatticeFamily:
         assert not rep.flags["extendable"]
         rep = t_a_epsilon(q13, 0.3, eps0 + 0.5)
         assert rep.flags["extendable"]
+
+    @pytest.mark.parametrize("q", [1.3, 4.0, 0.6, -1.7 + 0.4j, np.exp(0.37j)])
+    def test_one_rule_on_the_offset_grid(self, q):
+        # eps = eps_r + j + x about the solutions eps_r of q^(2 eps) = -1,
+        # with shifts j inside, at and beyond the reach 210 of the band scan:
+        # the class, the flag and the scan of the family agree everywhere
+        ctx = generic_ctx(q=q)
+        js = sorted(set(range(-260, 261, 13)) | {-211, -210, -65, 65, 210, 211})
+        for r, j, x in itertools.product((-12, -9, 0, 3, 9, 15), js, (0, 0.5, 0.31 + 0.07j)):
+            eps = 1j * np.pi * (2 * r + 1) / (2 * ctx.tau) + j + x
+            rep = t_a_epsilon(ctx, 0.3, eps)
+            ok = is_extendable(rep)[0]
+            kind = classify_epsilon(ctx, eps)
+            assert (kind == "special0") == (not ok) and rep.flags["extendable"] == ok, (r, j, x)
+            in_reach = abs(j) <= 210
+            assert kind == ("special0" if x == 0 and in_reach else
+                            "special_half" if x == 0.5 and in_reach else "generic"), (r, j, x)
 
 
 class TestDeltaTensor:
@@ -432,7 +448,7 @@ class TestExtendabilityCandidates:
         for eps in (0.4 + 0.2j, 0.25 - 0.3j, 0.4):
             rep = t_a_epsilon(qphase, 0.3 + 0.2j, eps)
             assert is_extendable(rep) == reference_is_extendable(rep) == (True, None)
-        special = special_epsilon_values(qphase)[8]
+        special = 1j * np.pi / (2 * qphase.tau)
         rep = t_a_epsilon(qphase, 0.3 + 0.2j, special + 2)
         got = is_extendable(rep)
         assert got == reference_is_extendable(rep) and not got[0]

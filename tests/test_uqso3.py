@@ -17,7 +17,7 @@ from qso3.repcore import (Band, FamilyDescriptor, ResidualReport, truncate, trun
                           verify_so3)
 from qso3.structure import cluster, i1_spectrum
 from qso3 import uqso3 as U
-from qso3.uqsl2 import t_omega_l
+from qso3.uqsl2 import classify_epsilon, is_extendable, t_a_epsilon, t_omega_l
 
 H = HalfInt.parse
 
@@ -211,6 +211,15 @@ class TestLatticeFamilies:
             U.r_a_epsilon(q13, 0.3, eps0)
         with pytest.raises(SpecialEpsilon):
             U.r_a_epsilon(q13, 0.3, eps0 + 0.5)
+
+    @pytest.mark.parametrize("eps", [113.75455521611651j, 65 + 5.9870818534798165j])
+    def test_special_offsets_far_out(self, q13, eps):
+        # the solution of q^(2 eps) = -1 at r = 9, and the one at r = 0
+        # shifted by j = 65: K + Kinv of the sl2 family is singular at both
+        assert classify_epsilon(q13, eps) == "special0"
+        assert not is_extendable(t_a_epsilon(q13, 0.3, eps))[0]
+        with pytest.raises(SpecialEpsilon):
+            U.r_a_epsilon(q13, 0.3, eps)
 
     def test_reducible_flag(self, q13):
         assert U.r_a_epsilon(q13, 0.3 + 0.2j, 0.4).flags["irreducible"] is True
@@ -441,6 +450,10 @@ class TestCyclicRootFamilies:
             U.r_ab_lambda(p5, 1, 1, 0)
         # for odd p the half-odd powers are excluded as well
         assert U.excluded_lambda(p5, q_pow(p5, HalfInt(3)))
+
+    def test_excluded_lambda_needs_a_root(self, q13):
+        with pytest.raises(BadParam):
+            U.excluded_lambda(q13, 2.0)
 
     def test_spectrum_list(self, p5):
         lam = safe_lambda(p5, 1.7 + 0.4j)
