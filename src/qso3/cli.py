@@ -6,7 +6,7 @@ central, sweep.  Contexts come either from --q (generic) or from integer
 are written like "3/2"; complex numbers like "0.7+0.1i"; signs as +, +1,
 1, - or -1 (``qscalar.sign_of``), a sign pair as (+,-).  Exit codes:
 0 ok, 1 verification failure, a failed sweep point or an oracle with
-nothing to work from (``NoSolution``), 2 usage or parameter error.
+nothing to work from (``NoSolution``), 2 usage, parameter or overflow error.
 
 Output is JSON, its values written by ``repcore.json_value``; a dumped
 representation (``repcore.rep_to_json``) writes each stored diagonal and
@@ -54,9 +54,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-# A malformed value raises ValueError and a missing family parameter a
-# TypeError from its builder: like usage and domain errors, they exit 2.
-PARAM_ERRORS = (UsageError, QAlgebraError, ValueError, TypeError)
+# ValueError (a malformed value), TypeError (a missing family parameter) and
+# OverflowError (a value beyond floating point) exit 2, like usage and domain errors.
+PARAM_ERRORS = (UsageError, QAlgebraError, ValueError, TypeError, OverflowError)
 
 
 def parse_complex(text: str) -> complex:

@@ -1,8 +1,8 @@
 """Spectral analysis, invariant subspaces, irreducibility and equivalence.
 
 Every oracle works in the weight blocks of the first generator (``I1``, or
-``K`` on the sl2 side): the index groups of its tolerance-clustered
-eigenvalues.  Registered families and the tensor products built through the
+``K`` on the sl2 side): the index groups of its eigenvalues, clustered
+per value.  Registered families and the tensor products built through the
 localization map have a diagonal first generator; any other input is first
 moved to the generator's eigenbasis and the results are mapped back.  This
 ``WeightFrame`` is computed once per representation and read by every oracle.
@@ -100,7 +100,7 @@ class WeightFrame:
         off = np.max(np.abs(g0 - np.diag(np.diag(g0)))) if g0.size else 0.0
         self.vals, self.S = (np.diag(g0), None) if off <= rep.ctx.floor(np.max(np.abs(g0))) \
             else np.linalg.eig(g0)
-        self.groups = _cluster_groups(self.vals, rep.ctx.separation(*np.abs(self.vals)))
+        self.groups = _cluster_groups(self.vals, rep.ctx.separation(np.abs(self.vals)))
         sizes = [len(idx) for _, idx in self.groups]
         ends = list(itertools.accumulate(sizes))
         self._slices = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]

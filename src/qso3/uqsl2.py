@@ -8,7 +8,7 @@ integer lattice.  ``is_extendable``, ``classify_epsilon`` and
 ``uqso3.excluded_lambda`` ask one test, ``_shift_hits``, where the
 localization map does not exist: q^{2k} mu^2 against -1 over the candidate
 pairs of a shift k and a K-eigenvalue mu that can meet it (on the unit
-circle found by sorted angles, in O(n + bound) memory).
+circle found by sorted angles), on a lattice family at one ``_lattice_mu``.
 
 The finite families and the coproduct ``delta_tensor`` hand their
 generators to ``Sl2FiniteRep`` as diagonals; the dense fields are made
@@ -29,8 +29,7 @@ from .repcore import (Band, BandedRep, Diagonals, FamilyDescriptor, Sl2FiniteRep
 
 OMEGAS = {"1": 1 + 0j, "-1": -1 + 0j, "i": 1j, "-i": -1j}
 EXTEND_SCAN_MARGIN = 8
-# a lattice band is scanned on 2 * this + 1 coordinates
-LATTICE_SCAN_HALF_WIDTH = 40
+LATTICE_CIRCLE_REACH = 210  # the shifts |k| a lattice family is tested at on the unit circle
 
 
 def _omega_value(ctx: QContext, omega) -> complex:
@@ -87,26 +86,30 @@ def is_extendable(rep: Sl2FiniteRep | BandedRep):
 
     A K-eigenvalue mu fails at k iff mu^2 = -q^{-2k}, tested in the
     scale-free form q^{2k} mu^2 = -1 (``_shift_hits``) for |k| <= 2*dim + 8
-    (0 <= k < p at a root of unity).  Returns (ok, witness) with
-    witness = (k, mu) on failure: the first failing pair in the order
-    (|k|, k, eigenvalue index).
+    (0 <= k < p at a root of unity), or of a lattice family's ``_lattice_mu``.
+    Returns (ok, witness) with witness = (k, mu) on failure: the first
+    failing pair in the order (|k|, k, eigenvalue index).
     """
     ctx = rep.ctx
     if isinstance(rep, Sl2FiniteRep):
         K = rep.given["K"]
         mus = K.diagonal() if is_diagonal(K) else np.linalg.eigvals(rep.K)
-        dim = rep.dim
+        bound = 2 * rep.dim + EXTEND_SCAN_MARGIN
     else:
-        w = LATTICE_SCAN_HALF_WIDTH
-        lo = rep.n_min if rep.n_min is not None else -w if rep.n_max is None else rep.n_max - 2 * w
-        hi = rep.n_max if rep.n_max is not None else lo + 2 * w
-        mus = rep.bands["K"].diag(np.arange(lo, hi + 1))
-        dim = len(mus)
-    ks, js = _shift_hits(ctx, mus, 2 * dim + EXTEND_SCAN_MARGIN)
+        mus, bound = np.array([_lattice_mu(ctx, rep.offset)]), LATTICE_CIRCLE_REACH
+    ks, js = _shift_hits(ctx, mus, bound)
     if not ks.size:
         return True, None
     first = np.lexsort((js, ks, np.abs(ks)))[0]
     return False, (int(ks[first]), complex(mus[js[first]]))
+
+
+def _lattice_mu(ctx: QContext, offset: complex) -> complex:
+    """K = q^{offset + n0} of a lattice family at the n0 where |K| is nearest 1
+    (0 on the unit circle): coordinate n fails at k iff n0 fails at k + n - n0,
+    and off the circle only k = -1, 0, 1 are candidates, whatever the reach."""
+    n0 = 0 if ctx.close(abs(ctx.q) ** 2, 1) else -round((offset * ctx.tau).real / ctx.tau.real)
+    return q_pow_c(ctx, offset + n0)
 
 
 def _shift_hits(ctx: QContext, mus: np.ndarray, bound: int):
@@ -277,14 +280,12 @@ def t_tilde_ab_lambda(ctx: QContext, a, b, lam) -> Sl2FiniteRep:
 
 
 def classify_epsilon(ctx: QContext, eps: complex) -> str:
-    """"special0" if q^{2(eps + j)} = -1 for a shift j in reach (``_shift_hits``
-    on mu = q^eps), "special_half" if q^{2(eps - 1/2 + j)} = -1, else
-    "generic".  The reach |j| <= w + 2 (2w + 1) + 8 is the one ``is_extendable``
-    gives the lattice band of w = ``LATTICE_SCAN_HALF_WIDTH`` coordinates a side."""
+    """"special0" if q^{2(eps + j)} = -1 for an integer j (``_shift_hits`` on
+    ``_lattice_mu`` of eps), "special_half" if q^{2(eps - 1/2 + j)} = -1,
+    else "generic"; on the unit circle only |j| <= ``LATTICE_CIRCLE_REACH``."""
     eps = complex(eps)
-    w = LATTICE_SCAN_HALF_WIDTH
-    mus = np.array([q_pow_c(ctx, eps), q_pow_c(ctx, eps - 0.5)])
-    _, js = _shift_hits(ctx, mus, w + 2 * (2 * w + 1) + EXTEND_SCAN_MARGIN)
+    mus = np.array([_lattice_mu(ctx, eps), _lattice_mu(ctx, eps - 0.5)])
+    _, js = _shift_hits(ctx, mus, LATTICE_CIRCLE_REACH)
     return "special0" if 0 in js else "special_half" if 1 in js else "generic"
 
 

@@ -370,15 +370,14 @@ def excluded_lambda(ctx: QContext, lam: complex) -> bool:
 
 def degenerate_lambdas(ctx: QContext, trivial_ab: bool = False) -> list[complex]:
     """In-domain lambda values at which the cyclic family's I1 spectrum is
-    fully paired (and the family can split).
-
-    Empty for odd p: there the candidates +-q^{(dim-1)/2} land on excluded
-    points +-q^k, since q^{1/2} itself is +-q^{(p+1)/2}.
+    fully paired (and the family can split): +-q^{(dim-1)/2} for an even
+    cycle length dim.  For an odd one the exponent is whole, and +-q^k is
+    excluded (``excluded_lambda``).
     """
     ctx.require_root()
     dim = cyclic_dim(ctx, not trivial_ab)
-    vals = [q_pow(ctx, HalfInt(dim - 1)), -q_pow(ctx, HalfInt(dim - 1))]
-    return [v for v in vals if not excluded_lambda(ctx, v)]
+    v = q_pow(ctx, HalfInt(dim - 1))
+    return [v, -v] if dim % 2 == 0 else []
 
 
 def r_ab_lambda(ctx: QContext, a, b, lam) -> So3FiniteRep:

@@ -431,23 +431,23 @@ def reference_decompose(rep) -> DecompositionReport:
 
 def reference_is_extendable(rep):
     """``uqsl2.is_extendable`` as a scalar double loop over (k, mu): one
-    threshold call per pair, returning at the first failing pair."""
+    threshold call per pair, returning at the first failing pair.  A lattice
+    family K = q^(eps + n) is read at the one coordinate n0 where |K| is
+    nearest 1 (n0 = 0 on the unit circle), since coordinate n fails at k
+    iff n0 fails at k + n - n0, with every |k| <= LATTICE_CIRCLE_REACH."""
     ctx = rep.ctx
     if isinstance(rep, Sl2FiniteRep):
         diagonal = np.count_nonzero(rep.K - np.diag(np.diag(rep.K))) == 0
         mus = np.diag(rep.K) if diagonal else np.linalg.eigvals(rep.K)
-        dim = rep.dim
+        bound = 2 * rep.dim + uqsl2.EXTEND_SCAN_MARGIN
     else:
-        band = rep.bands["K"]
-        ns = range(-40, 41) if rep.n_min is None and rep.n_max is None else \
-            range(rep.n_min if rep.n_min is not None else rep.n_max - 80,
-                  (rep.n_max if rep.n_max is not None else rep.n_min + 80) + 1)
-        mus = np.array([coefficient(band.diag, n) for n in ns])
-        dim = len(mus)
+        tau = ctx.tau
+        n0 = 0 if ctx.close(abs(ctx.q) ** 2, 1) else -round((rep.offset * tau).real / tau.real)
+        mus = np.array([coefficient(rep.bands["K"].diag, n0)])
+        bound = uqsl2.LATTICE_CIRCLE_REACH
     if ctx.is_root_of_unity:
         ks = range(ctx.p)
     else:
-        bound = 2 * dim + uqsl2.EXTEND_SCAN_MARGIN
         ks = sorted(range(-bound, bound + 1), key=abs)
     for k in ks:
         shift = q_pow_c(ctx, 2 * k)

@@ -121,10 +121,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("command", ["verify", "construct"])
     def test_special_offset_exit_2(self, command, capsys):
-        # q^(2 eps) = -1 at this offset (r = 9): the family does not exist
-        code, out = run(capsys, command, "--family", "R_a_eps", "--a", "0.3",
-                        "--eps", "0+113.75455521611651i", "--q", "1.3")
-        assert code == 2 and out == ""
+        # q^(2 eps) = -1 at these offsets (r = 9; r = 0 shifted by 211 and
+        # by -1000): the family does not exist
+        for eps in ("0+113.75455521611651i", "211+5.9870818534798165i",
+                    "-1000+5.9870818534798165i"):
+            code, out = run(capsys, command, "--family", "R_a_eps", "--a", "0.3",
+                            "--eps", eps, "--q", "1.3")
+            assert code == 2 and out == "", eps
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
@@ -416,6 +419,23 @@ class TestErrors:
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["central", "--p", "4", "--bogus", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["--family", "T_l", "--l", "3000"],
+                                      ["--family", "R_a_eps", "--a", "0.3", "--eps", "5000"]])
+    def test_overflow_exit_2(self, argv, capsys):
+        # q^3000 and q^5000 overflow at q = 1.3: a parameter error
+        code = main(["verify", *argv, "--q", "1.3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_sweep_records_overflow_per_point(self, capsys):
+        code = main(["sweep", "verify", "--family", "R1_l", "--l-grid", "3/2,3000",
+                     "--q", "1.3"])
+        recs = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert [(r["point"]["l"], r["ok"]) for r in recs] == [("3/2", True), ("3000", False)]
+        assert "error" in recs[1]
 
     def test_sweep_records_missing_parameter_per_point(self, capsys):
         code = main(["sweep", "construct", "--family", "R1_l",

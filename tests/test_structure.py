@@ -39,6 +39,12 @@ class TestSpectrum:
         assert i1_spectrum(U.r_pm_i_l(q4, H("1/2"), 1)) == [
             (pytest.approx(-2 / 3), 2)]
 
+    @pytest.mark.parametrize("q, dim", [(4.0, 100), (1.3, 200), (4.0, 140)])
+    def test_weights_cut_per_value(self, q, dim):
+        # the weights i[m] of R1_l span many orders of magnitude; each is
+        # cut at its own separation, so the small ones do not merge
+        assert len(i1_spectrum(U.r1_l(generic_ctx(q=q), HalfInt(dim - 1)))) == dim
+
     def test_degenerate_cyclic_exactly_one_single(self):
         ctx = root_of_unity_ctx(10, 1)
         lam = U.degenerate_lambdas(ctx, trivial_ab=True)

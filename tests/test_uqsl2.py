@@ -13,9 +13,10 @@ from qso3.qscalar import HalfInt, generic_ctx, q_pow, root_of_unity_ctx
 from qso3.repcore import FamilyDescriptor, Sl2FiniteRep, rep_to_json, verify_sl2
 from qso3.structure import (are_equivalent, burnside_dim, cluster, is_irreducible,
                             _multiset_close)
-from qso3.uqsl2 import (EXTEND_SCAN_MARGIN, OMEGAS, _candidate_pairs, classify_epsilon,
-                        cyclic_dim, delta_tensor, is_extendable, t_a_epsilon, t_ab_lambda,
-                        t_omega_l, t_prime_0b_lambda, t_tilde_ab_lambda)
+from qso3.uqsl2 import (EXTEND_SCAN_MARGIN, LATTICE_CIRCLE_REACH, OMEGAS, _candidate_pairs,
+                        classify_epsilon, cyclic_dim, delta_tensor, is_extendable,
+                        t_a_epsilon, t_ab_lambda, t_omega_l, t_prime_0b_lambda,
+                        t_tilde_ab_lambda)
 
 H = HalfInt.parse
 
@@ -294,19 +295,25 @@ class TestLatticeFamily:
     @pytest.mark.parametrize("q", [1.3, 4.0, 0.6, -1.7 + 0.4j, np.exp(0.37j)])
     def test_one_rule_on_the_offset_grid(self, q):
         # eps = eps_r + j + x about the solutions eps_r of q^(2 eps) = -1,
-        # with shifts j inside, at and beyond the reach 210 of the band scan:
-        # the class, the flag and the scan of the family agree everywhere
+        # with shifts j inside, at and beyond the unit circle's reach 210:
+        # the class, the flag and the scan of the family agree everywhere,
+        # off the circle every shift is special, and a failing family's
+        # witness (k, mu) has q^(2k) mu^2 = -1
         ctx = generic_ctx(q=q)
-        js = sorted(set(range(-260, 261, 13)) | {-211, -210, -65, 65, 210, 211})
+        on_circle = abs(abs(q) - 1) < 1e-12
+        js = sorted(set(range(-260, 261, 13)) | {-1000, -211, -210, -65, 65, 210, 211, 1000})
         for r, j, x in itertools.product((-12, -9, 0, 3, 9, 15), js, (0, 0.5, 0.31 + 0.07j)):
             eps = 1j * np.pi * (2 * r + 1) / (2 * ctx.tau) + j + x
             rep = t_a_epsilon(ctx, 0.3, eps)
-            ok = is_extendable(rep)[0]
+            ok, witness = is_extendable(rep)
             kind = classify_epsilon(ctx, eps)
             assert (kind == "special0") == (not ok) and rep.flags["extendable"] == ok, (r, j, x)
-            in_reach = abs(j) <= 210
+            in_reach = abs(j) <= LATTICE_CIRCLE_REACH or not on_circle
             assert kind == ("special0" if x == 0 and in_reach else
                             "special_half" if x == 0.5 and in_reach else "generic"), (r, j, x)
+            if not ok:
+                t = q_pow(ctx, 2 * witness[0]) * witness[1] ** 2
+                assert abs(t + 1) <= ctx.threshold(abs(t)), (r, j, x, witness)
 
 
 class TestDeltaTensor:

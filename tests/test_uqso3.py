@@ -17,7 +17,7 @@ from qso3.repcore import (Band, FamilyDescriptor, ResidualReport, truncate, trun
                           verify_so3)
 from qso3.structure import cluster, i1_spectrum
 from qso3 import uqso3 as U
-from qso3.uqsl2 import classify_epsilon, is_extendable, t_a_epsilon, t_omega_l
+from qso3.uqsl2 import classify_epsilon, cyclic_dim, is_extendable, t_a_epsilon, t_omega_l
 
 H = HalfInt.parse
 
@@ -461,6 +461,17 @@ class TestCyclicRootFamilies:
         w = p5.q - 1 / p5.q
         want = [-(q_pow(p5, -i) * lam + q_pow(p5, i) / lam) / w for i in range(5)]
         assert np.allclose(np.diag(rep.I1), want)
+
+    def test_degenerate_lambdas_closed_form(self):
+        # the candidates +-q^((dim-1)/2) less those excluded_lambda refuses:
+        # the same list, bit for bit, at every p < 121 and k coprime to it
+        for p in range(3, 121):
+            for k in _coprime(p):
+                ctx = root_of_unity_ctx(p, k)
+                for trivial_ab in (False, True):
+                    v = q_pow(ctx, HalfInt(cyclic_dim(ctx, not trivial_ab) - 1))
+                    want = [lam for lam in (v, -v) if not U.excluded_lambda(ctx, lam)]
+                    assert U.degenerate_lambdas(ctx, trivial_ab) == want, (p, k, trivial_ab)
 
     def test_degenerate_flag(self, p8):
         lam = U.degenerate_lambdas(p8)[0]
